@@ -1,90 +1,64 @@
-"""Timing comparison: compiled quadrature kernel vs the pure-numpy twin.
+"""Projection-kernel timing on the inputs the engine really passes it.
 
-Runs one representative workload per particle number (saddle offset,
-auto truncation, production grid) through both kernel builds and reports
-per-point cost and end-to-end engine time. The first compiled call pays
-numba's compile-or-load cost; it is timed separately.
+Each case runs one canonical_observables call with
+canonical.projection_chunk wrapped, so every chunk the engine asks for is
+recorded along with the row's wall time. The first recorded chunk is then
+replayed through the kernel and the best of REPEATS runs is reported in
+nanoseconds per level-point (trap levels x quadrature points).
 
-Usage: python3 benchmarks/bench_kernels.py
+Usage: python benchmarks/bench_kernels.py
 """
 
-import math
 import time
 
-import numpy as np
+from bosecanon import TrapSpectrum, canonical, critical_temperature
 
-from bosecanon import QuadratureConfig, TrapSpectrum, critical_temperature
-from bosecanon._kernels import projection_chunk_compiled, projection_chunk_numpy
-from bosecanon.canonical import (
-    _half_interval_count,
-    _level_weights,
-    _quadrature_nodes,
-    _tail_strength,
-    _weight_peaks,
-    saddle_ground_offset,
-)
-
-CHUNK = 512
+CASES = [(1_000, 0.6), (10_000, 0.6), (10_000, 1.2)]
+REPEATS = 5
 
 
-def workload(n, t_over_tc):
-    sp = TrapSpectrum()
-    t = t_over_tc * critical_temperature(sp, n)
-    cfg = QuadratureConfig()
-    m_max = cfg.resolve_m_max(sp, t)
-    eps0 = saddle_ground_offset(sp, t, n, m_max)
-    q, g = _level_weights(sp, t, m_max, eps0)
-    s_mb = _tail_strength(sp, t, m_max, eps0, cfg.tail_mode)
-    var0 = float((g * q / (1.0 - q) ** 2).sum()) + s_mb
-    tail_scale = q[0] / (1.0 - q[0]) + math.sqrt(var0) + 20.0
-    n_half = _half_interval_count(n, 1, tail_scale)
-    nodes, wts = _quadrature_nodes(cfg.resolve_points(n))
-    offset = float(s_mb - (g * np.log1p(-q)).sum())
-    return q, g, float(n), s_mb, math.pi / n_half, nodes, wts, offset
+def capture(spectrum, n, t_over_tc):
+    """Kernel argument tuples of one engine row, and the row's wall time."""
+    kernel = canonical.projection_chunk
+    calls = []
 
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
 
-def time_kernel(kernel, args, chunks=8):
-    q, g, n, s_mb, h, nodes, wts, offset = args
-    best = math.inf
-    for _ in range(3):
+    canonical.projection_chunk = recording
+    try:
+        t = t_over_tc * critical_temperature(spectrum, n)
         start = time.perf_counter()
-        for c in range(chunks):
-            kernel(q, g, n, s_mb, h, c * CHUNK, (c + 1) * CHUNK,
-                   nodes, wts, offset)
+        canonical.canonical_observables(spectrum, t, n)
+        row_s = time.perf_counter() - start
+    finally:
+        canonical.projection_chunk = kernel
+    return calls, row_s
+
+
+def time_chunk(args):
+    """Best wall time of one kernel call over REPEATS runs."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        canonical.projection_chunk(*args)
         best = min(best, time.perf_counter() - start)
-    points = chunks * CHUNK * nodes.size * q.size
-    return best, best / points * 1e9
+    return best
 
 
 def main():
-    cases = [(1_000, 0.6), (10_000, 0.6), (10_000, 1.2)]
-    print(f"{'case':>16s} {'levels':>7s} {'numpy':>12s} {'compiled':>12s} "
-          f"{'speedup':>8s}")
-    if projection_chunk_compiled is not None:
-        args = workload(*cases[0])
-        start = time.perf_counter()
-        projection_chunk_compiled(*args[:4], args[4], 0, 1, *args[5:])
-        print(f"compile-or-load cost: {time.perf_counter() - start:.2f}s")
-    for n, t_over_tc in cases:
-        args = workload(n, t_over_tc)
-        t_np, ns_np = time_kernel(projection_chunk_numpy, args)
+    spectrum = TrapSpectrum()
+    print(f"{'case':>16s} {'levels':>7s} {'points':>7s} {'chunks':>7s} "
+          f"{'kernel':>14s} {'engine row':>11s}")
+    for n, t_over_tc in CASES:
+        calls, row_s = capture(spectrum, n, t_over_tc)
+        q, _, _, _, _, i0, i1, nodes = calls[0][:8]
+        points = (i1 - i0) * nodes.size
+        ns = time_chunk(calls[0]) / (points * q.size) * 1e9
         label = f"N={n} t={t_over_tc}"
-        if projection_chunk_compiled is None:
-            print(f"{label:>16s} {args[0].size:>7d} {ns_np:>9.1f} ns "
-                  f"{'n/a':>12s} {'n/a':>8s}")
-            continue
-        t_nb, ns_nb = time_kernel(projection_chunk_compiled, args)
-        print(f"{label:>16s} {args[0].size:>7d} {ns_np:>9.1f} ns "
-              f"{ns_nb:>9.1f} ns {t_np / t_nb:>7.1f}x")
-
-    from bosecanon import canonical_observables
-    sp = TrapSpectrum()
-    for n, t_over_tc in cases:
-        t = t_over_tc * critical_temperature(sp, n)
-        start = time.perf_counter()
-        canonical_observables(sp, t, n)
-        print(f"engine row N={n} t={t_over_tc}: "
-              f"{time.perf_counter() - start:.3f}s (selected kernel)")
+        print(f"{label:>16s} {q.size:>7d} {points:>7d} {len(calls):>7d} "
+              f"{ns:>6.2f} ns/l-pt {row_s:>10.3f}s")
 
 
 if __name__ == "__main__":

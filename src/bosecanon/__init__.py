@@ -18,15 +18,12 @@ from .spectrum import (
     cumulative_states,
     degeneracy,
 )
-from .logcomplex import LogComplex, LogComplexAccumulator
 from .canonical import (
     CanonicalResult,
     ConvergenceError,
     QuadratureConfig,
     ShiftInvarianceReport,
     canonical_observables,
-    mb_tail_factor,
-    partition_integrand,
     saddle_ground_offset,
     shift_invariance_check,
 )

@@ -1,4 +1,4 @@
-"""Hot loops for the projection quadrature, in two interchangeable builds.
+"""Hot loop for the projection quadrature.
 
 The driver splits [0, pi] into equal intervals of width h and asks for the
 weighted integrand summed over the quadrature points of intervals
@@ -22,81 +22,24 @@ terms of the excited-count weights. log|F| is computed relative to the
 caller-supplied offset so the exponential never overflows; the running
 per-interval maximum of log|F| - offset is returned for tail bounds.
 
-The compiled build is selected at import time. Set BOSECANON_NO_NUMBA=1
-to force the pure-numpy build; both are always importable for benchmarks.
+The points of one chunk are evaluated as a numpy block; the level loop
+stays explicit.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-__all__ = [
-    "projection_chunk",
-    "projection_chunk_numpy",
-    "projection_chunk_compiled",
-    "USING_NUMBA",
-    "N_ACCUMULATORS",
-]
+__all__ = ["projection_chunk", "USING_NUMBA", "N_ACCUMULATORS"]
 
 N_ACCUMULATORS = 7
 
-
-def _projection_chunk_scalar(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
-    n_int = i1 - i0
-    n_pts = nodes.size
-    n_lev = q.size
-    out = np.zeros((n_int, N_ACCUMULATORS), dtype=np.complex128)
-    peak = np.full(n_int, -np.inf)
-    for ii in range(n_int):
-        for p in range(n_pts):
-            z = (i0 + ii + nodes[p]) * h
-            c = math.cos(z)
-            s = math.sin(z)
-            e = complex(c, -s)
-            log_mod = s_mb * c
-            phase = n * z - s_mb * s
-            w0 = complex(0.0, 0.0)
-            w0sq = complex(0.0, 0.0)
-            w1 = complex(0.0, 0.0)
-            we = s_mb * e
-            wev = s_mb * e
-            for m in range(n_lev):
-                qm = q[m]
-                gm = g[m]
-                t1 = 1.0 - qm * c
-                t2 = qm * s
-                log_mod -= gm * 0.5 * math.log(t1 * t1 + t2 * t2)
-                phase -= gm * math.atan2(t2, t1)
-                x = qm * e
-                u = 1.0 - x
-                w = x / u
-                if m == 0:
-                    w0 = w
-                    w0sq = x * (1.0 + x) / (u * u)
-                else:
-                    if m == 1:
-                        w1 = w
-                    we += gm * w
-                    wev += gm * (w / u)
-            rel = log_mod - offset
-            if rel > peak[ii]:
-                peak[ii] = rel
-            v = math.exp(rel) * wts[p] * h * complex(math.cos(phase), math.sin(phase))
-            out[ii, 0] += v
-            out[ii, 1] += v * w0
-            out[ii, 2] += v * w0sq
-            out[ii, 3] += v * w1
-            out[ii, 4] += v * (w0 * w1)
-            out[ii, 5] += v * we
-            out[ii, 6] += v * (we * we + wev)
-    return out, peak
+# There is no compiled build; kept because run records report the build.
+USING_NUMBA = False
 
 
-def projection_chunk_numpy(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
-    """Vectorised twin of the compiled kernel; level loop stays explicit."""
+def projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
+    """Per-interval accumulator sums and log-modulus peaks over [i0, i1)."""
     z = (np.arange(i0, i1, dtype=np.float64)[:, None] + nodes[None, :]) * h
     c = np.cos(z)
     s = np.sin(z)
@@ -136,22 +79,3 @@ def projection_chunk_numpy(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
     out[:, 6] = (v * (we * we + wev)).sum(axis=1)
     peak = rel.max(axis=1)
     return out, peak
-
-
-USING_NUMBA = False
-projection_chunk_compiled = None
-
-if os.environ.get("BOSECANON_NO_NUMBA", "0") not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-
-        projection_chunk_compiled = njit(cache=True, nogil=True)(
-            _projection_chunk_scalar
-        )
-        USING_NUMBA = True
-    except ImportError:
-        projection_chunk_compiled = None
-
-projection_chunk = (
-    projection_chunk_compiled if USING_NUMBA else projection_chunk_numpy
-)

@@ -42,13 +42,12 @@ as a second floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._kernels import N_ACCUMULATORS, projection_chunk
 from .grand_canonical import auto_m_max, solve_fugacity
-from .logcomplex import LogComplex, LogComplexAccumulator
 from .spectrum import DomainError, TrapSpectrum, weighted_geometric_tail
 
 __all__ = [
@@ -57,8 +56,6 @@ __all__ = [
     "ConvergenceError",
     "ShiftInvarianceReport",
     "canonical_observables",
-    "partition_integrand",
-    "mb_tail_factor",
     "saddle_ground_offset",
     "shift_invariance_check",
     "TAIL_MODES",
@@ -96,8 +93,6 @@ class QuadratureConfig:
 
     m_max: highest Bose-treated level; None derives one from T.
     intervals_per_oscillation: multiplies the grid density floor.
-    points_per_interval: Gauss order per interval; None picks 1 for
-        N >= 10^4 and 4 below.
     convergence_rel_tol: early-exit threshold on per-interval contributions.
     tail_mode: 'maxwell_boltzmann_closure' or 'truncate'.
     ground_offset: None evaluates at the saddle offset; a positive float
@@ -107,7 +102,6 @@ class QuadratureConfig:
 
     m_max: int | None = None
     intervals_per_oscillation: int = 1
-    points_per_interval: int | None = None
     convergence_rel_tol: float = 1e-12
     tail_mode: str = "maxwell_boltzmann_closure"
     ground_offset: float | None = None
@@ -117,8 +111,6 @@ class QuadratureConfig:
             raise DomainError(f"m_max must be >= 1, got {self.m_max}")
         if self.intervals_per_oscillation < 1:
             raise DomainError("intervals_per_oscillation must be >= 1")
-        if self.points_per_interval is not None and self.points_per_interval < 1:
-            raise DomainError("points_per_interval must be >= 1")
         if not self.convergence_rel_tol > 0:
             raise DomainError("convergence_rel_tol must be positive")
         if self.tail_mode not in TAIL_MODES:
@@ -134,11 +126,6 @@ class QuadratureConfig:
             mm = min(mm, spectrum.max_level)
         return mm
 
-    def resolve_points(self, n: int) -> int:
-        if self.points_per_interval is not None:
-            return self.points_per_interval
-        return 1 if n >= MIDPOINT_N else 4
-
 
 @dataclass(frozen=True)
 class CanonicalResult:
@@ -147,10 +134,6 @@ class CanonicalResult:
     log_z is normalised to the evaluation offset recorded in ground_offset;
     log_z_zero_offset = log_z + N*ground_offset/T removes it entirely and is
     what any two runs of the same physical system must agree on.
-
-    imag_residual is identically zero here: the two half-contours are
-    assembled as value + conjugate, so every integral is real by
-    construction rather than by cancellation.
     """
 
     n: int
@@ -163,7 +146,6 @@ class CanonicalResult:
     n0_n1_mean: float
     ne_mean: float
     ne_second_moment: float
-    imag_residual: float
     intervals_evaluated: int
     intervals_total: int
     tail_share: float
@@ -227,62 +209,6 @@ def _tail_strength(spectrum: TrapSpectrum, t: float, m_max: int,
     return math.exp(-ground_offset / t) * weighted_geometric_tail(q, m_max)
 
 
-def mb_tail_factor(spectrum: TrapSpectrum, t: float, z: float,
-                   m_max: int) -> LogComplex:
-    """Boltzmann-order closure of all levels above m_max, as a log-complex.
-
-    Equals exp(s e^{-iz}) with s the summed Boltzmann weight of the tail
-    levels; an empty tail gives exactly 1.
-    """
-    s = _tail_strength(spectrum, t, m_max, spectrum.ground_offset,
-                       "maxwell_boltzmann_closure")
-    return LogComplex(s * math.cos(z), -s * math.sin(z))
-
-
-def partition_integrand(
-    spectrum: TrapSpectrum,
-    t: float,
-    n: int,
-    z: float,
-    config: QuadratureConfig | None = None,
-) -> LogComplex:
-    """Reference (scalar, log-domain) evaluation of the contour integrand.
-
-    The hot path in _kernels computes the same quantity; this form exists
-    for the z=0 normalisation, for tests, and for overflow reporting with
-    the offending level named.
-    """
-    config = config or QuadratureConfig()
-    if not -math.pi <= z <= math.pi:
-        raise DomainError(f"z must lie in [-pi, pi], got {z}")
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    m_max = config.resolve_m_max(spectrum, t)
-    eps0 = (config.ground_offset if config.ground_offset is not None
-            else spectrum.ground_offset)
-    if eps0 == 0.0 and z == 0.0:
-        raise DomainError(
-            "integrand diverges at z=0 for zero ground offset; "
-            "use a positive offset"
-        )
-    q, g = _level_weights(spectrum, t, m_max, eps0)
-    acc = LogComplexAccumulator()
-    acc.add(0.0, n * z)
-    c, s = math.cos(z), math.sin(z)
-    for m in range(m_max + 1):
-        t1 = 1.0 - q[m] * c
-        t2 = q[m] * s
-        try:
-            acc.add(-g[m] * 0.5 * math.log(t1 * t1 + t2 * t2),
-                    -g[m] * math.atan2(t2, t1))
-        except OverflowError as err:
-            raise OverflowError(f"integrand factor overflowed at level {m}") from err
-    s_mb = _tail_strength(spectrum, t, m_max, eps0, config.tail_mode)
-    if s_mb:
-        acc.add(s_mb * c, -s_mb * s)
-    return acc.value()
-
-
 def saddle_ground_offset(spectrum: TrapSpectrum, t: float, n: int,
                          m_max: int | None = None) -> float:
     """Offset making z=0 a stationary point of the integrand's phase.
@@ -307,9 +233,12 @@ def _weight_peaks(q: np.ndarray, g: np.ndarray, s_mb: float) -> np.ndarray:
     return np.array([1.0, w0, w0sq, w1, w0 * w1, we, we * we + wev])
 
 
-def _quadrature_nodes(points: int):
-    """Gauss-Legendre nodes and weights mapped to the unit interval."""
-    x, w = np.polynomial.legendre.leggauss(points)
+def _quadrature_nodes(n: int):
+    """Per-interval rule for N particles on the unit interval.
+
+    One midpoint from MIDPOINT_N up, 4-point Gauss-Legendre below.
+    """
+    x, w = np.polynomial.legendre.leggauss(1 if n >= MIDPOINT_N else 4)
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -355,8 +284,7 @@ def canonical_observables(
     var0 = float((g * q / (1.0 - q) ** 2).sum()) + s_mb
     tail_scale = w_peak[1] + math.sqrt(var0) + 20.0
 
-    ppi = config.resolve_points(n)
-    nodes, wts = _quadrature_nodes(ppi)
+    nodes, wts = _quadrature_nodes(n)
     n_half = _half_interval_count(n, config.intervals_per_oscillation, tail_scale)
     h = math.pi / n_half
 
@@ -423,7 +351,6 @@ def canonical_observables(
         n0_n1_mean=obs[4],
         ne_mean=obs[5],
         ne_second_moment=obs[6],
-        imag_residual=0.0,
         intervals_evaluated=done,
         intervals_total=n_half,
         tail_share=s_mb / n,
@@ -481,14 +408,7 @@ def shift_invariance_check(
 
     results = []
     for spec in (spectrum_a, spectrum_b):
-        forced = QuadratureConfig(
-            m_max=config.m_max,
-            intervals_per_oscillation=config.intervals_per_oscillation,
-            points_per_interval=config.points_per_interval,
-            convergence_rel_tol=config.convergence_rel_tol,
-            tail_mode=config.tail_mode,
-            ground_offset=spec.ground_offset,
-        )
+        forced = replace(config, ground_offset=spec.ground_offset)
         results.append(canonical_observables(spec, t, n, forced))
     ra, rb = results
 

@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from ._kernels import USING_NUMBA
 from .asymptotics import (
     condensate_fraction_limit,
     correlation_limit,
@@ -73,7 +72,6 @@ FIELD_ORDER = (
     "m_max",
     "intervals_evaluated",
     "intervals_total",
-    "imag_residual",
     "sum_rule_residual",
     "ground_offset",
     "converged",
@@ -106,7 +104,6 @@ class SweepRow:
     m_max: int = 0
     intervals_evaluated: int = 0
     intervals_total: int = 0
-    imag_residual: float = math.nan
     sum_rule_residual: float = math.nan
     ground_offset: float = math.nan
     converged: int = 0
@@ -167,7 +164,6 @@ def compute_row(
         m_max=r.m_max,
         intervals_evaluated=r.intervals_evaluated,
         intervals_total=r.intervals_total,
-        imag_residual=r.imag_residual,
         sum_rule_residual=r.sum_rule_residual,
         ground_offset=r.ground_offset,
         converged=int(r.converged),
@@ -230,7 +226,6 @@ def run_sweep(
             rows = [f.result() for f in futures]
     meta = {
         "version": __version__,
-        "compiled_kernels": USING_NUMBA,
         "workers": workers,
         "particles": list(particles),
         "t_grid": [float(t) for t in t_grid],
@@ -239,14 +234,7 @@ def run_sweep(
         "failed_rows": sum(1 for r in rows if r.error),
     }
     if config is not None:
-        meta["config"] = {
-            "m_max": config.m_max,
-            "intervals_per_oscillation": config.intervals_per_oscillation,
-            "points_per_interval": config.points_per_interval,
-            "convergence_rel_tol": config.convergence_rel_tol,
-            "tail_mode": config.tail_mode,
-            "ground_offset": config.ground_offset,
-        }
+        meta["config"] = asdict(config)
     return SweepResult(rows=rows, meta=meta)
 
 
