@@ -2,8 +2,10 @@
 
 The driver splits [0, pi] into equal intervals of width h and asks for the
 weighted integrand summed over the quadrature points of intervals
-[i0, i1). Results come back per interval so convergence decisions upstream
-do not depend on chunk size.
+[i0, i1), one chunk of canonical.CHUNK_POINTS points at a time (512
+intervals of the 4-point rule, 2048 of the midpoint rule). Results come
+back per interval so convergence decisions upstream do not depend on
+chunk size.
 
 Each point z carries seven complex accumulators built from one pass over
 the trap levels:
@@ -22,8 +24,8 @@ terms of the excited-count weights. log|F| is computed relative to the
 caller-supplied offset so the exponential never overflows; the running
 per-interval maximum of log|F| - offset is returned for tail bounds.
 
-The points of one chunk are evaluated as a numpy block; the level loop
-stays explicit.
+The points of one chunk are evaluated as one numpy block per trap level,
+so the per-call overhead of the level loop is spread over the whole chunk.
 """
 
 from __future__ import annotations

@@ -37,6 +37,10 @@ negligible. At the saddle offset the coefficient sequence decays past N
 on the scale of the ground occupation plus the number spread, hence the
 density floor below keyed to n0 + sqrt(var). The pi/(4N) baseline is kept
 as a second floor.
+
+Early exit. Each chunk of CHUNK_POINTS kernel points gets one array-level
+exit decision; it is made per interval on sums added in interval order,
+so results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ TAIL_MODES = ("truncate", "maxwell_boltzmann_closure")
 # Early-exit hysteresis: this many consecutive negligible intervals, plus a
 # rigorous bound on everything beyond them, before stopping.
 EXIT_STREAK = 32
-CHUNK_INTERVALS = 512
+CHUNK_POINTS = 2048  # per kernel call: 512 4-point or 2048 midpoint intervals
 
 # Alias suppression: full-period point count must clear N by this many
 # decay lengths of the coefficient tail.
@@ -152,7 +156,6 @@ class CanonicalResult:
     sum_rule_residual: float
     m_max: int
     ground_offset: float
-    converged: bool
 
     @property
     def n0_variance(self) -> float:
@@ -227,7 +230,7 @@ def _weight_peaks(q: np.ndarray, g: np.ndarray, s_mb: float) -> np.ndarray:
     w = q / (1.0 - q)
     w0 = w[0]
     w0sq = q[0] * (1.0 + q[0]) / (1.0 - q[0]) ** 2
-    w1 = w[1] if q.size > 1 else 0.0
+    w1 = w[1]
     we = float((g[1:] * w[1:]).sum()) + s_mb
     wev = float((g[1:] * w[1:] / (1.0 - q[1:])).sum()) + s_mb
     return np.array([1.0, w0, w0sq, w1, w0 * w1, we, we * we + wev])
@@ -261,6 +264,8 @@ def canonical_observables(
         raise DomainError(f"particle number must be >= 1, got {n}")
 
     m_max = config.resolve_m_max(spectrum, t)
+    if m_max < 1:
+        raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
     if config.ground_offset is not None:
         eps0 = config.ground_offset
     else:
@@ -291,41 +296,43 @@ def canonical_observables(
     # Rescale so the z=0 peak exponentiates to exactly 1.
     offset = float(s_mb - (g * np.log1p(-q)).sum())
 
+    # Row k of `run` is the accumulator after interval done + k + 1, added up
+    # in interval order from the accumulator carried in.
     rel_tol = config.convergence_rel_tol
+    step = CHUNK_POINTS // nodes.size
     acc = np.zeros(N_ACCUMULATORS, dtype=np.complex128)
     streak = 0
     done = 0
-    converged = False
-    i0 = 0
-    while i0 < n_half:
-        i1 = min(i0 + CHUNK_INTERVALS, n_half)
-        out, peak = projection_chunk(q, g, float(n), s_mb, h, i0, i1,
+    while done < n_half:
+        i1 = min(done + step, n_half)
+        out, peak = projection_chunk(q, g, float(n), s_mb, h, done, i1,
                                      nodes, wts, offset)
-        stop = False
-        for ii in range(i1 - i0):
-            acc += out[ii]
-            done += 1
-            scale = np.abs(acc)
-            if not np.isfinite(scale).all():
-                raise ConvergenceError(
-                    "accumulator left the representable range",
-                    {"interval": done, "offset": offset, "n_half": n_half},
-                )
-            live = scale > 0.0
-            rel = float((np.abs(out[ii])[live] / scale[live]).max())
-            streak = streak + 1 if rel < rel_tol else 0
-            if streak >= EXIT_STREAK:
-                z_edge = done * h
-                mass = math.exp(peak[ii]) * (math.pi - z_edge)
-                if np.all(mass * w_peak[live] <= rel_tol * scale[live]):
-                    converged = True
-                    stop = True
-                    break
-        if stop:
+        run = np.cumsum(np.concatenate((acc[None], out)), axis=0)[1:]
+        scale = np.abs(run)
+        live = scale > 0.0
+        with np.errstate(invalid="ignore"):  # inf/inf past an overflow
+            rel = np.divide(np.abs(out), scale, out=np.zeros_like(scale),
+                            where=live).max(axis=1)
+        # Negligible-interval streak, carried in from the previous chunk.
+        rows = np.arange(1, i1 - done + 1)
+        last_busy = np.maximum.accumulate(np.where(rel < rel_tol, 0, rows))
+        streaks = np.where(last_busy == 0, streak + rows, rows - last_busy)
+        # Bound on everything past each interval, from its peak modulus.
+        mass = np.exp(peak) * (math.pi - (done + rows) * h)
+        bounded = (mass[:, None] * w_peak <= rel_tol * scale) | ~live
+        exits = np.flatnonzero((streaks >= EXIT_STREAK) & bounded.all(axis=1))
+        last = int(exits[0]) if exits.size else rows.size - 1
+        overflow = np.flatnonzero(~np.isfinite(scale[:last + 1]).all(axis=1))
+        if overflow.size:
+            raise ConvergenceError(
+                "accumulator left the representable range",
+                {"interval": done + int(overflow[0]) + 1,
+                 "offset": offset, "n_half": n_half})
+        acc = run[last]
+        streak = int(streaks[last])
+        done += last + 1
+        if exits.size:
             break
-        i0 = i1
-    else:
-        converged = True  # full half-period summed; nothing remains
 
     z_re = float(acc[0].real)
     if not z_re > 0.0:
@@ -357,7 +364,6 @@ def canonical_observables(
         sum_rule_residual=sum_rule,
         m_max=m_max,
         ground_offset=eps0,
-        converged=converged,
     )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .canonical import QuadratureConfig
 from .spectrum import DomainError
 from .sweep import (
+    DISCREPANCY_CHANNELS,
     PRESETS,
     fit_scaling,
     run_sweep,
@@ -31,14 +32,7 @@ __all__ = ["main"]
 TAIL_ALIASES = {"mb": "maxwell_boltzmann_closure",
                 "truncate": "truncate"}
 
-# Informational fit printed after a preset sweep: channel and the fixed
-# T/Tc the fit is taken at.
-PRESET_FIT = {
-    "fig1": "n0_limit_gap",
-    "fig2": "gc_discrepancy",
-    "fig3": "delta_n0_eq10_gap",
-    "fig4": "corr_eq12_gap",
-}
+# After a preset sweep, every discrepancy channel is fitted at this T/Tc.
 FIT_T = 0.6
 
 
@@ -57,7 +51,7 @@ class Settings:
     rel_tol: float = 1e-12
     out: str = "sweep"
     format: str = "both"
-    threads: int | None = None
+    threads: int | None = 1
     strict: bool = False
     validate: bool = False
     max_n: int = 100
@@ -206,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path base (default: sweep)")
     parser.add_argument("--format", choices=("csv", "json", "both"),
                         help="emit csv, json, or both")
-    parser.add_argument("--threads", help="worker count or 'auto'")
+    parser.add_argument("--threads", help="worker count or 'auto' (default 1)")
     parser.add_argument("--strict", action="store_true", default=None,
                         help="exit 3 if any row fails to converge")
     parser.add_argument("--validate", action="store_true", default=None,
@@ -304,14 +298,14 @@ def _run_sweep(settings: Settings) -> int:
         print(f"  failed: N={row.n} T/Tc={row.t_over_tc}: {row.error}",
               file=sys.stderr)
     if settings.preset:
-        channel = PRESET_FIT[settings.preset]
-        try:
-            fit = fit_scaling(result.rows, channel, FIT_T)
+        for channel in DISCREPANCY_CHANNELS:
+            try:
+                fit = fit_scaling(result.rows, channel, FIT_T)
+            except DomainError:
+                continue
             print(f"{channel} at T/Tc={FIT_T}: "
                   f"N^({fit.exponent:+.3f} +- {fit.stderr:.3f}) "
                   f"over {fit.points} decades")
-        except DomainError:
-            pass
     if settings.strict and result.failed_rows:
         return 3
     return 0

