@@ -1,18 +1,20 @@
 """Batch front end: sweeps, dataset emission, validation, scaling fits.
 
-Settings resolve in three layers: built-in defaults, then the config file
-(flat key=value lines mirroring the flags), then explicit flags. A preset
-supplies the particle set and temperature grid unless those are given
-explicitly. Exit codes: 0 success, 1 validation failure, 2 bad
-configuration, 3 non-converged rows under --strict.
+argparse is the one settings parser: every flag declares its type, choices
+and default once. `--config FILE` turns each flat `key = value` line into
+the flag `--key=value` (`_` in a key reads as `-`; the switches `strict`
+and `validate` take a yes/no word), so a file value is checked exactly as
+the flag is. The file's flags are parsed first, with no prefix matching,
+and the command line on top, so flags win. A preset supplies the particle
+set and temperature grid unless those are given. Exit codes: 0 success,
+1 validation failure, 2 bad configuration (a bad value or choice, an
+unknown file key), 3 non-converged rows under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
 
 from .canonical import QuadratureConfig
 from .spectrum import DomainError
@@ -32,6 +34,11 @@ __all__ = ["main"]
 TAIL_ALIASES = {"mb": "maxwell_boltzmann_closure",
                 "truncate": "truncate"}
 
+# Config-file keys that are bare switches on the command line.
+SWITCHES = ("strict", "validate")
+TRUE_WORDS = ("1", "true", "yes", "on")
+FALSE_WORDS = ("0", "false", "no", "off")
+
 # After a preset sweep, every discrepancy channel is fitted at this T/Tc.
 FIT_T = 0.6
 
@@ -40,198 +47,127 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class Settings:
-    preset: str | None = None
-    particles: list | None = None
-    t_grid: list | None = None
-    m_max: int | None = None
-    ground_offset: float | None = None
-    tail: str = "maxwell_boltzmann_closure"
-    rel_tol: float = 1e-12
-    out: str = "sweep"
-    format: str = "both"
-    threads: int | None = 1
-    strict: bool = False
-    validate: bool = False
-    max_n: int = 100
-    tolerance: float = 1e-8
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _parse_particles(text: str) -> list:
+def _particles(text: str) -> list:
     try:
         values = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"bad particle list {text!r}") from None
+        values = []
     if not values or any(v < 1 for v in values):
-        raise ConfigError(f"particle numbers must be positive: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"want positive particle numbers, got {text!r}")
     return values
 
 
-def _parse_t_grid(text: str) -> list:
+def _t_grid(text: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"t-over-tc wants start:stop:step, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"want start:stop:step, got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
-        return temperature_grid(start, stop, step)
+        return temperature_grid(*(float(p) for p in parts))
     except (ValueError, DomainError) as err:
-        raise ConfigError(f"bad t-over-tc grid {text!r}: {err}") from None
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r}: {err}") from None
 
 
-def _parse_int_or_auto(text: str, what: str) -> int | None:
+def _count_or_auto(text: str) -> int | None:
     if text.strip().lower() == "auto":
         return None
     try:
         value = int(text)
     except ValueError:
-        raise ConfigError(f"bad {what} {text!r}") from None
+        value = 0
     if value < 1:
-        raise ConfigError(f"{what} must be positive or 'auto', got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"want a positive integer or 'auto', got {text!r}")
     return value
 
 
-def _parse_bool(text: str, what: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean for {what}: {text!r}")
-
-
-def read_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; keys mirror the flags."""
-    values = {}
+def read_config_file(path: str) -> list:
+    """Flat key = value lines as flags; '#' starts a comment."""
+    args = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key, eq, value = line.partition("=")
+                key, value = key.strip().replace("_", "-"), value.strip()
+                if not eq or key == "config":
+                    raise ConfigError(f"{path}:{lineno}: want key = value "
+                                      f"(key not config), got {line!r}")
+                if key not in SWITCHES:
+                    args.append(f"--{key}={value}")
+                elif value.lower() in TRUE_WORDS:
+                    args.append(f"--{key}")
+                elif value.lower() not in FALSE_WORDS:
+                    raise ConfigError(f"{path}:{lineno}: {key} wants yes "
+                                      f"or no, got {value!r}")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
-    return values
+    return args
 
 
-_KNOWN_KEYS = {
-    "preset", "particles", "t_over_tc", "m_max", "ground_offset", "tail",
-    "rel_tol", "out", "format", "threads", "strict", "validate",
-    "max_n", "tolerance",
-}
-
-
-def _apply(settings: Settings, key: str, value: str) -> None:
-    if key == "preset":
-        if value not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {value!r}; choose from {sorted(PRESETS)}")
-        settings.preset = value
-    elif key == "particles":
-        settings.particles = _parse_particles(value)
-    elif key == "t_over_tc":
-        settings.t_grid = _parse_t_grid(value)
-    elif key == "m_max":
-        settings.m_max = _parse_int_or_auto(value, "m-max")
-    elif key == "ground_offset":
-        try:
-            settings.ground_offset = float(value)
-        except ValueError:
-            raise ConfigError(f"bad ground-offset {value!r}") from None
-    elif key == "tail":
-        if value not in TAIL_ALIASES:
-            raise ConfigError(f"tail must be one of {sorted(TAIL_ALIASES)}")
-        settings.tail = TAIL_ALIASES[value]
-    elif key == "rel_tol":
-        try:
-            settings.rel_tol = float(value)
-        except ValueError:
-            raise ConfigError(f"bad rel-tol {value!r}") from None
-    elif key == "out":
-        settings.out = value
-    elif key == "format":
-        if value not in ("csv", "json", "both"):
-            raise ConfigError("format must be csv, json, or both")
-        settings.format = value
-    elif key == "threads":
-        settings.threads = _parse_int_or_auto(value, "threads")
-    elif key == "strict":
-        settings.strict = _parse_bool(value, "strict")
-    elif key == "validate":
-        settings.validate = _parse_bool(value, "validate")
-    elif key == "max_n":
-        try:
-            settings.max_n = int(value)
-        except ValueError:
-            raise ConfigError(f"bad max-n {value!r}") from None
-    elif key == "tolerance":
-        try:
-            settings.tolerance = float(value)
-        except ValueError:
-            raise ConfigError(f"bad tolerance {value!r}") from None
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="bosecanon",
         description="Fixed-N trapped-boson statistics: sweeps and validation.",
+        allow_abbrev=allow_abbrev,
     )
-    parser.add_argument("--preset", choices=sorted(PRESETS),
-                        help="named particle set and temperature grid")
-    parser.add_argument("--particles",
-                        help="comma-separated particle numbers, e.g. 100,1000")
-    parser.add_argument("--t-over-tc", dest="t_over_tc",
-                        help="temperature grid start:stop:step in units of Tc")
-    parser.add_argument("--m-max", dest="m_max",
-                        help="level truncation, integer or 'auto'")
-    parser.add_argument("--ground-offset", dest="ground_offset",
-                        help="fixed evaluation offset (default: saddle point)")
-    parser.add_argument("--tail", choices=sorted(TAIL_ALIASES),
-                        help="levels beyond m-max: 'mb' closure or 'truncate'")
-    parser.add_argument("--rel-tol", dest="rel_tol",
-                        help="early-exit relative tolerance")
-    parser.add_argument("--out", help="output path base (default: sweep)")
-    parser.add_argument("--format", choices=("csv", "json", "both"),
-                        help="emit csv, json, or both")
-    parser.add_argument("--threads", help="worker count or 'auto' (default 1)")
-    parser.add_argument("--strict", action="store_true", default=None,
-                        help="exit 3 if any row fails to converge")
-    parser.add_argument("--validate", action="store_true", default=None,
-                        help="run the self-check suites instead of a sweep")
-    parser.add_argument("--max-n", dest="max_n",
-                        help="largest N probed by --validate (default 100)")
-    parser.add_argument("--tolerance",
-                        help="suite tolerance for --validate (default 1e-8)")
-    parser.add_argument("--config", help="flat key=value settings file")
+    add = parser.add_argument
+    add("--preset", choices=sorted(PRESETS),
+        help="named particle set and temperature grid")
+    add("--particles", type=_particles,
+        help="comma-separated particle numbers, e.g. 100,1000")
+    add("--t-over-tc", dest="t_grid", type=_t_grid, metavar="START:STOP:STEP",
+        help="temperature grid in units of Tc")
+    add("--m-max", type=_count_or_auto,
+        help="level truncation, integer or 'auto' (default auto)")
+    add("--ground-offset", type=float,
+        help="fixed evaluation offset (default: saddle point)")
+    add("--tail", choices=sorted(TAIL_ALIASES), default="mb",
+        help="levels beyond m-max: 'mb' closure (default) or 'truncate'")
+    add("--rel-tol", type=float, default=1e-12,
+        help="early-exit relative tolerance (default 1e-12)")
+    add("--out", default="sweep", help="output path base (default: sweep)")
+    add("--format", choices=("csv", "json", "both"), default="both",
+        help="emit csv, json, or both (default both)")
+    add("--threads", type=_count_or_auto, default=1,
+        help="worker count or 'auto' (default 1)")
+    add("--strict", action="store_true",
+        help="exit 3 if any row fails to converge")
+    add("--validate", action="store_true",
+        help="run the self-check suites instead of a sweep")
+    add("--max-n", type=int, default=100,
+        help="largest N probed by --validate (default 100)")
+    add("--tolerance", type=float, default=1e-8,
+        help="suite tolerance for --validate (default 1e-8)")
+    add("--config", help="flat key = value settings file; flags win")
     return parser
 
 
-def resolve_settings(argv) -> Settings:
-    args = build_parser().parse_args(argv)
-    settings = Settings()
-    if args.config:
-        for key, value in read_config_file(args.config).items():
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            _apply(settings, key, value)
-    for key in _KNOWN_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            if key == "strict":
-                settings.strict = value
-            else:
-                settings.validate = value
-        else:
-            _apply(settings, key, str(value))
+def resolve_settings(argv=None) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    settings = build_parser().parse_args(argv)
+    if settings.config:
+        # File flags must name an option exactly. argparse sets a default
+        # only where the namespace lacks a value, so the command line,
+        # parsed second, overrides the file and keeps its other values.
+        file_args = read_config_file(settings.config)
+        try:
+            settings = build_parser(allow_abbrev=False).parse_args(file_args)
+        except ConfigError as err:
+            raise ConfigError(f"{settings.config}: {err}") from None
+        build_parser().parse_args(argv, settings)
+    settings.tail = TAIL_ALIASES[settings.tail]
     if settings.validate:
         return settings
     if settings.preset:
@@ -247,20 +183,13 @@ def resolve_settings(argv) -> Settings:
     return settings
 
 
-def _output_paths(settings: Settings):
-    base = settings.out
-    for suffix in (".csv", ".json"):
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
-    paths = {}
-    if settings.format in ("csv", "both"):
-        paths["csv"] = base + ".csv"
-    if settings.format in ("json", "both"):
-        paths["json"] = base + ".json"
-    return paths
+def _output_paths(settings: argparse.Namespace):
+    base = settings.out.removesuffix(".csv").removesuffix(".json")
+    return {fmt: f"{base}.{fmt}" for fmt in ("csv", "json")
+            if settings.format in (fmt, "both")}
 
 
-def _run_validate(settings: Settings) -> int:
+def _run_validate(settings: argparse.Namespace) -> int:
     try:
         report = run_validation(settings.max_n, settings.tolerance)
     except DomainError as err:
@@ -271,7 +200,7 @@ def _run_validate(settings: Settings) -> int:
     return 0 if report.passed else 1
 
 
-def _run_sweep(settings: Settings) -> int:
+def _run_sweep(settings: argparse.Namespace) -> int:
     config = QuadratureConfig(
         m_max=settings.m_max,
         convergence_rel_tol=settings.rel_tol,
@@ -305,7 +234,7 @@ def _run_sweep(settings: Settings) -> int:
                 continue
             print(f"{channel} at T/Tc={FIT_T}: "
                   f"N^({fit.exponent:+.3f} +- {fit.stderr:.3f}) "
-                  f"over {fit.points} decades")
+                  f"from {fit.points} sizes")
     if settings.strict and result.failed_rows:
         return 3
     return 0

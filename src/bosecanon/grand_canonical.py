@@ -45,6 +45,9 @@ __all__ = [
     "auto_m_max",
 ]
 
+# Relative count tolerance at which solve_fugacity stops.
+FUGACITY_REL_TOL = 1e-10
+
 
 def auto_m_max(spectrum: TrapSpectrum, t: float) -> int:
     """Truncation level high enough that the Boltzmann tail beyond it is a
@@ -69,7 +72,7 @@ def occupation_fluctuation(occupation: float) -> float:
 
 
 def _occupation_sums(spectrum: TrapSpectrum, t: float, lam: float, m_max: int):
-    """Level-summed N, dN/dlambda*lambda (number variance), with tail.
+    """Level-summed N and dN/dlambda*lambda (number variance), with tail.
 
     lam is the absolute fugacity exp(mu/T); x_m = lam*exp(-E_m/T) < 1 must
     hold for every level, which the solver bracket guarantees.
@@ -87,7 +90,7 @@ def _occupation_sums(spectrum: TrapSpectrum, t: float, lam: float, m_max: int):
                 * weighted_geometric_tail(q, e.size - 1))
     else:
         tail = 0.0  # the spectrum genuinely ends; nothing to close over
-    return float(occ.sum() + tail), float(var.sum() + tail), float(occ[0]), tail
+    return float(occ.sum() + tail), float(var.sum() + tail)
 
 
 @dataclass(frozen=True)
@@ -118,17 +121,13 @@ class GrandCanonicalState:
 
     @property
     def total_number(self) -> float:
-        n, _, _, _ = _occupation_sums(self.spectrum, self.t, self.fugacity, self.m_max)
+        n, _ = _occupation_sums(self.spectrum, self.t, self.fugacity, self.m_max)
         return n
-
-    @property
-    def excited_number(self) -> float:
-        return self.total_number - self.n0
 
     @property
     def number_variance(self) -> float:
         """sum over states of n(n+1); independent-state fluctuations add."""
-        _, v, _, _ = _occupation_sums(self.spectrum, self.t, self.fugacity, self.m_max)
+        _, v = _occupation_sums(self.spectrum, self.t, self.fugacity, self.m_max)
         return v
 
     def cross_covariance(self, m_a: int, m_b: int) -> float:
@@ -148,13 +147,12 @@ def solve_fugacity(
     t: float,
     n_target: int,
     m_max: int | None = None,
-    rel_tol: float = 1e-10,
 ) -> GrandCanonicalState:
     """Solve sum_m g_m/(exp((E_m-mu)/T) - 1) = N for the fugacity.
 
     Bracketed bisection on (0, exp(E_0/T)) narrowed until the summed count
-    matches n_target to rel_tol, then polished by Newton steps using the
-    analytic derivative dN/dlam = sum g x/(lam (1-x)^2).
+    matches n_target to FUGACITY_REL_TOL, then polished by Newton steps
+    using the analytic derivative dN/dlam = sum g x/(lam (1-x)^2).
     """
     if not t > 0:
         raise DomainError(f"temperature must be positive, got {t}")
@@ -166,7 +164,7 @@ def solve_fugacity(
     lo, hi = 0.0, lam_max * (1.0 - 1e-15)
 
     def count(lam: float) -> float:
-        n, _, _, _ = _occupation_sums(spectrum, t, lam, mm)
+        n, _ = _occupation_sums(spectrum, t, lam, mm)
         return n
 
     for _ in range(200):
@@ -183,9 +181,9 @@ def solve_fugacity(
 
     # Newton polish on the count residual
     for _ in range(60):
-        n, var, _, _ = _occupation_sums(spectrum, t, lam, mm)
+        n, var = _occupation_sums(spectrum, t, lam, mm)
         resid = n - n_target
-        if abs(resid) <= rel_tol * n_target:
+        if abs(resid) <= FUGACITY_REL_TOL * n_target:
             break
         step = -resid * lam / var  # dN/dlam = var/lam
         nxt = lam + step

@@ -21,7 +21,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,34 +49,6 @@ __all__ = [
     "write_json",
     "FIELD_ORDER",
 ]
-
-FIELD_ORDER = (
-    "n",
-    "t_over_tc",
-    "t_over_spacing",
-    "n0_mean",
-    "n0_over_n",
-    "delta_n0",
-    "normalized_delta_n0",
-    "n1_mean",
-    "corr_01_normalized",
-    "ne_mean",
-    "delta_ne",
-    "log_z",
-    "gc_n0_mean",
-    "gc_n0_over_n",
-    "gc_delta_n0",
-    "fraction_limit",
-    "eq10_value",
-    "eq12_value",
-    "m_max",
-    "intervals_evaluated",
-    "intervals_total",
-    "sum_rule_residual",
-    "ground_offset",
-    "converged",
-    "error",
-)
 
 
 @dataclass(frozen=True)
@@ -110,8 +82,11 @@ class SweepRow:
     error: str = ""
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return {k: d[k] for k in FIELD_ORDER}
+        return asdict(self)
+
+
+# Column order of the CSV and JSON output.
+FIELD_ORDER = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)

@@ -136,12 +136,11 @@ def _offset_invariance(spectrum, max_n, tolerance) -> SuiteResult:
     return SuiteResult("offset_invariance", worst, tolerance, probes)
 
 
-def _m_max_doubling(spectrum, max_n, tolerance, base_m_max=None) -> SuiteResult:
+def _m_max_doubling(spectrum, max_n, tolerance) -> SuiteResult:
     worst = 0.0
     probes = 0
     for n, t in _offset_probes(spectrum, max_n):
-        m1 = base_m_max if base_m_max is not None else (
-            QuadratureConfig().resolve_m_max(spectrum, t))
+        m1 = QuadratureConfig().resolve_m_max(spectrum, t)
         a = canonical_observables(spectrum, t, n, QuadratureConfig(m_max=m1))
         b = canonical_observables(spectrum, t, n, QuadratureConfig(m_max=2 * m1))
         for name, va in a.observables().items():
@@ -181,11 +180,8 @@ def _worker_independence(spectrum, max_n, tolerance) -> SuiteResult:
                        len(serial.rows))
 
 
-def run_validation(
-    max_n: int = 100,
-    tolerance: float = 1e-8,
-    spectrum: TrapSpectrum | None = None,
-) -> ValidationReport:
+def run_validation(max_n: int = 100,
+                   tolerance: float = 1e-8) -> ValidationReport:
     """Run every suite; any deviation above tolerance fails the report."""
     if max_n > ORACLE_MAX_N:
         raise DomainError(
@@ -193,7 +189,7 @@ def run_validation(
         )
     if max_n < 2 or tolerance < 0:
         raise DomainError("need max_n >= 2 and tolerance >= 0")
-    spectrum = spectrum or TrapSpectrum()
+    spectrum = TrapSpectrum()
     suites = [
         _oracle_equivalence(spectrum, max_n, tolerance),
         _offset_invariance(spectrum, max_n, tolerance),

@@ -238,13 +238,13 @@ def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
     fits = [line for line in capsys.readouterr().out.splitlines()
             if f" at T/Tc={FIT_T}: N^(" in line]
     assert [line.split()[0] for line in fits] == list(DISCREPANCY_CHANNELS)
+    # fit.points counts particle numbers, not decades
+    assert all(line.endswith(" from 3 sizes") for line in fits)
 
 
-def test_cli_rejects_unknown_preset():
-    # argparse handles enumerated choices itself and exits with code 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--preset", "fig9")
-    assert exc.value.code == 2
+def test_cli_rejects_unknown_preset(capsys):
+    assert run_cli("--preset", "fig9") == 2
+    assert "configuration error: " in capsys.readouterr().err
 
 
 def test_cli_rejects_malformed_grid():
@@ -331,5 +331,40 @@ def test_resolve_settings_tail_alias():
         ["--particles", "10", "--t-over-tc", "0.5:0.5:0.1", "--tail", "mb"]
     )
     assert st.tail == "maxwell_boltzmann_closure"
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError):
         resolve_settings(["--particles", "10", "--tail", "pade"])
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("t_over_tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
+    ("t-over-tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
+    ("threads = auto", ["--threads", "auto"]),
+    ("strict = yes", ["--strict"]),
+    ("strict = no", []),
+    ("tail = mb", ["--tail", "mb"]),
+    ("m-max = 40", ["--m-max", "40"]),
+])
+def test_config_line_equals_flag(tmp_path, line, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    # the preset supplies whatever grid the line or flag leaves out
+    from_file = vars(resolve_settings(["--preset", "fig1",
+                                       "--config", str(cfg)]))
+    from_flag = vars(resolve_settings(["--preset", "fig1", *flags]))
+    assert from_file.pop("config") == str(cfg)
+    assert from_flag.pop("config") is None
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("line", [
+    "tail = pade",
+    "strict = maybe",
+    "config = other.cfg",
+    "part = 30",  # a flag prefix is not a key
+])
+def test_cli_rejects_bad_config_line(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli("--particles", "20", "--t-over-tc", "0.5:0.6:0.1",
+                   "--config", str(cfg)) == 2
+    assert "configuration error: " in capsys.readouterr().err
