@@ -22,10 +22,8 @@ from .canonical import (
     CanonicalResult,
     ConvergenceError,
     QuadratureConfig,
-    ShiftInvarianceReport,
     canonical_observables,
     saddle_ground_offset,
-    shift_invariance_check,
 )
 from .grand_canonical import (
     GrandCanonicalState,
@@ -51,10 +49,8 @@ from .asymptotics import (
 )
 from .oracle import (
     EnumerationResult,
-    OccupationCheckReport,
     RecursionTable,
     enumerate_exact,
-    occupation_recursion_check,
     recursion_table,
 )
 from .sweep import (

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ZETA3, DomainError, TrapSpectrum, weighted_geometric_tail
+from .spectrum import ZETA3, DomainError, TrapSpectrum
 
 __all__ = [
     "DELTA_N0_PREFACTOR",
@@ -102,19 +102,23 @@ def correlation_transfer_ratio(spectrum: TrapSpectrum, t: float,
     -(6/pi^2)(spacing/T); this function keeps the finite sums.
 
     Energies are measured from the ground state, so the result does not
-    depend on the spectrum's ground offset.
+    depend on the spectrum's ground offset. A finite ladder sums its own
+    levels up to its top one and has no tail.
     """
     if not t > 0:
         raise DomainError(f"temperature must be positive, got {t}")
     if m_max is None:
         m_max = int(math.ceil(30.0 * t / spectrum.level_spacing)) + 40
+    m_max = spectrum.resolved_max_level(m_max)
     m = np.arange(1, m_max + 1, dtype=np.float64)
     g = (m + 1.0) * (m + 2.0) / 2.0
     q = math.exp(-spectrum.level_spacing / t)
     x = q**m
     excited = float((g * x / (1.0 - x) ** 2).sum())
     # states beyond the cut respond linearly: d/dlam (lam x) = x
-    excited += weighted_geometric_tail(q, m_max)
+    excited += spectrum.tail_weight(t, m_max)
+    if not excited > 0.0:
+        raise DomainError("no excited level carries weight at this temperature")
     single = q / (1.0 - q) ** 2
     return -single / excited
 

@@ -7,8 +7,9 @@ as a contour integral over the unit circle:
     Z(N) = (1/2pi) int_{-pi}^{pi} dz e^{iNz}
            prod_m (1 - e^{-E_m/T} e^{-iz})^{-g_m} * C(z)
 
-where C(z) = exp(s_mb e^{-iz}) closes the levels above the truncation in
-Boltzmann order (tail_mode) or is 1 (truncate). The integrand at -z is the
+where C(z) = exp(s_mb e^{-iz}) closes the levels above m_max in Boltzmann
+order on the unbounded ladder, and is 1 on a finite ladder
+(TrapSpectrum(max_level=M)), the truncated model. The integrand at -z is the
 conjugate of the integrand at +z, so the code integrates [0, pi] only and
 keeps twice the real part; the assembled integral is exactly real.
 
@@ -29,7 +30,8 @@ eps0* = -T log(fugacity(N, T)), where the integrand is a positive, nearly
 Gaussian peak. Observables do not depend on the offset at all, and log Z
 at any other offset follows from the exact identity
 log Z(eps0) = log Z(eps0') - N (eps0 - eps0')/T, so nothing is lost.
-A fixed override remains available for invariance studies.
+A fixed override (QuadratureConfig.ground_offset) remains available for
+invariance studies.
 
 Grid density. A uniform M-point rule on the full period sums coefficient
 aliases Z(N + k M) exactly, so the step must make the first alias
@@ -46,26 +48,21 @@ so results do not depend on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import N_ACCUMULATORS, projection_chunk
 from .grand_canonical import auto_m_max, solve_fugacity
-from .spectrum import DomainError, TrapSpectrum, weighted_geometric_tail
+from .spectrum import DomainError, TrapSpectrum
 
 __all__ = [
     "QuadratureConfig",
     "CanonicalResult",
     "ConvergenceError",
-    "ShiftInvarianceReport",
     "canonical_observables",
     "saddle_ground_offset",
-    "shift_invariance_check",
-    "TAIL_MODES",
 ]
-
-TAIL_MODES = ("truncate", "maxwell_boltzmann_closure")
 
 # Early-exit hysteresis: this many consecutive negligible intervals, plus a
 # rigorous bound on everything beyond them, before stopping.
@@ -95,10 +92,10 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     """Knobs for the contour quadrature.
 
-    m_max: highest Bose-treated level; None derives one from T.
+    m_max: highest Bose-treated level; None takes a finite ladder's top
+        level or derives one from T.
     intervals_per_oscillation: multiplies the grid density floor.
     convergence_rel_tol: early-exit threshold on per-interval contributions.
-    tail_mode: 'maxwell_boltzmann_closure' or 'truncate'.
     ground_offset: None evaluates at the saddle offset; a positive float
         forces that offset (invariance studies; poorly balanced values
         lose digits to cancellation and may fail outright).
@@ -107,7 +104,6 @@ class QuadratureConfig:
     m_max: int | None = None
     intervals_per_oscillation: int = 1
     convergence_rel_tol: float = 1e-12
-    tail_mode: str = "maxwell_boltzmann_closure"
     ground_offset: float | None = None
 
     def __post_init__(self):
@@ -117,18 +113,13 @@ class QuadratureConfig:
             raise DomainError("intervals_per_oscillation must be >= 1")
         if not self.convergence_rel_tol > 0:
             raise DomainError("convergence_rel_tol must be positive")
-        if self.tail_mode not in TAIL_MODES:
-            raise DomainError(
-                f"tail_mode must be one of {TAIL_MODES}, got {self.tail_mode!r}"
-            )
         if self.ground_offset is not None and not self.ground_offset > 0:
             raise DomainError("forced ground_offset must be positive")
 
     def resolve_m_max(self, spectrum: TrapSpectrum, t: float) -> int:
-        mm = self.m_max if self.m_max is not None else auto_m_max(spectrum, t)
-        if spectrum.max_level is not None:
-            mm = min(mm, spectrum.max_level)
-        return mm
+        if self.m_max is None:
+            return auto_m_max(spectrum, t)
+        return spectrum.resolved_max_level(self.m_max)
 
 
 @dataclass(frozen=True)
@@ -204,14 +195,6 @@ def _level_weights(spectrum: TrapSpectrum, t: float, m_max: int,
     return q, g
 
 
-def _tail_strength(spectrum: TrapSpectrum, t: float, m_max: int,
-                   ground_offset: float, tail_mode: str) -> float:
-    if tail_mode == "truncate" or spectrum.max_level is not None:
-        return 0.0  # finite spectra end; there is no tail to close over
-    q = math.exp(-spectrum.level_spacing / t)
-    return math.exp(-ground_offset / t) * weighted_geometric_tail(q, m_max)
-
-
 def saddle_ground_offset(spectrum: TrapSpectrum, t: float, n: int,
                          m_max: int | None = None) -> float:
     """Offset making z=0 a stationary point of the integrand's phase.
@@ -269,19 +252,10 @@ def canonical_observables(
     if config.ground_offset is not None:
         eps0 = config.ground_offset
     else:
-        # The offset must balance the same model the quadrature sees: with a
-        # truncated tail the fugacity solve has to run on the capped ladder,
-        # or the residual N mismatch leaves an oscillation that cancels away
-        # significant digits at large N.
-        tilt_spectrum = spectrum
-        if config.tail_mode == "truncate" and spectrum.max_level is None:
-            tilt_spectrum = TrapSpectrum(
-                spectrum.level_spacing, spectrum.ground_offset, m_max
-            )
-        eps0 = saddle_ground_offset(tilt_spectrum, t, n, m_max)
+        eps0 = saddle_ground_offset(spectrum, t, n, m_max)
 
     q, g = _level_weights(spectrum, t, m_max, eps0)
-    s_mb = _tail_strength(spectrum, t, m_max, eps0, config.tail_mode)
+    s_mb = math.exp(-eps0 / t) * spectrum.tail_weight(t, m_max)
     w_peak = _weight_peaks(q, g, s_mb)
 
     # Coefficient tail decay scale at this offset: ground occupation plus
@@ -364,71 +338,4 @@ def canonical_observables(
         sum_rule_residual=sum_rule,
         m_max=m_max,
         ground_offset=eps0,
-    )
-
-
-@dataclass(frozen=True)
-class ShiftInvarianceReport:
-    """Outcome of evaluating one system at two different ground offsets."""
-
-    offsets: tuple[float, float]
-    deviations: dict[str, float]
-    log_z_shift_residual: float
-    bound: float
-
-    @property
-    def max_relative_deviation(self) -> float:
-        return max(self.deviations.values())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_deviation <= self.bound
-
-
-def shift_invariance_check(
-    spectrum_a: TrapSpectrum,
-    spectrum_b: TrapSpectrum,
-    t: float,
-    n: int,
-    config: QuadratureConfig | None = None,
-) -> ShiftInvarianceReport:
-    """Verify that observables ignore a rigid shift of the whole spectrum.
-
-    The two spectra must differ only in ground_offset (both positive).
-    Observables must agree within 10x the convergence tolerance; log_z must
-    differ by exactly -N*(eps0_a - eps0_b)/T, checked via the
-    offset-independent normalisation. Offsets far from the saddle lose
-    digits to cancellation before any engine defect would show; keep probes
-    within a few T/sqrt(var) of the saddle.
-    """
-    config = config or QuadratureConfig()
-    if config.ground_offset is not None:
-        raise DomainError(
-            "config.ground_offset would override both spectra; leave it unset"
-        )
-    if (spectrum_a.level_spacing != spectrum_b.level_spacing
-            or spectrum_a.max_level != spectrum_b.max_level):
-        raise DomainError("spectra must differ only in ground_offset")
-    if not (spectrum_a.ground_offset > 0 and spectrum_b.ground_offset > 0):
-        raise DomainError("both ground offsets must be positive")
-
-    results = []
-    for spec in (spectrum_a, spectrum_b):
-        forced = replace(config, ground_offset=spec.ground_offset)
-        results.append(canonical_observables(spec, t, n, forced))
-    ra, rb = results
-
-    deviations = {}
-    for name, va in ra.observables().items():
-        vb = rb.observables()[name]
-        ref = max(abs(va), abs(vb), 1e-300)
-        deviations[name] = abs(va - vb) / ref
-    shift_resid = abs(ra.log_z_zero_offset - rb.log_z_zero_offset) / max(
-        abs(ra.log_z_zero_offset), 1.0
-    )
-    return ShiftInvarianceReport(
-        offsets=(spectrum_a.ground_offset, spectrum_b.ground_offset),
-        deviations=deviations,
-        log_z_shift_residual=shift_resid,
-        bound=10.0 * config.convergence_rel_tol,
     )

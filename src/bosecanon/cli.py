@@ -31,9 +31,6 @@ from .validate import run_validation
 
 __all__ = ["main"]
 
-TAIL_ALIASES = {"mb": "maxwell_boltzmann_closure",
-                "truncate": "truncate"}
-
 # Config-file keys that are bare switches on the command line.
 SWITCHES = ("strict", "validate")
 TRUE_WORDS = ("1", "true", "yes", "on")
@@ -133,8 +130,6 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="level truncation, integer or 'auto' (default auto)")
     add("--ground-offset", type=float,
         help="fixed evaluation offset (default: saddle point)")
-    add("--tail", choices=sorted(TAIL_ALIASES), default="mb",
-        help="levels beyond m-max: 'mb' closure (default) or 'truncate'")
     add("--rel-tol", type=float, default=1e-12,
         help="early-exit relative tolerance (default 1e-12)")
     add("--out", default="sweep", help="output path base (default: sweep)")
@@ -167,7 +162,6 @@ def resolve_settings(argv=None) -> argparse.Namespace:
         except ConfigError as err:
             raise ConfigError(f"{settings.config}: {err}") from None
         build_parser().parse_args(argv, settings)
-    settings.tail = TAIL_ALIASES[settings.tail]
     if settings.validate:
         return settings
     if settings.preset:
@@ -204,7 +198,6 @@ def _run_sweep(settings: argparse.Namespace) -> int:
     config = QuadratureConfig(
         m_max=settings.m_max,
         convergence_rel_tol=settings.rel_tol,
-        tail_mode=settings.tail,
         ground_offset=settings.ground_offset,
     )
     result = run_sweep(

@@ -13,9 +13,10 @@ The inverse fugacity obeys exp(-mu/T) = 1 + 1/N_0 where N_0 is the ground
 occupation, so mu -> ground energy from below as N_0 grows. Distinct states
 are statistically independent in this ensemble: cross covariances vanish.
 
-Finite sums run over levels 0..m_max with the remainder estimated by the
-Boltzmann-order geometric tail sum_{m>M} g_m lambda q^m, which has a closed
-form via the (1-q)^-3 partial-sum identity (see spectrum module).
+Finite sums run over levels 0..m_max. On the unbounded ladder the remainder
+is estimated by the Boltzmann-order geometric tail sum_{m>M} g_m lambda q^m,
+which has a closed form via the (1-q)^-3 partial-sum identity
+(TrapSpectrum.tail_weight); a finite ladder has no remainder.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .spectrum import (
     DomainError,
     TrapSpectrum,
     critical_temperature,
-    weighted_geometric_tail,
 )
 
 __all__ = [
@@ -50,8 +50,11 @@ FUGACITY_REL_TOL = 1e-10
 
 
 def auto_m_max(spectrum: TrapSpectrum, t: float) -> int:
-    """Truncation level high enough that the Boltzmann tail beyond it is a
-    second-order correction (see canonical engine for the matching closure)."""
+    """Default truncation level: a finite ladder's own top level, otherwise
+    one high enough that the Boltzmann tail beyond it is a second-order
+    correction (see canonical engine for the matching closure)."""
+    if spectrum.max_level is not None:
+        return spectrum.max_level
     return int(math.ceil(15.0 * t / spectrum.level_spacing)) + 20
 
 
@@ -84,12 +87,8 @@ def _occupation_sums(spectrum: TrapSpectrum, t: float, lam: float, m_max: int):
         raise DomainError("fugacity at or above the ground-state divergence")
     occ = g * x / (1.0 - x)
     var = g * x / (1.0 - x) ** 2
-    if spectrum.max_level is None:
-        q = math.exp(-spectrum.level_spacing / t)
-        tail = (lam * math.exp(-spectrum.ground_offset / t)
-                * weighted_geometric_tail(q, e.size - 1))
-    else:
-        tail = 0.0  # the spectrum genuinely ends; nothing to close over
+    tail = (lam * math.exp(-spectrum.ground_offset / t)
+            * spectrum.tail_weight(t, e.size - 1))
     return float(occ.sum() + tail), float(var.sum() + tail)
 
 

@@ -40,7 +40,6 @@ import numpy as np
 from .spectrum import (
     DomainError,
     TrapSpectrum,
-    degeneracy,
     weighted_geometric_partial,
     weighted_geometric_tail,
 )
@@ -50,8 +49,6 @@ __all__ = [
     "recursion_table",
     "EnumerationResult",
     "enumerate_exact",
-    "OccupationCheckReport",
-    "occupation_recursion_check",
     "ORACLE_MAX_N",
 ]
 
@@ -114,9 +111,6 @@ class RecursionTable:
         )
         return float(np.exp(expo[ok]).sum())
 
-    def level_occupation(self, m: int, degeneracy: float) -> float:
-        return degeneracy * self.occupation(self.spectrum.energy(m))
-
 
 def recursion_table(
     spectrum: TrapSpectrum,
@@ -148,65 +142,6 @@ def recursion_table(
         mx = terms.max()
         lz[k] = mx + math.log(np.exp(terms - mx).sum()) - math.log(k)
     return RecursionTable(spectrum, t, n, m_max, tail_closure, lz)
-
-
-@dataclass(frozen=True)
-class OccupationCheckReport:
-    """Recursion-identity occupations versus the contour engine's."""
-
-    n: int
-    t: float
-    deviations: dict[str, float]
-    number_sum_residual: float
-
-    @property
-    def max_relative_deviation(self) -> float:
-        return max(self.deviations.values())
-
-
-def occupation_recursion_check(
-    spectrum: TrapSpectrum, t: float, n: int, config=None
-) -> OccupationCheckReport:
-    """Cross-check <n0>, <n1> from the engine against the recursion identity.
-
-    Builds the recursion on the same truncated-plus-closure model the
-    engine resolves to, so any disagreement indicts the quadrature, not
-    the modelling. Also reports how exactly the recursion's
-    degeneracy-weighted occupations resum to N.
-    """
-    from .canonical import QuadratureConfig, canonical_observables
-
-    config = config or QuadratureConfig()
-    result = canonical_observables(spectrum, t, n, config)
-    table = recursion_table(
-        spectrum.with_ground_offset(0.0),
-        t,
-        n,
-        m_max=result.m_max,
-        tail_closure=config.tail_mode == "maxwell_boltzmann_closure",
-    )
-    pairs = {
-        "n0_mean": (result.n0_mean, table.occupation(0.0)),
-        "n1_mean": (result.n1_mean, table.occupation(spectrum.level_spacing)),
-    }
-    deviations = {
-        name: abs(a - b) / max(abs(b), 1e-300) for name, (a, b) in pairs.items()
-    }
-    spacing = spectrum.level_spacing
-    total = sum(
-        table.level_occupation(m, degeneracy(m)) for m in range(result.m_max + 1)
-    )
-    if table.tail_closure:
-        q = math.exp(-spacing / t)
-        tail_weight = weighted_geometric_tail(q, result.m_max)
-        # Boltzmann-closed tail states: occupation = weight * Z(N-1)/Z(N)
-        total += tail_weight * math.exp(table.log_z[n - 1] - table.log_z[n])
-    return OccupationCheckReport(
-        n=n,
-        t=t,
-        deviations=deviations,
-        number_sum_residual=abs(total - n) / n,
-    )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ continuum excited-state capacity ``zeta(3) * (T/spacing)**3``, giving
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,12 @@ def cumulative_states(m_max: int) -> int:
 
 @dataclass(frozen=True)
 class TrapSpectrum:
-    """Truncated trap spectrum: spacing, ground offset, top level index.
+    """Trap spectrum: spacing, ground offset, top level index.
 
-    ``max_level`` may be None for objects that only need spacing and offset;
-    operations that materialise level arrays then require an explicit cap.
+    ``max_level=None`` is the unbounded ladder: operations that materialise
+    level arrays then need an explicit cap, and the levels above it are
+    closed in Boltzmann order (``tail_weight``). A finite ``max_level`` is
+    the truncated model: the ladder ends there and has no tail.
     """
 
     level_spacing: float = 1.0
@@ -97,6 +100,17 @@ class TrapSpectrum:
 
     def with_ground_offset(self, ground_offset: float) -> "TrapSpectrum":
         return TrapSpectrum(self.level_spacing, ground_offset, self.max_level)
+
+    def tail_weight(self, t: float, m_max: int) -> float:
+        """Boltzmann weight of the levels above m_max, measured from level 0.
+
+        ``sum_{m>m_max} (m+1)(m+2)/2 * exp(-m*spacing/T)`` for the unbounded
+        ladder; 0.0 for a finite one, which ends at its top level.
+        """
+        if self.max_level is not None:
+            return 0.0
+        q = math.exp(-self.level_spacing / t)
+        return weighted_geometric_tail(q, m_max)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from bosecanon.asymptotics import (
     InteractionParams,
     damping_crossover,
 )
-from bosecanon.canonical import QuadratureConfig, canonical_observables
+from bosecanon.canonical import canonical_observables
 from bosecanon.grand_canonical import mean_occupation
 from bosecanon.oracle import enumerate_exact, recursion_table
 from bosecanon.spectrum import ZETA3
@@ -60,17 +60,16 @@ def test_01_recursion_equivalence_full_grid():
     ladders = (20, 40)
     bound = 1e-8
     # warm the kernels so the timed region measures the math, not compilation
-    canonical_observables(SPEC, 1.0, 2, QuadratureConfig(m_max=20,
-                                                         tail_mode="truncate"))
+    canonical_observables(TrapSpectrum(max_level=20), 1.0, 2)
     started = time.perf_counter()
     worst = 0.0
     for t in temps:
         for m in ladders:
-            cfg = QuadratureConfig(m_max=m, tail_mode="truncate")
+            ladder = TrapSpectrum(max_level=m)  # truncated: no tail
             table = recursion_table(SPEC, t, 100, m_max=m)
             prev = 0.0  # log Z(0)
             for n in range(1, 101):
-                res = canonical_observables(SPEC, t, n, cfg)
+                res = canonical_observables(ladder, t, n)
                 got_ratio = math.exp(res.log_z_zero_offset - prev)
                 want_ratio = math.exp(table.log_z[n] - table.log_z[n - 1])
                 prev = res.log_z_zero_offset

@@ -110,6 +110,19 @@ def test_transfer_ratio_matches_brute_sum():
         assert got < 0.0
 
 
+def test_transfer_ratio_sums_a_finite_ladder_to_its_top():
+    # three excited levels and no tail, whatever cap is asked for
+    spec = TrapSpectrum(max_level=3)
+    t = 5.0
+    want = brute_transfer_ratio(spec, t, m_max=3)
+    assert correlation_transfer_ratio(spec, t) == pytest.approx(want, rel=1e-14)
+    assert correlation_transfer_ratio(spec, t, m_max=50) == pytest.approx(
+        want, rel=1e-14)
+    assert want == pytest.approx(-0.17963, abs=1e-5)
+    with pytest.raises(DomainError):
+        correlation_transfer_ratio(TrapSpectrum(max_level=0), t)
+
+
 def test_transfer_ratio_approaches_continuum_limit():
     # finite-ladder value converges to -(6/pi^2) spacing/T with a slowly
     # decaying ln(T)/T correction, so use a generous matching band

@@ -99,12 +99,17 @@ def test_number_variance_sums_state_terms():
 
 
 def test_finite_spectrum_sums_have_no_tail():
-    spec = TrapSpectrum(max_level=3)
-    state = solve_fugacity(spec, 6.0, 40)
-    brute = sum(
-        (m + 1) * (m + 2) // 2 * state.occupation(m) for m in range(4)
-    )
-    assert state.total_number == pytest.approx(brute, rel=1e-12)
+    # a finite ladder is summed to its top level, also above the default
+    # truncation for its temperature (170 at T = 10)
+    for top, t, n in ((3, 6.0, 40), (400, 10.0, 200)):
+        spec = TrapSpectrum(max_level=top)
+        state = solve_fugacity(spec, t, n)
+        assert state.m_max == auto_m_max(spec, t) == top
+        brute = sum(
+            (m + 1) * (m + 2) // 2 * state.occupation(m) for m in range(top + 1)
+        )
+        assert state.total_number == pytest.approx(brute, rel=1e-12)
+        assert state.total_number == pytest.approx(n, rel=1e-9)
 
 
 def test_excited_count_limit_value():

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosecanon import DomainError, TrapSpectrum
-from bosecanon.oracle import (
-    ORACLE_MAX_N,
-    enumerate_exact,
-    occupation_recursion_check,
-    recursion_table,
-)
+from bosecanon import DomainError, TrapSpectrum, canonical_observables, degeneracy
+from bosecanon.oracle import ORACLE_MAX_N, enumerate_exact, recursion_table
 
 
 def log_z1(spectrum, t, m_max):
@@ -105,9 +100,7 @@ def test_condensate_and_excited_fluctuations_mirror():
     n0_sq = table.occupation_second_moment(0.0)
     var0 = n0_sq - n0 * n0
     # sum the excited first and second pieces from level occupations
-    ne = sum(
-        table.level_occupation(m, (m + 1) * (m + 2) / 2.0) for m in range(1, 91)
-    )
+    ne = sum(degeneracy(m) * table.occupation(float(m)) for m in range(1, 91))
     assert n0 + ne == pytest.approx(n, rel=1e-10)
     assert var0 > 0.0
 
@@ -124,11 +117,17 @@ def test_occupation_normalization_sums_to_n():
     spec = TrapSpectrum()
     t, n, m_max = 6.0, 80, 120
     table = recursion_table(spec, t, n, m_max=m_max)
-    total = sum(
-        table.level_occupation(m, (m + 1) * (m + 2) / 2.0)
-        for m in range(m_max + 1)
-    )
+    total = sum(degeneracy(m) * table.occupation(float(m))
+                for m in range(m_max + 1))
     assert total == pytest.approx(n, rel=1e-10)
+    # with the tail closure, each Boltzmann-closed state above m_max holds
+    # its weight times Z(N-1)/Z(N)
+    t, n, m_max = 4.0, 30, 80
+    table = recursion_table(spec, t, n, m_max=m_max, tail_closure=True)
+    total = sum(degeneracy(m) * table.occupation(float(m))
+                for m in range(m_max + 1))
+    total += spec.tail_weight(t, m_max) / table.partition_ratio(n)
+    assert total == pytest.approx(n, rel=1e-9)
 
 
 def test_tail_closure_requires_finite_ladder_and_conserves_number():
@@ -167,11 +166,22 @@ def test_enumeration_counts_configurations():
 
 
 def test_occupation_recursion_check_inside_engine_tolerance():
+    # the engine's <n0>, <n1> against the recursion built on the same
+    # truncated-plus-closure model, and the recursion's number sum
     spec = TrapSpectrum()
-    report = occupation_recursion_check(spec, 4.0, 30)
-    assert report.max_relative_deviation < 1e-9
-    assert abs(report.number_sum_residual) < 1e-9
-    assert report.n == 30
+    t, n = 4.0, 30
+    res = canonical_observables(spec, t, n)
+    table = recursion_table(spec, t, n, m_max=res.m_max,
+                            tail_closure=res.tail_share > 0.0)
+    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
+    assert res.n1_mean == pytest.approx(
+        table.occupation(spec.level_spacing), rel=1e-9
+    )
+    total = sum(degeneracy(m) * table.occupation(float(m))
+                for m in range(res.m_max + 1))
+    if table.tail_closure:
+        total += spec.tail_weight(t, res.m_max) / table.partition_ratio(n)
+    assert abs(total - n) / n < 1e-9
 
 
 @settings(max_examples=25, deadline=None)

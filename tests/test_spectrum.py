@@ -133,3 +133,12 @@ def test_tail_rejects_bad_arguments():
         weighted_geometric_tail(1.0, 10)
     with pytest.raises(DomainError):
         weighted_geometric_tail(-0.2, 10)
+
+
+def test_tail_weight_is_offset_free_and_absent_on_a_finite_ladder():
+    # T = 10 closes the ladder above level 60 with the closed-form sum,
+    # whatever the ground offset; a finite ladder has no tail
+    want = weighted_geometric_tail(math.exp(-0.1), 60)
+    for offset in (0.0, 2.5):
+        assert TrapSpectrum(ground_offset=offset).tail_weight(10.0, 60) == want
+    assert TrapSpectrum(max_level=400).tail_weight(10.0, 60) == 0.0

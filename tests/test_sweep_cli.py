@@ -7,7 +7,7 @@ import pytest
 
 from bosecanon import TrapSpectrum
 from bosecanon.canonical import QuadratureConfig
-from bosecanon.cli import FIT_T, ConfigError, main, resolve_settings
+from bosecanon.cli import FIT_T, main, resolve_settings
 from bosecanon.spectrum import DomainError
 from bosecanon.sweep import (
     DISCREPANCY_CHANNELS,
@@ -326,13 +326,13 @@ def test_resolve_settings_preset_fills_gaps():
     assert list(st2.particles) == [7]
 
 
-def test_resolve_settings_tail_alias():
-    st = resolve_settings(
-        ["--particles", "10", "--t-over-tc", "0.5:0.5:0.1", "--tail", "mb"]
-    )
-    assert st.tail == "maxwell_boltzmann_closure"
-    with pytest.raises(ConfigError):
-        resolve_settings(["--particles", "10", "--tail", "pade"])
+def test_cli_has_no_tail_flag(capsys):
+    # a truncated ladder is a finite TrapSpectrum, not a tail switch
+    assert run_cli("--particles", "10", "--t-over-tc", "0.5:0.5:0.1",
+                   "--tail", "mb") == 2
+    assert "configuration error: " in capsys.readouterr().err
+    st = resolve_settings(["--particles", "10", "--t-over-tc", "0.5:0.5:0.1"])
+    assert not hasattr(st, "tail")
 
 
 @pytest.mark.parametrize("line, flags", [
@@ -341,7 +341,7 @@ def test_resolve_settings_tail_alias():
     ("threads = auto", ["--threads", "auto"]),
     ("strict = yes", ["--strict"]),
     ("strict = no", []),
-    ("tail = mb", ["--tail", "mb"]),
+    ("rel_tol = 1e-10", ["--rel-tol", "1e-10"]),
     ("m-max = 40", ["--m-max", "40"]),
 ])
 def test_config_line_equals_flag(tmp_path, line, flags):
@@ -357,7 +357,7 @@ def test_config_line_equals_flag(tmp_path, line, flags):
 
 
 @pytest.mark.parametrize("line", [
-    "tail = pade",
+    "rel-tol = tight",
     "strict = maybe",
     "config = other.cfg",
     "part = 30",  # a flag prefix is not a key
