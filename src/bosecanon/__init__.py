@@ -12,11 +12,8 @@ __version__ = "0.1.0"
 from .spectrum import (
     ZETA3,
     DomainError,
-    EnsembleParams,
     TrapSpectrum,
     critical_temperature,
-    cumulative_states,
-    degeneracy,
 )
 from .canonical import (
     CanonicalResult,
@@ -28,8 +25,6 @@ from .canonical import (
 from .grand_canonical import (
     GrandCanonicalState,
     auto_m_max,
-    excited_count_limit,
-    excited_fluctuation_limit,
     mean_occupation,
     occupation_fluctuation,
     solve_fugacity,
@@ -40,12 +35,8 @@ from .asymptotics import (
     InteractionParams,
     condensate_fraction_limit,
     correlation_limit,
-    correlation_transfer_ratio,
-    correlation_transfer_ratio_limit,
     damping_crossover,
     delta_n0_fraction_limit,
-    interacting_condensate_fluctuation,
-    interacting_condensate_mean,
 )
 from .oracle import (
     EnumerationResult,

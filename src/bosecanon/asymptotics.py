@@ -1,11 +1,10 @@
 """Large-N estimates for condensate statistics, and interaction damping scales.
 
-Everything here is a closed form or a cheap level sum; the point is to
-give the fixed-N engine something analytic to converge toward. The
-fluctuation and correlation estimates diverge at the transition and are
-exposed with hard domain errors there instead of clamped values, since
-their derivations assume the condensate and the excited cloud are both
-macroscopic.
+Everything here is a closed form; the point is to give the fixed-N engine
+something analytic to converge toward. The fluctuation and correlation
+estimates diverge at the transition and are exposed with hard domain
+errors there instead of clamped values, since their derivations assume the
+condensate and the excited cloud are both macroscopic.
 
 The interaction quantities use the pairwise energy scale lam_int (the
 two-particle contribution to the ground-state energy, a / sqrt(2 pi) in
@@ -18,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .spectrum import ZETA3, DomainError, TrapSpectrum
 
 __all__ = [
@@ -29,11 +26,7 @@ __all__ = [
     "condensate_fraction_limit",
     "delta_n0_fraction_limit",
     "correlation_limit",
-    "correlation_transfer_ratio",
-    "correlation_transfer_ratio_limit",
     "InteractionParams",
-    "interacting_condensate_fluctuation",
-    "interacting_condensate_mean",
     "DampingCrossover",
     "damping_crossover",
 ]
@@ -82,54 +75,6 @@ def correlation_limit(n: int, t_over_tc: float) -> float:
     return -(n ** (-2.0 / 3.0)) * t_over_tc / ((1.0 - t3) * ZETA3 ** (1.0 / 3.0))
 
 
-def correlation_transfer_ratio(spectrum: TrapSpectrum, t: float,
-                               m_max: int | None = None) -> float:
-    """-(dN1/dlam) / (dNe/dlam) at fugacity lam = 1, by explicit level sums.
-
-    Number conservation converts a condensate fluctuation into an opposite
-    fluctuation of the excited cloud, distributed over the excited states
-    in proportion to their fugacity response. The response of a single
-    state at energy E above the ground state is
-
-        d/dlam [ lam x / (1 - lam x) ] at lam=1  =  x / (1 - x)^2,
-        x = e^{-E/T},
-
-    so with q = e^{-spacing/T} the designated first-level state contributes
-    q/(1-q)^2 and the whole excited cloud sum_{m>=1} g_m q^m/(1-q^m)^2.
-    For T much larger than the spacing these grow as (T/spacing)^2 and
-    (1/2)(T/spacing)^3 integral u^2 e^{-u}/(1-e^{-u})^2 du
-    = (pi^2/6)(T/spacing)^3 respectively, giving the closed-form limit
-    -(6/pi^2)(spacing/T); this function keeps the finite sums.
-
-    Energies are measured from the ground state, so the result does not
-    depend on the spectrum's ground offset. A finite ladder sums its own
-    levels up to its top one and has no tail.
-    """
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    if m_max is None:
-        m_max = int(math.ceil(30.0 * t / spectrum.level_spacing)) + 40
-    m_max = spectrum.resolved_max_level(m_max)
-    m = np.arange(1, m_max + 1, dtype=np.float64)
-    g = (m + 1.0) * (m + 2.0) / 2.0
-    q = math.exp(-spectrum.level_spacing / t)
-    x = q**m
-    excited = float((g * x / (1.0 - x) ** 2).sum())
-    # states beyond the cut respond linearly: d/dlam (lam x) = x
-    excited += spectrum.tail_weight(t, m_max)
-    if not excited > 0.0:
-        raise DomainError("no excited level carries weight at this temperature")
-    single = q / (1.0 - q) ** 2
-    return -single / excited
-
-
-def correlation_transfer_ratio_limit(spectrum: TrapSpectrum, t: float) -> float:
-    """High-temperature closed form of the transfer ratio: -(6/pi^2) spacing/T."""
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    return -6.0 * spectrum.level_spacing / (math.pi**2 * t)
-
-
 @dataclass(frozen=True)
 class InteractionParams:
     """Pairwise interaction energy scale, in trap units."""
@@ -141,33 +86,6 @@ class InteractionParams:
             raise DomainError(
                 f"pair_energy must be nonnegative, got {self.pair_energy}"
             )
-
-    @classmethod
-    def from_scattering_length(cls, a: float) -> "InteractionParams":
-        return cls(a / math.sqrt(2.0 * math.pi))
-
-
-def interacting_condensate_fluctuation(t: float, params: InteractionParams) -> float:
-    """Condensate spread sqrt(T/lam_int) of the interaction-damped Gaussian.
-
-    Repulsion makes the energy quadratic in n0 around its mean, so the
-    grand-canonical distribution of n0 collapses from exponential to a
-    Gaussian of width sqrt(T/lam_int).
-    """
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    if not params.pair_energy > 0:
-        raise DomainError("pair_energy must be positive for the damped width")
-    return math.sqrt(t / params.pair_energy)
-
-
-def interacting_condensate_mean(mu: float, params: InteractionParams) -> float:
-    """Peak condensate number mu/(2 lam_int) of the same Gaussian."""
-    if not mu > 0:
-        raise DomainError(f"chemical potential must be positive, got {mu}")
-    if not params.pair_energy > 0:
-        raise DomainError("pair_energy must be positive for the damped mean")
-    return mu / (2.0 * params.pair_energy)
 
 
 FIXED_N_DOMINATES = "fixed_n_dominates"

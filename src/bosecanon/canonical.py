@@ -64,9 +64,11 @@ __all__ = [
     "saddle_ground_offset",
 ]
 
-# Early-exit hysteresis: this many consecutive negligible intervals, plus a
-# rigorous bound on everything beyond them, before stopping.
+# Early-exit hysteresis: this many consecutive intervals below
+# CONVERGENCE_REL_TOL, plus a rigorous bound on everything beyond them,
+# before stopping.
 EXIT_STREAK = 32
+CONVERGENCE_REL_TOL = 1e-12
 CHUNK_POINTS = 2048  # per kernel call: 512 4-point or 2048 midpoint intervals
 
 # Alias suppression: full-period point count must clear N by this many
@@ -92,10 +94,10 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     """Knobs for the contour quadrature.
 
-    m_max: highest Bose-treated level; None takes a finite ladder's top
-        level or derives one from T.
+    m_max: highest Bose-treated level, clamped to a finite ladder's top;
+        None takes a finite ladder's top level or derives one from T
+        (grand_canonical.auto_m_max).
     intervals_per_oscillation: multiplies the grid density floor.
-    convergence_rel_tol: early-exit threshold on per-interval contributions.
     ground_offset: None evaluates at the saddle offset; a positive float
         forces that offset (invariance studies; poorly balanced values
         lose digits to cancellation and may fail outright).
@@ -103,7 +105,6 @@ class QuadratureConfig:
 
     m_max: int | None = None
     intervals_per_oscillation: int = 1
-    convergence_rel_tol: float = 1e-12
     ground_offset: float | None = None
 
     def __post_init__(self):
@@ -111,15 +112,8 @@ class QuadratureConfig:
             raise DomainError(f"m_max must be >= 1, got {self.m_max}")
         if self.intervals_per_oscillation < 1:
             raise DomainError("intervals_per_oscillation must be >= 1")
-        if not self.convergence_rel_tol > 0:
-            raise DomainError("convergence_rel_tol must be positive")
         if self.ground_offset is not None and not self.ground_offset > 0:
             raise DomainError("forced ground_offset must be positive")
-
-    def resolve_m_max(self, spectrum: TrapSpectrum, t: float) -> int:
-        if self.m_max is None:
-            return auto_m_max(spectrum, t)
-        return spectrum.resolved_max_level(self.m_max)
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,6 @@ class CanonicalResult:
     ne_second_moment: float
     intervals_evaluated: int
     intervals_total: int
-    tail_share: float
     sum_rule_residual: float
     m_max: int
     ground_offset: float
@@ -246,7 +239,7 @@ def canonical_observables(
     if n < 1:
         raise DomainError(f"particle number must be >= 1, got {n}")
 
-    m_max = config.resolve_m_max(spectrum, t)
+    m_max = auto_m_max(spectrum, t, config.m_max)
     if m_max < 1:
         raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
     if config.ground_offset is not None:
@@ -272,7 +265,6 @@ def canonical_observables(
 
     # Row k of `run` is the accumulator after interval done + k + 1, added up
     # in interval order from the accumulator carried in.
-    rel_tol = config.convergence_rel_tol
     step = CHUNK_POINTS // nodes.size
     acc = np.zeros(N_ACCUMULATORS, dtype=np.complex128)
     streak = 0
@@ -289,11 +281,13 @@ def canonical_observables(
                             where=live).max(axis=1)
         # Negligible-interval streak, carried in from the previous chunk.
         rows = np.arange(1, i1 - done + 1)
-        last_busy = np.maximum.accumulate(np.where(rel < rel_tol, 0, rows))
+        last_busy = np.maximum.accumulate(
+            np.where(rel < CONVERGENCE_REL_TOL, 0, rows))
         streaks = np.where(last_busy == 0, streak + rows, rows - last_busy)
         # Bound on everything past each interval, from its peak modulus.
         mass = np.exp(peak) * (math.pi - (done + rows) * h)
-        bounded = (mass[:, None] * w_peak <= rel_tol * scale) | ~live
+        bounded = ((mass[:, None] * w_peak <= CONVERGENCE_REL_TOL * scale)
+                   | ~live)
         exits = np.flatnonzero((streaks >= EXIT_STREAK) & bounded.all(axis=1))
         last = int(exits[0]) if exits.size else rows.size - 1
         overflow = np.flatnonzero(~np.isfinite(scale[:last + 1]).all(axis=1))
@@ -334,7 +328,6 @@ def canonical_observables(
         ne_second_moment=obs[6],
         intervals_evaluated=done,
         intervals_total=n_half,
-        tail_share=s_mb / n,
         sum_rule_residual=sum_rule,
         m_max=m_max,
         ground_offset=eps0,

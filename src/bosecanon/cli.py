@@ -128,10 +128,6 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="temperature grid in units of Tc")
     add("--m-max", type=_count_or_auto,
         help="level truncation, integer or 'auto' (default auto)")
-    add("--ground-offset", type=float,
-        help="fixed evaluation offset (default: saddle point)")
-    add("--rel-tol", type=float, default=1e-12,
-        help="early-exit relative tolerance (default 1e-12)")
     add("--out", default="sweep", help="output path base (default: sweep)")
     add("--format", choices=("csv", "json", "both"), default="both",
         help="emit csv, json, or both (default both)")
@@ -195,15 +191,10 @@ def _run_validate(settings: argparse.Namespace) -> int:
 
 
 def _run_sweep(settings: argparse.Namespace) -> int:
-    config = QuadratureConfig(
-        m_max=settings.m_max,
-        convergence_rel_tol=settings.rel_tol,
-        ground_offset=settings.ground_offset,
-    )
     result = run_sweep(
         settings.particles,
         settings.t_grid,
-        config=config,
+        config=QuadratureConfig(m_max=settings.m_max),
         threads=settings.threads,
     )
     result.meta["preset"] = settings.preset

@@ -4,10 +4,6 @@ Closed forms used throughout:
 
   occupation of a state at energy E:   n = 1 / (exp((E - mu)/T) - 1)
   its fluctuation:                     dn = sqrt(n (n + 1))
-  continuum excited count:             N_e = zeta(3) (T/spacing)^3
-  continuum excited fluctuation:       dN_e = sqrt(pi^2/6 (T/spacing)^3)
-  continuum total energy:              <E> = pi^4/30 T^4/spacing^3
-  energy fluctuation:                  dE = sqrt(T^2 d<E>/dT)
 
 The inverse fugacity obeys exp(-mu/T) = 1 + 1/N_0 where N_0 is the ground
 occupation, so mu -> ground energy from below as N_0 grows. Distinct states
@@ -26,22 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (
-    ZETA3,
-    DomainError,
-    TrapSpectrum,
-    critical_temperature,
-)
+from .spectrum import DomainError, TrapSpectrum
 
 __all__ = [
     "GrandCanonicalState",
     "mean_occupation",
     "occupation_fluctuation",
     "solve_fugacity",
-    "excited_count_limit",
-    "excited_fluctuation_limit",
-    "total_energy",
-    "energy_fluctuation",
     "auto_m_max",
 ]
 
@@ -49,10 +36,14 @@ __all__ = [
 FUGACITY_REL_TOL = 1e-10
 
 
-def auto_m_max(spectrum: TrapSpectrum, t: float) -> int:
-    """Default truncation level: a finite ladder's own top level, otherwise
-    one high enough that the Boltzmann tail beyond it is a second-order
-    correction (see canonical engine for the matching closure)."""
+def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> int:
+    """Top level summed level by level: a requested m_max, clamped to a
+    finite ladder's top; without one, the finite ladder's own top level, or
+    on the unbounded ladder one high enough that the Boltzmann tail beyond
+    it is a second-order correction (see canonical engine for the matching
+    closure)."""
+    if m_max is not None:
+        return spectrum.resolved_max_level(m_max)
     if spectrum.max_level is not None:
         return spectrum.max_level
     return int(math.ceil(15.0 * t / spectrum.level_spacing)) + 20
@@ -129,17 +120,6 @@ class GrandCanonicalState:
         _, v = _occupation_sums(self.spectrum, self.t, self.fugacity, self.m_max)
         return v
 
-    def cross_covariance(self, m_a: int, m_b: int) -> float:
-        """Covariance of occupations of states in two distinct levels.
-
-        Identically zero: each state's occupation distribution factorises in
-        this ensemble. Kept explicit because the fixed-N engine measures a
-        nonzero (negative) value that this reference must contrast with.
-        """
-        self.spectrum.energy(m_a)
-        self.spectrum.energy(m_b)
-        return 0.0
-
 
 def solve_fugacity(
     spectrum: TrapSpectrum,
@@ -157,7 +137,7 @@ def solve_fugacity(
         raise DomainError(f"temperature must be positive, got {t}")
     if n_target < 1:
         raise DomainError(f"target particle number must be >= 1, got {n_target}")
-    mm = auto_m_max(spectrum, t) if m_max is None else int(m_max)
+    mm = auto_m_max(spectrum, t, m_max)
 
     lam_max = math.exp(spectrum.energy(0) / t)
     lo, hi = 0.0, lam_max * (1.0 - 1e-15)
@@ -197,39 +177,3 @@ def solve_fugacity(
         raise DomainError("fugacity solve did not reach requested tolerance")
 
     return GrandCanonicalState(spectrum, t, lam, mm, n_target)
-
-
-def excited_count_limit(spectrum: TrapSpectrum, t: float) -> float:
-    """Continuum excited-state capacity zeta(3) (T/spacing)^3."""
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    return ZETA3 * (t / spectrum.level_spacing) ** 3
-
-
-def excited_fluctuation_limit(spectrum: TrapSpectrum, t: float) -> float:
-    """Continuum excited-number RMS fluctuation sqrt(pi^2/6 (T/spacing)^3)."""
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    return math.sqrt(math.pi**2 / 6.0 * (t / spectrum.level_spacing) ** 3)
-
-
-def total_energy(spectrum: TrapSpectrum, t: float) -> float:
-    """Continuum mean energy pi^4/30 T^4/spacing^3 (offset not counted).
-
-    Combining with the excited count gives the per-excited-particle form
-    <E> = pi^4/(30 zeta(3)) * T * N_e, independent of the trap scale.
-    """
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    return math.pi**4 / 30.0 * t**4 / spectrum.level_spacing**3
-
-
-def energy_fluctuation(spectrum: TrapSpectrum, t: float) -> float:
-    """RMS energy fluctuation sqrt(T^2 d<E>/dT) of the continuum form.
-
-    With <E> = pi^4/30 T^4/spacing^3 this is sqrt(4 pi^4/30) T^(5/2) /
-    spacing^(3/2), so the relative fluctuation falls off as T^(-3/2).
-    """
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    return math.sqrt(4.0 * math.pi**4 / 30.0 * t**5 / spectrum.level_spacing**3)

@@ -10,11 +10,16 @@ evaluated entirely in log space (logsumexp) so magnitudes never overflow.
 Z1 comes in three flavours so the oracle can match the engine's model
 exactly, not just the physics:
 
-  * full:      Z1(j/T) = e^{-j*E0/T} (1 - q^j)^{-3},  q = e^{-spacing*j... }
+  * full:      Z1(j/T) = e^{-j*E0/T} (1 - q_j)^{-3},  q_j = e^{-j*spacing/T}
                (closed form of sum_m (m+1)(m+2)/2 x^m = (1-x)^{-3})
   * truncated: the partial sum over levels 0..m_max
-  * mb tail:   truncated plus the Boltzmann-order tail added at j=1 only,
-               matching a generating function multiplied by exp(w*S_tail)
+  * mb tail:   truncated plus the spectrum's Boltzmann-order tail weight
+               (TrapSpectrum.tail_weight) added at j=1 only, matching a
+               generating function multiplied by exp(w*S_tail)
+
+The model is read from the spectrum: a finite ladder is summed to its top
+level, and a larger requested m_max clamps to it, as in the engine; a
+finite ladder has no tail, so the closure adds nothing there.
 
 Occupations follow from the exact identity P(n >= k) = e^{-k*E/T} Z(N-k)/Z(N)
 for any state treated with Bose statistics:
@@ -37,12 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import (
-    DomainError,
-    TrapSpectrum,
-    weighted_geometric_partial,
-    weighted_geometric_tail,
-)
+from .spectrum import DomainError, TrapSpectrum, weighted_geometric_partial
 
 __all__ = [
     "RecursionTable",
@@ -65,7 +65,7 @@ def _log_z1(spectrum: TrapSpectrum, t: float, j: int, m_max: int | None,
         return lead - 3.0 * math.log1p(-q)
     s = weighted_geometric_partial(q, m_max)
     if tail_closure and j == 1:
-        s += weighted_geometric_tail(q, m_max)
+        s += spectrum.tail_weight(t, m_max)
     return lead + math.log(s)
 
 
@@ -130,8 +130,10 @@ def recursion_table(
             f"recursion oracle capped at N={ORACLE_MAX_N} (got {n}); "
             "pass allow_large=True for a slow uncapped build"
         )
-    if tail_closure and m_max is None:
-        raise DomainError("tail closure requires a finite m_max")
+    if m_max is not None or spectrum.max_level is not None:
+        m_max = spectrum.resolved_max_level(m_max)
+    elif tail_closure:
+        raise DomainError("tail closure on the unbounded ladder needs an m_max")
     lz1 = np.array(
         [_log_z1(spectrum, t, j, m_max, tail_closure) for j in range(1, n + 1)]
     )

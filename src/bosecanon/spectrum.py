@@ -2,9 +2,8 @@
 
 Energies are measured in units of the level spacing unless a spacing is
 given explicitly. Level m carries energy ``ground_offset + m*level_spacing``
-and degeneracy ``(m+1)(m+2)/2`` (the number of ways to split m quanta among
-three Cartesian axes). The cumulative number of one-particle states up to
-level M is ``(M+1)(M+2)(M+3)/6``.
+and holds ``(m+1)(m+2)/2`` states (the number of ways to split m quanta
+among three Cartesian axes).
 
 The condensation temperature for N particles follows from equating N to the
 continuum excited-state capacity ``zeta(3) * (T/spacing)**3``, giving
@@ -25,9 +24,6 @@ __all__ = [
     "ZETA3",
     "DomainError",
     "TrapSpectrum",
-    "EnsembleParams",
-    "degeneracy",
-    "cumulative_states",
     "critical_temperature",
     "weighted_geometric_tail",
     "weighted_geometric_partial",
@@ -36,20 +32,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """Raised when an input lies outside the physical domain of a formula."""
-
-
-def degeneracy(m: int) -> int:
-    """Number of one-particle states in level m: (m+1)(m+2)/2."""
-    if m < 0:
-        raise DomainError(f"level index must be nonnegative, got {m}")
-    return (m + 1) * (m + 2) // 2
-
-
-def cumulative_states(m_max: int) -> int:
-    """Total one-particle states in levels 0..m_max: (M+1)(M+2)(M+3)/6."""
-    if m_max < 0:
-        raise DomainError(f"level index must be nonnegative, got {m_max}")
-    return (m_max + 1) * (m_max + 2) * (m_max + 3) // 6
 
 
 @dataclass(frozen=True)
@@ -111,23 +93,6 @@ class TrapSpectrum:
             return 0.0
         q = math.exp(-self.level_spacing / t)
         return weighted_geometric_tail(q, m_max)
-
-
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Particle number and temperature for one ensemble evaluation."""
-
-    n: int
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"particle number must be >= 1, got {self.n}")
-        if not self.t > 0:
-            raise DomainError(f"temperature must be positive, got {self.t}")
-
-    def t_over_tc(self, spectrum: TrapSpectrum) -> float:
-        return self.t / critical_temperature(spectrum, self.n)
 
 
 def critical_temperature(spectrum: TrapSpectrum, n: int) -> float:

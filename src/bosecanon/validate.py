@@ -25,7 +25,7 @@ from .canonical import (
     canonical_observables,
     saddle_ground_offset,
 )
-from .grand_canonical import solve_fugacity
+from .grand_canonical import auto_m_max, solve_fugacity
 from .oracle import ORACLE_MAX_N, recursion_table
 from .spectrum import DomainError, TrapSpectrum, critical_temperature
 from .sweep import FIELD_ORDER, run_sweep
@@ -129,7 +129,7 @@ def _m_max_doubling(spectrum, max_n, tolerance) -> SuiteResult:
     worst = 0.0
     probes = 0
     for n, t in _offset_probes(spectrum, max_n):
-        m1 = QuadratureConfig().resolve_m_max(spectrum, t)
+        m1 = auto_m_max(spectrum, t)
         a = canonical_observables(spectrum, t, n, QuadratureConfig(m_max=m1))
         b = canonical_observables(spectrum, t, n, QuadratureConfig(m_max=2 * m1))
         for name, va in a.observables().items():

@@ -12,12 +12,8 @@ from bosecanon.asymptotics import (
     InteractionParams,
     condensate_fraction_limit,
     correlation_limit,
-    correlation_transfer_ratio,
-    correlation_transfer_ratio_limit,
     damping_crossover,
     delta_n0_fraction_limit,
-    interacting_condensate_fluctuation,
-    interacting_condensate_mean,
 )
 from bosecanon.spectrum import ZETA3
 
@@ -101,46 +97,20 @@ def brute_transfer_ratio(spectrum, t, m_max):
     return top / bottom
 
 
-def test_transfer_ratio_matches_brute_sum():
-    for t in (5.0, 20.0, 80.0):
-        m_max = int(30 * t) + 40
-        got = correlation_transfer_ratio(SPEC, t, m_max=m_max)
-        want = brute_transfer_ratio(SPEC, t, m_max=8 * m_max)
-        assert got == pytest.approx(want, rel=1e-6)
-        assert got < 0.0
-
-
-def test_transfer_ratio_sums_a_finite_ladder_to_its_top():
-    # three excited levels and no tail, whatever cap is asked for
-    spec = TrapSpectrum(max_level=3)
-    t = 5.0
-    want = brute_transfer_ratio(spec, t, m_max=3)
-    assert correlation_transfer_ratio(spec, t) == pytest.approx(want, rel=1e-14)
-    assert correlation_transfer_ratio(spec, t, m_max=50) == pytest.approx(
-        want, rel=1e-14)
-    assert want == pytest.approx(-0.17963, abs=1e-5)
-    with pytest.raises(DomainError):
-        correlation_transfer_ratio(TrapSpectrum(max_level=0), t)
+def transfer_ratio_limit(spectrum, t):
+    """High-temperature closed form of the transfer ratio, the factor eq. 12
+    takes from number conservation: -(6/pi^2) spacing/T."""
+    return -6.0 * spectrum.level_spacing / (math.pi**2 * t)
 
 
 def test_transfer_ratio_approaches_continuum_limit():
-    # finite-ladder value converges to -(6/pi^2) spacing/T with a slowly
-    # decaying ln(T)/T correction, so use a generous matching band
+    # the discrete ladder's ratio converges to -(6/pi^2) spacing/T with a
+    # slowly decaying ln(T)/T correction, so use a generous matching band
     for t in (20.0, 200.0):
-        got = correlation_transfer_ratio(SPEC, t)
-        want = correlation_transfer_ratio_limit(SPEC, t)
+        got = brute_transfer_ratio(SPEC, t, m_max=int(30 * t) + 40)
         band = 2.0 * math.log(t) / t
-        assert got == pytest.approx(want, rel=band)
-
-
-def test_transfer_ratio_limit_form():
-    assert correlation_transfer_ratio_limit(SPEC, 10.0) == pytest.approx(
-        -6.0 / (math.pi**2 * 10.0), rel=1e-14
-    )
-    spec2 = TrapSpectrum(level_spacing=2.0)
-    assert correlation_transfer_ratio_limit(spec2, 10.0) == pytest.approx(
-        2.0 * correlation_transfer_ratio_limit(SPEC, 10.0), rel=1e-14
-    )
+        assert got < 0.0
+        assert got == pytest.approx(transfer_ratio_limit(SPEC, t), rel=band)
 
 
 def test_correlation_pieces_compose():
@@ -153,7 +123,7 @@ def test_correlation_pieces_compose():
     var0 = (delta_n0_fraction_limit(n, t) * (1.0 - t**3) * n) ** 2
     n1_single = t * tc / SPEC.level_spacing
     n0 = (1.0 - t**3) * n
-    composed = correlation_transfer_ratio_limit(SPEC, t * tc) * var0 / (n0 * n1_single)
+    composed = transfer_ratio_limit(SPEC, t * tc) * var0 / (n0 * n1_single)
     assert composed == pytest.approx(correlation_limit(n, t), rel=1e-10)
 
 
@@ -164,26 +134,6 @@ def test_interaction_params_validation():
     assert InteractionParams(0.0).pair_energy == 0.0
     with pytest.raises(DomainError):
         InteractionParams(-0.5)
-
-
-def test_from_scattering_length():
-    p = InteractionParams.from_scattering_length(0.1)
-    assert p.pair_energy == pytest.approx(0.1 / math.sqrt(2.0 * math.pi), rel=1e-14)
-
-
-def test_interacting_fluctuation_scale():
-    p = InteractionParams(2.0)
-    assert interacting_condensate_fluctuation(2.0, p) == pytest.approx(1.0)
-    assert interacting_condensate_fluctuation(8.0, p) == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        interacting_condensate_fluctuation(1.0, InteractionParams(0.0))
-
-
-def test_interacting_mean_scale():
-    p = InteractionParams(0.5)
-    assert interacting_condensate_mean(3.0, p) == pytest.approx(3.0)
-    with pytest.raises(DomainError):
-        interacting_condensate_mean(-1.0, p)
 
 
 def test_crossover_boundary_identity():

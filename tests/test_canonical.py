@@ -11,6 +11,7 @@ from bosecanon.canonical import (
     canonical_observables,
     saddle_ground_offset,
 )
+from bosecanon.grand_canonical import auto_m_max
 from bosecanon.oracle import enumerate_exact, recursion_table
 
 SPEC = TrapSpectrum()
@@ -23,15 +24,14 @@ def test_quadrature_config_rejects_bad_values():
     with pytest.raises(DomainError):
         QuadratureConfig(intervals_per_oscillation=0)
     with pytest.raises(DomainError):
-        QuadratureConfig(convergence_rel_tol=0.0)
-    with pytest.raises(DomainError):
         QuadratureConfig(m_max=-1)
 
 
 def test_config_m_max_clamps_to_finite_spectrum():
-    cfg = QuadratureConfig(m_max=500)
     spec = TrapSpectrum(max_level=3)
-    assert cfg.resolve_m_max(spec, 5.0) == 3
+    assert auto_m_max(spec, 5.0, 500) == 3
+    res = canonical_observables(spec, 5.0, 10, QuadratureConfig(m_max=500))
+    assert res.m_max == 3
 
 
 def test_finite_ladder_keeps_levels_above_auto_truncation():
@@ -41,7 +41,6 @@ def test_finite_ladder_keeps_levels_above_auto_truncation():
     t, n = 10.0, 200
     res = canonical_observables(spec, t, n)
     assert res.m_max == 400
-    assert res.tail_share == 0.0
     table = recursion_table(spec, t, n, m_max=400)
     assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-9)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
@@ -75,7 +74,7 @@ def test_engine_matches_recursion_truncate_mode():
     spec = TrapSpectrum(max_level=45)
     t, n = 4.0, 60
     res = canonical_observables(spec, t, n)
-    assert res.m_max == 45 and res.tail_share == 0.0
+    assert res.m_max == 45
     table = recursion_table(spec, t, n, m_max=45)
     assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-10)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
@@ -270,11 +269,37 @@ def test_overflow_guard_reports_first_nonfinite_interval(monkeypatch):
 def test_engine_recursion_agreement_property(n, t_frac):
     t = t_frac * critical_temperature(SPEC, n)
     res = canonical_observables(SPEC, t, n)
-    table = recursion_table(
-        SPEC, t, n, m_max=res.m_max, tail_closure=res.tail_share > 0.0
-    )
+    table = recursion_table(SPEC, t, n, m_max=res.m_max, tail_closure=True)
     assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-9, abs=1e-9)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("n, t_over_tc", [
+    (10_000, 0.05),  # early exit never fires
+    (10_000, 0.6),
+    (10_000, 1.35),
+    (100, 0.01),
+    (100, 3.0),
+    (1000, 0.01),
+    (1000, 3.0),
+])
+def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
+    # N = 10^4 and T/Tc far below and above the transition, against the
+    # recursion on the model the engine resolves to. delta_n0 and delta_ne
+    # are not asserted: as second moment minus squared mean they lose
+    # digits to cancellation, a known defect of the engine.
+    t = t_over_tc * critical_temperature(SPEC, n)
+    res = canonical_observables(SPEC, t, n)
+    table = recursion_table(SPEC, t, n, m_max=res.m_max, tail_closure=True,
+                            allow_large=True)
+    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
+    assert res.n1_mean == pytest.approx(
+        table.occupation(SPEC.level_spacing), rel=1e-10)
+    assert res.n0_second_moment == pytest.approx(
+        table.occupation_second_moment(0.0), rel=1e-10)
+    # log Z is about 3e-10 at T/Tc = 0.01, so the bound is absolute there
+    log_z = table.log_z[n]
+    assert abs(res.log_z_zero_offset - log_z) <= 1e-12 * max(1.0, abs(log_z))
 
 
 def test_zero_point_energy_ladder_consistency():

@@ -4,19 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosecanon import (
+    ZETA3,
     DomainError,
     TrapSpectrum,
     critical_temperature,
 )
 from bosecanon.grand_canonical import (
     auto_m_max,
-    energy_fluctuation,
-    excited_count_limit,
-    excited_fluctuation_limit,
     mean_occupation,
     occupation_fluctuation,
     solve_fugacity,
-    total_energy,
 )
 
 SPEC = TrapSpectrum()
@@ -79,12 +76,6 @@ def test_fugacity_respects_ground_offset():
     assert shifted.total_number == pytest.approx(base.total_number, rel=1e-9)
 
 
-def test_cross_covariance_vanishes_identically():
-    state = solve_fugacity(SPEC, 5.0, 100)
-    assert state.cross_covariance(0, 1) == 0.0
-    assert state.cross_covariance(3, 7) == 0.0
-
-
 def test_number_variance_sums_state_terms():
     state = solve_fugacity(SPEC, 4.0, 100)
     m_max = auto_m_max(SPEC, 4.0)
@@ -112,16 +103,20 @@ def test_finite_spectrum_sums_have_no_tail():
         assert state.total_number == pytest.approx(n, rel=1e-9)
 
 
-def test_excited_count_limit_value():
-    # zeta(3) * (T/spacing)^3
-    assert excited_count_limit(SPEC, 10.0) == pytest.approx(1202.0569031595942, rel=1e-12)
-    assert excited_fluctuation_limit(SPEC, 10.0) == pytest.approx(
-        math.sqrt(math.pi**2 / 6.0 * 1000.0), rel=1e-12
-    )
+def test_solve_fugacity_reports_the_levels_it_sums():
+    # a requested cap above a finite ladder's top clamps to the top, as in
+    # the engine, and the state says so
+    spec = TrapSpectrum(max_level=3)
+    capped = solve_fugacity(spec, 5.0, 10, m_max=50)
+    own = solve_fugacity(spec, 5.0, 10)
+    assert capped.m_max == own.m_max == auto_m_max(spec, 5.0, 50) == 3
+    assert capped.fugacity == own.fugacity
+    assert solve_fugacity(SPEC, 5.0, 10, m_max=50).m_max == 50
 
 
 def test_excited_limit_matches_explicit_sum_at_high_t():
-    # discrete ladder at saturation (mu = 0) vs the continuum capacity;
+    # discrete ladder at saturation (mu = 0) vs the continuum capacity
+    # zeta(3) (T/spacing)^3 behind critical_temperature and 1 - t^3;
     # the first finite-size correction is +(3/2) zeta(2) T^2, about 0.5% here
     t = 400.0
     m_max = auto_m_max(SPEC, t)
@@ -129,17 +124,12 @@ def test_excited_limit_matches_explicit_sum_at_high_t():
         (m + 1) * (m + 2) / 2.0 * mean_occupation(t, float(m), 0.0)
         for m in range(1, m_max + 1)
     )
-    cap = excited_count_limit(SPEC, t)
+    cap = ZETA3 * (t / SPEC.level_spacing) ** 3
+    # the capacity holds exactly N particles at T = Tc
+    assert ZETA3 * critical_temperature(SPEC, 1000) ** 3 == pytest.approx(
+        1000.0, rel=1e-12)
     assert brute == pytest.approx(cap, rel=2e-2)
     assert brute > cap  # finite-size correction is positive
-
-
-def test_energy_forms():
-    t = 7.0
-    assert total_energy(SPEC, t) == pytest.approx(math.pi**4 / 30.0 * t**4, rel=1e-12)
-    assert energy_fluctuation(SPEC, t) == pytest.approx(
-        math.sqrt(4.0 * math.pi**4 / 30.0) * t**2.5, rel=1e-12
-    )
 
 
 @settings(max_examples=40, deadline=None)

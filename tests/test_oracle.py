@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosecanon import DomainError, TrapSpectrum, canonical_observables, degeneracy
+from bosecanon import DomainError, TrapSpectrum, canonical_observables
 from bosecanon.oracle import ORACLE_MAX_N, enumerate_exact, recursion_table
 
 
@@ -14,6 +14,13 @@ def log_z1(spectrum, t, m_max):
         g = (m + 1) * (m + 2) / 2.0
         acc += g * math.exp(-spectrum.energy(m) / t)
     return math.log(acc)
+
+
+def level_sum(table, m_max, first=0):
+    """Level occupations summed over levels first..m_max (unit spacing)."""
+    g = table.spectrum.degeneracies(m_max)
+    return sum(g[m] * table.occupation(float(m))
+               for m in range(first, m_max + 1))
 
 
 def test_first_entry_is_single_particle_sum():
@@ -27,7 +34,7 @@ def test_single_state_partition_is_one():
     # one nondegenerate-in-practice level at zero energy: every Z(k) = 1
     spec = TrapSpectrum(ground_offset=0.0, max_level=0)
     table = recursion_table(spec, 2.0, 6, m_max=0)
-    # level 0 carries degeneracy 1... (m+1)(m+2)/2 = 1 at m = 0
+    # level 0 holds (m+1)(m+2)/2 = 1 state
     assert np.allclose(table.log_z, 0.0, atol=1e-12)
 
 
@@ -100,7 +107,7 @@ def test_condensate_and_excited_fluctuations_mirror():
     n0_sq = table.occupation_second_moment(0.0)
     var0 = n0_sq - n0 * n0
     # sum the excited first and second pieces from level occupations
-    ne = sum(degeneracy(m) * table.occupation(float(m)) for m in range(1, 91))
+    ne = level_sum(table, 90, first=1)
     assert n0 + ne == pytest.approx(n, rel=1e-10)
     assert var0 > 0.0
 
@@ -117,15 +124,13 @@ def test_occupation_normalization_sums_to_n():
     spec = TrapSpectrum()
     t, n, m_max = 6.0, 80, 120
     table = recursion_table(spec, t, n, m_max=m_max)
-    total = sum(degeneracy(m) * table.occupation(float(m))
-                for m in range(m_max + 1))
+    total = level_sum(table, m_max)
     assert total == pytest.approx(n, rel=1e-10)
     # with the tail closure, each Boltzmann-closed state above m_max holds
     # its weight times Z(N-1)/Z(N)
     t, n, m_max = 4.0, 30, 80
     table = recursion_table(spec, t, n, m_max=m_max, tail_closure=True)
-    total = sum(degeneracy(m) * table.occupation(float(m))
-                for m in range(m_max + 1))
+    total = level_sum(table, m_max)
     total += spec.tail_weight(t, m_max) / table.partition_ratio(n)
     assert total == pytest.approx(n, rel=1e-9)
 
@@ -171,17 +176,30 @@ def test_occupation_recursion_check_inside_engine_tolerance():
     spec = TrapSpectrum()
     t, n = 4.0, 30
     res = canonical_observables(spec, t, n)
-    table = recursion_table(spec, t, n, m_max=res.m_max,
-                            tail_closure=res.tail_share > 0.0)
+    table = recursion_table(spec, t, n, m_max=res.m_max, tail_closure=True)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
     assert res.n1_mean == pytest.approx(
         table.occupation(spec.level_spacing), rel=1e-9
     )
-    total = sum(degeneracy(m) * table.occupation(float(m))
-                for m in range(res.m_max + 1))
-    if table.tail_closure:
-        total += spec.tail_weight(t, res.m_max) / table.partition_ratio(n)
+    total = level_sum(table, res.m_max)
+    total += spec.tail_weight(t, res.m_max) / table.partition_ratio(n)
     assert abs(total - n) / n < 1e-9
+
+
+def test_finite_ladder_is_the_oracle_model():
+    # TrapSpectrum(max_level=3) alone is the truncated model: the recursion
+    # sums its four levels whatever cap is asked for and closes no tail,
+    # as the engine does
+    spec = TrapSpectrum(max_level=3)
+    t, n = 5.0, 10
+    res = canonical_observables(spec, t, n)
+    for options in ({}, {"m_max": 50}, {"tail_closure": True}):
+        table = recursion_table(spec, t, n, **options)
+        assert table.log_z[n] == pytest.approx(res.log_z_zero_offset,
+                                               rel=1e-12)
+        assert table.m_max == 3
+        assert table.occupation(0.0) == pytest.approx(res.n0_mean, rel=1e-10)
+        assert table.occupation(1.0) == pytest.approx(res.n1_mean, rel=1e-10)
 
 
 @settings(max_examples=25, deadline=None)

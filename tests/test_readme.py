@@ -1,0 +1,28 @@
+"""README's python blocks run, and the values they quote are the engine's."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run_and_quote_the_engine():
+    text = README.read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    # each `res.<name>  # <value>` comment is the value rounded as written
+    quoted = re.findall(r"^res\.(\w+)\s+#\s+(-?\d+\.(\d+))", blocks[0],
+                        flags=re.M)
+    assert {name for name, _, _ in quoted} >= {
+        "n0_mean", "delta_n0", "covariance_n0_n1"}
+    res = namespace["res"]
+    for name, value, decimals in quoted:
+        assert round(getattr(res, name), len(decimals)) == pytest.approx(
+            float(value), abs=1e-12), name
+    tc = re.search(r"# ~(\d+\.(\d+)) for N = 1000", blocks[0])
+    assert round(namespace["tc"], len(tc.group(2))) == float(tc.group(1))

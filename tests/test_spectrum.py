@@ -6,30 +6,19 @@ from hypothesis import given, strategies as st
 from bosecanon.spectrum import (
     ZETA3,
     DomainError,
-    EnsembleParams,
     TrapSpectrum,
     critical_temperature,
-    cumulative_states,
-    degeneracy,
     weighted_geometric_partial,
     weighted_geometric_tail,
 )
 
 
 def test_degeneracy_small_levels():
-    assert [degeneracy(m) for m in range(5)] == [1, 3, 6, 10, 15]
-
-
-def test_degeneracy_rejects_negative():
-    with pytest.raises(DomainError):
-        degeneracy(-1)
-
-
-def test_cumulative_states_matches_running_sum():
-    total = 0
-    for m in range(30):
-        total += degeneracy(m)
-        assert cumulative_states(m) == total
+    # level m holds one state per split of m quanta among three axes
+    splits = [sum(1 for a in range(m + 1) for b in range(m + 1 - a))
+              for m in range(8)]
+    assert list(TrapSpectrum().degeneracies(7)) == splits
+    assert splits[:5] == [1, 3, 6, 10, 15]
 
 
 def test_energy_ladder_and_bounds():
@@ -84,18 +73,8 @@ def test_critical_temperature_spot_value():
     assert critical_temperature(TrapSpectrum(level_spacing=2.0), 1000) == 2 * tc
 
 
-def test_ensemble_params_t_over_tc():
-    sp = TrapSpectrum()
-    params = EnsembleParams(n=1000, t=critical_temperature(sp, 1000))
-    assert params.t_over_tc(sp) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        EnsembleParams(n=0, t=1.0)
-    with pytest.raises(DomainError):
-        EnsembleParams(n=5, t=0.0)
-
-
 def brute_tail(x: float, m_max: int, terms: int = 4000) -> float:
-    return sum(degeneracy(m) * x**m for m in range(m_max + 1, terms))
+    return sum((m + 1) * (m + 2) // 2 * x**m for m in range(m_max + 1, terms))
 
 
 def test_tail_reduces_to_full_sum_at_minus_one():

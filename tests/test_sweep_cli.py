@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bosecanon import TrapSpectrum
-from bosecanon.canonical import QuadratureConfig
+from bosecanon import TrapSpectrum, sweep
+from bosecanon.canonical import ConvergenceError, QuadratureConfig
 from bosecanon.cli import FIT_T, main, resolve_settings
 from bosecanon.spectrum import DomainError
 from bosecanon.sweep import (
@@ -256,23 +256,30 @@ def test_cli_rejects_empty_request():
     assert run_cli() == 2
 
 
-def test_cli_strict_failure_exit(tmp_path):
+def fail_every_row(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("forced failure", {})
+
+    monkeypatch.setattr(sweep, "canonical_observables", no_convergence)
+
+
+def test_cli_strict_failure_exit(tmp_path, monkeypatch):
+    fail_every_row(monkeypatch)
     code = run_cli(
-        "--particles", "5000",
+        "--particles", "30",
         "--t-over-tc", "0.5:0.5:0.1",
-        "--ground-offset", "4000.0",
         "--out", str(tmp_path / "bad"),
         "--strict",
     )
     assert code == 3
 
 
-def test_cli_nonstrict_failure_still_writes(tmp_path):
+def test_cli_nonstrict_failure_still_writes(tmp_path, monkeypatch):
+    fail_every_row(monkeypatch)
     out = tmp_path / "soft"
     code = run_cli(
-        "--particles", "5000",
+        "--particles", "30",
         "--t-over-tc", "0.5:0.5:0.1",
-        "--ground-offset", "4000.0",
         "--out", str(out),
     )
     assert code == 0
@@ -335,13 +342,25 @@ def test_cli_has_no_tail_flag(capsys):
     assert not hasattr(st, "tail")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rel-tol", "1e-10"),
+    ("--ground-offset", "1.0"),
+])
+def test_cli_has_no_quadrature_knob_flags(capsys, flag, value):
+    # the early-exit tolerance is a constant and a forced offset is a
+    # QuadratureConfig field for invariance studies, not a sweep setting
+    assert run_cli("--particles", "30", "--t-over-tc", "0.5:0.5:0.1",
+                   flag, value) == 2
+    assert "configuration error: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, flags", [
     ("t_over_tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
     ("t-over-tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
     ("threads = auto", ["--threads", "auto"]),
     ("strict = yes", ["--strict"]),
     ("strict = no", []),
-    ("rel_tol = 1e-10", ["--rel-tol", "1e-10"]),
+    ("max_n = 25", ["--max-n", "25"]),
     ("m-max = 40", ["--m-max", "40"]),
 ])
 def test_config_line_equals_flag(tmp_path, line, flags):
@@ -357,7 +376,8 @@ def test_config_line_equals_flag(tmp_path, line, flags):
 
 
 @pytest.mark.parametrize("line", [
-    "rel-tol = tight",
+    "max-n = many",
+    "rel-tol = tight",  # a removed flag is an unknown key
     "strict = maybe",
     "config = other.cfg",
     "part = 30",  # a flag prefix is not a key
