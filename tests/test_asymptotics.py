@@ -113,6 +113,24 @@ def test_transfer_ratio_approaches_continuum_limit():
         assert got == pytest.approx(transfer_ratio_limit(SPEC, t), rel=band)
 
 
+def test_transfer_ratio_limit_form():
+    # the ratio depends on T only through T/spacing, and T/spacing times the
+    # ratio tends to -6/pi^2, the closed form the correlation limit uses
+    spec2 = TrapSpectrum(level_spacing=2.0)
+    t = 10.0
+    m_max = int(30 * t) + 40
+    assert brute_transfer_ratio(spec2, 2.0 * t, m_max) == pytest.approx(
+        brute_transfer_ratio(SPEC, t, m_max), rel=1e-12)
+    assert transfer_ratio_limit(spec2, 2.0 * t) == pytest.approx(
+        -6.0 / (math.pi**2 * t), rel=1e-14)
+    gaps = [
+        abs(tt * brute_transfer_ratio(SPEC, tt, int(30 * tt) + 40)
+            + 6.0 / math.pi**2)
+        for tt in (10.0, 40.0, 160.0)
+    ]
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
 def test_correlation_pieces_compose():
     # correlation_limit = transfer-ratio limit * (condensate variance)/(N n1)
     # with Var(n0) -> (prefactor t^{3/2} sqrt(N))^2 and n1 -> T/spacing; the
