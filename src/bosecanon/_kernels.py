@@ -2,10 +2,11 @@
 
 The driver splits [0, pi] into equal intervals of width h and asks for the
 weighted integrand summed over the quadrature points of intervals
-[i0, i1), one chunk of canonical.CHUNK_POINTS points at a time (512
-intervals of the 4-point rule, 2048 of the midpoint rule). Results come
-back per interval so convergence decisions upstream do not depend on
-chunk size.
+[i0, i1), one chunk of at most canonical.CHUNK_POINTS points at a time
+(512 intervals of the 4-point rule, 2048 of the midpoint rule); one chunk
+is cut short at the exit the driver predicts. Results come back per
+interval so convergence decisions upstream do not depend on where the
+chunks end.
 
 Each point z carries seven complex accumulators built from one pass over
 the trap levels:

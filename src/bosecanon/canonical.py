@@ -40,9 +40,21 @@ on the scale of the ground occupation plus the number spread, hence the
 density floor below keyed to n0 + sqrt(var). The pi/(4N) baseline is kept
 as a second floor.
 
-Early exit. Each chunk of CHUNK_POINTS kernel points gets one array-level
-exit decision; it is made per interval on sums added in interval order,
-so results do not depend on the chunk size.
+Early exit. Each chunk of at most CHUNK_POINTS kernel points gets one
+array-level exit decision; it is made per interval on sums added in
+interval order, so results do not depend on where the chunks end. Away
+from z = 0 the excited levels damp the integrand like the Gaussian
+exp(-var_ex z^2/2), var_ex being their number variance at the evaluation
+offset (the "Maxwell's demon" picture of Grossmann & Holthaus, PRL 79,
+3557 (1997)), so the exit is predictable: one extra chunk boundary sits
+EXIT_STREAK intervals past the point where var_ex z^2/2 reaches
+EXIT_DECAY. A row that exits before it evaluates no kernel points past
+it; a row that runs on continues on the regular chunk grid.
+
+One fugacity solve. The offset-free grand-canonical state at mean number
+N fixes the saddle offset; it is solved once per evaluation, also under a
+forced offset, and returned as CanonicalResult.gc_state, which carries
+the grand-canonical comparison columns of a sweep row.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import N_ACCUMULATORS, projection_chunk
-from .grand_canonical import auto_m_max, solve_fugacity
+from .grand_canonical import GrandCanonicalState, auto_m_max, solve_fugacity
 from .spectrum import DomainError, TrapSpectrum
 
 __all__ = [
@@ -69,6 +81,12 @@ __all__ = [
 # before stopping.
 EXIT_STREAK = 32
 CONVERGENCE_REL_TOL = 1e-12
+# Predicted exit: var_ex z^2/2 at the exit interval measures 32.4-39.6 on
+# the fig1 rows at or above 0.85 Tc and 33.3 at N = 10^6, T/Tc = 0.5; the
+# EXIT_STREAK intervals added past the prediction cover the upper end. A
+# larger value evaluates more points past the exit, a smaller one cuts more
+# chunks short of it (one more kernel call each; the results stay the same).
+EXIT_DECAY = 35.0
 CHUNK_POINTS = 2048  # per kernel call: 512 4-point or 2048 midpoint intervals
 
 # Alias suppression: full-period point count must clear N by this many
@@ -123,6 +141,11 @@ class CanonicalResult:
     log_z is normalised to the evaluation offset recorded in ground_offset;
     log_z_zero_offset = log_z + N*ground_offset/T removes it entirely and is
     what any two runs of the same physical system must agree on.
+
+    gc_state is the grand-canonical ensemble of the offset-free ladder at
+    mean number N over levels 0..m_max (solve_fugacity); -gc_state.mu is the
+    saddle offset, and its occupations are the grand-canonical values at
+    the same (N, T).
     """
 
     n: int
@@ -140,6 +163,7 @@ class CanonicalResult:
     sum_rule_residual: float
     m_max: int
     ground_offset: float
+    gc_state: GrandCanonicalState
 
     @property
     def n0_variance(self) -> float:
@@ -197,8 +221,7 @@ def saddle_ground_offset(spectrum: TrapSpectrum, t: float, n: int,
     offset never arises.
     """
     ladder = spectrum.with_ground_offset(0.0)
-    state = solve_fugacity(ladder, t, n, m_max=m_max)
-    return -t * math.log(state.fugacity)
+    return -solve_fugacity(ladder, t, n, m_max=m_max).mu
 
 
 def _weight_peaks(q: np.ndarray, g: np.ndarray, s_mb: float) -> np.ndarray:
@@ -242,10 +265,12 @@ def canonical_observables(
     m_max = auto_m_max(spectrum, t, config.m_max)
     if m_max < 1:
         raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
+    gc_state = solve_fugacity(spectrum.with_ground_offset(0.0), t, n,
+                              m_max=m_max)
     if config.ground_offset is not None:
         eps0 = config.ground_offset
     else:
-        eps0 = saddle_ground_offset(spectrum, t, n, m_max)
+        eps0 = -gc_state.mu
 
     q, g = _level_weights(spectrum, t, m_max, eps0)
     s_mb = math.exp(-eps0 / t) * spectrum.tail_weight(t, m_max)
@@ -253,12 +278,20 @@ def canonical_observables(
 
     # Coefficient tail decay scale at this offset: ground occupation plus
     # the number spread, padded for small systems.
-    var0 = float((g * q / (1.0 - q) ** 2).sum()) + s_mb
+    var = g * q / (1.0 - q) ** 2
+    var0 = float(var.sum()) + s_mb
     tail_scale = w_peak[1] + math.sqrt(var0) + 20.0
 
     nodes, wts = _quadrature_nodes(n)
     n_half = _half_interval_count(n, config.intervals_per_oscillation, tail_scale)
     h = math.pi / n_half
+
+    # Chunk boundary at the predicted exit; none when the excited variance
+    # underflows or the prediction lies past the half period.
+    var_ex = float(var[1:].sum()) + s_mb
+    reach = math.sqrt(2.0 * EXIT_DECAY / var_ex) / h if var_ex > 0.0 else math.inf
+    boundary = (min(n_half, math.ceil(reach) + EXIT_STREAK) if reach < n_half
+                else n_half)
 
     # Rescale so the z=0 peak exponentiates to exactly 1.
     offset = float(s_mb - (g * np.log1p(-q)).sum())
@@ -270,7 +303,9 @@ def canonical_observables(
     streak = 0
     done = 0
     while done < n_half:
-        i1 = min(done + step, n_half)
+        i1 = min((done // step + 1) * step, n_half)
+        if done < boundary < i1:
+            i1 = boundary
         out, peak = projection_chunk(q, g, float(n), s_mb, h, done, i1,
                                      nodes, wts, offset)
         run = np.cumsum(np.concatenate((acc[None], out)), axis=0)[1:]
@@ -331,4 +366,5 @@ def canonical_observables(
         sum_rule_residual=sum_rule,
         m_max=m_max,
         ground_offset=eps0,
+        gc_state=gc_state,
     )

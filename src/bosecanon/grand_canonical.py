@@ -65,22 +65,33 @@ def occupation_fluctuation(occupation: float) -> float:
     return math.sqrt(occupation * (occupation + 1.0))
 
 
-def _occupation_sums(spectrum: TrapSpectrum, t: float, lam: float, m_max: int):
+def _level_factors(spectrum: TrapSpectrum, t: float, m_max: int):
+    """The fugacity-free parts of _occupation_sums: Boltzmann factors and
+    degeneracies of levels 0..m_max, and the ground factor and Boltzmann
+    weight of the tail above them."""
+    e = spectrum.energies(m_max)
+    return (np.exp(-e / t), spectrum.degeneracies(m_max),
+            math.exp(-spectrum.ground_offset / t),
+            spectrum.tail_weight(t, e.size - 1))
+
+
+def _occupation_sums(levels, lam: float, variance: bool = True):
     """Level-summed N and dN/dlambda*lambda (number variance), with tail.
 
-    lam is the absolute fugacity exp(mu/T); x_m = lam*exp(-E_m/T) < 1 must
-    hold for every level, which the solver bracket guarantees.
+    levels is _level_factors' tuple; lam is the absolute fugacity
+    exp(mu/T), and x_m = lam*exp(-E_m/T) < 1 must hold for every level,
+    which the solver bracket guarantees. variance=False skips the variance
+    sum and returns None in its place.
     """
-    e = spectrum.energies(m_max)
-    g = spectrum.degeneracies(m_max)
-    x = lam * np.exp(-e / t)
+    boltzmann, g, ground, tail_weight = levels
+    x = lam * boltzmann
     if x[0] >= 1.0:
         raise DomainError("fugacity at or above the ground-state divergence")
-    occ = g * x / (1.0 - x)
-    var = g * x / (1.0 - x) ** 2
-    tail = (lam * math.exp(-spectrum.ground_offset / t)
-            * spectrum.tail_weight(t, e.size - 1))
-    return float(occ.sum() + tail), float(var.sum() + tail)
+    tail = lam * ground * tail_weight
+    n = float((g * x / (1.0 - x)).sum() + tail)
+    if not variance:
+        return n, None
+    return n, float((g * x / (1.0 - x) ** 2).sum() + tail)
 
 
 @dataclass(frozen=True)
@@ -111,13 +122,15 @@ class GrandCanonicalState:
 
     @property
     def total_number(self) -> float:
-        n, _ = _occupation_sums(self.spectrum, self.t, self.fugacity, self.m_max)
+        levels = _level_factors(self.spectrum, self.t, self.m_max)
+        n, _ = _occupation_sums(levels, self.fugacity, variance=False)
         return n
 
     @property
     def number_variance(self) -> float:
         """sum over states of n(n+1); independent-state fluctuations add."""
-        _, v = _occupation_sums(self.spectrum, self.t, self.fugacity, self.m_max)
+        levels = _level_factors(self.spectrum, self.t, self.m_max)
+        _, v = _occupation_sums(levels, self.fugacity)
         return v
 
 
@@ -141,9 +154,10 @@ def solve_fugacity(
 
     lam_max = math.exp(spectrum.energy(0) / t)
     lo, hi = 0.0, lam_max * (1.0 - 1e-15)
+    levels = _level_factors(spectrum, t, mm)
 
     def count(lam: float) -> float:
-        n, _ = _occupation_sums(spectrum, t, lam, mm)
+        n, _ = _occupation_sums(levels, lam, variance=False)
         return n
 
     for _ in range(200):
@@ -160,7 +174,7 @@ def solve_fugacity(
 
     # Newton polish on the count residual
     for _ in range(60):
-        n, var = _occupation_sums(spectrum, t, lam, mm)
+        n, var = _occupation_sums(levels, lam)
         resid = n - n_target
         if abs(resid) <= FUGACITY_REL_TOL * n_target:
             break

@@ -63,10 +63,13 @@ class TrapSpectrum:
         return self.ground_offset + m * self.level_spacing
 
     def resolved_max_level(self, m_max: int | None = None) -> int:
-        """Effective top level: requests beyond a finite cap clamp to it."""
+        """Effective top level: requests beyond a finite cap clamp to it;
+        a negative request is a DomainError."""
         mm = self.max_level if m_max is None else m_max
         if mm is None:
             raise DomainError("spectrum has no max_level and none was given")
+        if mm < 0:
+            raise DomainError(f"top level must be nonnegative, got {mm}")
         if self.max_level is not None:
             mm = min(int(mm), self.max_level)
         return int(mm)

@@ -32,7 +32,10 @@ from .asymptotics import (
     delta_n0_fraction_limit,
 )
 from .canonical import ConvergenceError, QuadratureConfig, canonical_observables
-from .grand_canonical import occupation_fluctuation, solve_fugacity
+# solve_fugacity is not called here: rows take their grand-canonical
+# columns from CanonicalResult.gc_state. The name stays because the
+# benchmark tracer (perfbench/spans.py) patches sweep.solve_fugacity.
+from .grand_canonical import occupation_fluctuation, solve_fugacity  # noqa: F401
 from .spectrum import DomainError, TrapSpectrum, critical_temperature
 
 __all__ = [
@@ -110,7 +113,7 @@ def compute_row(
     t = t_over_tc * tc
     try:
         r = canonical_observables(spectrum, t, n, config)
-        gc = solve_fugacity(spectrum, t, n, m_max=r.m_max)
+        gc = r.gc_state
     except (ConvergenceError, DomainError, OverflowError) as err:
         return SweepRow(n=n, t_over_tc=t_over_tc,
                         t_over_spacing=t / spectrum.level_spacing,

@@ -11,7 +11,7 @@ from bosecanon.canonical import (
     canonical_observables,
     saddle_ground_offset,
 )
-from bosecanon.grand_canonical import auto_m_max
+from bosecanon.grand_canonical import auto_m_max, solve_fugacity
 from bosecanon.oracle import enumerate_exact, recursion_table
 
 SPEC = TrapSpectrum()
@@ -224,10 +224,18 @@ def test_kernel_integrand_peaks_at_origin(monkeypatch):
     assert calls[0][1][0, 0].real > 0.0
 
 
-@pytest.mark.parametrize("chunk_points", [8, 64])
-def test_chunk_size_does_not_change_results(monkeypatch, chunk_points):
+@pytest.mark.parametrize("chunk_points, exit_decay", [
+    pytest.param(8, canonical.EXIT_DECAY, id="8"),
+    pytest.param(64, canonical.EXIT_DECAY, id="64"),
+    pytest.param(canonical.CHUNK_POINTS, 5.0, id="boundary-before-exit"),
+    pytest.param(canonical.CHUNK_POINTS, 1e-30, id="boundary-at-interval-1"),
+    pytest.param(canonical.CHUNK_POINTS, 1e30, id="boundary-past-half-period"),
+])
+def test_chunk_size_does_not_change_results(monkeypatch, chunk_points,
+                                            exit_decay):
     # exit decisions are per interval and carry the negligible-interval
-    # streak across chunk boundaries, so any chunking gives the same bits
+    # streak across chunk boundaries, so any chunking, with the predicted
+    # exit boundary anywhere or nowhere, gives the same bits
     cases = [
         (100, 0.5),     # 4-point rule, early exit
         (10_000, 1.2),  # midpoint rule, early exit
@@ -239,9 +247,55 @@ def test_chunk_size_does_not_change_results(monkeypatch, chunk_points):
     assert default[1].intervals_evaluated < default[1].intervals_total
     assert default[2].intervals_evaluated == default[2].intervals_total
     monkeypatch.setattr(canonical, "CHUNK_POINTS", chunk_points)
+    monkeypatch.setattr(canonical, "EXIT_DECAY", exit_decay)
+    kernel = canonical.projection_chunk
+    ends = []
+
+    def recording(*args):
+        ends.append(args[6])
+        return kernel(*args)
+
+    monkeypatch.setattr(canonical, "projection_chunk", recording)
     for (n, f), ref in zip(cases, default):
+        ends.clear()
         res = canonical_observables(SPEC, f * critical_temperature(SPEC, n), n)
         assert repr(res) == repr(ref)
+        step = chunk_points // (1 if n >= canonical.MIDPOINT_N else 4)
+        off_grid = [i1 for i1 in ends
+                    if i1 % step and i1 != res.intervals_total]
+        if exit_decay == 5.0 and n > 3:
+            assert off_grid and off_grid[0] < res.intervals_evaluated
+        elif exit_decay == 1e-30:
+            # the predicted point is interval 1; the streak comes on top
+            assert off_grid == [1 + canonical.EXIT_STREAK]
+        elif exit_decay == 1e30:
+            assert off_grid == []
+
+
+def test_kernel_stops_near_the_predicted_exit(monkeypatch):
+    # without the predicted boundary the first 512-interval chunk (2048
+    # points) runs for the 288 intervals this row needs
+    points = []
+    kernel = canonical.projection_chunk
+
+    def recording(*args):
+        points.append((args[6] - args[5]) * args[7].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(canonical, "projection_chunk", recording)
+    res = canonical_observables(SPEC, critical_temperature(SPEC, 1000), 1000)
+    assert res.intervals_evaluated < res.intervals_total
+    assert sum(points) <= 1.15 * res.intervals_evaluated * 4
+
+
+def test_single_solve_state_is_the_offset_free_ladder():
+    t, n = 5.0, 100
+    lifted = SPEC.with_ground_offset(0.3)
+    for cfg in (QuadratureConfig(), QuadratureConfig(ground_offset=0.02)):
+        res = canonical_observables(lifted, t, n, cfg)
+        assert res.gc_state == solve_fugacity(SPEC, t, n, m_max=res.m_max)
+    assert res.ground_offset == 0.02
+    assert canonical_observables(lifted, t, n).ground_offset == -res.gc_state.mu
 
 
 def test_overflow_guard_reports_first_nonfinite_interval(monkeypatch):

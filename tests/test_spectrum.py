@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from bosecanon.grand_canonical import solve_fugacity
+from bosecanon.oracle import recursion_table
 from bosecanon.spectrum import (
     ZETA3,
     DomainError,
@@ -39,6 +41,18 @@ def test_resolved_max_level_clamps_to_cap():
     assert open_sp.resolved_max_level(100) == 100
     with pytest.raises(DomainError):
         open_sp.resolved_max_level()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: recursion_table(TrapSpectrum(), 5.0, 10, m_max=-1),
+    lambda: solve_fugacity(TrapSpectrum(), 5.0, 10, m_max=-3),
+    lambda: TrapSpectrum().degeneracies(-1),
+    lambda: TrapSpectrum().energies(-2),
+], ids=["recursion_table", "solve_fugacity", "degeneracies", "energies"])
+def test_negative_top_level_is_a_domain_error(call):
+    # every caller resolves its top level through resolved_max_level
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_energies_and_degeneracies_arrays():

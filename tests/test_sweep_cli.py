@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bosecanon import TrapSpectrum, sweep
+from bosecanon import TrapSpectrum, critical_temperature, grand_canonical, sweep
 from bosecanon.canonical import ConvergenceError, QuadratureConfig
 from bosecanon.cli import FIT_T, main, resolve_settings
+from bosecanon.grand_canonical import solve_fugacity
 from bosecanon.spectrum import DomainError
 from bosecanon.sweep import (
     DISCREPANCY_CHANNELS,
@@ -65,6 +66,39 @@ def test_compute_row_records_one_level_spectrum_as_error():
     row = compute_row(TrapSpectrum(max_level=0), 10, 0.5)
     assert row.converged == 0
     assert row.error.startswith("DomainError")
+
+
+def test_compute_row_solves_the_fugacity_once(monkeypatch):
+    # the grand-canonical columns come from the saddle's own solve
+    evals = 0
+    sums = grand_canonical._occupation_sums
+
+    def counted(*args, **kwargs):
+        nonlocal evals
+        evals += 1
+        return sums(*args, **kwargs)
+
+    monkeypatch.setattr(grand_canonical, "_occupation_sums", counted)
+    row = compute_row(SPEC, 1000, 0.5)
+    row_evals, evals = evals, 0
+    solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000), 1000,
+                   m_max=row.m_max)
+    assert evals > 0
+    assert row_evals == evals
+
+
+@pytest.mark.parametrize("spec, rel", [
+    (SPEC, 0.0),
+    (TrapSpectrum(level_spacing=2.0, ground_offset=0.3), 1e-12),
+])
+def test_compute_row_gc_columns_match_a_direct_solve(spec, rel):
+    n, f = 1000, 0.5
+    row = compute_row(spec, n, f)
+    gc = solve_fugacity(spec, f * critical_temperature(spec, n), n,
+                        m_max=row.m_max)
+    for got, want in ((row.gc_n0_mean, gc.n0), (row.gc_n0_over_n, gc.n0 / n),
+                      (row.gc_delta_n0, gc.delta_n0)):
+        assert abs(got - want) <= rel * abs(want)
 
 
 def test_row_dict_covers_field_order():
