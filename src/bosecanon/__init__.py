@@ -20,7 +20,6 @@ from .canonical import (
     ConvergenceError,
     QuadratureConfig,
     canonical_observables,
-    saddle_ground_offset,
 )
 from .grand_canonical import (
     GrandCanonicalState,

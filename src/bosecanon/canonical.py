@@ -65,7 +65,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import N_ACCUMULATORS, projection_chunk
-from .grand_canonical import GrandCanonicalState, auto_m_max, solve_fugacity
+from .grand_canonical import (
+    GrandCanonicalState,
+    _level_factors,
+    auto_m_max,
+    solve_fugacity,
+)
 from .spectrum import DomainError, TrapSpectrum
 
 __all__ = [
@@ -73,7 +78,6 @@ __all__ = [
     "CanonicalResult",
     "ConvergenceError",
     "canonical_observables",
-    "saddle_ground_offset",
 ]
 
 # Early-exit hysteresis: this many consecutive intervals below
@@ -203,27 +207,6 @@ class CanonicalResult:
         return {name: getattr(self, name) for name in self.OBSERVABLE_NAMES}
 
 
-def _level_weights(spectrum: TrapSpectrum, t: float, m_max: int,
-                   ground_offset: float):
-    """Per-level Boltzmann factors at the given evaluation offset."""
-    m = np.arange(m_max + 1, dtype=np.float64)
-    q = np.exp(-(ground_offset + m * spectrum.level_spacing) / t)
-    g = (m + 1.0) * (m + 2.0) / 2.0
-    return q, g
-
-
-def saddle_ground_offset(spectrum: TrapSpectrum, t: float, n: int,
-                         m_max: int | None = None) -> float:
-    """Offset making z=0 a stationary point of the integrand's phase.
-
-    This is -T log(fugacity) of the offset-free ladder at mean number N;
-    always positive for finite systems, so the z=0 singularity of a bare
-    offset never arises.
-    """
-    ladder = spectrum.with_ground_offset(0.0)
-    return -solve_fugacity(ladder, t, n, m_max=m_max).mu
-
-
 def _weight_peaks(q: np.ndarray, g: np.ndarray, s_mb: float) -> np.ndarray:
     """Max modulus of each accumulator's weight factor, attained at z=0."""
     w = q / (1.0 - q)
@@ -257,10 +240,10 @@ def canonical_observables(
 ) -> CanonicalResult:
     """Evaluate Z(N, T) and the occupation moments in one quadrature pass."""
     config = config or QuadratureConfig()
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    if n < 1:
-        raise DomainError(f"particle number must be >= 1, got {n}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"temperature must be positive and finite, got {t}")
+    if not (n >= 1 and n % 1 == 0):
+        raise DomainError(f"particle number must be an integer >= 1, got {n}")
 
     m_max = auto_m_max(spectrum, t, config.m_max)
     if m_max < 1:
@@ -272,8 +255,9 @@ def canonical_observables(
     else:
         eps0 = -gc_state.mu
 
-    q, g = _level_weights(spectrum, t, m_max, eps0)
-    s_mb = math.exp(-eps0 / t) * spectrum.tail_weight(t, m_max)
+    q, g, ground, tail = _level_factors(spectrum.with_ground_offset(eps0),
+                                        t, m_max)
+    s_mb = ground * tail
     w_peak = _weight_peaks(q, g, s_mb)
 
     # Coefficient tail decay scale at this offset: ground occupation plus

@@ -137,10 +137,6 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="exit 3 if any row fails to converge")
     add("--validate", action="store_true",
         help="run the self-check suites instead of a sweep")
-    add("--max-n", type=int, default=100,
-        help="largest N probed by --validate (default 100)")
-    add("--tolerance", type=float, default=1e-8,
-        help="suite tolerance for --validate (default 1e-8)")
     add("--config", help="flat key = value settings file; flags win")
     return parser
 
@@ -177,17 +173,6 @@ def _output_paths(settings: argparse.Namespace):
     base = settings.out.removesuffix(".csv").removesuffix(".json")
     return {fmt: f"{base}.{fmt}" for fmt in ("csv", "json")
             if settings.format in (fmt, "both")}
-
-
-def _run_validate(settings: argparse.Namespace) -> int:
-    try:
-        report = run_validation(settings.max_n, settings.tolerance)
-    except DomainError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
 
 
 def _run_sweep(settings: argparse.Namespace) -> int:
@@ -231,7 +216,9 @@ def main(argv=None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     if settings.validate:
-        return _run_validate(settings)
+        report = run_validation()
+        print("\n".join(report.lines()))
+        return 0 if report.passed else 1
     try:
         return _run_sweep(settings)
     except (DomainError, OSError) as err:

@@ -66,9 +66,10 @@ def occupation_fluctuation(occupation: float) -> float:
 
 
 def _level_factors(spectrum: TrapSpectrum, t: float, m_max: int):
-    """The fugacity-free parts of _occupation_sums: Boltzmann factors and
-    degeneracies of levels 0..m_max, and the ground factor and Boltzmann
-    weight of the tail above them."""
+    """The fugacity-free parts of _occupation_sums, and the canonical
+    engine's level arrays: Boltzmann factors and degeneracies of levels
+    0..m_max, and the ground factor and Boltzmann weight of the tail above
+    them."""
     e = spectrum.energies(m_max)
     return (np.exp(-e / t), spectrum.degeneracies(m_max),
             math.exp(-spectrum.ground_offset / t),
@@ -146,8 +147,8 @@ def solve_fugacity(
     matches n_target to FUGACITY_REL_TOL, then polished by Newton steps
     using the analytic derivative dN/dlam = sum g x/(lam (1-x)^2).
     """
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"temperature must be positive and finite, got {t}")
     if n_target < 1:
         raise DomainError(f"target particle number must be >= 1, got {n_target}")
     mm = auto_m_max(spectrum, t, m_max)

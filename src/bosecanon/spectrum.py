@@ -49,10 +49,12 @@ class TrapSpectrum:
     max_level: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.level_spacing > 0:
-            raise DomainError(f"level_spacing must be positive, got {self.level_spacing}")
-        if self.ground_offset < 0:
-            raise DomainError(f"ground_offset must be nonnegative, got {self.ground_offset}")
+        if not 0 < self.level_spacing < math.inf:
+            raise DomainError(f"level_spacing must be positive and finite, "
+                              f"got {self.level_spacing}")
+        if not 0 <= self.ground_offset < math.inf:
+            raise DomainError(f"ground_offset must be nonnegative and finite, "
+                              f"got {self.ground_offset}")
         if self.max_level is not None and self.max_level < 0:
             raise DomainError(f"max_level must be nonnegative, got {self.max_level}")
 

@@ -187,10 +187,13 @@ def run_sweep(
     """Evaluate the full (N, T/Tc) grid, rows in deterministic order.
 
     threads=None or 0 means one thread per CPU; rows contend for the GIL.
+    A negative count is a DomainError.
     """
+    if threads is not None and threads < 0:
+        raise DomainError(f"threads must be >= 0 or None, got {threads}")
     spectrum = spectrum or TrapSpectrum()
     points = [(int(n), float(t)) for n in particles for t in t_grid]
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
+    workers = threads or os.cpu_count() or 1
     started = time.time()
     if workers == 1:
         rows = [compute_row(spectrum, n, t, config) for n, t in points]

@@ -4,15 +4,26 @@ This is the package's one self-check (`bosecanon --validate`). Five
 suites, each reporting its worst relative deviation against a tolerance:
 
   oracle_equivalence   partition ratios and occupations vs the recursion
-  offset_invariance    observables and offset-free log Z at two forced
-                       evaluation offsets near the saddle
+  offset_invariance    observables and offset-free log Z with the
+                       evaluation offset 2 T/sqrt(var) above the saddle
   m_max_doubling       stability under doubling the level truncation
   grid_refinement      stability under a twice denser z-grid
   worker_independence  sweep rows vs worker count (must be exact)
 
-The probe sets are small fixed grids chosen to straddle the transition;
-tolerances come from the caller so a deliberate misconfiguration can be
-demonstrated to fail.
+The probes are fixed: the oracle suite runs N up to MAX_N within the
+recursion's range, the invariance suites three (N, T) points straddling
+the transition, and the worker suite three rows at N = 40. The tolerances
+are constants as well. The engine meets the references to about 1e-13 on
+these probes, so TOLERANCE leaves five decades for rounding while a real
+defect (a wrong level, a wrong weight, a missed alias) shows far above it;
+worker independence must hold bit for bit. A failing suite is shown by
+perturbing a result, not by tightening a tolerance.
+
+The three invariance suites share one saddle result per probe: the
+default evaluation a. Each suite makes one more evaluation, with a
+QuadratureConfig built from a (its saddle offset, its m_max), and compares
+the six observables and the offset-free log Z, the latter relative to
+max(|log Z|, 1). No suite solves a fugacity of its own.
 """
 
 from __future__ import annotations
@@ -20,17 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .canonical import (
-    QuadratureConfig,
-    canonical_observables,
-    saddle_ground_offset,
-)
-from .grand_canonical import auto_m_max, solve_fugacity
-from .oracle import ORACLE_MAX_N, recursion_table
-from .spectrum import DomainError, TrapSpectrum, critical_temperature
+from .canonical import QuadratureConfig, canonical_observables
+from .oracle import recursion_table
+from .spectrum import TrapSpectrum, critical_temperature
 from .sweep import FIELD_ORDER, run_sweep
 
 __all__ = ["SuiteResult", "ValidationReport", "run_validation"]
+
+# Largest N probed; the oracle's recursion covers it.
+MAX_N = 100
+TOLERANCE = 1e-8
+WORKER_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,15 +79,14 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _oracle_equivalence(spectrum, max_n, tolerance) -> SuiteResult:
+def _oracle_equivalence(spectrum) -> SuiteResult:
     worst = 0.0
     probes = 0
-    particles = sorted({1, 2, 7, 25, max_n})
     for m_max in (20, 40):
         cfg = QuadratureConfig(m_max=m_max)
         for t in (0.5, 2.0, 5.0, 10.0):
             t_abs = t * spectrum.level_spacing
-            for n in particles:
+            for n in (1, 2, 7, 25, MAX_N):
                 table = recursion_table(
                     spectrum.with_ground_offset(0.0), t_abs, n,
                     m_max=m_max, tail_closure=True,
@@ -94,70 +104,43 @@ def _oracle_equivalence(spectrum, max_n, tolerance) -> SuiteResult:
                                     table.occupation(spectrum.level_spacing)))
                 worst = max(worst, dev)
                 probes += 1
-    return SuiteResult("oracle_equivalence", worst, tolerance, probes)
+    return SuiteResult("oracle_equivalence", worst, TOLERANCE, probes)
 
 
-def _offset_probes(spectrum, max_n):
-    tc100 = critical_temperature(spectrum, min(100, max_n))
-    tc50 = critical_temperature(spectrum, min(50, max_n))
-    return [
-        (min(50, max_n), 0.5 * tc50),
-        (min(100, max_n), 0.7 * tc100),
-        (min(100, max_n), 1.2 * tc100),
-    ]
+def _saddle_results(spectrum) -> list:
+    """The default evaluation at each invariance probe."""
+    tc50 = critical_temperature(spectrum, 50)
+    tc100 = critical_temperature(spectrum, 100)
+    return [canonical_observables(spectrum, t, n) for n, t in
+            ((50, 0.5 * tc50), (100, 0.7 * tc100), (100, 1.2 * tc100))]
 
 
-def _offset_invariance(spectrum, max_n, tolerance) -> SuiteResult:
+# Each invariance suite's second configuration, built from a probe's
+# default result.
+_VARIATIONS = {
+    "offset_invariance": lambda a: QuadratureConfig(
+        ground_offset=a.ground_offset
+        + 2.0 * a.t / math.sqrt(a.gc_state.number_variance)),
+    "m_max_doubling": lambda a: QuadratureConfig(m_max=2 * a.m_max),
+    "grid_refinement": lambda a: QuadratureConfig(intervals_per_oscillation=2),
+}
+
+
+def _invariance(name, spectrum, saddle_results) -> SuiteResult:
     worst = 0.0
-    probes = 0
-    for n, t in _offset_probes(spectrum, max_n):
-        base = saddle_ground_offset(spectrum, t, n)
-        state = solve_fugacity(spectrum.with_ground_offset(0.0), t, n)
-        shift = 2.0 * t / math.sqrt(state.number_variance)
-        a, b = (canonical_observables(spectrum, t, n,
-                                      QuadratureConfig(ground_offset=eps0))
-                for eps0 in (base, base + shift))
-        for name, va in a.observables().items():
-            worst = max(worst, _rel(va, getattr(b, name)))
+    for a in saddle_results:
+        b = canonical_observables(spectrum, a.t, a.n, _VARIATIONS[name](a))
+        for key, va in a.observables().items():
+            worst = max(worst, _rel(va, getattr(b, key)))
         worst = max(worst, abs(a.log_z_zero_offset - b.log_z_zero_offset)
                     / max(abs(a.log_z_zero_offset), 1.0))
-        probes += 1
-    return SuiteResult("offset_invariance", worst, tolerance, probes)
+    return SuiteResult(name, worst, TOLERANCE, len(saddle_results))
 
 
-def _m_max_doubling(spectrum, max_n, tolerance) -> SuiteResult:
-    worst = 0.0
-    probes = 0
-    for n, t in _offset_probes(spectrum, max_n):
-        m1 = auto_m_max(spectrum, t)
-        a = canonical_observables(spectrum, t, n, QuadratureConfig(m_max=m1))
-        b = canonical_observables(spectrum, t, n, QuadratureConfig(m_max=2 * m1))
-        for name, va in a.observables().items():
-            worst = max(worst, _rel(va, getattr(b, name)))
-        probes += 1
-    return SuiteResult("m_max_doubling", worst, tolerance, probes)
-
-
-def _grid_refinement(spectrum, max_n, tolerance) -> SuiteResult:
-    worst = 0.0
-    probes = 0
-    for n, t in _offset_probes(spectrum, max_n):
-        a = canonical_observables(spectrum, t, n, QuadratureConfig())
-        b = canonical_observables(spectrum, t, n,
-                                  QuadratureConfig(intervals_per_oscillation=2))
-        for name, va in a.observables().items():
-            worst = max(worst, _rel(va, getattr(b, name)))
-        worst = max(worst, abs(a.log_z_zero_offset - b.log_z_zero_offset)
-                    / abs(b.log_z_zero_offset))
-        probes += 1
-    return SuiteResult("grid_refinement", worst, tolerance, probes)
-
-
-def _worker_independence(spectrum, max_n, tolerance) -> SuiteResult:
-    n = min(40, max_n)
+def _worker_independence(spectrum) -> SuiteResult:
     grid = [0.5, 0.9, 1.2]
-    serial = run_sweep([n], grid, spectrum=spectrum, threads=1)
-    parallel = run_sweep([n], grid, spectrum=spectrum, threads=4)
+    serial = run_sweep([40], grid, spectrum=spectrum, threads=1)
+    parallel = run_sweep([40], grid, spectrum=spectrum, threads=4)
     worst = 0.0
     for ra, rb in zip(serial.rows, parallel.rows):
         da, db = ra.to_dict(), rb.to_dict()
@@ -165,25 +148,17 @@ def _worker_independence(spectrum, max_n, tolerance) -> SuiteResult:
             va, vb = da[key], db[key]
             if isinstance(va, float) and math.isfinite(va):
                 worst = max(worst, _rel(va, vb))
-    return SuiteResult("worker_independence", worst, tolerance,
+    return SuiteResult("worker_independence", worst, WORKER_TOLERANCE,
                        len(serial.rows))
 
 
-def run_validation(max_n: int = 100,
-                   tolerance: float = 1e-8) -> ValidationReport:
-    """Run every suite; any deviation above tolerance fails the report."""
-    if max_n > ORACLE_MAX_N:
-        raise DomainError(
-            f"validation is scoped to the oracle's range N <= {ORACLE_MAX_N}"
-        )
-    if max_n < 2 or tolerance < 0:
-        raise DomainError("need max_n >= 2 and tolerance >= 0")
+def run_validation() -> ValidationReport:
+    """Run every suite; any deviation above its tolerance fails the report."""
     spectrum = TrapSpectrum()
+    saddle_results = _saddle_results(spectrum)
     suites = [
-        _oracle_equivalence(spectrum, max_n, tolerance),
-        _offset_invariance(spectrum, max_n, tolerance),
-        _m_max_doubling(spectrum, max_n, tolerance),
-        _grid_refinement(spectrum, max_n, tolerance),
-        _worker_independence(spectrum, max_n, min(tolerance, 1e-12)),
+        _oracle_equivalence(spectrum),
+        *(_invariance(name, spectrum, saddle_results) for name in _VARIATIONS),
+        _worker_independence(spectrum),
     ]
     return ValidationReport(suites=suites)

@@ -256,7 +256,7 @@ def test_07_first_excited_state_fugacity_correction():
 
 
 def test_08_invariance_suites():
-    report = run_validation(max_n=60, tolerance=1e-8)
+    report = run_validation()
     by_name = {s.name: s for s in report.suites}
     worker = by_name["worker_independence"]
     ok = report.passed and worker.max_deviation <= 1e-12

@@ -9,7 +9,6 @@ from bosecanon.canonical import (
     ConvergenceError,
     QuadratureConfig,
     canonical_observables,
-    saddle_ground_offset,
 )
 from bosecanon.grand_canonical import auto_m_max, solve_fugacity
 from bosecanon.oracle import enumerate_exact, recursion_table
@@ -131,11 +130,35 @@ def test_explicit_offset_changes_log_z_but_not_observables():
 
 def test_saddle_offset_tracks_fugacity():
     t, n = 6.0, 150
-    eps0 = saddle_ground_offset(SPEC, t, n)
-    assert eps0 > 0.0
     # at the tilt the projected weight is centred: <N> at mu = 0 equals n
     res = canonical_observables(SPEC, t, n)
-    assert res.ground_offset == pytest.approx(eps0, rel=1e-12)
+    assert res.ground_offset > 0.0
+    assert res.ground_offset == -solve_fugacity(SPEC, t, n).mu
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TrapSpectrum(ground_offset=math.nan),
+    lambda: TrapSpectrum(ground_offset=math.inf),
+    lambda: TrapSpectrum(level_spacing=math.inf),
+    lambda: TrapSpectrum(level_spacing=math.nan),
+    lambda: canonical_observables(SPEC, math.inf, 10),
+    lambda: canonical_observables(SPEC, math.nan, 10),
+    lambda: solve_fugacity(SPEC, math.inf, 10),
+    lambda: canonical_observables(SPEC, 5.0, 10.5),
+    lambda: canonical_observables(SPEC, 5.0, math.nan),
+    lambda: canonical_observables(SPEC, 5.0, math.inf),
+], ids=["offset-nan", "offset-inf", "spacing-inf", "spacing-nan", "t-inf",
+        "t-nan", "gc-t-inf", "n-fractional", "n-nan", "n-inf"])
+def test_non_finite_or_fractional_input_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_integral_particle_numbers_of_any_type_agree():
+    base = canonical_observables(SPEC, 5.0, 10)
+    for n in (np.int64(10), np.int32(10), 10.0):
+        assert repr(canonical_observables(SPEC, 5.0, n).observables()) == repr(
+            base.observables())
 
 
 def test_converged_flag_and_interval_bookkeeping():
@@ -169,7 +192,7 @@ def test_shift_invariance_at_two_forced_offsets():
     # observables and the offset-free log Z do not depend on the evaluation
     # offset, for offsets within a few T/sqrt(var) of the saddle
     t, n = 5.0, 120
-    eps = saddle_ground_offset(SPEC, t, n)
+    eps = canonical_observables(SPEC, t, n).ground_offset
     a, b = (canonical_observables(SPEC, t, n, QuadratureConfig(ground_offset=f * eps))
             for f in (0.7, 1.3))
     for name, va in a.observables().items():
@@ -182,7 +205,7 @@ def test_shift_invariance_identical_offsets_degenerate():
     # the engine evaluates at its own offset; the spectrum's zero point
     # does not reach the arithmetic, so lifted ladders give the same bits
     t, n = 4.0, 40
-    eps = saddle_ground_offset(SPEC, t, n)
+    eps = canonical_observables(SPEC, t, n).ground_offset
     for cfg in (QuadratureConfig(), QuadratureConfig(ground_offset=eps)):
         base = canonical_observables(SPEC, t, n, cfg)
         for offset in (0.3, eps, 7.0):

@@ -1,11 +1,19 @@
 import csv
+import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from bosecanon import TrapSpectrum, critical_temperature, grand_canonical, sweep
+from bosecanon import (
+    TrapSpectrum,
+    critical_temperature,
+    grand_canonical,
+    sweep,
+    validate,
+)
 from bosecanon.canonical import ConvergenceError, QuadratureConfig
 from bosecanon.cli import FIT_T, main, resolve_settings
 from bosecanon.grand_canonical import solve_fugacity
@@ -155,6 +163,14 @@ def test_sweep_defaults_to_serial():
                             ).threads == 1
     assert resolve_settings(["--particles", "20", "--t-over-tc", "0.5:0.5:0.1",
                              "--threads", "auto"]).threads is None
+
+
+def test_sweep_thread_count_none_or_zero_is_one_per_cpu_negative_rejected():
+    for threads in (None, 0):
+        assert run_sweep((20,), [0.5], threads=threads).meta["workers"] == (
+            os.cpu_count() or 1)
+    with pytest.raises(DomainError):
+        run_sweep((20,), [0.5], threads=-3)
 
 
 def test_sweep_thread_count_does_not_change_numbers(small_sweep):
@@ -324,11 +340,44 @@ def test_cli_nonstrict_failure_still_writes(tmp_path, monkeypatch):
 
 
 def test_cli_validate_passes(capsys):
-    code = run_cli("--validate", "--max-n", "25")
+    code = run_cli("--validate")
     assert code == 0
     text = capsys.readouterr().out
     assert "PASS" in text
     assert "FAIL" not in text
+
+
+# The engine calls of each suite that --validate perturbs, told apart by
+# their QuadratureConfig: the oracle suite runs at m_max 20 and 40, the
+# invariance suites vary one field of the probe's default evaluation (whose
+# m_max is above 40).
+SUITE_CALLS = {
+    "oracle_equivalence": lambda c: c.m_max in (20, 40),
+    "offset_invariance": lambda c: c.ground_offset is not None,
+    "m_max_doubling": lambda c: c.m_max not in (None, 20, 40),
+    "grid_refinement": lambda c: c.intervals_per_oscillation == 2,
+}
+
+
+@pytest.mark.parametrize("target", sorted(SUITE_CALLS))
+def test_cli_validate_fails_exactly_the_perturbed_suite(monkeypatch, capsys,
+                                                        target):
+    # a relative 1e-6 error in n0_mean under one suite's config only
+    engine = validate.canonical_observables
+
+    def nudged(spectrum, t, n, config=None):
+        res = engine(spectrum, t, n, config)
+        if SUITE_CALLS[target](config or QuadratureConfig()):
+            res = dataclasses.replace(res, n0_mean=res.n0_mean * (1 + 1e-6))
+        return res
+
+    monkeypatch.setattr(validate, "canonical_observables", nudged)
+    assert run_cli("--validate") == 1
+    status = dict(line.split()[:2]
+                  for line in capsys.readouterr().out.splitlines())
+    assert status.pop("validation:") == "FAIL"
+    assert status == {name: "FAIL" if name == target else "PASS"
+                      for name in (*SUITE_CALLS, "worker_independence")}
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path):
@@ -379,10 +428,13 @@ def test_cli_has_no_tail_flag(capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--rel-tol", "1e-10"),
     ("--ground-offset", "1.0"),
+    ("--max-n", "60"),
+    ("--tolerance", "1e-6"),
 ])
 def test_cli_has_no_quadrature_knob_flags(capsys, flag, value):
-    # the early-exit tolerance is a constant and a forced offset is a
-    # QuadratureConfig field for invariance studies, not a sweep setting
+    # the early-exit tolerance is a constant, a forced offset is a
+    # QuadratureConfig field for invariance studies, not a sweep setting,
+    # and --validate's probes and tolerances are fixed
     assert run_cli("--particles", "30", "--t-over-tc", "0.5:0.5:0.1",
                    flag, value) == 2
     assert "configuration error: " in capsys.readouterr().err
@@ -394,7 +446,7 @@ def test_cli_has_no_quadrature_knob_flags(capsys, flag, value):
     ("threads = auto", ["--threads", "auto"]),
     ("strict = yes", ["--strict"]),
     ("strict = no", []),
-    ("max_n = 25", ["--max-n", "25"]),
+    ("format = json", ["--format", "json"]),
     ("m-max = 40", ["--m-max", "40"]),
 ])
 def test_config_line_equals_flag(tmp_path, line, flags):
