@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectrum import ZETA3, DomainError, TrapSpectrum
+from .spectrum import ZETA3, DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
     "DELTA_N0_PREFACTOR",
@@ -46,8 +46,7 @@ def _check_below_transition(t_over_tc: float) -> None:
 
 def condensate_fraction_limit(t_over_tc: float) -> float:
     """N0/N as N goes to infinity: 1 - (T/Tc)^3, clamped at the transition."""
-    if t_over_tc < 0:
-        raise DomainError(f"t_over_tc must be nonnegative, got {t_over_tc}")
+    _finite_real("t_over_tc", t_over_tc, allow_zero=True)
     return max(0.0, 1.0 - t_over_tc**3)
 
 
@@ -59,8 +58,7 @@ def delta_n0_fraction_limit(n: int, t_over_tc: float) -> float:
     Dividing by N0 = N (1 - t^3) and trading T/eps for t N^{1/3} zeta(3)^{-1/3}
     leaves n^{-1/2} t^{3/2} / (1 - t^3) times the prefactor above.
     """
-    if n < 1:
-        raise DomainError(f"particle number must be >= 1, got {n}")
+    _integer("particle number", n, 1)
     _check_below_transition(t_over_tc)
     t3 = t_over_tc**3
     return DELTA_N0_PREFACTOR * t_over_tc**1.5 / ((1.0 - t3) * math.sqrt(n))
@@ -68,8 +66,7 @@ def delta_n0_fraction_limit(n: int, t_over_tc: float) -> float:
 
 def correlation_limit(n: int, t_over_tc: float) -> float:
     """Leading estimate of <dn0 dn1>/(N0 N1): negative, vanishing as N^{-2/3}."""
-    if n < 1:
-        raise DomainError(f"particle number must be >= 1, got {n}")
+    _integer("particle number", n, 1)
     _check_below_transition(t_over_tc)
     t3 = t_over_tc**3
     return -(n ** (-2.0 / 3.0)) * t_over_tc / ((1.0 - t3) * ZETA3 ** (1.0 / 3.0))
@@ -82,10 +79,7 @@ class InteractionParams:
     pair_energy: float
 
     def __post_init__(self):
-        if self.pair_energy < 0:
-            raise DomainError(
-                f"pair_energy must be nonnegative, got {self.pair_energy}"
-            )
+        _finite_real("pair_energy", self.pair_energy, allow_zero=True)
 
 
 FIXED_N_DOMINATES = "fixed_n_dominates"
@@ -112,8 +106,7 @@ def damping_crossover(spectrum: TrapSpectrum, t: float,
     The two coincide exactly when lam_int/spacing = (T/spacing)^{-2};
     stronger interactions than that dominate the damping.
     """
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
+    _finite_real("temperature", t)
     eps = spectrum.level_spacing
     fixed_n = math.sqrt((t / eps) ** 3)
     if params.pair_energy == 0.0:

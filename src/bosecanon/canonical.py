@@ -71,7 +71,7 @@ from .grand_canonical import (
     auto_m_max,
     solve_fugacity,
 )
-from .spectrum import DomainError, TrapSpectrum
+from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
     "QuadratureConfig",
@@ -97,7 +97,6 @@ CHUNK_POINTS = 2048  # per kernel call: 512 4-point or 2048 midpoint intervals
 # decay lengths of the coefficient tail.
 TAIL_DECAY_LENGTHS = 36.0
 GRID_MARGIN = 0.55
-MIN_HALF_INTERVALS = 256
 
 # Above this N a single midpoint per interval is already accurate; below,
 # a 4-point Gauss rule costs little and buys headroom.
@@ -130,12 +129,11 @@ class QuadratureConfig:
     ground_offset: float | None = None
 
     def __post_init__(self):
-        if self.m_max is not None and self.m_max < 1:
-            raise DomainError(f"m_max must be >= 1, got {self.m_max}")
-        if self.intervals_per_oscillation < 1:
-            raise DomainError("intervals_per_oscillation must be >= 1")
-        if self.ground_offset is not None and not self.ground_offset > 0:
-            raise DomainError("forced ground_offset must be positive")
+        if self.m_max is not None:
+            _integer("m_max", self.m_max, 1)
+        _integer("intervals_per_oscillation", self.intervals_per_oscillation, 1)
+        if self.ground_offset is not None:
+            _finite_real("forced ground_offset", self.ground_offset)
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,7 @@ def _quadrature_nodes(n: int):
 
 def _half_interval_count(n: int, ipo: int, tail_scale: float) -> int:
     alias_floor = GRID_MARGIN * (n + TAIL_DECAY_LENGTHS * tail_scale)
-    return ipo * int(max(4 * n, math.ceil(alias_floor), MIN_HALF_INTERVALS))
+    return ipo * int(max(4 * n, math.ceil(alias_floor)))
 
 
 def canonical_observables(
@@ -240,10 +238,8 @@ def canonical_observables(
 ) -> CanonicalResult:
     """Evaluate Z(N, T) and the occupation moments in one quadrature pass."""
     config = config or QuadratureConfig()
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"temperature must be positive and finite, got {t}")
-    if not (n >= 1 and n % 1 == 0):
-        raise DomainError(f"particle number must be an integer >= 1, got {n}")
+    _finite_real("temperature", t)
+    _integer("particle number", n, 1)
 
     m_max = auto_m_max(spectrum, t, config.m_max)
     if m_max < 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import DomainError, TrapSpectrum
+from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
     "GrandCanonicalState",
@@ -42,17 +42,14 @@ def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> in
     on the unbounded ladder one high enough that the Boltzmann tail beyond
     it is a second-order correction (see canonical engine for the matching
     closure)."""
-    if m_max is not None:
+    if m_max is not None or spectrum.max_level is not None:
         return spectrum.resolved_max_level(m_max)
-    if spectrum.max_level is not None:
-        return spectrum.max_level
     return int(math.ceil(15.0 * t / spectrum.level_spacing)) + 20
 
 
 def mean_occupation(t: float, energy: float, mu: float) -> float:
     """Bose-Einstein occupation of one state: 1/(exp((E-mu)/T) - 1)."""
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
+    _finite_real("temperature", t)
     if energy <= mu:
         raise DomainError(f"state energy {energy} must exceed mu {mu}")
     return 1.0 / math.expm1((energy - mu) / t)
@@ -60,8 +57,7 @@ def mean_occupation(t: float, energy: float, mu: float) -> float:
 
 def occupation_fluctuation(occupation: float) -> float:
     """RMS fluctuation sqrt(n(n+1)) of a single-state occupation."""
-    if occupation < 0:
-        raise DomainError(f"occupation must be nonnegative, got {occupation}")
+    _finite_real("occupation", occupation, allow_zero=True)
     return math.sqrt(occupation * (occupation + 1.0))
 
 
@@ -147,10 +143,8 @@ def solve_fugacity(
     matches n_target to FUGACITY_REL_TOL, then polished by Newton steps
     using the analytic derivative dN/dlam = sum g x/(lam (1-x)^2).
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"temperature must be positive and finite, got {t}")
-    if n_target < 1:
-        raise DomainError(f"target particle number must be >= 1, got {n_target}")
+    _finite_real("temperature", t)
+    _integer("target particle number", n_target, 1)
     mm = auto_m_max(spectrum, t, m_max)
 
     lam_max = math.exp(spectrum.energy(0) / t)

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import DomainError, TrapSpectrum, weighted_geometric_partial
+from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
+                       weighted_geometric_partial)
 
 __all__ = [
     "RecursionTable",
@@ -121,10 +122,8 @@ def recursion_table(
     allow_large: bool = False,
 ) -> RecursionTable:
     """Build log Z(0..n) by the boson recursion, logsumexp-stabilised."""
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    if n < 0:
-        raise DomainError(f"particle number must be nonnegative, got {n}")
+    _finite_real("temperature", t)
+    n = _integer("particle number", n, 0)
     if n > ORACLE_MAX_N and not allow_large:
         raise DomainError(
             f"recursion oracle capped at N={ORACLE_MAX_N} (got {n}); "
@@ -165,10 +164,10 @@ def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
     """
     energies = np.asarray(energies, dtype=np.float64)
     s = energies.size
+    _finite_real("temperature", t)
+    n = _integer("particle number", n, 0)
     if n > 6 or s > 8:
         raise DomainError(f"enumeration capped at n<=6, states<=8 (got {n}, {s})")
-    if not t > 0:
-        raise DomainError(f"temperature must be positive, got {t}")
     z = 0.0
     mean = np.zeros(s)
     second = np.zeros(s)

@@ -8,6 +8,10 @@ among three Cartesian axes).
 The condensation temperature for N particles follows from equating N to the
 continuum excited-state capacity ``zeta(3) * (T/spacing)**3``, giving
 ``Tc = N**(1/3) * zeta(3)**(-1/3) * spacing``.
+
+Input rule for the package: particle numbers, level indices and thread
+counts are whole numbers; temperatures, spacings, offsets and energy scales
+are finite. Anything else is a DomainError naming the quantity.
 """
 
 from __future__ import annotations
@@ -34,6 +38,21 @@ class DomainError(ValueError):
     """Raised when an input lies outside the physical domain of a formula."""
 
 
+def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
+    """value, if it is finite and positive (or zero, with allow_zero)."""
+    if not (0 <= value < math.inf and (allow_zero or value != 0)):
+        sign = "nonnegative" if allow_zero else "positive"
+        raise DomainError(f"{name} must be {sign} and finite, got {value}")
+    return value
+
+
+def _integer(name: str, value: int, floor: int) -> int:
+    """value as an int, if it is a whole number >= floor (never floored)."""
+    if not (floor <= value < math.inf and value % 1 == 0):
+        raise DomainError(f"{name} must be an integer >= {floor}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TrapSpectrum:
     """Trap spectrum: spacing, ground offset, top level index.
@@ -49,31 +68,27 @@ class TrapSpectrum:
     max_level: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.level_spacing < math.inf:
-            raise DomainError(f"level_spacing must be positive and finite, "
-                              f"got {self.level_spacing}")
-        if not 0 <= self.ground_offset < math.inf:
-            raise DomainError(f"ground_offset must be nonnegative and finite, "
-                              f"got {self.ground_offset}")
-        if self.max_level is not None and self.max_level < 0:
-            raise DomainError(f"max_level must be nonnegative, got {self.max_level}")
+        _finite_real("level_spacing", self.level_spacing)
+        _finite_real("ground_offset", self.ground_offset, allow_zero=True)
+        if self.max_level is not None:
+            _integer("max_level", self.max_level, 0)
 
     def energy(self, m: int) -> float:
         """Energy of level m, ``ground_offset + m*level_spacing``."""
-        if m < 0 or (self.max_level is not None and m > self.max_level):
-            raise DomainError(f"level index {m} outside [0, {self.max_level}]")
+        _integer("level index", m, 0)
+        if self.max_level is not None and m > self.max_level:
+            raise DomainError(f"level index {m} above max_level {self.max_level}")
         return self.ground_offset + m * self.level_spacing
 
     def resolved_max_level(self, m_max: int | None = None) -> int:
         """Effective top level: requests beyond a finite cap clamp to it;
-        a negative request is a DomainError."""
+        a negative or fractional request is a DomainError."""
         mm = self.max_level if m_max is None else m_max
         if mm is None:
             raise DomainError("spectrum has no max_level and none was given")
-        if mm < 0:
-            raise DomainError(f"top level must be nonnegative, got {mm}")
+        mm = _integer("top level", mm, 0)
         if self.max_level is not None:
-            mm = min(int(mm), self.max_level)
+            mm = min(mm, self.max_level)
         return int(mm)
 
     def energies(self, m_max: int | None = None) -> np.ndarray:
@@ -102,8 +117,7 @@ class TrapSpectrum:
 
 def critical_temperature(spectrum: TrapSpectrum, n: int) -> float:
     """Condensation temperature ``N^(1/3) zeta(3)^(-1/3) * spacing``."""
-    if n < 1:
-        raise DomainError(f"particle number must be >= 1, got {n}")
+    _integer("particle number", n, 1)
     return float(n / ZETA3) ** (1.0 / 3.0) * spectrum.level_spacing
 
 

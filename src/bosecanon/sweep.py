@@ -35,8 +35,9 @@ from .canonical import ConvergenceError, QuadratureConfig, canonical_observables
 # solve_fugacity is not called here: rows take their grand-canonical
 # columns from CanonicalResult.gc_state. The name stays because the
 # benchmark tracer (perfbench/spans.py) patches sweep.solve_fugacity.
-from .grand_canonical import occupation_fluctuation, solve_fugacity  # noqa: F401
-from .spectrum import DomainError, TrapSpectrum, critical_temperature
+from .grand_canonical import solve_fugacity  # noqa: F401
+from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
+                       critical_temperature)
 
 __all__ = [
     "SweepRow",
@@ -135,7 +136,7 @@ def compute_row(
         log_z=r.log_z,
         gc_n0_mean=gc.n0,
         gc_n0_over_n=gc.n0 / n,
-        gc_delta_n0=occupation_fluctuation(gc.n0),
+        gc_delta_n0=gc.delta_n0,
         fraction_limit=condensate_fraction_limit(t_over_tc),
         eq10_value=delta_n0_fraction_limit(n, t_over_tc) if below else math.nan,
         eq12_value=correlation_limit(n, t_over_tc) if below else math.nan,
@@ -151,8 +152,9 @@ def compute_row(
 def temperature_grid(start: float, stop: float, step: float,
                      refinements=()) -> list:
     """Uniform grid plus optional finer patches, deduplicated and sorted."""
-    if not (step > 0 and stop >= start > 0):
-        raise DomainError(f"bad grid {start}:{stop}:{step}")
+    _finite_real("grid step", step)
+    if _finite_real("grid stop", stop) < _finite_real("grid start", start):
+        raise DomainError(f"grid stop {stop} lies below its start {start}")
     pts = list(np.arange(start, stop + 0.5 * step, step))
     for a, b, s in refinements:
         pts.extend(np.arange(a, b + 0.5 * s, s))
@@ -187,12 +189,13 @@ def run_sweep(
     """Evaluate the full (N, T/Tc) grid, rows in deterministic order.
 
     threads=None or 0 means one thread per CPU; rows contend for the GIL.
-    A negative count is a DomainError.
+    A negative or fractional count is a DomainError.
     """
-    if threads is not None and threads < 0:
-        raise DomainError(f"threads must be >= 0 or None, got {threads}")
+    if threads is not None:
+        threads = _integer("threads", threads, 0)
     spectrum = spectrum or TrapSpectrum()
-    points = [(int(n), float(t)) for n in particles for t in t_grid]
+    particles = [_integer("particle number", n, 1) for n in particles]
+    points = [(n, float(t)) for n in particles for t in t_grid]
     workers = threads or os.cpu_count() or 1
     started = time.time()
     if workers == 1:
@@ -205,7 +208,7 @@ def run_sweep(
     meta = {
         "version": __version__,
         "workers": workers,
-        "particles": list(particles),
+        "particles": particles,
         "t_grid": [float(t) for t in t_grid],
         "level_spacing": spectrum.level_spacing,
         "elapsed_seconds": round(time.time() - started, 3),

@@ -5,13 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosecanon import DomainError, TrapSpectrum, canonical, critical_temperature
+from bosecanon.asymptotics import (
+    InteractionParams,
+    condensate_fraction_limit,
+    correlation_limit,
+    damping_crossover,
+    delta_n0_fraction_limit,
+)
 from bosecanon.canonical import (
     ConvergenceError,
     QuadratureConfig,
     canonical_observables,
 )
-from bosecanon.grand_canonical import auto_m_max, solve_fugacity
+from bosecanon.grand_canonical import auto_m_max, mean_occupation, solve_fugacity
 from bosecanon.oracle import enumerate_exact, recursion_table
+from bosecanon.sweep import compute_row, run_sweep, temperature_grid
 
 SPEC = TrapSpectrum()
 
@@ -147,8 +155,35 @@ def test_saddle_offset_tracks_fugacity():
     lambda: canonical_observables(SPEC, 5.0, 10.5),
     lambda: canonical_observables(SPEC, 5.0, math.nan),
     lambda: canonical_observables(SPEC, 5.0, math.inf),
+    lambda: solve_fugacity(SPEC, 5.0, math.inf),
+    lambda: solve_fugacity(SPEC, 5.0, 10.5),
+    lambda: critical_temperature(SPEC, math.nan),
+    lambda: critical_temperature(SPEC, 10.5),
+    lambda: critical_temperature(SPEC, math.inf),
+    lambda: compute_row(SPEC, 10.5, 0.5),
+    lambda: run_sweep([10.5], [0.5]),
+    lambda: QuadratureConfig(intervals_per_oscillation=1.5),
+    lambda: QuadratureConfig(intervals_per_oscillation=math.inf),
+    lambda: QuadratureConfig(ground_offset=math.inf),
+    lambda: mean_occupation(math.inf, 1.0, 0.0),
+    lambda: recursion_table(SPEC, math.inf, 5),
+    lambda: recursion_table(SPEC, 5.0, 2.5, m_max=10),
+    lambda: enumerate_exact((0.0, 1.0), math.inf, 3),
+    lambda: damping_crossover(SPEC, math.inf, InteractionParams(0.1)),
+    lambda: InteractionParams(math.nan),
+    lambda: InteractionParams(math.inf),
+    lambda: condensate_fraction_limit(math.nan),
+    lambda: delta_n0_fraction_limit(math.nan, 0.5),
+    lambda: correlation_limit(math.inf, 0.5),
+    lambda: temperature_grid(0.1, math.inf, 0.1),
 ], ids=["offset-nan", "offset-inf", "spacing-inf", "spacing-nan", "t-inf",
-        "t-nan", "gc-t-inf", "n-fractional", "n-nan", "n-inf"])
+        "t-nan", "gc-t-inf", "n-fractional", "n-nan", "n-inf", "gc-n-inf",
+        "gc-n-fractional", "tc-n-nan", "tc-n-fractional", "tc-n-inf",
+        "row-n-fractional", "sweep-n-fractional", "ipo-fractional", "ipo-inf",
+        "forced-offset-inf", "occupation-t-inf", "recursion-t-inf",
+        "recursion-n-fractional", "enumeration-t-inf", "crossover-t-inf",
+        "pair-energy-nan", "pair-energy-inf", "fraction-limit-nan",
+        "eq10-n-nan", "eq12-n-inf", "grid-stop-inf"])
 def test_non_finite_or_fractional_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -159,6 +194,15 @@ def test_integral_particle_numbers_of_any_type_agree():
     for n in (np.int64(10), np.int32(10), 10.0):
         assert repr(canonical_observables(SPEC, 5.0, n).observables()) == repr(
             base.observables())
+    # integral level indices of numpy type too
+    capped = canonical_observables(SPEC, 5.0, 10, QuadratureConfig(m_max=30))
+    assert repr(canonical_observables(
+        SPEC, 5.0, 10, QuadratureConfig(m_max=np.int64(30))).observables()
+    ) == repr(capped.observables())
+    ladder = canonical_observables(TrapSpectrum(max_level=45), 5.0, 60)
+    assert repr(canonical_observables(
+        TrapSpectrum(max_level=np.int64(45)), 5.0, 60).observables()
+    ) == repr(ladder.observables())
 
 
 def test_converged_flag_and_interval_bookkeeping():

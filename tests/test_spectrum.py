@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from bosecanon.canonical import QuadratureConfig
 from bosecanon.grand_canonical import solve_fugacity
 from bosecanon.oracle import recursion_table
 from bosecanon.spectrum import (
@@ -48,9 +49,18 @@ def test_resolved_max_level_clamps_to_cap():
     lambda: solve_fugacity(TrapSpectrum(), 5.0, 10, m_max=-3),
     lambda: TrapSpectrum().degeneracies(-1),
     lambda: TrapSpectrum().energies(-2),
-], ids=["recursion_table", "solve_fugacity", "degeneracies", "energies"])
+    lambda: TrapSpectrum().degeneracies(2.5),
+    lambda: TrapSpectrum().energy(1.5),
+    lambda: TrapSpectrum(max_level=3.5),
+    lambda: TrapSpectrum(max_level=math.inf),
+    lambda: TrapSpectrum(max_level=math.nan),
+    lambda: QuadratureConfig(m_max=30.5),
+], ids=["recursion_table", "solve_fugacity", "degeneracies", "energies",
+        "degeneracies-fractional", "energy-fractional", "max-level-fractional",
+        "max-level-inf", "max-level-nan", "config-m-max-fractional"])
 def test_negative_top_level_is_a_domain_error(call):
-    # every caller resolves its top level through resolved_max_level
+    # every caller resolves its top level through resolved_max_level, and
+    # every top level or level index is a whole number: none is floored
     with pytest.raises(DomainError):
         call()
 

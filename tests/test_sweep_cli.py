@@ -68,6 +68,9 @@ def test_compute_row_records_failures_instead_of_raising():
     assert row.converged == 0
     assert row.error != ""
     assert math.isnan(row.n0_mean)
+    # a bad T/Tc is a row error too; a bad N is refused (critical_temperature)
+    for t_over_tc in (math.nan, math.inf, 0.0):
+        assert compute_row(SPEC, 50, t_over_tc).error.startswith("DomainError")
 
 
 def test_compute_row_records_one_level_spectrum_as_error():
@@ -169,8 +172,9 @@ def test_sweep_thread_count_none_or_zero_is_one_per_cpu_negative_rejected():
     for threads in (None, 0):
         assert run_sweep((20,), [0.5], threads=threads).meta["workers"] == (
             os.cpu_count() or 1)
-    with pytest.raises(DomainError):
-        run_sweep((20,), [0.5], threads=-3)
+    for threads in (-3, 1.5):
+        with pytest.raises(DomainError):
+            run_sweep((20,), [0.5], threads=threads)
 
 
 def test_sweep_thread_count_does_not_change_numbers(small_sweep):
@@ -234,6 +238,17 @@ def test_csv_json_outputs_agree(tmp_path, small_sweep):
             else:
                 # %.17g survives a float round trip exactly
                 assert cnum == float(jval)
+
+
+def test_numpy_integer_inputs_write_json(tmp_path):
+    # particle numbers and level indices reach the output as plain ints
+    ladder = TrapSpectrum(max_level=np.int64(45))
+    result = run_sweep([np.int64(20)], [0.5], spectrum=ladder)
+    write_json(result, tmp_path / "out.json")
+    with open(tmp_path / "out.json") as fh:
+        payload = json.load(fh)
+    assert payload["meta"]["particles"] == [20]
+    assert payload["rows"][0]["m_max"] == 45
 
 
 def test_csv_full_precision_round_trip(tmp_path, small_sweep):
