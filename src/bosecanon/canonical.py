@@ -51,6 +51,11 @@ EXIT_STREAK intervals past the point where var_ex z^2/2 reaches
 EXIT_DECAY. A row that exits before it evaluates no kernel points past
 it; a row that runs on continues on the regular chunk grid.
 
+Cost guard. The kernel work of a row is predicted before the first chunk:
+intervals up to the predicted exit (the half period when none is
+predicted) times points per interval times levels. Above MAX_LEVEL_POINTS
+the row is a DomainError instead of hours of kernel time.
+
 One fugacity solve. The offset-free grand-canonical state at mean number
 N fixes the saddle offset; it is solved once per evaluation, also under a
 forced offset, and returned as CanonicalResult.gc_state, which carries
@@ -98,6 +103,10 @@ CHUNK_POINTS = 2048  # per kernel call: 512 4-point or 2048 midpoint intervals
 TAIL_DECAY_LENGTHS = 36.0
 GRID_MARGIN = 0.55
 
+# Cost guard on the predicted kernel work: about 50 minutes at the 28-32 ns
+# per level-point of the numpy kernel on a 2-vCPU x86 host.
+MAX_LEVEL_POINTS = 1e11
+
 # Above this N a single midpoint per interval is already accurate; below,
 # a 4-point Gauss rule costs little and buys headroom.
 MIDPOINT_N = 10_000
@@ -129,11 +138,15 @@ class QuadratureConfig:
     ground_offset: float | None = None
 
     def __post_init__(self):
+        # Keep the checked plain int/float, so asdict(config) is JSON-ready
+        # whatever numeric type was passed in.
         if self.m_max is not None:
-            _integer("m_max", self.m_max, 1)
-        _integer("intervals_per_oscillation", self.intervals_per_oscillation, 1)
+            object.__setattr__(self, "m_max", _integer("m_max", self.m_max, 1))
+        object.__setattr__(self, "intervals_per_oscillation", _integer(
+            "intervals_per_oscillation", self.intervals_per_oscillation, 1))
         if self.ground_offset is not None:
-            _finite_real("forced ground_offset", self.ground_offset)
+            object.__setattr__(self, "ground_offset", float(_finite_real(
+                "forced ground_offset", self.ground_offset)))
 
 
 @dataclass(frozen=True)
@@ -272,6 +285,11 @@ def canonical_observables(
     reach = math.sqrt(2.0 * EXIT_DECAY / var_ex) / h if var_ex > 0.0 else math.inf
     boundary = (min(n_half, math.ceil(reach) + EXIT_STREAK) if reach < n_half
                 else n_half)
+    work = boundary * nodes.size * q.size
+    if work > MAX_LEVEL_POINTS:
+        raise DomainError(
+            f"predicted kernel work of {work:.2g} level-points exceeds the "
+            f"limit of {MAX_LEVEL_POINTS:.0e} (N = {n}, T = {t})")
 
     # Rescale so the z=0 peak exponentiates to exactly 1.
     offset = float(s_mb - (g * np.log1p(-q)).sum())

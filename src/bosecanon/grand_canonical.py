@@ -32,9 +32,6 @@ __all__ = [
     "auto_m_max",
 ]
 
-# Relative count tolerance at which solve_fugacity stops.
-FUGACITY_REL_TOL = 1e-10
-
 
 def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> int:
     """Top level summed level by level: a requested m_max, clamped to a
@@ -99,7 +96,6 @@ class GrandCanonicalState:
     t: float
     fugacity: float          # exp(mu/T), absolute normalisation
     m_max: int
-    target_n: int
 
     @property
     def mu(self) -> float:
@@ -139,23 +135,29 @@ def solve_fugacity(
 ) -> GrandCanonicalState:
     """Solve sum_m g_m/(exp((E_m-mu)/T) - 1) = N for the fugacity.
 
-    Bracketed bisection on (0, exp(E_0/T)) narrowed until the summed count
-    matches n_target to FUGACITY_REL_TOL, then polished by Newton steps
-    using the analytic derivative dN/dlam = sum g x/(lam (1-x)^2).
+    Bisection on (0, exp(E_0/T) (1 - 1e-15)) until the bracket is two
+    adjacent doubles lo < hi with count(lo) < N <= count(hi): the answer is
+    as close as double precision can put it, at any N and T, and no count
+    tolerance is involved. The returned fugacity is their rounded midpoint,
+    one of the two. The only failure is an N above the count at the top of
+    the bracket, a DomainError checked before the loop.
     """
     _finite_real("temperature", t)
     _integer("target particle number", n_target, 1)
     mm = auto_m_max(spectrum, t, m_max)
-
-    lam_max = math.exp(spectrum.energy(0) / t)
-    lo, hi = 0.0, lam_max * (1.0 - 1e-15)
     levels = _level_factors(spectrum, t, mm)
 
     def count(lam: float) -> float:
         n, _ = _occupation_sums(levels, lam, variance=False)
         return n
 
-    for _ in range(200):
+    lo, hi = 0.0, math.exp(spectrum.energy(0) / t) * (1.0 - 1e-15)
+    top = count(hi)
+    if top < n_target:
+        raise DomainError(
+            f"{n_target} particles exceed the {top:.6g} the ladder holds "
+            f"below the ground-state divergence at T = {t}")
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -163,26 +165,4 @@ def solve_fugacity(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * lam_max:
-            break
-    lam = 0.5 * (lo + hi)
-
-    # Newton polish on the count residual
-    for _ in range(60):
-        n, var = _occupation_sums(levels, lam)
-        resid = n - n_target
-        if abs(resid) <= FUGACITY_REL_TOL * n_target:
-            break
-        step = -resid * lam / var  # dN/dlam = var/lam
-        nxt = lam + step
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if count(nxt) < n_target:
-            lo = nxt
-        else:
-            hi = nxt
-        lam = nxt
-    else:
-        raise DomainError("fugacity solve did not reach requested tolerance")
-
-    return GrandCanonicalState(spectrum, t, lam, mm, n_target)
+    return GrandCanonicalState(spectrum, t, mid, mm)

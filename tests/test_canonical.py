@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -353,6 +354,23 @@ def test_kernel_stops_near_the_predicted_exit(monkeypatch):
     res = canonical_observables(SPEC, critical_temperature(SPEC, 1000), 1000)
     assert res.intervals_evaluated < res.intervals_total
     assert sum(points) <= 1.15 * res.intervals_evaluated * 4
+
+
+def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
+        monkeypatch):
+    # N = 10^9 at T/Tc = 0.05 predicts 1.8e11 level-points (about 1.5 h of
+    # kernel); the largest benchmark row, N = 10^6 at T/Tc = 0.5, 1.5e8
+    calls = []
+    monkeypatch.setattr(canonical, "projection_chunk",
+                        lambda *args: calls.append(args))
+    started = time.perf_counter()
+    row = compute_row(SPEC, 10**9, 0.05)
+    assert time.perf_counter() - started < 1.0
+    assert not row.converged and calls == []
+    assert row.error.startswith("DomainError: predicted kernel work of 1.8e+11")
+    with pytest.raises(DomainError, match="level-points"):
+        canonical_observables(SPEC, 0.05 * critical_temperature(SPEC, 10**9),
+                              10**9)
 
 
 def test_single_solve_state_is_the_offset_free_ladder():

@@ -11,6 +11,8 @@ from bosecanon import (
 )
 from bosecanon.asymptotics import delta_n0_fraction_limit
 from bosecanon.grand_canonical import (
+    _level_factors,
+    _occupation_sums,
     auto_m_max,
     mean_occupation,
     occupation_fluctuation,
@@ -145,6 +147,32 @@ def test_excited_limit_matches_explicit_sum_at_high_t():
     cap = ZETA3 * (t / SPEC.level_spacing) ** 3
     assert brute == pytest.approx(cap, rel=2e-2)
     assert brute > cap  # finite-size correction is positive
+
+
+@pytest.mark.parametrize("t_frac", [0.05, 0.3, 1.0, 100.0, 300.0])
+@pytest.mark.parametrize("n", [1, 2, 100, 10**6, 2 * 10**6, 10**7])
+def test_fugacity_is_resolved_to_one_ulp(n, t_frac):
+    # the count changes sign between the fugacity's two neighbouring
+    # doubles: no closer answer exists, also at N = 10^7 deep in the
+    # condensed phase, where one ulp of the fugacity moves the count by
+    # ~1e-9 N
+    t = t_frac * critical_temperature(SPEC, n)
+    state = solve_fugacity(SPEC, t, n)
+    levels = _level_factors(SPEC, t, state.m_max)
+
+    def count(lam):
+        return _occupation_sums(levels, lam, variance=False)[0]
+
+    lam = state.fugacity
+    assert count(math.nextafter(lam, 0.0)) < n <= count(
+        math.nextafter(lam, math.inf))
+
+
+def test_particle_number_above_the_bracket_is_a_domain_error():
+    # the bracket stops 1e-15 short of the ground-state divergence, where
+    # the ground level alone holds ~1e15 particles
+    with pytest.raises(DomainError, match="exceed"):
+        solve_fugacity(SPEC, 5.0, 10**16)
 
 
 @settings(max_examples=40, deadline=None)

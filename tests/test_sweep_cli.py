@@ -251,6 +251,21 @@ def test_numpy_integer_inputs_write_json(tmp_path):
     assert payload["rows"][0]["m_max"] == 45
 
 
+def test_numpy_config_fields_write_json(tmp_path):
+    # a config built from numpy scalars reaches meta["config"] as plain
+    # numbers
+    config = QuadratureConfig(m_max=np.int64(30),
+                              intervals_per_oscillation=np.int64(1))
+    result = run_sweep([20], [0.5], config=config)
+    write_json(result, tmp_path / "out.json")
+    with open(tmp_path / "out.json") as fh:
+        payload = json.load(fh)
+    assert payload["meta"]["config"]["m_max"] == 30
+    assert type(config.m_max) is int
+    assert type(QuadratureConfig(ground_offset=np.float32(2.5))
+                .ground_offset) is float
+
+
 def test_csv_full_precision_round_trip(tmp_path, small_sweep):
     path = tmp_path / "p.csv"
     write_csv(small_sweep.rows, path)
