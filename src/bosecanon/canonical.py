@@ -40,16 +40,21 @@ on the scale of the ground occupation plus the number spread, hence the
 density floor below keyed to n0 + sqrt(var). The pi/(4N) baseline is kept
 as a second floor.
 
-Early exit. Each chunk of at most CHUNK_POINTS kernel points gets one
-array-level exit decision; it is made per interval on sums added in
-interval order, so results do not depend on where the chunks end. Away
-from z = 0 the excited levels damp the integrand like the Gaussian
-exp(-var_ex z^2/2), var_ex being their number variance at the evaluation
-offset (the "Maxwell's demon" picture of Grossmann & Holthaus, PRL 79,
-3557 (1997)), so the exit is predictable: one extra chunk boundary sits
-EXIT_STREAK intervals past the point where var_ex z^2/2 reaches
-EXIT_DECAY. A row that exits before it evaluates no kernel points past
-it; a row that runs on continues on the regular chunk grid.
+Early exit. |F(z)| and the modulus of every accumulator's weight factor
+fall monotonically on [0, pi], so an interval's peak modulus times the
+length left to pi bounds everything past it. The sum stops at the first
+interval where that bound lies below CONVERGENCE_REL_TOL of every running
+sum; a running sum that is exactly zero holds the exit off, at worst to
+the full period. Each chunk of at most CHUNK_POINTS kernel points gets one
+array-level decision, made per interval on sums added in interval order,
+so results do not depend on where the chunks end. Away from z = 0 the
+excited levels damp the integrand like the Gaussian exp(-var_ex z^2/2),
+var_ex being their number variance at the evaluation offset (the
+"Maxwell's demon" picture of Grossmann & Holthaus, PRL 79, 3557 (1997)),
+so the exit is predictable: one extra chunk boundary sits where
+var_ex z^2/2 reaches EXIT_DECAY. A row that exits before it evaluates no
+kernel points past it; a row that runs on continues on the regular chunk
+grid.
 
 Cost guard. The kernel work of a row is predicted before the first chunk:
 intervals up to the predicted exit (the half period when none is
@@ -85,17 +90,16 @@ __all__ = [
     "canonical_observables",
 ]
 
-# Early-exit hysteresis: this many consecutive intervals below
-# CONVERGENCE_REL_TOL, plus a rigorous bound on everything beyond them,
-# before stopping.
-EXIT_STREAK = 32
+# Early exit: the first interval past which a rigorous bound puts the rest
+# of the half period below this fraction of every running sum.
 CONVERGENCE_REL_TOL = 1e-12
 # Predicted exit: var_ex z^2/2 at the exit interval measures 32.4-39.6 on
-# the fig1 rows at or above 0.85 Tc and 33.3 at N = 10^6, T/Tc = 0.5; the
-# EXIT_STREAK intervals added past the prediction cover the upper end. A
-# larger value evaluates more points past the exit, a smaller one cuts more
-# chunks short of it (one more kernel call each; the results stay the same).
-EXIT_DECAY = 35.0
+# the fig1 rows at or above 0.85 Tc and 33.3 at N = 10^6, T/Tc = 0.5. On
+# fig1, 37 takes the fewest level-points (138.75M in 949 kernel calls; 35
+# takes 139.53M in 965, 39 139.52M in 945). A larger value evaluates more
+# points past the exit, a smaller one cuts more chunks short of it (one
+# more kernel call each); the results stay the same.
+EXIT_DECAY = 37.0
 CHUNK_POINTS = 2048  # per kernel call: 512 4-point or 2048 midpoint intervals
 
 # Alias suppression: full-period point count must clear N by this many
@@ -283,8 +287,7 @@ def canonical_observables(
     # underflows or the prediction lies past the half period.
     var_ex = float(var[1:].sum()) + s_mb
     reach = math.sqrt(2.0 * EXIT_DECAY / var_ex) / h if var_ex > 0.0 else math.inf
-    boundary = (min(n_half, math.ceil(reach) + EXIT_STREAK) if reach < n_half
-                else n_half)
+    boundary = math.ceil(reach) if reach < n_half else n_half
     work = boundary * nodes.size * q.size
     if work > MAX_LEVEL_POINTS:
         raise DomainError(
@@ -298,7 +301,6 @@ def canonical_observables(
     # in interval order from the accumulator carried in.
     step = CHUNK_POINTS // nodes.size
     acc = np.zeros(N_ACCUMULATORS, dtype=np.complex128)
-    streak = 0
     done = 0
     while done < n_half:
         i1 = min((done // step + 1) * step, n_half)
@@ -308,21 +310,11 @@ def canonical_observables(
                                      nodes, wts, offset)
         run = np.cumsum(np.concatenate((acc[None], out)), axis=0)[1:]
         scale = np.abs(run)
-        live = scale > 0.0
-        with np.errstate(invalid="ignore"):  # inf/inf past an overflow
-            rel = np.divide(np.abs(out), scale, out=np.zeros_like(scale),
-                            where=live).max(axis=1)
-        # Negligible-interval streak, carried in from the previous chunk.
-        rows = np.arange(1, i1 - done + 1)
-        last_busy = np.maximum.accumulate(
-            np.where(rel < CONVERGENCE_REL_TOL, 0, rows))
-        streaks = np.where(last_busy == 0, streak + rows, rows - last_busy)
         # Bound on everything past each interval, from its peak modulus.
-        mass = np.exp(peak) * (math.pi - (done + rows) * h)
-        bounded = ((mass[:, None] * w_peak <= CONVERGENCE_REL_TOL * scale)
-                   | ~live)
-        exits = np.flatnonzero((streaks >= EXIT_STREAK) & bounded.all(axis=1))
-        last = int(exits[0]) if exits.size else rows.size - 1
+        mass = np.exp(peak) * (math.pi - np.arange(done + 1, i1 + 1) * h)
+        exits = np.flatnonzero(
+            (mass[:, None] * w_peak <= CONVERGENCE_REL_TOL * scale).all(axis=1))
+        last = int(exits[0]) if exits.size else i1 - done - 1
         overflow = np.flatnonzero(~np.isfinite(scale[:last + 1]).all(axis=1))
         if overflow.size:
             raise ConvergenceError(
@@ -330,7 +322,6 @@ def canonical_observables(
                 {"interval": done + int(overflow[0]) + 1,
                  "offset": offset, "n_half": n_half})
         acc = run[last]
-        streak = int(streaks[last])
         done += last + 1
         if exits.size:
             break

@@ -72,10 +72,10 @@ def _level_factors(spectrum: TrapSpectrum, t: float, m_max: int):
 def _occupation_sums(levels, lam: float, variance: bool = True):
     """Level-summed N and dN/dlambda*lambda (number variance), with tail.
 
-    levels is _level_factors' tuple; lam is the absolute fugacity
-    exp(mu/T), and x_m = lam*exp(-E_m/T) < 1 must hold for every level,
-    which the solver bracket guarantees. variance=False skips the variance
-    sum and returns None in its place.
+    levels is _level_factors' tuple; lam is the fugacity of those levels,
+    and x_m = lam*exp(-E_m/T) < 1 must hold for every level, which the
+    solver bracket guarantees. variance=False skips the variance sum and
+    returns None in its place.
     """
     boltzmann, g, ground, tail_weight = levels
     x = lam * boltzmann
@@ -90,20 +90,31 @@ def _occupation_sums(levels, lam: float, variance: bool = True):
 
 @dataclass(frozen=True)
 class GrandCanonicalState:
-    """Solved grand-canonical ensemble at fixed mean particle number."""
+    """Solved grand-canonical ensemble at fixed mean particle number.
+
+    relative_fugacity is x0 = exp((mu - E_0)/T), the fugacity of the ladder
+    with its ground level at zero energy; it lies in (0, 1) whatever the
+    ground offset, and every sum runs on that offset-free ladder.
+    """
 
     spectrum: TrapSpectrum
     t: float
-    fugacity: float          # exp(mu/T), absolute normalisation
+    relative_fugacity: float
     m_max: int
 
     @property
     def mu(self) -> float:
-        return self.t * math.log(self.fugacity)
+        return self.spectrum.ground_offset + self.t * math.log(
+            self.relative_fugacity)
+
+    @property
+    def _offset_free(self) -> TrapSpectrum:
+        return self.spectrum.with_ground_offset(0.0)
 
     def occupation(self, m: int) -> float:
         """Mean occupation of a single state in level m."""
-        return mean_occupation(self.t, self.spectrum.energy(m), self.mu)
+        return mean_occupation(self.t, self._offset_free.energy(m),
+                               self.t * math.log(self.relative_fugacity))
 
     @property
     def n0(self) -> float:
@@ -115,15 +126,15 @@ class GrandCanonicalState:
 
     @property
     def total_number(self) -> float:
-        levels = _level_factors(self.spectrum, self.t, self.m_max)
-        n, _ = _occupation_sums(levels, self.fugacity, variance=False)
+        levels = _level_factors(self._offset_free, self.t, self.m_max)
+        n, _ = _occupation_sums(levels, self.relative_fugacity, variance=False)
         return n
 
     @property
     def number_variance(self) -> float:
         """sum over states of n(n+1); independent-state fluctuations add."""
-        levels = _level_factors(self.spectrum, self.t, self.m_max)
-        _, v = _occupation_sums(levels, self.fugacity)
+        levels = _level_factors(self._offset_free, self.t, self.m_max)
+        _, v = _occupation_sums(levels, self.relative_fugacity)
         return v
 
 
@@ -135,23 +146,25 @@ def solve_fugacity(
 ) -> GrandCanonicalState:
     """Solve sum_m g_m/(exp((E_m-mu)/T) - 1) = N for the fugacity.
 
-    Bisection on (0, exp(E_0/T) (1 - 1e-15)) until the bracket is two
+    Bisection on the relative fugacity x0 = exp((mu - E_0)/T) over
+    (0, 1 - 1e-15), summed on the offset-free ladder, so the ground offset
+    never enters an exponential; bisection stops when the bracket is two
     adjacent doubles lo < hi with count(lo) < N <= count(hi): the answer is
     as close as double precision can put it, at any N and T, and no count
-    tolerance is involved. The returned fugacity is their rounded midpoint,
-    one of the two. The only failure is an N above the count at the top of
-    the bracket, a DomainError checked before the loop.
+    tolerance is involved. The returned x0 is their rounded midpoint, one
+    of the two. The only failure is an N above the count at the top of the
+    bracket, a DomainError checked before the loop.
     """
     _finite_real("temperature", t)
     _integer("target particle number", n_target, 1)
     mm = auto_m_max(spectrum, t, m_max)
-    levels = _level_factors(spectrum, t, mm)
+    levels = _level_factors(spectrum.with_ground_offset(0.0), t, mm)
 
-    def count(lam: float) -> float:
-        n, _ = _occupation_sums(levels, lam, variance=False)
+    def count(x0: float) -> float:
+        n, _ = _occupation_sums(levels, x0, variance=False)
         return n
 
-    lo, hi = 0.0, math.exp(spectrum.energy(0) / t) * (1.0 - 1e-15)
+    lo, hi = 0.0, 1.0 - 1e-15
     top = count(hi)
     if top < n_target:
         raise DomainError(

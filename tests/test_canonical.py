@@ -301,9 +301,9 @@ def test_kernel_integrand_peaks_at_origin(monkeypatch):
 ])
 def test_chunk_size_does_not_change_results(monkeypatch, chunk_points,
                                             exit_decay):
-    # exit decisions are per interval and carry the negligible-interval
-    # streak across chunk boundaries, so any chunking, with the predicted
-    # exit boundary anywhere or nowhere, gives the same bits
+    # exit decisions are per interval, on sums added in interval order, so
+    # any chunking, with the predicted exit boundary anywhere or nowhere,
+    # gives the same bits
     cases = [
         (100, 0.5),     # 4-point rule, early exit
         (10_000, 1.2),  # midpoint rule, early exit
@@ -334,10 +334,38 @@ def test_chunk_size_does_not_change_results(monkeypatch, chunk_points,
         if exit_decay == 5.0 and n > 3:
             assert off_grid and off_grid[0] < res.intervals_evaluated
         elif exit_decay == 1e-30:
-            # the predicted point is interval 1; the streak comes on top
-            assert off_grid == [1 + canonical.EXIT_STREAK]
+            # the predicted boundary is interval 1
+            assert off_grid == [1]
         elif exit_decay == 1e30:
             assert off_grid == []
+
+
+@pytest.mark.parametrize("n, t_over_tc", [
+    (100, 1.0),
+    (100, 1.35),
+    (1000, 0.5),
+    (10_000, 1.2),  # midpoint rule
+])
+def test_exit_bound_covers_the_skipped_intervals(monkeypatch, n, t_over_tc):
+    # the intervals past the exit, evaluated after all, add at most
+    # a relative 1e-12 of each accumulator's sum at the exit
+    calls = []
+    kernel = canonical.projection_chunk
+
+    def recording(*args):
+        out, peak = kernel(*args)
+        calls.append((args, out))
+        return out, peak
+
+    monkeypatch.setattr(canonical, "projection_chunk", recording)
+    res = canonical_observables(SPEC, t_over_tc * critical_temperature(SPEC, n),
+                                n)
+    done, total = res.intervals_evaluated, res.intervals_total
+    assert done < total
+    summed = sum(out[:done - args[5]].sum(axis=0) for args, out in calls)
+    args = calls[0][0]
+    rest, _ = kernel(*args[:5], done, total, *args[7:])
+    assert np.all(np.abs(rest.sum(axis=0)) <= 1e-12 * np.abs(summed))
 
 
 def test_kernel_stops_near_the_predicted_exit(monkeypatch):
@@ -359,7 +387,7 @@ def test_kernel_stops_near_the_predicted_exit(monkeypatch):
 def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
         monkeypatch):
     # N = 10^9 at T/Tc = 0.05 predicts 1.8e11 level-points (about 1.5 h of
-    # kernel); the largest benchmark row, N = 10^6 at T/Tc = 0.5, 1.5e8
+    # kernel); the largest benchmark row, N = 10^6 at T/Tc = 0.5, 1.6e8
     calls = []
     monkeypatch.setattr(canonical, "projection_chunk",
                         lambda *args: calls.append(args))
@@ -439,6 +467,33 @@ def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
     # log Z is about 3e-10 at T/Tc = 0.01, so the bound is absolute there
     log_z = table.log_z[n]
     assert abs(res.log_z_zero_offset - log_z) <= 1e-12 * max(1.0, abs(log_z))
+
+
+@pytest.mark.parametrize("t_over_tc", [0.05, 0.3])
+def test_engine_matches_the_demon_ensemble_at_large_n(t_over_tc):
+    # Deep below Tc the excited levels sit at unit fugacity and the ground
+    # level takes the rest: the "Maxwell's demon" ensemble of Grossmann &
+    # Holthaus, PRL 79, 3557 (1997), exact once P(N_ex > N) is negligible.
+    # delta_n0 is not asserted: the engine takes it as a second moment
+    # minus a squared mean, and at N = 10^5, T/Tc = 0.05 that cancellation
+    # leaves it off the closed form by a relative 3.2e-4, a known defect.
+    n = 10**5
+    t = t_over_tc * critical_temperature(SPEC, n)
+    res = canonical_observables(SPEC, t, n)
+    m = np.arange(1, res.m_max + 1)
+    q = np.exp(-m * SPEC.level_spacing / t)
+    g = (m + 1) * (m + 2) / 2
+    tail = SPEC.tail_weight(t, res.m_max)
+    # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
+    r = q[0] ** -0.5
+    log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
+             - n * math.log(r))
+    assert log_p / math.log(10.0) < -100.0
+    assert res.n0_mean == pytest.approx(
+        n - (g * q / (1.0 - q)).sum() - tail, rel=1e-10)
+    assert res.n1_mean == pytest.approx(q[0] / (1.0 - q[0]), rel=1e-10)
+    assert res.log_z_zero_offset == pytest.approx(
+        tail - (g * np.log1p(-q)).sum(), rel=1e-10)
 
 
 def test_zero_point_energy_ladder_consistency():

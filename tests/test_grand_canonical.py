@@ -56,7 +56,7 @@ def test_solve_fugacity_hits_target_number(n, t_frac):
     assert state.total_number == pytest.approx(n, rel=1e-9)
     # chemical potential must sit below the ground state
     assert state.mu < SPEC.energy(0)
-    assert 0.0 < state.fugacity < math.exp(SPEC.energy(0) / t)
+    assert 0.0 < state.relative_fugacity < 1.0
 
 
 def test_fugacity_approaches_saturation_from_below_at_low_t():
@@ -77,6 +77,16 @@ def test_fugacity_respects_ground_offset():
     assert shifted.mu - base.mu == pytest.approx(2.0, rel=1e-9)
     assert shifted.n0 == pytest.approx(base.n0, rel=1e-9)
     assert shifted.total_number == pytest.approx(base.total_number, rel=1e-9)
+
+
+def test_large_ground_offset_does_not_overflow():
+    # exp(E_0/T) = e^1000 lies past the double range; the solve runs on the
+    # offset-free ladder and never forms it
+    base = solve_fugacity(SPEC, 1.0, 10)
+    lifted = solve_fugacity(TrapSpectrum(ground_offset=1000.0), 1.0, 10)
+    assert abs(lifted.n0 - base.n0) <= 1e-12 * base.n0
+    assert lifted.total_number == pytest.approx(10, rel=1e-12)
+    assert lifted.mu - 1000.0 == pytest.approx(base.mu, abs=1e-12)
 
 
 def test_number_variance_sums_state_terms():
@@ -113,7 +123,7 @@ def test_solve_fugacity_reports_the_levels_it_sums():
     capped = solve_fugacity(spec, 5.0, 10, m_max=50)
     own = solve_fugacity(spec, 5.0, 10)
     assert capped.m_max == own.m_max == auto_m_max(spec, 5.0, 50) == 3
-    assert capped.fugacity == own.fugacity
+    assert capped.relative_fugacity == own.relative_fugacity
     assert solve_fugacity(SPEC, 5.0, 10, m_max=50).m_max == 50
 
 
@@ -163,7 +173,7 @@ def test_fugacity_is_resolved_to_one_ulp(n, t_frac):
     def count(lam):
         return _occupation_sums(levels, lam, variance=False)[0]
 
-    lam = state.fugacity
+    lam = state.relative_fugacity
     assert count(math.nextafter(lam, 0.0)) < n <= count(
         math.nextafter(lam, math.inf))
 
@@ -206,5 +216,5 @@ def test_fugacity_monotone_in_target_number():
     t = 8.0
     states = [solve_fugacity(SPEC, t, n) for n in (50, 100, 200, 400, 800)]
     for lo, hi in zip(states, states[1:]):
-        assert hi.fugacity > lo.fugacity
+        assert hi.relative_fugacity > lo.relative_fugacity
         assert hi.mu > lo.mu

@@ -132,6 +132,12 @@ def test_temperature_grid_refinement_dedupes():
     assert len(set(grid)) == len(grid)
 
 
+def test_temperature_grid_without_points_is_a_domain_error():
+    # the step is too small to move 0.5, so the grid would be empty
+    with pytest.raises(DomainError, match="no points"):
+        temperature_grid(0.5, 0.5, 1e-20)
+
+
 def test_presets_share_standard_shape():
     for name, preset in PRESETS.items():
         assert preset.particles == (100, 1000, 10_000)
@@ -330,6 +336,14 @@ def test_cli_rejects_unknown_preset(capsys):
 def test_cli_rejects_malformed_grid():
     assert run_cli("--particles", "10", "--t-over-tc", "0.5:0.9") == 2
     assert run_cli("--particles", "10", "--t-over-tc", "0.9:0.5:0.1") == 2
+
+
+def test_cli_rejects_an_empty_grid(tmp_path, capsys):
+    out = tmp_path / "empty"
+    assert run_cli("--particles", "100", "--t-over-tc", "0.5:0.5:1e-20",
+                   "--out", str(out)) == 2
+    assert "no points" in capsys.readouterr().err
+    assert not (tmp_path / "empty.csv").exists()
 
 
 def test_cli_rejects_empty_request():
