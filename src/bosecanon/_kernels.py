@@ -3,10 +3,11 @@
 The driver splits [0, pi] into equal intervals of width h and asks for the
 weighted integrand summed over the quadrature points of intervals
 [i0, i1), one chunk of at most canonical.CHUNK_POINTS points at a time
-(512 intervals of the 4-point rule, 2048 of the midpoint rule); one chunk
+(1024 intervals of the 4-point rule, 4096 of the midpoint rule); one chunk
 ends at the interval where canonical predicts its exit bound first
-holds. Results come back per interval so exit decisions upstream do not
-depend on where the chunks end.
+holds. Results come back per interval, and each interval's values depend
+on that interval alone, so exit decisions upstream do not depend on where
+the chunks end.
 
 Each point z carries seven complex accumulators built from one pass over
 the trap levels:
@@ -27,6 +28,11 @@ per-interval maximum of log|F| - offset is returned for tail bounds.
 
 The points of one chunk are evaluated as one numpy block per trap level,
 so the per-call overhead of the level loop is spread over the whole chunk.
+The blocks are work arrays allocated once per call: every level writes its
+ufunc results into them with out=, and the output stage reuses them, so a
+chunk's memory does not grow with the level count. Each element sees the
+same operations in the same order as the plain array expressions, so the
+results are the same to the bit.
 """
 
 from __future__ import annotations
@@ -52,33 +58,62 @@ def projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
     we = s_mb * e
     wev = we.copy()
     w0 = w0sq = w1 = None
+    # Work arrays, written in place by every level (z is free from here on).
+    t1 = np.empty_like(z)
+    t2 = np.empty_like(z)
+    x = np.empty_like(e)
+    u = np.empty_like(e)
+    w = np.empty_like(e)
     for m in range(q.size):
         qm = q[m]
         gm = g[m]
-        t1 = 1.0 - qm * c
-        t2 = qm * s
-        log_mod -= gm * 0.5 * np.log(t1 * t1 + t2 * t2)
-        phase -= gm * np.arctan2(t2, t1)
-        x = qm * e
-        u = 1.0 - x
-        w = x / u
+        np.multiply(qm, c, out=t1)
+        np.subtract(1.0, t1, out=t1)
+        np.multiply(qm, s, out=t2)
+        # phase first, so t1 and t2 can then be squared in place
+        np.arctan2(t2, t1, out=z)
+        np.multiply(gm, z, out=z)
+        phase -= z
+        np.multiply(t1, t1, out=t1)
+        np.multiply(t2, t2, out=t2)
+        np.add(t1, t2, out=t1)
+        np.log(t1, out=t1)
+        np.multiply(gm * 0.5, t1, out=t1)
+        log_mod -= t1
+        np.multiply(qm, e, out=x)
+        np.subtract(1.0, x, out=u)
+        np.divide(x, u, out=w)
         if m == 0:
-            w0 = w
-            w0sq = x * (1.0 + x) / (u * u)
+            w0 = w.copy()
+            w0sq = np.add(1.0, x)
+            np.multiply(x, w0sq, out=w0sq)
+            np.multiply(u, u, out=u)
+            np.divide(w0sq, u, out=w0sq)
         else:
             if m == 1:
-                w1 = w
-            we += gm * w
-            wev += gm * (w / u)
-    rel = log_mod - offset
-    v = np.exp(rel) * (wts[None, :] * h) * np.exp(1j * phase)
+                w1 = w.copy()
+            np.multiply(gm, w, out=x)
+            we += x
+            np.divide(w, u, out=w)
+            np.multiply(gm, w, out=w)
+            wev += w
+    # Output stage: rel in log_mod, the weighted integrand v in x, each
+    # weighted product in u.
+    rel = np.subtract(log_mod, offset, out=log_mod)
+    np.exp(rel, out=t1)
+    np.multiply(t1, wts[None, :] * h, out=t1)
+    np.multiply(1j, phase, out=x)
+    v = np.exp(x, out=x)
+    np.multiply(t1, v, out=v)
     out = np.empty((i1 - i0, N_ACCUMULATORS), dtype=np.complex128)
     out[:, 0] = v.sum(axis=1)
-    out[:, 1] = (v * w0).sum(axis=1)
-    out[:, 2] = (v * w0sq).sum(axis=1)
-    out[:, 3] = (v * w1).sum(axis=1)
-    out[:, 4] = (v * w0 * w1).sum(axis=1)
-    out[:, 5] = (v * we).sum(axis=1)
-    out[:, 6] = (v * (we * we + wev)).sum(axis=1)
+    out[:, 1] = np.multiply(v, w0, out=u).sum(axis=1)
+    out[:, 4] = np.multiply(u, w1, out=u).sum(axis=1)
+    out[:, 2] = np.multiply(v, w0sq, out=u).sum(axis=1)
+    out[:, 3] = np.multiply(v, w1, out=u).sum(axis=1)
+    out[:, 5] = np.multiply(v, we, out=u).sum(axis=1)
+    np.multiply(we, we, out=u)
+    np.add(u, wev, out=u)
+    out[:, 6] = np.multiply(v, u, out=u).sum(axis=1)
     peak = rel.max(axis=1)
     return out, peak

@@ -45,16 +45,18 @@ fall monotonically on [0, pi], so an interval's peak modulus times the
 length left to pi bounds everything past it. The sum stops at the first
 interval where that bound lies below CONVERGENCE_REL_TOL of every running
 sum; a running sum that is exactly zero holds the exit off, at worst to
-the full period. Each chunk of at most CHUNK_POINTS kernel points gets one
-array-level decision, made per interval on sums added in interval order,
-so results do not depend on where the chunks end. Away from z = 0 the
-excited levels damp the integrand like the Gaussian exp(-var_ex z^2/2),
-var_ex being their number variance at the evaluation offset (the
-"Maxwell's demon" picture of Grossmann & Holthaus, PRL 79, 3557 (1997)),
-so the exit is predictable: one extra chunk boundary sits where
-var_ex z^2/2 reaches EXIT_DECAY. A row that exits before it evaluates no
-kernel points past it; a row that runs on continues on the regular chunk
-grid.
+the full period. Each chunk of at most CHUNK_POINTS kernel points
+(1024 intervals of the 4-point rule, 4096 of the midpoint rule) gets one
+array-level decision, made per interval on sums added in interval
+order: the running sum is taken in place over the kernel's output,
+seeded with the sum carried in, so results do not depend on where the
+chunks end. Away from z = 0 the excited levels damp the integrand like
+the Gaussian exp(-var_ex z^2/2), var_ex being their number variance at
+the evaluation offset (the "Maxwell's demon" picture of Grossmann &
+Holthaus, PRL 79, 3557 (1997)), so the exit is predictable: one extra
+chunk boundary sits where var_ex z^2/2 reaches EXIT_DECAY. A row that
+exits before it evaluates no kernel points past it; a row that runs on
+continues on the regular chunk grid.
 
 Cost guard. The kernel work of a row is predicted before the first chunk:
 intervals up to the predicted exit (the half period when none is
@@ -95,19 +97,20 @@ __all__ = [
 CONVERGENCE_REL_TOL = 1e-12
 # Predicted exit: var_ex z^2/2 at the exit interval measures 32.4-39.6 on
 # the fig1 rows at or above 0.85 Tc and 33.3 at N = 10^6, T/Tc = 0.5. On
-# fig1, 37 takes the fewest level-points (138.75M in 949 kernel calls; 35
-# takes 139.53M in 965, 39 139.52M in 945). A larger value evaluates more
-# points past the exit, a smaller one cuts more chunks short of it (one
-# more kernel call each); the results stay the same.
+# fig1, with 4096-point chunks, 37 takes the fewest level-points (141.26M
+# in 544 kernel calls; 35 takes 143.84M in 560, 36 141.98M in 551, 38
+# 141.44M in 541, 39 141.97M in 540). A larger value evaluates more points
+# past the exit, a smaller one cuts more chunks short of it (one more
+# kernel call each); the results stay the same.
 EXIT_DECAY = 37.0
-CHUNK_POINTS = 2048  # per kernel call: 512 4-point or 2048 midpoint intervals
+CHUNK_POINTS = 4096  # per kernel call: 1024 4-point or 4096 midpoint intervals
 
 # Alias suppression: full-period point count must clear N by this many
 # decay lengths of the coefficient tail.
 TAIL_DECAY_LENGTHS = 36.0
 GRID_MARGIN = 0.55
 
-# Cost guard on the predicted kernel work: about 50 minutes at the 28-32 ns
+# Cost guard on the predicted kernel work: about 40 minutes at the 22-29 ns
 # per level-point of the numpy kernel on a 2-vCPU x86 host.
 MAX_LEVEL_POINTS = 1e11
 
@@ -298,7 +301,8 @@ def canonical_observables(
     offset = float(s_mb - (g * np.log1p(-q)).sum())
 
     # Row k of `run` is the accumulator after interval done + k + 1, added up
-    # in interval order from the accumulator carried in.
+    # in interval order from the accumulator carried in (complex addition
+    # commutes exactly, so adding it to the first row first is the same).
     step = CHUNK_POINTS // nodes.size
     acc = np.zeros(N_ACCUMULATORS, dtype=np.complex128)
     done = 0
@@ -308,7 +312,8 @@ def canonical_observables(
             i1 = boundary
         out, peak = projection_chunk(q, g, float(n), s_mb, h, done, i1,
                                      nodes, wts, offset)
-        run = np.cumsum(np.concatenate((acc[None], out)), axis=0)[1:]
+        out[0] += acc
+        run = np.cumsum(out, axis=0, out=out)
         scale = np.abs(run)
         # Bound on everything past each interval, from its peak modulus.
         mass = np.exp(peak) * (math.pi - np.arange(done + 1, i1 + 1) * h)

@@ -32,16 +32,27 @@ __all__ = [
     "auto_m_max",
 ]
 
+# Most levels summed one by one: 80 MB per level array. N = 10^7 at
+# T/Tc = 1000 needs 3.0e6; T/Tc = 10^6 at N = 100 would need 6.5e7.
+MAX_LEVELS = 10**7
+
 
 def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> int:
     """Top level summed level by level: a requested m_max, clamped to a
     finite ladder's top; without one, the finite ladder's own top level, or
     on the unbounded ladder one high enough that the Boltzmann tail beyond
     it is a second-order correction (see canonical engine for the matching
-    closure)."""
+    closure). Above MAX_LEVELS the request is a DomainError, before any
+    level array is built."""
     if m_max is not None or spectrum.max_level is not None:
-        return spectrum.resolved_max_level(m_max)
-    return int(math.ceil(15.0 * t / spectrum.level_spacing)) + 20
+        top = spectrum.resolved_max_level(m_max)
+    else:
+        levels = 15.0 * _finite_real("temperature", t) / spectrum.level_spacing
+        top = int(math.ceil(levels)) + 20 if levels <= MAX_LEVELS else levels
+    if top > MAX_LEVELS:
+        raise DomainError(f"{top:.2g} trap levels at T = {t} exceed the limit "
+                          f"of {MAX_LEVELS:.0e} levels")
+    return top
 
 
 def mean_occupation(t: float, energy: float, mu: float) -> float:

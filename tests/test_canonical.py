@@ -354,7 +354,7 @@ def test_exit_bound_covers_the_skipped_intervals(monkeypatch, n, t_over_tc):
 
     def recording(*args):
         out, peak = kernel(*args)
-        calls.append((args, out))
+        calls.append((args, out.copy()))  # the engine sums `out` in place
         return out, peak
 
     monkeypatch.setattr(canonical, "projection_chunk", recording)
@@ -369,7 +369,7 @@ def test_exit_bound_covers_the_skipped_intervals(monkeypatch, n, t_over_tc):
 
 
 def test_kernel_stops_near_the_predicted_exit(monkeypatch):
-    # without the predicted boundary the first 512-interval chunk (2048
+    # without the predicted boundary the first 1024-interval chunk (4096
     # points) runs for the 288 intervals this row needs
     points = []
     kernel = canonical.projection_chunk
@@ -386,7 +386,7 @@ def test_kernel_stops_near_the_predicted_exit(monkeypatch):
 
 def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
         monkeypatch):
-    # N = 10^9 at T/Tc = 0.05 predicts 1.8e11 level-points (about 1.5 h of
+    # N = 10^9 at T/Tc = 0.05 predicts 1.8e11 level-points (over an hour of
     # kernel); the largest benchmark row, N = 10^6 at T/Tc = 0.5, 1.6e8
     calls = []
     monkeypatch.setattr(canonical, "projection_chunk",

@@ -8,6 +8,7 @@ from bosecanon import (
     DomainError,
     TrapSpectrum,
     critical_temperature,
+    grand_canonical,
 )
 from bosecanon.asymptotics import delta_n0_fraction_limit
 from bosecanon.grand_canonical import (
@@ -46,6 +47,19 @@ def test_occupation_fluctuation_closed_form():
 def test_auto_m_max_grows_with_temperature():
     assert auto_m_max(SPEC, 1.0) >= 21
     assert auto_m_max(SPEC, 40.0) > auto_m_max(SPEC, 4.0)
+
+
+def test_auto_m_max_refuses_more_levels_than_the_cap():
+    # N = 10^7 at T/Tc = 1000 is within the cap
+    t = 1000.0 * critical_temperature(SPEC, 10**7)
+    assert 3e6 < auto_m_max(SPEC, t) < grand_canonical.MAX_LEVELS
+    for t in (1e7, 1e306, 1.7e308):
+        with pytest.raises(DomainError, match="trap levels"):
+            auto_m_max(SPEC, t)
+    with pytest.raises(DomainError, match="trap levels"):
+        auto_m_max(SPEC, 1.0, 10**8)
+    with pytest.raises(DomainError, match="temperature"):
+        auto_m_max(SPEC, math.nan)
 
 
 @pytest.mark.parametrize("n", [50, 1000])

@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from bosecanon import TrapSpectrum, canonical, critical_temperature
+from bosecanon._kernels import N_ACCUMULATORS, projection_chunk
+from bosecanon.canonical import canonical_observables
+
+SPEC = TrapSpectrum()
+
+
+def reference_projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
+    """The kernel as plain array expressions, one fresh array per step."""
+    z = (np.arange(i0, i1, dtype=np.float64)[:, None] + nodes[None, :]) * h
+    c = np.cos(z)
+    s = np.sin(z)
+    e = c - 1j * s
+    log_mod = s_mb * c
+    phase = n * z - s_mb * s
+    we = s_mb * e
+    wev = we.copy()
+    w0 = w0sq = w1 = None
+    for m in range(q.size):
+        qm = q[m]
+        gm = g[m]
+        t1 = 1.0 - qm * c
+        t2 = qm * s
+        log_mod -= gm * 0.5 * np.log(t1 * t1 + t2 * t2)
+        phase -= gm * np.arctan2(t2, t1)
+        x = qm * e
+        u = 1.0 - x
+        w = x / u
+        if m == 0:
+            w0 = w
+            w0sq = x * (1.0 + x) / (u * u)
+        else:
+            if m == 1:
+                w1 = w
+            we += gm * w
+            wev += gm * (w / u)
+    rel = log_mod - offset
+    v = np.exp(rel) * (wts[None, :] * h) * np.exp(1j * phase)
+    out = np.empty((i1 - i0, N_ACCUMULATORS), dtype=np.complex128)
+    out[:, 0] = v.sum(axis=1)
+    out[:, 1] = (v * w0).sum(axis=1)
+    out[:, 2] = (v * w0sq).sum(axis=1)
+    out[:, 3] = (v * w1).sum(axis=1)
+    out[:, 4] = (v * w0 * w1).sum(axis=1)
+    out[:, 5] = (v * we).sum(axis=1)
+    out[:, 6] = (v * (we * we + wev)).sum(axis=1)
+    peak = rel.max(axis=1)
+    return out, peak
+
+
+def _first_chunk(monkeypatch, n, t_over_tc):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return projection_chunk(*args)
+
+    monkeypatch.setattr(canonical, "projection_chunk", recording)
+    canonical_observables(SPEC, t_over_tc * critical_temperature(SPEC, n), n)
+    return calls[0]
+
+
+@pytest.mark.parametrize("n, points", [
+    pytest.param(1000, 4, id="4-point"),
+    pytest.param(10_000, 1, id="midpoint"),
+])
+def test_kernel_matches_the_plain_expressions_bit_for_bit(monkeypatch, n,
+                                                          points):
+    # the first, full-size chunk of a row that runs on: it starts at z = 0
+    # and takes the level-0 and level-1 weights
+    args = _first_chunk(monkeypatch, n, 0.3)
+    i0, i1, nodes = args[5], args[6], args[7]
+    assert i0 == 0 and nodes.size == points
+    assert (i1 - i0) * points == canonical.CHUNK_POINTS
+    out, peak = projection_chunk(*args)
+    ref_out, ref_peak = reference_projection_chunk(*args)
+    assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+    assert np.array_equal(peak.view(np.uint64), ref_peak.view(np.uint64))

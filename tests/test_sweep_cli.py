@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_compute_row_records_failures_instead_of_raising():
     # a bad T/Tc is a row error too; a bad N is refused (critical_temperature)
     for t_over_tc in (math.nan, math.inf, 0.0):
         assert compute_row(SPEC, 50, t_over_tc).error.startswith("DomainError")
+
+
+def test_compute_row_refuses_a_huge_temperature_before_building_levels():
+    # T/Tc = 10^6 at N = 100 needs 6.5e7 levels, 0.5 GB per level array
+    started = time.perf_counter()
+    row = compute_row(SPEC, 100, 1e6)
+    assert time.perf_counter() - started < 1.0
+    assert row.error.startswith("DomainError: 6.5e+07 trap levels")
+    row = compute_row(SPEC, 100, 1e306)
+    assert row.converged == 0
+    assert row.error.startswith("DomainError: 6.5e+307 trap levels")
 
 
 def test_compute_row_records_one_level_spectrum_as_error():
@@ -195,6 +207,15 @@ def test_sweep_thread_count_does_not_change_numbers(small_sweep):
                     assert va == vb
             else:
                 assert va == vb
+
+
+def test_sweep_thread_count_does_not_change_full_chunk_rows():
+    # rows that run through many full-size kernel chunks (14 at N = 1000,
+    # T/Tc = 0.3, and 10 at N = 10^4), two at a time
+    rows = [run_sweep([1000, 10_000], [0.3, 1.0], threads=threads).rows
+            for threads in (2, 1)]
+    assert len(rows[0]) == 4 and not any(r.error for r in rows[0])
+    assert [repr(r) for r in rows[0]] == [repr(r) for r in rows[1]]
 
 
 def test_fit_scaling_recovers_exponent(small_sweep):
