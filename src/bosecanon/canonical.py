@@ -266,10 +266,10 @@ def canonical_observables(
         raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
     gc_state = solve_fugacity(spectrum.with_ground_offset(0.0), t, n,
                               m_max=m_max)
-    if config.ground_offset is not None:
-        eps0 = config.ground_offset
-    else:
-        eps0 = -gc_state.mu
+    eps0 = config.ground_offset or -gc_state.mu
+    if not eps0 > 0.0:
+        raise DomainError(f"temperature {t} is too small for N = {n}: the "
+                          f"saddle offset underflows to {eps0}")
 
     q, g, ground, tail = _level_factors(spectrum.with_ground_offset(eps0),
                                         t, m_max)

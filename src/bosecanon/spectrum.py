@@ -10,13 +10,14 @@ continuum excited-state capacity ``zeta(3) * (T/spacing)**3``, giving
 ``Tc = N**(1/3) * zeta(3)**(-1/3) * spacing``.
 
 Input rule for the package: particle numbers, level indices and thread
-counts are whole numbers; temperatures, spacings, offsets and energy scales
-are finite. Anything else is a DomainError naming the quantity.
+counts are finite whole numbers; temperatures, spacings, offsets and energy
+scales are finite. Anything else is a DomainError naming the quantity.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
 
 
 def _integer(name: str, value: int, floor: int) -> int:
-    """value as an int, if it is a whole number >= floor (never floored)."""
-    if not (floor <= value < math.inf and value % 1 == 0):
-        raise DomainError(f"{name} must be an integer >= {floor}, got {value}")
+    """value as an int if it is a finite whole number >= floor; never floored."""
+    if not (floor <= value <= sys.float_info.max and value % 1 == 0):
+        raise DomainError(f"{name} must be a finite integer >= {floor}, got {value}")
     return int(value)
 
 

@@ -115,7 +115,7 @@ def compute_row(
     try:
         r = canonical_observables(spectrum, t, n, config)
         gc = r.gc_state
-    except (ConvergenceError, DomainError, OverflowError) as err:
+    except (ConvergenceError, DomainError) as err:
         return SweepRow(n=n, t_over_tc=t_over_tc,
                         t_over_spacing=t / spectrum.level_spacing,
                         error=f"{type(err).__name__}: {err}")

@@ -1,4 +1,6 @@
+import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +68,9 @@ def test_recursion_matches_enumeration_two_level(n):
     )
     got_cross = table.cross_moment(0.0, 0.9)
     assert got_cross == pytest.approx(exact.cross[0, 1], rel=1e-12)
+    # two distinct states of one level: the equal-energy branch
+    assert table.cross_moment(0.9, 0.9) == pytest.approx(exact.cross[1, 2],
+                                                         rel=1e-12)
 
 
 def test_cross_moment_is_symmetric():
@@ -74,6 +79,21 @@ def test_cross_moment_is_symmetric():
     a = table.cross_moment(0.0, 1.0)
     b = table.cross_moment(1.0, 0.0)
     assert a == pytest.approx(b, rel=1e-13)
+
+
+def test_cross_moment_matches_the_double_sum():
+    # sum_{k,l>=1} e^{-(k Ea + l Eb)/T} Z(N-k-l)/Z(N) term by term, for
+    # unequal, swapped, equal and zero energies
+    spec = TrapSpectrum(level_spacing=0.37, ground_offset=0.2)
+    t, n = 3.0, 40
+    table = recursion_table(spec, t, n, m_max=60, tail_closure=True)
+    lz = table.log_z
+    for ea, eb in ((0.2, 0.57), (0.57, 0.2), (0.57, 0.57), (0.0, 0.0),
+                   (0.94, 0.0)):
+        direct = math.fsum(
+            math.exp(-(k * ea + l * eb) / t + lz[n - k - l] - lz[n])
+            for k in range(1, n) for l in range(1, n - k + 1))
+        assert table.cross_moment(ea, eb) == pytest.approx(direct, rel=1e-13)
 
 
 def test_partition_grows_with_temperature():
@@ -148,11 +168,14 @@ def test_tail_closure_requires_finite_ladder_and_conserves_number():
 
 
 def test_size_cap_enforced():
-    spec = TrapSpectrum()
-    with pytest.raises(DomainError):
-        recursion_table(spec, 5.0, ORACLE_MAX_N + 1)
-    big = recursion_table(spec, 5.0, ORACLE_MAX_N + 1, m_max=30, allow_large=True)
-    assert big.log_z.size == ORACLE_MAX_N + 2
+    # one size rule with no way around it: above the cap the build is
+    # refused before any work (a table at the cap takes 1-2 s)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="capped"):
+        recursion_table(TrapSpectrum(), 5.0, ORACLE_MAX_N + 1, m_max=30)
+    assert time.perf_counter() - start < 0.25
+    assert list(inspect.signature(recursion_table).parameters) == [
+        "spectrum", "t", "n", "m_max", "tail_closure"]
 
 
 def test_enumeration_caps():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,6 +81,16 @@ def test_invalid_spectrum_params():
         TrapSpectrum(ground_offset=-0.1)
     with pytest.raises(DomainError):
         TrapSpectrum(max_level=-2)
+
+
+def test_whole_numbers_beyond_the_double_range_are_domain_errors():
+    # every integer input is also used as a float somewhere
+    with pytest.raises(DomainError, match="particle number"):
+        critical_temperature(TrapSpectrum(), 10**400)
+    with pytest.raises(DomainError, match="max_level"):
+        TrapSpectrum(max_level=10**309)
+    top = int(sys.float_info.max)
+    assert TrapSpectrum(max_level=top).max_level == top
 
 
 def test_with_ground_offset_preserves_rest():

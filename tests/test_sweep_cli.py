@@ -15,7 +15,8 @@ from bosecanon import (
     sweep,
     validate,
 )
-from bosecanon.canonical import ConvergenceError, QuadratureConfig
+from bosecanon.canonical import (ConvergenceError, QuadratureConfig,
+                                 canonical_observables)
 from bosecanon.cli import FIT_T, main, resolve_settings
 from bosecanon.grand_canonical import solve_fugacity
 from bosecanon.spectrum import DomainError
@@ -83,6 +84,35 @@ def test_compute_row_refuses_a_huge_temperature_before_building_levels():
     row = compute_row(SPEC, 100, 1e306)
     assert row.converged == 0
     assert row.error.startswith("DomainError: 6.5e+307 trap levels")
+
+
+def test_a_particle_number_without_a_finite_double_is_a_domain_error(
+        tmp_path, capsys):
+    # 10^400 passes "whole number >= 1" but overflows float(): the integer
+    # rule refuses it, in compute_row, run_sweep and the CLI alike
+    with pytest.raises(DomainError, match="particle number"):
+        compute_row(SPEC, 10**400, 0.5)
+    with pytest.raises(DomainError, match="particle number"):
+        run_sweep([10**400], [0.5])
+    assert run_cli("--particles", str(10**400), "--t-over-tc", "0.5:0.5:0.1",
+                   "--out", str(tmp_path / "huge")) == 2
+    assert "particle number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, t", [(10_000, 1e-320), (100, 2e-323)])
+def test_compute_row_refuses_a_temperature_whose_saddle_offset_underflows(
+        n, t):
+    # -mu rounds to 0.0, so the ground factor would be exactly 1
+    t_over_tc = t / critical_temperature(SPEC, n)
+    row = compute_row(SPEC, n, t_over_tc)
+    assert row.error.startswith("DomainError: temperature")
+    assert "saddle offset underflows" in row.error
+    with pytest.raises(DomainError, match="saddle offset underflows"):
+        canonical_observables(SPEC, t, n)
+    # a forced offset is positive and is not refused
+    canonical_observables(SPEC, 1e-320, 100, QuadratureConfig(ground_offset=1e-300))
+    # at N = 100 the offset at 1e-320 is still positive
+    assert compute_row(SPEC, 100, 1e-320 / critical_temperature(SPEC, 100)).converged == 1
 
 
 def test_compute_row_records_one_level_spectrum_as_error():
