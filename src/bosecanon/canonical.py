@@ -43,25 +43,33 @@ as a second floor.
 Early exit. |F(z)| and the modulus of every accumulator's weight factor
 fall monotonically on [0, pi], so an interval's peak modulus times the
 length left to pi bounds everything past it. The sum stops at the first
-interval where that bound lies below CONVERGENCE_REL_TOL of every running
-sum; a running sum that is exactly zero holds the exit off, at worst to
-the full period. Each chunk of at most CHUNK_POINTS kernel points
-(1024 intervals of the 4-point rule, 4096 of the midpoint rule) gets one
-array-level decision, made per interval on sums added in interval
-order: the running sum is taken in place over the kernel's output,
-seeded with the sum carried in, so results do not depend on where the
-chunks end. Away from z = 0 the excited levels damp the integrand like
-the Gaussian exp(-var_ex z^2/2), var_ex being their number variance at
-the evaluation offset (the "Maxwell's demon" picture of Grossmann &
-Holthaus, PRL 79, 3557 (1997)), so the exit is predictable: one extra
-chunk boundary sits where var_ex z^2/2 reaches EXIT_DECAY. A row that
-exits before it evaluates no kernel points past it; a row that runs on
-continues on the regular chunk grid.
+interval where that bound lies below CONVERGENCE_REL_TOL of every
+running sum; a running sum that is exactly zero holds the exit off, at
+worst to the full period. Each chunk of at most CHUNK_POINTS kernel
+points (4096 intervals of the 4-point rule, 16384 of the midpoint rule)
+gets one array-level decision, made per interval on sums added in
+interval order: the running sum is taken in place over the kernel's
+output, seeded with the sum carried in, so results do not depend on
+where the chunks end. The decision tests one accumulator column at a
+time in a few reused chunk-length buffers, and only a copy of the sum
+carried on outlives the chunk, so no chunk's arrays are alive during the
+next kernel call and a row peaks at its largest kernel call.
+Away from z = 0 the excited levels damp the integrand like the Gaussian
+exp(-var_ex z^2/2), var_ex being their number variance at the evaluation
+offset (the "Maxwell's demon" picture of Grossmann & Holthaus, PRL 79,
+3557 (1997)), so the exit is predictable: one extra chunk boundary sits
+where var_ex z^2/2 reaches EXIT_DECAY. A row that exits before it
+evaluates no kernel points past it; a row that runs on continues on the
+regular chunk grid.
 
 Cost guard. The kernel work of a row is predicted before the first chunk:
 intervals up to the predicted exit (the half period when none is
 predicted) times points per interval times levels. Above MAX_LEVEL_POINTS
-the row is a DomainError instead of hours of kernel time.
+the row is a DomainError instead of hours of kernel time. So is a
+temperature whose level-1 Boltzmann factor exp(-spacing/T) lies below the
+normal doubles (T below 1/708.4 spacings), before the fugacity solve:
+there the n1 weight underflows, n1 reads 0 and the excited sums stay
+zero, which holds the exit off to the full period.
 
 One fugacity solve. The offset-free grand-canonical state at mean number
 N fixes the saddle offset; it is solved once per evaluation, also under a
@@ -72,6 +80,7 @@ the grand-canonical comparison columns of a sweep row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,26 +106,38 @@ __all__ = [
 CONVERGENCE_REL_TOL = 1e-12
 # Predicted exit: var_ex z^2/2 at the exit interval measures 32.4-39.6 on
 # the fig1 rows at or above 0.85 Tc and 33.3 at N = 10^6, T/Tc = 0.5. On
-# fig1, with 4096-point chunks, 37 takes the fewest level-points (141.26M
-# in 544 kernel calls; 35 takes 143.84M in 560, 36 141.98M in 551, 38
-# 141.44M in 541, 39 141.97M in 540). A larger value evaluates more points
-# past the exit, a smaller one cuts more chunks short of it (one more
-# kernel call each); the results stay the same.
-EXIT_DECAY = 37.0
-CHUNK_POINTS = 4096  # per kernel call: 1024 4-point or 4096 midpoint intervals
+# fig1, with 16384-point chunks, 39 takes the fewest level-points (146.75M
+# in 233 kernel calls; 35 takes 156.40M in 253, 37 148.75M in 237, 38
+# 146.94M in 234, 40 146.84M in 231, 41 147.56M in 230). A larger value
+# evaluates more points past the exit, a smaller one cuts more chunks short
+# of it (one more kernel call each); the results stay the same.
+EXIT_DECAY = 39.0
+CHUNK_POINTS = 16384  # per kernel call: 4096 4-point or 16384 midpoint intervals
 
 # Alias suppression: full-period point count must clear N by this many
 # decay lengths of the coefficient tail.
 TAIL_DECAY_LENGTHS = 36.0
 GRID_MARGIN = 0.55
 
-# Cost guard on the predicted kernel work: about 40 minutes at the 22-29 ns
-# per level-point of the numpy kernel on a 2-vCPU x86 host.
+# Cost guard on the predicted kernel work: about 35-40 minutes at the 20-24
+# ns per level-point of the numpy kernel on a 2-vCPU x86 host (traced
+# large_n and fig1_serial with 16384-point chunks).
 MAX_LEVEL_POINTS = 1e11
 
 # Above this N a single midpoint per interval is already accurate; below,
 # a 4-point Gauss rule costs little and buys headroom.
 MIDPOINT_N = 10_000
+
+# Gauss-Legendre nodes and weights on [-1, 1], the doubles that
+# numpy.polynomial.legendre.leggauss returns: written out, so that a row
+# does not import numpy.polynomial (1.3 MB of resident memory).
+GAUSS_LEGENDRE = {
+    1: ((0.0,), (2.0,)),
+    4: ((-0.8611363115940526, -0.33998104358485626,
+         0.33998104358485626, 0.8611363115940526),
+        (0.34785484513745357, 0.6521451548625464,
+         0.6521451548625464, 0.34785484513745357)),
+}
 
 
 class ConvergenceError(RuntimeError):
@@ -236,13 +257,39 @@ def _weight_peaks(q: np.ndarray, g: np.ndarray, s_mb: float) -> np.ndarray:
     return np.array([1.0, w0, w0sq, w1, w0 * w1, we, we * we + wev])
 
 
+def _exit_scan(run: np.ndarray, mass: np.ndarray, w_peak: np.ndarray):
+    """First interval of a chunk whose tail bound mass * w_peak lies within
+    CONVERGENCE_REL_TOL of every running sum, and the first interval up to
+    it with a running sum out of range; None where there is none.
+
+    One accumulator column at a time, in buffers reused across columns, so
+    the test costs a few chunk-length vectors instead of seven-wide ones.
+    """
+    scale = np.empty(mass.size)
+    bound = np.empty(mass.size)
+    flags = np.empty(mass.size, dtype=bool)
+    exits = np.ones(mass.size, dtype=bool)
+    finite = np.ones(mass.size, dtype=bool)
+    for k in range(N_ACCUMULATORS):
+        np.abs(run[:, k], out=scale)
+        finite &= np.isfinite(scale, out=flags)
+        np.multiply(CONVERGENCE_REL_TOL, scale, out=scale)
+        np.multiply(mass, w_peak[k], out=bound)
+        exits &= np.less_equal(bound, scale, out=flags)
+    hits = np.flatnonzero(exits)
+    first_exit = int(hits[0]) if hits.size else None
+    last = mass.size - 1 if first_exit is None else first_exit
+    bad = np.flatnonzero(~finite[:last + 1])
+    return first_exit, int(bad[0]) if bad.size else None
+
+
 def _quadrature_nodes(n: int):
     """Per-interval rule for N particles on the unit interval.
 
     One midpoint from MIDPOINT_N up, 4-point Gauss-Legendre below.
     """
-    x, w = np.polynomial.legendre.leggauss(1 if n >= MIDPOINT_N else 4)
-    return (x + 1.0) / 2.0, w / 2.0
+    x, w = GAUSS_LEGENDRE[1 if n >= MIDPOINT_N else 4]
+    return (np.array(x) + 1.0) / 2.0, np.array(w) / 2.0
 
 
 def _half_interval_count(n: int, ipo: int, tail_scale: float) -> int:
@@ -264,6 +311,12 @@ def canonical_observables(
     m_max = auto_m_max(spectrum, t, config.m_max)
     if m_max < 1:
         raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
+    q1 = math.exp(-spectrum.level_spacing / t)
+    if q1 < sys.float_info.min:
+        raise DomainError(
+            f"temperature {t} is too small for the n1 observables: the "
+            f"level-1 Boltzmann factor exp(-{spectrum.level_spacing}/T) = "
+            f"{q1:.3g} underflows the normal doubles")
     gc_state = solve_fugacity(spectrum.with_ground_offset(0.0), t, n,
                               m_max=m_max)
     eps0 = config.ground_offset or -gc_state.mu
@@ -310,25 +363,25 @@ def canonical_observables(
         i1 = min((done // step + 1) * step, n_half)
         if done < boundary < i1:
             i1 = boundary
-        out, peak = projection_chunk(q, g, float(n), s_mb, h, done, i1,
+        run, peak = projection_chunk(q, g, float(n), s_mb, h, done, i1,
                                      nodes, wts, offset)
-        out[0] += acc
-        run = np.cumsum(out, axis=0, out=out)
-        scale = np.abs(run)
+        run[0] += acc
+        np.cumsum(run, axis=0, out=run)
         # Bound on everything past each interval, from its peak modulus.
-        mass = np.exp(peak) * (math.pi - np.arange(done + 1, i1 + 1) * h)
-        exits = np.flatnonzero(
-            (mass[:, None] * w_peak <= CONVERGENCE_REL_TOL * scale).all(axis=1))
-        last = int(exits[0]) if exits.size else i1 - done - 1
-        overflow = np.flatnonzero(~np.isfinite(scale[:last + 1]).all(axis=1))
-        if overflow.size:
+        mass = np.exp(peak)
+        mass *= math.pi - np.arange(done + 1, i1 + 1) * h
+        first_exit, first_overflow = _exit_scan(run, mass, w_peak)
+        if first_overflow is not None:
             raise ConvergenceError(
                 "accumulator left the representable range",
-                {"interval": done + int(overflow[0]) + 1,
+                {"interval": done + first_overflow + 1,
                  "offset": offset, "n_half": n_half})
-        acc = run[last]
+        last = i1 - done - 1 if first_exit is None else first_exit
+        acc = run[last].copy()
         done += last + 1
-        if exits.size:
+        # the next kernel call must not find this chunk's arrays alive
+        del run, peak, mass
+        if first_exit is not None:
             break
 
     z_re = float(acc[0].real)

@@ -369,7 +369,7 @@ def test_exit_bound_covers_the_skipped_intervals(monkeypatch, n, t_over_tc):
 
 
 def test_kernel_stops_near_the_predicted_exit(monkeypatch):
-    # without the predicted boundary the first 1024-interval chunk (4096
+    # without the predicted boundary the first 4096-interval chunk (16384
     # points) runs for the 288 intervals this row needs
     points = []
     kernel = canonical.projection_chunk
@@ -386,7 +386,7 @@ def test_kernel_stops_near_the_predicted_exit(monkeypatch):
 
 def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
         monkeypatch):
-    # N = 10^9 at T/Tc = 0.05 predicts 1.8e11 level-points (over an hour of
+    # N = 10^9 at T/Tc = 0.05 predicts 1.9e11 level-points (over an hour of
     # kernel); the largest benchmark row, N = 10^6 at T/Tc = 0.5, 1.6e8
     calls = []
     monkeypatch.setattr(canonical, "projection_chunk",
@@ -395,7 +395,7 @@ def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
     row = compute_row(SPEC, 10**9, 0.05)
     assert time.perf_counter() - started < 1.0
     assert not row.converged and calls == []
-    assert row.error.startswith("DomainError: predicted kernel work of 1.8e+11")
+    assert row.error.startswith("DomainError: predicted kernel work of 1.9e+11")
     with pytest.raises(DomainError, match="level-points"):
         canonical_observables(SPEC, 0.05 * critical_temperature(SPEC, 10**9),
                               10**9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,14 @@ SPEC = TrapSpectrum()
 
 
 def reference_projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
-    """The kernel as plain array expressions, one fresh array per step."""
+    """The kernel as plain array expressions, one fresh array per step.
+
+    The two complex products of a temporary are written as ufunc calls:
+    from 256 KiB numpy's temporary elision would turn `x * (1.0 + x)` into
+    an in-place product with the operands swapped, and the complex multiply
+    (fused multiply-add where the CPU has it) then rounds the imaginary part
+    differently from the kernel's `x * w0sq`.
+    """
     z = (np.arange(i0, i1, dtype=np.float64)[:, None] + nodes[None, :]) * h
     c = np.cos(z)
     s = np.sin(z)
@@ -31,7 +40,7 @@ def reference_projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
         w = x / u
         if m == 0:
             w0 = w
-            w0sq = x * (1.0 + x) / (u * u)
+            w0sq = np.multiply(x, np.add(1.0, x)) / (u * u)
         else:
             if m == 1:
                 w1 = w
@@ -46,7 +55,7 @@ def reference_projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
     out[:, 3] = (v * w1).sum(axis=1)
     out[:, 4] = (v * w0 * w1).sum(axis=1)
     out[:, 5] = (v * we).sum(axis=1)
-    out[:, 6] = (v * (we * we + wev)).sum(axis=1)
+    out[:, 6] = np.multiply(v, we * we + wev).sum(axis=1)
     peak = rel.max(axis=1)
     return out, peak
 
@@ -79,3 +88,55 @@ def test_kernel_matches_the_plain_expressions_bit_for_bit(monkeypatch, n,
     ref_out, ref_peak = reference_projection_chunk(*args)
     assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
     assert np.array_equal(peak.view(np.uint64), ref_peak.view(np.uint64))
+
+
+# Traced bytes per point of one full-size midpoint chunk, output included:
+# 208 today (a float block that holds the float arrays and then the 7-wide
+# output, five complex work arrays, the peaks); a kernel holding the
+# level-0 and level-1 weights through the level loop took 328.
+KERNEL_BYTES_PER_POINT = 224
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_chunk_stays_within_its_memory_budget(monkeypatch):
+    # the midpoint rule returns one 7-wide output row per point, the most
+    # memory a chunk of CHUNK_POINTS points takes
+    args = _first_chunk(monkeypatch, 10_000, 0.3)
+    assert args[6] - args[5] == canonical.CHUNK_POINTS
+    peak = _traced_peak(projection_chunk, *args)
+    assert peak <= KERNEL_BYTES_PER_POINT * canonical.CHUNK_POINTS
+
+
+def test_a_multi_chunk_row_peaks_at_one_kernel_call(monkeypatch):
+    # the engine releases each chunk before the next kernel call and tests
+    # the exit one accumulator at a time, so a row of three chunks takes no
+    # more memory than its largest kernel call
+    n, t = 10_000, 0.3 * critical_temperature(SPEC, 10_000)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return projection_chunk(*args)
+
+    monkeypatch.setattr(canonical, "projection_chunk", recording)
+    canonical_observables(SPEC, t, n)
+    assert len(calls) >= 3
+    monkeypatch.setattr(canonical, "projection_chunk", projection_chunk)
+    chunk = max(_traced_peak(projection_chunk, *args) for args in calls)
+    row = _traced_peak(canonical_observables, SPEC, t, n)
+    assert row <= chunk + 64 * 1024  # the level arrays and the solve
+
+
+def test_quadrature_rules_are_numpys_gauss_legendre():
+    for points, (x, w) in canonical.GAUSS_LEGENDRE.items():
+        ref_x, ref_w = np.polynomial.legendre.leggauss(points)
+        assert np.array_equal(np.array(x), ref_x)
+        assert np.array_equal(np.array(w), ref_w)

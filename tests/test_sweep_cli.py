@@ -4,6 +4,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -102,17 +103,48 @@ def test_a_particle_number_without_a_finite_double_is_a_domain_error(
 @pytest.mark.parametrize("n, t", [(10_000, 1e-320), (100, 2e-323)])
 def test_compute_row_refuses_a_temperature_whose_saddle_offset_underflows(
         n, t):
-    # -mu rounds to 0.0, so the ground factor would be exactly 1
-    t_over_tc = t / critical_temperature(SPEC, n)
-    row = compute_row(SPEC, n, t_over_tc)
+    # -mu rounds to 0.0, so the ground factor would be exactly 1; a level
+    # spacing of T keeps the level-1 factor at 1/e, clear of the level-1
+    # rule that refuses these temperatures on the unit spacing
+    spec = TrapSpectrum(level_spacing=t)
+    row = compute_row(spec, n, t / critical_temperature(spec, n))
     assert row.error.startswith("DomainError: temperature")
     assert "saddle offset underflows" in row.error
     with pytest.raises(DomainError, match="saddle offset underflows"):
-        canonical_observables(SPEC, t, n)
+        canonical_observables(spec, t, n)
     # a forced offset is positive and is not refused
-    canonical_observables(SPEC, 1e-320, 100, QuadratureConfig(ground_offset=1e-300))
+    tiny = TrapSpectrum(level_spacing=1e-320)
+    canonical_observables(tiny, 1e-320, 100,
+                          QuadratureConfig(ground_offset=1e-322))
     # at N = 100 the offset at 1e-320 is still positive
-    assert compute_row(SPEC, 100, 1e-320 / critical_temperature(SPEC, 100)).converged == 1
+    assert compute_row(tiny, 100,
+                       1e-320 / critical_temperature(tiny, 100)).converged == 1
+
+
+@pytest.mark.parametrize("n, t", [(10**6, 1e-3), (10**4, 1.4e-3), (100, 1e-320)])
+def test_compute_row_refuses_a_level_1_factor_below_the_normal_doubles(n, t):
+    # below T = 1/708.4 spacings exp(-spacing/T) leaves the normal doubles:
+    # n1 then loses its digits or reads 0, and the normalised correlation
+    # 0/0; the row is refused before the fugacity solve, not after a half
+    # period of kernel
+    started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = compute_row(SPEC, n, t / critical_temperature(SPEC, n))
+    assert time.perf_counter() - started < 1.0
+    assert row.converged == 0
+    assert row.error.startswith("DomainError: temperature ")
+    assert "level-1 Boltzmann factor" in row.error
+    with pytest.raises(DomainError, match="level-1 Boltzmann factor"):
+        canonical_observables(SPEC, t, n)
+
+
+def test_a_level_1_factor_in_the_normal_doubles_still_converges():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = compute_row(SPEC, 10**4, 1.5e-3 / critical_temperature(SPEC, 10**4))
+    assert row.converged == 1
+    assert row.corr_01_normalized == pytest.approx(-1e-4, rel=1e-9)
 
 
 def test_compute_row_records_one_level_spectrum_as_error():
