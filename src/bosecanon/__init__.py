@@ -18,7 +18,6 @@ from .spectrum import (
 from .canonical import (
     CanonicalResult,
     ConvergenceError,
-    QuadratureConfig,
     canonical_observables,
 )
 from .grand_canonical import (

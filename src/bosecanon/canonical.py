@@ -30,7 +30,7 @@ eps0* = -T log(fugacity(N, T)), where the integrand is a positive, nearly
 Gaussian peak. Observables do not depend on the offset at all, and log Z
 at any other offset follows from the exact identity
 log Z(eps0) = log Z(eps0') - N (eps0 - eps0')/T, so nothing is lost.
-A fixed override (QuadratureConfig.ground_offset) remains available for
+A forced offset (the keyword ground_offset) remains available for
 invariance studies.
 
 Grid density. A uniform M-point rule on the full period sums coefficient
@@ -95,7 +95,6 @@ from .grand_canonical import (
 from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
-    "QuadratureConfig",
     "CanonicalResult",
     "ConvergenceError",
     "canonical_observables",
@@ -146,35 +145,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the contour quadrature.
-
-    m_max: highest Bose-treated level, clamped to a finite ladder's top;
-        None takes a finite ladder's top level or derives one from T
-        (grand_canonical.auto_m_max).
-    intervals_per_oscillation: multiplies the grid density floor.
-    ground_offset: None evaluates at the saddle offset; a positive float
-        forces that offset (invariance studies; poorly balanced values
-        lose digits to cancellation and may fail outright).
-    """
-
-    m_max: int | None = None
-    intervals_per_oscillation: int = 1
-    ground_offset: float | None = None
-
-    def __post_init__(self):
-        # Keep the checked plain int/float, so asdict(config) is JSON-ready
-        # whatever numeric type was passed in.
-        if self.m_max is not None:
-            object.__setattr__(self, "m_max", _integer("m_max", self.m_max, 1))
-        object.__setattr__(self, "intervals_per_oscillation", _integer(
-            "intervals_per_oscillation", self.intervals_per_oscillation, 1))
-        if self.ground_offset is not None:
-            object.__setattr__(self, "ground_offset", float(_finite_real(
-                "forced ground_offset", self.ground_offset)))
 
 
 @dataclass(frozen=True)
@@ -301,14 +271,29 @@ def canonical_observables(
     spectrum: TrapSpectrum,
     t: float,
     n: int,
-    config: QuadratureConfig | None = None,
+    m_max: int | None = None,
+    *,
+    ground_offset: float | None = None,
+    intervals_per_oscillation: int = 1,
 ) -> CanonicalResult:
-    """Evaluate Z(N, T) and the occupation moments in one quadrature pass."""
-    config = config or QuadratureConfig()
+    """Evaluate Z(N, T) and the occupation moments in one quadrature pass.
+
+    m_max: highest Bose-treated level, clamped to a finite ladder's top;
+        None takes a finite ladder's top level or derives one from T
+        (grand_canonical.auto_m_max).
+    ground_offset: None evaluates at the saddle offset; a positive float
+        forces that offset (invariance studies; poorly balanced values
+        lose digits to cancellation and may fail outright).
+    intervals_per_oscillation: multiplies the grid density floor.
+    """
     _finite_real("temperature", t)
     _integer("particle number", n, 1)
+    ipo = _integer("intervals_per_oscillation", intervals_per_oscillation, 1)
+    if ground_offset is not None:
+        ground_offset = float(_finite_real("forced ground_offset",
+                                           ground_offset))
 
-    m_max = auto_m_max(spectrum, t, config.m_max)
+    m_max = auto_m_max(spectrum, t, m_max)
     if m_max < 1:
         raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
     q1 = math.exp(-spectrum.level_spacing / t)
@@ -319,7 +304,7 @@ def canonical_observables(
             f"{q1:.3g} underflows the normal doubles")
     gc_state = solve_fugacity(spectrum.with_ground_offset(0.0), t, n,
                               m_max=m_max)
-    eps0 = config.ground_offset or -gc_state.mu
+    eps0 = ground_offset or -gc_state.mu
     if not eps0 > 0.0:
         raise DomainError(f"temperature {t} is too small for N = {n}: the "
                           f"saddle offset underflows to {eps0}")
@@ -336,7 +321,7 @@ def canonical_observables(
     tail_scale = w_peak[1] + math.sqrt(var0) + 20.0
 
     nodes, wts = _quadrature_nodes(n)
-    n_half = _half_interval_count(n, config.intervals_per_oscillation, tail_scale)
+    n_half = _half_interval_count(n, ipo, tail_scale)
     h = math.pi / n_half
 
     # Chunk boundary at the predicted exit; none when the excited variance

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .canonical import QuadratureConfig
 from .spectrum import DomainError
 from .sweep import (
     DISCREPANCY_CHANNELS,
@@ -179,7 +178,7 @@ def _run_sweep(settings: argparse.Namespace) -> int:
     result = run_sweep(
         settings.particles,
         settings.t_grid,
-        config=QuadratureConfig(m_max=settings.m_max),
+        m_max=settings.m_max,
         threads=settings.threads,
     )
     result.meta["preset"] = settings.preset

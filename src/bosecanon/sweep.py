@@ -31,7 +31,7 @@ from .asymptotics import (
     correlation_limit,
     delta_n0_fraction_limit,
 )
-from .canonical import ConvergenceError, QuadratureConfig, canonical_observables
+from .canonical import ConvergenceError, canonical_observables
 # solve_fugacity is not called here: rows take their grand-canonical
 # columns from CanonicalResult.gc_state. The name stays because the
 # benchmark tracer (perfbench/spans.py) patches sweep.solve_fugacity.
@@ -107,13 +107,14 @@ def compute_row(
     spectrum: TrapSpectrum,
     n: int,
     t_over_tc: float,
-    config: QuadratureConfig | None = None,
+    m_max: int | None = None,
 ) -> SweepRow:
-    """Evaluate one grid point; convergence failures become error records."""
+    """Evaluate one grid point at level truncation m_max (None: auto);
+    convergence failures become error records."""
     tc = critical_temperature(spectrum, n)
     t = t_over_tc * tc
     try:
-        r = canonical_observables(spectrum, t, n, config)
+        r = canonical_observables(spectrum, t, n, m_max)
         gc = r.gc_state
     except (ConvergenceError, DomainError) as err:
         return SweepRow(n=n, t_over_tc=t_over_tc,
@@ -185,15 +186,18 @@ PRESETS = {"fig1": Preset((100, 1000, 10_000), 0.1, 1.4, 0.05)}
 def run_sweep(
     particles,
     t_grid,
-    config: QuadratureConfig | None = None,
+    m_max: int | None = None,
     spectrum: TrapSpectrum | None = None,
     threads: int | None = 1,
 ) -> SweepResult:
     """Evaluate the full (N, T/Tc) grid, rows in deterministic order.
 
+    m_max=None lets each row pick its level truncation (auto_m_max).
     threads=None or 0 means one thread per CPU; rows contend for the GIL.
     A negative or fractional count is a DomainError.
     """
+    if m_max is not None:
+        m_max = _integer("m_max", m_max, 1)
     if threads is not None:
         threads = _integer("threads", threads, 0)
     spectrum = spectrum or TrapSpectrum()
@@ -202,29 +206,31 @@ def run_sweep(
     workers = threads or os.cpu_count() or 1
     started = time.time()
     if workers == 1:
-        rows = [compute_row(spectrum, n, t, config) for n, t in points]
+        rows = [compute_row(spectrum, n, t, m_max) for n, t in points]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(compute_row, spectrum, n, t, config)
+            futures = [pool.submit(compute_row, spectrum, n, t, m_max)
                        for n, t in points]
             rows = [f.result() for f in futures]
     meta = {
         "version": __version__,
         "workers": workers,
         "particles": particles,
+        "m_max": m_max,
         "t_grid": [float(t) for t in t_grid],
         "level_spacing": spectrum.level_spacing,
         "elapsed_seconds": round(time.time() - started, 3),
         "failed_rows": sum(1 for r in rows if r.error),
     }
-    if config is not None:
-        meta["config"] = asdict(config)
     return SweepResult(rows=rows, meta=meta)
 
 
 # Named discrepancy channels for the scaling fits: each maps a row to the
 # fractional gap whose decay with N is being measured.
 def _gap_to_limit(row: SweepRow) -> float:
+    # no condensate limit at or above Tc: NaN skips the row
+    if row.fraction_limit == 0.0:
+        return math.nan
     return abs(row.fraction_limit - row.n0_over_n) / row.fraction_limit
 
 

@@ -20,9 +20,10 @@ worker independence must hold bit for bit. A failing suite is shown by
 perturbing a result, not by tightening a tolerance.
 
 The three invariance suites share one saddle result per probe: the
-default evaluation a. Each suite makes one more evaluation, with a
-QuadratureConfig built from a (its saddle offset, its m_max), and compares
-the six observables and the offset-free log Z, the latter relative to
+default evaluation a. Each suite makes one more evaluation, with one
+keyword of canonical_observables set from a (a forced ground_offset, a
+doubled m_max, or intervals_per_oscillation=2), and compares the six
+observables and the offset-free log Z, the latter relative to
 max(|log Z|, 1). No suite solves a fugacity of its own.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .canonical import QuadratureConfig, canonical_observables
+from .canonical import canonical_observables
 from .oracle import recursion_table
 from .spectrum import TrapSpectrum, critical_temperature
 from .sweep import FIELD_ORDER, run_sweep
@@ -83,7 +84,6 @@ def _oracle_equivalence(spectrum) -> SuiteResult:
     worst = 0.0
     probes = 0
     for m_max in (20, 40):
-        cfg = QuadratureConfig(m_max=m_max)
         for t in (0.5, 2.0, 5.0, 10.0):
             t_abs = t * spectrum.level_spacing
             for n in (1, 2, 7, 25, MAX_N):
@@ -91,9 +91,9 @@ def _oracle_equivalence(spectrum) -> SuiteResult:
                     spectrum.with_ground_offset(0.0), t_abs, n,
                     m_max=m_max, tail_closure=True,
                 )
-                r = canonical_observables(spectrum, t_abs, n, cfg)
+                r = canonical_observables(spectrum, t_abs, n, m_max)
                 if n >= 2:
-                    prev = canonical_observables(spectrum, t_abs, n - 1, cfg)
+                    prev = canonical_observables(spectrum, t_abs, n - 1, m_max)
                     ratio_engine = math.exp(r.log_z_zero_offset
                                             - prev.log_z_zero_offset)
                 else:
@@ -115,21 +115,21 @@ def _saddle_results(spectrum) -> list:
             ((50, 0.5 * tc50), (100, 0.7 * tc100), (100, 1.2 * tc100))]
 
 
-# Each invariance suite's second configuration, built from a probe's
-# default result.
+# Each invariance suite's second evaluation: keywords of
+# canonical_observables, built from a probe's default result.
 _VARIATIONS = {
-    "offset_invariance": lambda a: QuadratureConfig(
-        ground_offset=a.ground_offset
-        + 2.0 * a.t / math.sqrt(a.gc_state.number_variance)),
-    "m_max_doubling": lambda a: QuadratureConfig(m_max=2 * a.m_max),
-    "grid_refinement": lambda a: QuadratureConfig(intervals_per_oscillation=2),
+    "offset_invariance": lambda a: {
+        "ground_offset": a.ground_offset
+        + 2.0 * a.t / math.sqrt(a.gc_state.number_variance)},
+    "m_max_doubling": lambda a: {"m_max": 2 * a.m_max},
+    "grid_refinement": lambda a: {"intervals_per_oscillation": 2},
 }
 
 
 def _invariance(name, spectrum, saddle_results) -> SuiteResult:
     worst = 0.0
     for a in saddle_results:
-        b = canonical_observables(spectrum, a.t, a.n, _VARIATIONS[name](a))
+        b = canonical_observables(spectrum, a.t, a.n, **_VARIATIONS[name](a))
         for key, va in a.observables().items():
             worst = max(worst, _rel(va, getattr(b, key)))
         worst = max(worst, abs(a.log_z_zero_offset - b.log_z_zero_offset)

@@ -13,11 +13,7 @@ from bosecanon.asymptotics import (
     damping_crossover,
     delta_n0_fraction_limit,
 )
-from bosecanon.canonical import (
-    ConvergenceError,
-    QuadratureConfig,
-    canonical_observables,
-)
+from bosecanon.canonical import ConvergenceError, canonical_observables
 from bosecanon.grand_canonical import auto_m_max, mean_occupation, solve_fugacity
 from bosecanon.oracle import enumerate_exact, recursion_table
 from bosecanon.sweep import compute_row, run_sweep, temperature_grid
@@ -29,16 +25,19 @@ SPEC = TrapSpectrum()
 
 
 def test_quadrature_config_rejects_bad_values():
-    with pytest.raises(DomainError):
-        QuadratureConfig(intervals_per_oscillation=0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(m_max=-1)
+    # the quadrature's settings are checked where they are read
+    with pytest.raises(DomainError, match="intervals_per_oscillation"):
+        canonical_observables(SPEC, 5.0, 10, intervals_per_oscillation=0)
+    with pytest.raises(DomainError, match="top level"):
+        canonical_observables(SPEC, 5.0, 10, -1)
+    with pytest.raises(DomainError, match="need level 1"):
+        canonical_observables(SPEC, 5.0, 10, 0)
 
 
 def test_config_m_max_clamps_to_finite_spectrum():
     spec = TrapSpectrum(max_level=3)
     assert auto_m_max(spec, 5.0, 500) == 3
-    res = canonical_observables(spec, 5.0, 10, QuadratureConfig(m_max=500))
+    res = canonical_observables(spec, 5.0, 10, 500)
     assert res.m_max == 3
 
 
@@ -93,9 +92,8 @@ def test_engine_matches_recursion_truncate_mode():
 
 
 def test_engine_matches_recursion_with_tail_closure():
-    cfg = QuadratureConfig(m_max=45)
     t, n = 4.0, 60
-    res = canonical_observables(SPEC, t, n, cfg)
+    res = canonical_observables(SPEC, t, n, 45)
     table = recursion_table(SPEC, t, n, m_max=45, tail_closure=True)
     assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-10)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
@@ -129,7 +127,7 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     t, n = 5.0, 100
     base = canonical_observables(SPEC, t, n)
     forced = canonical_observables(
-        SPEC, t, n, QuadratureConfig(ground_offset=base.ground_offset * 0.5)
+        SPEC, t, n, ground_offset=base.ground_offset * 0.5
     )
     assert forced.ground_offset == pytest.approx(base.ground_offset * 0.5)
     assert forced.log_z_zero_offset == pytest.approx(base.log_z_zero_offset, rel=1e-10)
@@ -163,9 +161,10 @@ def test_saddle_offset_tracks_fugacity():
     lambda: critical_temperature(SPEC, math.inf),
     lambda: compute_row(SPEC, 10.5, 0.5),
     lambda: run_sweep([10.5], [0.5]),
-    lambda: QuadratureConfig(intervals_per_oscillation=1.5),
-    lambda: QuadratureConfig(intervals_per_oscillation=math.inf),
-    lambda: QuadratureConfig(ground_offset=math.inf),
+    lambda: canonical_observables(SPEC, 5.0, 10, intervals_per_oscillation=1.5),
+    lambda: canonical_observables(SPEC, 5.0, 10,
+                                  intervals_per_oscillation=math.inf),
+    lambda: canonical_observables(SPEC, 5.0, 10, ground_offset=math.inf),
     lambda: mean_occupation(math.inf, 1.0, 0.0),
     lambda: recursion_table(SPEC, math.inf, 5),
     lambda: recursion_table(SPEC, 5.0, 2.5, m_max=10),
@@ -196,9 +195,9 @@ def test_integral_particle_numbers_of_any_type_agree():
         assert repr(canonical_observables(SPEC, 5.0, n).observables()) == repr(
             base.observables())
     # integral level indices of numpy type too
-    capped = canonical_observables(SPEC, 5.0, 10, QuadratureConfig(m_max=30))
+    capped = canonical_observables(SPEC, 5.0, 10, 30)
     assert repr(canonical_observables(
-        SPEC, 5.0, 10, QuadratureConfig(m_max=np.int64(30))).observables()
+        SPEC, 5.0, 10, np.int64(30)).observables()
     ) == repr(capped.observables())
     ladder = canonical_observables(TrapSpectrum(max_level=45), 5.0, 60)
     assert repr(canonical_observables(
@@ -215,11 +214,10 @@ def test_converged_flag_and_interval_bookkeeping():
 def test_bad_offset_breaks_conditioning():
     # a huge artificial tilt underflows every level weight; the projection
     # integral of the bare oscillation carries no signal and must refuse
-    cfg = QuadratureConfig(ground_offset=4000.0)
     with pytest.raises(ConvergenceError, match="lost all significant digits"):
-        canonical_observables(SPEC, 0.5, 5000, cfg)
+        canonical_observables(SPEC, 0.5, 5000, ground_offset=4000.0)
     with pytest.raises(DomainError):
-        canonical_observables(SPEC, 0.5, 50, QuadratureConfig(ground_offset=-1.0))
+        canonical_observables(SPEC, 0.5, 50, ground_offset=-1.0)
 
 
 def test_variances_clamped_nonnegative():
@@ -238,7 +236,7 @@ def test_shift_invariance_at_two_forced_offsets():
     # offset, for offsets within a few T/sqrt(var) of the saddle
     t, n = 5.0, 120
     eps = canonical_observables(SPEC, t, n).ground_offset
-    a, b = (canonical_observables(SPEC, t, n, QuadratureConfig(ground_offset=f * eps))
+    a, b = (canonical_observables(SPEC, t, n, ground_offset=f * eps)
             for f in (0.7, 1.3))
     for name, va in a.observables().items():
         assert getattr(b, name) == pytest.approx(va, rel=1e-11), name
@@ -251,11 +249,11 @@ def test_shift_invariance_identical_offsets_degenerate():
     # does not reach the arithmetic, so lifted ladders give the same bits
     t, n = 4.0, 40
     eps = canonical_observables(SPEC, t, n).ground_offset
-    for cfg in (QuadratureConfig(), QuadratureConfig(ground_offset=eps)):
-        base = canonical_observables(SPEC, t, n, cfg)
+    for forced in (None, eps):
+        base = canonical_observables(SPEC, t, n, ground_offset=forced)
         for offset in (0.3, eps, 7.0):
             lifted = canonical_observables(SPEC.with_ground_offset(offset),
-                                           t, n, cfg)
+                                           t, n, ground_offset=forced)
             assert repr(lifted) == repr(base)
 
 
@@ -265,8 +263,7 @@ def test_shift_invariance_identical_offsets_degenerate():
 def test_quadrature_insensitive_to_point_count():
     t, n = 5.0, 80
     a = canonical_observables(SPEC, t, n)
-    b = canonical_observables(SPEC, t, n,
-                              QuadratureConfig(intervals_per_oscillation=2))
+    b = canonical_observables(SPEC, t, n, intervals_per_oscillation=2)
     assert b.intervals_total == 2 * a.intervals_total
     assert a.n0_mean == pytest.approx(b.n0_mean, rel=1e-10)
     assert a.log_z_zero_offset == pytest.approx(b.log_z_zero_offset, rel=1e-10)
@@ -404,8 +401,8 @@ def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
 def test_single_solve_state_is_the_offset_free_ladder():
     t, n = 5.0, 100
     lifted = SPEC.with_ground_offset(0.3)
-    for cfg in (QuadratureConfig(), QuadratureConfig(ground_offset=0.02)):
-        res = canonical_observables(lifted, t, n, cfg)
+    for forced in (None, 0.02):
+        res = canonical_observables(lifted, t, n, ground_offset=forced)
         assert res.gc_state == solve_fugacity(SPEC, t, n, m_max=res.m_max)
     assert res.ground_offset == 0.02
     assert canonical_observables(lifted, t, n).ground_offset == -res.gc_state.mu
@@ -449,6 +446,7 @@ def test_engine_recursion_agreement_property(n, t_frac):
     (100, 3.0),
     (1000, 0.01),
     (1000, 3.0),
+    (10_000, 3.0),  # midpoint rule above 2 Tc
 ])
 def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
     # N = 10^4 and T/Tc far below and above the transition, against the

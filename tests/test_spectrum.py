@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from bosecanon.canonical import QuadratureConfig
+from bosecanon.canonical import canonical_observables
 from bosecanon.grand_canonical import solve_fugacity
 from bosecanon.oracle import recursion_table
 from bosecanon.spectrum import (
@@ -55,7 +55,7 @@ def test_resolved_max_level_clamps_to_cap():
     lambda: TrapSpectrum(max_level=3.5),
     lambda: TrapSpectrum(max_level=math.inf),
     lambda: TrapSpectrum(max_level=math.nan),
-    lambda: QuadratureConfig(m_max=30.5),
+    lambda: canonical_observables(TrapSpectrum(), 5.0, 10, 30.5),
 ], ids=["recursion_table", "solve_fugacity", "degeneracies", "energies",
         "degeneracies-fractional", "energy-fractional", "max-level-fractional",
         "max-level-inf", "max-level-nan", "config-m-max-fractional"])

@@ -9,15 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
+import bosecanon
 from bosecanon import (
     TrapSpectrum,
+    canonical,
     critical_temperature,
     grand_canonical,
     sweep,
     validate,
 )
-from bosecanon.canonical import (ConvergenceError, QuadratureConfig,
-                                 canonical_observables)
+from bosecanon.canonical import ConvergenceError, canonical_observables
 from bosecanon.cli import FIT_T, main, resolve_settings
 from bosecanon.grand_canonical import solve_fugacity
 from bosecanon.spectrum import DomainError
@@ -26,6 +27,7 @@ from bosecanon.sweep import (
     FIELD_ORDER,
     PRESETS,
     Preset,
+    SweepRow,
     compute_row,
     fit_scaling,
     run_sweep,
@@ -65,15 +67,56 @@ def test_compute_row_above_transition_drops_condensed_forms():
     assert row.n0_over_n < 0.1
 
 
-def test_compute_row_records_failures_instead_of_raising():
-    cfg = QuadratureConfig(ground_offset=4000.0)
-    row = compute_row(SPEC, 5000, 0.5, cfg)
+def test_compute_row_records_failures_instead_of_raising(monkeypatch):
+    with monkeypatch.context() as patch:
+        fail_every_row(patch)
+        row = compute_row(SPEC, 5000, 0.5)
     assert row.converged == 0
-    assert row.error != ""
+    assert row.error == "ConvergenceError: forced failure"
     assert math.isnan(row.n0_mean)
     # a bad T/Tc is a row error too; a bad N is refused (critical_temperature)
     for t_over_tc in (math.nan, math.inf, 0.0):
         assert compute_row(SPEC, 50, t_over_tc).error.startswith("DomainError")
+
+
+def test_package_has_no_quadrature_config():
+    # m_max is a plain parameter and the self-check perturbations are
+    # keywords of canonical_observables: no settings object is left
+    for module in (bosecanon, canonical):
+        assert [name for name in dir(module) if name.endswith("Config")] == []
+
+
+def test_m_max_is_the_one_row_setting():
+    res = canonical_observables(SPEC, 0.5 * critical_temperature(SPEC, 20),
+                                20, 30)
+    row = compute_row(SPEC, 20, 0.5, m_max=30)
+    assert row.m_max == res.m_max == 30
+    for column in ("n0_mean", "delta_n0", "n1_mean", "log_z", "ground_offset",
+                   "intervals_evaluated", "intervals_total"):
+        assert repr(getattr(row, column)) == repr(getattr(res, column)), column
+    result = run_sweep([20], [0.5], m_max=np.int64(30))
+    assert [repr(r) for r in result.rows] == [repr(row)]
+    assert result.meta["m_max"] == 30
+    assert run_sweep([20], [0.5]).meta["m_max"] is None
+    for bad in (0, -1, 30.5):
+        with pytest.raises(DomainError, match="m_max"):
+            run_sweep([20], [0.5], m_max=bad)
+
+
+def test_self_check_perturbations_are_engine_keywords_only():
+    base = canonical_observables(SPEC, 5.0, 10)
+    dense = canonical_observables(SPEC, 5.0, 10, intervals_per_oscillation=2)
+    assert dense.intervals_total == 2 * base.intervals_total
+    forced = canonical_observables(SPEC, 5.0, 10,
+                                   ground_offset=base.ground_offset)
+    assert forced.ground_offset == base.ground_offset
+    with pytest.raises(TypeError):
+        canonical_observables(SPEC, 5.0, 10, None, base.ground_offset)
+    with pytest.raises(TypeError):
+        canonical_observables(SPEC, 5.0, 10, None, None, 2)
+    for keyword in ({"ground_offset": 1.0}, {"intervals_per_oscillation": 2}):
+        with pytest.raises(TypeError):
+            compute_row(SPEC, 10, 0.5, **keyword)
 
 
 def test_compute_row_refuses_a_huge_temperature_before_building_levels():
@@ -114,8 +157,7 @@ def test_compute_row_refuses_a_temperature_whose_saddle_offset_underflows(
         canonical_observables(spec, t, n)
     # a forced offset is positive and is not refused
     tiny = TrapSpectrum(level_spacing=1e-320)
-    canonical_observables(tiny, 1e-320, 100,
-                          QuadratureConfig(ground_offset=1e-322))
+    canonical_observables(tiny, 1e-320, 100, ground_offset=1e-322)
     # at N = 100 the offset at 1e-320 is still positive
     assert compute_row(tiny, 100,
                        1e-320 / critical_temperature(tiny, 100)).converged == 1
@@ -288,6 +330,24 @@ def test_fit_scaling_recovers_exponent(small_sweep):
     assert math.isfinite(fit.stderr)
 
 
+def test_fit_scaling_skips_rows_without_a_condensate_limit(tmp_path):
+    # at T/Tc >= 1 the limit fraction is 0, so n0_limit_gap has no value
+    # there: such rows are skipped without a warning, whether they hold
+    # numpy floats (engine rows) or plain floats (rows read from a file)
+    result = run_sweep([20, 40, 80], [0.6, 1.2])
+    write_json(result, tmp_path / "out.json")
+    with open(tmp_path / "out.json") as fh:
+        reread = [SweepRow(**{k: math.nan if v is None else v
+                              for k, v in d.items()})
+                  for d in json.load(fh)["rows"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (result.rows, reread):
+            with pytest.raises(DomainError, match="have 0"):
+                fit_scaling(rows, "n0_limit_gap", 1.2)
+            assert fit_scaling(rows, "n0_limit_gap", 0.6).points == 3
+
+
 def test_fit_scaling_requires_three_sizes(small_sweep):
     subset = [r for r in small_sweep.rows if r.n in (20, 80)]
     with pytest.raises(DomainError):
@@ -341,18 +401,16 @@ def test_numpy_integer_inputs_write_json(tmp_path):
 
 
 def test_numpy_config_fields_write_json(tmp_path):
-    # a config built from numpy scalars reaches meta["config"] as plain
-    # numbers
-    config = QuadratureConfig(m_max=np.int64(30),
-                              intervals_per_oscillation=np.int64(1))
-    result = run_sweep([20], [0.5], config=config)
+    # settings given as numpy scalars reach the output as plain numbers
+    result = run_sweep([20], [0.5], m_max=np.int64(30))
     write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
-    assert payload["meta"]["config"]["m_max"] == 30
-    assert type(config.m_max) is int
-    assert type(QuadratureConfig(ground_offset=np.float32(2.5))
-                .ground_offset) is float
+    assert payload["meta"]["m_max"] == 30
+    assert type(result.meta["m_max"]) is int
+    assert type(canonical_observables(
+        SPEC, 5.0, 10, np.int64(30), ground_offset=np.float32(2.5),
+        intervals_per_oscillation=np.int64(1)).ground_offset) is float
 
 
 def test_csv_full_precision_round_trip(tmp_path, small_sweep):
@@ -475,14 +533,14 @@ def test_cli_validate_passes(capsys):
 
 
 # The engine calls of each suite that --validate perturbs, told apart by
-# their QuadratureConfig: the oracle suite runs at m_max 20 and 40, the
-# invariance suites vary one field of the probe's default evaluation (whose
-# m_max is above 40).
+# their settings: the oracle suite runs at m_max 20 and 40, the invariance
+# suites set one keyword from the probe's default evaluation (whose m_max
+# is above 40).
 SUITE_CALLS = {
-    "oracle_equivalence": lambda c: c.m_max in (20, 40),
-    "offset_invariance": lambda c: c.ground_offset is not None,
-    "m_max_doubling": lambda c: c.m_max not in (None, 20, 40),
-    "grid_refinement": lambda c: c.intervals_per_oscillation == 2,
+    "oracle_equivalence": lambda c: c.get("m_max") in (20, 40),
+    "offset_invariance": lambda c: c.get("ground_offset") is not None,
+    "m_max_doubling": lambda c: c.get("m_max") not in (None, 20, 40),
+    "grid_refinement": lambda c: c.get("intervals_per_oscillation") == 2,
 }
 
 
@@ -492,9 +550,9 @@ def test_cli_validate_fails_exactly_the_perturbed_suite(monkeypatch, capsys,
     # a relative 1e-6 error in n0_mean under one suite's config only
     engine = validate.canonical_observables
 
-    def nudged(spectrum, t, n, config=None):
-        res = engine(spectrum, t, n, config)
-        if SUITE_CALLS[target](config or QuadratureConfig()):
+    def nudged(spectrum, t, n, m_max=None, **keywords):
+        res = engine(spectrum, t, n, m_max, **keywords)
+        if SUITE_CALLS[target]({"m_max": m_max, **keywords}):
             res = dataclasses.replace(res, n0_mean=res.n0_mean * (1 + 1e-6))
         return res
 
@@ -559,8 +617,8 @@ def test_cli_has_no_tail_flag(capsys):
     ("--tolerance", "1e-6"),
 ])
 def test_cli_has_no_quadrature_knob_flags(capsys, flag, value):
-    # the early-exit tolerance is a constant, a forced offset is a
-    # QuadratureConfig field for invariance studies, not a sweep setting,
+    # the early-exit tolerance is a constant, a forced offset is a keyword
+    # of canonical_observables for invariance studies, not a sweep setting,
     # and --validate's probes and tolerances are fixed
     assert run_cli("--particles", "30", "--t-over-tc", "0.5:0.5:0.1",
                    flag, value) == 2
