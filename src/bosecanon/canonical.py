@@ -71,10 +71,10 @@ normal doubles (T below 1/708.4 spacings), before the fugacity solve:
 there the n1 weight underflows, n1 reads 0 and the excited sums stay
 zero, which holds the exit off to the full period.
 
-One fugacity solve. The offset-free grand-canonical state at mean number
-N fixes the saddle offset; it is solved once per evaluation, also under a
-forced offset, and returned as CanonicalResult.gc_state, which carries
-the grand-canonical comparison columns of a sweep row.
+One fugacity solve. The grand-canonical state at mean number N, solved
+once per evaluation (also under a forced offset) and returned as
+CanonicalResult.gc_state, fixes the saddle offset -T log x0; the engine's
+level arrays are its level ladder shifted to the evaluation offset.
 """
 
 from __future__ import annotations
@@ -86,12 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import N_ACCUMULATORS, projection_chunk
-from .grand_canonical import (
-    GrandCanonicalState,
-    _level_factors,
-    auto_m_max,
-    solve_fugacity,
-)
+from .grand_canonical import GrandCanonicalState, auto_m_max, solve_fugacity
 from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
@@ -155,10 +150,10 @@ class CanonicalResult:
     log_z_zero_offset = log_z + N*ground_offset/T removes it entirely and is
     what any two runs of the same physical system must agree on.
 
-    gc_state is the grand-canonical ensemble of the offset-free ladder at
-    mean number N over levels 0..m_max (solve_fugacity); -gc_state.mu is the
-    saddle offset, and its occupations are the grand-canonical values at
-    the same (N, T).
+    gc_state is the grand-canonical ensemble of the spectrum at mean number
+    N over levels 0..m_max (solve_fugacity); -T log of its relative
+    fugacity is the saddle offset, and its occupations are the
+    grand-canonical values at the same (N, T).
     """
 
     n: int
@@ -302,16 +297,16 @@ def canonical_observables(
             f"temperature {t} is too small for the n1 observables: the "
             f"level-1 Boltzmann factor exp(-{spectrum.level_spacing}/T) = "
             f"{q1:.3g} underflows the normal doubles")
-    gc_state = solve_fugacity(spectrum.with_ground_offset(0.0), t, n,
-                              m_max=m_max)
-    eps0 = ground_offset or -gc_state.mu
+    gc_state = solve_fugacity(spectrum, t, n, m_max=m_max)
+    eps0 = ground_offset or -t * math.log(gc_state.relative_fugacity)
     if not eps0 > 0.0:
         raise DomainError(f"temperature {t} is too small for N = {n}: the "
                           f"saddle offset underflows to {eps0}")
 
-    q, g, ground, tail = _level_factors(spectrum.with_ground_offset(eps0),
-                                        t, m_max)
-    s_mb = ground * tail
+    ladder = gc_state.ladder
+    q = np.exp(-(eps0 + ladder.energies) / t)
+    g = ladder.degeneracies
+    s_mb = math.exp(-eps0 / t) * ladder.tail_weight
     w_peak = _weight_peaks(q, g, s_mb)
 
     # Coefficient tail decay scale at this offset: ground occupation plus

@@ -13,12 +13,16 @@ Finite sums run over levels 0..m_max. On the unbounded ladder the remainder
 is estimated by the Boltzmann-order geometric tail sum_{m>M} g_m lambda q^m,
 which has a closed form via the (1-q)^-3 partial-sum identity
 (TrapSpectrum.tail_weight); a finite ladder has no remainder.
+
+Every level array comes from one LevelLadder (levels 0..M, ground level at
+zero energy), built once per fugacity solve and kept by the solved state,
+whose sums build nothing; the canonical engine shifts it to its saddle offset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
     "GrandCanonicalState",
+    "LevelLadder",
     "mean_occupation",
     "occupation_fluctuation",
     "solve_fugacity",
@@ -69,30 +74,39 @@ def occupation_fluctuation(occupation: float) -> float:
     return math.sqrt(occupation * (occupation + 1.0))
 
 
-def _level_factors(spectrum: TrapSpectrum, t: float, m_max: int):
-    """The fugacity-free parts of _occupation_sums, and the canonical
-    engine's level arrays: Boltzmann factors and degeneracies of levels
-    0..m_max, and the ground factor and Boltzmann weight of the tail above
-    them."""
-    e = spectrum.energies(m_max)
-    return (np.exp(-e / t), spectrum.degeneracies(m_max),
-            math.exp(-spectrum.ground_offset / t),
-            spectrum.tail_weight(t, e.size - 1))
+@dataclass(frozen=True, eq=False)
+class LevelLadder:
+    """Levels 0..M, ground at zero energy: energies m*spacing, exp(-E/T),
+    degeneracies, and the tail weight above M. Read-only arrays."""
+
+    energies: np.ndarray
+    boltzmann: np.ndarray
+    degeneracies: np.ndarray
+    tail_weight: float
 
 
-def _occupation_sums(levels, lam: float, variance: bool = True):
+def _level_ladder(spectrum: TrapSpectrum, t: float, m_max: int) -> LevelLadder:
+    """The one place that turns (spectrum, T, m_max) into level arrays."""
+    g = spectrum.degeneracies(m_max)
+    e = np.arange(g.size, dtype=np.float64) * spectrum.level_spacing
+    b = np.exp(-e / t)
+    for a in (e, b, g):
+        a.flags.writeable = False
+    return LevelLadder(e, b, g, spectrum.tail_weight(t, g.size - 1))
+
+
+def _occupation_sums(ladder: LevelLadder, lam: float, variance: bool = True):
     """Level-summed N and dN/dlambda*lambda (number variance), with tail.
 
-    levels is _level_factors' tuple; lam is the fugacity of those levels,
-    and x_m = lam*exp(-E_m/T) < 1 must hold for every level, which the
-    solver bracket guarantees. variance=False skips the variance sum and
-    returns None in its place.
+    lam is the fugacity of the ladder, and x_m = lam*exp(-E_m/T) < 1 must
+    hold for every level, which the solver bracket guarantees.
+    variance=False skips the variance sum and returns None in its place.
     """
-    boltzmann, g, ground, tail_weight = levels
-    x = lam * boltzmann
+    g = ladder.degeneracies
+    x = lam * ladder.boltzmann
     if x[0] >= 1.0:
         raise DomainError("fugacity at or above the ground-state divergence")
-    tail = lam * ground * tail_weight
+    tail = lam * ladder.tail_weight
     n = float((g * x / (1.0 - x)).sum() + tail)
     if not variance:
         return n, None
@@ -105,26 +119,26 @@ class GrandCanonicalState:
 
     relative_fugacity is x0 = exp((mu - E_0)/T), the fugacity of the ladder
     with its ground level at zero energy; it lies in (0, 1) whatever the
-    ground offset, and every sum runs on that offset-free ladder.
+    ground offset, and every sum runs on that offset-free ladder, the one
+    the solve built (ladder, left out of equality and repr).
     """
 
     spectrum: TrapSpectrum
     t: float
     relative_fugacity: float
     m_max: int
+    ladder: LevelLadder = field(compare=False, repr=False)
 
     @property
     def mu(self) -> float:
         return self.spectrum.ground_offset + self.t * math.log(
             self.relative_fugacity)
 
-    @property
-    def _offset_free(self) -> TrapSpectrum:
-        return self.spectrum.with_ground_offset(0.0)
-
     def occupation(self, m: int) -> float:
-        """Mean occupation of a single state in level m."""
-        return mean_occupation(self.t, self._offset_free.energy(m),
+        """Mean occupation of a single state in level m, 0 <= m <= m_max."""
+        if _integer("level index", m, 0) > self.m_max:
+            raise DomainError(f"level index {m} above m_max {self.m_max}")
+        return mean_occupation(self.t, float(self.ladder.energies[int(m)]),
                                self.t * math.log(self.relative_fugacity))
 
     @property
@@ -137,16 +151,13 @@ class GrandCanonicalState:
 
     @property
     def total_number(self) -> float:
-        levels = _level_factors(self._offset_free, self.t, self.m_max)
-        n, _ = _occupation_sums(levels, self.relative_fugacity, variance=False)
-        return n
+        return _occupation_sums(self.ladder, self.relative_fugacity,
+                                variance=False)[0]
 
     @property
     def number_variance(self) -> float:
         """sum over states of n(n+1); independent-state fluctuations add."""
-        levels = _level_factors(self._offset_free, self.t, self.m_max)
-        _, v = _occupation_sums(levels, self.relative_fugacity)
-        return v
+        return _occupation_sums(self.ladder, self.relative_fugacity)[1]
 
 
 def solve_fugacity(
@@ -169,11 +180,10 @@ def solve_fugacity(
     _finite_real("temperature", t)
     _integer("target particle number", n_target, 1)
     mm = auto_m_max(spectrum, t, m_max)
-    levels = _level_factors(spectrum.with_ground_offset(0.0), t, mm)
+    ladder = _level_ladder(spectrum, t, mm)
 
     def count(x0: float) -> float:
-        n, _ = _occupation_sums(levels, x0, variance=False)
-        return n
+        return _occupation_sums(ladder, x0, variance=False)[0]
 
     lo, hi = 0.0, 1.0 - 1e-15
     top = count(hi)
@@ -189,4 +199,4 @@ def solve_fugacity(
             lo = mid
         else:
             hi = mid
-    return GrandCanonicalState(spectrum, t, mid, mm)
+    return GrandCanonicalState(spectrum, t, mid, mm, ladder)

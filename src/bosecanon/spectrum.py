@@ -92,10 +92,6 @@ class TrapSpectrum:
             mm = min(mm, self.max_level)
         return int(mm)
 
-    def energies(self, m_max: int | None = None) -> np.ndarray:
-        mm = self.resolved_max_level(m_max)
-        return self.ground_offset + np.arange(mm + 1, dtype=np.float64) * self.level_spacing
-
     def degeneracies(self, m_max: int | None = None) -> np.ndarray:
         mm = self.resolved_max_level(m_max)
         m = np.arange(mm + 1, dtype=np.float64)

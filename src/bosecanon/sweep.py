@@ -152,14 +152,14 @@ def compute_row(
 
 def temperature_grid(start: float, stop: float, step: float,
                      refinements=()) -> list:
-    """Uniform grid plus optional finer patches, deduplicated and sorted;
-    a grid with no points is a DomainError."""
+    """Uniform grid plus finer (start, stop, step) patches, each checked as a
+    grid of its own; deduplicated, sorted, and a DomainError when empty."""
     _finite_real("grid step", step)
     if _finite_real("grid stop", stop) < _finite_real("grid start", start):
         raise DomainError(f"grid stop {stop} lies below its start {start}")
     pts = list(np.arange(start, stop + 0.5 * step, step))
     for a, b, s in refinements:
-        pts.extend(np.arange(a, b + 0.5 * s, s))
+        pts.extend(temperature_grid(a, b, s))
     if not pts:
         raise DomainError(f"grid {start}:{stop}:{step} has no points")
     return sorted({round(float(p), 10) for p in pts})

@@ -87,10 +87,8 @@ def _oracle_equivalence(spectrum) -> SuiteResult:
         for t in (0.5, 2.0, 5.0, 10.0):
             t_abs = t * spectrum.level_spacing
             for n in (1, 2, 7, 25, MAX_N):
-                table = recursion_table(
-                    spectrum.with_ground_offset(0.0), t_abs, n,
-                    m_max=m_max, tail_closure=True,
-                )
+                table = recursion_table(spectrum, t_abs, n, m_max=m_max,
+                                        tail_closure=True)
                 r = canonical_observables(spectrum, t_abs, n, m_max)
                 if n >= 2:
                     prev = canonical_observables(spectrum, t_abs, n - 1, m_max)

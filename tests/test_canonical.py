@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +247,8 @@ def test_shift_invariance_at_two_forced_offsets():
 
 def test_shift_invariance_identical_offsets_degenerate():
     # the engine evaluates at its own offset; the spectrum's zero point
-    # does not reach the arithmetic, so lifted ladders give the same bits
+    # does not reach the arithmetic, so lifted ladders give the same bits,
+    # and the grand-canonical state differs only in naming its spectrum
     t, n = 4.0, 40
     eps = canonical_observables(SPEC, t, n).ground_offset
     for forced in (None, eps):
@@ -254,7 +256,10 @@ def test_shift_invariance_identical_offsets_degenerate():
         for offset in (0.3, eps, 7.0):
             lifted = canonical_observables(SPEC.with_ground_offset(offset),
                                            t, n, ground_offset=forced)
-            assert repr(lifted) == repr(base)
+            assert lifted.gc_state.spectrum.ground_offset == offset
+            lowered = replace(lifted,
+                              gc_state=replace(lifted.gc_state, spectrum=SPEC))
+            assert repr(lowered) == repr(base)
 
 
 # ------------------------------------------------------- numerical hygiene
@@ -399,13 +404,19 @@ def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
 
 
 def test_single_solve_state_is_the_offset_free_ladder():
+    # the state is the spectrum's own solve; its relative fugacity, and so
+    # the saddle offset, is that of the offset-free ladder
     t, n = 5.0, 100
     lifted = SPEC.with_ground_offset(0.3)
+    free = solve_fugacity(SPEC, t, n)
     for forced in (None, 0.02):
         res = canonical_observables(lifted, t, n, ground_offset=forced)
-        assert res.gc_state == solve_fugacity(SPEC, t, n, m_max=res.m_max)
+        assert res.gc_state == solve_fugacity(lifted, t, n, m_max=res.m_max)
+        assert res.gc_state.relative_fugacity == free.relative_fugacity
     assert res.ground_offset == 0.02
-    assert canonical_observables(lifted, t, n).ground_offset == -res.gc_state.mu
+    saddle = canonical_observables(lifted, t, n).ground_offset
+    assert saddle == -free.mu
+    assert saddle == pytest.approx(0.3 - res.gc_state.mu, rel=1e-12)
 
 
 def test_overflow_guard_reports_first_nonfinite_interval(monkeypatch):

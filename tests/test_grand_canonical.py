@@ -12,7 +12,6 @@ from bosecanon import (
 )
 from bosecanon.asymptotics import delta_n0_fraction_limit
 from bosecanon.grand_canonical import (
-    _level_factors,
     _occupation_sums,
     auto_m_max,
     mean_occupation,
@@ -103,17 +102,41 @@ def test_large_ground_offset_does_not_overflow():
     assert lifted.mu - 1000.0 == pytest.approx(base.mu, abs=1e-12)
 
 
-def test_number_variance_sums_state_terms():
-    state = solve_fugacity(SPEC, 4.0, 100)
-    m_max = auto_m_max(SPEC, 4.0)
+@pytest.mark.parametrize("n, t", [
+    (100, 4.0),
+    (10**6, 0.05 * critical_temperature(SPEC, 10**6)),
+    (10**6, 3.0 * critical_temperature(SPEC, 10**6)),
+], ids=["100-T4", "1e6-0.05Tc", "1e6-3Tc"])
+def test_number_variance_sums_state_terms(n, t):
+    state = solve_fugacity(SPEC, t, n)
+    m_max = auto_m_max(SPEC, t)
     brute = 0.0
     for m in range(m_max + 1):
         occ = state.occupation(m)
         g = (m + 1) * (m + 2) // 2
         brute += g * occ * (occ + 1.0)
-    # tail closure adds a little beyond the explicit ladder
+    # tail closure adds a little beyond the explicit ladder: its
+    # Boltzmann-order term x0*S, 3.6e-5 of the variance at T/Tc = 3
     assert state.number_variance >= brute
-    assert state.number_variance == pytest.approx(brute, rel=1e-6)
+    tail = state.relative_fugacity * SPEC.tail_weight(t, m_max)
+    assert state.number_variance == pytest.approx(brute + tail, rel=1e-12)
+
+
+def test_state_reads_its_ladder_and_only_its_levels():
+    # the state keeps the solve's offset-free ladder, read-only and outside
+    # equality; occupations exist for the summed levels 0..m_max
+    state = solve_fugacity(TrapSpectrum(ground_offset=2.0), 5.0, 200)
+    ladder = state.ladder
+    assert list(ladder.energies[:3]) == [0.0, 1.0, 2.0]
+    assert ladder.tail_weight == SPEC.tail_weight(5.0, state.m_max)
+    for a in (ladder.energies, ladder.boltzmann, ladder.degeneracies):
+        assert a.size == state.m_max + 1 and not a.flags.writeable
+    twin = solve_fugacity(TrapSpectrum(ground_offset=2.0), 5.0, 200)
+    assert twin == state and twin.ladder is not ladder
+    assert state.occupation(state.m_max) > 0.0
+    for m in (state.m_max + 1, -1, 1.5):
+        with pytest.raises(DomainError, match="level index"):
+            state.occupation(m)
 
 
 def test_finite_spectrum_sums_have_no_tail():
@@ -182,10 +205,9 @@ def test_fugacity_is_resolved_to_one_ulp(n, t_frac):
     # ~1e-9 N
     t = t_frac * critical_temperature(SPEC, n)
     state = solve_fugacity(SPEC, t, n)
-    levels = _level_factors(SPEC, t, state.m_max)
 
     def count(lam):
-        return _occupation_sums(levels, lam, variance=False)[0]
+        return _occupation_sums(state.ladder, lam, variance=False)[0]
 
     lam = state.relative_fugacity
     assert count(math.nextafter(lam, 0.0)) < n <= count(

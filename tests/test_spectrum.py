@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bosecanon.canonical import canonical_observables
-from bosecanon.grand_canonical import solve_fugacity
+from bosecanon.grand_canonical import _level_ladder, solve_fugacity
 from bosecanon.oracle import recursion_table
 from bosecanon.spectrum import (
     ZETA3,
@@ -49,14 +49,14 @@ def test_resolved_max_level_clamps_to_cap():
     lambda: recursion_table(TrapSpectrum(), 5.0, 10, m_max=-1),
     lambda: solve_fugacity(TrapSpectrum(), 5.0, 10, m_max=-3),
     lambda: TrapSpectrum().degeneracies(-1),
-    lambda: TrapSpectrum().energies(-2),
+    lambda: _level_ladder(TrapSpectrum(), 5.0, -2),
     lambda: TrapSpectrum().degeneracies(2.5),
     lambda: TrapSpectrum().energy(1.5),
     lambda: TrapSpectrum(max_level=3.5),
     lambda: TrapSpectrum(max_level=math.inf),
     lambda: TrapSpectrum(max_level=math.nan),
     lambda: canonical_observables(TrapSpectrum(), 5.0, 10, 30.5),
-], ids=["recursion_table", "solve_fugacity", "degeneracies", "energies",
+], ids=["recursion_table", "solve_fugacity", "degeneracies", "level-ladder",
         "degeneracies-fractional", "energy-fractional", "max-level-fractional",
         "max-level-inf", "max-level-nan", "config-m-max-fractional"])
 def test_negative_top_level_is_a_domain_error(call):
@@ -67,11 +67,14 @@ def test_negative_top_level_is_a_domain_error(call):
 
 
 def test_energies_and_degeneracies_arrays():
-    sp = TrapSpectrum(ground_offset=1.0)
-    e = sp.energies(4)
-    g = sp.degeneracies(4)
-    assert list(e) == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert list(g) == [1.0, 3.0, 6.0, 10.0, 15.0]
+    # the level ladder puts the ground level at zero whatever the offset
+    ladder = _level_ladder(TrapSpectrum(level_spacing=2.0, ground_offset=1.0),
+                           4.0, 4)
+    assert list(ladder.energies) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert list(ladder.boltzmann) == pytest.approx(
+        [math.exp(-e / 4.0) for e in range(0, 9, 2)], rel=1e-15)
+    assert list(ladder.degeneracies) == [1.0, 3.0, 6.0, 10.0, 15.0]
+    assert ladder.tail_weight == weighted_geometric_tail(math.exp(-0.5), 4)
 
 
 def test_invalid_spectrum_params():

@@ -214,6 +214,26 @@ def test_compute_row_solves_the_fugacity_once(monkeypatch):
     assert row_evals == evals
 
 
+def test_compute_row_builds_the_level_ladder_once(monkeypatch):
+    # the solve builds it; the engine shifts it and the state's sums read it
+    builds = 0
+    build = grand_canonical._level_ladder
+
+    def counted(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
+
+    monkeypatch.setattr(grand_canonical, "_level_ladder", counted)
+    compute_row(SPEC, 1000, 0.5)
+    assert builds == 1
+    state = solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000), 1000)
+    builds = 0
+    assert state.total_number == pytest.approx(1000, rel=1e-12)
+    assert state.number_variance > 0.0
+    assert builds == 0
+
+
 @pytest.mark.parametrize("spec, rel", [
     (SPEC, 0.0),
     (TrapSpectrum(level_spacing=2.0, ground_offset=0.3), 1e-12),
@@ -254,10 +274,26 @@ def test_temperature_grid_without_points_is_a_domain_error():
         temperature_grid(0.5, 0.5, 1e-20)
 
 
+@pytest.mark.parametrize("patch, match", [
+    ((0.1, 0.3, 0.0), "grid step"),
+    ((0.1, 0.3, -0.01), "grid step"),
+    ((math.nan, 0.3, 0.01), "grid start"),
+    ((0.1, math.nan, 0.01), "grid stop"),
+    ((0.1, math.inf, 0.01), "grid stop"),
+    ((0.3, 0.1, 0.01), "lies below its start"),
+], ids=["zero-step", "negative-step", "nan-start", "nan-stop", "inf-stop",
+        "reversed"])
+def test_temperature_grid_checks_its_refinement_patches(patch, match):
+    # a patch is a grid of its own and fails the same checks
+    with pytest.raises(DomainError, match=match):
+        temperature_grid(0.1, 0.3, 0.1, refinements=(patch,))
+
+
 def test_presets_share_standard_shape():
     for name, preset in PRESETS.items():
         assert preset.particles == (100, 1000, 10_000)
         grid = preset.grid()
+        assert len(grid) == 43  # the benchmark's fig1 rows are keyed on these
         assert grid[0] == pytest.approx(0.1)
         assert grid[-1] == pytest.approx(1.4)
         # near-transition refinement present
