@@ -24,7 +24,6 @@ from .grand_canonical import (
     GrandCanonicalState,
     auto_m_max,
     mean_occupation,
-    occupation_fluctuation,
     solve_fugacity,
 )
 from .asymptotics import (

@@ -115,7 +115,9 @@ GRID_MARGIN = 0.55
 
 # Cost guard on the predicted kernel work: about 35-40 minutes at the 20-24
 # ns per level-point of the numpy kernel on a 2-vCPU x86 host (traced
-# large_n and fig1_serial with 16384-point chunks).
+# large_n and fig1_serial with 16384-point chunks). At low T/Tc the exit
+# fires past the predicted boundary and the guard under-predicts: N = 10^5
+# at T/Tc = 0.05 predicts 9.2e7 level-points and evaluates 1.25e8 (1.36x).
 MAX_LEVEL_POINTS = 1e11
 
 # Above this N a single midpoint per interval is already accurate; below,

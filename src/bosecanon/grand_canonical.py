@@ -1,6 +1,7 @@
 """Grand-canonical reference model for the trapped ideal Bose gas.
 
-Closed forms used throughout:
+Closed forms used throughout; the solved state takes them for the ground
+state (n0, delta_n0) and sums them over levels (total_number, number_variance):
 
   occupation of a state at energy E:   n = 1 / (exp((E - mu)/T) - 1)
   its fluctuation:                     dn = sqrt(n (n + 1))
@@ -32,7 +33,6 @@ __all__ = [
     "GrandCanonicalState",
     "LevelLadder",
     "mean_occupation",
-    "occupation_fluctuation",
     "solve_fugacity",
     "auto_m_max",
 ]
@@ -68,12 +68,6 @@ def mean_occupation(t: float, energy: float, mu: float) -> float:
     return 1.0 / math.expm1((energy - mu) / t)
 
 
-def occupation_fluctuation(occupation: float) -> float:
-    """RMS fluctuation sqrt(n(n+1)) of a single-state occupation."""
-    _finite_real("occupation", occupation, allow_zero=True)
-    return math.sqrt(occupation * (occupation + 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class LevelLadder:
     """Levels 0..M, ground at zero energy: energies m*spacing, exp(-E/T),
@@ -95,22 +89,18 @@ def _level_ladder(spectrum: TrapSpectrum, t: float, m_max: int) -> LevelLadder:
     return LevelLadder(e, b, g, spectrum.tail_weight(t, g.size - 1))
 
 
-def _occupation_sums(ladder: LevelLadder, lam: float, variance: bool = True):
-    """Level-summed N and dN/dlambda*lambda (number variance), with tail.
+def _occupation_sums(ladder: LevelLadder, lam: float) -> float:
+    """Level-summed mean number N at the ladder's fugacity lam, with tail.
 
-    lam is the fugacity of the ladder, and x_m = lam*exp(-E_m/T) < 1 must
-    hold for every level, which the solver bracket guarantees.
-    variance=False skips the variance sum and returns None in its place.
+    x_m = lam*exp(-E_m/T) < 1 must hold for every level, which the solver
+    bracket guarantees.
     """
     g = ladder.degeneracies
     x = lam * ladder.boltzmann
     if x[0] >= 1.0:
         raise DomainError("fugacity at or above the ground-state divergence")
     tail = lam * ladder.tail_weight
-    n = float((g * x / (1.0 - x)).sum() + tail)
-    if not variance:
-        return n, None
-    return n, float((g * x / (1.0 - x) ** 2).sum() + tail)
+    return float((g * x / (1.0 - x)).sum() + tail)
 
 
 @dataclass(frozen=True)
@@ -134,30 +124,29 @@ class GrandCanonicalState:
         return self.spectrum.ground_offset + self.t * math.log(
             self.relative_fugacity)
 
-    def occupation(self, m: int) -> float:
-        """Mean occupation of a single state in level m, 0 <= m <= m_max."""
-        if _integer("level index", m, 0) > self.m_max:
-            raise DomainError(f"level index {m} above m_max {self.m_max}")
-        return mean_occupation(self.t, float(self.ladder.energies[int(m)]),
+    @property
+    def n0(self) -> float:
+        """Mean occupation of the ground state."""
+        return mean_occupation(self.t, 0.0,
                                self.t * math.log(self.relative_fugacity))
 
     @property
-    def n0(self) -> float:
-        return self.occupation(0)
-
-    @property
     def delta_n0(self) -> float:
-        return occupation_fluctuation(self.n0)
+        """RMS fluctuation sqrt(n0(n0+1)) of the ground-state occupation."""
+        n0 = self.n0
+        return math.sqrt(n0 * (n0 + 1.0))
 
     @property
     def total_number(self) -> float:
-        return _occupation_sums(self.ladder, self.relative_fugacity,
-                                variance=False)[0]
+        return _occupation_sums(self.ladder, self.relative_fugacity)
 
     @property
     def number_variance(self) -> float:
         """sum over states of n(n+1); independent-state fluctuations add."""
-        return _occupation_sums(self.ladder, self.relative_fugacity)[1]
+        g = self.ladder.degeneracies
+        x = self.relative_fugacity * self.ladder.boltzmann
+        tail = self.relative_fugacity * self.ladder.tail_weight
+        return float((g * x / (1.0 - x) ** 2).sum() + tail)
 
 
 def solve_fugacity(
@@ -182,11 +171,8 @@ def solve_fugacity(
     mm = auto_m_max(spectrum, t, m_max)
     ladder = _level_ladder(spectrum, t, mm)
 
-    def count(x0: float) -> float:
-        return _occupation_sums(ladder, x0, variance=False)[0]
-
     lo, hi = 0.0, 1.0 - 1e-15
-    top = count(hi)
+    top = _occupation_sums(ladder, hi)
     if top < n_target:
         raise DomainError(
             f"{n_target} particles exceed the {top:.6g} the ladder holds "
@@ -195,7 +181,7 @@ def solve_fugacity(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if count(mid) < n_target:
+        if _occupation_sums(ladder, mid) < n_target:
             lo = mid
         else:
             hi = mid

@@ -1,21 +1,24 @@
 """Exact fixed-N references: boson recursion and brute-force enumeration.
 
 These are deliberately independent of the contour-integral engine. The
-recursion builds the N-particle partition function from single-particle
-partition functions at stretched inverse temperatures,
+recursion runs on the excited levels, energies measured from the ground
+level, in log space (logsumexp) so magnitudes never overflow:
 
-    Z(k) = (1/k) * sum_{j=1..k} Z1(j/T) * Z(k-j),    Z(0) = 1,
+    Z_ex(k) = (1/k) * sum_{j=1..k} Z1_ex(j) * Z_ex(k-j),    Z_ex(0) = 1,
+    Z1_ex(j) = sum_{m=1..M} g_m q^m = q (3 - 3q + q^2)/(1-q)^3 - tail(q, M)
 
-evaluated entirely in log space (logsumexp) so magnitudes never overflow.
-Z1 comes in three flavours so the oracle can match the engine's model
-exactly, not just the physics:
+with q = e^{-j*spacing/T} and tail = weighted_geometric_tail (none without
+an M): the closed form of (1-q)^{-3} - 1 without the subtraction, which
+loses every digit at small q. The tail closure adds the spectrum's
+Boltzmann-order tail weight (TrapSpectrum.tail_weight) at j=1 only,
+matching a generating function multiplied by exp(w*S_tail). The ground
+level holds the rest of the particles, so
 
-  * full:      Z1(j/T) = e^{-j*E0/T} (1 - q_j)^{-3},  q_j = e^{-j*spacing/T}
-               (closed form of sum_m (m+1)(m+2)/2 x^m = (1-x)^{-3})
-  * truncated: the partial sum over levels 0..m_max
-  * mb tail:   truncated plus the spectrum's Boltzmann-order tail weight
-               (TrapSpectrum.tail_weight) added at j=1 only, matching a
-               generating function multiplied by exp(w*S_tail)
+    log Z(k) = log sum_{i<=k} Z_ex(i) - k*E0/T,
+    P(n0 = N - k) = Z_ex(k) e^{-N*E0/T} / Z(N),
+
+and n0_variance, centred over P(n0), sums positive terms only. With no
+excited level every Z_ex(k >= 1) is 0.
 
 The model is read from the spectrum: a finite ladder is summed to its top
 level, and a larger requested m_max clamps to it, as in the engine; a
@@ -25,7 +28,6 @@ Occupations follow from the exact identity P(n >= k) = e^{-k*E/T} Z(N-k)/Z(N)
 for any state treated with Bose statistics:
 
     <n>    = sum_k e^{-kE/T} Z(N-k)/Z(N)
-    <n^2>  = sum_k (2k-1) e^{-kE/T} Z(N-k)/Z(N)
     <n_a n_b> = sum_{s=2..N} Z(N-s)/Z(N) sum_{k=1..s-1} a^k b^{s-k}
                 (distinct states; a, b = e^{-Ea/T}, e^{-Eb/T})
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
-                       weighted_geometric_partial)
+                       weighted_geometric_tail)
 
 __all__ = [
     "RecursionTable",
@@ -55,27 +57,27 @@ __all__ = [
     "ORACLE_MAX_N",
 ]
 
-# The O(N^2) build takes 0.3-0.8 s at N = 10^4, 0.7-1.9 s at 2x10^4 and
-# 10-14 s at 5x10^4 on a 2-vCPU x86 host; its occupations and log Z stay
-# within 2e-11 of a long-double run up to 5x10^4, so cost sets the cap.
+# The O(N^2) build takes 0.3 s at N = 10^4, 0.5-0.9 s at 2x10^4 and 4-5 s
+# at 5x10^4 on a 2-vCPU x86 host; at 2x10^4 its log Z, occupations and
+# n0_variance are within 1e-11 of a long-double run (T/Tc = 0.3 and 1).
 ORACLE_MAX_N = 20_000
 
 
-def _log_z1(spectrum: TrapSpectrum, t: float, j: int, m_max: int | None,
-            tail_closure: bool) -> float:
+def _log_z1_excited(spectrum: TrapSpectrum, t: float, j: int,
+                    m_max: int | None, tail_closure: bool) -> float:
+    """log Z1_ex(j); -inf where the excited sum is empty or underflows."""
     q = math.exp(-j * spectrum.level_spacing / t)
-    lead = -j * spectrum.ground_offset / t
-    if m_max is None:
-        return lead - 3.0 * math.log1p(-q)
-    s = weighted_geometric_partial(q, m_max)
+    s = q * (3.0 - 3.0 * q + q * q) / (1.0 - q) ** 3
+    if m_max is not None:
+        s = s - weighted_geometric_tail(q, m_max) if m_max > 0 else 0.0
     if tail_closure and j == 1:
         s += spectrum.tail_weight(t, m_max)
-    return lead + math.log(s)
+    return math.log(s) if s > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)
 class RecursionTable:
-    """log Z(k) for k = 0..n, plus the model it was built from."""
+    """log Z(k) and log Z_ex(k) for k = 0..n, and the model they come from."""
 
     spectrum: TrapSpectrum
     t: float
@@ -83,6 +85,7 @@ class RecursionTable:
     m_max: int | None
     tail_closure: bool
     log_z: np.ndarray = field(repr=False)
+    log_z_excited: np.ndarray = field(repr=False)
 
     def partition_ratio(self, k: int) -> float:
         """Z(k)/Z(k-1)."""
@@ -96,9 +99,13 @@ class RecursionTable:
         """<n> of one state at the given absolute energy."""
         return float(self._state_weights(energy).sum())
 
-    def occupation_second_moment(self, energy: float) -> float:
-        k = np.arange(1, self.n + 1, dtype=np.float64)
-        return float(((2.0 * k - 1.0) * self._state_weights(energy)).sum())
+    def n0_variance(self) -> float:
+        """Var(n0), centred over P(n0 = N - k) proportional to Z_ex(k)."""
+        p = np.exp(self.log_z_excited - self.log_z_excited.max())
+        p /= p.sum()
+        k = np.arange(self.n + 1, dtype=np.float64)
+        mean = float(p @ k)
+        return float(p @ (k - mean) ** 2)
 
     def cross_moment(self, energy_a: float, energy_b: float) -> float:
         """<n_a n_b> for two distinct states. The inner sum over k is
@@ -123,7 +130,7 @@ def recursion_table(
     m_max: int | None = None,
     tail_closure: bool = False,
 ) -> RecursionTable:
-    """Build log Z(0..n) by the boson recursion, logsumexp-stabilised."""
+    """Build log Z_ex(0..n) on the excited levels, and log Z(0..n) from it."""
     _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
     if n > ORACLE_MAX_N:
@@ -132,16 +139,23 @@ def recursion_table(
         m_max = spectrum.resolved_max_level(m_max)
     elif tail_closure:
         raise DomainError("tail closure on the unbounded ladder needs an m_max")
-    lz1 = np.array(
-        [_log_z1(spectrum, t, j, m_max, tail_closure) for j in range(1, n + 1)]
-    )
-    lz = np.empty(n + 1)
+    lz1 = np.array([_log_z1_excited(spectrum, t, j, m_max, tail_closure)
+                    for j in range(1, n + 1)])
+    lz = np.full(n + 1, -math.inf)
     lz[0] = 0.0
-    for k in range(1, n + 1):
-        terms = lz1[:k] + lz[k - 1 :: -1]
-        mx = terms.max()
-        lz[k] = mx + math.log(np.exp(terms - mx).sum()) - math.log(k)
-    return RecursionTable(spectrum, t, n, m_max, tail_closure, lz)
+    # Z1_ex(j) falls with j: an empty Z1_ex(1) leaves every Z_ex(k >= 1) at
+    # zero, else all are positive. Terms below e^-708 of the largest add
+    # nothing, and numpy's exp is 30-100x slower on such (subnormal) values.
+    if n and lz1[0] > -math.inf:
+        for k in range(1, n + 1):
+            terms = lz1[:k] + lz[k - 1 :: -1]
+            mx = terms.max()
+            terms -= mx
+            expo = np.exp(terms, out=np.zeros(k), where=terms > -708.0)
+            lz[k] = mx + math.log(expo.sum()) - math.log(k)
+    k = np.arange(n + 1, dtype=np.float64)
+    log_z = np.logaddexp.accumulate(lz) - k * spectrum.ground_offset / t
+    return RecursionTable(spectrum, t, n, m_max, tail_closure, log_z, lz)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "TrapSpectrum",
     "critical_temperature",
     "weighted_geometric_tail",
-    "weighted_geometric_partial",
 ]
 
 
@@ -132,10 +131,3 @@ def weighted_geometric_tail(x: float, m_max: int) -> float:
     om = 1.0 - x
     lead = x ** (m_max + 1)  # underflows to 0 harmlessly for large m_max
     return lead * (1.0 / om**3 + a * x / om**2 + a * (a + 3.0) / (2.0 * om))
-
-
-def weighted_geometric_partial(x: float, m_max: int) -> float:
-    """Closed form of ``sum_{m=0}^{m_max} (m+1)(m+2)/2 * x**m``."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"geometric argument must lie in [0, 1), got {x}")
-    return 1.0 / (1.0 - x) ** 3 - weighted_geometric_tail(x, m_max)

@@ -187,20 +187,20 @@ def run_sweep(
     particles,
     t_grid,
     m_max: int | None = None,
-    spectrum: TrapSpectrum | None = None,
     threads: int | None = 1,
 ) -> SweepResult:
-    """Evaluate the full (N, T/Tc) grid, rows in deterministic order.
+    """Evaluate the full (N, T/Tc) grid on the unit-spacing trap
+    (TrapSpectrum()), rows in deterministic order.
 
     m_max=None lets each row pick its level truncation (auto_m_max).
-    threads=None or 0 means one thread per CPU; rows contend for the GIL.
-    A negative or fractional count is a DomainError.
+    threads=None means one thread per CPU; rows contend for the GIL.
+    A count below 1 or a fractional one is a DomainError.
     """
     if m_max is not None:
         m_max = _integer("m_max", m_max, 1)
     if threads is not None:
-        threads = _integer("threads", threads, 0)
-    spectrum = spectrum or TrapSpectrum()
+        threads = _integer("threads", threads, 1)
+    spectrum = TrapSpectrum()
     particles = [_integer("particle number", n, 1) for n in particles]
     points = [(n, float(t)) for n in particles for t in t_grid]
     workers = threads or os.cpu_count() or 1

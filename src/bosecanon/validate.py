@@ -1,14 +1,16 @@
 """Self-check suites: the engine against its independent references.
 
 This is the package's one self-check (`bosecanon --validate`). Five
-suites, each reporting its worst relative deviation against a tolerance:
+suites, each reporting a deviation against a tolerance, the worst
+relative one except where said:
 
   oracle_equivalence   partition ratios and occupations vs the recursion
   offset_invariance    observables and offset-free log Z with the
                        evaluation offset 2 T/sqrt(var) above the saddle
   m_max_doubling       stability under doubling the level truncation
   grid_refinement      stability under a twice denser z-grid
-  worker_independence  sweep rows vs worker count (must be exact)
+  worker_independence  sweep rows of one and of four workers: the number
+                       of fields that differ, NaN matching NaN (must be 0)
 
 The probes are fixed: the oracle suite runs N up to MAX_N within the
 recursion's range, the invariance suites three (N, T) points straddling
@@ -42,7 +44,7 @@ __all__ = ["SuiteResult", "ValidationReport", "run_validation"]
 # Largest N probed; the oracle's recursion covers it.
 MAX_N = 100
 TOLERANCE = 1e-8
-WORKER_TOLERANCE = 1e-12
+WORKER_TOLERANCE = 0.0
 
 
 @dataclass(frozen=True)
@@ -135,19 +137,19 @@ def _invariance(name, spectrum, saddle_results) -> SuiteResult:
     return SuiteResult(name, worst, TOLERANCE, len(saddle_results))
 
 
-def _worker_independence(spectrum) -> SuiteResult:
+def _worker_independence() -> SuiteResult:
     grid = [0.5, 0.9, 1.2]
-    serial = run_sweep([40], grid, spectrum=spectrum, threads=1)
-    parallel = run_sweep([40], grid, spectrum=spectrum, threads=4)
-    worst = 0.0
+    serial = run_sweep([40], grid, threads=1)
+    parallel = run_sweep([40], grid, threads=4)
+    differing = 0
     for ra, rb in zip(serial.rows, parallel.rows):
         da, db = ra.to_dict(), rb.to_dict()
         for key in FIELD_ORDER:
             va, vb = da[key], db[key]
-            if isinstance(va, float) and math.isfinite(va):
-                worst = max(worst, _rel(va, vb))
-    return SuiteResult("worker_independence", worst, WORKER_TOLERANCE,
-                       len(serial.rows))
+            if not (va == vb or va != va and vb != vb):
+                differing += 1
+    return SuiteResult("worker_independence", float(differing),
+                       WORKER_TOLERANCE, len(serial.rows))
 
 
 def run_validation() -> ValidationReport:
@@ -157,6 +159,6 @@ def run_validation() -> ValidationReport:
     suites = [
         _oracle_equivalence(spectrum),
         *(_invariance(name, spectrum, saddle_results) for name in _VARIATIONS),
-        _worker_independence(spectrum),
+        _worker_independence(),
     ]
     return ValidationReport(suites=suites)

@@ -472,7 +472,7 @@ def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
     assert res.n1_mean == pytest.approx(
         table.occupation(SPEC.level_spacing), rel=1e-10)
     assert res.n0_second_moment == pytest.approx(
-        table.occupation_second_moment(0.0), rel=1e-10)
+        table.n0_variance() + table.occupation(0.0) ** 2, rel=1e-10)
     assert res.n0_n1_mean == pytest.approx(
         table.cross_moment(0.0, SPEC.level_spacing), rel=1e-10)
     # log Z is about 3e-10 at T/Tc = 0.01, so the bound is absolute there
@@ -480,31 +480,58 @@ def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
     assert abs(res.log_z_zero_offset - log_z) <= 1e-12 * max(1.0, abs(log_z))
 
 
+def demon_ensemble(t, n, m_max):
+    """Closed forms of the "Maxwell's demon" ensemble (Grossmann & Holthaus,
+    PRL 79, 3557 (1997)) on levels 1..m_max plus the Boltzmann tail: the
+    excited levels sit at unit fugacity and the ground level takes the
+    rest, exact once P(N_ex > N) is negligible. Returns n0, Var(n0), n1,
+    log Z and the Chernoff bound on log10 P(N_ex > N)."""
+    m = np.arange(1, m_max + 1)
+    q = np.exp(-m * SPEC.level_spacing / t)
+    g = (m + 1) * (m + 2) / 2
+    tail = SPEC.tail_weight(t, m_max)
+    # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
+    r = q[0] ** -0.5
+    log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
+             - n * math.log(r))
+    return {"n0": n - (g * q / (1.0 - q)).sum() - tail,
+            "n0_variance": (g * q / (1.0 - q) ** 2).sum() + tail,
+            "n1": q[0] / (1.0 - q[0]),
+            "log_z": tail - (g * np.log1p(-q)).sum(),
+            "log10_p": log_p / math.log(10.0)}
+
+
 @pytest.mark.parametrize("t_over_tc", [0.05, 0.3])
 def test_engine_matches_the_demon_ensemble_at_large_n(t_over_tc):
-    # Deep below Tc the excited levels sit at unit fugacity and the ground
-    # level takes the rest: the "Maxwell's demon" ensemble of Grossmann &
-    # Holthaus, PRL 79, 3557 (1997), exact once P(N_ex > N) is negligible.
     # delta_n0 is not asserted: the engine takes it as a second moment
     # minus a squared mean, and at N = 10^5, T/Tc = 0.05 that cancellation
     # leaves it off the closed form by a relative 3.2e-4, a known defect.
     n = 10**5
     t = t_over_tc * critical_temperature(SPEC, n)
     res = canonical_observables(SPEC, t, n)
-    m = np.arange(1, res.m_max + 1)
-    q = np.exp(-m * SPEC.level_spacing / t)
-    g = (m + 1) * (m + 2) / 2
-    tail = SPEC.tail_weight(t, res.m_max)
-    # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
-    r = q[0] ** -0.5
-    log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
-             - n * math.log(r))
-    assert log_p / math.log(10.0) < -100.0
-    assert res.n0_mean == pytest.approx(
-        n - (g * q / (1.0 - q)).sum() - tail, rel=1e-10)
-    assert res.n1_mean == pytest.approx(q[0] / (1.0 - q[0]), rel=1e-10)
-    assert res.log_z_zero_offset == pytest.approx(
-        tail - (g * np.log1p(-q)).sum(), rel=1e-10)
+    demon = demon_ensemble(t, n, res.m_max)
+    assert demon["log10_p"] < -100.0
+    assert res.n0_mean == pytest.approx(demon["n0"], rel=1e-10)
+    assert res.n1_mean == pytest.approx(demon["n1"], rel=1e-10)
+    assert res.log_z_zero_offset == pytest.approx(demon["log_z"], rel=1e-10)
+
+
+@pytest.mark.parametrize("t_over_tc", [0.05, 0.1])
+def test_oracle_delta_n0_matches_the_demon_ensemble(t_over_tc):
+    # the recursion's Var(n0), centred over P(n0), is the exact delta_n0;
+    # taken as <n0^2> - <n0>^2 it would be 1.7e-8 and 3.3e-9 off. The
+    # engine takes it that way: 7.7e-7 off at T/Tc = 0.05, a known defect
+    # held to its size here
+    n = 10**4
+    t = t_over_tc * critical_temperature(SPEC, n)
+    res = canonical_observables(SPEC, t, n)
+    table = recursion_table(SPEC, t, n, m_max=res.m_max, tail_closure=True)
+    demon = demon_ensemble(t, n, res.m_max)
+    assert demon["log10_p"] < -100.0
+    delta_n0 = math.sqrt(table.n0_variance())
+    assert delta_n0 == pytest.approx(math.sqrt(demon["n0_variance"]),
+                                     rel=1e-12)
+    assert res.delta_n0 == pytest.approx(delta_n0, rel=1e-6)
 
 
 def test_zero_point_energy_ladder_consistency():

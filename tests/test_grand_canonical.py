@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from bosecanon.grand_canonical import (
     _occupation_sums,
     auto_m_max,
     mean_occupation,
-    occupation_fluctuation,
     solve_fugacity,
 )
 
@@ -36,11 +36,6 @@ def test_mean_occupation_rejects_chemical_potential_at_or_above_level():
         mean_occupation(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         mean_occupation(1.0, 1.0, 1.5)
-
-
-def test_occupation_fluctuation_closed_form():
-    assert occupation_fluctuation(0.0) == 0.0
-    assert occupation_fluctuation(3.0) == pytest.approx(math.sqrt(12.0))
 
 
 def test_auto_m_max_grows_with_temperature():
@@ -112,7 +107,7 @@ def test_number_variance_sums_state_terms(n, t):
     m_max = auto_m_max(SPEC, t)
     brute = 0.0
     for m in range(m_max + 1):
-        occ = state.occupation(m)
+        occ = mean_occupation(t, float(m), state.mu)
         g = (m + 1) * (m + 2) // 2
         brute += g * occ * (occ + 1.0)
     # tail closure adds a little beyond the explicit ladder: its
@@ -123,8 +118,8 @@ def test_number_variance_sums_state_terms(n, t):
 
 
 def test_state_reads_its_ladder_and_only_its_levels():
-    # the state keeps the solve's offset-free ladder, read-only and outside
-    # equality; occupations exist for the summed levels 0..m_max
+    # the state keeps the solve's offset-free ladder of the summed levels
+    # 0..m_max, read-only and outside equality
     state = solve_fugacity(TrapSpectrum(ground_offset=2.0), 5.0, 200)
     ladder = state.ladder
     assert list(ladder.energies[:3]) == [0.0, 1.0, 2.0]
@@ -133,10 +128,6 @@ def test_state_reads_its_ladder_and_only_its_levels():
         assert a.size == state.m_max + 1 and not a.flags.writeable
     twin = solve_fugacity(TrapSpectrum(ground_offset=2.0), 5.0, 200)
     assert twin == state and twin.ladder is not ladder
-    assert state.occupation(state.m_max) > 0.0
-    for m in (state.m_max + 1, -1, 1.5):
-        with pytest.raises(DomainError, match="level index"):
-            state.occupation(m)
 
 
 def test_finite_spectrum_sums_have_no_tail():
@@ -147,7 +138,8 @@ def test_finite_spectrum_sums_have_no_tail():
         state = solve_fugacity(spec, t, n)
         assert state.m_max == auto_m_max(spec, t) == top
         brute = sum(
-            (m + 1) * (m + 2) // 2 * state.occupation(m) for m in range(top + 1)
+            (m + 1) * (m + 2) // 2 * mean_occupation(t, float(m), state.mu)
+            for m in range(top + 1)
         )
         assert state.total_number == pytest.approx(brute, rel=1e-12)
         assert state.total_number == pytest.approx(n, rel=1e-9)
@@ -206,12 +198,9 @@ def test_fugacity_is_resolved_to_one_ulp(n, t_frac):
     t = t_frac * critical_temperature(SPEC, n)
     state = solve_fugacity(SPEC, t, n)
 
-    def count(lam):
-        return _occupation_sums(state.ladder, lam, variance=False)[0]
-
     lam = state.relative_fugacity
-    assert count(math.nextafter(lam, 0.0)) < n <= count(
-        math.nextafter(lam, math.inf))
+    assert _occupation_sums(state.ladder, math.nextafter(lam, 0.0)) < n <= (
+        _occupation_sums(state.ladder, math.nextafter(lam, math.inf)))
 
 
 def test_particle_number_above_the_bracket_is_a_domain_error():
@@ -235,9 +224,12 @@ def test_solver_always_brackets(n, t_frac):
 
 @pytest.mark.parametrize("target", [0.3, 1.0, 4.5, 10.0])
 def test_single_state_distribution_is_geometric(target):
-    # P(n) proportional to x^n gives <n> = x/(1-x) and var = n(n+1);
-    # the cutoff at 10^3 terms leaves no visible truncation error for n <= 10
+    # P(n) proportional to x^n gives <n> = x/(1-x) and var = n(n+1): the
+    # state's n0 and delta_n0 on a one-state ladder at fugacity x; the
+    # cutoff at 10^3 terms leaves no visible truncation error for n <= 10
     x = target / (1.0 + target)
+    state = replace(solve_fugacity(TrapSpectrum(max_level=0), 1.0, 1),
+                    relative_fugacity=x)
     weights = [x**k for k in range(1001)]
     norm = sum(weights)
     mean = sum(k * w for k, w in enumerate(weights)) / norm
@@ -245,7 +237,8 @@ def test_single_state_distribution_is_geometric(target):
     var = second - mean * mean
     assert mean == pytest.approx(target, rel=1e-12)
     assert var == pytest.approx(target * (target + 1.0), rel=1e-12)
-    assert occupation_fluctuation(mean) == pytest.approx(math.sqrt(var), rel=1e-12)
+    assert state.n0 == pytest.approx(mean, rel=1e-12)
+    assert state.delta_n0 == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
 def test_fugacity_monotone_in_target_number():

@@ -63,7 +63,7 @@ def test_recursion_matches_enumeration_two_level(n):
     table = recursion_table(spec, t, n, m_max=1)
     assert table.log_z[n] == pytest.approx(math.log(exact.z), rel=1e-12)
     assert table.occupation(0.0) == pytest.approx(exact.mean[0], rel=1e-12)
-    assert table.occupation_second_moment(0.0) == pytest.approx(
+    assert table.n0_variance() + table.occupation(0.0) ** 2 == pytest.approx(
         exact.second[0], rel=1e-12
     )
     got_cross = table.cross_moment(0.0, 0.9)
@@ -124,8 +124,7 @@ def test_condensate_and_excited_fluctuations_mirror():
     t, n = 5.0, 60
     table = recursion_table(spec, t, n, m_max=90)
     n0 = table.occupation(0.0)
-    n0_sq = table.occupation_second_moment(0.0)
-    var0 = n0_sq - n0 * n0
+    var0 = table.n0_variance()
     # sum the excited first and second pieces from level occupations
     ne = level_sum(table, 90, first=1)
     assert n0 + ne == pytest.approx(n, rel=1e-10)

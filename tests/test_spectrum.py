@@ -12,7 +12,6 @@ from bosecanon.spectrum import (
     DomainError,
     TrapSpectrum,
     critical_temperature,
-    weighted_geometric_partial,
     weighted_geometric_tail,
 )
 
@@ -135,14 +134,6 @@ def test_tail_spot_value_high_temperature_cut():
 def test_tail_matches_brute_force(x, m_max):
     assert weighted_geometric_tail(x, m_max) == pytest.approx(
         brute_tail(x, m_max), rel=1e-10, abs=1e-300)
-
-
-@given(st.floats(min_value=0.0, max_value=0.95),
-       st.integers(min_value=0, max_value=60))
-def test_partial_plus_tail_is_full_series(x, m_max):
-    full = 1.0 / (1.0 - x) ** 3
-    assert (weighted_geometric_partial(x, m_max)
-            + weighted_geometric_tail(x, m_max)) == pytest.approx(full, rel=1e-12)
 
 
 def test_tail_rejects_bad_arguments():

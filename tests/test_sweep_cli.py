@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -319,6 +320,10 @@ def test_sweep_runs_all_rows(small_sweep):
 
 
 def test_sweep_defaults_to_serial():
+    # the sweep's only settings are m_max and threads; rows run on the
+    # unit-spacing trap
+    assert list(inspect.signature(run_sweep).parameters) == [
+        "particles", "t_grid", "m_max", "threads"]
     assert run_sweep((20,), [0.5]).meta["workers"] == 1
     assert resolve_settings(["--particles", "20", "--t-over-tc", "0.5:0.5:0.1"]
                             ).threads == 1
@@ -326,11 +331,10 @@ def test_sweep_defaults_to_serial():
                              "--threads", "auto"]).threads is None
 
 
-def test_sweep_thread_count_none_or_zero_is_one_per_cpu_negative_rejected():
-    for threads in (None, 0):
-        assert run_sweep((20,), [0.5], threads=threads).meta["workers"] == (
-            os.cpu_count() or 1)
-    for threads in (-3, 1.5):
+def test_sweep_thread_count_none_is_one_per_cpu_zero_negative_rejected():
+    assert run_sweep((20,), [0.5], threads=None).meta["workers"] == (
+        os.cpu_count() or 1)
+    for threads in (0, -3, 1.5):
         with pytest.raises(DomainError):
             run_sweep((20,), [0.5], threads=threads)
 
@@ -426,9 +430,11 @@ def test_csv_json_outputs_agree(tmp_path, small_sweep):
 
 
 def test_numpy_integer_inputs_write_json(tmp_path):
-    # particle numbers and level indices reach the output as plain ints
-    ladder = TrapSpectrum(max_level=np.int64(45))
-    result = run_sweep([np.int64(20)], [0.5], spectrum=ladder)
+    # particle numbers and level indices reach the output as plain ints,
+    # also the top level of a finite ladder
+    assert type(compute_row(TrapSpectrum(max_level=np.int64(45)), 20,
+                            0.5).m_max) is int
+    result = run_sweep([np.int64(20)], [0.5], m_max=np.int64(45))
     write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
@@ -599,6 +605,26 @@ def test_cli_validate_fails_exactly_the_perturbed_suite(monkeypatch, capsys,
     assert status.pop("validation:") == "FAIL"
     assert status == {name: "FAIL" if name == target else "PASS"
                       for name in (*SUITE_CALLS, "worker_independence")}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m_max", 10**6), ("error", "DomainError: skewed"), ("delta_n0", math.nan),
+])
+def test_worker_suite_compares_every_field(monkeypatch, field, value):
+    # an int, a string or a NaN that changes with the worker count fails
+    # the suite as a changed float does: one differing field, deviation 1
+    sweep = validate.run_sweep
+
+    def skewed(particles, t_grid, threads=1):
+        result = sweep(particles, t_grid, threads=threads)
+        if threads > 1:
+            result.rows[1] = dataclasses.replace(result.rows[1],
+                                                 **{field: value})
+        return result
+
+    monkeypatch.setattr(validate, "run_sweep", skewed)
+    suite = validate._worker_independence()
+    assert suite.max_deviation == 1.0 and not suite.passed
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path):
