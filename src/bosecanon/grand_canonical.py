@@ -17,7 +17,7 @@ which has a closed form via the (1-q)^-3 partial-sum identity
 
 Every level array comes from one LevelLadder (levels 0..M, ground level at
 zero energy), built once per fugacity solve and kept by the solved state,
-whose sums build nothing; the canonical engine shifts it to its saddle offset.
+whose sums build nothing; the engine shifts it, the oracle reads it.
 """
 
 from __future__ import annotations

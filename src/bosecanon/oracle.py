@@ -1,18 +1,16 @@
-"""Exact fixed-N references: boson recursion and brute-force enumeration.
+"""Exact fixed-N references: boson recursion, demon closed forms, enumeration.
 
 These are deliberately independent of the contour-integral engine. The
 recursion runs on the excited levels, energies measured from the ground
 level, in log space (logsumexp) so magnitudes never overflow:
 
     Z_ex(k) = (1/k) * sum_{j=1..k} Z1_ex(j) * Z_ex(k-j),    Z_ex(0) = 1,
-    Z1_ex(j) = sum_{m=1..M} g_m q^m = q (3 - 3q + q^2)/(1-q)^3 - tail(q, M)
+    Z1_ex(j) = sum_{m=1..M} g_m e^{-j*E_m/T},
 
-with q = e^{-j*spacing/T} and tail = weighted_geometric_tail (none without
-an M): the closed form of (1-q)^{-3} - 1 without the subtraction, which
-loses every digit at small q. The tail closure adds the spectrum's
-Boltzmann-order tail weight (TrapSpectrum.tail_weight) at j=1 only,
-matching a generating function multiplied by exp(w*S_tail). The ground
-level holds the rest of the particles, so
+a sum of positive terms over the levels of grand_canonical's one ladder
+(the arithmetic is the oracle's own). The tail closure adds its tail
+weight S at j=1 only, matching a generating function multiplied by
+exp(w*S). The ground level holds the rest of the particles, so
 
     log Z(k) = log sum_{i<=k} Z_ex(i) - k*E0/T,
     P(n0 = N - k) = Z_ex(k) e^{-N*E0/T} / Z(N),
@@ -20,9 +18,9 @@ level holds the rest of the particles, so
 and n0_variance, centred over P(n0), sums positive terms only. With no
 excited level every Z_ex(k >= 1) is 0.
 
-The model is read from the spectrum: a finite ladder is summed to its top
-level, and a larger requested m_max clamps to it, as in the engine; a
-finite ladder has no tail, so the closure adds nothing there.
+The model is the spectrum's: a finite ladder is summed to its top level (a
+larger m_max clamps to it, as in the engine) and has no tail to close; the
+unbounded ladder needs an m_max.
 
 Occupations follow from the exact identity P(n >= k) = e^{-k*E/T} Z(N-k)/Z(N)
 for any state treated with Bose statistics:
@@ -33,7 +31,7 @@ for any state treated with Bose statistics:
 
 Enumeration sums Boltzmann weights over every multiset of N states drawn
 from a tiny explicit state list; it is exact to rounding and checks the
-recursion itself. The O(N^2) build, not the O(N) moments, limits the
+recursion itself. The O(N^2 + N*M) build, not the O(N) moments, limits the
 recursion to ORACLE_MAX_N particles; cost limits the enumeration to N <= 6
 over at most 8 states.
 """
@@ -46,12 +44,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
-                       weighted_geometric_tail)
+from .grand_canonical import _level_ladder, auto_m_max
+from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
     "RecursionTable",
     "recursion_table",
+    "demon_ensemble",
     "EnumerationResult",
     "enumerate_exact",
     "ORACLE_MAX_N",
@@ -63,18 +62,6 @@ __all__ = [
 ORACLE_MAX_N = 20_000
 
 
-def _log_z1_excited(spectrum: TrapSpectrum, t: float, j: int,
-                    m_max: int | None, tail_closure: bool) -> float:
-    """log Z1_ex(j); -inf where the excited sum is empty or underflows."""
-    q = math.exp(-j * spectrum.level_spacing / t)
-    s = q * (3.0 - 3.0 * q + q * q) / (1.0 - q) ** 3
-    if m_max is not None:
-        s = s - weighted_geometric_tail(q, m_max) if m_max > 0 else 0.0
-    if tail_closure and j == 1:
-        s += spectrum.tail_weight(t, m_max)
-    return math.log(s) if s > 0.0 else -math.inf
-
-
 @dataclass(frozen=True)
 class RecursionTable:
     """log Z(k) and log Z_ex(k) for k = 0..n, and the model they come from."""
@@ -82,7 +69,7 @@ class RecursionTable:
     spectrum: TrapSpectrum
     t: float
     n: int
-    m_max: int | None
+    m_max: int
     tail_closure: bool
     log_z: np.ndarray = field(repr=False)
     log_z_excited: np.ndarray = field(repr=False)
@@ -91,13 +78,11 @@ class RecursionTable:
         """Z(k)/Z(k-1)."""
         return math.exp(self.log_z[k] - self.log_z[k - 1])
 
-    def _state_weights(self, energy: float) -> np.ndarray:
-        k = np.arange(1, self.n + 1, dtype=np.float64)
-        return np.exp(-k * energy / self.t + self.log_z[self.n - 1 :: -1] - self.log_z[self.n])
-
     def occupation(self, energy: float) -> float:
         """<n> of one state at the given absolute energy."""
-        return float(self._state_weights(energy).sum())
+        k = np.arange(1, self.n + 1, dtype=np.float64)
+        return float(np.exp(-k * energy / self.t + self.log_z[self.n - 1 :: -1]
+                            - self.log_z[self.n]).sum())
 
     def n0_variance(self) -> float:
         """Var(n0), centred over P(n0 = N - k) proportional to Z_ex(k)."""
@@ -135,12 +120,13 @@ def recursion_table(
     n = _integer("particle number", n, 0)
     if n > ORACLE_MAX_N:
         raise DomainError(f"recursion oracle capped at N={ORACLE_MAX_N} (got {n})")
-    if m_max is not None or spectrum.max_level is not None:
-        m_max = spectrum.resolved_max_level(m_max)
-    elif tail_closure:
-        raise DomainError("tail closure on the unbounded ladder needs an m_max")
-    lz1 = np.array([_log_z1_excited(spectrum, t, j, m_max, tail_closure)
-                    for j in range(1, n + 1)])
+    m_max = auto_m_max(spectrum, t, spectrum.resolved_max_level(m_max))
+    ladder = _level_ladder(spectrum, t, m_max)
+    e, g = ladder.energies[1:], ladder.degeneracies[1:]
+    z1 = np.array([g @ np.exp(-j / t * e) for j in range(1, n + 1)])
+    if tail_closure:
+        z1[:1] += ladder.tail_weight
+    lz1 = np.log(z1, out=np.full(n, -math.inf), where=z1 > 0.0)
     lz = np.full(n + 1, -math.inf)
     lz[0] = 0.0
     # Z1_ex(j) falls with j: an empty Z1_ex(1) leaves every Z_ex(k >= 1) at
@@ -156,6 +142,26 @@ def recursion_table(
     k = np.arange(n + 1, dtype=np.float64)
     log_z = np.logaddexp.accumulate(lz) - k * spectrum.ground_offset / t
     return RecursionTable(spectrum, t, n, m_max, tail_closure, log_z, lz)
+
+
+def demon_ensemble(spectrum: TrapSpectrum, t: float, n: int, m_max: int) -> dict:
+    """Closed forms of the "Maxwell's demon" ensemble (Grossmann & Holthaus,
+    PRL 79, 3557 (1997)): the ladder's levels 1..m_max and tail at unit
+    fugacity, the ground level holding the rest; exact, at any N, once
+    P(N_ex > N) is negligible. Returns n0, Var(n0), n1, log Z (ground level
+    at zero energy) and the Chernoff bound on log10 P(N_ex > N)."""
+    _finite_real("temperature", t)
+    ladder = _level_ladder(spectrum, t, auto_m_max(spectrum, t, m_max))
+    q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight
+    # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
+    r = q[0] ** -0.5
+    log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
+             - n * math.log(r))
+    return {"n0": n - (g * q / (1.0 - q)).sum() - tail,
+            "n0_variance": (g * q / (1.0 - q) ** 2).sum() + tail,
+            "n1": q[0] / (1.0 - q[0]),
+            "log_z": tail - (g * np.log1p(-q)).sum(),
+            "log10_p": log_p / math.log(10.0)}
 
 
 @dataclass(frozen=True)

@@ -73,19 +73,12 @@ class TrapSpectrum:
         if self.max_level is not None:
             _integer("max_level", self.max_level, 0)
 
-    def energy(self, m: int) -> float:
-        """Energy of level m, ``ground_offset + m*level_spacing``."""
-        _integer("level index", m, 0)
-        if self.max_level is not None and m > self.max_level:
-            raise DomainError(f"level index {m} above max_level {self.max_level}")
-        return self.ground_offset + m * self.level_spacing
-
     def resolved_max_level(self, m_max: int | None = None) -> int:
         """Effective top level: requests beyond a finite cap clamp to it;
         a negative or fractional request is a DomainError."""
         mm = self.max_level if m_max is None else m_max
         if mm is None:
-            raise DomainError("spectrum has no max_level and none was given")
+            raise DomainError("spectrum has no max_level and no m_max was given")
         mm = _integer("top level", mm, 0)
         if self.max_level is not None:
             mm = min(mm, self.max_level)

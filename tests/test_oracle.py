@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosecanon import DomainError, TrapSpectrum, canonical_observables
-from bosecanon.oracle import ORACLE_MAX_N, enumerate_exact, recursion_table
+from bosecanon.oracle import (ORACLE_MAX_N, demon_ensemble, enumerate_exact,
+                              recursion_table)
 
 
 def log_z1(spectrum, t, m_max):
-    acc = 0.0
-    for m in range(m_max + 1):
-        g = (m + 1) * (m + 2) / 2.0
-        acc += g * math.exp(-spectrum.energy(m) / t)
-    return math.log(acc)
+    return math.log(math.fsum(
+        (m + 1) * (m + 2) / 2.0
+        * math.exp(-(m * spectrum.level_spacing + spectrum.ground_offset) / t)
+        for m in range(m_max + 1)))
 
 
 def level_sum(table, m_max, first=0):
@@ -26,10 +26,14 @@ def level_sum(table, m_max, first=0):
 
 
 def test_first_entry_is_single_particle_sum():
+    # the last two put the top level far below T/spacing, where the levels
+    # above it hold nearly the whole series
     spec = TrapSpectrum()
-    table = recursion_table(spec, 3.0, 5, m_max=40)
-    assert table.log_z[0] == 0.0  # empty trap
-    assert table.log_z[1] == pytest.approx(log_z1(spec, 3.0, 40), rel=1e-12)
+    for t, m_max in ((3.0, 40), (1000.0, 2), (1e4, 5)):
+        table = recursion_table(spec, t, 5, m_max=m_max)
+        assert table.log_z[0] == 0.0  # empty trap
+        assert table.log_z[1] == pytest.approx(log_z1(spec, t, m_max),
+                                               rel=1e-14)
 
 
 def test_single_state_partition_is_one():
@@ -175,6 +179,17 @@ def test_size_cap_enforced():
     assert time.perf_counter() - start < 0.25
     assert list(inspect.signature(recursion_table).parameters) == [
         "spectrum", "t", "n", "m_max", "tail_closure"]
+
+
+def test_oracle_needs_a_top_level():
+    # the recursion sums the ladder level by level: the unbounded ladder
+    # needs an m_max, and one past MAX_LEVELS is refused before any array
+    with pytest.raises(DomainError, match="m_max"):
+        recursion_table(TrapSpectrum(), 5.0, 10)
+    with pytest.raises(DomainError, match="levels"):
+        recursion_table(TrapSpectrum(), 5.0, 10, m_max=10**9)
+    with pytest.raises(DomainError, match="levels"):
+        demon_ensemble(TrapSpectrum(), 5.0, 10, 10**9)
 
 
 def test_enumeration_caps():

@@ -24,16 +24,6 @@ def test_degeneracy_small_levels():
     assert splits[:5] == [1, 3, 6, 10, 15]
 
 
-def test_energy_ladder_and_bounds():
-    sp = TrapSpectrum(level_spacing=2.0, ground_offset=0.5, max_level=3)
-    assert sp.energy(0) == 0.5
-    assert sp.energy(3) == 6.5
-    with pytest.raises(DomainError):
-        sp.energy(4)
-    with pytest.raises(DomainError):
-        sp.energy(-1)
-
-
 def test_resolved_max_level_clamps_to_cap():
     sp = TrapSpectrum(max_level=5)
     assert sp.resolved_max_level(100) == 5
@@ -50,17 +40,16 @@ def test_resolved_max_level_clamps_to_cap():
     lambda: TrapSpectrum().degeneracies(-1),
     lambda: _level_ladder(TrapSpectrum(), 5.0, -2),
     lambda: TrapSpectrum().degeneracies(2.5),
-    lambda: TrapSpectrum().energy(1.5),
     lambda: TrapSpectrum(max_level=3.5),
     lambda: TrapSpectrum(max_level=math.inf),
     lambda: TrapSpectrum(max_level=math.nan),
     lambda: canonical_observables(TrapSpectrum(), 5.0, 10, 30.5),
 ], ids=["recursion_table", "solve_fugacity", "degeneracies", "level-ladder",
-        "degeneracies-fractional", "energy-fractional", "max-level-fractional",
+        "degeneracies-fractional", "max-level-fractional",
         "max-level-inf", "max-level-nan", "config-m-max-fractional"])
 def test_negative_top_level_is_a_domain_error(call):
     # every caller resolves its top level through resolved_max_level, and
-    # every top level or level index is a whole number: none is floored
+    # every top level is a whole number: none is floored
     with pytest.raises(DomainError):
         call()
 
