@@ -196,10 +196,6 @@ class CanonicalResult:
         """<dn0 dn1>, negative below the transition."""
         return self.n0_n1_mean - self.n0_mean * self.n1_mean
 
-    @property
-    def condensate_fraction(self) -> float:
-        return self.n0_mean / self.n
-
     OBSERVABLE_NAMES = (
         "n0_mean",
         "n0_second_moment",

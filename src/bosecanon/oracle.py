@@ -8,8 +8,10 @@ level, in log space (logsumexp) so magnitudes never overflow:
     Z1_ex(j) = sum_{m=1..M} g_m e^{-j*E_m/T},
 
 a sum of positive terms over the levels of grand_canonical's one ladder
-(the arithmetic is the oracle's own). The tail closure adds its tail
-weight S at j=1 only, matching a generating function multiplied by
+(the arithmetic is the oracle's own). np.exp is exactly 0.0 below -745.2,
+so each j sums only the levels with j*E_m/T <= 745.2: it drops zeros alone,
+at about 745*(T/spacing)*ln N exps instead of N*M. The ladder's tail weight S
+is added at j=1 only, matching a generating function multiplied by
 exp(w*S). The ground level holds the rest of the particles, so
 
     log Z(k) = log sum_{i<=k} Z_ex(i) - k*E0/T,
@@ -18,9 +20,11 @@ exp(w*S). The ground level holds the rest of the particles, so
 and n0_variance, centred over P(n0), sums positive terms only. With no
 excited level every Z_ex(k >= 1) is 0.
 
-The model is the spectrum's: a finite ladder is summed to its top level (a
-larger m_max clamps to it, as in the engine) and has no tail to close; the
-unbounded ladder needs an m_max.
+The model is the engine's, read from the spectrum alone: the unbounded
+ladder is summed to m_max (auto_m_max when None) and its Boltzmann tail
+closed, always (tail_closure takes True alone); the truncated model is a
+finite ladder, TrapSpectrum(max_level=M), summed to its top level (a larger
+m_max clamps to it) with tail weight 0.
 
 Occupations follow from the exact identity P(n >= k) = e^{-k*E/T} Z(N-k)/Z(N)
 for any state treated with Bose statistics:
@@ -31,7 +35,7 @@ for any state treated with Bose statistics:
 
 Enumeration sums Boltzmann weights over every multiset of N states drawn
 from a tiny explicit state list; it is exact to rounding and checks the
-recursion itself. The O(N^2 + N*M) build, not the O(N) moments, limits the
+recursion itself. The O(N^2) build, not the O(N) moments, limits the
 recursion to ORACLE_MAX_N particles; cost limits the enumeration to N <= 6
 over at most 8 states.
 """
@@ -56,9 +60,10 @@ __all__ = [
     "ORACLE_MAX_N",
 ]
 
-# The O(N^2) build takes 0.3 s at N = 10^4, 0.5-0.9 s at 2x10^4 and 4-5 s
-# at 5x10^4 on a 2-vCPU x86 host; at 2x10^4 its log Z, occupations and
-# n0_variance are within 1e-11 of a long-double run (T/Tc = 0.3 and 1).
+# The O(N^2) build takes 0.3 s at N = 10^4, 0.7-1.4 s at 2x10^4 from
+# T/Tc = 0.3 to 30 (M = 135 to 11,509 levels) and 4-5 s at 5x10^4 on a
+# 2-vCPU x86 host; at 2x10^4 its log Z, occupations and n0_variance are
+# within 1e-11 of a long-double run (T/Tc = 0.3 and 1).
 ORACLE_MAX_N = 20_000
 
 
@@ -70,13 +75,8 @@ class RecursionTable:
     t: float
     n: int
     m_max: int
-    tail_closure: bool
     log_z: np.ndarray = field(repr=False)
     log_z_excited: np.ndarray = field(repr=False)
-
-    def partition_ratio(self, k: int) -> float:
-        """Z(k)/Z(k-1)."""
-        return math.exp(self.log_z[k] - self.log_z[k - 1])
 
     def occupation(self, energy: float) -> float:
         """<n> of one state at the given absolute energy."""
@@ -113,19 +113,23 @@ def recursion_table(
     t: float,
     n: int,
     m_max: int | None = None,
-    tail_closure: bool = False,
+    tail_closure: bool = True,
 ) -> RecursionTable:
     """Build log Z_ex(0..n) on the excited levels, and log Z(0..n) from it."""
     _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
+    if tail_closure is not True:
+        raise DomainError("the oracle always closes the tail; the truncated "
+                          "model is the finite ladder TrapSpectrum(max_level=M)")
     if n > ORACLE_MAX_N:
         raise DomainError(f"recursion oracle capped at N={ORACLE_MAX_N} (got {n})")
-    m_max = auto_m_max(spectrum, t, spectrum.resolved_max_level(m_max))
+    m_max = auto_m_max(spectrum, t, m_max)
     ladder = _level_ladder(spectrum, t, m_max)
     e, g = ladder.energies[1:], ladder.degeneracies[1:]
-    z1 = np.array([g @ np.exp(-j / t * e) for j in range(1, n + 1)])
-    if tail_closure:
-        z1[:1] += ladder.tail_weight
+    top = np.searchsorted(e, 745.2 * t / np.arange(1, n + 1), side="right")
+    z1 = np.array([g[:m] @ np.exp(-j / t * e[:m])
+                   for j, m in enumerate(top, 1)])
+    z1[:1] += ladder.tail_weight
     lz1 = np.log(z1, out=np.full(n, -math.inf), where=z1 > 0.0)
     lz = np.full(n + 1, -math.inf)
     lz[0] = 0.0
@@ -141,7 +145,7 @@ def recursion_table(
             lz[k] = mx + math.log(expo.sum()) - math.log(k)
     k = np.arange(n + 1, dtype=np.float64)
     log_z = np.logaddexp.accumulate(lz) - k * spectrum.ground_offset / t
-    return RecursionTable(spectrum, t, n, m_max, tail_closure, log_z, lz)
+    return RecursionTable(spectrum, t, n, m_max, log_z, lz)
 
 
 def demon_ensemble(spectrum: TrapSpectrum, t: float, n: int, m_max: int) -> dict:

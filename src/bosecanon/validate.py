@@ -4,7 +4,7 @@ This is the package's one self-check (`bosecanon --validate`). Five
 suites, each reporting a deviation against a tolerance, the worst
 relative one except where said:
 
-  oracle_equivalence   partition ratios and occupations vs the recursion
+  oracle_equivalence   offset-free log Z, n0 and n1 vs the recursion
   offset_invariance    observables and offset-free log Z with the
                        evaluation offset 2 T/sqrt(var) above the saddle
   m_max_doubling       stability under doubling the level truncation
@@ -13,19 +13,20 @@ relative one except where said:
                        of fields that differ, NaN matching NaN (must be 0)
 
 The probes are fixed: the oracle suite runs N up to MAX_N within the
-recursion's range, the invariance suites three (N, T) points straddling
-the transition, and the worker suite three rows at N = 40. The tolerances
-are constants as well. The engine meets the references to about 1e-13 on
-these probes, so TOLERANCE leaves five decades for rounding while a real
-defect (a wrong level, a wrong weight, a missed alias) shows far above it;
-worker independence must hold bit for bit. A failing suite is shown by
-perturbing a result, not by tightening a tolerance.
+recursion's range, one engine evaluation each, the invariance suites three
+(N, T) points straddling the transition, and the worker suite three rows
+at N = 40. The tolerances are constants as well. The engine meets the
+references to about 1e-13 on these probes, so TOLERANCE leaves five
+decades for rounding while a real defect (a wrong level, a wrong weight, a
+missed alias) shows far above it; worker independence must hold bit for
+bit. A failing suite is shown by perturbing a result, not by tightening a
+tolerance.
 
 The three invariance suites share one saddle result per probe: the
 default evaluation a. Each suite makes one more evaluation, with one
 keyword of canonical_observables set from a (a forced ground_offset, a
 doubled m_max, or intervals_per_oscillation=2), and compares the six
-observables and the offset-free log Z, the latter relative to
+observables and the offset-free log Z. Every suite takes log Z relative to
 max(|log Z|, 1). No suite solves a fugacity of its own.
 """
 
@@ -82,6 +83,10 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _log_z_dev(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), 1.0)
+
+
 def _oracle_equivalence(spectrum) -> SuiteResult:
     worst = 0.0
     probes = 0
@@ -89,20 +94,13 @@ def _oracle_equivalence(spectrum) -> SuiteResult:
         for t in (0.5, 2.0, 5.0, 10.0):
             t_abs = t * spectrum.level_spacing
             for n in (1, 2, 7, 25, MAX_N):
-                table = recursion_table(spectrum, t_abs, n, m_max=m_max,
-                                        tail_closure=True)
+                table = recursion_table(spectrum, t_abs, n, m_max)
                 r = canonical_observables(spectrum, t_abs, n, m_max)
-                if n >= 2:
-                    prev = canonical_observables(spectrum, t_abs, n - 1, m_max)
-                    ratio_engine = math.exp(r.log_z_zero_offset
-                                            - prev.log_z_zero_offset)
-                else:
-                    ratio_engine = math.exp(r.log_z_zero_offset)
-                dev = _rel(ratio_engine, table.partition_ratio(n))
-                dev = max(dev, _rel(r.n0_mean, table.occupation(0.0)))
-                dev = max(dev, _rel(r.n1_mean,
-                                    table.occupation(spectrum.level_spacing)))
-                worst = max(worst, dev)
+                worst = max(worst,
+                            _log_z_dev(table.log_z[n], r.log_z_zero_offset),
+                            _rel(r.n0_mean, table.occupation(0.0)),
+                            _rel(r.n1_mean,
+                                 table.occupation(spectrum.level_spacing)))
                 probes += 1
     return SuiteResult("oracle_equivalence", worst, TOLERANCE, probes)
 
@@ -132,8 +130,8 @@ def _invariance(name, spectrum, saddle_results) -> SuiteResult:
         b = canonical_observables(spectrum, a.t, a.n, **_VARIATIONS[name](a))
         for key, va in a.observables().items():
             worst = max(worst, _rel(va, getattr(b, key)))
-        worst = max(worst, abs(a.log_z_zero_offset - b.log_z_zero_offset)
-                    / max(abs(a.log_z_zero_offset), 1.0))
+        worst = max(worst, _log_z_dev(a.log_z_zero_offset,
+                                      b.log_z_zero_offset))
     return SuiteResult(name, worst, TOLERANCE, len(saddle_results))
 
 

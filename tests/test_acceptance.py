@@ -66,7 +66,7 @@ def test_01_recursion_equivalence_full_grid():
     for t in temps:
         for m in ladders:
             ladder = TrapSpectrum(max_level=m)  # truncated: no tail
-            table = recursion_table(SPEC, t, 100, m_max=m)
+            table = recursion_table(ladder, t, 100)
             prev = 0.0  # log Z(0)
             for n in range(1, 101):
                 res = canonical_observables(ladder, t, n)

@@ -96,7 +96,7 @@ def test_engine_matches_recursion_truncate_mode():
 def test_engine_matches_recursion_with_tail_closure():
     t, n = 4.0, 60
     res = canonical_observables(SPEC, t, n, 45)
-    table = recursion_table(SPEC, t, n, m_max=45, tail_closure=True)
+    table = recursion_table(SPEC, t, n, m_max=45)
     assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-10)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
 
@@ -114,7 +114,7 @@ def test_cross_covariance_negative_below_transition():
     t = 0.6 * critical_temperature(SPEC, 200)
     res = canonical_observables(SPEC, t, 200)
     assert res.covariance_n0_n1 < 0.0
-    assert 0.0 < res.condensate_fraction < 1.0
+    assert 0.0 < res.n0_mean / 200 < 1.0
 
 
 def test_zero_temperature_limit_fills_ground_state():
@@ -122,7 +122,7 @@ def test_zero_temperature_limit_fills_ground_state():
     res = canonical_observables(SPEC, 0.1, 50)
     assert res.n0_mean == pytest.approx(50.0, abs=1e-3)
     assert res.delta_n0 == pytest.approx(0.0, abs=0.05)
-    assert res.condensate_fraction == pytest.approx(1.0, abs=1e-5)
+    assert res.n0_mean / 50 == pytest.approx(1.0, abs=1e-5)
 
 
 def test_explicit_offset_changes_log_z_but_not_observables():
@@ -445,7 +445,7 @@ def test_overflow_guard_reports_first_nonfinite_interval(monkeypatch):
 def test_engine_recursion_agreement_property(n, t_frac):
     t = t_frac * critical_temperature(SPEC, n)
     res = canonical_observables(SPEC, t, n)
-    table = recursion_table(SPEC, t, n, m_max=res.m_max, tail_closure=True)
+    table = recursion_table(SPEC, t, n, m_max=res.m_max)
     assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-9, abs=1e-9)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
 
@@ -468,7 +468,7 @@ def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
     # digits to cancellation, a known defect of the engine.
     t = t_over_tc * critical_temperature(SPEC, n)
     res = canonical_observables(SPEC, t, n)
-    table = recursion_table(SPEC, t, n, m_max=res.m_max, tail_closure=True)
+    table = recursion_table(SPEC, t, n, m_max=res.m_max)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
     assert res.n1_mean == pytest.approx(
         table.occupation(SPEC.level_spacing), rel=1e-10)
@@ -509,7 +509,7 @@ def test_oracle_delta_n0_matches_the_demon_ensemble(n, t_over_tc, engine_rel):
     # size here
     t = t_over_tc * critical_temperature(SPEC, n)
     res = canonical_observables(SPEC, t, n)
-    table = recursion_table(SPEC, t, n, m_max=res.m_max, tail_closure=True)
+    table = recursion_table(SPEC, t, n, m_max=res.m_max)
     demon = demon_ensemble(SPEC, t, n, res.m_max)
     assert demon["log10_p"] < -100.0
     delta_n0 = math.sqrt(table.n0_variance())
@@ -531,7 +531,6 @@ def test_zero_point_energy_ladder_consistency():
     assert lifted.log_z_zero_offset == pytest.approx(
         base.log_z_zero_offset, rel=1e-12
     )
-    table = recursion_table(lifted_spec, t, n, m_max=lifted.m_max,
-                            tail_closure=True)
+    table = recursion_table(lifted_spec, t, n, m_max=lifted.m_max)
     physical = lifted.log_z_zero_offset - n * 1.5 / t
     assert physical == pytest.approx(table.log_z[n], rel=1e-9)

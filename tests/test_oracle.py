@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosecanon import DomainError, TrapSpectrum, canonical_observables
+from bosecanon import (DomainError, TrapSpectrum, auto_m_max,
+                       canonical_observables)
 from bosecanon.oracle import (ORACLE_MAX_N, demon_ensemble, enumerate_exact,
                               recursion_table)
 
@@ -16,6 +17,12 @@ def log_z1(spectrum, t, m_max):
         (m + 1) * (m + 2) / 2.0
         * math.exp(-(m * spectrum.level_spacing + spectrum.ground_offset) / t)
         for m in range(m_max + 1)))
+
+
+def tail_ratio(table):
+    """Z(N-1)/Z(N): the occupation of one Boltzmann-closed state per unit
+    of its weight."""
+    return math.exp(table.log_z[table.n - 1] - table.log_z[table.n])
 
 
 def level_sum(table, m_max, first=0):
@@ -28,9 +35,9 @@ def level_sum(table, m_max, first=0):
 def test_first_entry_is_single_particle_sum():
     # the last two put the top level far below T/spacing, where the levels
     # above it hold nearly the whole series
-    spec = TrapSpectrum()
     for t, m_max in ((3.0, 40), (1000.0, 2), (1e4, 5)):
-        table = recursion_table(spec, t, 5, m_max=m_max)
+        spec = TrapSpectrum(max_level=m_max)
+        table = recursion_table(spec, t, 5)
         assert table.log_z[0] == 0.0  # empty trap
         assert table.log_z[1] == pytest.approx(log_z1(spec, t, m_max),
                                                rel=1e-14)
@@ -78,8 +85,8 @@ def test_recursion_matches_enumeration_two_level(n):
 
 
 def test_cross_moment_is_symmetric():
-    spec = TrapSpectrum()
-    table = recursion_table(spec, 4.0, 30, m_max=60)
+    spec = TrapSpectrum(max_level=60)
+    table = recursion_table(spec, 4.0, 30)
     a = table.cross_moment(0.0, 1.0)
     b = table.cross_moment(1.0, 0.0)
     assert a == pytest.approx(b, rel=1e-13)
@@ -90,7 +97,7 @@ def test_cross_moment_matches_the_double_sum():
     # unequal, swapped, equal and zero energies
     spec = TrapSpectrum(level_spacing=0.37, ground_offset=0.2)
     t, n = 3.0, 40
-    table = recursion_table(spec, t, n, m_max=60, tail_closure=True)
+    table = recursion_table(spec, t, n, m_max=60)
     lz = table.log_z
     for ea, eb in ((0.2, 0.57), (0.57, 0.2), (0.57, 0.57), (0.0, 0.0),
                    (0.94, 0.0)):
@@ -102,18 +109,18 @@ def test_cross_moment_matches_the_double_sum():
 
 def test_partition_grows_with_temperature():
     # more thermal states available at every particle count
-    spec = TrapSpectrum()
-    cold = recursion_table(spec, 2.0, 40, m_max=80)
-    warm = recursion_table(spec, 2.5, 40, m_max=80)
+    spec = TrapSpectrum(max_level=80)
+    cold = recursion_table(spec, 2.0, 40)
+    warm = recursion_table(spec, 2.5, 40)
     assert np.all(warm.log_z[1:] > cold.log_z[1:])
 
 
 def test_ground_offset_shifts_log_partition_linearly():
-    spec = TrapSpectrum()
+    spec = TrapSpectrum(max_level=60)
     lifted = spec.with_ground_offset(0.8)
     t = 3.0
-    base = recursion_table(spec, t, 25, m_max=60)
-    shifted = recursion_table(lifted, t, 25, m_max=60)
+    base = recursion_table(spec, t, 25)
+    shifted = recursion_table(lifted, t, 25)
     for k in range(26):
         assert shifted.log_z[k] == pytest.approx(
             base.log_z[k] - k * 0.8 / t, rel=1e-11, abs=1e-11
@@ -124,9 +131,9 @@ def test_ground_offset_shifts_log_partition_linearly():
 
 def test_condensate_and_excited_fluctuations_mirror():
     # n_e = N - n0 exactly, so Var(n_e) = Var(n0); check through moments
-    spec = TrapSpectrum()
+    spec = TrapSpectrum(max_level=90)
     t, n = 5.0, 60
-    table = recursion_table(spec, t, n, m_max=90)
+    table = recursion_table(spec, t, n)
     n0 = table.occupation(0.0)
     var0 = table.n0_variance()
     # sum the excited first and second pieces from level occupations
@@ -135,35 +142,26 @@ def test_condensate_and_excited_fluctuations_mirror():
     assert var0 > 0.0
 
 
-def test_partition_ratio_matches_table():
-    spec = TrapSpectrum()
-    table = recursion_table(spec, 4.0, 20, m_max=50)
-    assert table.partition_ratio(20) == pytest.approx(
-        math.exp(table.log_z[20] - table.log_z[19]), rel=1e-14
-    )
-
-
 def test_occupation_normalization_sums_to_n():
-    spec = TrapSpectrum()
     t, n, m_max = 6.0, 80, 120
-    table = recursion_table(spec, t, n, m_max=m_max)
+    table = recursion_table(TrapSpectrum(max_level=m_max), t, n)
     total = level_sum(table, m_max)
     assert total == pytest.approx(n, rel=1e-10)
     # with the tail closure, each Boltzmann-closed state above m_max holds
     # its weight times Z(N-1)/Z(N)
+    spec = TrapSpectrum()
     t, n, m_max = 4.0, 30, 80
-    table = recursion_table(spec, t, n, m_max=m_max, tail_closure=True)
+    table = recursion_table(spec, t, n, m_max=m_max)
     total = level_sum(table, m_max)
-    total += spec.tail_weight(t, m_max) / table.partition_ratio(n)
+    total += spec.tail_weight(t, m_max) * tail_ratio(table)
     assert total == pytest.approx(n, rel=1e-9)
 
 
 def test_tail_closure_requires_finite_ladder_and_conserves_number():
-    spec = TrapSpectrum()
     t, n = 6.0, 50
-    plain = recursion_table(spec, t, n, m_max=30)
-    closed = recursion_table(spec, t, n, m_max=30, tail_closure=True)
-    wide = recursion_table(spec, t, n, m_max=400)
+    plain = recursion_table(TrapSpectrum(max_level=30), t, n)
+    closed = recursion_table(TrapSpectrum(), t, n, m_max=30)
+    wide = recursion_table(TrapSpectrum(max_level=400), t, n)
     # the closure recovers most of what the truncation lost
     gap_plain = abs(plain.log_z[n] - wide.log_z[n])
     gap_closed = abs(closed.log_z[n] - wide.log_z[n])
@@ -182,10 +180,8 @@ def test_size_cap_enforced():
 
 
 def test_oracle_needs_a_top_level():
-    # the recursion sums the ladder level by level: the unbounded ladder
-    # needs an m_max, and one past MAX_LEVELS is refused before any array
-    with pytest.raises(DomainError, match="m_max"):
-        recursion_table(TrapSpectrum(), 5.0, 10)
+    # the recursion sums the ladder level by level: a top level past
+    # MAX_LEVELS is refused before any array
     with pytest.raises(DomainError, match="levels"):
         recursion_table(TrapSpectrum(), 5.0, 10, m_max=10**9)
     with pytest.raises(DomainError, match="levels"):
@@ -213,30 +209,54 @@ def test_occupation_recursion_check_inside_engine_tolerance():
     spec = TrapSpectrum()
     t, n = 4.0, 30
     res = canonical_observables(spec, t, n)
-    table = recursion_table(spec, t, n, m_max=res.m_max, tail_closure=True)
+    table = recursion_table(spec, t, n, m_max=res.m_max)
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
     assert res.n1_mean == pytest.approx(
         table.occupation(spec.level_spacing), rel=1e-9
     )
     total = level_sum(table, res.m_max)
-    total += spec.tail_weight(t, res.m_max) / table.partition_ratio(n)
+    total += spec.tail_weight(t, res.m_max) * tail_ratio(table)
     assert abs(total - n) / n < 1e-9
 
 
 def test_finite_ladder_is_the_oracle_model():
     # TrapSpectrum(max_level=3) alone is the truncated model: the recursion
     # sums its four levels whatever cap is asked for and closes no tail,
-    # as the engine does
-    spec = TrapSpectrum(max_level=3)
+    # as the engine does; with no options the unbounded ladder is the
+    # engine's default model, auto_m_max levels and the tail above them
     t, n = 5.0, 10
-    res = canonical_observables(spec, t, n)
-    for options in ({}, {"m_max": 50}, {"tail_closure": True}):
+    finite = TrapSpectrum(max_level=3)
+    for spec, options in ((finite, {}), (finite, {"m_max": 50}),
+                          (finite, {"tail_closure": True}),
+                          (TrapSpectrum(), {})):
+        res = canonical_observables(spec, t, n)
         table = recursion_table(spec, t, n, **options)
         assert table.log_z[n] == pytest.approx(res.log_z_zero_offset,
                                                rel=1e-12)
-        assert table.m_max == 3
+        assert table.m_max == res.m_max == auto_m_max(spec, t)
         assert table.occupation(0.0) == pytest.approx(res.n0_mean, rel=1e-10)
         assert table.occupation(1.0) == pytest.approx(res.n1_mean, rel=1e-10)
+    # tail_closure takes True alone: any other value is refused and names
+    # the finite ladder
+    for value in (False, None, 1):
+        with pytest.raises(DomainError, match=r"TrapSpectrum\(max_level=M\)"):
+            recursion_table(TrapSpectrum(), t, n, 30, value)
+
+
+def test_z1_sum_skips_only_underflowing_levels():
+    # at T = 0.05 the levels 19..21 give e^{-2 E/T} below e^{-745.2} and are
+    # cut from Z1_ex(2); np.exp of them is exactly 0.0, so Z_ex(2) =
+    # (Z1(1)^2 + Z1(2))/2 holds to rounding against sums over every level
+    spec = TrapSpectrum(max_level=21)
+    t = 0.05
+
+    def z1(j):
+        return math.fsum((m + 1) * (m + 2) / 2.0 * math.exp(-j * m / t)
+                         for m in range(1, 22))
+
+    table = recursion_table(spec, t, 2)
+    assert table.log_z_excited[2] == pytest.approx(
+        math.log((z1(1) ** 2 + z1(2)) / 2.0), rel=1e-14)
 
 
 @settings(max_examples=25, deadline=None)

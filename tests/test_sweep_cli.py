@@ -586,16 +586,21 @@ SUITE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("target", sorted(SUITE_CALLS))
+@pytest.mark.parametrize("target, field", [
+    *(pytest.param(name, "n0_mean", id=name) for name in sorted(SUITE_CALLS)),
+    pytest.param("oracle_equivalence", "log_z_zero_offset",
+                 id="oracle_equivalence-log_z"),
+])
 def test_cli_validate_fails_exactly_the_perturbed_suite(monkeypatch, capsys,
-                                                        target):
-    # a relative 1e-6 error in n0_mean under one suite's config only
+                                                        target, field):
+    # a relative 1e-6 error in one field under one suite's config only
     engine = validate.canonical_observables
 
     def nudged(spectrum, t, n, m_max=None, **keywords):
         res = engine(spectrum, t, n, m_max, **keywords)
         if SUITE_CALLS[target]({"m_max": m_max, **keywords}):
-            res = dataclasses.replace(res, n0_mean=res.n0_mean * (1 + 1e-6))
+            res = dataclasses.replace(
+                res, **{field: getattr(res, field) * (1 + 1e-6)})
         return res
 
     monkeypatch.setattr(validate, "canonical_observables", nudged)
