@@ -20,18 +20,17 @@ cross product), so every observable is a ratio of two integrals sharing
 one quadrature pass and one normalisation. See _kernels for the seven
 accumulators.
 
-Conditioning. The raw integrand oscillates with phase ~ N z while its
-modulus peaks at z = 0; for a poorly balanced ground offset the integral
-is exponentially smaller than the integrand's peak and double precision
-runs out of digits (errors grow like exp of the Legendre gap between the
-requested N and the offset's natural particle number). The engine
-therefore evaluates at the offset that makes z = 0 a true saddle,
-eps0* = -T log(fugacity(N, T)), where the integrand is a positive, nearly
-Gaussian peak. Observables do not depend on the offset at all, and log Z
-at any other offset follows from the exact identity
-log Z(eps0) = log Z(eps0') - N (eps0 - eps0')/T, so nothing is lost.
-A forced offset (the keyword ground_offset) remains available for
-invariance studies.
+Conditioning. The engine lifts the ground level from zero to an
+evaluation offset eps0. The raw integrand oscillates with phase ~ N z
+while its modulus peaks at z = 0; for a poorly balanced offset the
+integral is exponentially smaller than the integrand's peak and double
+precision runs out of digits (errors grow like exp of the Legendre gap
+between the requested N and the offset's natural particle number). The
+engine therefore evaluates at the offset that makes z = 0 a true saddle,
+eps0* = -mu(N, T), where the integrand is a positive, nearly Gaussian
+peak. Observables do not depend on the offset, and the exact identity
+log Z(0) = log Z(eps0) + N eps0/T gives log Z with the ground level at
+zero. A forced offset (keyword ground_offset) serves invariance studies.
 
 Grid density. A uniform M-point rule on the full period sums coefficient
 aliases Z(N + k M) exactly, so the step must make the first alias
@@ -73,7 +72,7 @@ zero, which holds the exit off to the full period.
 
 One fugacity solve. The grand-canonical state at mean number N, solved
 once per evaluation (also under a forced offset) and returned as
-CanonicalResult.gc_state, fixes the saddle offset -T log x0; the engine's
+CanonicalResult.gc_state, fixes the saddle offset -mu; the engine's
 level arrays are its level ladder shifted to the evaluation offset.
 """
 
@@ -148,14 +147,14 @@ class ConvergenceError(RuntimeError):
 class CanonicalResult:
     """Observables and diagnostics of one fixed-(N, T) evaluation.
 
-    log_z is normalised to the evaluation offset recorded in ground_offset;
-    log_z_zero_offset = log_z + N*ground_offset/T removes it entirely and is
+    log_z is log Z with the ground level lifted to the evaluation offset
+    recorded in ground_offset; log_z_zero_offset = log_z + N*ground_offset/T
+    is log Z with the ground level at zero, the oracle's log_z[n], and is
     what any two runs of the same physical system must agree on.
 
     gc_state is the grand-canonical ensemble of the spectrum at mean number
-    N over levels 0..m_max (solve_fugacity); -T log of its relative
-    fugacity is the saddle offset, and its occupations are the
-    grand-canonical values at the same (N, T).
+    N over levels 0..m_max (solve_fugacity); -mu is the saddle offset, and
+    its occupations are the grand-canonical values at the same (N, T).
     """
 
     n: int
@@ -296,7 +295,7 @@ def canonical_observables(
             f"level-1 Boltzmann factor exp(-{spectrum.level_spacing}/T) = "
             f"{q1:.3g} underflows the normal doubles")
     gc_state = solve_fugacity(spectrum, t, n, m_max=m_max)
-    eps0 = ground_offset or -t * math.log(gc_state.relative_fugacity)
+    eps0 = ground_offset or -gc_state.mu
     if not eps0 > 0.0:
         raise DomainError(f"temperature {t} is too small for N = {n}: the "
                           f"saddle offset underflows to {eps0}")

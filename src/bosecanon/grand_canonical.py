@@ -6,9 +6,10 @@ state (n0, delta_n0) and sums them over levels (total_number, number_variance):
   occupation of a state at energy E:   n = 1 / (exp((E - mu)/T) - 1)
   its fluctuation:                     dn = sqrt(n (n + 1))
 
-The inverse fugacity obeys exp(-mu/T) = 1 + 1/N_0 where N_0 is the ground
-occupation, so mu -> ground energy from below as N_0 grows. Distinct states
-are statistically independent in this ensemble: cross covariances vanish.
+Energies are measured from the ground level, so the fugacity exp(mu/T)
+lies in (0, 1) and obeys exp(-mu/T) = 1 + 1/N_0 where N_0 is the ground
+occupation: mu -> 0 from below as N_0 grows. Distinct states are
+statistically independent in this ensemble: cross covariances vanish.
 
 Finite sums run over levels 0..m_max. On the unbounded ladder the remainder
 is estimated by the Boltzmann-order geometric tail sum_{m>M} g_m lambda q^m,
@@ -107,10 +108,9 @@ def _occupation_sums(ladder: LevelLadder, lam: float) -> float:
 class GrandCanonicalState:
     """Solved grand-canonical ensemble at fixed mean particle number.
 
-    relative_fugacity is x0 = exp((mu - E_0)/T), the fugacity of the ladder
-    with its ground level at zero energy; it lies in (0, 1) whatever the
-    ground offset, and every sum runs on that offset-free ladder, the one
-    the solve built (ladder, left out of equality and repr).
+    relative_fugacity is x0 = exp(mu/T), the fugacity of the ladder with its
+    ground level at zero energy; it lies in (0, 1), and every sum runs on
+    the ladder the solve built (ladder, left out of equality and repr).
     """
 
     spectrum: TrapSpectrum
@@ -121,14 +121,12 @@ class GrandCanonicalState:
 
     @property
     def mu(self) -> float:
-        return self.spectrum.ground_offset + self.t * math.log(
-            self.relative_fugacity)
+        return self.t * math.log(self.relative_fugacity)
 
     @property
     def n0(self) -> float:
         """Mean occupation of the ground state."""
-        return mean_occupation(self.t, 0.0,
-                               self.t * math.log(self.relative_fugacity))
+        return mean_occupation(self.t, 0.0, self.mu)
 
     @property
     def delta_n0(self) -> float:
@@ -157,14 +155,13 @@ def solve_fugacity(
 ) -> GrandCanonicalState:
     """Solve sum_m g_m/(exp((E_m-mu)/T) - 1) = N for the fugacity.
 
-    Bisection on the relative fugacity x0 = exp((mu - E_0)/T) over
-    (0, 1 - 1e-15), summed on the offset-free ladder, so the ground offset
-    never enters an exponential; bisection stops when the bracket is two
-    adjacent doubles lo < hi with count(lo) < N <= count(hi): the answer is
-    as close as double precision can put it, at any N and T, and no count
-    tolerance is involved. The returned x0 is their rounded midpoint, one
-    of the two. The only failure is an N above the count at the top of the
-    bracket, a DomainError checked before the loop.
+    Bisection on the relative fugacity x0 = exp(mu/T) over (0, 1 - 1e-15),
+    summed on the spectrum's level ladder; bisection stops when the bracket
+    is two adjacent doubles lo < hi with count(lo) < N <= count(hi): the
+    answer is as close as double precision can put it, at any N and T, and
+    no count tolerance is involved. The returned x0 is their rounded
+    midpoint, one of the two. The only failure is an N above the count at
+    the top of the bracket, a DomainError checked before the loop.
     """
     _finite_real("temperature", t)
     _integer("target particle number", n_target, 1)

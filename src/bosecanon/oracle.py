@@ -12,10 +12,11 @@ a sum of positive terms over the levels of grand_canonical's one ladder
 so each j sums only the levels with j*E_m/T <= 745.2: it drops zeros alone,
 at about 745*(T/spacing)*ln N exps instead of N*M. The ladder's tail weight S
 is added at j=1 only, matching a generating function multiplied by
-exp(w*S). The ground level holds the rest of the particles, so
+exp(w*S). The ground level, at zero energy, holds the rest of the
+particles, so
 
-    log Z(k) = log sum_{i<=k} Z_ex(i) - k*E0/T,
-    P(n0 = N - k) = Z_ex(k) e^{-N*E0/T} / Z(N),
+    log Z(k) = log sum_{i<=k} Z_ex(i),
+    P(n0 = N - k) = Z_ex(k) / Z(N),
 
 and n0_variance, centred over P(n0), sums positive terms only. With no
 excited level every Z_ex(k >= 1) is 0.
@@ -79,7 +80,7 @@ class RecursionTable:
     log_z_excited: np.ndarray = field(repr=False)
 
     def occupation(self, energy: float) -> float:
-        """<n> of one state at the given absolute energy."""
+        """<n> of one state at the given energy above the ground level."""
         k = np.arange(1, self.n + 1, dtype=np.float64)
         return float(np.exp(-k * energy / self.t + self.log_z[self.n - 1 :: -1]
                             - self.log_z[self.n]).sum())
@@ -143,17 +144,16 @@ def recursion_table(
             terms -= mx
             expo = np.exp(terms, out=np.zeros(k), where=terms > -708.0)
             lz[k] = mx + math.log(expo.sum()) - math.log(k)
-    k = np.arange(n + 1, dtype=np.float64)
-    log_z = np.logaddexp.accumulate(lz) - k * spectrum.ground_offset / t
-    return RecursionTable(spectrum, t, n, m_max, log_z, lz)
+    return RecursionTable(spectrum, t, n, m_max,
+                          np.logaddexp.accumulate(lz), lz)
 
 
 def demon_ensemble(spectrum: TrapSpectrum, t: float, n: int, m_max: int) -> dict:
     """Closed forms of the "Maxwell's demon" ensemble (Grossmann & Holthaus,
     PRL 79, 3557 (1997)): the ladder's levels 1..m_max and tail at unit
     fugacity, the ground level holding the rest; exact, at any N, once
-    P(N_ex > N) is negligible. Returns n0, Var(n0), n1, log Z (ground level
-    at zero energy) and the Chernoff bound on log10 P(N_ex > N)."""
+    P(N_ex > N) is negligible. Returns n0, Var(n0), n1, log Z and the
+    Chernoff bound on log10 P(N_ex > N)."""
     _finite_real("temperature", t)
     ladder = _level_ladder(spectrum, t, auto_m_max(spectrum, t, m_max))
     q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight

@@ -1,17 +1,17 @@
 """Level structure of the 3D isotropic harmonic trap.
 
-Energies are measured in units of the level spacing unless a spacing is
-given explicitly. Level m carries energy ``ground_offset + m*level_spacing``
-and holds ``(m+1)(m+2)/2`` states (the number of ways to split m quanta
-among three Cartesian axes).
+Energies are measured from the ground level, in units of the level spacing
+unless a spacing is given explicitly. Level m carries energy
+``m*level_spacing`` and holds ``(m+1)(m+2)/2`` states (the number of ways
+to split m quanta among three Cartesian axes).
 
 The condensation temperature for N particles follows from equating N to the
 continuum excited-state capacity ``zeta(3) * (T/spacing)**3``, giving
 ``Tc = N**(1/3) * zeta(3)**(-1/3) * spacing``.
 
 Input rule for the package: particle numbers, level indices and thread
-counts are finite whole numbers; temperatures, spacings, offsets and energy
-scales are finite. Anything else is a DomainError naming the quantity.
+counts are finite whole numbers; temperatures, spacings and energy scales
+are finite. Anything else is a DomainError naming the quantity.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _integer(name: str, value: int, floor: int) -> int:
 
 @dataclass(frozen=True)
 class TrapSpectrum:
-    """Trap spectrum: spacing, ground offset, top level index.
+    """Trap spectrum: spacing and top level index, ground level at zero.
 
     ``max_level=None`` is the unbounded ladder: operations that materialise
     level arrays then need an explicit cap, and the levels above it are
@@ -64,12 +64,10 @@ class TrapSpectrum:
     """
 
     level_spacing: float = 1.0
-    ground_offset: float = 0.0
     max_level: int | None = None
 
     def __post_init__(self) -> None:
         _finite_real("level_spacing", self.level_spacing)
-        _finite_real("ground_offset", self.ground_offset, allow_zero=True)
         if self.max_level is not None:
             _integer("max_level", self.max_level, 0)
 
@@ -90,7 +88,10 @@ class TrapSpectrum:
         return (m + 1.0) * (m + 2.0) / 2.0
 
     def with_ground_offset(self, ground_offset: float) -> "TrapSpectrum":
-        return TrapSpectrum(self.level_spacing, ground_offset, self.max_level)
+        """This spectrum: its ground level is at zero, so only 0.0 is valid."""
+        if ground_offset != 0.0:
+            raise DomainError(f"ground_offset must be 0.0, got {ground_offset}")
+        return self
 
     def tail_weight(self, t: float, m_max: int) -> float:
         """Boltzmann weight of the levels above m_max, measured from level 0.

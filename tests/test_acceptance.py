@@ -75,7 +75,7 @@ def test_01_recursion_equivalence_full_grid():
                 prev = res.log_z_zero_offset
                 dev = abs(got_ratio - want_ratio) / want_ratio
                 n0 = _occupation_at(table, 0.0, t, n)
-                n1 = _occupation_at(table, SPEC.level_spacing + SPEC.ground_offset, t, n)
+                n1 = _occupation_at(table, SPEC.level_spacing, t, n)
                 dev = max(dev, abs(res.n0_mean - n0) / n0)
                 dev = max(dev, abs(res.n1_mean - n1) / max(n1, 1e-300))
                 worst = max(worst, dev)
@@ -227,7 +227,7 @@ def test_07_first_excited_state_fugacity_correction():
     for tfrac in (0.3, 0.5):
         t = tfrac * critical_temperature(SPEC, n)
         res = canonical_observables(SPEC, t, n)
-        n1_open = mean_occupation(t, SPEC.level_spacing + SPEC.ground_offset, 0.0)
+        n1_open = mean_occupation(t, SPEC.level_spacing, 0.0)
         scale = t / res.n0_mean  # leading fractional size, spacing units
         # the fixed-N result must sit on the open-system value to within
         # the correction scale ...
@@ -236,7 +236,7 @@ def test_07_first_excited_state_fugacity_correction():
         # ... and the one-over-N0 fugacity correction itself must carry
         # that leading fractional size, within a factor-2 band
         mu = -t * math.log1p(1.0 / res.n0_mean)
-        n1_corrected = mean_occupation(t, SPEC.level_spacing + SPEC.ground_offset, mu)
+        n1_corrected = mean_occupation(t, SPEC.level_spacing, mu)
         ratio = ((n1_open - n1_corrected) / n1_open) / scale
         ok &= 0.5 <= ratio <= 2.0
         details.append(

@@ -87,11 +87,11 @@ def test_correlation_limit_domain():
 def brute_transfer_ratio(spectrum, t, m_max):
     """Ratio of d<n1>/d(mu/T) to d<N_e>/d(mu/T) at mu = 0, summed term by
     term with no closed forms."""
-    x1 = math.exp(-(spectrum.level_spacing + spectrum.ground_offset) / t)
+    x1 = math.exp(-spectrum.level_spacing / t)
     top = -x1 / (1.0 - x1) ** 2
     bottom = 0.0
     for m in range(1, m_max + 1):
-        q = math.exp(-(m * spectrum.level_spacing + spectrum.ground_offset) / t)
+        q = math.exp(-m * spectrum.level_spacing / t)
         g = (m + 1) * (m + 2) / 2.0
         bottom += g * q / (1.0 - q) ** 2
     return top / bottom

@@ -63,7 +63,7 @@ def test_solve_fugacity_hits_target_number(n, t_frac):
     state = solve_fugacity(SPEC, t, n)
     assert state.total_number == pytest.approx(n, rel=1e-9)
     # chemical potential must sit below the ground state
-    assert state.mu < SPEC.ground_offset
+    assert state.mu < 0.0
     assert 0.0 < state.relative_fugacity < 1.0
 
 
@@ -74,27 +74,6 @@ def test_fugacity_approaches_saturation_from_below_at_low_t():
     # deep in the condensed phase almost everything sits in the ground state
     assert state.n0 / n > 0.95
     assert state.mu == pytest.approx(-t / state.n0, rel=1e-2)
-
-
-def test_fugacity_respects_ground_offset():
-    n = 200
-    t = 5.0
-    base = solve_fugacity(SPEC, t, n)
-    shifted = solve_fugacity(SPEC.with_ground_offset(2.0), t, n)
-    # same physics, chemical potential rides along with the offset
-    assert shifted.mu - base.mu == pytest.approx(2.0, rel=1e-9)
-    assert shifted.n0 == pytest.approx(base.n0, rel=1e-9)
-    assert shifted.total_number == pytest.approx(base.total_number, rel=1e-9)
-
-
-def test_large_ground_offset_does_not_overflow():
-    # exp(E_0/T) = e^1000 lies past the double range; the solve runs on the
-    # offset-free ladder and never forms it
-    base = solve_fugacity(SPEC, 1.0, 10)
-    lifted = solve_fugacity(TrapSpectrum(ground_offset=1000.0), 1.0, 10)
-    assert abs(lifted.n0 - base.n0) <= 1e-12 * base.n0
-    assert lifted.total_number == pytest.approx(10, rel=1e-12)
-    assert lifted.mu - 1000.0 == pytest.approx(base.mu, abs=1e-12)
 
 
 @pytest.mark.parametrize("n, t", [
@@ -118,15 +97,15 @@ def test_number_variance_sums_state_terms(n, t):
 
 
 def test_state_reads_its_ladder_and_only_its_levels():
-    # the state keeps the solve's offset-free ladder of the summed levels
-    # 0..m_max, read-only and outside equality
-    state = solve_fugacity(TrapSpectrum(ground_offset=2.0), 5.0, 200)
+    # the state keeps the solve's ladder of the summed levels 0..m_max,
+    # read-only and outside equality
+    state = solve_fugacity(SPEC, 5.0, 200)
     ladder = state.ladder
     assert list(ladder.energies[:3]) == [0.0, 1.0, 2.0]
     assert ladder.tail_weight == SPEC.tail_weight(5.0, state.m_max)
     for a in (ladder.energies, ladder.boltzmann, ladder.degeneracies):
         assert a.size == state.m_max + 1 and not a.flags.writeable
-    twin = solve_fugacity(TrapSpectrum(ground_offset=2.0), 5.0, 200)
+    twin = solve_fugacity(SPEC, 5.0, 200)
     assert twin == state and twin.ladder is not ladder
 
 
@@ -219,7 +198,7 @@ def test_solver_always_brackets(n, t_frac):
     t = t_frac * critical_temperature(SPEC, n)
     state = solve_fugacity(SPEC, t, n)
     assert state.total_number == pytest.approx(n, rel=1e-8)
-    assert state.mu < SPEC.ground_offset
+    assert state.mu < 0.0
 
 
 @pytest.mark.parametrize("target", [0.3, 1.0, 4.5, 10.0])

@@ -15,7 +15,7 @@ from bosecanon.oracle import (ORACLE_MAX_N, demon_ensemble, enumerate_exact,
 def log_z1(spectrum, t, m_max):
     return math.log(math.fsum(
         (m + 1) * (m + 2) / 2.0
-        * math.exp(-(m * spectrum.level_spacing + spectrum.ground_offset) / t)
+        * math.exp(-m * spectrum.level_spacing / t)
         for m in range(m_max + 1)))
 
 
@@ -45,7 +45,7 @@ def test_first_entry_is_single_particle_sum():
 
 def test_single_state_partition_is_one():
     # one nondegenerate-in-practice level at zero energy: every Z(k) = 1
-    spec = TrapSpectrum(ground_offset=0.0, max_level=0)
+    spec = TrapSpectrum(max_level=0)
     table = recursion_table(spec, 2.0, 6, m_max=0)
     # level 0 holds (m+1)(m+2)/2 = 1 state
     assert np.allclose(table.log_z, 0.0, atol=1e-12)
@@ -53,14 +53,17 @@ def test_single_state_partition_is_one():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_recursion_matches_enumeration_with_offset(n):
-    # lifted two-level ladder: recursion and brute-force count must agree
+    # two-level ladder against a brute-force count of the same states lifted
+    # by eps0: the recursion measures energies from the ground level, so
+    # its log Z is the count's plus N*eps0/T and its occupations are equal
     eps0, s, t = 0.35, 0.7, 1.3
-    spec = TrapSpectrum(level_spacing=s, ground_offset=eps0, max_level=1)
+    spec = TrapSpectrum(level_spacing=s, max_level=1)
     energies = [eps0] + [eps0 + s] * 3
     exact = enumerate_exact(energies, t, n)
     table = recursion_table(spec, t, n, m_max=1)
-    assert table.log_z[n] == pytest.approx(math.log(exact.z), rel=1e-12)
-    assert table.occupation(eps0) == pytest.approx(exact.mean[0], rel=1e-12)
+    assert table.log_z[n] == pytest.approx(math.log(exact.z) + n * eps0 / t,
+                                           rel=1e-12)
+    assert table.occupation(0.0) == pytest.approx(exact.mean[0], rel=1e-12)
     assert np.isclose(exact.mean.sum(), n, rtol=1e-12)
 
 
@@ -95,7 +98,7 @@ def test_cross_moment_is_symmetric():
 def test_cross_moment_matches_the_double_sum():
     # sum_{k,l>=1} e^{-(k Ea + l Eb)/T} Z(N-k-l)/Z(N) term by term, for
     # unequal, swapped, equal and zero energies
-    spec = TrapSpectrum(level_spacing=0.37, ground_offset=0.2)
+    spec = TrapSpectrum(level_spacing=0.37)
     t, n = 3.0, 40
     table = recursion_table(spec, t, n, m_max=60)
     lz = table.log_z
@@ -113,20 +116,6 @@ def test_partition_grows_with_temperature():
     cold = recursion_table(spec, 2.0, 40)
     warm = recursion_table(spec, 2.5, 40)
     assert np.all(warm.log_z[1:] > cold.log_z[1:])
-
-
-def test_ground_offset_shifts_log_partition_linearly():
-    spec = TrapSpectrum(max_level=60)
-    lifted = spec.with_ground_offset(0.8)
-    t = 3.0
-    base = recursion_table(spec, t, 25)
-    shifted = recursion_table(lifted, t, 25)
-    for k in range(26):
-        assert shifted.log_z[k] == pytest.approx(
-            base.log_z[k] - k * 0.8 / t, rel=1e-11, abs=1e-11
-        )
-    # occupations are offset-invariant
-    assert shifted.occupation(0.8) == pytest.approx(base.occupation(0.0), rel=1e-11)
 
 
 def test_condensate_and_excited_fluctuations_mirror():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from bosecanon.canonical import canonical_observables
 from bosecanon.grand_canonical import _level_ladder, solve_fugacity
-from bosecanon.oracle import recursion_table
+from bosecanon.oracle import demon_ensemble, recursion_table
 from bosecanon.spectrum import (
     ZETA3,
     DomainError,
@@ -55,9 +55,8 @@ def test_negative_top_level_is_a_domain_error(call):
 
 
 def test_energies_and_degeneracies_arrays():
-    # the level ladder puts the ground level at zero whatever the offset
-    ladder = _level_ladder(TrapSpectrum(level_spacing=2.0, ground_offset=1.0),
-                           4.0, 4)
+    # the level ladder puts the ground level at zero
+    ladder = _level_ladder(TrapSpectrum(level_spacing=2.0), 4.0, 4)
     assert list(ladder.energies) == [0.0, 2.0, 4.0, 6.0, 8.0]
     assert list(ladder.boltzmann) == pytest.approx(
         [math.exp(-e / 4.0) for e in range(0, 9, 2)], rel=1e-15)
@@ -68,8 +67,6 @@ def test_energies_and_degeneracies_arrays():
 def test_invalid_spectrum_params():
     with pytest.raises(DomainError):
         TrapSpectrum(level_spacing=0.0)
-    with pytest.raises(DomainError):
-        TrapSpectrum(ground_offset=-0.1)
     with pytest.raises(DomainError):
         TrapSpectrum(max_level=-2)
 
@@ -84,12 +81,24 @@ def test_whole_numbers_beyond_the_double_range_are_domain_errors():
     assert TrapSpectrum(max_level=top).max_level == top
 
 
-def test_with_ground_offset_preserves_rest():
-    sp = TrapSpectrum(level_spacing=3.0, ground_offset=1.0, max_level=7)
-    shifted = sp.with_ground_offset(2.5)
-    assert shifted.ground_offset == 2.5
-    assert shifted.level_spacing == 3.0
-    assert shifted.max_level == 7
+def test_energies_are_measured_from_the_ground_level():
+    # the ground level is at zero energy: there is no offset to set, and the
+    # engine's log Z with its evaluation offset removed, the recursion's
+    # log Z and, deep below Tc, the demon ensemble's are one quantity
+    with pytest.raises(TypeError):
+        TrapSpectrum(ground_offset=1.0)
+    spec = TrapSpectrum(level_spacing=0.37)
+    assert spec.with_ground_offset(0.0) == spec
+    with pytest.raises(DomainError, match="ground_offset"):
+        spec.with_ground_offset(0.3)
+    n = 1000
+    t = 0.2 * critical_temperature(spec, n)
+    res = canonical_observables(spec, t, n)
+    log_z = recursion_table(spec, t, n, m_max=res.m_max).log_z[n]
+    assert res.log_z_zero_offset == pytest.approx(log_z, rel=1e-12)
+    demon = demon_ensemble(spec, t, n, res.m_max)
+    assert demon["log10_p"] < -100.0
+    assert demon["log_z"] == pytest.approx(log_z, rel=1e-12)
 
 
 def test_critical_temperature_spot_value():
@@ -134,8 +143,7 @@ def test_tail_rejects_bad_arguments():
 
 def test_tail_weight_is_offset_free_and_absent_on_a_finite_ladder():
     # T = 10 closes the ladder above level 60 with the closed-form sum,
-    # whatever the ground offset; a finite ladder has no tail
+    # measured from level 0; a finite ladder has no tail
     want = weighted_geometric_tail(math.exp(-0.1), 60)
-    for offset in (0.0, 2.5):
-        assert TrapSpectrum(ground_offset=offset).tail_weight(10.0, 60) == want
+    assert TrapSpectrum().tail_weight(10.0, 60) == want
     assert TrapSpectrum(max_level=400).tail_weight(10.0, 60) == 0.0

@@ -237,7 +237,7 @@ def test_compute_row_builds_the_level_ladder_once(monkeypatch):
 
 @pytest.mark.parametrize("spec, rel", [
     (SPEC, 0.0),
-    (TrapSpectrum(level_spacing=2.0, ground_offset=0.3), 1e-12),
+    (TrapSpectrum(level_spacing=2.0), 1e-12),
 ])
 def test_compute_row_gc_columns_match_a_direct_solve(spec, rel):
     n, f = 1000, 0.5
