@@ -8,7 +8,8 @@ the flag is. The file's flags are parsed first, with no prefix matching,
 and the command line on top, so flags win. A preset supplies the particle
 set and temperature grid unless those are given. Exit codes: 0 success,
 1 validation failure, 2 bad configuration (a bad value or choice, an
-unknown file key), 3 non-converged rows under --strict.
+unknown file key, a temperature grid of more than sweep.MAX_GRID_POINTS
+points), 3 non-converged rows under --strict.
 """
 
 from __future__ import annotations

@@ -150,13 +150,24 @@ def compute_row(
     )
 
 
+# Points allowed in one temperature grid or refinement patch; fig1 has 43.
+MAX_GRID_POINTS = 10**5
+
+
 def temperature_grid(start: float, stop: float, step: float,
                      refinements=()) -> list:
     """Uniform grid plus finer (start, stop, step) patches, each checked as a
-    grid of its own; deduplicated, sorted, and a DomainError when empty."""
+    grid of its own; deduplicated, sorted, and a DomainError when empty.
+    A grid or patch of more than MAX_GRID_POINTS points is a DomainError,
+    counted before any array is built (the CLI's exit 2)."""
     _finite_real("grid step", step)
     if _finite_real("grid stop", stop) < _finite_real("grid start", start):
         raise DomainError(f"grid stop {stop} lies below its start {start}")
+    # np.arange's own count, ceil of this quotient; inf for a subnormal step
+    count = (stop + 0.5 * step - start) / step
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"grid {start}:{stop}:{step} has {count:.3g} points,"
+                          f" more than the {MAX_GRID_POINTS} a grid may have")
     pts = list(np.arange(start, stop + 0.5 * step, step))
     for a, b, s in refinements:
         pts.extend(temperature_grid(a, b, s))

@@ -42,18 +42,6 @@ def test_config_m_max_clamps_to_finite_spectrum():
     assert res.m_max == 3
 
 
-def test_finite_ladder_keeps_levels_above_auto_truncation():
-    # the default truncation for T = 10 is level 170; a ladder ending at
-    # level 400 is the model and must be summed to its top, with no tail
-    spec = TrapSpectrum(max_level=400)
-    t, n = 10.0, 200
-    res = canonical_observables(spec, t, n)
-    assert res.m_max == 400
-    table = recursion_table(spec, t, n, m_max=400)
-    assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-9)
-    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
-
-
 def test_one_level_spectrum_is_a_domain_error():
     # the n1 observables need a state of level 1
     with pytest.raises(DomainError):
@@ -75,29 +63,6 @@ def test_two_level_engine_matches_enumeration():
         assert res.n0_second_moment == pytest.approx(exact.second[0], rel=1e-10)
         assert res.n1_mean == pytest.approx(exact.mean[1], rel=1e-10)
         assert res.n0_n1_mean == pytest.approx(exact.cross[0, 1], rel=1e-9)
-
-
-def test_engine_matches_recursion_truncate_mode():
-    # a finite ladder is the truncated model: no tail above its top level
-    spec = TrapSpectrum(max_level=45)
-    t, n = 4.0, 60
-    res = canonical_observables(spec, t, n)
-    assert res.m_max == 45
-    table = recursion_table(spec, t, n, m_max=45)
-    assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-10)
-    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
-    assert res.n1_mean == pytest.approx(
-        table.occupation(1.0), rel=1e-10
-    )
-    assert res.n0_n1_mean == pytest.approx(table.cross_moment(0.0, 1.0), rel=1e-9)
-
-
-def test_engine_matches_recursion_with_tail_closure():
-    t, n = 4.0, 60
-    res = canonical_observables(SPEC, t, n, 45)
-    table = recursion_table(SPEC, t, n, m_max=45)
-    assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-10)
-    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
 
 
 def test_sum_rule_and_mirrored_fluctuations():
@@ -438,85 +403,75 @@ def test_engine_recursion_agreement_property(n, t_frac):
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
 
 
-@pytest.mark.parametrize("n, t_over_tc", [
-    (10_000, 0.05),  # early exit never fires
-    (10_000, 0.6),
-    (10_000, 1.35),
-    (100, 0.01),
-    (100, 3.0),
-    (1000, 0.01),
-    (1000, 3.0),
-    (10_000, 3.0),  # midpoint rule above 2 Tc
-])
-def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
-    # N = 10^4 and T/Tc far below and above the transition, against the
-    # recursion on the model the engine resolves to, <n0 n1> included (the
-    # worst, 8.9e-12, is at T/Tc = 1.35). delta_n0 and delta_ne
-    # are not asserted: as second moment minus squared mean they lose
-    # digits to cancellation, a known defect of the engine.
-    t = t_over_tc * critical_temperature(SPEC, n)
-    res = canonical_observables(SPEC, t, n)
-    table = recursion_table(SPEC, t, n, m_max=res.m_max)
-    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
-    assert res.n1_mean == pytest.approx(
-        table.occupation(SPEC.level_spacing), rel=1e-10)
-    assert res.n0_second_moment == pytest.approx(
-        table.n0_variance() + table.occupation(0.0) ** 2, rel=1e-10)
-    assert res.n0_n1_mean == pytest.approx(
-        table.cross_moment(0.0, SPEC.level_spacing), rel=1e-10)
-    # log Z is about 3e-10 at T/Tc = 0.01, so the bound is absolute there
-    log_z = table.log_z[n]
+def row(n, t=None, t_over_tc=None, spec=SPEC, m_max=None, truth="recursion",
+        delta_rel=None, id=None):
+    if t is None:
+        t = t_over_tc * critical_temperature(spec, n)
+    return pytest.param(spec, n, t, m_max, truth, delta_rel,
+                        id=id or f"{n}-{t_over_tc}")
+
+
+# The engine against its exact truths, one row per (spectrum, N, T, m_max
+# asked). The truth is the recursion on the model the engine resolves to,
+# the demon ensemble's closed forms (valid where log10 P(N_ex > N) < -100),
+# or both, whose exact Var(n0) must then agree to 1e-12. Every row holds
+# log Z to 1e-12 max(1, |log Z|) (log Z is about 3e-10 at T/Tc = 0.01) and
+# each other observable its truth gives to 1e-10; a finite ladder resolves
+# m_max to its top level. delta_n0 is held only where delta_rel is set,
+# and loosely: the engine takes Var(n0) as a second moment minus a squared
+# mean and loses digits to the cancellation, a known defect (7.7e-7 off at
+# N = 10^4, T/Tc = 0.05, 4.3e-6 at the oracle's cap and 3.2e-4 at N = 10^5,
+# T/Tc = 0.05).
+TRUTH_ROWS = [
+    row(60, 4.0, spec=TrapSpectrum(max_level=45), id="truncate-45"),
+    row(60, 4.0, m_max=45, id="tail-45"),
+    row(30, 4.0, id="tail-auto"),
+    # the default truncation for T = 10 is level 170; a ladder ending at
+    # level 400 is the model and is summed to its top, with no tail
+    row(200, 10.0, spec=TrapSpectrum(max_level=400), id="finite-400"),
+    row(10_000, t_over_tc=0.05, truth="both", delta_rel=1e-6),  # no early exit
+    row(10_000, t_over_tc=0.1, truth="both", delta_rel=1e-6),
+    row(ORACLE_MAX_N, t_over_tc=0.05, truth="both", delta_rel=1e-5),
+    row(10_000, t_over_tc=0.6),
+    row(10_000, t_over_tc=1.35),
+    row(10_000, t_over_tc=3.0),  # midpoint rule above 2 Tc
+    row(100, t_over_tc=0.01),
+    row(100, t_over_tc=3.0),
+    row(1000, t_over_tc=0.01),
+    row(1000, t_over_tc=3.0),
+    *(row(200, t_over_tc=f, spec=TrapSpectrum(level_spacing=s),
+          id=f"spacing-{s}-{f}") for s in (0.37, 2.0) for f in (0.5, 1.2)),
+    row(10**5, t_over_tc=0.05, truth="demon"),
+    row(10**5, t_over_tc=0.3, truth="demon"),
+]
+
+
+@pytest.mark.parametrize("spec, n, t, m_max, truth, delta_rel", TRUTH_ROWS)
+def test_engine_matches_its_truth(spec, n, t, m_max, truth, delta_rel):
+    res = canonical_observables(spec, t, n, m_max)
+    if spec.max_level is not None:
+        assert res.m_max == spec.max_level
+    if truth != "recursion":
+        demon = demon_ensemble(spec, t, n, res.m_max)
+        assert demon["log10_p"] < -100.0
+        variance = demon["n0_variance"]
+        want = {"log_z_zero_offset": demon["log_z"], "n0_mean": demon["n0"],
+                "n1_mean": demon["n1"],
+                "n0_second_moment": variance + demon["n0"] ** 2}
+    if truth != "demon":
+        table = recursion_table(spec, t, n, m_max=res.m_max)
+        if truth == "both":
+            assert math.sqrt(table.n0_variance()) == pytest.approx(
+                math.sqrt(variance), rel=1e-12)
+        variance, n0 = table.n0_variance(), table.occupation(0.0)
+        e1 = spec.level_spacing
+        want = {"log_z_zero_offset": table.log_z[n], "n0_mean": n0,
+                "n1_mean": table.occupation(e1),
+                "n0_second_moment": variance + n0 ** 2,
+                "n0_n1_mean": table.cross_moment(0.0, e1)}
+    log_z = want.pop("log_z_zero_offset")
     assert abs(res.log_z_zero_offset - log_z) <= 1e-12 * max(1.0, abs(log_z))
-
-
-@pytest.mark.parametrize("t_over_tc", [0.5, 1.2])
-@pytest.mark.parametrize("spacing", [0.37, 2.0])
-def test_engine_matches_recursion_at_other_spacings(spacing, t_over_tc):
-    # the unbounded ladder with a level spacing other than 1, below and
-    # above the transition
-    spec = TrapSpectrum(level_spacing=spacing)
-    n = 200
-    t = t_over_tc * critical_temperature(spec, n)
-    res = canonical_observables(spec, t, n)
-    table = recursion_table(spec, t, n, m_max=res.m_max)
-    log_z = table.log_z[n]
-    assert abs(res.log_z_zero_offset - log_z) <= 1e-12 * max(1.0, abs(log_z))
-    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-10)
-    assert res.n1_mean == pytest.approx(table.occupation(spacing), rel=1e-10)
-
-
-@pytest.mark.parametrize("t_over_tc", [0.05, 0.3])
-def test_engine_matches_the_demon_ensemble_at_large_n(t_over_tc):
-    # delta_n0 is not asserted: the engine takes it as a second moment
-    # minus a squared mean, and at N = 10^5, T/Tc = 0.05 that cancellation
-    # leaves it off the closed form by a relative 3.2e-4, a known defect.
-    n = 10**5
-    t = t_over_tc * critical_temperature(SPEC, n)
-    res = canonical_observables(SPEC, t, n)
-    demon = demon_ensemble(SPEC, t, n, res.m_max)
-    assert demon["log10_p"] < -100.0
-    assert res.n0_mean == pytest.approx(demon["n0"], rel=1e-10)
-    assert res.n1_mean == pytest.approx(demon["n1"], rel=1e-10)
-    assert res.log_z_zero_offset == pytest.approx(demon["log_z"], rel=1e-10)
-
-
-@pytest.mark.parametrize("n, t_over_tc, engine_rel", [
-    pytest.param(10**4, 0.05, 1e-6, id="0.05"),
-    pytest.param(10**4, 0.1, 1e-6, id="0.1"),
-    pytest.param(ORACLE_MAX_N, 0.05, 1e-5, id="cap-0.05"),
-])
-def test_oracle_delta_n0_matches_the_demon_ensemble(n, t_over_tc, engine_rel):
-    # the recursion's Var(n0), centred over P(n0), is the exact delta_n0;
-    # taken as <n0^2> - <n0>^2 it would be 1.7e-8 and 3.3e-9 off at
-    # N = 10^4. The engine takes it that way: 7.7e-7 off at N = 10^4 and
-    # 4.3e-6 at the oracle's cap, T/Tc = 0.05, a known defect held to its
-    # size here
-    t = t_over_tc * critical_temperature(SPEC, n)
-    res = canonical_observables(SPEC, t, n)
-    table = recursion_table(SPEC, t, n, m_max=res.m_max)
-    demon = demon_ensemble(SPEC, t, n, res.m_max)
-    assert demon["log10_p"] < -100.0
-    delta_n0 = math.sqrt(table.n0_variance())
-    assert delta_n0 == pytest.approx(math.sqrt(demon["n0_variance"]),
-                                     rel=1e-12)
-    assert res.delta_n0 == pytest.approx(delta_n0, rel=engine_rel)
+    for name, value in want.items():
+        assert getattr(res, name) == pytest.approx(value, rel=1e-10), name
+    if delta_rel is not None:
+        assert res.delta_n0 == pytest.approx(math.sqrt(variance), rel=delta_rel)

@@ -282,8 +282,9 @@ def test_temperature_grid_without_points_is_a_domain_error():
     ((0.1, math.nan, 0.01), "grid stop"),
     ((0.1, math.inf, 0.01), "grid stop"),
     ((0.3, 0.1, 0.01), "lies below its start"),
+    ((0.1, 0.3, 1e-16), "more than the 100000"),  # counted, not built
 ], ids=["zero-step", "negative-step", "nan-start", "nan-stop", "inf-stop",
-        "reversed"])
+        "reversed", "huge"])
 def test_temperature_grid_checks_its_refinement_patches(patch, match):
     # a patch is a grid of its own and fails the same checks
     with pytest.raises(DomainError, match=match):
@@ -527,6 +528,15 @@ def test_cli_rejects_an_empty_grid(tmp_path, capsys):
                    "--out", str(out)) == 2
     assert "no points" in capsys.readouterr().err
     assert not (tmp_path / "empty.csv").exists()
+
+
+def test_cli_refuses_a_huge_grid_as_a_configuration_error(tmp_path, capsys):
+    # about 10^16 points: refused from its count, before any array
+    out = tmp_path / "huge"
+    assert run_cli("--particles", "100", "--t-over-tc", "0.1:1.4:1e-16",
+                   "--out", str(out)) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_rejects_empty_request():
