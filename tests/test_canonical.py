@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -429,7 +430,6 @@ TRUTH_ROWS = [
     # the default truncation for T = 10 is level 170; a ladder ending at
     # level 400 is the model and is summed to its top, with no tail
     row(200, 10.0, spec=TrapSpectrum(max_level=400), id="finite-400"),
-    row(10_000, t_over_tc=0.05, truth="both", delta_rel=1e-6),  # no early exit
     row(10_000, t_over_tc=0.1, truth="both", delta_rel=1e-6),
     row(ORACLE_MAX_N, t_over_tc=0.05, truth="both", delta_rel=1e-5),
     row(10_000, t_over_tc=0.6),
@@ -446,9 +446,19 @@ TRUTH_ROWS = [
 ]
 
 
+# The engine run and the recursion of the last row seen, so that two tests
+# on one row build each once.
+engine = functools.lru_cache(maxsize=1)(canonical_observables)
+recursion = functools.lru_cache(maxsize=1)(recursion_table)
+
+
 @pytest.mark.parametrize("spec, n, t, m_max, truth, delta_rel", TRUTH_ROWS)
 def test_engine_matches_its_truth(spec, n, t, m_max, truth, delta_rel):
-    res = canonical_observables(spec, t, n, m_max)
+    assert_matches_truth(spec, n, t, m_max, truth, delta_rel)
+
+
+def assert_matches_truth(spec, n, t, m_max, truth, delta_rel):
+    res = engine(spec, t, n, m_max)
     if spec.max_level is not None:
         assert res.m_max == spec.max_level
     if truth != "recursion":
@@ -459,7 +469,7 @@ def test_engine_matches_its_truth(spec, n, t, m_max, truth, delta_rel):
                 "n1_mean": demon["n1"],
                 "n0_second_moment": variance + demon["n0"] ** 2}
     if truth != "demon":
-        table = recursion_table(spec, t, n, m_max=res.m_max)
+        table = recursion(spec, t, n, res.m_max)
         if truth == "both":
             assert math.sqrt(table.n0_variance()) == pytest.approx(
                 math.sqrt(variance), rel=1e-12)
@@ -475,3 +485,27 @@ def test_engine_matches_its_truth(spec, n, t, m_max, truth, delta_rel):
         assert getattr(res, name) == pytest.approx(value, rel=1e-10), name
     if delta_rel is not None:
         assert res.delta_n0 == pytest.approx(math.sqrt(variance), rel=delta_rel)
+
+
+# N = 10^4, T/Tc = 0.05, where the early exit never fires, is the "both"
+# row split in two on one engine run and one recursion build: the engine
+# against the recursion, and the recursion's exact Var(n0) against the
+# demon forms with the engine's delta_n0 held to it.
+@pytest.mark.parametrize("n, t_over_tc", [(10_000, 0.05)])
+def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
+    t = t_over_tc * critical_temperature(SPEC, n)
+    assert_matches_truth(SPEC, n, t, None, "recursion", None)
+
+
+@pytest.mark.parametrize("n, t_over_tc, engine_rel", [
+    pytest.param(10_000, 0.05, 1e-6, id="0.05"),
+])
+def test_oracle_delta_n0_matches_the_demon_ensemble(n, t_over_tc, engine_rel):
+    t = t_over_tc * critical_temperature(SPEC, n)
+    res = engine(SPEC, t, n, None)
+    table = recursion(SPEC, t, n, res.m_max)
+    demon = demon_ensemble(SPEC, t, n, res.m_max)
+    assert demon["log10_p"] < -100.0
+    delta_n0 = math.sqrt(table.n0_variance())
+    assert delta_n0 == pytest.approx(math.sqrt(demon["n0_variance"]), rel=1e-12)
+    assert res.delta_n0 == pytest.approx(delta_n0, rel=engine_rel)
