@@ -6,15 +6,18 @@ the flag `--key=value` (`_` in a key reads as `-`; the switches `strict`
 and `validate` take a yes/no word), so a file value is checked exactly as
 the flag is. The file's flags are parsed first, with no prefix matching,
 and the command line on top, so flags win. A preset supplies the particle
-set and temperature grid unless those are given. Exit codes: 0 success,
-1 validation failure, 2 bad configuration (a bad value or choice, an
-unknown file key, a temperature grid of more than sweep.MAX_GRID_POINTS
-points), 3 non-converged rows under --strict.
+set and temperature grid unless those are given. A sweep writes
+`<out>.csv` and `<out>.json`. Exit codes: 0 success, 1 validation failure,
+2 bad configuration (a bad value or choice, an unknown file key, a
+temperature grid of more than sweep.MAX_GRID_POINTS points, an `--out`
+whose directory is missing or not writable, all refused before the first
+row), 3 non-converged rows under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .spectrum import DomainError
@@ -74,16 +77,14 @@ def _t_grid(text: str) -> list:
             f"bad grid {text!r}: {err}") from None
 
 
-def _count_or_auto(text: str) -> int | None:
-    if text.strip().lower() == "auto":
-        return None
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"want a positive integer or 'auto', got {text!r}")
+            f"want a positive integer, got {text!r}")
     return value
 
 
@@ -126,13 +127,12 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="comma-separated particle numbers, e.g. 100,1000")
     add("--t-over-tc", dest="t_grid", type=_t_grid, metavar="START:STOP:STEP",
         help="temperature grid in units of Tc")
-    add("--m-max", type=_count_or_auto,
-        help="level truncation, integer or 'auto' (default auto)")
-    add("--out", default="sweep", help="output path base (default: sweep)")
-    add("--format", choices=("csv", "json", "both"), default="both",
-        help="emit csv, json, or both (default both)")
-    add("--threads", type=_count_or_auto, default=1,
-        help="worker count or 'auto' (default 1)")
+    add("--m-max", type=_positive_int,
+        help="level truncation (default: chosen per row)")
+    add("--out", default="sweep",
+        help="output path base: writes OUT.csv and OUT.json (default: sweep)")
+    add("--threads", type=_positive_int, default=1,
+        help="rows computed at once on worker threads (default 1)")
     add("--strict", action="store_true",
         help="exit 3 if any row fails to converge")
     add("--validate", action="store_true",
@@ -166,13 +166,12 @@ def resolve_settings(argv=None) -> argparse.Namespace:
         raise ConfigError(
             "nothing to do: give --preset, or --particles with --t-over-tc, "
             "or --validate")
+    # refused here, not after the whole sweep has run
+    folder = os.path.dirname(settings.out) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write --out {settings.out}: "
+                          f"{folder} is not a writable directory")
     return settings
-
-
-def _output_paths(settings: argparse.Namespace):
-    base = settings.out.removesuffix(".csv").removesuffix(".json")
-    return {fmt: f"{base}.{fmt}" for fmt in ("csv", "json")
-            if settings.format in (fmt, "both")}
 
 
 def _run_sweep(settings: argparse.Namespace) -> int:
@@ -183,14 +182,12 @@ def _run_sweep(settings: argparse.Namespace) -> int:
         threads=settings.threads,
     )
     result.meta["preset"] = settings.preset
-    paths = _output_paths(settings)
-    if "csv" in paths:
-        write_csv(result.rows, paths["csv"])
-    if "json" in paths:
-        write_json(result, paths["json"])
+    base = settings.out.removesuffix(".csv").removesuffix(".json")
+    write_csv(result.rows, f"{base}.csv")
+    write_json(result, f"{base}.json")
     ok = len(result.rows) - len(result.failed_rows)
     print(f"rows: {ok}/{len(result.rows)} converged; "
-          f"wrote {', '.join(sorted(paths.values()))} "
+          f"wrote {base}.csv, {base}.json "
           f"in {result.meta['elapsed_seconds']}s")
     for row in result.failed_rows:
         print(f"  failed: N={row.n} T/Tc={row.t_over_tc}: {row.error}",

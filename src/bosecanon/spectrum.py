@@ -48,7 +48,11 @@ def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
 
 def _integer(name: str, value: int, floor: int) -> int:
     """value as an int if it is a finite whole number >= floor; never floored."""
-    if not (floor <= value <= sys.float_info.max and value % 1 == 0):
+    try:
+        whole = floor <= value <= sys.float_info.max and value % 1 == 0
+    except TypeError:  # None, or not a number at all
+        whole = False
+    if not whole:
         raise DomainError(f"{name} must be a finite integer >= {floor}, got {value}")
     return int(value)
 

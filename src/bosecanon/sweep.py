@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -198,23 +197,22 @@ def run_sweep(
     particles,
     t_grid,
     m_max: int | None = None,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> SweepResult:
     """Evaluate the full (N, T/Tc) grid on the unit-spacing trap
     (TrapSpectrum()), rows in deterministic order.
 
     m_max=None lets each row pick its level truncation (auto_m_max).
-    threads=None means one thread per CPU; rows contend for the GIL.
-    A count below 1 or a fractional one is a DomainError.
+    threads > 1 computes that many rows at once on worker threads; rows
+    contend for the GIL. A count that is not a whole number >= 1, None
+    included, is a DomainError.
     """
     if m_max is not None:
         m_max = _integer("m_max", m_max, 1)
-    if threads is not None:
-        threads = _integer("threads", threads, 1)
+    workers = _integer("threads", threads, 1)
     spectrum = TrapSpectrum()
     particles = [_integer("particle number", n, 1) for n in particles]
     points = [(n, float(t)) for n in particles for t in t_grid]
-    workers = threads or os.cpu_count() or 1
     started = time.time()
     if workers == 1:
         rows = [compute_row(spectrum, n, t, m_max) for n, t in points]

@@ -35,7 +35,7 @@ def _gate(tag: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def standard_sweep():
     preset = PRESETS["fig1"]
-    result = run_sweep(preset.particles, preset.grid(), threads=4)
+    result = run_sweep(preset.particles, preset.grid())
     assert result.failed_rows == []
     return result
 
@@ -112,11 +112,14 @@ def test_02_enumeration_equivalence_two_level():
                     worst = max(worst, abs(got))
                 else:
                     worst = max(worst, abs(got - want) / abs(want))
+            log_z = math.log(exact.z)
+            worst = max(worst, abs(res.log_z_zero_offset - log_z)
+                        / max(1.0, abs(log_z)))
     _gate(
         "2",
         worst <= bound,
-        f"four moments vs brute-force enumeration (N<=4, two levels): "
-        f"max rel dev {worst:.3e} (bound {bound:.0e})",
+        f"four moments and log Z vs brute-force enumeration (N<=4, two "
+        f"levels): max rel dev {worst:.3e} (bound {bound:.0e})",
     )
 
 

@@ -326,41 +326,27 @@ def test_sweep_defaults_to_serial():
     assert list(inspect.signature(run_sweep).parameters) == [
         "particles", "t_grid", "m_max", "threads"]
     assert run_sweep((20,), [0.5]).meta["workers"] == 1
-    assert resolve_settings(["--particles", "20", "--t-over-tc", "0.5:0.5:0.1"]
-                            ).threads == 1
-    assert resolve_settings(["--particles", "20", "--t-over-tc", "0.5:0.5:0.1",
-                             "--threads", "auto"]).threads is None
+    grid = ["--particles", "20", "--t-over-tc", "0.5:0.5:0.1"]
+    assert resolve_settings(grid).threads == 1
+    assert resolve_settings([*grid, "--threads", "2"]).threads == 2
 
 
-def test_sweep_thread_count_none_is_one_per_cpu_zero_negative_rejected():
-    assert run_sweep((20,), [0.5], threads=None).meta["workers"] == (
-        os.cpu_count() or 1)
-    for threads in (0, -3, 1.5):
-        with pytest.raises(DomainError):
+def test_sweep_thread_count_none_zero_negative_rejected():
+    for threads in (None, 0, -3, 1.5):
+        with pytest.raises(DomainError, match="threads"):
             run_sweep((20,), [0.5], threads=threads)
 
 
 def test_sweep_thread_count_does_not_change_numbers(small_sweep):
-    redo = run_sweep((20, 80, 320), [0.5, 0.8], threads=1)
-    for a, b in zip(small_sweep.rows, redo.rows):
-        for field in FIELD_ORDER:
-            va, vb = getattr(a, field), getattr(b, field)
-            if isinstance(va, float):
-                if math.isnan(va):
-                    assert math.isnan(vb)
-                else:
-                    assert va == vb
-            else:
-                assert va == vb
-
-
-def test_sweep_thread_count_does_not_change_full_chunk_rows():
-    # rows that run through many full-size kernel chunks (14 at N = 1000,
-    # T/Tc = 0.3, and 10 at N = 10^4), two at a time
-    rows = [run_sweep([1000, 10_000], [0.3, 1.0], threads=threads).rows
-            for threads in (2, 1)]
-    assert len(rows[0]) == 4 and not any(r.error for r in rows[0])
-    assert [repr(r) for r in rows[0]] == [repr(r) for r in rows[1]]
+    # the small grid, and rows that run through many full-size kernel
+    # chunks (14 at N = 1000, T/Tc = 0.3, and 10 at N = 10^4), two at a
+    # time; repr tells every field apart, NaN matching NaN
+    chunky = ((1000, 10_000), [0.3, 1.0])
+    serial = [*run_sweep((20, 80, 320), [0.5, 0.8], threads=1).rows,
+              *run_sweep(*chunky, threads=1).rows]
+    threaded = [*small_sweep.rows, *run_sweep(*chunky, threads=2).rows]
+    assert len(serial) == 10 and not any(r.error for r in serial)
+    assert [repr(r) for r in threaded] == [repr(r) for r in serial]
 
 
 def test_fit_scaling_recovers_exponent(small_sweep):
@@ -403,67 +389,42 @@ def test_fit_scaling_requires_three_sizes(small_sweep):
 
 
 def test_csv_json_outputs_agree(tmp_path, small_sweep):
-    csv_path = tmp_path / "out.csv"
-    json_path = tmp_path / "out.json"
-    write_csv(small_sweep.rows, csv_path)
-    write_json(small_sweep, json_path)
-
-    with open(csv_path, newline="") as fh:
+    # every field of every row reads back exactly from both files: %.17g
+    # survives a float round trip, and NaN is 'nan' in CSV, null in JSON
+    write_csv(small_sweep.rows, tmp_path / "out.csv")
+    write_json(small_sweep, tmp_path / "out.json")
+    with open(tmp_path / "out.csv", newline="") as fh:
         got_csv = list(csv.DictReader(fh))
-    with open(json_path) as fh:
+    with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
-
     assert list(got_csv[0]) == list(FIELD_ORDER)
-    assert len(got_csv) == len(payload["rows"]) == 6
-    assert "meta" in payload
-    for crow, jrow in zip(got_csv, payload["rows"]):
-        for field in FIELD_ORDER:
-            cval, jval = crow[field], jrow[field]
-            if field == "error":
-                assert cval == (jval or "")
-                continue
-            cnum = float(cval)
-            if jval is None:
-                assert math.isnan(cnum)
-            else:
-                # %.17g survives a float round trip exactly
-                assert cnum == float(jval)
+    assert payload["meta"] == small_sweep.meta
+    assert len(got_csv) == len(payload["rows"]) == len(small_sweep.rows) == 6
+    for row, crow, jrow in zip(small_sweep.rows, got_csv, payload["rows"]):
+        for field, want in row.to_dict().items():
+            from_csv = type(want)(crow[field])
+            from_json = math.nan if jrow[field] is None else jrow[field]
+            for got in (from_csv, from_json):
+                assert got == want or got != got and want != want, field
 
 
 def test_numpy_integer_inputs_write_json(tmp_path):
-    # particle numbers and level indices reach the output as plain ints,
-    # also the top level of a finite ladder
+    # particle numbers, level indices and settings given as numpy scalars
+    # reach the output as plain numbers, also the top level of a finite
+    # ladder
     assert type(compute_row(TrapSpectrum(max_level=np.int64(45)), 20,
                             0.5).m_max) is int
-    result = run_sweep([np.int64(20)], [0.5], m_max=np.int64(45))
+    result = run_sweep([np.int64(20)], [0.5], m_max=np.int64(45),
+                       threads=np.int64(1))
+    assert type(result.meta["m_max"]) is int
     write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
     assert payload["meta"]["particles"] == [20]
-    assert payload["rows"][0]["m_max"] == 45
-
-
-def test_numpy_config_fields_write_json(tmp_path):
-    # settings given as numpy scalars reach the output as plain numbers
-    result = run_sweep([20], [0.5], m_max=np.int64(30))
-    write_json(result, tmp_path / "out.json")
-    with open(tmp_path / "out.json") as fh:
-        payload = json.load(fh)
-    assert payload["meta"]["m_max"] == 30
-    assert type(result.meta["m_max"]) is int
+    assert payload["meta"]["m_max"] == payload["rows"][0]["m_max"] == 45
     assert type(canonical_observables(
         SPEC, 5.0, 10, np.int64(30), ground_offset=np.float32(2.5),
         intervals_per_oscillation=np.int64(1)).ground_offset) is float
-
-
-def test_csv_full_precision_round_trip(tmp_path, small_sweep):
-    path = tmp_path / "p.csv"
-    write_csv(small_sweep.rows, path)
-    with open(path, newline="") as fh:
-        got = list(csv.DictReader(fh))
-    for raw, row in zip(got, small_sweep.rows):
-        assert float(raw["log_z"]) == row.log_z
-        assert float(raw["n0_mean"]) == row.n0_mean
 
 
 # --------------------------------------------------------------------- cli
@@ -487,19 +448,6 @@ def test_cli_small_sweep_writes_both_formats(tmp_path, capsys):
     assert "rows" in text
 
 
-def test_cli_format_selection(tmp_path):
-    out = tmp_path / "solo"
-    code = run_cli(
-        "--particles", "30",
-        "--t-over-tc", "0.5:0.5:0.1",
-        "--out", str(out),
-        "--format", "csv",
-    )
-    assert code == 0
-    assert (tmp_path / "solo.csv").exists()
-    assert not (tmp_path / "solo.json").exists()
-
-
 def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(PRESETS, "fig1",
                         Preset((20, 80, 320), FIT_T, FIT_T, 0.1, refinements=()))
@@ -512,35 +460,67 @@ def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
     assert all(line.endswith(" from 3 sizes") for line in fits)
 
 
-def test_cli_rejects_unknown_preset(capsys):
-    assert run_cli("--preset", "fig9") == 2
-    assert "configuration error: " in capsys.readouterr().err
-
-
-def test_cli_rejects_malformed_grid():
-    assert run_cli("--particles", "10", "--t-over-tc", "0.5:0.9") == 2
-    assert run_cli("--particles", "10", "--t-over-tc", "0.9:0.5:0.1") == 2
-
-
-def test_cli_rejects_an_empty_grid(tmp_path, capsys):
-    out = tmp_path / "empty"
-    assert run_cli("--particles", "100", "--t-over-tc", "0.5:0.5:1e-20",
-                   "--out", str(out)) == 2
-    assert "no points" in capsys.readouterr().err
-    assert not (tmp_path / "empty.csv").exists()
-
-
-def test_cli_refuses_a_huge_grid_as_a_configuration_error(tmp_path, capsys):
+ROW = ["--particles", "30", "--t-over-tc", "0.5:0.5:0.1"]
+UNKNOWN = "unrecognized arguments"
+POSITIVE = "want a positive integer"
+CONFIGURATION_ERRORS = {
+    # id: (arguments, config file text or None, fragment of the message); a
+    # config file is passed as --config run.cfg after the arguments
+    "unknown-preset": (["--preset", "fig9"], None, "invalid choice"),
+    "grid-without-step": (["--particles", "10", "--t-over-tc", "0.5:0.9"],
+                          None, "want start:stop:step"),
+    "reversed-grid": (["--particles", "10", "--t-over-tc", "0.9:0.5:0.1"],
+                      None, "lies below its start"),
+    "empty-grid": (["--particles", "100", "--t-over-tc", "0.5:0.5:1e-20"],
+                   None, "no points"),
     # about 10^16 points: refused from its count, before any array
-    out = tmp_path / "huge"
-    assert run_cli("--particles", "100", "--t-over-tc", "0.1:1.4:1e-16",
-                   "--out", str(out)) == 2
-    assert "configuration error" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    "huge-grid": (["--particles", "100", "--t-over-tc", "0.1:1.4:1e-16"],
+                  None, "more than the 100000"),
+    "empty-request": ([], None, "nothing to do"),
+    # a truncated ladder is a finite TrapSpectrum, not a tail switch; the
+    # early-exit tolerance is a constant; a forced offset is a keyword of
+    # canonical_observables; --validate's probes and tolerances are fixed;
+    # a sweep writes both formats on a whole number of threads
+    "flag-tail": ([*ROW, "--tail", "mb"], None, UNKNOWN),
+    "flag-rel-tol": ([*ROW, "--rel-tol", "1e-10"], None, UNKNOWN),
+    "flag-ground-offset": ([*ROW, "--ground-offset", "1.0"], None, UNKNOWN),
+    "flag-max-n": ([*ROW, "--max-n", "60"], None, UNKNOWN),
+    "flag-tolerance": ([*ROW, "--tolerance", "1e-6"], None, UNKNOWN),
+    "flag-format": ([*ROW, "--format", "csv"], None, UNKNOWN),
+    "flag-threads-auto": ([*ROW, "--threads", "auto"], None, POSITIVE),
+    "flag-m-max-auto": ([*ROW, "--m-max", "auto"], None, POSITIVE),
+    "unknown-key": ([], "particlez = 30", f"{UNKNOWN}: --particlez=30"),
+    # a removed flag is an unknown key, and a flag prefix is not a key
+    "key-max-n": (ROW, "max-n = many", UNKNOWN),
+    "key-rel-tol": (ROW, "rel-tol = tight", UNKNOWN),
+    "key-part": (ROW, "part = 30", UNKNOWN),
+    "key-format": (ROW, "format = json", UNKNOWN),
+    "key-threads-auto": (ROW, "threads = auto", POSITIVE),
+    "key-strict-maybe": (ROW, "strict = maybe", "strict wants yes or no"),
+    "key-config": (ROW, "config = other.cfg", "want key = value"),
+    # refused before the sweep, not after it
+    "out-in-missing-dir": ([*ROW, "--out", "missing/run"], None,
+                           "missing is not a writable directory"),
+}
 
 
-def test_cli_rejects_empty_request():
-    assert run_cli() == 2
+@pytest.mark.parametrize("args, config, fragment",
+                         CONFIGURATION_ERRORS.values(),
+                         ids=CONFIGURATION_ERRORS.keys())
+def test_cli_configuration_error_exits_2(tmp_path, monkeypatch, capsys,
+                                         args, config, fragment):
+    # exit 2 with the message, and nothing computed or written
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        args = [*args, "--config", "run.cfg"]
+    rows = []
+    monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: " in err and fragment in err
+    assert os.listdir(tmp_path) == ([] if config is None else ["run.cfg"])
+    assert rows == []
 
 
 def fail_every_row(monkeypatch):
@@ -648,67 +628,40 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
         "# sweep defaults\n"
         "particles = 30\n"
         "t-over-tc = 0.5:0.5:0.1\n"
-        "format = json\n"
+        "threads = 2\n"
         f"out = {tmp_path / 'fromfile'}\n"
     )
-    code = run_cli("--config", str(cfg))
-    assert code == 0
-    assert (tmp_path / "fromfile.json").exists()
-    assert not (tmp_path / "fromfile.csv").exists()
-
+    assert run_cli("--config", str(cfg)) == 0
     # flags win over the file
-    code = run_cli("--config", str(cfg), "--format", "csv",
-                   "--out", str(tmp_path / "override"))
-    assert code == 0
-    assert (tmp_path / "override.csv").exists()
-    assert not (tmp_path / "override.json").exists()
-
-
-def test_cli_rejects_unknown_config_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("particlez = 30\n")
-    assert run_cli("--config", str(cfg)) == 2
+    assert run_cli("--config", str(cfg), "--threads", "1",
+                   "--out", str(tmp_path / "override")) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "fromfile.csv", "fromfile.json", "override.csv", "override.json",
+        "run.cfg"]
+    for name, workers in (("fromfile", 2), ("override", 1)):
+        with open(tmp_path / f"{name}.json") as fh:
+            assert json.load(fh)["meta"]["workers"] == workers
 
 
 def test_resolve_settings_preset_fills_gaps():
     st = resolve_settings(["--preset", "fig1", "--threads", "2"])
+    # the settings are the flags, and no other
+    assert sorted(vars(st)) == ["config", "m_max", "out", "particles",
+                                "preset", "strict", "t_grid", "threads",
+                                "validate"]
     assert list(st.particles) == [100, 1000, 10_000]
     assert st.t_grid is not None and len(st.t_grid) > 20
     st2 = resolve_settings(["--preset", "fig1", "--particles", "7"])
     assert list(st2.particles) == [7]
 
 
-def test_cli_has_no_tail_flag(capsys):
-    # a truncated ladder is a finite TrapSpectrum, not a tail switch
-    assert run_cli("--particles", "10", "--t-over-tc", "0.5:0.5:0.1",
-                   "--tail", "mb") == 2
-    assert "configuration error: " in capsys.readouterr().err
-    st = resolve_settings(["--particles", "10", "--t-over-tc", "0.5:0.5:0.1"])
-    assert not hasattr(st, "tail")
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--rel-tol", "1e-10"),
-    ("--ground-offset", "1.0"),
-    ("--max-n", "60"),
-    ("--tolerance", "1e-6"),
-])
-def test_cli_has_no_quadrature_knob_flags(capsys, flag, value):
-    # the early-exit tolerance is a constant, a forced offset is a keyword
-    # of canonical_observables for invariance studies, not a sweep setting,
-    # and --validate's probes and tolerances are fixed
-    assert run_cli("--particles", "30", "--t-over-tc", "0.5:0.5:0.1",
-                   flag, value) == 2
-    assert "configuration error: " in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("line, flags", [
     ("t_over_tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
     ("t-over-tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
-    ("threads = auto", ["--threads", "auto"]),
+    ("threads = 2", ["--threads", "2"]),
     ("strict = yes", ["--strict"]),
     ("strict = no", []),
-    ("format = json", ["--format", "json"]),
+    ("out = elsewhere", ["--out", "elsewhere"]),
     ("m-max = 40", ["--m-max", "40"]),
 ])
 def test_config_line_equals_flag(tmp_path, line, flags):
@@ -722,17 +675,3 @@ def test_config_line_equals_flag(tmp_path, line, flags):
     assert from_flag.pop("config") is None
     assert from_file == from_flag
 
-
-@pytest.mark.parametrize("line", [
-    "max-n = many",
-    "rel-tol = tight",  # a removed flag is an unknown key
-    "strict = maybe",
-    "config = other.cfg",
-    "part = 30",  # a flag prefix is not a key
-])
-def test_cli_rejects_bad_config_line(tmp_path, capsys, line):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    assert run_cli("--particles", "20", "--t-over-tc", "0.5:0.6:0.1",
-                   "--config", str(cfg)) == 2
-    assert "configuration error: " in capsys.readouterr().err
