@@ -52,6 +52,20 @@ def test_one_level_spectrum_is_a_domain_error():
 # ------------------------------------------------------------------ engine
 
 
+def test_two_level_engine_matches_enumeration():
+    spec = TrapSpectrum(level_spacing=0.9, max_level=1)
+    energies = [0.0] + [0.9] * 3
+    t = 1.2
+    for n in (1, 2, 3, 4):
+        exact = enumerate_exact(energies, t, n)
+        res = canonical_observables(spec, t, n)
+        assert res.log_z_zero_offset == pytest.approx(math.log(exact.z), rel=1e-10)
+        assert res.n0_mean == pytest.approx(exact.mean[0], rel=1e-10)
+        assert res.n0_second_moment == pytest.approx(exact.second[0], rel=1e-10)
+        assert res.n1_mean == pytest.approx(exact.mean[1], rel=1e-10)
+        assert res.n0_n1_mean == pytest.approx(exact.cross[0, 1], rel=1e-9)
+
+
 def test_sum_rule_and_mirrored_fluctuations():
     t = 0.7 * critical_temperature(SPEC, 300)
     res = canonical_observables(SPEC, t, 300)

@@ -192,6 +192,19 @@ def test_enumeration_counts_configurations():
     assert out2.configurations == 6
 
 
+def test_occupation_recursion_check_inside_engine_tolerance():
+    # the recursion's number sum on the engine's default model, auto_m_max
+    # levels and the tail closed above them (the engine's side is the
+    # tail-auto row of test_canonical.py::test_engine_matches_its_truth)
+    spec = TrapSpectrum()
+    t, n = 4.0, 30
+    table = recursion_table(spec, t, n)
+    assert table.m_max == auto_m_max(spec, t)
+    total = level_sum(table, table.m_max)
+    total += spec.tail_weight(t, table.m_max) * tail_ratio(table)
+    assert abs(total - n) / n < 1e-9
+
+
 def test_finite_ladder_is_the_oracle_model():
     # TrapSpectrum(max_level=3) alone is the truncated model: the recursion
     # sums its four levels whatever cap is asked for and closes no tail,

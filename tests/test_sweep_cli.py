@@ -338,15 +338,19 @@ def test_sweep_thread_count_none_zero_negative_rejected():
 
 
 def test_sweep_thread_count_does_not_change_numbers(small_sweep):
-    # the small grid, and rows that run through many full-size kernel
-    # chunks (14 at N = 1000, T/Tc = 0.3, and 10 at N = 10^4), two at a
-    # time; repr tells every field apart, NaN matching NaN
-    chunky = ((1000, 10_000), [0.3, 1.0])
-    serial = [*run_sweep((20, 80, 320), [0.5, 0.8], threads=1).rows,
-              *run_sweep(*chunky, threads=1).rows]
-    threaded = [*small_sweep.rows, *run_sweep(*chunky, threads=2).rows]
-    assert len(serial) == 10 and not any(r.error for r in serial)
-    assert [repr(r) for r in threaded] == [repr(r) for r in serial]
+    # repr tells every field apart, NaN matching NaN
+    redo = run_sweep((20, 80, 320), [0.5, 0.8], threads=1)
+    assert len(redo.rows) == 6
+    assert [repr(r) for r in small_sweep.rows] == [repr(r) for r in redo.rows]
+
+
+def test_sweep_thread_count_does_not_change_full_chunk_rows():
+    # rows that run through many full-size kernel chunks (14 at N = 1000,
+    # T/Tc = 0.3, and 10 at N = 10^4), two at a time
+    rows = [run_sweep([1000, 10_000], [0.3, 1.0], threads=threads).rows
+            for threads in (2, 1)]
+    assert len(rows[0]) == 4 and not any(r.error for r in rows[0])
+    assert [repr(r) for r in rows[0]] == [repr(r) for r in rows[1]]
 
 
 def test_fit_scaling_recovers_exponent(small_sweep):
@@ -388,40 +392,67 @@ def test_fit_scaling_requires_three_sizes(small_sweep):
 # ------------------------------------------------------------------ output
 
 
-def test_csv_json_outputs_agree(tmp_path, small_sweep):
-    # every field of every row reads back exactly from both files: %.17g
-    # survives a float round trip, and NaN is 'nan' in CSV, null in JSON
-    write_csv(small_sweep.rows, tmp_path / "out.csv")
-    write_json(small_sweep, tmp_path / "out.json")
+def read_back(tmp_path, result):
+    # the rows of both files, each field as the row's own type; NaN is
+    # 'nan' in CSV and null in JSON
+    write_csv(result.rows, tmp_path / "out.csv")
+    write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.csv", newline="") as fh:
         got_csv = list(csv.DictReader(fh))
     with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
     assert list(got_csv[0]) == list(FIELD_ORDER)
-    assert payload["meta"] == small_sweep.meta
-    assert len(got_csv) == len(payload["rows"]) == len(small_sweep.rows) == 6
-    for row, crow, jrow in zip(small_sweep.rows, got_csv, payload["rows"]):
-        for field, want in row.to_dict().items():
-            from_csv = type(want)(crow[field])
-            from_json = math.nan if jrow[field] is None else jrow[field]
-            for got in (from_csv, from_json):
-                assert got == want or got != got and want != want, field
+    assert len(got_csv) == len(payload["rows"]) == len(result.rows)
+    from_csv = [{f: type(v)(crow[f]) for f, v in row.to_dict().items()}
+                for row, crow in zip(result.rows, got_csv)]
+    from_json = [{f: math.nan if v is None else v for f, v in jrow.items()}
+                 for jrow in payload["rows"]]
+    return from_csv, from_json, payload["meta"]
+
+
+def same_rows(got, rows):
+    # equal field by field, NaN matching NaN
+    for grow, row in zip(got, rows, strict=True):
+        assert list(grow) == list(row)
+        for field, want in row.items():
+            value = grow[field]
+            assert value == want or value != value and want != want, field
+
+
+def test_csv_json_outputs_agree(tmp_path, small_sweep):
+    from_csv, from_json, meta = read_back(tmp_path, small_sweep)
+    assert meta == small_sweep.meta
+    assert len(from_json) == 6
+    same_rows(from_csv, from_json)
+
+
+def test_csv_full_precision_round_trip(tmp_path, small_sweep):
+    # %.17g survives a float round trip exactly, every field of every row
+    from_csv, _, _ = read_back(tmp_path, small_sweep)
+    same_rows(from_csv, [row.to_dict() for row in small_sweep.rows])
 
 
 def test_numpy_integer_inputs_write_json(tmp_path):
-    # particle numbers, level indices and settings given as numpy scalars
-    # reach the output as plain numbers, also the top level of a finite
-    # ladder
+    # particle numbers and level indices reach the output as plain ints,
+    # also the top level of a finite ladder
     assert type(compute_row(TrapSpectrum(max_level=np.int64(45)), 20,
                             0.5).m_max) is int
-    result = run_sweep([np.int64(20)], [0.5], m_max=np.int64(45),
-                       threads=np.int64(1))
-    assert type(result.meta["m_max"]) is int
+    result = run_sweep([np.int64(20)], [0.5], m_max=np.int64(45))
     write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
     assert payload["meta"]["particles"] == [20]
-    assert payload["meta"]["m_max"] == payload["rows"][0]["m_max"] == 45
+    assert payload["rows"][0]["m_max"] == 45
+
+
+def test_numpy_config_fields_write_json(tmp_path):
+    # settings given as numpy scalars reach the output as plain numbers
+    result = run_sweep([20], [0.5], m_max=np.int64(30), threads=np.int64(1))
+    write_json(result, tmp_path / "out.json")
+    with open(tmp_path / "out.json") as fh:
+        payload = json.load(fh)
+    assert payload["meta"]["m_max"] == 30
+    assert type(result.meta["m_max"]) is int
     assert type(canonical_observables(
         SPEC, 5.0, 10, np.int64(30), ground_offset=np.float32(2.5),
         intervals_per_oscillation=np.int64(1)).ground_offset) is float
