@@ -10,8 +10,9 @@ set and temperature grid unless those are given. A sweep writes
 `<out>.csv` and `<out>.json`. Exit codes: 0 success, 1 validation failure,
 2 bad configuration (a bad value or choice, an unknown file key, a
 temperature grid of more than sweep.MAX_GRID_POINTS points, an `--out`
-whose directory is missing or not writable, all refused before the first
-row), 3 non-converged rows under --strict.
+whose directory is missing or not writable or whose `<out>.csv` or
+`<out>.json` is a directory, all refused before the first row), 3
+non-converged rows under --strict.
 """
 
 from __future__ import annotations
@@ -171,6 +172,12 @@ def resolve_settings(argv=None) -> argparse.Namespace:
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ConfigError(f"cannot write --out {settings.out}: "
                           f"{folder} is not a writable directory")
+    # from here on, out is the base of the two files
+    settings.out = settings.out.removesuffix(".csv").removesuffix(".json")
+    for target in (f"{settings.out}.csv", f"{settings.out}.json"):
+        if os.path.isdir(target):
+            raise ConfigError(f"cannot write --out {settings.out}: "
+                              f"{target} is a directory")
     return settings
 
 
@@ -182,12 +189,11 @@ def _run_sweep(settings: argparse.Namespace) -> int:
         threads=settings.threads,
     )
     result.meta["preset"] = settings.preset
-    base = settings.out.removesuffix(".csv").removesuffix(".json")
-    write_csv(result.rows, f"{base}.csv")
-    write_json(result, f"{base}.json")
+    write_csv(result.rows, f"{settings.out}.csv")
+    write_json(result, f"{settings.out}.json")
     ok = len(result.rows) - len(result.failed_rows)
     print(f"rows: {ok}/{len(result.rows)} converged; "
-          f"wrote {base}.csv, {base}.json "
+          f"wrote {settings.out}.csv, {settings.out}.json "
           f"in {result.meta['elapsed_seconds']}s")
     for row in result.failed_rows:
         print(f"  failed: N={row.n} T/Tc={row.t_over_tc}: {row.error}",
