@@ -9,7 +9,8 @@ grand-canonical closed forms (grand_canonical) and large-N estimates
 `import bosecanon` loads the engine only: spectrum, grand_canonical and
 canonical (with _kernels). The asymptotics, oracle, sweep and validate
 modules, and the names they export here, load on first use, so a process
-that only computes rows does not compile and run them.
+that computes rows through the engine alone does not compile and run
+them. A sweep loads sweep and asymptotics, which every row needs.
 """
 
 __version__ = "0.1.0"

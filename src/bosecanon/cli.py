@@ -31,7 +31,6 @@ from .sweep import (
     write_csv,
     write_json,
 )
-from .validate import run_validation
 
 __all__ = ["main"]
 
@@ -219,6 +218,9 @@ def main(argv=None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     if settings.validate:
+        # a sweep does not load the suites or their oracle
+        from .validate import run_validation
+
         report = run_validation()
         print("\n".join(report.lines()))
         return 0 if report.passed else 1

@@ -49,21 +49,37 @@ EXPORTS = {
     "run_validation": "validate",
 }
 
-COLD_ROW = """\
+LOADED = """
+print(" ".join(m for m in sys.modules if m.startswith("bosecanon")))
+"""
+# id: (program run in a fresh interpreter, with the output base as argv[1];
+# the bosecanon modules it must leave loaded)
+COLD_RUNS = {
+    "engine-row": ("""\
 import sys
 import bosecanon
 spec = bosecanon.TrapSpectrum()
 t = 0.5 * bosecanon.critical_temperature(spec, 100)
 bosecanon.canonical_observables(spec, t, 100)
-print(" ".join(sorted(m for m in sys.modules if m.startswith("bosecanon"))))
-"""
+""", ENGINE_MODULES),
+    # every row needs the sweep's asymptotic limits, but not the suites
+    "console-sweep": ("""\
+import sys
+from bosecanon.cli import main
+main(["--particles", "100", "--t-over-tc", "0.5:0.5:0.1", "--out", sys.argv[1]])
+""", [*ENGINE_MODULES, "bosecanon.asymptotics", "bosecanon.cli",
+      "bosecanon.sweep"]),
+}
 
 
-def test_import_and_one_row_load_only_the_engine():
+@pytest.mark.parametrize("program, modules", COLD_RUNS.values(),
+                         ids=COLD_RUNS.keys())
+def test_a_fresh_process_loads_only_what_it_uses(tmp_path, program, modules):
     # a fresh interpreter: this one has loaded every module already
-    out = subprocess.run([sys.executable, "-c", COLD_ROW], check=True,
+    out = subprocess.run([sys.executable, "-c", program + LOADED,
+                          str(tmp_path / "run")], check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ENGINE_MODULES
+    assert sorted(out.stdout.splitlines()[-1].split()) == sorted(modules)
 
 
 @pytest.mark.parametrize("name, module", EXPORTS.items(), ids=EXPORTS.keys())

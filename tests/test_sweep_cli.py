@@ -532,39 +532,42 @@ CONFIGURATION_ERRORS = {
     # refused before the sweep, not after it
     "out-in-missing-dir": ([*ROW, "--out", "missing/run"], None,
                            "missing is not a writable directory"),
-    # run.csv is a directory made before the run (OUT_DIRECTORIES)
-    "out-is-a-directory": ([*ROW, "--out", "run"], None,
-                           "run.csv is a directory"),
 }
-# Rows whose working folder holds this empty directory before the run.
-OUT_DIRECTORIES = {"out-is-a-directory": "run.csv"}
 
 
-@pytest.mark.parametrize("case, args, config, fragment",
-                         [(case, *row)
-                          for case, row in CONFIGURATION_ERRORS.items()],
+@pytest.mark.parametrize("args, config, fragment",
+                         CONFIGURATION_ERRORS.values(),
                          ids=CONFIGURATION_ERRORS.keys())
 def test_cli_configuration_error_exits_2(tmp_path, monkeypatch, capsys,
-                                         case, args, config, fragment):
+                                         args, config, fragment):
     # exit 2 with the message, and nothing computed or written
     monkeypatch.chdir(tmp_path)
-    before = set()
-    made = OUT_DIRECTORIES.get(case)
-    if made is not None:
-        (tmp_path / made).mkdir()
-        before.add(made)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config + "\n")
         args = [*args, "--config", "run.cfg"]
-        before.add("run.cfg")
     rows = []
     monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert "configuration error: " in err and fragment in err
-    assert set(os.listdir(tmp_path)) == before
-    if made is not None:
-        assert os.listdir(made) == []
+    assert os.listdir(tmp_path) == ([] if config is None else ["run.cfg"])
+    assert rows == []
+
+
+@pytest.mark.parametrize("taken", ["run.csv", "run.json"])
+def test_cli_refuses_an_out_whose_target_is_a_directory(
+        tmp_path, monkeypatch, capsys, taken):
+    # refused before the sweep, not after it, and nothing written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / taken).mkdir()
+    rows = []
+    monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
+    assert run_cli(*ROW, "--out", "run") == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot write --out run: {taken} is a " \
+        "directory" in err
+    assert os.listdir(tmp_path) == [taken]
+    assert os.listdir(taken) == []
     assert rows == []
 
 
