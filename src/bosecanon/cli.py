@@ -6,12 +6,14 @@ the flag `--key=value` (`_` in a key reads as `-`; the switches `strict`
 and `validate` take a yes/no word), so a file value is checked exactly as
 the flag is. The file's flags are parsed first, with no prefix matching,
 and the command line on top, so flags win. A preset supplies the particle
-set and temperature grid unless those are given. A sweep writes
-`<out>.csv` and `<out>.json`. Exit codes: 0 success, 1 validation failure,
-2 bad configuration (a bad value or choice, an unknown file key, a
-temperature grid of more than sweep.MAX_GRID_POINTS points, an `--out`
-whose directory is missing or not writable or whose `<out>.csv` or
-`<out>.json` is a directory, all refused before the first row), 3
+set and temperature grid unless those are given; `--validate` ignores the
+sweep settings. A sweep writes `<out>.csv` and `<out>.json`. Exit codes:
+0 success, 1 validation failure, 2 bad configuration (a bad value or
+choice, an unknown file key, a temperature grid of more than
+sweep.MAX_GRID_POINTS points, an `--out` whose directory is missing or
+not writable or whose `<out>.csv` or `<out>.json` is a directory, and a
+count that run_sweep refuses: no particle number, or a particle number,
+--threads or --m-max below 1; all refused before the first row), 3
 non-converged rows under --strict.
 """
 
@@ -56,13 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _particles(text: str) -> list:
     try:
-        values = [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        values = []
-    if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(
-            f"want positive particle numbers, got {text!r}")
-    return values
+            f"want whole particle numbers, got {text!r}") from None
 
 
 def _t_grid(text: str) -> list:
@@ -75,17 +74,6 @@ def _t_grid(text: str) -> list:
     except (ValueError, DomainError) as err:
         raise argparse.ArgumentTypeError(
             f"bad grid {text!r}: {err}") from None
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"want a positive integer, got {text!r}")
-    return value
 
 
 def read_config_file(path: str) -> list:
@@ -127,11 +115,11 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="comma-separated particle numbers, e.g. 100,1000")
     add("--t-over-tc", dest="t_grid", type=_t_grid, metavar="START:STOP:STEP",
         help="temperature grid in units of Tc")
-    add("--m-max", type=_positive_int,
+    add("--m-max", type=int,
         help="level truncation (default: chosen per row)")
     add("--out", default="sweep",
         help="output path base: writes OUT.csv and OUT.json (default: sweep)")
-    add("--threads", type=_positive_int, default=1,
+    add("--threads", type=int, default=1,
         help="rows computed at once on worker threads (default 1)")
     add("--strict", action="store_true",
         help="exit 3 if any row fails to converge")

@@ -113,6 +113,7 @@ def compute_row(
     tc = critical_temperature(spectrum, n)
     t = t_over_tc * tc
     try:
+        _finite_real("t_over_tc", t_over_tc)
         r = canonical_observables(spectrum, t, n, m_max)
         gc = r.gc_state
     except (ConvergenceError, DomainError) as err:
@@ -205,14 +206,19 @@ def run_sweep(
     m_max=None lets each row pick its level truncation (auto_m_max).
     threads > 1 computes that many rows at once on worker threads; rows
     contend for the GIL. A count that is not a whole number >= 1, None
-    included, is a DomainError.
+    included, is a DomainError, and so is an empty particle list or
+    temperature grid; all are refused before the first row.
     """
     if m_max is not None:
         m_max = _integer("m_max", m_max, 1)
     workers = _integer("threads", threads, 1)
     spectrum = TrapSpectrum()
     particles = [_integer("particle number", n, 1) for n in particles]
-    points = [(n, float(t)) for n in particles for t in t_grid]
+    t_grid = [float(t) for t in t_grid]
+    if not (particles and t_grid):
+        raise DomainError("a sweep needs at least one particle number and "
+                          "one temperature")
+    points = [(n, t) for n in particles for t in t_grid]
     started = time.time()
     if workers == 1:
         rows = [compute_row(spectrum, n, t, m_max) for n, t in points]
@@ -226,7 +232,7 @@ def run_sweep(
         "workers": workers,
         "particles": particles,
         "m_max": m_max,
-        "t_grid": [float(t) for t in t_grid],
+        "t_grid": t_grid,
         "level_spacing": spectrum.level_spacing,
         "elapsed_seconds": round(time.time() - started, 3),
         "failed_rows": sum(1 for r in rows if r.error),

@@ -75,9 +75,16 @@ def test_compute_row_records_failures_instead_of_raising(monkeypatch):
     assert row.converged == 0
     assert row.error == "ConvergenceError: forced failure"
     assert math.isnan(row.n0_mean)
-    # a bad T/Tc is a row error too; a bad N is refused (critical_temperature)
-    for t_over_tc in (math.nan, math.inf, 0.0):
-        assert compute_row(SPEC, 50, t_over_tc).error.startswith("DomainError")
+
+
+@pytest.mark.parametrize("t_over_tc", [-1.0, 0.0, math.nan, math.inf])
+def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc):
+    # a bad T/Tc is a row error naming the caller's value, not the
+    # temperature it scales to; a bad N is refused (critical_temperature)
+    row = compute_row(SPEC, 100, t_over_tc)
+    assert row.converged == 0
+    assert row.error == ("DomainError: t_over_tc must be positive and "
+                         f"finite, got {t_over_tc}")
 
 
 def test_package_has_no_quadrature_config():
@@ -337,6 +344,13 @@ def test_sweep_thread_count_none_zero_negative_rejected():
             run_sweep((20,), [0.5], threads=threads)
 
 
+@pytest.mark.parametrize("particles, t_grid", [([], [0.5]), ([100], [])],
+                         ids=["no-particles", "no-temperatures"])
+def test_sweep_refuses_an_empty_particle_list_or_grid(particles, t_grid):
+    with pytest.raises(DomainError, match="at least one particle number"):
+        run_sweep(particles, t_grid)
+
+
 def test_sweep_thread_count_does_not_change_numbers(small_sweep):
     # repr tells every field apart, NaN matching NaN
     redo = run_sweep((20, 80, 320), [0.5, 0.8], threads=1)
@@ -493,7 +507,9 @@ def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
 
 ROW = ["--particles", "30", "--t-over-tc", "0.5:0.5:0.1"]
 UNKNOWN = "unrecognized arguments"
-POSITIVE = "want a positive integer"
+NOT_INT = "invalid int value"
+# the count rule of run_sweep, met before its first row
+COUNT = "must be a finite integer >= 1, got 0"
 CONFIGURATION_ERRORS = {
     # id: (arguments, config file text or None, fragment of the message); a
     # config file is passed as --config run.cfg after the arguments
@@ -508,6 +524,14 @@ CONFIGURATION_ERRORS = {
     "huge-grid": (["--particles", "100", "--t-over-tc", "0.1:1.4:1e-16"],
                   None, "more than the 100000"),
     "empty-request": ([], None, "nothing to do"),
+    "particles-zero": (["--particles", "0", "--t-over-tc", "0.5:0.5:0.1"],
+                       None, f"particle number {COUNT}"),
+    "particles-empty": (["--particles", ",", "--t-over-tc", "0.5:0.5:0.1"],
+                        None, "a sweep needs at least one particle number"),
+    "particles-1e3": (["--particles", "1e3", "--t-over-tc", "0.5:0.5:0.1"],
+                      None, "want whole particle numbers, got '1e3'"),
+    "threads-zero": ([*ROW, "--threads", "0"], None, f"threads {COUNT}"),
+    "m-max-zero": ([*ROW, "--m-max", "0"], None, f"m_max {COUNT}"),
     # a truncated ladder is a finite TrapSpectrum, not a tail switch; the
     # early-exit tolerance is a constant; a forced offset is a keyword of
     # canonical_observables; --validate's probes and tolerances are fixed;
@@ -518,15 +542,16 @@ CONFIGURATION_ERRORS = {
     "flag-max-n": ([*ROW, "--max-n", "60"], None, UNKNOWN),
     "flag-tolerance": ([*ROW, "--tolerance", "1e-6"], None, UNKNOWN),
     "flag-format": ([*ROW, "--format", "csv"], None, UNKNOWN),
-    "flag-threads-auto": ([*ROW, "--threads", "auto"], None, POSITIVE),
-    "flag-m-max-auto": ([*ROW, "--m-max", "auto"], None, POSITIVE),
+    "flag-threads-auto": ([*ROW, "--threads", "auto"], None, NOT_INT),
+    "flag-m-max-auto": ([*ROW, "--m-max", "auto"], None, NOT_INT),
     "unknown-key": ([], "particlez = 30", f"{UNKNOWN}: --particlez=30"),
     # a removed flag is an unknown key, and a flag prefix is not a key
     "key-max-n": (ROW, "max-n = many", UNKNOWN),
     "key-rel-tol": (ROW, "rel-tol = tight", UNKNOWN),
     "key-part": (ROW, "part = 30", UNKNOWN),
     "key-format": (ROW, "format = json", UNKNOWN),
-    "key-threads-auto": (ROW, "threads = auto", POSITIVE),
+    "key-threads-auto": (ROW, "threads = auto", NOT_INT),
+    "key-threads-zero": (ROW, "threads = 0", f"threads {COUNT}"),
     "key-strict-maybe": (ROW, "strict = maybe", "strict wants yes or no"),
     "key-config": (ROW, "config = other.cfg", "want key = value"),
     # refused before the sweep, not after it
