@@ -12,9 +12,9 @@ sweep settings. A sweep writes `<out>.csv` and `<out>.json`. Exit codes:
 choice, an unknown file key, a temperature grid of more than
 sweep.MAX_GRID_POINTS points, an `--out` whose directory is missing or
 not writable or whose `<out>.csv` or `<out>.json` is a directory, and a
-count that run_sweep refuses: no particle number, or a particle number,
---threads or --m-max below 1; all refused before the first row), 3
-non-converged rows under --strict.
+count that run_sweep refuses: no particle number, or a particle number
+or --m-max below 1; all refused before the first row), 3 non-converged
+rows under --strict.
 """
 
 from __future__ import annotations
@@ -119,8 +119,6 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="level truncation (default: chosen per row)")
     add("--out", default="sweep",
         help="output path base: writes OUT.csv and OUT.json (default: sweep)")
-    add("--threads", type=int, default=1,
-        help="rows computed at once on worker threads (default 1)")
     add("--strict", action="store_true",
         help="exit 3 if any row fails to converge")
     add("--validate", action="store_true",
@@ -169,12 +167,8 @@ def resolve_settings(argv=None) -> argparse.Namespace:
 
 
 def _run_sweep(settings: argparse.Namespace) -> int:
-    result = run_sweep(
-        settings.particles,
-        settings.t_grid,
-        m_max=settings.m_max,
-        threads=settings.threads,
-    )
+    result = run_sweep(settings.particles, settings.t_grid,
+                       m_max=settings.m_max)
     result.meta["preset"] = settings.preset
     write_csv(result.rows, f"{settings.out}.csv")
     write_json(result, f"{settings.out}.json")

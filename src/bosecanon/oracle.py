@@ -155,8 +155,12 @@ def demon_ensemble(spectrum: TrapSpectrum, t: float, n: int, m_max: int) -> dict
     P(N_ex > N) is negligible. Returns n0, Var(n0), n1, log Z and the
     Chernoff bound on log10 P(N_ex > N)."""
     _finite_real("temperature", t)
+    n = _integer("particle number", n, 1)
     ladder = _level_ladder(spectrum, t, auto_m_max(spectrum, t, m_max))
     q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight
+    if not q.size:
+        raise DomainError("the demon ensemble needs level 1; the ladder "
+                          "stops at level 0")
     # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
     r = q[0] ** -0.5
     log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
@@ -187,6 +191,8 @@ def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
     """
     energies = np.asarray(energies, dtype=np.float64)
     s = energies.size
+    if not np.isfinite(energies).all():
+        raise DomainError(f"state energies must be finite, got {energies}")
     _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
     if n > 6 or s > 8:

@@ -204,10 +204,19 @@ def run_sweep(
     (TrapSpectrum()), rows in deterministic order.
 
     m_max=None lets each row pick its level truncation (auto_m_max).
-    threads > 1 computes that many rows at once on worker threads; rows
-    contend for the GIL. A count that is not a whole number >= 1, None
-    included, is a DomainError, and so is an empty particle list or
-    temperature grid; all are refused before the first row.
+    A count that is not a whole number >= 1, None included, is a
+    DomainError, and so is an empty particle list or temperature grid;
+    all are refused before the first row.
+
+    threads > 1 computes that many rows at once on worker threads, the
+    same rows bit for bit. It is not a user setting, because it does not
+    pay: rows hand the GIL back and forth between numpy's array calls. On
+    a 2-vCPU x86 host the fig1 rows took 5.2-5.5 s wall on one thread and
+    4.9-5.0 s on two, for 6.9-7.1 s user and 1.05-1.19 s system time
+    against 5.1-5.4 s and 0.08-0.11 s, and 160k-173k voluntary context
+    switches against 0-1 (resource.getrusage on the process). Only the
+    benchmark's fig1_threads workload (perfbench/run.py) sets it above 1;
+    the option goes once that workload is dropped (ROADMAP.md, item 1c).
     """
     if m_max is not None:
         m_max = _integer("m_max", m_max, 1)

@@ -1,26 +1,21 @@
 """Self-check suites: the engine against its independent references.
 
-This is the package's one self-check (`bosecanon --validate`). Five
-suites, each reporting a deviation against a tolerance, the worst
-relative one except where said:
+This is the package's one self-check (`bosecanon --validate`). Four
+suites, each reporting the worst relative deviation against a tolerance:
 
   oracle_equivalence   offset-free log Z, n0 and n1 vs the recursion
   offset_invariance    observables and offset-free log Z with the
                        evaluation offset 2 T/sqrt(var) above the saddle
   m_max_doubling       stability under doubling the level truncation
   grid_refinement      stability under a twice denser z-grid
-  worker_independence  sweep rows of one and of four workers: the number
-                       of fields that differ, NaN matching NaN (must be 0)
 
 The probes are fixed: the oracle suite runs N up to MAX_N within the
-recursion's range, one engine evaluation each, the invariance suites three
-(N, T) points straddling the transition, and the worker suite three rows
-at N = 40. The tolerances are constants as well. The engine meets the
-references to about 1e-13 on these probes, so TOLERANCE leaves five
-decades for rounding while a real defect (a wrong level, a wrong weight, a
-missed alias) shows far above it; worker independence must hold bit for
-bit. A failing suite is shown by perturbing a result, not by tightening a
-tolerance.
+recursion's range, one engine evaluation each, and the invariance suites
+three (N, T) points straddling the transition. The tolerance is a constant
+as well. The engine meets the references to about 1e-13 on these probes,
+so TOLERANCE leaves five decades for rounding while a real defect (a wrong
+level, a wrong weight, a missed alias) shows far above it. A failing suite
+is shown by perturbing a result, not by tightening the tolerance.
 
 The three invariance suites share one saddle result per probe: the
 default evaluation a. Each suite makes one more evaluation, with one
@@ -38,14 +33,12 @@ from dataclasses import dataclass
 from .canonical import canonical_observables
 from .oracle import recursion_table
 from .spectrum import TrapSpectrum, critical_temperature
-from .sweep import FIELD_ORDER, run_sweep
 
 __all__ = ["SuiteResult", "ValidationReport", "run_validation"]
 
 # Largest N probed; the oracle's recursion covers it.
 MAX_N = 100
 TOLERANCE = 1e-8
-WORKER_TOLERANCE = 0.0
 
 
 @dataclass(frozen=True)
@@ -135,21 +128,6 @@ def _invariance(name, spectrum, saddle_results) -> SuiteResult:
     return SuiteResult(name, worst, TOLERANCE, len(saddle_results))
 
 
-def _worker_independence() -> SuiteResult:
-    grid = [0.5, 0.9, 1.2]
-    serial = run_sweep([40], grid, threads=1)
-    parallel = run_sweep([40], grid, threads=4)
-    differing = 0
-    for ra, rb in zip(serial.rows, parallel.rows):
-        da, db = ra.to_dict(), rb.to_dict()
-        for key in FIELD_ORDER:
-            va, vb = da[key], db[key]
-            if not (va == vb or va != va and vb != vb):
-                differing += 1
-    return SuiteResult("worker_independence", float(differing),
-                       WORKER_TOLERANCE, len(serial.rows))
-
-
 def run_validation() -> ValidationReport:
     """Run every suite; any deviation above its tolerance fails the report."""
     spectrum = TrapSpectrum()
@@ -157,6 +135,5 @@ def run_validation() -> ValidationReport:
     suites = [
         _oracle_equivalence(spectrum),
         *(_invariance(name, spectrum, saddle_results) for name in _VARIATIONS),
-        _worker_independence(),
     ]
     return ValidationReport(suites=suites)

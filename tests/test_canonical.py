@@ -136,6 +136,12 @@ def test_saddle_offset_tracks_fugacity():
     lambda: recursion_table(SPEC, math.inf, 5),
     lambda: recursion_table(SPEC, 5.0, 2.5, m_max=10),
     lambda: enumerate_exact((0.0, 1.0), math.inf, 3),
+    lambda: enumerate_exact((0.0, math.inf), 1.0, 3),
+    lambda: demon_ensemble(SPEC, 5.0, 10.5, 40),
+    lambda: demon_ensemble(SPEC, 5.0, math.nan, 40),
+    lambda: demon_ensemble(SPEC, 5.0, -5, 40),
+    lambda: demon_ensemble(SPEC, 5.0, math.inf, 40),
+    lambda: demon_ensemble(TrapSpectrum(max_level=0), 5.0, 10, None),
     lambda: damping_crossover(SPEC, math.inf, InteractionParams(0.1)),
     lambda: InteractionParams(math.nan),
     lambda: InteractionParams(math.inf),
@@ -148,9 +154,11 @@ def test_saddle_offset_tracks_fugacity():
         "gc-n-fractional", "tc-n-nan", "tc-n-fractional", "tc-n-inf",
         "row-n-fractional", "sweep-n-fractional", "ipo-fractional", "ipo-inf",
         "forced-offset-inf", "occupation-t-inf", "recursion-t-inf",
-        "recursion-n-fractional", "enumeration-t-inf", "crossover-t-inf",
-        "pair-energy-nan", "pair-energy-inf", "fraction-limit-nan",
-        "eq10-n-nan", "eq12-n-inf", "grid-stop-inf"])
+        "recursion-n-fractional", "enumeration-t-inf",
+        "enumeration-energy-inf", "demon-n-fractional", "demon-n-nan",
+        "demon-n-negative", "demon-n-inf", "demon-no-level-1",
+        "crossover-t-inf", "pair-energy-nan", "pair-energy-inf",
+        "fraction-limit-nan", "eq10-n-nan", "eq12-n-inf", "grid-stop-inf"])
 def test_non_finite_or_fractional_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

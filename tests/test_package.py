@@ -69,6 +69,10 @@ from bosecanon.cli import main
 main(["--particles", "100", "--t-over-tc", "0.5:0.5:0.1", "--out", sys.argv[1]])
 """, [*ENGINE_MODULES, "bosecanon.asymptotics", "bosecanon.cli",
       "bosecanon.sweep"]),
+    # the suites need the engine and the recursion, not the sweep
+    "validate-import": ("import sys\nimport bosecanon.validate\n",
+                        [*ENGINE_MODULES, "bosecanon.oracle",
+                         "bosecanon.validate"]),
 }
 
 

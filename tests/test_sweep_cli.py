@@ -333,9 +333,6 @@ def test_sweep_defaults_to_serial():
     assert list(inspect.signature(run_sweep).parameters) == [
         "particles", "t_grid", "m_max", "threads"]
     assert run_sweep((20,), [0.5]).meta["workers"] == 1
-    grid = ["--particles", "20", "--t-over-tc", "0.5:0.5:0.1"]
-    assert resolve_settings(grid).threads == 1
-    assert resolve_settings([*grid, "--threads", "2"]).threads == 2
 
 
 def test_sweep_thread_count_none_zero_negative_rejected():
@@ -530,19 +527,18 @@ CONFIGURATION_ERRORS = {
                         None, "a sweep needs at least one particle number"),
     "particles-1e3": (["--particles", "1e3", "--t-over-tc", "0.5:0.5:0.1"],
                       None, "want whole particle numbers, got '1e3'"),
-    "threads-zero": ([*ROW, "--threads", "0"], None, f"threads {COUNT}"),
     "m-max-zero": ([*ROW, "--m-max", "0"], None, f"m_max {COUNT}"),
     # a truncated ladder is a finite TrapSpectrum, not a tail switch; the
     # early-exit tolerance is a constant; a forced offset is a keyword of
     # canonical_observables; --validate's probes and tolerances are fixed;
-    # a sweep writes both formats on a whole number of threads
+    # a sweep writes both formats, and its rows run one at a time
     "flag-tail": ([*ROW, "--tail", "mb"], None, UNKNOWN),
     "flag-rel-tol": ([*ROW, "--rel-tol", "1e-10"], None, UNKNOWN),
     "flag-ground-offset": ([*ROW, "--ground-offset", "1.0"], None, UNKNOWN),
     "flag-max-n": ([*ROW, "--max-n", "60"], None, UNKNOWN),
     "flag-tolerance": ([*ROW, "--tolerance", "1e-6"], None, UNKNOWN),
     "flag-format": ([*ROW, "--format", "csv"], None, UNKNOWN),
-    "flag-threads-auto": ([*ROW, "--threads", "auto"], None, NOT_INT),
+    "flag-threads": ([*ROW, "--threads", "2"], None, UNKNOWN),
     "flag-m-max-auto": ([*ROW, "--m-max", "auto"], None, NOT_INT),
     "unknown-key": ([], "particlez = 30", f"{UNKNOWN}: --particlez=30"),
     # a removed flag is an unknown key, and a flag prefix is not a key
@@ -550,8 +546,7 @@ CONFIGURATION_ERRORS = {
     "key-rel-tol": (ROW, "rel-tol = tight", UNKNOWN),
     "key-part": (ROW, "part = 30", UNKNOWN),
     "key-format": (ROW, "format = json", UNKNOWN),
-    "key-threads-auto": (ROW, "threads = auto", NOT_INT),
-    "key-threads-zero": (ROW, "threads = 0", f"threads {COUNT}"),
+    "key-threads": (ROW, "threads = 2", UNKNOWN),
     "key-strict-maybe": (ROW, "strict = maybe", "strict wants yes or no"),
     "key-config": (ROW, "config = other.cfg", "want key = value"),
     # refused before the sweep, not after it
@@ -672,27 +667,7 @@ def test_cli_validate_fails_exactly_the_perturbed_suite(monkeypatch, capsys,
                   for line in capsys.readouterr().out.splitlines())
     assert status.pop("validation:") == "FAIL"
     assert status == {name: "FAIL" if name == target else "PASS"
-                      for name in (*SUITE_CALLS, "worker_independence")}
-
-
-@pytest.mark.parametrize("field, value", [
-    ("m_max", 10**6), ("error", "DomainError: skewed"), ("delta_n0", math.nan),
-])
-def test_worker_suite_compares_every_field(monkeypatch, field, value):
-    # an int, a string or a NaN that changes with the worker count fails
-    # the suite as a changed float does: one differing field, deviation 1
-    sweep = validate.run_sweep
-
-    def skewed(particles, t_grid, threads=1):
-        result = sweep(particles, t_grid, threads=threads)
-        if threads > 1:
-            result.rows[1] = dataclasses.replace(result.rows[1],
-                                                 **{field: value})
-        return result
-
-    monkeypatch.setattr(validate, "run_sweep", skewed)
-    suite = validate._worker_independence()
-    assert suite.max_deviation == 1.0 and not suite.passed
+                      for name in SUITE_CALLS}
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path):
@@ -701,27 +676,26 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
         "# sweep defaults\n"
         "particles = 30\n"
         "t-over-tc = 0.5:0.5:0.1\n"
-        "threads = 2\n"
+        "m-max = 30\n"
         f"out = {tmp_path / 'fromfile'}\n"
     )
     assert run_cli("--config", str(cfg)) == 0
     # flags win over the file
-    assert run_cli("--config", str(cfg), "--threads", "1",
+    assert run_cli("--config", str(cfg), "--m-max", "40",
                    "--out", str(tmp_path / "override")) == 0
     assert sorted(os.listdir(tmp_path)) == [
         "fromfile.csv", "fromfile.json", "override.csv", "override.json",
         "run.cfg"]
-    for name, workers in (("fromfile", 2), ("override", 1)):
+    for name, m_max in (("fromfile", 30), ("override", 40)):
         with open(tmp_path / f"{name}.json") as fh:
-            assert json.load(fh)["meta"]["workers"] == workers
+            assert json.load(fh)["meta"]["m_max"] == m_max
 
 
 def test_resolve_settings_preset_fills_gaps():
-    st = resolve_settings(["--preset", "fig1", "--threads", "2"])
+    st = resolve_settings(["--preset", "fig1"])
     # the settings are the flags, and no other
     assert sorted(vars(st)) == ["config", "m_max", "out", "particles",
-                                "preset", "strict", "t_grid", "threads",
-                                "validate"]
+                                "preset", "strict", "t_grid", "validate"]
     assert list(st.particles) == [100, 1000, 10_000]
     assert st.t_grid is not None and len(st.t_grid) > 20
     st2 = resolve_settings(["--preset", "fig1", "--particles", "7"])
@@ -731,7 +705,7 @@ def test_resolve_settings_preset_fills_gaps():
 @pytest.mark.parametrize("line, flags", [
     ("t_over_tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
     ("t-over-tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
-    ("threads = 2", ["--threads", "2"]),
+    ("m_max = 40", ["--m-max", "40"]),
     ("strict = yes", ["--strict"]),
     ("strict = no", []),
     ("out = elsewhere", ["--out", "elsewhere"]),
