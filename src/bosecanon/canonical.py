@@ -169,7 +169,6 @@ class CanonicalResult:
     ne_second_moment: float
     intervals_evaluated: int
     intervals_total: int
-    sum_rule_residual: float
     m_max: int
     ground_offset: float
     gc_state: GrandCanonicalState
@@ -373,7 +372,6 @@ def canonical_observables(
     obs = acc.real / z_re
     log_z = offset + math.log(z_re / math.pi)
     log_z_zero = log_z + n * eps0 / t
-    sum_rule = abs(obs[1] + obs[5] - n) / n
     return CanonicalResult(
         n=n,
         t=t,
@@ -387,7 +385,6 @@ def canonical_observables(
         ne_second_moment=obs[6],
         intervals_evaluated=done,
         intervals_total=n_half,
-        sum_rule_residual=sum_rule,
         m_max=m_max,
         ground_offset=eps0,
         gc_state=gc_state,

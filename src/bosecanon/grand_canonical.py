@@ -64,8 +64,7 @@ def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> in
 def mean_occupation(t: float, energy: float, mu: float) -> float:
     """Bose-Einstein occupation of one state: 1/(exp((E-mu)/T) - 1)."""
     _finite_real("temperature", t)
-    if energy <= mu:
-        raise DomainError(f"state energy {energy} must exceed mu {mu}")
+    _finite_real("energy - mu", energy - mu)
     return 1.0 / math.expm1((energy - mu) / t)
 
 
@@ -98,8 +97,6 @@ def _occupation_sums(ladder: LevelLadder, lam: float) -> float:
     """
     g = ladder.degeneracies
     x = lam * ladder.boltzmann
-    if x[0] >= 1.0:
-        raise DomainError("fugacity at or above the ground-state divergence")
     tail = lam * ladder.tail_weight
     return float((g * x / (1.0 - x)).sum() + tail)
 
@@ -118,6 +115,11 @@ class GrandCanonicalState:
     relative_fugacity: float
     m_max: int
     ladder: LevelLadder = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.relative_fugacity < 1.0:
+            raise DomainError("relative fugacity must lie in (0, 1), got "
+                              f"{self.relative_fugacity}")
 
     @property
     def mu(self) -> float:

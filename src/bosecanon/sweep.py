@@ -79,7 +79,6 @@ class SweepRow:
     m_max: int = 0
     intervals_evaluated: int = 0
     intervals_total: int = 0
-    sum_rule_residual: float = math.nan
     ground_offset: float = math.nan
     converged: int = 0
     error: str = ""
@@ -144,7 +143,6 @@ def compute_row(
         m_max=r.m_max,
         intervals_evaluated=r.intervals_evaluated,
         intervals_total=r.intervals_total,
-        sum_rule_residual=r.sum_rule_residual,
         ground_offset=r.ground_offset,
         converged=1,
     )
@@ -294,6 +292,7 @@ def fit_scaling(rows, observable: str, t_over_tc: float) -> ScalingFit:
             f"unknown observable {observable!r}; "
             f"choose from {sorted(DISCREPANCY_CHANNELS)}"
         ) from None
+    _finite_real("t_over_tc", t_over_tc)
     selected = {}
     for row in rows:
         if row.error or abs(row.t_over_tc - t_over_tc) > 1e-9:

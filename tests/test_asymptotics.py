@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from bosecanon import DomainError, TrapSpectrum, critical_temperature
 from bosecanon.asymptotics import (
     DELTA_N0_PREFACTOR,
-    DampingCrossover,
     FIXED_N_DOMINATES,
     INTERACTION_DOMINATES,
     InteractionParams,
@@ -152,15 +151,6 @@ def test_interaction_params_validation():
     assert InteractionParams(0.0).pair_energy == 0.0
     with pytest.raises(DomainError):
         InteractionParams(-0.5)
-
-
-def test_crossover_boundary_identity():
-    # at pair_energy/spacing = (t/spacing)^{-2} the two damping scales agree
-    t = 25.0
-    lam = t**-2.0
-    cross = damping_crossover(SPEC, t, InteractionParams(lam))
-    assert cross.fixed_n_scale == pytest.approx(cross.interaction_scale, rel=1e-12)
-    assert cross.ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_crossover_regimes():

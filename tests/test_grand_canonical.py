@@ -220,6 +220,15 @@ def test_single_state_distribution_is_geometric(target):
     assert state.delta_n0 == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
+def test_state_at_or_above_the_divergence_is_a_domain_error():
+    # number_variance would divide by zero at x0 = 1 and return a finite
+    # number above it; the state itself refuses both
+    state = solve_fugacity(SPEC, 5.0, 100)
+    for x in (1.0, 1.5):
+        with pytest.raises(DomainError, match="relative fugacity"):
+            replace(state, relative_fugacity=x)
+
+
 def test_fugacity_monotone_in_target_number():
     t = 8.0
     states = [solve_fugacity(SPEC, t, n) for n in (50, 100, 200, 400, 800)]

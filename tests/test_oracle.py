@@ -25,11 +25,10 @@ def tail_ratio(table):
     return math.exp(table.log_z[table.n - 1] - table.log_z[table.n])
 
 
-def level_sum(table, m_max, first=0):
-    """Level occupations summed over levels first..m_max (unit spacing)."""
+def level_sum(table, m_max):
+    """Level occupations summed over levels 0..m_max (unit spacing)."""
     g = table.spectrum.degeneracies(m_max)
-    return sum(g[m] * table.occupation(float(m))
-               for m in range(first, m_max + 1))
+    return sum(g[m] * table.occupation(float(m)) for m in range(m_max + 1))
 
 
 def test_first_entry_is_single_particle_sum():
@@ -116,19 +115,6 @@ def test_partition_grows_with_temperature():
     cold = recursion_table(spec, 2.0, 40)
     warm = recursion_table(spec, 2.5, 40)
     assert np.all(warm.log_z[1:] > cold.log_z[1:])
-
-
-def test_condensate_and_excited_fluctuations_mirror():
-    # n_e = N - n0 exactly, so Var(n_e) = Var(n0); check through moments
-    spec = TrapSpectrum(max_level=90)
-    t, n = 5.0, 60
-    table = recursion_table(spec, t, n)
-    n0 = table.occupation(0.0)
-    var0 = table.n0_variance()
-    # sum the excited first and second pieces from level occupations
-    ne = level_sum(table, 90, first=1)
-    assert n0 + ne == pytest.approx(n, rel=1e-10)
-    assert var0 > 0.0
 
 
 def test_occupation_normalization_sums_to_n():

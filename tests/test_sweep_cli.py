@@ -10,10 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-import bosecanon
 from bosecanon import (
     TrapSpectrum,
-    canonical,
     critical_temperature,
     grand_canonical,
     sweep,
@@ -85,13 +83,6 @@ def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc):
     assert row.converged == 0
     assert row.error == ("DomainError: t_over_tc must be positive and "
                          f"finite, got {t_over_tc}")
-
-
-def test_package_has_no_quadrature_config():
-    # m_max is a plain parameter and the self-check perturbations are
-    # keywords of canonical_observables: no settings object is left
-    for module in (bosecanon, canonical):
-        assert [name for name in dir(module) if name.endswith("Config")] == []
 
 
 def test_m_max_is_the_one_row_setting():
@@ -195,12 +186,6 @@ def test_a_level_1_factor_in_the_normal_doubles_still_converges():
         row = compute_row(SPEC, 10**4, 1.5e-3 / critical_temperature(SPEC, 10**4))
     assert row.converged == 1
     assert row.corr_01_normalized == pytest.approx(-1e-4, rel=1e-9)
-
-
-def test_compute_row_records_one_level_spectrum_as_error():
-    row = compute_row(TrapSpectrum(max_level=0), 10, 0.5)
-    assert row.converged == 0
-    assert row.error.startswith("DomainError")
 
 
 def test_compute_row_solves_the_fugacity_once(monkeypatch):
@@ -502,6 +487,16 @@ def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
     assert all(line.endswith(" from 3 sizes") for line in fits)
 
 
+def test_cli_preset_with_two_sizes_prints_no_fit(tmp_path, capsys,
+                                                 monkeypatch):
+    # every fit needs three particle numbers; the sweep itself succeeds
+    monkeypatch.setitem(PRESETS, "fig1",
+                        Preset((20, 80), FIT_T, FIT_T, 0.1, refinements=()))
+    assert run_cli("--preset", "fig1", "--out", str(tmp_path / "p")) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("rows: 2/2 converged") and "N^(" not in out
+
+
 ROW = ["--particles", "30", "--t-over-tc", "0.5:0.5:0.1"]
 UNKNOWN = "unrecognized arguments"
 NOT_INT = "invalid int value"
@@ -528,27 +523,17 @@ CONFIGURATION_ERRORS = {
     "particles-1e3": (["--particles", "1e3", "--t-over-tc", "0.5:0.5:0.1"],
                       None, "want whole particle numbers, got '1e3'"),
     "m-max-zero": ([*ROW, "--m-max", "0"], None, f"m_max {COUNT}"),
-    # a truncated ladder is a finite TrapSpectrum, not a tail switch; the
-    # early-exit tolerance is a constant; a forced offset is a keyword of
-    # canonical_observables; --validate's probes and tolerances are fixed;
-    # a sweep writes both formats, and its rows run one at a time
-    "flag-tail": ([*ROW, "--tail", "mb"], None, UNKNOWN),
-    "flag-rel-tol": ([*ROW, "--rel-tol", "1e-10"], None, UNKNOWN),
-    "flag-ground-offset": ([*ROW, "--ground-offset", "1.0"], None, UNKNOWN),
-    "flag-max-n": ([*ROW, "--max-n", "60"], None, UNKNOWN),
-    "flag-tolerance": ([*ROW, "--tolerance", "1e-6"], None, UNKNOWN),
-    "flag-format": ([*ROW, "--format", "csv"], None, UNKNOWN),
+    # rows run one at a time: threads is not an option
     "flag-threads": ([*ROW, "--threads", "2"], None, UNKNOWN),
     "flag-m-max-auto": ([*ROW, "--m-max", "auto"], None, NOT_INT),
     "unknown-key": ([], "particlez = 30", f"{UNKNOWN}: --particlez=30"),
     # a removed flag is an unknown key, and a flag prefix is not a key
-    "key-max-n": (ROW, "max-n = many", UNKNOWN),
-    "key-rel-tol": (ROW, "rel-tol = tight", UNKNOWN),
     "key-part": (ROW, "part = 30", UNKNOWN),
-    "key-format": (ROW, "format = json", UNKNOWN),
     "key-threads": (ROW, "threads = 2", UNKNOWN),
     "key-strict-maybe": (ROW, "strict = maybe", "strict wants yes or no"),
     "key-config": (ROW, "config = other.cfg", "want key = value"),
+    "config-missing": ([*ROW, "--config", "missing.cfg"], None,
+                       "cannot read config file missing.cfg"),
     # refused before the sweep, not after it
     "out-in-missing-dir": ([*ROW, "--out", "missing/run"], None,
                            "missing is not a writable directory"),
