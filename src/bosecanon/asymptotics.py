@@ -10,6 +10,8 @@ The interaction quantities use the pairwise energy scale lam_int (the
 two-particle contribution to the ground-state energy, a / sqrt(2 pi) in
 oscillator units for scattering length a). This is a different symbol
 from the fugacity; keeping it in its own type avoids mixing them up.
+damping_crossover compares the interaction-damped width with the free-gas
+width; their ratio <= 1 means interactions dominate the damping.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .spectrum import ZETA3, DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
     "DELTA_N0_PREFACTOR",
-    "FIXED_N_DOMINATES",
-    "INTERACTION_DOMINATES",
     "condensate_fraction_limit",
     "delta_n0_fraction_limit",
     "correlation_limit",
@@ -82,15 +82,11 @@ class InteractionParams:
         _finite_real("pair_energy", self.pair_energy, allow_zero=True)
 
 
-FIXED_N_DOMINATES = "fixed_n_dominates"
-INTERACTION_DOMINATES = "interaction_dominates"
-
-
 @dataclass(frozen=True)
 class DampingCrossover:
-    """Which mechanism suppresses condensate fluctuations harder."""
+    """Which mechanism suppresses condensate fluctuations harder: ratio <= 1
+    means interactions dominate, ratio > 1 the fixed particle number."""
 
-    regime: str
     fixed_n_scale: float       # sqrt((T/spacing)^3), the free-gas spread
     interaction_scale: float   # sqrt(T/lam_int), inf when lam_int = 0
 
@@ -104,17 +100,10 @@ def damping_crossover(spectrum: TrapSpectrum, t: float,
     """Compare the interaction-damped width with the free-gas width.
 
     The two coincide exactly when lam_int/spacing = (T/spacing)^{-2};
-    stronger interactions than that dominate the damping.
+    stronger interactions than that (ratio <= 1) dominate the damping.
     """
     _finite_real("temperature", t)
-    eps = spectrum.level_spacing
-    fixed_n = math.sqrt((t / eps) ** 3)
+    fixed_n = math.sqrt((t / spectrum.level_spacing) ** 3)
     if params.pair_energy == 0.0:
-        return DampingCrossover(FIXED_N_DOMINATES, fixed_n, math.inf)
-    interaction = math.sqrt(t / params.pair_energy)
-    regime = (
-        INTERACTION_DOMINATES
-        if params.pair_energy / eps >= (t / eps) ** (-2.0)
-        else FIXED_N_DOMINATES
-    )
-    return DampingCrossover(regime, fixed_n, interaction)
+        return DampingCrossover(fixed_n, math.inf)
+    return DampingCrossover(fixed_n, math.sqrt(t / params.pair_energy))

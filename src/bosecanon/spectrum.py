@@ -10,8 +10,8 @@ continuum excited-state capacity ``zeta(3) * (T/spacing)**3``, giving
 ``Tc = N**(1/3) * zeta(3)**(-1/3) * spacing``.
 
 Input rule for the package: particle numbers, level indices and thread
-counts are finite whole numbers; temperatures, spacings and energy scales
-are finite. Anything else is a DomainError naming the quantity.
+counts are finite whole numbers, not bools; temperatures, spacings and
+energy scales are finite. Anything else is a DomainError naming the quantity.
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
 
 
 def _integer(name: str, value: int, floor: int) -> int:
-    """value as an int if it is a finite whole number >= floor; never floored."""
+    """value as an int if it is a finite whole number >= floor, not a bool;
+    never floored."""
     try:
-        whole = floor <= value <= sys.float_info.max and value % 1 == 0
+        whole = (not isinstance(value, (bool, np.bool_))
+                 and floor <= value <= sys.float_info.max and value % 1 == 0)
     except TypeError:  # None, or not a number at all
         whole = False
     if not whole:

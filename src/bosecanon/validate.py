@@ -1,7 +1,7 @@
 """Self-check suites: the engine against its independent references.
 
 This is the package's one self-check (`bosecanon --validate`). Four
-suites, each reporting the worst relative deviation against a tolerance:
+suites, each reporting the worst relative deviation against one tolerance:
 
   oracle_equivalence   offset-free log Z, n0 and n1 vs the recursion
   offset_invariance    observables and offset-free log Z with the
@@ -45,17 +45,16 @@ TOLERANCE = 1e-8
 class SuiteResult:
     name: str
     max_deviation: float
-    tolerance: float
     probes: int
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
+        return self.max_deviation <= TOLERANCE
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"{self.name:<22s} {status}  max_dev={self.max_deviation:.3e} "
-                f"tol={self.tolerance:.1e} probes={self.probes}")
+                f"tol={TOLERANCE:.1e} probes={self.probes}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def _oracle_equivalence(spectrum) -> SuiteResult:
                             _rel(r.n1_mean,
                                  table.occupation(spectrum.level_spacing)))
                 probes += 1
-    return SuiteResult("oracle_equivalence", worst, TOLERANCE, probes)
+    return SuiteResult("oracle_equivalence", worst, probes)
 
 
 def _saddle_results(spectrum) -> list:
@@ -125,11 +124,11 @@ def _invariance(name, spectrum, saddle_results) -> SuiteResult:
             worst = max(worst, _rel(va, getattr(b, key)))
         worst = max(worst, _log_z_dev(a.log_z_zero_offset,
                                       b.log_z_zero_offset))
-    return SuiteResult(name, worst, TOLERANCE, len(saddle_results))
+    return SuiteResult(name, worst, len(saddle_results))
 
 
 def run_validation() -> ValidationReport:
-    """Run every suite; any deviation above its tolerance fails the report."""
+    """Run every suite; any deviation above TOLERANCE fails the report."""
     spectrum = TrapSpectrum()
     saddle_results = _saddle_results(spectrum)
     suites = [

