@@ -87,7 +87,7 @@ class DampingCrossover:
     """Which mechanism suppresses condensate fluctuations harder: ratio <= 1
     means interactions dominate, ratio > 1 the fixed particle number."""
 
-    fixed_n_scale: float       # sqrt((T/spacing)^3), the free-gas spread
+    fixed_n_scale: float       # sqrt(T^3), the free-gas spread
     interaction_scale: float   # sqrt(T/lam_int), inf when lam_int = 0
 
     @property
@@ -99,11 +99,11 @@ def damping_crossover(spectrum: TrapSpectrum, t: float,
                       params: InteractionParams) -> DampingCrossover:
     """Compare the interaction-damped width with the free-gas width.
 
-    The two coincide exactly when lam_int/spacing = (T/spacing)^{-2};
+    The two coincide exactly when lam_int = T^{-2};
     stronger interactions than that (ratio <= 1) dominate the damping.
     """
     _finite_real("temperature", t)
-    fixed_n = math.sqrt((t / spectrum.level_spacing) ** 3)
+    fixed_n = math.sqrt(t ** 3)
     if params.pair_energy == 0.0:
         return DampingCrossover(fixed_n, math.inf)
     return DampingCrossover(fixed_n, math.sqrt(t / params.pair_energy))

@@ -65,8 +65,8 @@ Cost guard. The kernel work of a row is predicted before the first chunk:
 intervals up to the predicted exit (the half period when none is
 predicted) times points per interval times levels. Above MAX_LEVEL_POINTS
 the row is a DomainError instead of hours of kernel time. So is a
-temperature whose level-1 Boltzmann factor exp(-spacing/T) lies below the
-normal doubles (T below 1/708.4 spacings), before the fugacity solve:
+temperature whose level-1 Boltzmann factor exp(-1/T) lies below the
+normal doubles (T below 1/708.4), before the fugacity solve:
 there the n1 weight underflows, n1 reads 0 and the excited sums stay
 zero, which holds the exit off to the full period.
 
@@ -287,17 +287,14 @@ def canonical_observables(
     m_max = auto_m_max(spectrum, t, m_max)
     if m_max < 1:
         raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
-    q1 = math.exp(-spectrum.level_spacing / t)
+    q1 = math.exp(-1.0 / t)
     if q1 < sys.float_info.min:
         raise DomainError(
             f"temperature {t} is too small for the n1 observables: the "
-            f"level-1 Boltzmann factor exp(-{spectrum.level_spacing}/T) = "
-            f"{q1:.3g} underflows the normal doubles")
+            f"level-1 Boltzmann factor exp(-1/T) = {q1:.3g} underflows the "
+            "normal doubles")
     gc_state = solve_fugacity(spectrum, t, n, m_max=m_max)
     eps0 = ground_offset or -gc_state.mu
-    if not eps0 > 0.0:
-        raise DomainError(f"temperature {t} is too small for N = {n}: the "
-                          f"saddle offset underflows to {eps0}")
 
     ladder = gc_state.ladder
     q = np.exp(-(eps0 + ladder.energies) / t)

@@ -53,7 +53,7 @@ def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> in
     if m_max is not None or spectrum.max_level is not None:
         top = spectrum.resolved_max_level(m_max)
     else:
-        levels = 15.0 * _finite_real("temperature", t) / spectrum.level_spacing
+        levels = 15.0 * _finite_real("temperature", t)
         top = int(math.ceil(levels)) + 20 if levels <= MAX_LEVELS else levels
     if top > MAX_LEVELS:
         raise DomainError(f"{top:.2g} trap levels at T = {t} exceed the limit "
@@ -70,7 +70,7 @@ def mean_occupation(t: float, energy: float, mu: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LevelLadder:
-    """Levels 0..M, ground at zero energy: energies m*spacing, exp(-E/T),
+    """Levels 0..M, ground at zero energy: energies m, exp(-E/T),
     degeneracies, and the tail weight above M. Read-only arrays."""
 
     energies: np.ndarray
@@ -82,7 +82,7 @@ class LevelLadder:
 def _level_ladder(spectrum: TrapSpectrum, t: float, m_max: int) -> LevelLadder:
     """The one place that turns (spectrum, T, m_max) into level arrays."""
     g = spectrum.degeneracies(m_max)
-    e = np.arange(g.size, dtype=np.float64) * spectrum.level_spacing
+    e = np.arange(g.size, dtype=np.float64)
     b = np.exp(-e / t)
     for a in (e, b, g):
         a.flags.writeable = False

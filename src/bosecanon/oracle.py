@@ -10,7 +10,7 @@ level, in log space (logsumexp) so magnitudes never overflow:
 a sum of positive terms over the levels of grand_canonical's one ladder
 (the arithmetic is the oracle's own). np.exp is exactly 0.0 below -745.2,
 so each j sums only the levels with j*E_m/T <= 745.2: it drops zeros alone,
-at about 745*(T/spacing)*ln N exps instead of N*M. The ladder's tail weight S
+at about 745*T*ln N exps instead of N*M. The ladder's tail weight S
 is added at j=1 only, matching a generating function multiplied by
 exp(w*S). The ground level, at zero energy, holds the rest of the
 particles, so
@@ -80,7 +80,8 @@ class RecursionTable:
     log_z_excited: np.ndarray = field(repr=False)
 
     def occupation(self, energy: float) -> float:
-        """<n> of one state at the given energy above the ground level."""
+        """<n> of one state at a finite energy at or above the ground level."""
+        _finite_real("state energy", energy, allow_zero=True)
         k = np.arange(1, self.n + 1, dtype=np.float64)
         return float(np.exp(-k * energy / self.t + self.log_z[self.n - 1 :: -1]
                             - self.log_z[self.n]).sum())
@@ -97,6 +98,8 @@ class RecursionTable:
         """<n_a n_b> for two distinct states. The inner sum over k is
         c^s rho (1 - rho^{s-1})/(1 - rho), c = max(a, b), rho = e^{-|Ea-Eb|/T};
         taking the log Z ratio first keeps the rounding near 1e-14."""
+        _finite_real("state energy a", energy_a, allow_zero=True)
+        _finite_real("state energy b", energy_b, allow_zero=True)
         s = np.arange(2, self.n + 1, dtype=np.float64)
         log_rho = -abs(energy_a - energy_b) / self.t
         if log_rho == 0.0:

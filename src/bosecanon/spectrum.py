@@ -1,17 +1,17 @@
 """Level structure of the 3D isotropic harmonic trap.
 
-Energies are measured from the ground level, in units of the level spacing
-unless a spacing is given explicitly. Level m carries energy
-``m*level_spacing`` and holds ``(m+1)(m+2)/2`` states (the number of ways
-to split m quanta among three Cartesian axes).
+The level spacing is the unit of energy and temperature (Boltzmann's
+constant is 1). Energies are measured from the ground level: level m
+carries energy m and holds ``(m+1)(m+2)/2`` states (the number of ways to
+split m quanta among three Cartesian axes).
 
 The condensation temperature for N particles follows from equating N to the
-continuum excited-state capacity ``zeta(3) * (T/spacing)**3``, giving
-``Tc = N**(1/3) * zeta(3)**(-1/3) * spacing``.
+continuum excited-state capacity ``zeta(3) * T**3``, giving
+``Tc = N**(1/3) * zeta(3)**(-1/3)``.
 
 Input rule for the package: particle numbers, level indices and thread
-counts are finite whole numbers, not bools; temperatures, spacings and
-energy scales are finite. Anything else is a DomainError naming the quantity.
+counts are finite whole numbers, not bools; temperatures and energy scales
+are finite. Anything else is a DomainError naming the quantity.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def _integer(name: str, value: int, floor: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrapSpectrum:
-    """Trap spectrum: spacing and top level index, ground level at zero.
+    """Trap spectrum: top level index, ground level at zero, unit spacing.
 
     ``max_level=None`` is the unbounded ladder: operations that materialise
     level arrays then need an explicit cap, and the levels above it are
@@ -69,11 +69,10 @@ class TrapSpectrum:
     the truncated model: the ladder ends there and has no tail.
     """
 
-    level_spacing: float = 1.0
     max_level: int | None = None
+    level_spacing = 1.0  # the unit of energy and temperature: not a field
 
     def __post_init__(self) -> None:
-        _finite_real("level_spacing", self.level_spacing)
         if self.max_level is not None:
             _integer("max_level", self.max_level, 0)
 
@@ -102,19 +101,19 @@ class TrapSpectrum:
     def tail_weight(self, t: float, m_max: int) -> float:
         """Boltzmann weight of the levels above m_max, measured from level 0.
 
-        ``sum_{m>m_max} (m+1)(m+2)/2 * exp(-m*spacing/T)`` for the unbounded
-        ladder; 0.0 for a finite one, which ends at its top level.
+        ``sum_{m>m_max} (m+1)(m+2)/2 * exp(-m/T)`` for the unbounded ladder;
+        0.0 for a finite one, which ends at its top level.
         """
         if self.max_level is not None:
             return 0.0
-        q = math.exp(-self.level_spacing / t)
+        q = math.exp(-1.0 / t)
         return weighted_geometric_tail(q, m_max)
 
 
 def critical_temperature(spectrum: TrapSpectrum, n: int) -> float:
-    """Condensation temperature ``N^(1/3) zeta(3)^(-1/3) * spacing``."""
+    """Condensation temperature ``N^(1/3) zeta(3)^(-1/3)``."""
     _integer("particle number", n, 1)
-    return float(n / ZETA3) ** (1.0 / 3.0) * spectrum.level_spacing
+    return float(n / ZETA3) ** (1.0 / 3.0)
 
 
 def weighted_geometric_tail(x: float, m_max: int) -> float:

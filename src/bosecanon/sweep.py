@@ -116,14 +116,13 @@ def compute_row(
         r = canonical_observables(spectrum, t, n, m_max)
         gc = r.gc_state
     except (ConvergenceError, DomainError) as err:
-        return SweepRow(n=n, t_over_tc=t_over_tc,
-                        t_over_spacing=t / spectrum.level_spacing,
+        return SweepRow(n=n, t_over_tc=t_over_tc, t_over_spacing=t,
                         error=f"{type(err).__name__}: {err}")
     below = 0.0 < t_over_tc < 1.0
     return SweepRow(
         n=n,
         t_over_tc=t_over_tc,
-        t_over_spacing=t / spectrum.level_spacing,
+        t_over_spacing=t,
         n0_mean=r.n0_mean,
         n0_over_n=r.n0_mean / n,
         delta_n0=r.delta_n0,
@@ -198,8 +197,9 @@ def run_sweep(
     m_max: int | None = None,
     threads: int = 1,
 ) -> SweepResult:
-    """Evaluate the full (N, T/Tc) grid on the unit-spacing trap
-    (TrapSpectrum()), rows in deterministic order.
+    """Evaluate the full (N, T/Tc) grid on the unbounded ladder
+    (TrapSpectrum()), rows in deterministic order; the level spacing is the
+    unit of temperature (meta["level_spacing"] = 1.0).
 
     m_max=None lets each row pick its level truncation (auto_m_max).
     A count that is not a whole number >= 1, None included, is a

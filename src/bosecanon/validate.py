@@ -84,15 +84,13 @@ def _oracle_equivalence(spectrum) -> SuiteResult:
     probes = 0
     for m_max in (20, 40):
         for t in (0.5, 2.0, 5.0, 10.0):
-            t_abs = t * spectrum.level_spacing
             for n in (1, 2, 7, 25, MAX_N):
-                table = recursion_table(spectrum, t_abs, n, m_max)
-                r = canonical_observables(spectrum, t_abs, n, m_max)
+                table = recursion_table(spectrum, t, n, m_max)
+                r = canonical_observables(spectrum, t, n, m_max)
                 worst = max(worst,
                             _log_z_dev(table.log_z[n], r.log_z_zero_offset),
                             _rel(r.n0_mean, table.occupation(0.0)),
-                            _rel(r.n1_mean,
-                                 table.occupation(spectrum.level_spacing)))
+                            _rel(r.n1_mean, table.occupation(1.0)))
                 probes += 1
     return SuiteResult("oracle_equivalence", worst, probes)
 

@@ -75,7 +75,7 @@ def test_01_recursion_equivalence_full_grid():
                 prev = res.log_z_zero_offset
                 dev = abs(got_ratio - want_ratio) / want_ratio
                 n0 = _occupation_at(table, 0.0, t, n)
-                n1 = _occupation_at(table, SPEC.level_spacing, t, n)
+                n1 = _occupation_at(table, 1.0, t, n)
                 dev = max(dev, abs(res.n0_mean - n0) / n0)
                 dev = max(dev, abs(res.n1_mean - n1) / max(n1, 1e-300))
                 worst = max(worst, dev)
@@ -94,10 +94,9 @@ def test_01_recursion_equivalence_full_grid():
 def test_02_enumeration_equivalence_two_level():
     bound = 1e-12
     worst = 0.0
-    cases = ((0.9, 1.2), (1.7, 0.8))
-    for spacing, t in cases:
-        spec = TrapSpectrum(level_spacing=spacing, max_level=1)
-        energies = [0.0] + [spacing] * 3
+    spec = TrapSpectrum(max_level=1)
+    energies = [0.0, 1.0, 1.0, 1.0]
+    for t in (1.2 / 0.9, 0.8 / 1.7):
         for n in (1, 2, 3, 4):
             exact = enumerate_exact(energies, t, n)
             res = canonical_observables(spec, t, n)
@@ -230,7 +229,7 @@ def test_07_first_excited_state_fugacity_correction():
     for tfrac in (0.3, 0.5):
         t = tfrac * critical_temperature(SPEC, n)
         res = canonical_observables(SPEC, t, n)
-        n1_open = mean_occupation(t, SPEC.level_spacing, 0.0)
+        n1_open = mean_occupation(t, 1.0, 0.0)
         scale = t / res.n0_mean  # leading fractional size, spacing units
         # the fixed-N result must sit on the open-system value to within
         # the correction scale ...
@@ -239,7 +238,7 @@ def test_07_first_excited_state_fugacity_correction():
         # ... and the one-over-N0 fugacity correction itself must carry
         # that leading fractional size, within a factor-2 band
         mu = -t * math.log1p(1.0 / res.n0_mean)
-        n1_corrected = mean_occupation(t, SPEC.level_spacing, mu)
+        n1_corrected = mean_occupation(t, 1.0, mu)
         ratio = ((n1_open - n1_corrected) / n1_open) / scale
         ok &= 0.5 <= ratio <= 2.0
         details.append(

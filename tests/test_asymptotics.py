@@ -80,47 +80,40 @@ def test_correlation_limit_domain():
         correlation_limit(1000, 1.0)
 
 
-def brute_transfer_ratio(spectrum, t, m_max):
+def brute_transfer_ratio(t, m_max):
     """Ratio of d<n1>/d(mu/T) to d<N_e>/d(mu/T) at mu = 0, summed term by
     term with no closed forms."""
-    x1 = math.exp(-spectrum.level_spacing / t)
+    x1 = math.exp(-1.0 / t)
     top = -x1 / (1.0 - x1) ** 2
     bottom = 0.0
     for m in range(1, m_max + 1):
-        q = math.exp(-m * spectrum.level_spacing / t)
+        q = math.exp(-m / t)
         g = (m + 1) * (m + 2) / 2.0
         bottom += g * q / (1.0 - q) ** 2
     return top / bottom
 
 
-def transfer_ratio_limit(spectrum, t):
+def transfer_ratio_limit(t):
     """High-temperature closed form of the transfer ratio, the factor eq. 12
-    takes from number conservation: -(6/pi^2) spacing/T."""
-    return -6.0 * spectrum.level_spacing / (math.pi**2 * t)
+    takes from number conservation: -(6/pi^2)/T."""
+    return -6.0 / (math.pi**2 * t)
 
 
 def test_transfer_ratio_approaches_continuum_limit():
-    # the discrete ladder's ratio converges to -(6/pi^2) spacing/T with a
-    # slowly decaying ln(T)/T correction, so use a generous matching band
+    # the discrete ladder's ratio converges to -(6/pi^2)/T with a slowly
+    # decaying ln(T)/T correction, so use a generous matching band
     for t in (20.0, 200.0):
-        got = brute_transfer_ratio(SPEC, t, m_max=int(30 * t) + 40)
+        got = brute_transfer_ratio(t, m_max=int(30 * t) + 40)
         band = 2.0 * math.log(t) / t
         assert got < 0.0
-        assert got == pytest.approx(transfer_ratio_limit(SPEC, t), rel=band)
+        assert got == pytest.approx(transfer_ratio_limit(t), rel=band)
 
 
 def test_transfer_ratio_limit_form():
-    # the ratio depends on T only through T/spacing, and T/spacing times the
-    # ratio tends to -6/pi^2, the closed form the correlation limit uses
-    spec2 = TrapSpectrum(level_spacing=2.0)
-    t = 10.0
-    m_max = int(30 * t) + 40
-    assert brute_transfer_ratio(spec2, 2.0 * t, m_max) == pytest.approx(
-        brute_transfer_ratio(SPEC, t, m_max), rel=1e-12)
-    assert transfer_ratio_limit(spec2, 2.0 * t) == pytest.approx(
-        -6.0 / (math.pi**2 * t), rel=1e-14)
+    # T times the ratio tends to -6/pi^2, the closed form the correlation
+    # limit uses
     gaps = [
-        abs(tt * brute_transfer_ratio(SPEC, tt, int(30 * tt) + 40)
+        abs(tt * brute_transfer_ratio(tt, int(30 * tt) + 40)
             + 6.0 / math.pi**2)
         for tt in (10.0, 40.0, 160.0)
     ]
@@ -129,15 +122,15 @@ def test_transfer_ratio_limit_form():
 
 def test_correlation_pieces_compose():
     # correlation_limit = transfer-ratio limit * (condensate variance)/(N n1)
-    # with Var(n0) -> (prefactor t^{3/2} sqrt(N))^2 and n1 -> T/spacing; the
+    # with Var(n0) -> (prefactor t^{3/2} sqrt(N))^2 and n1 -> T; the
     # algebra collapses to the -N^{-2/3} t/((1-t^3) zeta3^{1/3}) form used
     # for the plotted curve, normalised by N0/N = 1 - t^3
     n, t = 10**6, 0.5
     tc = critical_temperature(SPEC, n)
     var0 = (delta_n0_fraction_limit(n, t) * (1.0 - t**3) * n) ** 2
-    n1_single = t * tc / SPEC.level_spacing
+    n1_single = t * tc
     n0 = (1.0 - t**3) * n
-    composed = transfer_ratio_limit(SPEC, t * tc) * var0 / (n0 * n1_single)
+    composed = transfer_ratio_limit(t * tc) * var0 / (n0 * n1_single)
     assert composed == pytest.approx(correlation_limit(n, t), rel=1e-10)
 
 

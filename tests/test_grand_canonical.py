@@ -136,25 +136,21 @@ def test_solve_fugacity_reports_the_levels_it_sums():
 
 
 def test_excited_count_limit_value():
-    # the continuum capacity zeta(3) (T/spacing)^3 holds exactly N particles
-    # at T = Tc, and the condensate fluctuation limit is the continuum
-    # excited-number RMS sqrt(pi^2/6 (T/spacing)^3) handed to the condensate
+    # the continuum capacity zeta(3) T^3 holds exactly N particles at T = Tc,
+    # and the condensate fluctuation limit is the continuum excited-number
+    # RMS sqrt(pi^2/6 T^3) handed to the condensate
     assert ZETA3 * 10.0**3 == pytest.approx(1202.0569031595942, rel=1e-12)
     n, t = 1000, 0.5
     tc = critical_temperature(SPEC, n)
-    assert ZETA3 * (tc / SPEC.level_spacing) ** 3 == pytest.approx(
-        float(n), rel=1e-12)
-    spec2 = TrapSpectrum(level_spacing=2.0)
-    assert critical_temperature(spec2, n) == pytest.approx(2.0 * tc, rel=1e-14)
+    assert ZETA3 * tc**3 == pytest.approx(float(n), rel=1e-12)
     rms = delta_n0_fraction_limit(n, t) * (1.0 - t**3) * n
-    assert rms == pytest.approx(
-        math.sqrt(math.pi**2 / 6.0 * (t * tc / SPEC.level_spacing) ** 3),
-        rel=1e-12)
+    assert rms == pytest.approx(math.sqrt(math.pi**2 / 6.0 * (t * tc) ** 3),
+                                rel=1e-12)
 
 
 def test_excited_limit_matches_explicit_sum_at_high_t():
     # discrete ladder at saturation (mu = 0) vs the continuum capacity
-    # zeta(3) (T/spacing)^3 behind critical_temperature and 1 - t^3;
+    # zeta(3) T^3 behind critical_temperature and 1 - t^3;
     # the first finite-size correction is +(3/2) zeta(2) T^2, about 0.5% here
     t = 400.0
     m_max = auto_m_max(SPEC, t)
@@ -162,7 +158,7 @@ def test_excited_limit_matches_explicit_sum_at_high_t():
         (m + 1) * (m + 2) / 2.0 * mean_occupation(t, float(m), 0.0)
         for m in range(1, m_max + 1)
     )
-    cap = ZETA3 * (t / SPEC.level_spacing) ** 3
+    cap = ZETA3 * t**3
     assert brute == pytest.approx(cap, rel=2e-2)
     assert brute > cap  # finite-size correction is positive
 

@@ -12,11 +12,9 @@ from bosecanon.oracle import (ORACLE_MAX_N, demon_ensemble, enumerate_exact,
                               recursion_table)
 
 
-def log_z1(spectrum, t, m_max):
-    return math.log(math.fsum(
-        (m + 1) * (m + 2) / 2.0
-        * math.exp(-m * spectrum.level_spacing / t)
-        for m in range(m_max + 1)))
+def log_z1(t, m_max):
+    return math.log(math.fsum((m + 1) * (m + 2) / 2.0 * math.exp(-m / t)
+                              for m in range(m_max + 1)))
 
 
 def tail_ratio(table):
@@ -26,20 +24,19 @@ def tail_ratio(table):
 
 
 def level_sum(table, m_max):
-    """Level occupations summed over levels 0..m_max (unit spacing)."""
+    """Level occupations summed over levels 0..m_max."""
     g = table.spectrum.degeneracies(m_max)
     return sum(g[m] * table.occupation(float(m)) for m in range(m_max + 1))
 
 
 def test_first_entry_is_single_particle_sum():
-    # the last two put the top level far below T/spacing, where the levels
+    # the last two put the top level far below T, where the levels
     # above it hold nearly the whole series
     for t, m_max in ((3.0, 40), (1000.0, 2), (1e4, 5)):
         spec = TrapSpectrum(max_level=m_max)
         table = recursion_table(spec, t, 5)
         assert table.log_z[0] == 0.0  # empty trap
-        assert table.log_z[1] == pytest.approx(log_z1(spec, t, m_max),
-                                               rel=1e-14)
+        assert table.log_z[1] == pytest.approx(log_z1(t, m_max), rel=1e-14)
 
 
 def test_single_state_partition_is_one():
@@ -55,9 +52,9 @@ def test_recursion_matches_enumeration_with_offset(n):
     # two-level ladder against a brute-force count of the same states lifted
     # by eps0: the recursion measures energies from the ground level, so
     # its log Z is the count's plus N*eps0/T and its occupations are equal
-    eps0, s, t = 0.35, 0.7, 1.3
-    spec = TrapSpectrum(level_spacing=s, max_level=1)
-    energies = [eps0] + [eps0 + s] * 3
+    eps0, t = 0.5, 1.3 / 0.7
+    spec = TrapSpectrum(max_level=1)
+    energies = [eps0] + [eps0 + 1.0] * 3
     exact = enumerate_exact(energies, t, n)
     table = recursion_table(spec, t, n, m_max=1)
     assert table.log_z[n] == pytest.approx(math.log(exact.z) + n * eps0 / t,
@@ -68,10 +65,10 @@ def test_recursion_matches_enumeration_with_offset(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_recursion_matches_enumeration_two_level(n):
-    # two levels, degeneracies 1 and 3, spacing 0.9: small enough to count
-    spec = TrapSpectrum(level_spacing=0.9, max_level=1)
-    t = 1.1
-    energies = [0.0, 0.9, 0.9, 0.9]
+    # two levels, degeneracies 1 and 3: small enough to count
+    spec = TrapSpectrum(max_level=1)
+    t = 1.1 / 0.9
+    energies = [0.0, 1.0, 1.0, 1.0]
     exact = enumerate_exact(energies, t, n)
     table = recursion_table(spec, t, n, m_max=1)
     assert table.log_z[n] == pytest.approx(math.log(exact.z), rel=1e-12)
@@ -79,10 +76,10 @@ def test_recursion_matches_enumeration_two_level(n):
     assert table.n0_variance() + table.occupation(0.0) ** 2 == pytest.approx(
         exact.second[0], rel=1e-12
     )
-    got_cross = table.cross_moment(0.0, 0.9)
+    got_cross = table.cross_moment(0.0, 1.0)
     assert got_cross == pytest.approx(exact.cross[0, 1], rel=1e-12)
     # two distinct states of one level: the equal-energy branch
-    assert table.cross_moment(0.9, 0.9) == pytest.approx(exact.cross[1, 2],
+    assert table.cross_moment(1.0, 1.0) == pytest.approx(exact.cross[1, 2],
                                                          rel=1e-12)
 
 
@@ -97,12 +94,12 @@ def test_cross_moment_is_symmetric():
 def test_cross_moment_matches_the_double_sum():
     # sum_{k,l>=1} e^{-(k Ea + l Eb)/T} Z(N-k-l)/Z(N) term by term, for
     # unequal, swapped, equal and zero energies
-    spec = TrapSpectrum(level_spacing=0.37)
-    t, n = 3.0, 40
-    table = recursion_table(spec, t, n, m_max=60)
+    t, n = 3.0 / 0.37, 40
+    table = recursion_table(TrapSpectrum(), t, n, m_max=60)
     lz = table.log_z
     for ea, eb in ((0.2, 0.57), (0.57, 0.2), (0.57, 0.57), (0.0, 0.0),
                    (0.94, 0.0)):
+        ea, eb = ea / 0.37, eb / 0.37  # the unequal ones between levels
         direct = math.fsum(
             math.exp(-(k * ea + l * eb) / t + lz[n - k - l] - lz[n])
             for k in range(1, n) for l in range(1, n - k + 1))
@@ -222,12 +219,11 @@ def test_z1_sum_skips_only_underflowing_levels():
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=5),
-    t=st.floats(min_value=0.4, max_value=4.0),
-    spacing=st.floats(min_value=0.3, max_value=2.0),
+    t=st.floats(min_value=0.2, max_value=40.0 / 3.0),
 )
-def test_two_level_recursion_vs_enumeration_property(n, t, spacing):
-    spec = TrapSpectrum(level_spacing=spacing, max_level=1)
-    energies = [0.0] + [spacing] * 3
+def test_two_level_recursion_vs_enumeration_property(n, t):
+    spec = TrapSpectrum(max_level=1)
+    energies = [0.0, 1.0, 1.0, 1.0]
     table = recursion_table(spec, t, n, m_max=1)
     exact = enumerate_exact(energies, t, n)
     assert table.log_z[n] == pytest.approx(math.log(exact.z), rel=1e-11)

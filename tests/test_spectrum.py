@@ -56,19 +56,26 @@ def test_negative_top_level_is_a_domain_error(call):
 
 def test_energies_and_degeneracies_arrays():
     # the level ladder puts the ground level at zero
-    ladder = _level_ladder(TrapSpectrum(level_spacing=2.0), 4.0, 4)
-    assert list(ladder.energies) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    ladder = _level_ladder(TrapSpectrum(), 2.0, 4)
+    assert list(ladder.energies) == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert list(ladder.boltzmann) == pytest.approx(
-        [math.exp(-e / 4.0) for e in range(0, 9, 2)], rel=1e-15)
+        [math.exp(-e / 2.0) for e in range(5)], rel=1e-15)
     assert list(ladder.degeneracies) == [1.0, 3.0, 6.0, 10.0, 15.0]
     assert ladder.tail_weight == weighted_geometric_tail(math.exp(-0.5), 4)
 
 
 def test_invalid_spectrum_params():
     with pytest.raises(DomainError):
-        TrapSpectrum(level_spacing=0.0)
-    with pytest.raises(DomainError):
         TrapSpectrum(max_level=-2)
+
+
+def test_level_spacing_is_the_unit_not_a_setting():
+    # max_level is keyword-only: a positional number is not a top level
+    assert TrapSpectrum().level_spacing == 1.0
+    with pytest.raises(TypeError):
+        TrapSpectrum(2.0)
+    with pytest.raises(TypeError):
+        TrapSpectrum(level_spacing=2.0)
 
 
 def test_whole_numbers_beyond_the_double_range_are_domain_errors():
@@ -87,7 +94,7 @@ def test_energies_are_measured_from_the_ground_level():
     # log Z and, deep below Tc, the demon ensemble's are one quantity
     with pytest.raises(TypeError):
         TrapSpectrum(ground_offset=1.0)
-    spec = TrapSpectrum(level_spacing=0.37)
+    spec = TrapSpectrum()
     assert spec.with_ground_offset(0.0) == spec
     with pytest.raises(DomainError, match="ground_offset"):
         spec.with_ground_offset(0.3)
@@ -102,10 +109,9 @@ def test_energies_are_measured_from_the_ground_level():
 
 
 def test_critical_temperature_spot_value():
-    # (1000 / zeta(3))^(1/3) in spacing units
+    # (1000 / zeta(3))^(1/3)
     tc = critical_temperature(TrapSpectrum(), 1000)
     assert tc == pytest.approx(9.40499, abs=1e-5)
-    assert critical_temperature(TrapSpectrum(level_spacing=2.0), 1000) == 2 * tc
 
 
 def brute_tail(x: float, m_max: int, terms: int = 4000) -> float:

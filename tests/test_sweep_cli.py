@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -142,32 +143,11 @@ def test_a_particle_number_without_a_finite_double_is_a_domain_error(
     assert "particle number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n, t", [(10_000, 1e-320), (100, 2e-323)])
-def test_compute_row_refuses_a_temperature_whose_saddle_offset_underflows(
-        n, t):
-    # -mu rounds to 0.0, so the ground factor would be exactly 1; a level
-    # spacing of T keeps the level-1 factor at 1/e, clear of the level-1
-    # rule that refuses these temperatures on the unit spacing
-    spec = TrapSpectrum(level_spacing=t)
-    row = compute_row(spec, n, t / critical_temperature(spec, n))
-    assert row.error.startswith("DomainError: temperature")
-    assert "saddle offset underflows" in row.error
-    with pytest.raises(DomainError, match="saddle offset underflows"):
-        canonical_observables(spec, t, n)
-    # a forced offset is positive and is not refused
-    tiny = TrapSpectrum(level_spacing=1e-320)
-    canonical_observables(tiny, 1e-320, 100, ground_offset=1e-322)
-    # at N = 100 the offset at 1e-320 is still positive
-    assert compute_row(tiny, 100,
-                       1e-320 / critical_temperature(tiny, 100)).converged == 1
-
-
 @pytest.mark.parametrize("n, t", [(10**6, 1e-3), (10**4, 1.4e-3), (100, 1e-320)])
 def test_compute_row_refuses_a_level_1_factor_below_the_normal_doubles(n, t):
-    # below T = 1/708.4 spacings exp(-spacing/T) leaves the normal doubles:
-    # n1 then loses its digits or reads 0, and the normalised correlation
-    # 0/0; the row is refused before the fugacity solve, not after a half
-    # period of kernel
+    # below T = 1/708.4, exp(-1/T) leaves the normal doubles: n1 then loses
+    # its digits or reads 0, and the normalised correlation 0/0; the row is
+    # refused before the fugacity solve, not after a half period of kernel
     started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -227,18 +207,13 @@ def test_compute_row_builds_the_level_ladder_once(monkeypatch):
     assert builds == 0
 
 
-@pytest.mark.parametrize("spec, rel", [
-    (SPEC, 0.0),
-    (TrapSpectrum(level_spacing=2.0), 1e-12),
-])
-def test_compute_row_gc_columns_match_a_direct_solve(spec, rel):
+def test_compute_row_gc_columns_match_a_direct_solve():
     n, f = 1000, 0.5
-    row = compute_row(spec, n, f)
-    gc = solve_fugacity(spec, f * critical_temperature(spec, n), n,
+    row = compute_row(SPEC, n, f)
+    gc = solve_fugacity(SPEC, f * critical_temperature(SPEC, n), n,
                         m_max=row.m_max)
-    for got, want in ((row.gc_n0_mean, gc.n0), (row.gc_n0_over_n, gc.n0 / n),
-                      (row.gc_delta_n0, gc.delta_n0)):
-        assert abs(got - want) <= rel * abs(want)
+    assert (row.gc_n0_mean, row.gc_n0_over_n, row.gc_delta_n0) == (
+        gc.n0, gc.n0 / n, gc.delta_n0)
 
 
 def test_row_dict_covers_field_order():
@@ -609,7 +584,19 @@ def test_cli_nonstrict_failure_still_writes(tmp_path, monkeypatch):
     assert payload["rows"][0]["error"]
 
 
-def test_cli_validate_passes(capsys):
+# The --validate tests repeat the same engine calls: each distinct call is
+# made once, and a perturbation applies on top of the stored result.
+@functools.lru_cache(maxsize=None)
+def _validate_call(spectrum, t, n, m_max, keywords):
+    return canonical_observables(spectrum, t, n, m_max, **dict(keywords))
+
+
+def memoized_engine(spectrum, t, n, m_max=None, **keywords):
+    return _validate_call(spectrum, t, n, m_max, tuple(keywords.items()))
+
+
+def test_cli_validate_passes(monkeypatch, capsys):
+    monkeypatch.setattr(validate, "canonical_observables", memoized_engine)
     code = run_cli("--validate")
     assert code == 0
     text = capsys.readouterr().out
@@ -637,10 +624,8 @@ SUITE_CALLS = {
 def test_cli_validate_fails_exactly_the_perturbed_suite(monkeypatch, capsys,
                                                         target, field):
     # a relative 1e-6 error in one field under one suite's config only
-    engine = validate.canonical_observables
-
     def nudged(spectrum, t, n, m_max=None, **keywords):
-        res = engine(spectrum, t, n, m_max, **keywords)
+        res = memoized_engine(spectrum, t, n, m_max, **keywords)
         if SUITE_CALLS[target]({"m_max": m_max, **keywords}):
             res = dataclasses.replace(
                 res, **{field: getattr(res, field) * (1 + 1e-6)})
