@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectrum import ZETA3, DomainError, TrapSpectrum, _finite_real, _integer
+from .spectrum import ZETA3, DomainError, _finite_real, _integer
 
 __all__ = [
     "DELTA_N0_PREFACTOR",
@@ -95,8 +95,7 @@ class DampingCrossover:
         return self.interaction_scale / self.fixed_n_scale
 
 
-def damping_crossover(spectrum: TrapSpectrum, t: float,
-                      params: InteractionParams) -> DampingCrossover:
+def damping_crossover(t: float, params: InteractionParams) -> DampingCrossover:
     """Compare the interaction-damped width with the free-gas width.
 
     The two coincide exactly when lam_int = T^{-2};

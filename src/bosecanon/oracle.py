@@ -34,6 +34,11 @@ for any state treated with Bose statistics:
     <n_a n_b> = sum_{s=2..N} Z(N-s)/Z(N) sum_{k=1..s-1} a^k b^{s-k}
                 (distinct states; a, b = e^{-Ea/T}, e^{-Eb/T})
 
+truth() is the one place that picks an exact source for an (N, T): the
+recursion up to ORACLE_MAX_N, above it the closed forms of the demon
+ensemble where their Chernoff bound p on P(N_ex > N) certifies them
+(p*N^2 < 1e-12 Var(n0)), and a DomainError anywhere else.
+
 Enumeration sums Boltzmann weights over every multiset of N states drawn
 from a tiny explicit state list; it is exact to rounding and checks the
 recursion itself. The O(N^2) build, not the O(N) moments, limits the
@@ -55,7 +60,7 @@ from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 __all__ = [
     "RecursionTable",
     "recursion_table",
-    "demon_ensemble",
+    "truth",
     "EnumerationResult",
     "enumerate_exact",
     "ORACLE_MAX_N",
@@ -112,6 +117,21 @@ class RecursionTable:
         return float(np.exp(expo).sum())
 
 
+@dataclass(frozen=True)
+class Truth:
+    """Exact log Z(N), <n0>, Var(n0), <n1>, <n0 n1> of one (N, T) model, the
+    source they come from, and the demon forms' certificate log10 P(N_ex > N)
+    (None for the recursion)."""
+
+    log_z: float
+    n0: float
+    n0_variance: float
+    n1: float
+    n0_n1: float
+    source: str
+    log10_p: float | None = None
+
+
 def recursion_table(
     spectrum: TrapSpectrum,
     t: float,
@@ -151,28 +171,63 @@ def recursion_table(
                           np.logaddexp.accumulate(lz), lz)
 
 
-def demon_ensemble(spectrum: TrapSpectrum, t: float, n: int, m_max: int) -> dict:
+def _demon_forms(spectrum: TrapSpectrum, t: float, n: int,
+                 m_max: int | None = None) -> Truth:
     """Closed forms of the "Maxwell's demon" ensemble (Grossmann & Holthaus,
     PRL 79, 3557 (1997)): the ladder's levels 1..m_max and tail at unit
     fugacity, the ground level holding the rest; exact, at any N, once
-    P(N_ex > N) is negligible. Returns n0, Var(n0), n1, log Z and the
-    Chernoff bound on log10 P(N_ex > N)."""
+    P(N_ex > N) is negligible. log10_p is the Chernoff bound on
+    log10 P(N_ex > N). There cov(n0, n1) = -n1(n1 + 1), so
+    <n0 n1> = n1(n0 - n1 - 1)."""
     _finite_real("temperature", t)
     n = _integer("particle number", n, 1)
     ladder = _level_ladder(spectrum, t, auto_m_max(spectrum, t, m_max))
     q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight
-    if not q.size:
-        raise DomainError("the demon ensemble needs level 1; the ladder "
-                          "stops at level 0")
+    if not (q.size and q[0] > 0.0):
+        raise DomainError("the demon ensemble needs level 1 with a nonzero "
+                          "Boltzmann factor; the ladder stops at level 0 or "
+                          "exp(-1/T) underflows")
     # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
     r = q[0] ** -0.5
     log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
              - n * math.log(r))
-    return {"n0": n - (g * q / (1.0 - q)).sum() - tail,
-            "n0_variance": (g * q / (1.0 - q) ** 2).sum() + tail,
-            "n1": q[0] / (1.0 - q[0]),
-            "log_z": tail - (g * np.log1p(-q)).sum(),
-            "log10_p": log_p / math.log(10.0)}
+    n0 = float(n - (g * q / (1.0 - q)).sum() - tail)
+    n1 = float(q[0] / (1.0 - q[0]))
+    return Truth(log_z=float(tail - (g * np.log1p(-q)).sum()), n0=n0,
+                 n0_variance=float((g * q / (1.0 - q) ** 2).sum() + tail),
+                 n1=n1, n0_n1=n1 * (n0 - n1 - 1.0), source="demon",
+                 log10_p=float(log_p / math.log(10.0)))
+
+
+def truth(spectrum: TrapSpectrum, t: float, n: int,
+          m_max: int | None = None) -> Truth:
+    """The exact fixed-N values on the engine's model (m_max resolved as in
+    recursion_table), from the one source that is exact there.
+
+    Up to ORACLE_MAX_N particles it is the recursion. Above, it is the
+    demon forms where they are certified. That ensemble is the canonical
+    one plus the configurations with N_ex > N, of weight at most p; the
+    rule holds p*N^2, that weight on second moments of counts of order N,
+    below 1e-12 Var(n0), the smallest quantity returned. Any other (N, T)
+    has no exact source and is a DomainError.
+    """
+    n = _integer("particle number", n, 0)
+    if n <= ORACLE_MAX_N:
+        table = recursion_table(spectrum, t, n, m_max)
+        return Truth(log_z=float(table.log_z[n]), n0=table.occupation(0.0),
+                     n0_variance=table.n0_variance(),
+                     n1=table.occupation(1.0),
+                     n0_n1=table.cross_moment(0.0, 1.0), source="recursion")
+    demon = _demon_forms(spectrum, t, n, m_max)
+    log10_error = demon.log10_p + 2.0 * math.log10(n)
+    log10_allowed = math.log10(1e-12 * demon.n0_variance)
+    if not log10_error < log10_allowed:
+        raise DomainError(
+            f"no exact truth at N={n}, T={t}: N is above the recursion's cap "
+            f"ORACLE_MAX_N={ORACLE_MAX_N}, and the demon forms are not "
+            f"certified there (log10(p*N^2) = {log10_error:+.1f} is not below "
+            f"log10(1e-12 Var(n0)) = {log10_allowed:+.1f})")
+    return demon
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 This is the package's one self-check (`bosecanon --validate`). Four
 suites, each reporting the worst relative deviation against one tolerance:
 
-  oracle_equivalence   offset-free log Z, n0 and n1 vs the recursion
+  oracle_equivalence   offset-free log Z, n0 and n1 vs oracle.truth(),
+                       the recursion at every probe
   offset_invariance    observables and offset-free log Z with the
                        evaluation offset 2 T/sqrt(var) above the saddle
   m_max_doubling       stability under doubling the level truncation
@@ -31,12 +32,12 @@ import math
 from dataclasses import dataclass
 
 from .canonical import canonical_observables
-from .oracle import recursion_table
+from .oracle import truth
 from .spectrum import TrapSpectrum, critical_temperature
 
 __all__ = ["SuiteResult", "ValidationReport", "run_validation"]
 
-# Largest N probed; the oracle's recursion covers it.
+# Largest N probed; far below ORACLE_MAX_N, so truth() is the recursion.
 MAX_N = 100
 TOLERANCE = 1e-8
 
@@ -85,12 +86,12 @@ def _oracle_equivalence(spectrum) -> SuiteResult:
     for m_max in (20, 40):
         for t in (0.5, 2.0, 5.0, 10.0):
             for n in (1, 2, 7, 25, MAX_N):
-                table = recursion_table(spectrum, t, n, m_max)
+                exact = truth(spectrum, t, n, m_max)
                 r = canonical_observables(spectrum, t, n, m_max)
                 worst = max(worst,
-                            _log_z_dev(table.log_z[n], r.log_z_zero_offset),
-                            _rel(r.n0_mean, table.occupation(0.0)),
-                            _rel(r.n1_mean, table.occupation(1.0)))
+                            _log_z_dev(exact.log_z, r.log_z_zero_offset),
+                            _rel(r.n0_mean, exact.n0),
+                            _rel(r.n1_mean, exact.n1))
                 probes += 1
     return SuiteResult("oracle_equivalence", worst, probes)
 

@@ -284,7 +284,7 @@ def test_09_closed_form_spot_values():
     # with T a power of two the boundary coupling is exactly representable,
     # so the two damping scales must coincide to the last bit
     t = 32.0
-    cross = damping_crossover(SPEC, t, InteractionParams(t**-2.0))
+    cross = damping_crossover(t, InteractionParams(t**-2.0))
     cross_ok = cross.ratio == 1.0 and cross.fixed_n_scale == math.sqrt(t**3)
 
     _gate(

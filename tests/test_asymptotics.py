@@ -145,5 +145,5 @@ def test_interaction_params_validation():
 
 def test_crossover_no_interaction_degenerates():
     # no interaction damping at all: the fixed particle number dominates
-    cross = damping_crossover(SPEC, 10.0, InteractionParams(0.0))
+    cross = damping_crossover(10.0, InteractionParams(0.0))
     assert math.isinf(cross.interaction_scale) and math.isinf(cross.ratio)

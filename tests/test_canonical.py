@@ -16,8 +16,8 @@ from bosecanon.asymptotics import (
 )
 from bosecanon.canonical import ConvergenceError, canonical_observables
 from bosecanon.grand_canonical import auto_m_max, mean_occupation, solve_fugacity
-from bosecanon.oracle import (ORACLE_MAX_N, demon_ensemble, enumerate_exact,
-                              recursion_table)
+from bosecanon.oracle import (ORACLE_MAX_N, _demon_forms, enumerate_exact,
+                              recursion_table, truth)
 from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
                              temperature_grid)
 
@@ -113,12 +113,13 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: recursion_table(SPEC, 2.0, 50).cross_moment(0.0, -math.inf),
     lambda: enumerate_exact((0.0, 1.0), math.inf, 3),
     lambda: enumerate_exact((0.0, math.inf), 1.0, 3),
-    lambda: demon_ensemble(SPEC, 5.0, 10.5, 40),
-    lambda: demon_ensemble(SPEC, 5.0, math.nan, 40),
-    lambda: demon_ensemble(SPEC, 5.0, -5, 40),
-    lambda: demon_ensemble(SPEC, 5.0, math.inf, 40),
-    lambda: demon_ensemble(TrapSpectrum(max_level=0), 5.0, 10, None),
-    lambda: damping_crossover(SPEC, math.inf, InteractionParams(0.1)),
+    lambda: truth(SPEC, 5.0, 10.5, 40),
+    lambda: truth(SPEC, 5.0, math.nan, 40),
+    lambda: truth(SPEC, 5.0, -5, 40),
+    lambda: truth(SPEC, 5.0, math.inf, 40),
+    lambda: truth(TrapSpectrum(max_level=0), 5.0, ORACLE_MAX_N + 1),
+    lambda: truth(SPEC, 1e-4, ORACLE_MAX_N + 1),
+    lambda: damping_crossover(math.inf, InteractionParams(0.1)),
     lambda: InteractionParams(math.nan),
     lambda: InteractionParams(math.inf),
     lambda: condensate_fraction_limit(math.nan),
@@ -142,6 +143,7 @@ def test_explicit_offset_changes_log_z_but_not_observables():
         "recursion-occupation-inf", "recursion-cross-moment-inf",
         "enumeration-t-inf", "enumeration-energy-inf", "demon-n-fractional",
         "demon-n-nan", "demon-n-negative", "demon-n-inf", "demon-no-level-1",
+        "demon-level-1-underflows",
         "crossover-t-inf", "pair-energy-nan", "pair-energy-inf",
         "fraction-limit-nan", "eq10-n-nan", "eq12-n-inf", "grid-stop-inf",
         "fit-t-nan", "n-bool", "tc-n-numpy-bool", "max-level-numpy-bool",
@@ -399,26 +401,24 @@ def test_engine_recursion_agreement_property(n, t_frac):
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
 
 
-def row(n, t=None, t_over_tc=None, spec=SPEC, m_max=None, truth="recursion",
-        delta_rel=None, id=None):
+def row(n, t=None, t_over_tc=None, spec=SPEC, m_max=None, delta_rel=None,
+        id=None):
     if t is None:
         t = t_over_tc * critical_temperature(spec, n)
-    return pytest.param(spec, n, t, m_max, truth, delta_rel,
+    return pytest.param(spec, n, t, m_max, delta_rel,
                         id=id or f"{n}-{t_over_tc}")
 
 
-# The engine against its exact truths, one row per (spectrum, N, T, m_max
-# asked). The truth is the recursion on the model the engine resolves to,
-# the demon ensemble's closed forms (valid where log10 P(N_ex > N) < -100),
-# or both, whose exact Var(n0) must then agree to 1e-12. Every row holds
-# log Z to 1e-12 max(1, |log Z|) (log Z is about 3e-10 at T/Tc = 0.01) and
-# each other observable its truth gives to 1e-10; a finite ladder resolves
-# m_max to its top level. delta_n0 is held only where delta_rel is set:
-# to 1e-10 on every row at or above Tc, and loosely below it, where the
-# engine's Var(n0), a second moment minus a squared mean, loses digits to
-# the cancellation, a known defect (7.7e-7 off at N = 10^4, T/Tc = 0.05,
-# 4.3e-6 at the oracle's cap and 3.2e-4 at N = 10^5, T/Tc = 0.05). Above Tc
-# the rows hold delta_n0 to 5e-16..3e-12.
+# The engine against oracle.truth(), one row per (spectrum, N, T, m_max
+# asked), on the model the engine resolves to: a finite ladder resolves
+# m_max to its top level. Every row holds log Z to 1e-12 max(1, |log Z|)
+# (log Z is about 3e-10 at T/Tc = 0.01) and n0, <n0^2>, n1 and <n0 n1> to
+# 1e-10. delta_n0 is held only where delta_rel is set: to 1e-10 on every
+# row at or above Tc, and loosely below it, where the engine's Var(n0), a
+# second moment minus a squared mean, loses digits to the cancellation, a
+# known defect (7.7e-7 off at N = 10^4, T/Tc = 0.05, 4.3e-6 at the oracle's
+# cap and 3.2e-4 at N = 10^5, T/Tc = 0.05). Above Tc the rows hold delta_n0
+# to 5e-16..3e-12.
 TRUTH_ROWS = [
     row(60, 4.0, spec=TrapSpectrum(max_level=45), id="truncate-45"),
     row(60, 4.0, m_max=45, id="tail-45"),
@@ -426,8 +426,9 @@ TRUTH_ROWS = [
     # the default truncation for T = 10 is level 170; a ladder ending at
     # level 400 is the model and is summed to its top, with no tail
     row(200, 10.0, spec=TrapSpectrum(max_level=400), id="finite-400"),
-    row(10_000, t_over_tc=0.1, truth="both", delta_rel=1e-6),
-    row(ORACLE_MAX_N, t_over_tc=0.05, truth="both", delta_rel=1e-5),
+    row(10_000, t_over_tc=0.05, delta_rel=1e-6),  # early exit never fires
+    row(10_000, t_over_tc=0.1, delta_rel=1e-6),
+    row(ORACLE_MAX_N, t_over_tc=0.05, delta_rel=1e-5),
     row(10_000, t_over_tc=0.6),
     row(10_000, t_over_tc=1.35, delta_rel=1e-10),
     row(10_000, t_over_tc=3.0, delta_rel=1e-10),  # midpoint rule above 2 Tc
@@ -437,70 +438,42 @@ TRUTH_ROWS = [
     row(1000, t_over_tc=3.0, delta_rel=1e-10),
     row(200, t_over_tc=0.5),
     row(200, t_over_tc=1.2, delta_rel=1e-10),
-    row(10**5, t_over_tc=0.05, truth="demon"),
-    row(10**5, t_over_tc=0.3, truth="demon"),
+    row(10**5, t_over_tc=0.05),
+    row(10**5, t_over_tc=0.3),
 ]
 
 
-# The engine run and the recursion of the last row seen, so that two tests
-# on one row build each once.
-engine = functools.lru_cache(maxsize=1)(canonical_observables)
-recursion = functools.lru_cache(maxsize=1)(recursion_table)
+# One truth per (spectrum, T, N, m_max), shared by the rows and the
+# recursion-against-demon check below.
+exact = functools.lru_cache(maxsize=None)(truth)
 
 
-@pytest.mark.parametrize("spec, n, t, m_max, truth, delta_rel", TRUTH_ROWS)
-def test_engine_matches_its_truth(spec, n, t, m_max, truth, delta_rel):
-    assert_matches_truth(spec, n, t, m_max, truth, delta_rel)
-
-
-def assert_matches_truth(spec, n, t, m_max, truth, delta_rel):
-    res = engine(spec, t, n, m_max)
+@pytest.mark.parametrize("spec, n, t, m_max, delta_rel", TRUTH_ROWS)
+def test_engine_matches_its_truth(spec, n, t, m_max, delta_rel):
+    res = canonical_observables(spec, t, n, m_max)
     if spec.max_level is not None:
         assert res.m_max == spec.max_level
-    if truth != "recursion":
-        demon = demon_ensemble(spec, t, n, res.m_max)
-        assert demon["log10_p"] < -100.0
-        variance = demon["n0_variance"]
-        want = {"log_z_zero_offset": demon["log_z"], "n0_mean": demon["n0"],
-                "n1_mean": demon["n1"],
-                "n0_second_moment": variance + demon["n0"] ** 2}
-    if truth != "demon":
-        table = recursion(spec, t, n, res.m_max)
-        if truth == "both":
-            assert math.sqrt(table.n0_variance()) == pytest.approx(
-                math.sqrt(variance), rel=1e-12)
-        variance, n0 = table.n0_variance(), table.occupation(0.0)
-        want = {"log_z_zero_offset": table.log_z[n], "n0_mean": n0,
-                "n1_mean": table.occupation(1.0),
-                "n0_second_moment": variance + n0 ** 2,
-                "n0_n1_mean": table.cross_moment(0.0, 1.0)}
-    log_z = want.pop("log_z_zero_offset")
-    assert abs(res.log_z_zero_offset - log_z) <= 1e-12 * max(1.0, abs(log_z))
-    for name, value in want.items():
+    want = exact(spec, t, n, res.m_max)
+    assert abs(res.log_z_zero_offset - want.log_z) <= 1e-12 * max(
+        1.0, abs(want.log_z))
+    for name, value in (("n0_mean", want.n0),
+                        ("n0_second_moment", want.n0_variance + want.n0 ** 2),
+                        ("n1_mean", want.n1), ("n0_n1_mean", want.n0_n1)):
         assert getattr(res, name) == pytest.approx(value, rel=1e-10), name
     if delta_rel is not None:
-        assert res.delta_n0 == pytest.approx(math.sqrt(variance), rel=delta_rel)
+        assert res.delta_n0 == pytest.approx(math.sqrt(want.n0_variance),
+                                             rel=delta_rel)
 
 
-# N = 10^4, T/Tc = 0.05, where the early exit never fires, is the "both"
-# row split in two on one engine run and one recursion build: the engine
-# against the recursion, and the recursion's exact Var(n0) against the
-# demon forms with the engine's delta_n0 held to it.
-@pytest.mark.parametrize("n, t_over_tc", [(10_000, 0.05)])
-def test_engine_matches_recursion_outside_oracle_range(n, t_over_tc):
+# Where both exact sources hold, deep below Tc at up to ORACLE_MAX_N
+# particles, they agree on every quantity (measured worst 1.1e-15).
+@pytest.mark.parametrize("n, t_over_tc", [(10_000, 0.05), (10_000, 0.1),
+                                          (ORACLE_MAX_N, 0.05)])
+def test_recursion_matches_the_demon_forms(n, t_over_tc):
     t = t_over_tc * critical_temperature(SPEC, n)
-    assert_matches_truth(SPEC, n, t, None, "recursion", None)
-
-
-@pytest.mark.parametrize("n, t_over_tc, engine_rel", [
-    pytest.param(10_000, 0.05, 1e-6, id="0.05"),
-])
-def test_oracle_delta_n0_matches_the_demon_ensemble(n, t_over_tc, engine_rel):
-    t = t_over_tc * critical_temperature(SPEC, n)
-    res = engine(SPEC, t, n, None)
-    table = recursion(SPEC, t, n, res.m_max)
-    demon = demon_ensemble(SPEC, t, n, res.m_max)
-    assert demon["log10_p"] < -100.0
-    delta_n0 = math.sqrt(table.n0_variance())
-    assert delta_n0 == pytest.approx(math.sqrt(demon["n0_variance"]), rel=1e-12)
-    assert res.delta_n0 == pytest.approx(delta_n0, rel=engine_rel)
+    m_max = auto_m_max(SPEC, t)
+    recursion, demon = exact(SPEC, t, n, m_max), _demon_forms(SPEC, t, n, m_max)
+    assert recursion.source == "recursion"
+    for name in ("log_z", "n0", "n0_variance", "n1", "n0_n1"):
+        assert getattr(recursion, name) == pytest.approx(
+            getattr(demon, name), rel=1e-12), name

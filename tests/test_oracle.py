@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosecanon import (DomainError, TrapSpectrum, auto_m_max,
-                       canonical_observables)
-from bosecanon.oracle import (ORACLE_MAX_N, demon_ensemble, enumerate_exact,
-                              recursion_table)
+                       canonical_observables, critical_temperature)
+from bosecanon.oracle import (ORACLE_MAX_N, enumerate_exact, recursion_table,
+                              truth)
 
 
 def log_z1(t, m_max):
@@ -150,6 +150,16 @@ def test_size_cap_enforced():
     assert time.perf_counter() - start < 0.25
     assert list(inspect.signature(recursion_table).parameters) == [
         "spectrum", "t", "n", "m_max", "tail_closure"]
+    # above the cap truth() takes the demon forms only where they are
+    # certified: at Tc their Chernoff bound is log10 P = +28.7, so the
+    # request is refused at once; at 0.8 Tc, log10(p N^2) = -270 against
+    # log10(1e-12 Var(n0)) = -7.1
+    spec, n = TrapSpectrum(), 10**5
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="not certified"):
+        truth(spec, critical_temperature(spec, n), n)
+    assert time.perf_counter() - start < 0.25
+    assert truth(spec, 0.8 * critical_temperature(spec, n), n).source == "demon"
 
 
 def test_oracle_needs_a_top_level():
@@ -158,7 +168,7 @@ def test_oracle_needs_a_top_level():
     with pytest.raises(DomainError, match="levels"):
         recursion_table(TrapSpectrum(), 5.0, 10, m_max=10**9)
     with pytest.raises(DomainError, match="levels"):
-        demon_ensemble(TrapSpectrum(), 5.0, 10, 10**9)
+        truth(TrapSpectrum(), 5.0, ORACLE_MAX_N + 1, 10**9)
 
 
 def test_enumeration_caps():
