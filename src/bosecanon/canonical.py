@@ -64,11 +64,10 @@ regular chunk grid.
 Cost guard. The kernel work of a row is predicted before the first chunk:
 intervals up to the predicted exit (the half period when none is
 predicted) times points per interval times levels. Above MAX_LEVEL_POINTS
-the row is a DomainError instead of hours of kernel time. So is a
-temperature whose level-1 Boltzmann factor exp(-1/T) lies below the
-normal doubles (T below 1/708.4), before the fugacity solve:
-there the n1 weight underflows, n1 reads 0 and the excited sums stay
-zero, which holds the exit off to the full period.
+the row is a DomainError instead of hours of kernel time. So is, before
+the fugacity solve, what truth() also refuses (grand_canonical._level_one):
+a ladder without level 1, or T below 1/708.4, where the n1 weight
+underflows, n1 reads 0 and the excited sums stay zero to the full period.
 
 One fugacity solve. The grand-canonical state at mean number N, solved
 once per evaluation (also under a forced offset) and returned as
@@ -79,13 +78,13 @@ level arrays are its level ladder shifted to the evaluation offset.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import N_ACCUMULATORS, projection_chunk
-from .grand_canonical import GrandCanonicalState, auto_m_max, solve_fugacity
+from .grand_canonical import (GrandCanonicalState, _level_one, auto_m_max,
+                              solve_fugacity)
 from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
@@ -269,9 +268,8 @@ def canonical_observables(
 ) -> CanonicalResult:
     """Evaluate Z(N, T) and the occupation moments in one quadrature pass.
 
-    m_max: highest Bose-treated level, clamped to a finite ladder's top;
-        None takes a finite ladder's top level or derives one from T
-        (grand_canonical.auto_m_max).
+    m_max: highest Bose-treated level, as grand_canonical.auto_m_max
+        resolves it (clamped to a finite ladder's top; None is automatic).
     ground_offset: None evaluates at the saddle offset; a positive float
         forces that offset (invariance studies; poorly balanced values
         lose digits to cancellation and may fail outright).
@@ -285,14 +283,7 @@ def canonical_observables(
                                            ground_offset))
 
     m_max = auto_m_max(spectrum, t, m_max)
-    if m_max < 1:
-        raise DomainError(f"n1 observables need level 1, got m_max={m_max}")
-    q1 = math.exp(-1.0 / t)
-    if q1 < sys.float_info.min:
-        raise DomainError(
-            f"temperature {t} is too small for the n1 observables: the "
-            f"level-1 Boltzmann factor exp(-1/T) = {q1:.3g} underflows the "
-            "normal doubles")
+    _level_one(t, m_max)
     gc_state = solve_fugacity(spectrum, t, n, m_max=m_max)
     eps0 = ground_offset or -gc_state.mu
 

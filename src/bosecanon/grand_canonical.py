@@ -11,10 +11,10 @@ lies in (0, 1) and obeys exp(-mu/T) = 1 + 1/N_0 where N_0 is the ground
 occupation: mu -> 0 from below as N_0 grows. Distinct states are
 statistically independent in this ensemble: cross covariances vanish.
 
-Finite sums run over levels 0..m_max. On the unbounded ladder the remainder
-is estimated by the Boltzmann-order geometric tail sum_{m>M} g_m lambda q^m,
-which has a closed form via the (1-q)^-3 partial-sum identity
-(TrapSpectrum.tail_weight); a finite ladder has no remainder.
+Finite sums run over levels 0..m_max, resolved by auto_m_max alone; every
+n1 consumer applies _level_one's level-1 rule. On the unbounded ladder the
+remainder, the Boltzmann-order tail sum_{m>M} g_m lambda q^m, is closed via
+the (1-q)^-3 identity (TrapSpectrum.tail_weight); a finite ladder has none.
 
 Every level array comes from one LevelLadder (levels 0..M, ground level at
 zero energy), built once per fugacity solve and kept by the solved state,
@@ -24,6 +24,7 @@ whose sums build nothing; the engine shifts it, the oracle reads it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +45,14 @@ MAX_LEVELS = 10**7
 
 
 def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> int:
-    """Top level summed level by level: a requested m_max, clamped to a
-    finite ladder's top; without one, the finite ladder's own top level, or
-    on the unbounded ladder one high enough that the Boltzmann tail beyond
-    it is a second-order correction (see canonical engine for the matching
-    closure). Above MAX_LEVELS the request is a DomainError, before any
-    level array is built."""
+    """The one resolver of a top level, the last level summed one by one: a
+    requested m_max (whole, >= 0) clamped to a finite ladder's top; without
+    one, that top, or on the unbounded ladder 15T + 20, where the Boltzmann
+    tail beyond it is a second-order correction (see canonical engine for
+    the matching closure). Above MAX_LEVELS it is a DomainError."""
     if m_max is not None or spectrum.max_level is not None:
-        top = spectrum.resolved_max_level(m_max)
+        top = min(_integer("top level", m, 0)
+                  for m in (m_max, spectrum.max_level) if m is not None)
     else:
         levels = 15.0 * _finite_real("temperature", t)
         top = int(math.ceil(levels)) + 20 if levels <= MAX_LEVELS else levels
@@ -59,6 +60,19 @@ def auto_m_max(spectrum: TrapSpectrum, t: float, m_max: int | None = None) -> in
         raise DomainError(f"{top:.2g} trap levels at T = {t} exceed the limit "
                           f"of {MAX_LEVELS:.0e} levels")
     return top
+
+
+def _level_one(t: float, top: int) -> None:
+    """The n1 consumers' one rule: levels 0..top hold level 1, and exp(-1/T)
+    is a normal double (below T = 1/708.4 n1 reads 0); else a DomainError."""
+    q1 = math.exp(-1.0 / _finite_real("temperature", t))
+    if top < 1:
+        raise DomainError(f"n1 observables need level 1, got m_max={top}")
+    if q1 < sys.float_info.min:
+        raise DomainError(
+            f"temperature {t} is too small for the n1 observables: the "
+            f"level-1 Boltzmann factor exp(-1/T) = {q1:.3g} underflows the "
+            "normal doubles")
 
 
 def mean_occupation(t: float, energy: float, mu: float) -> float:

@@ -37,7 +37,8 @@ for any state treated with Bose statistics:
 truth() is the one place that picks an exact source for an (N, T): the
 recursion up to ORACLE_MAX_N, above it the closed forms of the demon
 ensemble where their Chernoff bound p on P(N_ex > N) certifies them
-(p*N^2 < 1e-12 Var(n0)), and a DomainError anywhere else.
+(p*N^2 < 1e-12 Var(n0)), and a DomainError anywhere else, or at any N
+without the engine's level 1 (grand_canonical._level_one).
 
 Enumeration sums Boltzmann weights over every multiset of N states drawn
 from a tiny explicit state list; it is exact to rounding and checks the
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grand_canonical import _level_ladder, auto_m_max
+from .grand_canonical import _level_ladder, _level_one, auto_m_max
 from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
@@ -179,14 +180,11 @@ def _demon_forms(spectrum: TrapSpectrum, t: float, n: int,
     P(N_ex > N) is negligible. log10_p is the Chernoff bound on
     log10 P(N_ex > N). There cov(n0, n1) = -n1(n1 + 1), so
     <n0 n1> = n1(n0 - n1 - 1)."""
-    _finite_real("temperature", t)
     n = _integer("particle number", n, 1)
-    ladder = _level_ladder(spectrum, t, auto_m_max(spectrum, t, m_max))
+    m_max = auto_m_max(spectrum, t, m_max)
+    _level_one(t, m_max)
+    ladder = _level_ladder(spectrum, t, m_max)
     q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight
-    if not (q.size and q[0] > 0.0):
-        raise DomainError("the demon ensemble needs level 1 with a nonzero "
-                          "Boltzmann factor; the ladder stops at level 0 or "
-                          "exp(-1/T) underflows")
     # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
     r = q[0] ** -0.5
     log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
@@ -209,9 +207,11 @@ def truth(spectrum: TrapSpectrum, t: float, n: int,
     one plus the configurations with N_ex > N, of weight at most p; the
     rule holds p*N^2, that weight on second moments of counts of order N,
     below 1e-12 Var(n0), the smallest quantity returned. Any other (N, T)
-    has no exact source and is a DomainError.
+    has no exact source and is a DomainError, as is one without level 1.
     """
     n = _integer("particle number", n, 0)
+    m_max = auto_m_max(spectrum, t, m_max)
+    _level_one(t, m_max)
     if n <= ORACLE_MAX_N:
         table = recursion_table(spectrum, t, n, m_max)
         return Truth(log_z=float(table.log_z[n]), n0=table.occupation(0.0),

@@ -76,20 +76,14 @@ class TrapSpectrum:
         if self.max_level is not None:
             _integer("max_level", self.max_level, 0)
 
-    def resolved_max_level(self, m_max: int | None = None) -> int:
-        """Effective top level: requests beyond a finite cap clamp to it;
-        a negative or fractional request is a DomainError."""
-        mm = self.max_level if m_max is None else m_max
-        if mm is None:
-            raise DomainError("spectrum has no max_level and no m_max was given")
-        mm = _integer("top level", mm, 0)
-        if self.max_level is not None:
-            mm = min(mm, self.max_level)
-        return int(mm)
-
-    def degeneracies(self, m_max: int | None = None) -> np.ndarray:
-        mm = self.resolved_max_level(m_max)
-        m = np.arange(mm + 1, dtype=np.float64)
+    def degeneracies(self, top: int) -> np.ndarray:
+        """(m+1)(m+2)/2 for levels 0..top, as resolved by auto_m_max: a top
+        above a finite ladder's, negative or fractional, is a DomainError."""
+        top = _integer("top level", top, 0)
+        if self.max_level is not None and top > self.max_level:
+            raise DomainError(f"top level {top} lies above this ladder's "
+                              f"max_level {self.max_level}")
+        m = np.arange(top + 1, dtype=np.float64)
         return (m + 1.0) * (m + 2.0) / 2.0
 
     def with_ground_offset(self, ground_offset: float) -> "TrapSpectrum":

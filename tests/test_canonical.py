@@ -44,10 +44,31 @@ def test_config_m_max_clamps_to_finite_spectrum():
     assert res.m_max == 3
 
 
-def test_one_level_spectrum_is_a_domain_error():
-    # the n1 observables need a state of level 1
-    with pytest.raises(DomainError):
-        canonical_observables(TrapSpectrum(max_level=0), 0.5, 10)
+N1_CONSUMERS = {
+    "engine": lambda spec, t: canonical_observables(spec, t, 10),
+    "truth-recursion": lambda spec, t: truth(spec, t, 10),
+    "truth-demon": lambda spec, t: truth(spec, t, ORACLE_MAX_N + 1),
+}
+N1_REFUSALS = {
+    "no-level-1": (TrapSpectrum(max_level=0), 5.0,
+                   "n1 observables need level 1, got m_max=0"),
+    "level-1-underflows": (SPEC, 1e-4,
+                           "temperature 0.0001 is too small for the n1 "
+                           "observables: the level-1 Boltzmann factor "
+                           "exp(-1/T) = 0 underflows the normal doubles"),
+}
+
+
+@pytest.mark.parametrize("cause", N1_REFUSALS)
+@pytest.mark.parametrize("consumer", N1_CONSUMERS)
+def test_every_n1_consumer_refuses_for_one_reason(consumer, cause):
+    # the engine and both sources of truth() share one level-1 rule: a
+    # ladder without level 1, or an exp(-1/T) below the normal doubles, is
+    # refused with the same message by each
+    spec, t, message = N1_REFUSALS[cause]
+    with pytest.raises(DomainError) as refused:
+        N1_CONSUMERS[consumer](spec, t)
+    assert str(refused.value) == message
 
 
 # ------------------------------------------------------------------ engine
@@ -117,8 +138,6 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: truth(SPEC, 5.0, math.nan, 40),
     lambda: truth(SPEC, 5.0, -5, 40),
     lambda: truth(SPEC, 5.0, math.inf, 40),
-    lambda: truth(TrapSpectrum(max_level=0), 5.0, ORACLE_MAX_N + 1),
-    lambda: truth(SPEC, 1e-4, ORACLE_MAX_N + 1),
     lambda: damping_crossover(math.inf, InteractionParams(0.1)),
     lambda: InteractionParams(math.nan),
     lambda: InteractionParams(math.inf),
@@ -142,8 +161,7 @@ def test_explicit_offset_changes_log_z_but_not_observables():
         "recursion-occupation-negative", "recursion-occupation-nan",
         "recursion-occupation-inf", "recursion-cross-moment-inf",
         "enumeration-t-inf", "enumeration-energy-inf", "demon-n-fractional",
-        "demon-n-nan", "demon-n-negative", "demon-n-inf", "demon-no-level-1",
-        "demon-level-1-underflows",
+        "demon-n-nan", "demon-n-negative", "demon-n-inf",
         "crossover-t-inf", "pair-energy-nan", "pair-energy-inf",
         "fraction-limit-nan", "eq10-n-nan", "eq12-n-inf", "grid-stop-inf",
         "fit-t-nan", "n-bool", "tc-n-numpy-bool", "max-level-numpy-bool",

@@ -43,7 +43,8 @@ def test_single_state_partition_is_one():
     # one nondegenerate-in-practice level at zero energy: every Z(k) = 1
     spec = TrapSpectrum(max_level=0)
     table = recursion_table(spec, 2.0, 6, m_max=0)
-    # level 0 holds (m+1)(m+2)/2 = 1 state
+    # level 0 holds (m+1)(m+2)/2 = 1 state; the table answers on this
+    # ladder without level 1, which truth() refuses for want of an n1
     assert np.allclose(table.log_z, 0.0, atol=1e-12)
 
 

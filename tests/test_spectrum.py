@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bosecanon.canonical import canonical_observables
-from bosecanon.grand_canonical import _level_ladder, solve_fugacity
+from bosecanon.grand_canonical import _level_ladder, auto_m_max, solve_fugacity
 from bosecanon.oracle import recursion_table, truth
 from bosecanon.spectrum import (
     ZETA3,
@@ -24,14 +24,16 @@ def test_degeneracy_small_levels():
     assert splits[:5] == [1, 3, 6, 10, 15]
 
 
-def test_resolved_max_level_clamps_to_cap():
-    sp = TrapSpectrum(max_level=5)
-    assert sp.resolved_max_level(100) == 5
-    assert sp.resolved_max_level() == 5
-    open_sp = TrapSpectrum()
-    assert open_sp.resolved_max_level(100) == 100
-    with pytest.raises(DomainError):
-        open_sp.resolved_max_level()
+def test_auto_m_max_clamps_to_cap():
+    # a finite ladder clamps a request to its top and is its own default
+    capped = TrapSpectrum(max_level=5)
+    assert auto_m_max(capped, 2.0, 100) == 5
+    assert auto_m_max(capped, 2.0, 3) == 3
+    assert auto_m_max(capped, 2.0) == 5
+    # the unbounded ladder keeps an explicit request, else takes 15T + 20
+    assert auto_m_max(TrapSpectrum(), 2.0, 100) == 100
+    assert auto_m_max(TrapSpectrum(), 2.0) == 50
+    assert auto_m_max(TrapSpectrum(), 2.01) == 51
 
 
 @pytest.mark.parametrize("call", [
@@ -40,16 +42,19 @@ def test_resolved_max_level_clamps_to_cap():
     lambda: TrapSpectrum().degeneracies(-1),
     lambda: _level_ladder(TrapSpectrum(), 5.0, -2),
     lambda: TrapSpectrum().degeneracies(2.5),
+    lambda: TrapSpectrum(max_level=3).degeneracies(4),
     lambda: TrapSpectrum(max_level=3.5),
     lambda: TrapSpectrum(max_level=math.inf),
     lambda: TrapSpectrum(max_level=math.nan),
     lambda: canonical_observables(TrapSpectrum(), 5.0, 10, 30.5),
 ], ids=["recursion_table", "solve_fugacity", "degeneracies", "level-ladder",
-        "degeneracies-fractional", "max-level-fractional",
+        "degeneracies-fractional", "degeneracies-above-cap",
+        "max-level-fractional",
         "max-level-inf", "max-level-nan", "config-m-max-fractional"])
 def test_negative_top_level_is_a_domain_error(call):
-    # every caller resolves its top level through resolved_max_level, and
-    # every top level is a whole number: none is floored
+    # every caller resolves its top level through auto_m_max, every top
+    # level is a whole number (none is floored), and degeneracies() takes a
+    # resolved one: above a finite ladder's top it refuses, not clamps
     with pytest.raises(DomainError):
         call()
 
