@@ -178,6 +178,8 @@ class CanonicalResult:
 
     @property
     def delta_n0(self) -> float:
+        """RMS n0 fluctuation; below Tc it loses digits to cancellation, up
+        to 3.2e-4 relative at N = 10^5, T/Tc = 0.05 (README, Known limits)."""
         return math.sqrt(self.n0_variance)
 
     @property
@@ -186,6 +188,8 @@ class CanonicalResult:
 
     @property
     def delta_ne(self) -> float:
+        """RMS N_ex fluctuation, delta_n0 at fixed N; above Tc it loses digits
+        to cancellation, 0.155 relative off at N = 10^6, T/Tc = 3."""
         return math.sqrt(self.ne_variance)
 
     @property

@@ -13,8 +13,8 @@ choice, an unknown file key, a temperature grid of more than
 sweep.MAX_GRID_POINTS points, an `--out` whose directory is missing or
 not writable or whose `<out>.csv` or `<out>.json` is a directory, and a
 count that run_sweep refuses: no particle number, or a particle number
-or --m-max below 1; all refused before the first row), 3 non-converged
-rows under --strict.
+below 1; all refused before the first row), 3 non-converged rows under
+--strict.
 """
 
 from __future__ import annotations
@@ -115,8 +115,6 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="comma-separated particle numbers, e.g. 100,1000")
     add("--t-over-tc", dest="t_grid", type=_t_grid, metavar="START:STOP:STEP",
         help="temperature grid in units of Tc")
-    add("--m-max", type=int,
-        help="level truncation (default: chosen per row)")
     add("--out", default="sweep",
         help="output path base: writes OUT.csv and OUT.json (default: sweep)")
     add("--strict", action="store_true",
@@ -167,8 +165,7 @@ def resolve_settings(argv=None) -> argparse.Namespace:
 
 
 def _run_sweep(settings: argparse.Namespace) -> int:
-    result = run_sweep(settings.particles, settings.t_grid,
-                       m_max=settings.m_max)
+    result = run_sweep(settings.particles, settings.t_grid)
     result.meta["preset"] = settings.preset
     write_csv(result.rows, f"{settings.out}.csv")
     write_json(result, f"{settings.out}.json")

@@ -1,7 +1,7 @@
 """Grand-canonical reference model for the trapped ideal Bose gas.
 
-Closed forms used throughout; the solved state takes them for the ground
-state (n0, delta_n0) and sums them over levels (total_number, number_variance):
+Closed forms used throughout; the solved state takes them for n0 and
+delta_n0, and _occupation_sums and number_variance sum them over levels:
 
   occupation of a state at energy E:   n = 1 / (exp((E - mu)/T) - 1)
   its fluctuation:                     dn = sqrt(n (n + 1))
@@ -149,10 +149,6 @@ class GrandCanonicalState:
         """RMS fluctuation sqrt(n0(n0+1)) of the ground-state occupation."""
         n0 = self.n0
         return math.sqrt(n0 * (n0 + 1.0))
-
-    @property
-    def total_number(self) -> float:
-        return _occupation_sums(self.ladder, self.relative_fugacity)
 
     @property
     def number_variance(self) -> float:

@@ -101,19 +101,14 @@ class SweepResult:
         return [r for r in self.rows if r.error]
 
 
-def compute_row(
-    spectrum: TrapSpectrum,
-    n: int,
-    t_over_tc: float,
-    m_max: int | None = None,
-) -> SweepRow:
-    """Evaluate one grid point at level truncation m_max (None: auto);
+def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
+    """Evaluate one grid point on the automatic ladder (auto_m_max);
     convergence failures become error records."""
     tc = critical_temperature(spectrum, n)
     t = t_over_tc * tc
     try:
         _finite_real("t_over_tc", t_over_tc)
-        r = canonical_observables(spectrum, t, n, m_max)
+        r = canonical_observables(spectrum, t, n)
         gc = r.gc_state
     except (ConvergenceError, DomainError) as err:
         return SweepRow(n=n, t_over_tc=t_over_tc, t_over_spacing=t,
@@ -191,17 +186,12 @@ class Preset:
 PRESETS = {"fig1": Preset((100, 1000, 10_000), 0.1, 1.4, 0.05)}
 
 
-def run_sweep(
-    particles,
-    t_grid,
-    m_max: int | None = None,
-    threads: int = 1,
-) -> SweepResult:
+def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     """Evaluate the full (N, T/Tc) grid on the unbounded ladder
     (TrapSpectrum()), rows in deterministic order; the level spacing is the
-    unit of temperature (meta["level_spacing"] = 1.0).
+    unit of temperature (meta["level_spacing"] = 1.0). A row is fixed by
+    N and T/Tc alone: each resolves its levels with auto_m_max.
 
-    m_max=None lets each row pick its level truncation (auto_m_max).
     A count that is not a whole number >= 1, None included, is a
     DomainError, and so is an empty particle list or temperature grid;
     all are refused before the first row.
@@ -216,8 +206,6 @@ def run_sweep(
     benchmark's fig1_threads workload (perfbench/run.py) sets it above 1;
     the option goes once that workload is dropped (ROADMAP.md, item 1c).
     """
-    if m_max is not None:
-        m_max = _integer("m_max", m_max, 1)
     workers = _integer("threads", threads, 1)
     spectrum = TrapSpectrum()
     particles = [_integer("particle number", n, 1) for n in particles]
@@ -228,17 +216,16 @@ def run_sweep(
     points = [(n, t) for n in particles for t in t_grid]
     started = time.time()
     if workers == 1:
-        rows = [compute_row(spectrum, n, t, m_max) for n, t in points]
+        rows = [compute_row(spectrum, n, t) for n, t in points]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(compute_row, spectrum, n, t, m_max)
+            futures = [pool.submit(compute_row, spectrum, n, t)
                        for n, t in points]
             rows = [f.result() for f in futures]
     meta = {
         "version": __version__,
         "workers": workers,
         "particles": particles,
-        "m_max": m_max,
         "t_grid": t_grid,
         "level_spacing": spectrum.level_spacing,
         "elapsed_seconds": round(time.time() - started, 3),

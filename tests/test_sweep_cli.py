@@ -86,21 +86,21 @@ def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc):
                          f"finite, got {t_over_tc}")
 
 
-def test_m_max_is_the_one_row_setting():
-    res = canonical_observables(SPEC, 0.5 * critical_temperature(SPEC, 20),
-                                20, 30)
-    row = compute_row(SPEC, 20, 0.5, m_max=30)
-    assert row.m_max == res.m_max == 30
+def test_a_row_is_fixed_by_n_and_t_over_tc():
+    # no level truncation reaches a row: it resolves its levels with
+    # auto_m_max, and its m_max column reports the result
+    assert list(inspect.signature(compute_row).parameters) == [
+        "spectrum", "n", "t_over_tc"]
+    t = 0.5 * critical_temperature(SPEC, 20)
+    res = canonical_observables(SPEC, t, 20)
+    row = compute_row(SPEC, 20, 0.5)
+    assert row.m_max == res.m_max == grand_canonical.auto_m_max(SPEC, t)
     for column in ("n0_mean", "delta_n0", "n1_mean", "log_z", "ground_offset",
                    "intervals_evaluated", "intervals_total"):
         assert repr(getattr(row, column)) == repr(getattr(res, column)), column
-    result = run_sweep([20], [0.5], m_max=np.int64(30))
+    result = run_sweep([20], [0.5])
     assert [repr(r) for r in result.rows] == [repr(row)]
-    assert result.meta["m_max"] == 30
-    assert run_sweep([20], [0.5]).meta["m_max"] is None
-    for bad in (0, -1, 30.5):
-        with pytest.raises(DomainError, match="m_max"):
-            run_sweep([20], [0.5], m_max=bad)
+    assert "m_max" not in result.meta
 
 
 def test_self_check_perturbations_are_engine_keywords_only():
@@ -202,7 +202,9 @@ def test_compute_row_builds_the_level_ladder_once(monkeypatch):
     assert builds == 1
     state = solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000), 1000)
     builds = 0
-    assert state.total_number == pytest.approx(1000, rel=1e-12)
+    total = grand_canonical._occupation_sums(state.ladder,
+                                             state.relative_fugacity)
+    assert total == pytest.approx(1000, rel=1e-12)
     assert state.number_variance > 0.0
     assert builds == 0
 
@@ -288,10 +290,10 @@ def test_sweep_runs_all_rows(small_sweep):
 
 
 def test_sweep_defaults_to_serial():
-    # the sweep's only settings are m_max and threads; rows run on the
-    # unit-spacing trap
+    # the sweep's only setting is threads; rows run on the unit-spacing
+    # trap
     assert list(inspect.signature(run_sweep).parameters) == [
-        "particles", "t_grid", "m_max", "threads"]
+        "particles", "t_grid", "threads"]
     assert run_sweep((20,), [0.5]).meta["workers"] == 1
 
 
@@ -408,22 +410,22 @@ def test_numpy_integer_inputs_write_json(tmp_path):
     # also the top level of a finite ladder
     assert type(compute_row(TrapSpectrum(max_level=np.int64(45)), 20,
                             0.5).m_max) is int
-    result = run_sweep([np.int64(20)], [0.5], m_max=np.int64(45))
+    result = run_sweep([np.int64(20)], [0.5])
     write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
     assert payload["meta"]["particles"] == [20]
-    assert payload["rows"][0]["m_max"] == 45
+    assert payload["rows"][0]["m_max"] == result.rows[0].m_max
 
 
 def test_numpy_config_fields_write_json(tmp_path):
     # settings given as numpy scalars reach the output as plain numbers
-    result = run_sweep([20], [0.5], m_max=np.int64(30), threads=np.int64(1))
+    result = run_sweep([20], [0.5], threads=np.int64(1))
     write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.json") as fh:
         payload = json.load(fh)
-    assert payload["meta"]["m_max"] == 30
-    assert type(result.meta["m_max"]) is int
+    assert payload["meta"]["workers"] == 1
+    assert type(result.meta["workers"]) is int
     assert type(canonical_observables(
         SPEC, 5.0, 10, np.int64(30), ground_offset=np.float32(2.5),
         intervals_per_oscillation=np.int64(1)).ground_offset) is float
@@ -474,7 +476,6 @@ def test_cli_preset_with_two_sizes_prints_no_fit(tmp_path, capsys,
 
 ROW = ["--particles", "30", "--t-over-tc", "0.5:0.5:0.1"]
 UNKNOWN = "unrecognized arguments"
-NOT_INT = "invalid int value"
 # the count rule of run_sweep, met before its first row
 COUNT = "must be a finite integer >= 1, got 0"
 CONFIGURATION_ERRORS = {
@@ -497,14 +498,15 @@ CONFIGURATION_ERRORS = {
                         None, "a sweep needs at least one particle number"),
     "particles-1e3": (["--particles", "1e3", "--t-over-tc", "0.5:0.5:0.1"],
                       None, "want whole particle numbers, got '1e3'"),
-    "m-max-zero": ([*ROW, "--m-max", "0"], None, f"m_max {COUNT}"),
-    # rows run one at a time: threads is not an option
+    # rows run one at a time, and a row is fixed by N and T/Tc: threads
+    # and m_max are not options
     "flag-threads": ([*ROW, "--threads", "2"], None, UNKNOWN),
-    "flag-m-max-auto": ([*ROW, "--m-max", "auto"], None, NOT_INT),
+    "flag-m-max": ([*ROW, "--m-max", "40"], None, UNKNOWN),
     "unknown-key": ([], "particlez = 30", f"{UNKNOWN}: --particlez=30"),
     # a removed flag is an unknown key, and a flag prefix is not a key
     "key-part": (ROW, "part = 30", UNKNOWN),
     "key-threads": (ROW, "threads = 2", UNKNOWN),
+    "key-m-max": (ROW, "m_max = 40", UNKNOWN),
     "key-strict-maybe": (ROW, "strict = maybe", "strict wants yes or no"),
     "key-config": (ROW, "config = other.cfg", "want key = value"),
     "config-missing": ([*ROW, "--config", "missing.cfg"], None,
@@ -646,26 +648,25 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
         "# sweep defaults\n"
         "particles = 30\n"
         "t-over-tc = 0.5:0.5:0.1\n"
-        "m-max = 30\n"
         f"out = {tmp_path / 'fromfile'}\n"
     )
     assert run_cli("--config", str(cfg)) == 0
     # flags win over the file
-    assert run_cli("--config", str(cfg), "--m-max", "40",
+    assert run_cli("--config", str(cfg), "--particles", "40",
                    "--out", str(tmp_path / "override")) == 0
     assert sorted(os.listdir(tmp_path)) == [
         "fromfile.csv", "fromfile.json", "override.csv", "override.json",
         "run.cfg"]
-    for name, m_max in (("fromfile", 30), ("override", 40)):
+    for name, particles in (("fromfile", 30), ("override", 40)):
         with open(tmp_path / f"{name}.json") as fh:
-            assert json.load(fh)["meta"]["m_max"] == m_max
+            assert json.load(fh)["meta"]["particles"] == [particles]
 
 
 def test_resolve_settings_preset_fills_gaps():
     st = resolve_settings(["--preset", "fig1"])
     # the settings are the flags, and no other
-    assert sorted(vars(st)) == ["config", "m_max", "out", "particles",
-                                "preset", "strict", "t_grid", "validate"]
+    assert sorted(vars(st)) == ["config", "out", "particles", "preset",
+                                "strict", "t_grid", "validate"]
     assert list(st.particles) == [100, 1000, 10_000]
     assert st.t_grid is not None and len(st.t_grid) > 20
     st2 = resolve_settings(["--preset", "fig1", "--particles", "7"])
@@ -675,11 +676,10 @@ def test_resolve_settings_preset_fills_gaps():
 @pytest.mark.parametrize("line, flags", [
     ("t_over_tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
     ("t-over-tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
-    ("m_max = 40", ["--m-max", "40"]),
+    ("particles = 7", ["--particles", "7"]),
     ("strict = yes", ["--strict"]),
     ("strict = no", []),
     ("out = elsewhere", ["--out", "elsewhere"]),
-    ("m-max = 40", ["--m-max", "40"]),
 ])
 def test_config_line_equals_flag(tmp_path, line, flags):
     cfg = tmp_path / "run.cfg"
