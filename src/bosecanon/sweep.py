@@ -7,10 +7,10 @@ trap units and occupations both absolute and N-normalised. Rows that fail
 to converge become error records instead of crashing the sweep.
 
 Rows are independent work items; each is computed sequentially inside
-one worker, so results are bit-identical for any worker count. The one
-preset, fig1, pins the particle numbers of the reference figures with a
-uniform temperature grid of step 0.05 refined to 0.01 across the
-transition, where the curves move fastest.
+one worker, so results are bit-identical for any worker count. A
+temperature grid is start:stop:step, and a preset merges its patches: the
+one preset, fig1, is the reference figures' particle numbers on
+0.1:1.4:0.05 and 0.9:1.1:0.01, finer where the curves move fastest.
 """
 
 from __future__ import annotations
@@ -142,16 +142,15 @@ def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
     )
 
 
-# Points allowed in one temperature grid or refinement patch; fig1 has 43.
+# Points allowed in one start:stop:step grid or preset patch (fig1: 27, 21).
 MAX_GRID_POINTS = 10**5
 
 
-def temperature_grid(start: float, stop: float, step: float,
-                     refinements=()) -> list:
-    """Uniform grid plus finer (start, stop, step) patches, each checked as a
-    grid of its own; deduplicated, sorted, and a DomainError when empty.
-    A grid or patch of more than MAX_GRID_POINTS points is a DomainError,
-    counted before any array is built (the CLI's exit 2)."""
+def temperature_grid(start: float, stop: float, step: float) -> list:
+    """The start:stop:step grid, stop included, points rounded to 10 digits
+    and sorted; Preset.grid() merges several. A DomainError when it is empty,
+    has over MAX_GRID_POINTS points (counted before any array is built: the
+    CLI's exit 2), or has a step so fine that rounding merges points."""
     _finite_real("grid step", step)
     if _finite_real("grid stop", stop) < _finite_real("grid start", start):
         raise DomainError(f"grid stop {stop} lies below its start {start}")
@@ -160,30 +159,30 @@ def temperature_grid(start: float, stop: float, step: float,
     if count > MAX_GRID_POINTS:
         raise DomainError(f"grid {start}:{stop}:{step} has {count:.3g} points,"
                           f" more than the {MAX_GRID_POINTS} a grid may have")
-    pts = list(np.arange(start, stop + 0.5 * step, step))
-    for a, b, s in refinements:
-        pts.extend(temperature_grid(a, b, s))
+    raw = np.arange(start, stop + 0.5 * step, step)
+    pts = sorted({round(float(p), 10) for p in raw})
     if not pts:
         raise DomainError(f"grid {start}:{stop}:{step} has no points")
-    return sorted({round(float(p), 10) for p in pts})
+    if len(pts) < raw.size:  # only a step of about 1e-10 or less merges
+        raise DomainError(f"grid step {step} is too fine for 10-digit points:"
+                          f" {raw.size} points round to {len(pts)}")
+    return pts
 
 
 @dataclass(frozen=True)
 class Preset:
+    """Particle numbers, and the (start, stop, step) grids grid() merges."""
+
     particles: tuple
-    t_start: float
-    t_stop: float
-    t_step: float
-    refinements: tuple = ((0.9, 1.1, 0.01),)
+    patches: tuple
 
     def grid(self) -> list:
-        return temperature_grid(self.t_start, self.t_stop, self.t_step,
-                                self.refinements)
+        return sorted({t for p in self.patches for t in temperature_grid(*p)})
 
 
-# The reference figures share one grid: three particle-number decades,
-# with the finer step across the transition.
-PRESETS = {"fig1": Preset((100, 1000, 10_000), 0.1, 1.4, 0.05)}
+# The reference figures' grid: three N decades, a finer patch around Tc.
+PRESETS = {"fig1": Preset((100, 1000, 10_000),
+                          ((0.1, 1.4, 0.05), (0.9, 1.1, 0.01)))}
 
 
 def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:

@@ -230,10 +230,15 @@ def test_row_dict_covers_field_order():
 def test_temperature_grid_basic():
     grid = temperature_grid(0.2, 0.5, 0.1)
     assert grid == pytest.approx([0.2, 0.3, 0.4, 0.5])
+    # one start:stop:step patch, as the CLI's --t-over-tc takes it
+    assert list(inspect.signature(temperature_grid).parameters) == [
+        "start", "stop", "step"]
+    assert [f.name for f in dataclasses.fields(Preset)] == [
+        "particles", "patches"]
 
 
 def test_temperature_grid_refinement_dedupes():
-    grid = temperature_grid(0.8, 1.2, 0.1, refinements=((0.9, 1.1, 0.05),))
+    grid = Preset((20,), ((0.8, 1.2, 0.1), (0.9, 1.1, 0.05))).grid()
     assert grid == pytest.approx([0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2])
     assert len(set(grid)) == len(grid)
 
@@ -252,24 +257,36 @@ def test_temperature_grid_without_points_is_a_domain_error():
     ((0.1, math.inf, 0.01), "grid stop"),
     ((0.3, 0.1, 0.01), "lies below its start"),
     ((0.1, 0.3, 1e-16), "more than the 100000"),  # counted, not built
+    # 11 distinct np.arange points that 10-digit rounding makes 2
+    ((0.1, 0.1000000001, 1e-11), "grid step 1e-11 is too fine"),
 ], ids=["zero-step", "negative-step", "nan-start", "nan-stop", "inf-stop",
-        "reversed", "huge"])
+        "reversed", "huge", "too-fine"])
 def test_temperature_grid_checks_its_refinement_patches(patch, match):
     # a patch is a grid of its own and fails the same checks
     with pytest.raises(DomainError, match=match):
-        temperature_grid(0.1, 0.3, 0.1, refinements=(patch,))
+        Preset((20,), ((0.1, 0.3, 0.1), patch)).grid()
+
+
+# The fig1 grid point by point, as reprs: the benchmark's fig1 rows and
+# every row's t_over_tc come from these floats, so they must not move.
+FIG1_GRID = [
+    "0.1", "0.15", "0.2", "0.25", "0.3", "0.35", "0.4", "0.45", "0.5",
+    "0.55", "0.6", "0.65", "0.7", "0.75", "0.8", "0.85", "0.9", "0.91",
+    "0.92", "0.93", "0.94", "0.95", "0.96", "0.97", "0.98", "0.99", "1.0",
+    "1.01", "1.02", "1.03", "1.04", "1.05", "1.06", "1.07", "1.08", "1.09",
+    "1.1", "1.15", "1.2", "1.25", "1.3", "1.35", "1.4",
+]
 
 
 def test_presets_share_standard_shape():
-    for name, preset in PRESETS.items():
-        assert preset.particles == (100, 1000, 10_000)
-        grid = preset.grid()
-        assert len(grid) == 43  # the benchmark's fig1 rows are keyed on these
-        assert grid[0] == pytest.approx(0.1)
-        assert grid[-1] == pytest.approx(1.4)
-        # near-transition refinement present
-        assert any(abs(t - 0.97) < 1e-9 for t in grid)
-        assert grid == sorted(grid)
+    assert list(PRESETS) == ["fig1"]
+    preset = PRESETS["fig1"]
+    assert preset.particles == (100, 1000, 10_000)
+    assert preset.patches == ((0.1, 1.4, 0.05), (0.9, 1.1, 0.01))
+    grid = preset.grid()
+    assert [repr(t) for t in grid] == FIG1_GRID
+    # the benchmark keys its rows on f"{t:.10g}": one key per point
+    assert len({f"{t:.10g}" for t in grid}) == len(FIG1_GRID)
 
 
 # ------------------------------------------------------------------- sweep
@@ -454,7 +471,7 @@ def test_cli_small_sweep_writes_both_formats(tmp_path, capsys):
 
 def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(PRESETS, "fig1",
-                        Preset((20, 80, 320), FIT_T, FIT_T, 0.1, refinements=()))
+                        Preset((20, 80, 320), ((FIT_T, FIT_T, 0.1),)))
     code = run_cli("--preset", "fig1", "--out", str(tmp_path / "p"))
     assert code == 0
     fits = [line for line in capsys.readouterr().out.splitlines()
@@ -468,7 +485,7 @@ def test_cli_preset_with_two_sizes_prints_no_fit(tmp_path, capsys,
                                                  monkeypatch):
     # every fit needs three particle numbers; the sweep itself succeeds
     monkeypatch.setitem(PRESETS, "fig1",
-                        Preset((20, 80), FIT_T, FIT_T, 0.1, refinements=()))
+                        Preset((20, 80), ((FIT_T, FIT_T, 0.1),)))
     assert run_cli("--preset", "fig1", "--out", str(tmp_path / "p")) == 0
     out = capsys.readouterr().out
     assert out.startswith("rows: 2/2 converged") and "N^(" not in out
@@ -491,6 +508,10 @@ CONFIGURATION_ERRORS = {
     # about 10^16 points: refused from its count, before any array
     "huge-grid": (["--particles", "100", "--t-over-tc", "0.1:1.4:1e-16"],
                   None, "more than the 100000"),
+    # 11 points that the grid's 10-digit rounding would merge into 2
+    "too-fine-step": (["--particles", "30",
+                       "--t-over-tc", "0.1:0.1000000001:1e-11"],
+                      None, "grid step 1e-11 is too fine"),
     "empty-request": ([], None, "nothing to do"),
     "particles-zero": (["--particles", "0", "--t-over-tc", "0.5:0.5:0.1"],
                        None, f"particle number {COUNT}"),
