@@ -14,11 +14,14 @@ statistically independent in this ensemble: cross covariances vanish.
 Finite sums run over levels 0..m_max, resolved by auto_m_max alone; every
 n1 consumer applies _level_one's level-1 rule. On the unbounded ladder the
 remainder, the Boltzmann-order tail sum_{m>M} g_m lambda q^m, is closed via
-the (1-q)^-3 identity (TrapSpectrum.tail_weight); a finite ladder has none.
+the (1-q)^-3 identity (spectrum.weighted_geometric_tail); a finite ladder
+has none.
 
-Every level array comes from one LevelLadder (levels 0..M, ground level at
-zero energy), built once per fugacity solve and kept by the solved state,
-whose sums build nothing; the engine shifts it, the oracle reads it.
+The ladder is built in one place, _level_ladder: levels 0..M with the
+ground level at zero energy, their degeneracies g_m = (m+1)(m+2)/2 and the
+tail weight above M. It is built once per fugacity solve and kept by the
+solved state, whose sums build nothing; the engine shifts it, the oracle
+reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
+from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
+                       weighted_geometric_tail)
 
 __all__ = [
     "GrandCanonicalState",
@@ -85,7 +89,8 @@ def mean_occupation(t: float, energy: float, mu: float) -> float:
 @dataclass(frozen=True, eq=False)
 class LevelLadder:
     """Levels 0..M, ground at zero energy: energies m, exp(-E/T),
-    degeneracies, and the tail weight above M. Read-only arrays."""
+    degeneracies, and the tail weight above M. Read-only arrays, built by
+    _level_ladder alone."""
 
     energies: np.ndarray
     boltzmann: np.ndarray
@@ -94,13 +99,19 @@ class LevelLadder:
 
 
 def _level_ladder(spectrum: TrapSpectrum, t: float, m_max: int) -> LevelLadder:
-    """The one place that turns (spectrum, T, m_max) into level arrays."""
-    g = spectrum.degeneracies(m_max)
-    e = np.arange(g.size, dtype=np.float64)
+    """The one place that turns (spectrum, T, m_max) into level arrays:
+    levels 0..auto_m_max(spectrum, t, m_max), (m+1)(m+2)/2 states each, and
+    the Boltzmann weight sum_{m>M} g_m exp(-m/T) of the levels above the top
+    M on the unbounded ladder (0.0 on a finite one, which ends at M)."""
+    top = auto_m_max(spectrum, t, m_max)
+    e = np.arange(top + 1, dtype=np.float64)
     b = np.exp(-e / t)
+    g = (e + 1.0) * (e + 2.0) / 2.0
     for a in (e, b, g):
         a.flags.writeable = False
-    return LevelLadder(e, b, g, spectrum.tail_weight(t, g.size - 1))
+    tail = (0.0 if spectrum.max_level is not None
+            else weighted_geometric_tail(math.exp(-1.0 / t), top))
+    return LevelLadder(e, b, g, tail)
 
 
 def _occupation_sums(ladder: LevelLadder, lam: float) -> float:

@@ -3,7 +3,9 @@
 The level spacing is the unit of energy and temperature (Boltzmann's
 constant is 1). Energies are measured from the ground level: level m
 carries energy m and holds ``(m+1)(m+2)/2`` states (the number of ways to
-split m quanta among three Cartesian axes).
+split m quanta among three Cartesian axes). The spectrum holds the ladder's
+top alone; grand_canonical._level_ladder is the one place that builds its
+level arrays, degeneracies and tail weight.
 
 The condensation temperature for N particles follows from equating N to the
 continuum excited-state capacity ``zeta(3) * T**3``, giving
@@ -63,10 +65,11 @@ def _integer(name: str, value: int, floor: int) -> int:
 class TrapSpectrum:
     """Trap spectrum: top level index, ground level at zero, unit spacing.
 
-    ``max_level=None`` is the unbounded ladder: operations that materialise
-    level arrays then need an explicit cap, and the levels above it are
-    closed in Boltzmann order (``tail_weight``). A finite ``max_level`` is
-    the truncated model: the ladder ends there and has no tail.
+    ``max_level=None`` is the unbounded ladder: level arrays then stop at a
+    resolved top, and the levels above it are closed in Boltzmann order. A
+    finite ``max_level`` is the truncated model: the ladder ends there and
+    has no tail. The level arrays, degeneracies and tail weight are built
+    in one place, ``grand_canonical._level_ladder``.
     """
 
     max_level: int | None = None
@@ -76,32 +79,11 @@ class TrapSpectrum:
         if self.max_level is not None:
             _integer("max_level", self.max_level, 0)
 
-    def degeneracies(self, top: int) -> np.ndarray:
-        """(m+1)(m+2)/2 for levels 0..top, as resolved by auto_m_max: a top
-        above a finite ladder's, negative or fractional, is a DomainError."""
-        top = _integer("top level", top, 0)
-        if self.max_level is not None and top > self.max_level:
-            raise DomainError(f"top level {top} lies above this ladder's "
-                              f"max_level {self.max_level}")
-        m = np.arange(top + 1, dtype=np.float64)
-        return (m + 1.0) * (m + 2.0) / 2.0
-
     def with_ground_offset(self, ground_offset: float) -> "TrapSpectrum":
         """This spectrum: its ground level is at zero, so only 0.0 is valid."""
         if ground_offset != 0.0:
             raise DomainError(f"ground_offset must be 0.0, got {ground_offset}")
         return self
-
-    def tail_weight(self, t: float, m_max: int) -> float:
-        """Boltzmann weight of the levels above m_max, measured from level 0.
-
-        ``sum_{m>m_max} (m+1)(m+2)/2 * exp(-m/T)`` for the unbounded ladder;
-        0.0 for a finite one, which ends at its top level.
-        """
-        if self.max_level is not None:
-            return 0.0
-        q = math.exp(-1.0 / t)
-        return weighted_geometric_tail(q, m_max)
 
 
 def critical_temperature(spectrum: TrapSpectrum, n: int) -> float:
@@ -118,8 +100,6 @@ def weighted_geometric_tail(x: float, m_max: int) -> float:
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"geometric argument must lie in [0, 1), got {x}")
-    if x == 0.0:
-        return 0.0
     a = m_max + 1.0
     om = 1.0 - x
     lead = x ** (m_max + 1)  # underflows to 0 harmlessly for large m_max

@@ -20,7 +20,7 @@ def test_degeneracy_small_levels():
     # level m holds one state per split of m quanta among three axes
     splits = [sum(1 for a in range(m + 1) for b in range(m + 1 - a))
               for m in range(8)]
-    assert list(TrapSpectrum().degeneracies(7)) == splits
+    assert list(_level_ladder(TrapSpectrum(), 2.0, 7).degeneracies) == splits
     assert splits[:5] == [1, 3, 6, 10, 15]
 
 
@@ -39,24 +39,27 @@ def test_auto_m_max_clamps_to_cap():
 @pytest.mark.parametrize("call", [
     lambda: recursion_table(TrapSpectrum(), 5.0, 10, m_max=-1),
     lambda: solve_fugacity(TrapSpectrum(), 5.0, 10, m_max=-3),
-    lambda: TrapSpectrum().degeneracies(-1),
     lambda: _level_ladder(TrapSpectrum(), 5.0, -2),
-    lambda: TrapSpectrum().degeneracies(2.5),
-    lambda: TrapSpectrum(max_level=3).degeneracies(4),
     lambda: TrapSpectrum(max_level=3.5),
     lambda: TrapSpectrum(max_level=math.inf),
     lambda: TrapSpectrum(max_level=math.nan),
     lambda: canonical_observables(TrapSpectrum(), 5.0, 10, 30.5),
-], ids=["recursion_table", "solve_fugacity", "degeneracies", "level-ladder",
-        "degeneracies-fractional", "degeneracies-above-cap",
+], ids=["recursion_table", "solve_fugacity", "level-ladder",
         "max-level-fractional",
         "max-level-inf", "max-level-nan", "config-m-max-fractional"])
 def test_negative_top_level_is_a_domain_error(call):
-    # every caller resolves its top level through auto_m_max, every top
-    # level is a whole number (none is floored), and degeneracies() takes a
-    # resolved one: above a finite ladder's top it refuses, not clamps
+    # every caller resolves its top level through auto_m_max, and every top
+    # level is a whole number (none is floored)
     with pytest.raises(DomainError):
         call()
+
+
+def test_level_ladder_clamps_to_a_finite_top():
+    # the ladder resolves its top with auto_m_max: a request above a finite
+    # ladder's top clamps to it, and the ladder ends there with no tail
+    ladder = _level_ladder(TrapSpectrum(max_level=3), 2.0, 4)
+    assert ladder.degeneracies.size == 4
+    assert ladder.tail_weight == 0.0
 
 
 def test_energies_and_degeneracies_arrays():
@@ -128,6 +131,12 @@ def test_tail_reduces_to_full_sum_at_minus_one():
         (1 - x) ** -3, rel=1e-14)
 
 
+def test_tail_at_zero_argument():
+    # sum_{m>=0} g_m 0^m is g_0 = 1; every tail above a level >= 0 is empty
+    assert weighted_geometric_tail(0.0, -1) == 1.0
+    assert weighted_geometric_tail(0.0, 60) == 0.0
+
+
 def test_tail_spot_value_high_temperature_cut():
     # q = e^{-1/10}, cut at 60: small but strictly positive remainder
     q = math.exp(-0.1)
@@ -154,5 +163,6 @@ def test_tail_weight_is_offset_free_and_absent_on_a_finite_ladder():
     # T = 10 closes the ladder above level 60 with the closed-form sum,
     # measured from level 0; a finite ladder has no tail
     want = weighted_geometric_tail(math.exp(-0.1), 60)
-    assert TrapSpectrum().tail_weight(10.0, 60) == want
-    assert TrapSpectrum(max_level=400).tail_weight(10.0, 60) == 0.0
+    assert _level_ladder(TrapSpectrum(), 10.0, 60).tail_weight == want
+    finite = _level_ladder(TrapSpectrum(max_level=400), 10.0, 60)
+    assert finite.tail_weight == 0.0
