@@ -4,13 +4,16 @@ Fixed-N partition functions and occupation moments are computed by
 saddle-tilted contour quadrature (canonical), checked against an exact
 recursion and brute-force enumeration (oracle), and compared with
 grand-canonical closed forms (grand_canonical) and large-N estimates
-(asymptotics). The sweep, validate, and cli modules drive batch runs.
+(asymptotics). The sweep and cli modules drive batch runs; acceptance gate
+08 in tests/test_acceptance.py is the package's self-check, and the
+command line exits 0, 2 on a bad configuration, or 3 on a failed row
+under --strict.
 
 `import bosecanon` loads the engine only: spectrum, grand_canonical and
-canonical (with _kernels). The asymptotics, oracle, sweep and validate
-modules, and the names they export here, load on first use, so a process
-that computes rows through the engine alone does not compile and run
-them. A sweep loads sweep and asymptotics, which every row needs.
+canonical (with _kernels). The asymptotics, oracle and sweep modules, and
+the names they export here, load on first use, so a process that computes
+rows through the engine alone does not compile and run them. A sweep
+loads sweep and asymptotics, which every row needs, and not oracle.
 """
 
 __version__ = "0.1.0"
@@ -61,10 +64,6 @@ _LAZY = {
         "temperature_grid",
         "write_csv",
         "write_json",
-    ),
-    "validate": (
-        "ValidationReport",
-        "run_validation",
     ),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items()

@@ -197,18 +197,6 @@ class CanonicalResult:
         """<dn0 dn1>, negative below the transition."""
         return self.n0_n1_mean - self.n0_mean * self.n1_mean
 
-    OBSERVABLE_NAMES = (
-        "n0_mean",
-        "n0_second_moment",
-        "n1_mean",
-        "n0_n1_mean",
-        "ne_mean",
-        "ne_second_moment",
-    )
-
-    def observables(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.OBSERVABLE_NAMES}
-
 
 def _weight_peaks(q: np.ndarray, g: np.ndarray, s_mb: float) -> np.ndarray:
     """Max modulus of each accumulator's weight factor, attained at z=0."""

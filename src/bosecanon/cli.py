@@ -1,14 +1,13 @@
-"""Batch front end: sweeps, dataset emission, validation, scaling fits.
+"""Batch front end: sweeps, dataset emission, scaling fits.
 
 argparse is the one settings parser: every flag declares its type, choices
 and default once. `--config FILE` turns each flat `key = value` line into
-the flag `--key=value` (`_` in a key reads as `-`; the switches `strict`
-and `validate` take a yes/no word), so a file value is checked exactly as
-the flag is. The file's flags are parsed first, with no prefix matching,
-and the command line on top, so flags win. A preset supplies the particle
-set and temperature grid unless those are given; `--validate` ignores the
-sweep settings. A sweep writes `<out>.csv` and `<out>.json`. Exit codes:
-0 success, 1 validation failure, 2 bad configuration (a bad value or
+the flag `--key=value` (`_` in a key reads as `-`; the switch `strict`
+takes a yes/no word), so a file value is checked exactly as the flag is.
+The file's flags are parsed first, with no prefix matching, and the
+command line on top, so flags win. A preset supplies the particle set and
+temperature grid unless those are given. A sweep writes `<out>.csv` and
+`<out>.json`. Exit codes: 0 success, 2 bad configuration (a bad value or
 choice, an unknown file key, a temperature grid of more than
 sweep.MAX_GRID_POINTS points, an `--out` whose directory is missing or
 not writable or whose `<out>.csv` or `<out>.json` is a directory, and a
@@ -37,7 +36,7 @@ from .sweep import (
 __all__ = ["main"]
 
 # Config-file keys that are bare switches on the command line.
-SWITCHES = ("strict", "validate")
+SWITCHES = ("strict",)
 TRUE_WORDS = ("1", "true", "yes", "on")
 FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -105,7 +104,7 @@ def read_config_file(path: str) -> list:
 def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bosecanon",
-        description="Fixed-N trapped-boson statistics: sweeps and validation.",
+        description="Fixed-N trapped-boson statistics: sweeps.",
         allow_abbrev=allow_abbrev,
     )
     add = parser.add_argument
@@ -119,8 +118,6 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="output path base: writes OUT.csv and OUT.json (default: sweep)")
     add("--strict", action="store_true",
         help="exit 3 if any row fails to converge")
-    add("--validate", action="store_true",
-        help="run the self-check suites instead of a sweep")
     add("--config", help="flat key = value settings file; flags win")
     return parser
 
@@ -138,8 +135,6 @@ def resolve_settings(argv=None) -> argparse.Namespace:
         except ConfigError as err:
             raise ConfigError(f"{settings.config}: {err}") from None
         build_parser().parse_args(argv, settings)
-    if settings.validate:
-        return settings
     if settings.preset:
         preset = PRESETS[settings.preset]
         if settings.particles is None:
@@ -148,8 +143,7 @@ def resolve_settings(argv=None) -> argparse.Namespace:
             settings.t_grid = preset.grid()
     if settings.particles is None or settings.t_grid is None:
         raise ConfigError(
-            "nothing to do: give --preset, or --particles with --t-over-tc, "
-            "or --validate")
+            "nothing to do: give --preset, or --particles with --t-over-tc")
     # refused here, not after the whole sweep has run
     folder = os.path.dirname(settings.out) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
@@ -196,13 +190,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    if settings.validate:
-        # a sweep does not load the suites or their oracle
-        from .validate import run_validation
-
-        report = run_validation()
-        print("\n".join(report.lines()))
-        return 0 if report.passed else 1
     try:
         return _run_sweep(settings)
     except (DomainError, OSError) as err:

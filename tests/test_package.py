@@ -45,8 +45,6 @@ EXPORTS = {
     "temperature_grid": "sweep",
     "write_csv": "sweep",
     "write_json": "sweep",
-    "ValidationReport": "validate",
-    "run_validation": "validate",
 }
 
 LOADED = """
@@ -62,17 +60,13 @@ spec = bosecanon.TrapSpectrum()
 t = 0.5 * bosecanon.critical_temperature(spec, 100)
 bosecanon.canonical_observables(spec, t, 100)
 """, ENGINE_MODULES),
-    # every row needs the sweep's asymptotic limits, but not the suites
+    # every row needs the sweep's asymptotic limits, but not the oracle
     "console-sweep": ("""\
 import sys
 from bosecanon.cli import main
 main(["--particles", "100", "--t-over-tc", "0.5:0.5:0.1", "--out", sys.argv[1]])
 """, [*ENGINE_MODULES, "bosecanon.asymptotics", "bosecanon.cli",
       "bosecanon.sweep"]),
-    # the suites need the engine and the recursion, not the sweep
-    "validate-import": ("import sys\nimport bosecanon.validate\n",
-                        [*ENGINE_MODULES, "bosecanon.oracle",
-                         "bosecanon.validate"]),
 }
 
 

@@ -1,9 +1,12 @@
-"""README's python blocks run, and the values they quote are the engine's."""
+"""README's python blocks run and quote the engine; its command lines parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from bosecanon.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +29,13 @@ def test_readme_python_blocks_run_and_quote_the_engine():
             float(value), abs=1e-12), name
     tc = re.search(r"# ~(\d+\.(\d+)) for N = 1000", blocks[0])
     assert round(namespace["tc"], len(tc.group(2))) == float(tc.group(1))
+
+
+def test_readme_command_lines_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["bosecanon"]]
+    assert commands
+    for args in commands:
+        build_parser().parse_args(args)

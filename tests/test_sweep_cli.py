@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import inspect
 import json
 import math
@@ -16,7 +15,6 @@ from bosecanon import (
     critical_temperature,
     grand_canonical,
     sweep,
-    validate,
 )
 from bosecanon.canonical import ConvergenceError, canonical_observables
 from bosecanon.cli import FIT_T, main, resolve_settings
@@ -520,14 +518,17 @@ CONFIGURATION_ERRORS = {
     "particles-1e3": (["--particles", "1e3", "--t-over-tc", "0.5:0.5:0.1"],
                       None, "want whole particle numbers, got '1e3'"),
     # rows run one at a time, and a row is fixed by N and T/Tc: threads
-    # and m_max are not options
+    # and m_max are not options; the self-check is acceptance gate 08, not
+    # a mode of the command line
     "flag-threads": ([*ROW, "--threads", "2"], None, UNKNOWN),
     "flag-m-max": ([*ROW, "--m-max", "40"], None, UNKNOWN),
+    "flag-validate": ([*ROW, "--validate"], None, UNKNOWN),
     "unknown-key": ([], "particlez = 30", f"{UNKNOWN}: --particlez=30"),
     # a removed flag is an unknown key, and a flag prefix is not a key
     "key-part": (ROW, "part = 30", UNKNOWN),
     "key-threads": (ROW, "threads = 2", UNKNOWN),
     "key-m-max": (ROW, "m_max = 40", UNKNOWN),
+    "key-validate": (ROW, "validate = yes", UNKNOWN),
     "key-strict-maybe": (ROW, "strict = maybe", "strict wants yes or no"),
     "key-config": (ROW, "config = other.cfg", "want key = value"),
     "config-missing": ([*ROW, "--config", "missing.cfg"], None,
@@ -607,62 +608,6 @@ def test_cli_nonstrict_failure_still_writes(tmp_path, monkeypatch):
     assert payload["rows"][0]["error"]
 
 
-# The --validate tests repeat the same engine calls: each distinct call is
-# made once, and a perturbation applies on top of the stored result.
-@functools.lru_cache(maxsize=None)
-def _validate_call(spectrum, t, n, m_max, keywords):
-    return canonical_observables(spectrum, t, n, m_max, **dict(keywords))
-
-
-def memoized_engine(spectrum, t, n, m_max=None, **keywords):
-    return _validate_call(spectrum, t, n, m_max, tuple(keywords.items()))
-
-
-def test_cli_validate_passes(monkeypatch, capsys):
-    monkeypatch.setattr(validate, "canonical_observables", memoized_engine)
-    code = run_cli("--validate")
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "PASS" in text
-    assert "FAIL" not in text
-
-
-# The engine calls of each suite that --validate perturbs, told apart by
-# their settings: the oracle suite runs at m_max 20 and 40, the invariance
-# suites set one keyword from the probe's default evaluation (whose m_max
-# is above 40).
-SUITE_CALLS = {
-    "oracle_equivalence": lambda c: c.get("m_max") in (20, 40),
-    "offset_invariance": lambda c: c.get("ground_offset") is not None,
-    "m_max_doubling": lambda c: c.get("m_max") not in (None, 20, 40),
-    "grid_refinement": lambda c: c.get("intervals_per_oscillation") == 2,
-}
-
-
-@pytest.mark.parametrize("target, field", [
-    *(pytest.param(name, "n0_mean", id=name) for name in sorted(SUITE_CALLS)),
-    pytest.param("oracle_equivalence", "log_z_zero_offset",
-                 id="oracle_equivalence-log_z"),
-])
-def test_cli_validate_fails_exactly_the_perturbed_suite(monkeypatch, capsys,
-                                                        target, field):
-    # a relative 1e-6 error in one field under one suite's config only
-    def nudged(spectrum, t, n, m_max=None, **keywords):
-        res = memoized_engine(spectrum, t, n, m_max, **keywords)
-        if SUITE_CALLS[target]({"m_max": m_max, **keywords}):
-            res = dataclasses.replace(
-                res, **{field: getattr(res, field) * (1 + 1e-6)})
-        return res
-
-    monkeypatch.setattr(validate, "canonical_observables", nudged)
-    assert run_cli("--validate") == 1
-    status = dict(line.split()[:2]
-                  for line in capsys.readouterr().out.splitlines())
-    assert status.pop("validation:") == "FAIL"
-    assert status == {name: "FAIL" if name == target else "PASS"
-                      for name in SUITE_CALLS}
-
-
 def test_cli_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -687,7 +632,7 @@ def test_resolve_settings_preset_fills_gaps():
     st = resolve_settings(["--preset", "fig1"])
     # the settings are the flags, and no other
     assert sorted(vars(st)) == ["config", "out", "particles", "preset",
-                                "strict", "t_grid", "validate"]
+                                "strict", "t_grid"]
     assert list(st.particles) == [100, 1000, 10_000]
     assert st.t_grid is not None and len(st.t_grid) > 20
     st2 = resolve_settings(["--preset", "fig1", "--particles", "7"])
