@@ -1,19 +1,15 @@
 """Batch front end: sweeps, dataset emission, scaling fits.
 
 argparse is the one settings parser: every flag declares its type, choices
-and default once. `--config FILE` turns each flat `key = value` line into
-the flag `--key=value` (`_` in a key reads as `-`; the switch `strict`
-takes a yes/no word), so a file value is checked exactly as the flag is.
-The file's flags are parsed first, with no prefix matching, and the
-command line on top, so flags win. A preset supplies the particle set and
-temperature grid unless those are given. A sweep writes `<out>.csv` and
-`<out>.json`. Exit codes: 0 success, 2 bad configuration (a bad value or
-choice, an unknown file key, a temperature grid of more than
-sweep.MAX_GRID_POINTS points, an `--out` whose directory is missing or
-not writable or whose `<out>.csv` or `<out>.json` is a directory, and a
-count that run_sweep refuses: no particle number, or a particle number
-below 1; all refused before the first row), 3 non-converged rows under
---strict.
+and default once, and one parse of the command line sets every value. A
+preset supplies the particle set and temperature grid unless those are
+given. A sweep writes `<out>.csv` and `<out>.json`. Exit codes: 0 success,
+2 bad configuration (a bad value or choice, an unknown flag, a temperature
+grid of more than sweep.MAX_GRID_POINTS points, an `--out` with no file
+name, whose directory is missing or not writable, or whose `<out>.csv` or
+`<out>.json` is a directory, and a count that run_sweep refuses: no
+particle number, or a particle number below 1; all refused before the
+first row), 3 non-converged rows under --strict.
 """
 
 from __future__ import annotations
@@ -34,11 +30,6 @@ from .sweep import (
 )
 
 __all__ = ["main"]
-
-# Config-file keys that are bare switches on the command line.
-SWITCHES = ("strict",)
-TRUE_WORDS = ("1", "true", "yes", "on")
-FALSE_WORDS = ("0", "false", "no", "off")
 
 # After a preset sweep, every discrepancy channel is fitted at this T/Tc.
 FIT_T = 0.6
@@ -75,37 +66,10 @@ def _t_grid(text: str) -> list:
             f"bad grid {text!r}: {err}") from None
 
 
-def read_config_file(path: str) -> list:
-    """Flat key = value lines as flags; '#' starts a comment."""
-    args = []
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, value = line.partition("=")
-                key, value = key.strip().replace("_", "-"), value.strip()
-                if not eq or key == "config":
-                    raise ConfigError(f"{path}:{lineno}: want key = value "
-                                      f"(key not config), got {line!r}")
-                if key not in SWITCHES:
-                    args.append(f"--{key}={value}")
-                elif value.lower() in TRUE_WORDS:
-                    args.append(f"--{key}")
-                elif value.lower() not in FALSE_WORDS:
-                    raise ConfigError(f"{path}:{lineno}: {key} wants yes "
-                                      f"or no, got {value!r}")
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from None
-    return args
-
-
-def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bosecanon",
         description="Fixed-N trapped-boson statistics: sweeps.",
-        allow_abbrev=allow_abbrev,
     )
     add = parser.add_argument
     add("--preset", choices=sorted(PRESETS),
@@ -118,23 +82,11 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="output path base: writes OUT.csv and OUT.json (default: sweep)")
     add("--strict", action="store_true",
         help="exit 3 if any row fails to converge")
-    add("--config", help="flat key = value settings file; flags win")
     return parser
 
 
 def resolve_settings(argv=None) -> argparse.Namespace:
-    argv = sys.argv[1:] if argv is None else list(argv)
     settings = build_parser().parse_args(argv)
-    if settings.config:
-        # File flags must name an option exactly. argparse sets a default
-        # only where the namespace lacks a value, so the command line,
-        # parsed second, overrides the file and keeps its other values.
-        file_args = read_config_file(settings.config)
-        try:
-            settings = build_parser(allow_abbrev=False).parse_args(file_args)
-        except ConfigError as err:
-            raise ConfigError(f"{settings.config}: {err}") from None
-        build_parser().parse_args(argv, settings)
     if settings.preset:
         preset = PRESETS[settings.preset]
         if settings.particles is None:
@@ -144,16 +96,19 @@ def resolve_settings(argv=None) -> argparse.Namespace:
     if settings.particles is None or settings.t_grid is None:
         raise ConfigError(
             "nothing to do: give --preset, or --particles with --t-over-tc")
-    # refused here, not after the whole sweep has run
-    folder = os.path.dirname(settings.out) or "."
+    # refused here, not after the whole sweep has run; from here on, out
+    # is the base of the two files
+    out = settings.out.removesuffix(".csv").removesuffix(".json")
+    settings.out = out
+    if os.path.basename(out) in ("", ".", ".."):
+        raise ConfigError(f"cannot write --out {out!r}: it has no file name")
+    folder = os.path.dirname(out) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise ConfigError(f"cannot write --out {settings.out}: "
+        raise ConfigError(f"cannot write --out {out}: "
                           f"{folder} is not a writable directory")
-    # from here on, out is the base of the two files
-    settings.out = settings.out.removesuffix(".csv").removesuffix(".json")
-    for target in (f"{settings.out}.csv", f"{settings.out}.json"):
+    for target in (f"{out}.csv", f"{out}.json"):
         if os.path.isdir(target):
-            raise ConfigError(f"cannot write --out {settings.out}: "
+            raise ConfigError(f"cannot write --out {out}: "
                               f"{target} is a directory")
     return settings
 

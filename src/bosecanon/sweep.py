@@ -213,7 +213,7 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
         raise DomainError("a sweep needs at least one particle number and "
                           "one temperature")
     points = [(n, t) for n in particles for t in t_grid]
-    started = time.time()
+    started = time.perf_counter()
     if workers == 1:
         rows = [compute_row(spectrum, n, t) for n, t in points]
     else:
@@ -227,7 +227,7 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
         "particles": particles,
         "t_grid": t_grid,
         "level_spacing": spectrum.level_spacing,
-        "elapsed_seconds": round(time.time() - started, 3),
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
         "failed_rows": sum(1 for r in rows if r.error),
     }
     return SweepResult(rows=rows, meta=meta)

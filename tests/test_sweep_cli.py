@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import os
@@ -318,6 +319,13 @@ def test_sweep_thread_count_none_zero_negative_rejected():
             run_sweep((20,), [0.5], threads=threads)
 
 
+def test_sweep_timing_ignores_a_wall_clock_step(monkeypatch):
+    # a wall clock set back an hour at every read leaves the time >= 0
+    ticks = itertools.count(0.0, -3600.0)
+    monkeypatch.setattr(sweep.time, "time", lambda: next(ticks))
+    assert run_sweep((20,), [0.5]).meta["elapsed_seconds"] >= 0
+
+
 @pytest.mark.parametrize("particles, t_grid", [([], [0.5]), ([100], [])],
                          ids=["no-particles", "no-temperatures"])
 def test_sweep_refuses_an_empty_particle_list_or_grid(particles, t_grid):
@@ -494,67 +502,57 @@ UNKNOWN = "unrecognized arguments"
 # the count rule of run_sweep, met before its first row
 COUNT = "must be a finite integer >= 1, got 0"
 CONFIGURATION_ERRORS = {
-    # id: (arguments, config file text or None, fragment of the message); a
-    # config file is passed as --config run.cfg after the arguments
-    "unknown-preset": (["--preset", "fig9"], None, "invalid choice"),
+    # id: (arguments, fragment of the message)
+    "unknown-preset": (["--preset", "fig9"], "invalid choice"),
     "grid-without-step": (["--particles", "10", "--t-over-tc", "0.5:0.9"],
-                          None, "want start:stop:step"),
+                          "want start:stop:step"),
     "reversed-grid": (["--particles", "10", "--t-over-tc", "0.9:0.5:0.1"],
-                      None, "lies below its start"),
+                      "lies below its start"),
     "empty-grid": (["--particles", "100", "--t-over-tc", "0.5:0.5:1e-20"],
-                   None, "no points"),
+                   "no points"),
     # about 10^16 points: refused from its count, before any array
     "huge-grid": (["--particles", "100", "--t-over-tc", "0.1:1.4:1e-16"],
-                  None, "more than the 100000"),
+                  "more than the 100000"),
     # 11 points that the grid's 10-digit rounding would merge into 2
     "too-fine-step": (["--particles", "30",
                        "--t-over-tc", "0.1:0.1000000001:1e-11"],
-                      None, "grid step 1e-11 is too fine"),
-    "empty-request": ([], None, "nothing to do"),
+                      "grid step 1e-11 is too fine"),
+    "empty-request": ([], "nothing to do"),
     "particles-zero": (["--particles", "0", "--t-over-tc", "0.5:0.5:0.1"],
-                       None, f"particle number {COUNT}"),
+                       f"particle number {COUNT}"),
     "particles-empty": (["--particles", ",", "--t-over-tc", "0.5:0.5:0.1"],
-                        None, "a sweep needs at least one particle number"),
+                        "a sweep needs at least one particle number"),
     "particles-1e3": (["--particles", "1e3", "--t-over-tc", "0.5:0.5:0.1"],
-                      None, "want whole particle numbers, got '1e3'"),
+                      "want whole particle numbers, got '1e3'"),
     # rows run one at a time, and a row is fixed by N and T/Tc: threads
     # and m_max are not options; the self-check is acceptance gate 08, not
-    # a mode of the command line
-    "flag-threads": ([*ROW, "--threads", "2"], None, UNKNOWN),
-    "flag-m-max": ([*ROW, "--m-max", "40"], None, UNKNOWN),
-    "flag-validate": ([*ROW, "--validate"], None, UNKNOWN),
-    "unknown-key": ([], "particlez = 30", f"{UNKNOWN}: --particlez=30"),
-    # a removed flag is an unknown key, and a flag prefix is not a key
-    "key-part": (ROW, "part = 30", UNKNOWN),
-    "key-threads": (ROW, "threads = 2", UNKNOWN),
-    "key-m-max": (ROW, "m_max = 40", UNKNOWN),
-    "key-validate": (ROW, "validate = yes", UNKNOWN),
-    "key-strict-maybe": (ROW, "strict = maybe", "strict wants yes or no"),
-    "key-config": (ROW, "config = other.cfg", "want key = value"),
-    "config-missing": ([*ROW, "--config", "missing.cfg"], None,
-                       "cannot read config file missing.cfg"),
+    # a mode of the command line; the flags are the only settings
+    "flag-threads": ([*ROW, "--threads", "2"], UNKNOWN),
+    "flag-m-max": ([*ROW, "--m-max", "40"], UNKNOWN),
+    "flag-validate": ([*ROW, "--validate"], UNKNOWN),
+    "flag-config": ([*ROW, "--config", "run.cfg"], UNKNOWN),
     # refused before the sweep, not after it
-    "out-in-missing-dir": ([*ROW, "--out", "missing/run"], None,
+    "out-in-missing-dir": ([*ROW, "--out", "missing/run"],
                            "missing is not a writable directory"),
+    # a directory alone names no file: not hidden .csv and .json files
+    "out-trailing-slash": ([*ROW, "--out", "./"], "has no file name"),
+    "out-empty": ([*ROW, "--out", ""], "has no file name"),
+    "out-dot": ([*ROW, "--out", "."], "has no file name"),
 }
 
 
-@pytest.mark.parametrize("args, config, fragment",
-                         CONFIGURATION_ERRORS.values(),
+@pytest.mark.parametrize("args, fragment", CONFIGURATION_ERRORS.values(),
                          ids=CONFIGURATION_ERRORS.keys())
 def test_cli_configuration_error_exits_2(tmp_path, monkeypatch, capsys,
-                                         args, config, fragment):
+                                         args, fragment):
     # exit 2 with the message, and nothing computed or written
     monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config + "\n")
-        args = [*args, "--config", "run.cfg"]
     rows = []
     monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert "configuration error: " in err and fragment in err
-    assert os.listdir(tmp_path) == ([] if config is None else ["run.cfg"])
+    assert os.listdir(tmp_path) == []
     assert rows == []
 
 
@@ -608,53 +606,12 @@ def test_cli_nonstrict_failure_still_writes(tmp_path, monkeypatch):
     assert payload["rows"][0]["error"]
 
 
-def test_cli_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# sweep defaults\n"
-        "particles = 30\n"
-        "t-over-tc = 0.5:0.5:0.1\n"
-        f"out = {tmp_path / 'fromfile'}\n"
-    )
-    assert run_cli("--config", str(cfg)) == 0
-    # flags win over the file
-    assert run_cli("--config", str(cfg), "--particles", "40",
-                   "--out", str(tmp_path / "override")) == 0
-    assert sorted(os.listdir(tmp_path)) == [
-        "fromfile.csv", "fromfile.json", "override.csv", "override.json",
-        "run.cfg"]
-    for name, particles in (("fromfile", 30), ("override", 40)):
-        with open(tmp_path / f"{name}.json") as fh:
-            assert json.load(fh)["meta"]["particles"] == [particles]
-
-
 def test_resolve_settings_preset_fills_gaps():
     st = resolve_settings(["--preset", "fig1"])
     # the settings are the flags, and no other
-    assert sorted(vars(st)) == ["config", "out", "particles", "preset",
-                                "strict", "t_grid"]
+    assert sorted(vars(st)) == ["out", "particles", "preset", "strict",
+                                "t_grid"]
     assert list(st.particles) == [100, 1000, 10_000]
     assert st.t_grid is not None and len(st.t_grid) > 20
     st2 = resolve_settings(["--preset", "fig1", "--particles", "7"])
     assert list(st2.particles) == [7]
-
-
-@pytest.mark.parametrize("line, flags", [
-    ("t_over_tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
-    ("t-over-tc = 0.2:0.4:0.1", ["--t-over-tc", "0.2:0.4:0.1"]),
-    ("particles = 7", ["--particles", "7"]),
-    ("strict = yes", ["--strict"]),
-    ("strict = no", []),
-    ("out = elsewhere", ["--out", "elsewhere"]),
-])
-def test_config_line_equals_flag(tmp_path, line, flags):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    # the preset supplies whatever grid the line or flag leaves out
-    from_file = vars(resolve_settings(["--preset", "fig1",
-                                       "--config", str(cfg)]))
-    from_flag = vars(resolve_settings(["--preset", "fig1", *flags]))
-    assert from_file.pop("config") == str(cfg)
-    assert from_flag.pop("config") is None
-    assert from_file == from_flag
-
