@@ -32,7 +32,6 @@ from .canonical import (
 from .grand_canonical import (
     GrandCanonicalState,
     auto_m_max,
-    mean_occupation,
     solve_fugacity,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "canonical_observables",
     "GrandCanonicalState",
     "auto_m_max",
-    "mean_occupation",
     "solve_fugacity",
     *_LAZY_HOME,
 ]

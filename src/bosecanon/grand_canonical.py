@@ -1,15 +1,12 @@
 """Grand-canonical reference model for the trapped ideal Bose gas.
 
-Closed forms used throughout; the solved state takes them for n0 and
-delta_n0, and _occupation_sums and number_variance sum them over levels:
-
-  occupation of a state at energy E:   n = 1 / (exp((E - mu)/T) - 1)
-  its fluctuation:                     dn = sqrt(n (n + 1))
-
-Energies are measured from the ground level, so the fugacity exp(mu/T)
-lies in (0, 1) and obeys exp(-mu/T) = 1 + 1/N_0 where N_0 is the ground
-occupation: mu -> 0 from below as N_0 grows. Distinct states are
-statistically independent in this ensemble: cross covariances vanish.
+Energies are measured from the ground level, so the relative fugacity
+x0 = exp(mu/T) lies in (0, 1) and mu -> 0 from below as n0 grows. The
+solved state reads the ground state's mean and spread from x0 alone:
+n0 = x0/(1 - x0) and delta_n0 = sqrt(x0)/(1 - x0) = sqrt(n0 (n0 + 1)).
+Only the level sums (_occupation_sums, number_variance) use the per-state
+occupation n = 1/(exp((E - mu)/T) - 1) and its variance n (n + 1).
+Distinct states are independent in this ensemble: cross covariances vanish.
 
 Finite sums run over levels 0..m_max, resolved by auto_m_max alone; every
 n1 consumer applies _level_one's level-1 rule. On the unbounded ladder the
@@ -38,7 +35,6 @@ from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
 __all__ = [
     "GrandCanonicalState",
     "LevelLadder",
-    "mean_occupation",
     "solve_fugacity",
     "auto_m_max",
 ]
@@ -77,13 +73,6 @@ def _level_one(t: float, top: int) -> None:
             f"temperature {t} is too small for the n1 observables: the "
             f"level-1 Boltzmann factor exp(-1/T) = {q1:.3g} underflows the "
             "normal doubles")
-
-
-def mean_occupation(t: float, energy: float, mu: float) -> float:
-    """Bose-Einstein occupation of one state: 1/(exp((E-mu)/T) - 1)."""
-    _finite_real("temperature", t)
-    _finite_real("energy - mu", energy - mu)
-    return 1.0 / math.expm1((energy - mu) / t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,14 +141,15 @@ class GrandCanonicalState:
 
     @property
     def n0(self) -> float:
-        """Mean occupation of the ground state."""
-        return mean_occupation(self.t, 0.0, self.mu)
+        """Mean occupation x0/(1 - x0) of the ground state."""
+        return self.relative_fugacity / (1.0 - self.relative_fugacity)
 
     @property
     def delta_n0(self) -> float:
-        """RMS fluctuation sqrt(n0(n0+1)) of the ground-state occupation."""
-        n0 = self.n0
-        return math.sqrt(n0 * (n0 + 1.0))
+        """RMS fluctuation sqrt(x0)/(1 - x0) = sqrt(n0(n0+1)) of the
+        ground-state occupation."""
+        x0 = self.relative_fugacity
+        return math.sqrt(x0) / (1.0 - x0)
 
     @property
     def number_variance(self) -> float:

@@ -12,8 +12,9 @@ continuum excited-state capacity ``zeta(3) * T**3``, giving
 ``Tc = N**(1/3) * zeta(3)**(-1/3)``.
 
 Input rule for the package: particle numbers, level indices and thread
-counts are finite whole numbers, not bools; temperatures and energy scales
-are finite. Anything else is a DomainError naming the quantity.
+counts are finite whole numbers; temperatures and energy scales are finite
+real numbers. Neither is a bool, None, a string or a complex number.
+Anything else is a DomainError naming the quantity.
 """
 
 from __future__ import annotations
@@ -40,9 +41,23 @@ class DomainError(ValueError):
     """Raised when an input lies outside the physical domain of a formula."""
 
 
+def _is_real(value) -> bool:
+    """Whether value orders as a real number: not a bool, None, a string or
+    a complex number."""
+    if isinstance(value, (bool, np.bool_, np.complexfloating)):
+        return False
+    try:
+        value < 0.0
+    except TypeError:
+        return False
+    return True
+
+
 def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
-    """value, if it is finite and positive (or zero, with allow_zero)."""
-    if not (0 <= value < math.inf and (allow_zero or value != 0)):
+    """value, if it is a real number, finite and positive (or zero, with
+    allow_zero)."""
+    if not (_is_real(value) and 0 <= value < math.inf
+            and (allow_zero or value != 0)):
         sign = "nonnegative" if allow_zero else "positive"
         raise DomainError(f"{name} must be {sign} and finite, got {value}")
     return value
@@ -51,12 +66,8 @@ def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
 def _integer(name: str, value: int, floor: int) -> int:
     """value as an int if it is a finite whole number >= floor, not a bool;
     never floored."""
-    try:
-        whole = (not isinstance(value, (bool, np.bool_))
-                 and floor <= value <= sys.float_info.max and value % 1 == 0)
-    except TypeError:  # None, or not a number at all
-        whole = False
-    if not whole:
+    if not (_is_real(value) and floor <= value <= sys.float_info.max
+            and value % 1 == 0):
         raise DomainError(f"{name} must be a finite integer >= {floor}, got {value}")
     return int(value)
 

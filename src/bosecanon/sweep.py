@@ -36,7 +36,7 @@ from .canonical import ConvergenceError, canonical_observables
 # benchmark tracer (perfbench/spans.py) patches sweep.solve_fugacity.
 from .grand_canonical import solve_fugacity  # noqa: F401
 from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
-                       critical_temperature)
+                       _is_real, critical_temperature)
 
 __all__ = [
     "SweepRow",
@@ -103,11 +103,12 @@ class SweepResult:
 
 def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
     """Evaluate one grid point on the automatic ladder (auto_m_max);
-    convergence failures become error records."""
+    convergence failures and a T/Tc that is not a positive, finite real
+    number become error records."""
     tc = critical_temperature(spectrum, n)
-    t = t_over_tc * tc
+    t = math.nan
     try:
-        _finite_real("t_over_tc", t_over_tc)
+        t = _finite_real("t_over_tc", t_over_tc) * tc
         r = canonical_observables(spectrum, t, n)
         gc = r.gc_state
     except (ConvergenceError, DomainError) as err:
@@ -192,8 +193,10 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     N and T/Tc alone: each resolves its levels with auto_m_max.
 
     A count that is not a whole number >= 1, None included, is a
-    DomainError, and so is an empty particle list or temperature grid;
-    all are refused before the first row.
+    DomainError, and so is a temperature that is not a real number (None,
+    a string, a bool) or an empty particle list or temperature grid; all
+    are refused before the first row. A real T/Tc that is not positive and
+    finite becomes that row's error record.
 
     threads > 1 computes that many rows at once on worker threads, the
     same rows bit for bit. It is not a user setting, because it does not
@@ -208,6 +211,10 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     workers = _integer("threads", threads, 1)
     spectrum = TrapSpectrum()
     particles = [_integer("particle number", n, 1) for n in particles]
+    t_grid = list(t_grid)
+    for t in t_grid:
+        if not _is_real(t):
+            raise DomainError(f"t_over_tc must be a real number, got {t!r}")
     t_grid = [float(t) for t in t_grid]
     if not (particles and t_grid):
         raise DomainError("a sweep needs at least one particle number and "

@@ -15,7 +15,7 @@ from bosecanon.asymptotics import (
     delta_n0_fraction_limit,
 )
 from bosecanon.canonical import ConvergenceError, canonical_observables
-from bosecanon.grand_canonical import auto_m_max, mean_occupation, solve_fugacity
+from bosecanon.grand_canonical import auto_m_max, solve_fugacity
 from bosecanon.oracle import (ORACLE_MAX_N, _demon_forms, enumerate_exact,
                               recursion_table, truth)
 from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
@@ -126,10 +126,6 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: canonical_observables(SPEC, 5.0, 10,
                                   intervals_per_oscillation=math.inf),
     lambda: canonical_observables(SPEC, 5.0, 10, ground_offset=math.inf),
-    lambda: mean_occupation(math.inf, 1.0, 0.0),
-    lambda: mean_occupation(1.0, math.nan, 0.0),
-    lambda: mean_occupation(1.0, 1.0, math.nan),
-    lambda: mean_occupation(1.0, math.inf, 0.0),
     lambda: recursion_table(SPEC, math.inf, 5),
     lambda: recursion_table(SPEC, 5.0, 2.5, m_max=10),
     lambda: recursion_table(SPEC, 2.0, 50).occupation(-1.0),
@@ -155,12 +151,24 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: critical_temperature(SPEC, np.True_),
     lambda: TrapSpectrum(max_level=np.True_),
     lambda: run_sweep([100], [0.5], threads=True),
+    lambda: canonical_observables(SPEC, None, 10),
+    lambda: canonical_observables(SPEC, "1", 10),
+    lambda: canonical_observables(SPEC, 1 + 0j, 10),
+    lambda: canonical_observables(SPEC, True, 10),
+    lambda: solve_fugacity(SPEC, None, 10),
+    lambda: truth(SPEC, None, 10),
+    lambda: recursion_table(SPEC, None, 5),
+    lambda: temperature_grid(None, 1.0, 0.1),
+    lambda: canonical_observables(SPEC, 5.0, 10, ground_offset=True),
+    lambda: InteractionParams(True),
+    lambda: condensate_fraction_limit(True),
+    lambda: run_sweep([100], [None]),
+    lambda: run_sweep([100], ["0.5"]),
 ], ids=["offset-nan", "offset-inf", "t-inf", "t-nan", "gc-t-inf",
         "n-fractional", "n-nan", "n-inf", "gc-n-inf", "gc-n-fractional",
         "tc-n-nan", "tc-n-fractional", "tc-n-inf", "row-n-fractional",
         "sweep-n-fractional", "ipo-fractional", "ipo-inf", "forced-offset-inf",
-        "occupation-t-inf", "occupation-energy-nan", "occupation-mu-nan",
-        "occupation-energy-inf", "recursion-t-inf", "recursion-n-fractional",
+        "recursion-t-inf", "recursion-n-fractional",
         "recursion-occupation-negative", "recursion-occupation-nan",
         "recursion-occupation-inf", "recursion-cross-moment-inf",
         "enumeration-t-inf", "enumeration-energy-inf", "demon-n-fractional",
@@ -168,7 +176,10 @@ def test_explicit_offset_changes_log_z_but_not_observables():
         "crossover-t-inf", "pair-energy-nan", "pair-energy-inf",
         "fraction-limit-nan", "eq10-n-nan", "eq12-n-inf", "grid-stop-inf",
         "fit-t-nan", "n-bool", "tc-n-numpy-bool", "max-level-numpy-bool",
-        "sweep-threads-bool"])
+        "sweep-threads-bool", "t-none", "t-str", "t-complex", "t-bool",
+        "gc-t-none", "truth-t-none", "recursion-t-none", "grid-start-none",
+        "forced-offset-bool", "pair-energy-bool", "fraction-limit-bool",
+        "sweep-t-none", "sweep-t-str"])
 def test_non_finite_or_fractional_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -16,27 +16,10 @@ from bosecanon.grand_canonical import (
     _level_ladder,
     _occupation_sums,
     auto_m_max,
-    mean_occupation,
     solve_fugacity,
 )
 
 SPEC = TrapSpectrum()
-
-
-def test_mean_occupation_bose_form():
-    # E - mu = T ln 2  ->  n = 1/(2-1) = 1
-    t = 3.0
-    assert mean_occupation(t, t * math.log(2.0), 0.0) == pytest.approx(1.0)
-    assert mean_occupation(1.0, 10.0, 0.0) == pytest.approx(
-        1.0 / math.expm1(10.0), rel=1e-14
-    )
-
-
-def test_mean_occupation_rejects_chemical_potential_at_or_above_level():
-    with pytest.raises(DomainError):
-        mean_occupation(1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        mean_occupation(1.0, 1.0, 1.5)
 
 
 def test_auto_m_max_grows_with_temperature():
@@ -88,7 +71,7 @@ def test_number_variance_sums_state_terms(n, t):
     m_max = auto_m_max(SPEC, t)
     brute = 0.0
     for m in range(m_max + 1):
-        occ = mean_occupation(t, float(m), state.mu)
+        occ = 1.0 / math.expm1((m - state.mu) / t)
         g = (m + 1) * (m + 2) // 2
         brute += g * occ * (occ + 1.0)
     # tail closure adds a little beyond the explicit ladder: its
@@ -120,7 +103,7 @@ def test_finite_spectrum_sums_have_no_tail():
         state = solve_fugacity(spec, t, n)
         assert state.m_max == auto_m_max(spec, t) == top
         brute = sum(
-            (m + 1) * (m + 2) // 2 * mean_occupation(t, float(m), state.mu)
+            (m + 1) * (m + 2) // 2 / math.expm1((m - state.mu) / t)
             for m in range(top + 1)
         )
         total = _occupation_sums(state.ladder, state.relative_fugacity)
@@ -159,7 +142,7 @@ def test_excited_limit_matches_explicit_sum_at_high_t():
     t = 400.0
     m_max = auto_m_max(SPEC, t)
     brute = sum(
-        (m + 1) * (m + 2) / 2.0 * mean_occupation(t, float(m), 0.0)
+        (m + 1) * (m + 2) / 2.0 / math.expm1(m / t)
         for m in range(1, m_max + 1)
     )
     cap = ZETA3 * t**3
@@ -219,6 +202,19 @@ def test_single_state_distribution_is_geometric(target):
     assert var == pytest.approx(target * (target + 1.0), rel=1e-12)
     assert state.n0 == pytest.approx(mean, rel=1e-12)
     assert state.delta_n0 == pytest.approx(math.sqrt(var), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, t_frac", [(1, 1.0), (100, 0.5), (10**4, 1.0),
+                                       (10**6, 0.05), (10**6, 3.0)])
+def test_state_reads_n0_and_its_spread_from_the_fugacity(n, t_frac):
+    # n0 is x0/(1 - x0) in one rounding, and sqrt(x0)/(1 - x0) is the
+    # geometric spread sqrt(n0 (n0 + 1)) to within a few ulps
+    state = solve_fugacity(SPEC, t_frac * critical_temperature(SPEC, n), n)
+    x0 = state.relative_fugacity
+    assert state.n0 == x0 / (1 - x0)
+    n0 = state.n0
+    assert state.delta_n0 == pytest.approx(math.sqrt(n0 * (n0 + 1.0)),
+                                           rel=1e-15, abs=0.0)
 
 
 def test_state_at_or_above_the_divergence_is_a_domain_error():

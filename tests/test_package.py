@@ -22,7 +22,6 @@ EXPORTS = {
     "canonical_observables": "canonical",
     "GrandCanonicalState": "grand_canonical",
     "auto_m_max": "grand_canonical",
-    "mean_occupation": "grand_canonical",
     "solve_fugacity": "grand_canonical",
     "DELTA_N0_PREFACTOR": "asymptotics",
     "DampingCrossover": "asymptotics",

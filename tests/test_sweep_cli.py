@@ -75,12 +75,15 @@ def test_compute_row_records_failures_instead_of_raising(monkeypatch):
     assert math.isnan(row.n0_mean)
 
 
-@pytest.mark.parametrize("t_over_tc", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("t_over_tc",
+                         [-1.0, 0.0, math.nan, math.inf, None, True])
 def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc):
     # a bad T/Tc is a row error naming the caller's value, not the
-    # temperature it scales to; a bad N is refused (critical_temperature)
+    # temperature it scales to, which stays unpopulated; a bad N is
+    # refused (critical_temperature)
     row = compute_row(SPEC, 100, t_over_tc)
     assert row.converged == 0
+    assert math.isnan(row.t_over_spacing)
     assert row.error == ("DomainError: t_over_tc must be positive and "
                          f"finite, got {t_over_tc}")
 
@@ -355,6 +358,24 @@ def test_fit_scaling_recovers_exponent(small_sweep):
     assert fit.points == 3
     assert -1.6 < fit.exponent < -0.7
     assert math.isfinite(fit.stderr)
+
+
+def test_sweep_above_twice_tc_up_to_n_1e5_meets_the_open_system():
+    # far above Tc the grand-canonical ensemble's extra fluctuation is a
+    # 1/N effect: the condensate mismatch falls like 1/N, and at N = 10^5
+    # the canonical spread sits on the open system's (delta_ne is left
+    # unbounded: above Tc it carries the known N_ex cancellation)
+    rows = run_sweep([10**3, 10**4, 10**5], [2.0, 3.0]).rows
+    assert all(r.converged == 1 for r in rows)
+    for r in rows:
+        assert r.n0_mean + r.ne_mean == pytest.approx(r.n, rel=1e-12, abs=0.0)
+    for t in (2.0, 3.0):
+        fit = fit_scaling(rows, "gc_discrepancy", t)
+        assert fit.points == 3
+        assert abs(fit.exponent - (-1.0)) <= 0.1, (t, fit)
+    for r in rows:
+        if r.n == 10**5:
+            assert r.delta_n0 == pytest.approx(r.gc_delta_n0, rel=1e-5)
 
 
 def test_fit_scaling_skips_rows_without_a_condensate_limit(tmp_path):
