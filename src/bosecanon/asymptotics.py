@@ -58,7 +58,7 @@ def delta_n0_fraction_limit(n: int, t_over_tc: float) -> float:
     Dividing by N0 = N (1 - t^3) and trading T/eps for t N^{1/3} zeta(3)^{-1/3}
     leaves n^{-1/2} t^{3/2} / (1 - t^3) times the prefactor above.
     """
-    _integer("particle number", n, 1)
+    n = _integer("particle number", n, 1)
     _check_below_transition(t_over_tc)
     t3 = t_over_tc**3
     return DELTA_N0_PREFACTOR * t_over_tc**1.5 / ((1.0 - t3) * math.sqrt(n))
@@ -66,7 +66,7 @@ def delta_n0_fraction_limit(n: int, t_over_tc: float) -> float:
 
 def correlation_limit(n: int, t_over_tc: float) -> float:
     """Leading estimate of <dn0 dn1>/(N0 N1): negative, vanishing as N^{-2/3}."""
-    _integer("particle number", n, 1)
+    n = _integer("particle number", n, 1)
     _check_below_transition(t_over_tc)
     t3 = t_over_tc**3
     return -(n ** (-2.0 / 3.0)) * t_over_tc / ((1.0 - t3) * ZETA3 ** (1.0 / 3.0))

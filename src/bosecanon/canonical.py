@@ -268,7 +268,7 @@ def canonical_observables(
     intervals_per_oscillation: multiplies the grid density floor.
     """
     _finite_real("temperature", t)
-    _integer("particle number", n, 1)
+    n = _integer("particle number", n, 1)
     ipo = _integer("intervals_per_oscillation", intervals_per_oscillation, 1)
     if ground_offset is not None:
         ground_offset = float(_finite_real("forced ground_offset",

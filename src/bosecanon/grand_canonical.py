@@ -177,7 +177,7 @@ def solve_fugacity(
     the top of the bracket, a DomainError checked before the loop.
     """
     _finite_real("temperature", t)
-    _integer("target particle number", n_target, 1)
+    n_target = _integer("target particle number", n_target, 1)
     mm = auto_m_max(spectrum, t, m_max)
     ladder = _level_ladder(spectrum, t, mm)
 

@@ -65,11 +65,16 @@ def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
 
 def _integer(name: str, value: int, floor: int) -> int:
     """value as an int if it is a finite whole number >= floor, not a bool;
-    never floored."""
-    if not (_is_real(value) and floor <= value <= sys.float_info.max
-            and value % 1 == 0):
+    never floored. The bounds are compared on the int, so a narrow float
+    such as np.float32 is never cast to the double range's top."""
+    try:
+        whole = int(value) if _is_real(value) else None
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, arrays
+        whole = None
+    if whole is None or whole != value or not (
+            floor <= whole <= sys.float_info.max):
         raise DomainError(f"{name} must be a finite integer >= {floor}, got {value}")
-    return int(value)
+    return whole
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -99,8 +104,8 @@ class TrapSpectrum:
 
 def critical_temperature(spectrum: TrapSpectrum, n: int) -> float:
     """Condensation temperature ``N^(1/3) zeta(3)^(-1/3)``."""
-    _integer("particle number", n, 1)
-    return float(n / ZETA3) ** (1.0 / 3.0)
+    n = _integer("particle number", n, 1)
+    return (n / ZETA3) ** (1.0 / 3.0)
 
 
 def weighted_geometric_tail(x: float, m_max: int) -> float:

@@ -57,8 +57,6 @@ def test_01_recursion_equivalence_full_grid():
     temps = (0.5, 2.0, 5.0, 10.0)
     ladders = (20, 40)
     bound = 1e-8
-    # warm the kernels so the timed region measures the math, not compilation
-    canonical_observables(TrapSpectrum(max_level=20), 1.0, 2)
     started = time.perf_counter()
     worst = 0.0
     for t in temps:

@@ -191,8 +191,14 @@ def test_integral_particle_numbers_of_any_type_agree():
         return repr([getattr(res, name) for name in MOMENTS])
 
     base = moments(SPEC, 5.0, 10)
-    for n in (np.int64(10), np.int32(10), 10.0):
+    for n in (np.int64(10), np.int32(10), 10.0, np.float32(10)):
         assert moments(SPEC, 5.0, n) == base
+        # every formula takes the integer rule's int, not the caller's type
+        assert type(canonical_observables(SPEC, 5.0, n).n) is int
+        assert repr([critical_temperature(SPEC, n), correlation_limit(n, 0.5),
+                     solve_fugacity(SPEC, 5.0, n).relative_fugacity]) == repr(
+            [critical_temperature(SPEC, 10), correlation_limit(10, 0.5),
+             solve_fugacity(SPEC, 5.0, 10).relative_fugacity])
     # integral level indices of numpy type too
     assert moments(SPEC, 5.0, 10, np.int64(30)) == moments(SPEC, 5.0, 10, 30)
     assert moments(TrapSpectrum(max_level=np.int64(45)), 5.0, 60) == moments(
@@ -452,15 +458,16 @@ def row(n, t=None, t_over_tc=None, spec=SPEC, m_max=None, n0_rel=1e-10,
 # which are kept as they were. Measured delta_n0:
 # 2e-15..4e-14 on the first four rows, 5e-16..3e-12 on the other rows
 # above Tc; below it 5.9e-12 at (200, 0.5), 1.7e-9 at (10^4, 0.6),
-# 4.5e-3 at (100, 0.01), 1.3e-4 at (1000, 0.01), 7.7e-7 at (10^4, 0.05),
-# 2.8e-7 at (10^4, 0.1), 4.3e-6 at the oracle's cap, 3.2e-4 at
-# (10^5, 0.05), 4.1e-7 at (10^5, 0.3) and 7.9e-8 at (10^5, 0.8).
-# Measured delta_ne: 1.8e-15..2.0e-13 on the other rows below Tc,
-# 6.7e-12 at (10^4, 0.6), 2.1e-12 at (10^5, 0.05), 5.2e-11 at (10^5, 0.3)
-# and 3.0e-10 at (10^5, 0.8); above Tc 1.3e-12..8.1e-12 on tail-45,
-# truncate-45 and (200, 1.2), 1.1e-11 on tail-auto, 4.6e-9 on finite-400,
-# 1.3e-9 at (100, 3), 1.9e-8 at (1000, 3), 1.7e-7 at (10^4, 1.35) and
-# 1.3e-5 at (10^4, 3).
+# 6.1e8 at (3, 0.01) (1.03e-7 against an exact 1.70e-16), 4.5e-3 at
+# (100, 0.01), 1.3e-4 at (1000, 0.01), 7.7e-7 at (10^4, 0.05), 2.8e-7 at
+# (10^4, 0.1), 4.3e-6 at the oracle's cap, 3.2e-4 at (10^5, 0.05),
+# 4.1e-7 at (10^5, 0.3) and 7.9e-8 at (10^5, 0.8).
+# Measured delta_ne: 4.1e-15 at (3, 0.01), 1.8e-15..2.0e-13 on the other
+# rows below Tc, 6.7e-12 at (10^4, 0.6), 2.1e-12 at (10^5, 0.05),
+# 5.2e-11 at (10^5, 0.3) and 3.0e-10 at (10^5, 0.8); above Tc
+# 1.3e-12..8.1e-12 on tail-45, truncate-45 and (200, 1.2), 1.1e-11 on
+# tail-auto, 4.6e-9 on finite-400, 1.3e-9 at (100, 3), 1.9e-8 at
+# (1000, 3), 1.7e-7 at (10^4, 1.35) and 1.3e-5 at (10^4, 3).
 TRUTH_ROWS = [
     row(60, 4.0, spec=TrapSpectrum(max_level=45), id="truncate-45"),
     row(60, 4.0, m_max=45, id="tail-45"),
@@ -475,6 +482,9 @@ TRUTH_ROWS = [
     row(10_000, t_over_tc=0.6, n0_rel=1e-7),
     row(10_000, t_over_tc=1.35, ne_rel=1e-5),
     row(10_000, t_over_tc=3.0, ne_rel=1e-3),  # midpoint rule above 2 Tc
+    # level 1 holds 1e-32 particles: the spread, 1.7e-16, survives in
+    # delta_ne and is lost to the cancellation in delta_n0
+    row(3, t_over_tc=0.01, n0_rel=1e10),
     row(100, t_over_tc=0.01, n0_rel=1e-1),
     row(100, t_over_tc=3.0, ne_rel=1e-7),
     row(1000, t_over_tc=0.01, n0_rel=1e-2),
