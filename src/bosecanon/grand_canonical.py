@@ -121,10 +121,11 @@ class GrandCanonicalState:
 
     relative_fugacity is x0 = exp(mu/T), the fugacity of the ladder with its
     ground level at zero energy; it lies in (0, 1), and every sum runs on
-    the ladder the solve built (ladder, left out of equality and repr).
+    the ladder the solve built (ladder, left out of equality and repr). The
+    spectrum is not kept: the ladder holds all of it that the sums read,
+    its levels 0..m_max and the tail weight above them.
     """
 
-    spectrum: TrapSpectrum
     t: float
     relative_fugacity: float
     m_max: int
@@ -195,4 +196,4 @@ def solve_fugacity(
             lo = mid
         else:
             hi = mid
-    return GrandCanonicalState(spectrum, t, mid, mm, ladder)
+    return GrandCanonicalState(t, mid, mm, ladder)

@@ -93,7 +93,9 @@ class TrapSpectrum:
 
     def __post_init__(self) -> None:
         if self.max_level is not None:
-            _integer("max_level", self.max_level, 0)
+            # frozen: store the checked int, not the caller's 45.0
+            object.__setattr__(self, "max_level",
+                               _integer("max_level", self.max_level, 0))
 
     def with_ground_offset(self, ground_offset: float) -> "TrapSpectrum":
         """This spectrum: its ground level is at zero, so only 0.0 is valid."""

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -207,6 +206,11 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     switches against 0-1 (resource.getrusage on the process). Only the
     benchmark's fig1_threads workload (perfbench/run.py) sets it above 1;
     the option goes once that workload is dropped (ROADMAP.md, item 1c).
+    A serial sweep, the command line's included, never imports the thread
+    pool: concurrent.futures, and with it logging, queue and traceback,
+    load only when threads > 1. On that host this took the benchmark's
+    median peak RSS from 35.70 to 35.37 MB on fig1_serial and from 35.35
+    to 34.94 MB on large_n (ten runs each, --seed 1 --seconds 10).
     """
     workers = _integer("threads", threads, 1)
     spectrum = TrapSpectrum()
@@ -224,6 +228,8 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     if workers == 1:
         rows = [compute_row(spectrum, n, t) for n, t in points]
     else:
+        # imported here: a serial sweep never loads the thread pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(compute_row, spectrum, n, t)
                        for n, t in points]

@@ -47,10 +47,12 @@ EXPORTS = {
 }
 
 LOADED = """
-print(" ".join(m for m in sys.modules if m.startswith("bosecanon")))
+print(" ".join(m for m in sys.modules
+               if m.startswith("bosecanon") or m == "concurrent.futures"))
 """
+SWEEP_MODULES = [*ENGINE_MODULES, "bosecanon.asymptotics", "bosecanon.sweep"]
 # id: (program run in a fresh interpreter, with the output base as argv[1];
-# the bosecanon modules it must leave loaded)
+# the bosecanon modules, and the thread pool, it must leave loaded)
 COLD_RUNS = {
     "engine-row": ("""\
 import sys
@@ -59,13 +61,18 @@ spec = bosecanon.TrapSpectrum()
 t = 0.5 * bosecanon.critical_temperature(spec, 100)
 bosecanon.canonical_observables(spec, t, 100)
 """, ENGINE_MODULES),
-    # every row needs the sweep's asymptotic limits, but not the oracle
+    # every row needs the sweep's asymptotic limits, but not the oracle,
+    # and a serial sweep needs no thread pool
     "console-sweep": ("""\
 import sys
 from bosecanon.cli import main
 main(["--particles", "100", "--t-over-tc", "0.5:0.5:0.1", "--out", sys.argv[1]])
-""", [*ENGINE_MODULES, "bosecanon.asymptotics", "bosecanon.cli",
-      "bosecanon.sweep"]),
+""", [*SWEEP_MODULES, "bosecanon.cli"]),
+    "threaded-sweep": ("""\
+import sys
+from bosecanon import run_sweep
+run_sweep([20], [0.5], threads=2)
+""", [*SWEEP_MODULES, "concurrent.futures"]),
 }
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +95,10 @@ def test_whole_numbers_beyond_the_double_range_are_domain_errors():
         TrapSpectrum(max_level=10**309)
     top = int(sys.float_info.max)
     assert TrapSpectrum(max_level=top).max_level == top
+    # a whole float is stored as the int it checked
+    for whole in (45.0, np.float32(45)):
+        stored = TrapSpectrum(max_level=whole).max_level
+        assert stored == 45 and type(stored) is int
 
 
 def test_energies_are_measured_from_the_ground_level():
