@@ -16,10 +16,9 @@ exp(w*S). The ground level, at zero energy, holds the rest of the
 particles, so
 
     log Z(k) = log sum_{i<=k} Z_ex(i),
-    P(n0 = N - k) = Z_ex(k) / Z(N),
+    P(n0 = N - k) = Z_ex(k) / Z(N).
 
-and n0_variance, centred over P(n0), sums positive terms only. With no
-excited level every Z_ex(k >= 1) is 0.
+With no excited level every Z_ex(k >= 1) is 0.
 
 The model is the engine's, read from the spectrum alone: the unbounded
 ladder is summed to m_max (auto_m_max when None) and its Boltzmann tail
@@ -27,12 +26,16 @@ closed, always (tail_closure takes True alone); the truncated model is a
 finite ladder, TrapSpectrum(max_level=M), summed to its top level (a larger
 m_max clamps to it) with tail weight 0.
 
-Occupations follow from the exact identity P(n >= k) = e^{-k*E/T} Z(N-k)/Z(N)
-for any state treated with Bose statistics:
+A state treated with Bose statistics obeys P(n >= s) = e^{-sE/T} Z(N-s)/Z(N),
+so the occupation of one state at energy E is
 
-    <n>    = sum_k e^{-kE/T} Z(N-k)/Z(N)
-    <n_a n_b> = sum_{s=2..N} Z(N-s)/Z(N) sum_{k=1..s-1} a^k b^{s-k}
-                (distinct states; a, b = e^{-Ea/T}, e^{-Eb/T})
+    <n> = sum_{s=1..N} e^{-sE/T} Z(N-s)/Z(N),
+
+and, inside the excited subsystem with k particles, the one level-1 state
+holds n1(k) = sum_{s=1..k} e^{-s/T} Z_ex(k-s)/Z_ex(k). truth() reads all of
+n0, Var(n0), n1 and cov(n0, n1) from the one distribution P(k), each
+centred over it (_centred_moments): no second moment is a difference of
+two large sums.
 
 truth() is the one place that picks an exact source for an (N, T): the
 recursion up to ORACLE_MAX_N, above it the closed forms of the demon
@@ -42,7 +45,7 @@ without the engine's level 1 (grand_canonical._level_one).
 
 Enumeration sums Boltzmann weights over every multiset of N states drawn
 from a tiny explicit state list; it is exact to rounding and checks the
-recursion itself. The O(N^2) build, not the O(N) moments, limits the
+recursion itself. The O(N^2) build, not the windowed moments, limits the
 recursion to ORACLE_MAX_N particles; cost limits the enumeration to N <= 6
 over at most 8 states.
 """
@@ -69,14 +72,17 @@ __all__ = [
 
 # The O(N^2) build takes 0.3 s at N = 10^4, 0.7-1.4 s at 2x10^4 from
 # T/Tc = 0.3 to 30 (M = 135 to 11,509 levels) and 4-5 s at 5x10^4 on a
-# 2-vCPU x86 host; at 2x10^4 its log Z, occupations and n0_variance are
-# within 1e-11 of a long-double run (T/Tc = 0.3 and 1).
+# 2-vCPU x86 host; truth()'s centred moments add at most 81 ms at 2x10^4
+# (T/Tc = 0.9). At 2x10^4, T/Tc = 0.97, all five truth() values are within
+# 1e-11 of a long-double run of the recursion and the moments.
 ORACLE_MAX_N = 20_000
 
 
 @dataclass(frozen=True)
 class RecursionTable:
-    """log Z(k) and log Z_ex(k) for k = 0..n, and the model they come from."""
+    """log Z(k) and log Z_ex(k) for k = 0..n, and the model they come from.
+    truth() reads its moments from log_z_excited; occupation() is the mean
+    of one state."""
 
     spectrum: TrapSpectrum
     t: float
@@ -92,37 +98,13 @@ class RecursionTable:
         return float(np.exp(-k * energy / self.t + self.log_z[self.n - 1 :: -1]
                             - self.log_z[self.n]).sum())
 
-    def n0_variance(self) -> float:
-        """Var(n0), centred over P(n0 = N - k) proportional to Z_ex(k)."""
-        p = np.exp(self.log_z_excited - self.log_z_excited.max())
-        p /= p.sum()
-        k = np.arange(self.n + 1, dtype=np.float64)
-        mean = float(p @ k)
-        return float(p @ (k - mean) ** 2)
-
-    def cross_moment(self, energy_a: float, energy_b: float) -> float:
-        """<n_a n_b> for two distinct states. The inner sum over k is
-        c^s rho (1 - rho^{s-1})/(1 - rho), c = max(a, b), rho = e^{-|Ea-Eb|/T};
-        taking the log Z ratio first keeps the rounding near 1e-14."""
-        _finite_real("state energy a", energy_a, allow_zero=True)
-        _finite_real("state energy b", energy_b, allow_zero=True)
-        s = np.arange(2, self.n + 1, dtype=np.float64)
-        log_rho = -abs(energy_a - energy_b) / self.t
-        if log_rho == 0.0:
-            inner = np.log(s - 1.0)
-        else:
-            inner = (log_rho + np.log(-np.expm1((s - 1.0) * log_rho))
-                     - math.log(-math.expm1(log_rho)))
-        expo = (inner - s * min(energy_a, energy_b) / self.t
-                + (self.log_z[: self.n - 1][::-1] - self.log_z[self.n]))
-        return float(np.exp(expo).sum())
-
 
 @dataclass(frozen=True)
 class Truth:
     """Exact log Z(N), <n0>, Var(n0), <n1>, <n0 n1> of one (N, T) model, the
     source they come from, and the demon forms' certificate log10 P(N_ex > N)
-    (None for the recursion)."""
+    (None for the recursion). From the recursion every moment is centred
+    over P(n0) by _centred_moments, and <n0 n1> = cov(n0, n1) + n0 n1."""
 
     log_z: float
     n0: float
@@ -172,6 +154,39 @@ def recursion_table(
                           np.logaddexp.accumulate(lz), lz)
 
 
+def _n1_given_k(log_z_excited: np.ndarray, k: np.ndarray,
+                t: float) -> np.ndarray:
+    """n1(k) = sum_{s=1..k} P(n1 >= s | k), P(n1 >= s | k) =
+    e^{-s/T} Z_ex(k-s)/Z_ex(k): the one level-1 state's mean with k excited
+    particles, for the consecutive k given, one s per vector step."""
+    lo, hi = int(k[0]), int(k[-1]) + 1
+    # Z_ex(k - s) for k < s is 0: pad log Z_ex below k = 0 with -inf
+    lz = np.concatenate((np.full(hi, -math.inf), log_z_excited))
+    own = log_z_excited[lo:hi]
+    n1 = np.zeros(k.size)
+    for s in range(1, hi):
+        term = np.exp(lz[hi + lo - s : 2 * hi - s] - own - s / t)
+        n1 += term
+        # P(n1 >= s | k) falls with s: once every term of a step is below
+        # 1e-17 of its running n1(k), the terms left add less than a rounding
+        if np.all(term <= 1e-17 * n1):
+            break
+    return n1
+
+
+def _centred_moments(log_w: np.ndarray, n0: np.ndarray,
+                     n1: np.ndarray) -> tuple[float, float, float, float]:
+    """<n0>, Var(n0), <n1>, cov(n0, n1) over P proportional to exp(log_w),
+    where n0 and n1 hold the values at each weight. Every moment is centred
+    over P: no second moment is a difference of two large sums."""
+    p = np.exp(log_w - log_w.max())
+    p /= p.sum()
+    mean0, mean1 = p @ n0, p @ n1
+    d0 = n0 - mean0
+    return (float(mean0), float(p @ d0 ** 2), float(mean1),
+            float(p @ (d0 * (n1 - mean1))))
+
+
 def _demon_forms(spectrum: TrapSpectrum, t: float, n: int,
                  m_max: int | None = None) -> Truth:
     """Closed forms of the "Maxwell's demon" ensemble (Grossmann & Holthaus,
@@ -214,10 +229,17 @@ def truth(spectrum: TrapSpectrum, t: float, n: int,
     _level_one(t, m_max)
     if n <= ORACLE_MAX_N:
         table = recursion_table(spectrum, t, n, m_max)
-        return Truth(log_z=float(table.log_z[n]), n0=table.occupation(0.0),
-                     n0_variance=table.n0_variance(),
-                     n1=table.occupation(1.0),
-                     n0_n1=table.cross_moment(0.0, 1.0), source="recursion")
+        lz = table.log_z_excited
+        # P(k) is log-concave in k, so past the k within e^-80 of its peak,
+        # widened by one each side, every P(k) is below e^-80 (2e-35) of an
+        # off-peak weight that is kept. Those N+1 at most move no moment of
+        # order N^2 by a rounding, even where the peak's neighbours alone
+        # carry Var(n0) and n1 (T below 1/80); they are left out.
+        k = np.flatnonzero(lz >= lz.max() - 80.0)
+        k = np.arange(max(k[0] - 1, 0), min(k[-1] + 2, n + 1))
+        n0, var, n1, cov = _centred_moments(lz[k], n - k, _n1_given_k(lz, k, t))
+        return Truth(log_z=float(table.log_z[n]), n0=n0, n0_variance=var,
+                     n1=n1, n0_n1=cov + n0 * n1, source="recursion")
     demon = _demon_forms(spectrum, t, n, m_max)
     log10_error = demon.log10_p + 2.0 * math.log10(n)
     log10_allowed = math.log10(1e-12 * demon.n0_variance)

@@ -131,7 +131,6 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: recursion_table(SPEC, 2.0, 50).occupation(-1.0),
     lambda: recursion_table(SPEC, 2.0, 50).occupation(math.nan),
     lambda: recursion_table(SPEC, 2.0, 50).occupation(math.inf),
-    lambda: recursion_table(SPEC, 2.0, 50).cross_moment(0.0, -math.inf),
     lambda: enumerate_exact((0.0, 1.0), math.inf, 3),
     lambda: enumerate_exact((0.0, math.inf), 1.0, 3),
     lambda: truth(SPEC, 5.0, 10.5, 40),
@@ -170,7 +169,7 @@ def test_explicit_offset_changes_log_z_but_not_observables():
         "sweep-n-fractional", "ipo-fractional", "ipo-inf", "forced-offset-inf",
         "recursion-t-inf", "recursion-n-fractional",
         "recursion-occupation-negative", "recursion-occupation-nan",
-        "recursion-occupation-inf", "recursion-cross-moment-inf",
+        "recursion-occupation-inf",
         "enumeration-t-inf", "enumeration-energy-inf", "demon-n-fractional",
         "demon-n-nan", "demon-n-negative", "demon-n-inf",
         "crossover-t-inf", "pair-energy-nan", "pair-energy-inf",
@@ -521,9 +520,11 @@ def test_engine_matches_its_truth(spec, n, t, m_max, n0_rel, ne_rel):
 
 
 # Where both exact sources hold, deep below Tc at up to ORACLE_MAX_N
-# particles, they agree on every quantity (measured worst 1.1e-15).
+# particles, they agree on every quantity (measured worst 2.4e-15). At
+# N = 10, T/Tc = 0.002 (T = 1/247), Var(n0), n1 and <n0 n1> are about
+# 1e-107, carried by the k = 1 next to P's peak alone.
 @pytest.mark.parametrize("n, t_over_tc", [(10_000, 0.05), (10_000, 0.1),
-                                          (ORACLE_MAX_N, 0.05)])
+                                          (ORACLE_MAX_N, 0.05), (10, 0.002)])
 def test_recursion_matches_the_demon_forms(n, t_over_tc):
     t = t_over_tc * critical_temperature(SPEC, n)
     m_max = auto_m_max(SPEC, t)
@@ -531,4 +532,4 @@ def test_recursion_matches_the_demon_forms(n, t_over_tc):
     assert recursion.source == "recursion"
     for name in ("log_z", "n0", "n0_variance", "n1", "n0_n1"):
         assert getattr(recursion, name) == pytest.approx(
-            getattr(demon, name), rel=1e-12), name
+            getattr(demon, name), rel=1e-12, abs=0.0), name

@@ -65,9 +65,10 @@ def test_recursion_matches_enumeration_with_offset(n):
     assert np.isclose(exact.mean.sum(), n, rtol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
 def test_recursion_matches_enumeration_two_level(n):
-    # two levels, degeneracies 1 and 3: small enough to count
+    # two levels, degeneracies 1 and 3: small enough to count; at N = 0
+    # every moment is exactly 0
     spec = TrapSpectrum(max_level=1)
     t = 1.1 / 0.9
     energies = [0.0, 1.0, 1.0, 1.0]
@@ -75,37 +76,12 @@ def test_recursion_matches_enumeration_two_level(n):
     table = recursion_table(spec, t, n, m_max=1)
     assert table.log_z[n] == pytest.approx(math.log(exact.z), rel=1e-12)
     assert table.occupation(0.0) == pytest.approx(exact.mean[0], rel=1e-12)
-    assert table.n0_variance() + table.occupation(0.0) ** 2 == pytest.approx(
-        exact.second[0], rel=1e-12
-    )
-    got_cross = table.cross_moment(0.0, 1.0)
-    assert got_cross == pytest.approx(exact.cross[0, 1], rel=1e-12)
-    # two distinct states of one level: the equal-energy branch
-    assert table.cross_moment(1.0, 1.0) == pytest.approx(exact.cross[1, 2],
-                                                         rel=1e-12)
-
-
-def test_cross_moment_is_symmetric():
-    spec = TrapSpectrum(max_level=60)
-    table = recursion_table(spec, 4.0, 30)
-    a = table.cross_moment(0.0, 1.0)
-    b = table.cross_moment(1.0, 0.0)
-    assert a == pytest.approx(b, rel=1e-13)
-
-
-def test_cross_moment_matches_the_double_sum():
-    # sum_{k,l>=1} e^{-(k Ea + l Eb)/T} Z(N-k-l)/Z(N) term by term, for
-    # unequal, swapped, equal and zero energies
-    t, n = 3.0 / 0.37, 40
-    table = recursion_table(TrapSpectrum(), t, n, m_max=60)
-    lz = table.log_z
-    for ea, eb in ((0.2, 0.57), (0.57, 0.2), (0.57, 0.57), (0.0, 0.0),
-                   (0.94, 0.0)):
-        ea, eb = ea / 0.37, eb / 0.37  # the unequal ones between levels
-        direct = math.fsum(
-            math.exp(-(k * ea + l * eb) / t + lz[n - k - l] - lz[n])
-            for k in range(1, n) for l in range(1, n - k + 1))
-        assert table.cross_moment(ea, eb) == pytest.approx(direct, rel=1e-13)
+    want = truth(spec, t, n, m_max=1)
+    assert want.n0 == pytest.approx(exact.mean[0], rel=1e-12)
+    assert want.n0_variance + want.n0 ** 2 == pytest.approx(exact.second[0],
+                                                            rel=1e-12)
+    assert want.n1 == pytest.approx(exact.mean[1], rel=1e-12)
+    assert want.n0_n1 == pytest.approx(exact.cross[0, 1], rel=1e-12)
 
 
 def test_partition_grows_with_temperature():
@@ -240,3 +216,7 @@ def test_two_level_recursion_vs_enumeration_property(n, t):
     exact = enumerate_exact(energies, t, n)
     assert table.log_z[n] == pytest.approx(math.log(exact.z), rel=1e-11)
     assert table.occupation(0.0) == pytest.approx(exact.mean[0], rel=1e-10)
+    want = truth(spec, t, n, m_max=1)
+    assert want.n0_variance + want.n0 ** 2 == pytest.approx(exact.second[0],
+                                                            rel=1e-10)
+    assert want.n0_n1 == pytest.approx(exact.cross[0, 1], rel=1e-10)
