@@ -35,15 +35,11 @@ __all__ = ["main"]
 FIT_T = 0.6
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that raises ConfigError instead of exiting."""
+    """An ArgumentParser that raises DomainError instead of exiting."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise DomainError(message)
 
 
 def _particles(text: str) -> list:
@@ -61,7 +57,7 @@ def _t_grid(text: str) -> list:
             f"want start:stop:step, got {text!r}")
     try:
         return temperature_grid(*(float(p) for p in parts))
-    except (ValueError, DomainError) as err:
+    except ValueError as err:  # DomainError is a ValueError
         raise argparse.ArgumentTypeError(
             f"bad grid {text!r}: {err}") from None
 
@@ -94,21 +90,21 @@ def resolve_settings(argv=None) -> argparse.Namespace:
         if settings.t_grid is None:
             settings.t_grid = preset.grid()
     if settings.particles is None or settings.t_grid is None:
-        raise ConfigError(
+        raise DomainError(
             "nothing to do: give --preset, or --particles with --t-over-tc")
     # refused here, not after the whole sweep has run; from here on, out
     # is the base of the two files
     out = settings.out.removesuffix(".csv").removesuffix(".json")
     settings.out = out
     if os.path.basename(out) in ("", ".", ".."):
-        raise ConfigError(f"cannot write --out {out!r}: it has no file name")
+        raise DomainError(f"cannot write --out {out!r}: it has no file name")
     folder = os.path.dirname(out) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise ConfigError(f"cannot write --out {out}: "
+        raise DomainError(f"cannot write --out {out}: "
                           f"{folder} is not a writable directory")
     for target in (f"{out}.csv", f"{out}.json"):
         if os.path.isdir(target):
-            raise ConfigError(f"cannot write --out {out}: "
+            raise DomainError(f"cannot write --out {out}: "
                               f"{target} is a directory")
     return settings
 
@@ -141,12 +137,7 @@ def _run_sweep(settings: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        settings = resolve_settings(argv)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    try:
-        return _run_sweep(settings)
+        return _run_sweep(resolve_settings(argv))
     except (DomainError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -103,11 +103,14 @@ class SweepResult:
 def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
     """Evaluate one grid point on the automatic ladder (auto_m_max);
     convergence failures and a T/Tc that is not a positive, finite real
-    number become error records."""
+    number become error records. N is stored as an int and T/Tc as a
+    float; a refused T/Tc is kept as given, the value its error names."""
+    n = _integer("particle number", n, 1)
     tc = critical_temperature(spectrum, n)
     t = math.nan
     try:
-        t = _finite_real("t_over_tc", t_over_tc) * tc
+        t_over_tc = float(_finite_real("t_over_tc", t_over_tc))
+        t = t_over_tc * tc
         r = canonical_observables(spectrum, t, n)
         gc = r.gc_state
     except (ConvergenceError, DomainError) as err:
@@ -313,20 +316,15 @@ def fit_scaling(rows, observable: str, t_over_tc: float) -> ScalingFit:
     return ScalingFit(exponent=float(slope), stderr=se, points=len(x))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
 def write_csv(rows, path) -> None:
-    """One row per grid point, every field, 17-significant-digit floats."""
+    """One row per grid point, every field; a float is written as its
+    shortest text that reads back to the same double, as in the JSON."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FIELD_ORDER)
         for row in rows:
             d = row.to_dict()
-            writer.writerow([_fmt(d[k]) for k in FIELD_ORDER])
+            writer.writerow([d[k] for k in FIELD_ORDER])
 
 
 def write_json(result: SweepResult, path) -> None:

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import inspect
-import itertools
 import json
 import math
 import os
@@ -26,6 +25,7 @@ from bosecanon.sweep import (
     FIELD_ORDER,
     PRESETS,
     Preset,
+    SweepResult,
     SweepRow,
     compute_row,
     fit_scaling,
@@ -323,9 +323,12 @@ def test_sweep_thread_count_none_zero_negative_rejected():
 
 
 def test_sweep_timing_ignores_a_wall_clock_step(monkeypatch):
-    # a wall clock set back an hour at every read leaves the time >= 0
-    ticks = itertools.count(0.0, -3600.0)
-    monkeypatch.setattr(sweep.time, "time", lambda: next(ticks))
+    # the sweep times itself on the monotonic clock: a wall clock, which
+    # can be set back, must not be read at all
+    def wall_clock():
+        raise AssertionError("the sweep read the wall clock")
+
+    monkeypatch.setattr(sweep.time, "time", wall_clock)
     assert run_sweep((20,), [0.5]).meta["elapsed_seconds"] >= 0
 
 
@@ -441,10 +444,19 @@ def test_csv_json_outputs_agree(tmp_path, small_sweep):
     assert meta == small_sweep.meta
     assert len(from_json) == 6
     same_rows(from_csv, from_json)
+    # both files spell a finite float as its shortest exact text
+    with open(tmp_path / "out.csv", newline="") as fh:
+        for row, cells in zip(small_sweep.rows, csv.DictReader(fh),
+                              strict=True):
+            for field, value in row.to_dict().items():
+                if isinstance(value, float) and math.isfinite(value):
+                    assert (cells[field] == repr(float(value))
+                            == json.dumps(value)), field
 
 
 def test_csv_full_precision_round_trip(tmp_path, small_sweep):
-    # %.17g survives a float round trip exactly, every field of every row
+    # a float's shortest exact text reads back to the same double, every
+    # field of every row
     from_csv, _, _ = read_back(tmp_path, small_sweep)
     same_rows(from_csv, [row.to_dict() for row in small_sweep.rows])
 
@@ -454,6 +466,18 @@ def test_numpy_integer_inputs_write_json(tmp_path):
     # also the top level of a finite ladder
     assert type(compute_row(TrapSpectrum(max_level=np.int64(45)), 20,
                             0.5).m_max) is int
+    # a row holds N as an int and T/Tc as a float, whatever real types
+    # the caller passed
+    rows = [compute_row(SPEC, np.int64(20), 0.5),
+            compute_row(SPEC, 20, np.float32(0.5)),
+            compute_row(SPEC, 20.0, 0.5)]
+    for row in rows:
+        assert row.converged == 1
+        assert type(row.n) is int and type(row.t_over_tc) is float
+    write_json(SweepResult(rows=rows, meta={}), tmp_path / "rows.json")
+    with open(tmp_path / "rows.json") as fh:
+        written = json.load(fh)["rows"]
+    assert [(r["n"], r["t_over_tc"]) for r in written] == [(20, 0.5)] * 3
     result = run_sweep([np.int64(20)], [0.5])
     write_json(result, tmp_path / "out.json")
     with open(tmp_path / "out.json") as fh:
