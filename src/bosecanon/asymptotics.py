@@ -36,17 +36,20 @@ __all__ = [
 DELTA_N0_PREFACTOR = math.sqrt(math.pi**2 / (6.0 * ZETA3))
 
 
-def _check_below_transition(t_over_tc: float) -> None:
-    if not 0.0 < t_over_tc < 1.0:
+def _check_below_transition(t_over_tc: float) -> float:
+    """t_over_tc as the package's checked double, if it lies in (0, 1)."""
+    t_over_tc = _finite_real("t_over_tc", t_over_tc)
+    if not t_over_tc < 1.0:
         raise DomainError(
             f"t_over_tc must lie strictly inside (0, 1), got {t_over_tc}; "
             "the estimate assumes a macroscopic condensate"
         )
+    return t_over_tc
 
 
 def condensate_fraction_limit(t_over_tc: float) -> float:
     """N0/N as N goes to infinity: 1 - (T/Tc)^3, clamped at the transition."""
-    _finite_real("t_over_tc", t_over_tc, allow_zero=True)
+    t_over_tc = _finite_real("t_over_tc", t_over_tc, allow_zero=True)
     return max(0.0, 1.0 - t_over_tc**3)
 
 
@@ -59,7 +62,7 @@ def delta_n0_fraction_limit(n: int, t_over_tc: float) -> float:
     leaves n^{-1/2} t^{3/2} / (1 - t^3) times the prefactor above.
     """
     n = _integer("particle number", n, 1)
-    _check_below_transition(t_over_tc)
+    t_over_tc = _check_below_transition(t_over_tc)
     t3 = t_over_tc**3
     return DELTA_N0_PREFACTOR * t_over_tc**1.5 / ((1.0 - t3) * math.sqrt(n))
 
@@ -67,7 +70,7 @@ def delta_n0_fraction_limit(n: int, t_over_tc: float) -> float:
 def correlation_limit(n: int, t_over_tc: float) -> float:
     """Leading estimate of <dn0 dn1>/(N0 N1): negative, vanishing as N^{-2/3}."""
     n = _integer("particle number", n, 1)
-    _check_below_transition(t_over_tc)
+    t_over_tc = _check_below_transition(t_over_tc)
     t3 = t_over_tc**3
     return -(n ** (-2.0 / 3.0)) * t_over_tc / ((1.0 - t3) * ZETA3 ** (1.0 / 3.0))
 
@@ -79,7 +82,9 @@ class InteractionParams:
     pair_energy: float
 
     def __post_init__(self):
-        _finite_real("pair_energy", self.pair_energy, allow_zero=True)
+        # frozen: store the checked float, as TrapSpectrum stores its int
+        object.__setattr__(self, "pair_energy", _finite_real(
+            "pair_energy", self.pair_energy, allow_zero=True))
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def damping_crossover(t: float, params: InteractionParams) -> DampingCrossover:
     The two coincide exactly when lam_int = T^{-2};
     stronger interactions than that (ratio <= 1) dominate the damping.
     """
-    _finite_real("temperature", t)
+    t = _finite_real("temperature", t)
     fixed_n = math.sqrt(t ** 3)
     if params.pair_energy == 0.0:
         return DampingCrossover(fixed_n, math.inf)

@@ -267,12 +267,11 @@ def canonical_observables(
         lose digits to cancellation and may fail outright).
     intervals_per_oscillation: multiplies the grid density floor.
     """
-    _finite_real("temperature", t)
+    t = _finite_real("temperature", t)
     n = _integer("particle number", n, 1)
     ipo = _integer("intervals_per_oscillation", intervals_per_oscillation, 1)
     if ground_offset is not None:
-        ground_offset = float(_finite_real("forced ground_offset",
-                                           ground_offset))
+        ground_offset = _finite_real("forced ground_offset", ground_offset)
 
     m_max = auto_m_max(spectrum, t, m_max)
     _level_one(t, m_max)
@@ -349,7 +348,7 @@ def canonical_observables(
             {"offset": eps0, "intervals": done, "accumulator": acc[0]},
         )
 
-    obs = acc.real / z_re
+    obs = (acc.real / z_re).tolist()  # Python floats, as every field
     log_z = offset + math.log(z_re / math.pi)
     log_z_zero = log_z + n * eps0 / t
     return CanonicalResult(

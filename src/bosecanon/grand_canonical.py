@@ -177,7 +177,7 @@ def solve_fugacity(
     midpoint, one of the two. The only failure is an N above the count at
     the top of the bracket, a DomainError checked before the loop.
     """
-    _finite_real("temperature", t)
+    t = _finite_real("temperature", t)
     n_target = _integer("target particle number", n_target, 1)
     mm = auto_m_max(spectrum, t, m_max)
     ladder = _level_ladder(spectrum, t, mm)

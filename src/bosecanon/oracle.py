@@ -93,7 +93,7 @@ class RecursionTable:
 
     def occupation(self, energy: float) -> float:
         """<n> of one state at a finite energy at or above the ground level."""
-        _finite_real("state energy", energy, allow_zero=True)
+        energy = _finite_real("state energy", energy, allow_zero=True)
         k = np.arange(1, self.n + 1, dtype=np.float64)
         return float(np.exp(-k * energy / self.t + self.log_z[self.n - 1 :: -1]
                             - self.log_z[self.n]).sum())
@@ -123,7 +123,7 @@ def recursion_table(
     tail_closure: bool = True,
 ) -> RecursionTable:
     """Build log Z_ex(0..n) on the excited levels, and log Z(0..n) from it."""
-    _finite_real("temperature", t)
+    t = _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
     if tail_closure is not True:
         raise DomainError("the oracle always closes the tail; the truncated "
@@ -224,6 +224,7 @@ def truth(spectrum: TrapSpectrum, t: float, n: int,
     below 1e-12 Var(n0), the smallest quantity returned. Any other (N, T)
     has no exact source and is a DomainError, as is one without level 1.
     """
+    t = _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
     m_max = auto_m_max(spectrum, t, m_max)
     _level_one(t, m_max)
@@ -273,7 +274,7 @@ def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
     s = energies.size
     if not np.isfinite(energies).all():
         raise DomainError(f"state energies must be finite, got {energies}")
-    _finite_real("temperature", t)
+    t = _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
     if n > 6 or s > 8:
         raise DomainError(f"enumeration capped at n<=6, states<=8 (got {n}, {s})")

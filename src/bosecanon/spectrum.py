@@ -14,7 +14,10 @@ continuum excited-state capacity ``zeta(3) * T**3``, giving
 Input rule for the package: particle numbers, level indices and thread
 counts are finite whole numbers; temperatures and energy scales are finite
 real numbers. Neither is a bool, None, a string or a complex number.
-Anything else is a DomainError naming the quantity.
+Anything else is a DomainError naming the quantity. Each check returns the
+value the package computes with: _integer the int it checked, _finite_real
+the nearest double (a float), so no caller's number type reaches the
+arithmetic. A real with no finite double (10**400) is refused like NaN.
 """
 
 from __future__ import annotations
@@ -43,24 +46,31 @@ class DomainError(ValueError):
 
 def _is_real(value) -> bool:
     """Whether value orders as a real number: not a bool, None, a string or
-    a complex number."""
+    a complex number, nor a value whose comparison raises an arithmetic
+    error (a Decimal NaN)."""
     if isinstance(value, (bool, np.bool_, np.complexfloating)):
         return False
     try:
         value < 0.0
-    except TypeError:
+    except (TypeError, ArithmeticError):
         return False
     return True
 
 
 def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
-    """value, if it is a real number, finite and positive (or zero, with
-    allow_zero)."""
-    if not (_is_real(value) and 0 <= value < math.inf
-            and (allow_zero or value != 0)):
+    """value's nearest double, as a float, if value is a real number and
+    that double is finite and positive (or zero, with allow_zero). The
+    check is made on the double, so a value past the doubles (10**400,
+    Decimal("1e400")) or a positive one that rounds to 0 (Decimal("1e-400"))
+    is refused; the error names the value as given."""
+    try:
+        x = float(value) if _is_real(value) else math.nan
+    except (TypeError, ValueError, OverflowError):  # 10**400, arrays
+        x = math.nan
+    if not (0.0 <= x < math.inf and (allow_zero or x != 0.0)):
         sign = "nonnegative" if allow_zero else "positive"
         raise DomainError(f"{name} must be {sign} and finite, got {value}")
-    return value
+    return x
 
 
 def _integer(name: str, value: int, floor: int) -> int:

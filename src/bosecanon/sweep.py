@@ -102,14 +102,15 @@ class SweepResult:
 
 def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
     """Evaluate one grid point on the automatic ladder (auto_m_max);
-    convergence failures and a T/Tc that is not a positive, finite real
-    number become error records. N is stored as an int and T/Tc as a
-    float; a refused T/Tc is kept as given, the value its error names."""
+    convergence failures and a T/Tc that is not a real number with a
+    positive, finite double (NaN, None, 10**400) become error records. N is
+    stored as the int and T/Tc as the float the input rule returns; a
+    refused T/Tc is kept as given, the value its error names."""
     n = _integer("particle number", n, 1)
     tc = critical_temperature(spectrum, n)
     t = math.nan
     try:
-        t_over_tc = float(_finite_real("t_over_tc", t_over_tc))
+        t_over_tc = _finite_real("t_over_tc", t_over_tc)
         t = t_over_tc * tc
         r = canonical_observables(spectrum, t, n)
         gc = r.gc_state
@@ -154,8 +155,10 @@ def temperature_grid(start: float, stop: float, step: float) -> list:
     and sorted; Preset.grid() merges several. A DomainError when it is empty,
     has over MAX_GRID_POINTS points (counted before any array is built: the
     CLI's exit 2), or has a step so fine that rounding merges points."""
-    _finite_real("grid step", step)
-    if _finite_real("grid stop", stop) < _finite_real("grid start", start):
+    step = _finite_real("grid step", step)
+    stop = _finite_real("grid stop", stop)
+    start = _finite_real("grid start", start)
+    if stop < start:
         raise DomainError(f"grid stop {stop} lies below its start {start}")
     # np.arange's own count, ceil of this quotient; inf for a subnormal step
     count = (stop + 0.5 * step - start) / step
@@ -196,9 +199,10 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
 
     A count that is not a whole number >= 1, None included, is a
     DomainError, and so is a temperature that is not a real number (None,
-    a string, a bool) or an empty particle list or temperature grid; all
-    are refused before the first row. A real T/Tc that is not positive and
-    finite becomes that row's error record.
+    a string, a bool, a Decimal NaN), a real one with no double (10**400)
+    or an empty particle list or temperature grid; all are refused before
+    the first row. A T/Tc whose double is not positive and finite becomes
+    that row's error record.
 
     threads > 1 computes that many rows at once on worker threads, the
     same rows bit for bit. It is not a user setting, because it does not
@@ -218,11 +222,16 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     workers = _integer("threads", threads, 1)
     spectrum = TrapSpectrum()
     particles = [_integer("particle number", n, 1) for n in particles]
-    t_grid = list(t_grid)
+    grid = []
     for t in t_grid:
-        if not _is_real(t):
-            raise DomainError(f"t_over_tc must be a real number, got {t!r}")
-    t_grid = [float(t) for t in t_grid]
+        try:
+            grid.append(float(t) if _is_real(t) else None)
+        except OverflowError:  # an int or Fraction past the doubles
+            grid.append(None)
+        if grid[-1] is None:
+            raise DomainError("t_over_tc must be a real number with a double,"
+                              f" got {t!r}")
+    t_grid = grid
     if not (particles and t_grid):
         raise DomainError("a sweep needs at least one particle number and "
                           "one temperature")
@@ -294,7 +303,7 @@ def fit_scaling(rows, observable: str, t_over_tc: float) -> ScalingFit:
             f"unknown observable {observable!r}; "
             f"choose from {sorted(DISCREPANCY_CHANNELS)}"
         ) from None
-    _finite_real("t_over_tc", t_over_tc)
+    t_over_tc = _finite_real("t_over_tc", t_over_tc)
     selected = {}
     for row in rows:
         if row.error or abs(row.t_over_tc - t_over_tc) > 1e-9:
@@ -328,17 +337,21 @@ def write_csv(rows, path) -> None:
 
 
 def write_json(result: SweepResult, path) -> None:
-    """Rows plus meta; NaN fields become null (the CSV spells them 'nan')."""
+    """Rows plus meta, as RFC 8259 JSON: a non-finite float, in a row field
+    or in the meta (its t_grid), becomes null (the CSV spells it 'nan'), and
+    the dump refuses to write a bare NaN or Infinity token."""
     def clean(v):
         if isinstance(v, float) and not math.isfinite(v):
             return None
+        if isinstance(v, list):
+            return [clean(x) for x in v]
         return v
 
     payload = {
-        "meta": result.meta,
+        "meta": {k: clean(v) for k, v in result.meta.items()},
         "rows": [{k: clean(v) for k, v in r.to_dict().items()}
                  for r in result.rows],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")

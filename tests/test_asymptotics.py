@@ -1,5 +1,7 @@
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from bosecanon import DomainError, TrapSpectrum, critical_temperature
@@ -52,6 +54,9 @@ def test_delta_n0_limit_spot_value():
     got = delta_n0_fraction_limit(10_000, 0.5)
     want = DELTA_N0_PREFACTOR * 0.5**1.5 / ((1.0 - 0.125) * 100.0)
     assert got == pytest.approx(want, rel=1e-13)
+    # any real type of T/Tc computes with its double, and gives a float
+    for t in (np.float32(0.5), Decimal("0.5")):
+        assert repr(delta_n0_fraction_limit(10_000, t)) == repr(got)
 
 
 def test_delta_n0_limit_domain():

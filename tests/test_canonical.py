@@ -1,6 +1,8 @@
 import functools
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +165,11 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: condensate_fraction_limit(True),
     lambda: run_sweep([100], [None]),
     lambda: run_sweep([100], ["0.5"]),
+    lambda: canonical_observables(SPEC, 10**400, 10),
+    lambda: canonical_observables(SPEC, Decimal("1e400"), 10),
+    lambda: canonical_observables(SPEC, Decimal("1e-400"), 10),
+    lambda: truth(SPEC, np.longdouble("1e4000"), 10),
+    lambda: run_sweep([100], [Decimal("sNaN")]),
 ], ids=["offset-nan", "offset-inf", "t-inf", "t-nan", "gc-t-inf",
         "n-fractional", "n-nan", "n-inf", "gc-n-inf", "gc-n-fractional",
         "tc-n-nan", "tc-n-fractional", "tc-n-inf", "row-n-fractional",
@@ -178,7 +185,9 @@ def test_explicit_offset_changes_log_z_but_not_observables():
         "sweep-threads-bool", "t-none", "t-str", "t-complex", "t-bool",
         "gc-t-none", "truth-t-none", "recursion-t-none", "grid-start-none",
         "forced-offset-bool", "pair-energy-bool", "fraction-limit-bool",
-        "sweep-t-none", "sweep-t-str"])
+        "sweep-t-none", "sweep-t-str", "t-int-past-doubles",
+        "t-decimal-past-doubles", "t-decimal-rounds-to-zero",
+        "truth-t-longdouble-past-doubles", "sweep-t-decimal-snan"])
 def test_non_finite_or_fractional_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -200,6 +209,17 @@ def test_integral_particle_numbers_of_any_type_agree():
              solve_fugacity(SPEC, 5.0, 10).relative_fugacity])
     # integral level indices of numpy type too
     assert moments(SPEC, 5.0, 10, np.int64(30)) == moments(SPEC, 5.0, 10, 30)
+    # a temperature of any real type is the double 5.0 to every formula,
+    # and every result holds Python floats, whose repr has no type name
+    def results(t):
+        return repr([canonical_observables(SPEC, t, 100),
+                     solve_fugacity(SPEC, t, 100), truth(SPEC, t, 100)])
+
+    at_double = results(5.0)
+    for t in (5, np.int64(5), np.float16(5), np.float32(5), np.float64(5),
+              np.longdouble(5), Fraction(5), Decimal(5)):
+        assert results(t) == at_double, type(t)
+        assert type(canonical_observables(SPEC, t, 100).t) is float
     assert moments(TrapSpectrum(max_level=np.int64(45)), 5.0, 60) == moments(
         TrapSpectrum(max_level=45), 5.0, 60)
 

@@ -6,6 +6,7 @@ import math
 import os
 import time
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -76,7 +77,9 @@ def test_compute_row_records_failures_instead_of_raising(monkeypatch):
 
 
 @pytest.mark.parametrize("t_over_tc",
-                         [-1.0, 0.0, math.nan, math.inf, None, True])
+                         [-1.0, 0.0, math.nan, math.inf, None, True,
+                          pytest.param(10**400, id="10**400"),
+                          pytest.param(Decimal("sNaN"), id="Decimal-sNaN")])
 def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc):
     # a bad T/Tc is a row error naming the caller's value, not the
     # temperature it scales to, which stays unpopulated; a bad N is
@@ -140,6 +143,9 @@ def test_a_particle_number_without_a_finite_double_is_a_domain_error(
         compute_row(SPEC, 10**400, 0.5)
     with pytest.raises(DomainError, match="particle number"):
         run_sweep([10**400], [0.5])
+    # so is a T/Tc with no double, before the first row
+    with pytest.raises(DomainError, match="t_over_tc"):
+        run_sweep([100], [10**400])
     assert run_cli("--particles", str(10**400), "--t-over-tc", "0.5:0.5:0.1",
                    "--out", str(tmp_path / "huge")) == 2
     assert "particle number" in capsys.readouterr().err
@@ -474,6 +480,10 @@ def test_numpy_integer_inputs_write_json(tmp_path):
     for row in rows:
         assert row.converged == 1
         assert type(row.n) is int and type(row.t_over_tc) is float
+        # every float field holds a Python float, not a numpy scalar
+        for f in dataclasses.fields(SweepRow):
+            if f.type == "float":
+                assert type(getattr(row, f.name)) is float, f.name
     write_json(SweepResult(rows=rows, meta={}), tmp_path / "rows.json")
     with open(tmp_path / "rows.json") as fh:
         written = json.load(fh)["rows"]
@@ -484,6 +494,17 @@ def test_numpy_integer_inputs_write_json(tmp_path):
         payload = json.load(fh)
     assert payload["meta"]["particles"] == [20]
     assert payload["rows"][0]["m_max"] == result.rows[0].m_max
+    # non-finite floats, in the meta's t_grid as in the rows, are written
+    # as null: a strict parser finds no bare NaN or Infinity token
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON")
+
+    write_json(run_sweep([100], [math.nan, math.inf, -0.5, 0.5]),
+               tmp_path / "nonfinite.json")
+    payload = json.loads((tmp_path / "nonfinite.json").read_text(),
+                         parse_constant=refuse)
+    assert payload["meta"]["t_grid"] == [None, None, -0.5, 0.5]
+    assert payload["rows"][0]["t_over_tc"] is None
 
 
 def test_numpy_config_fields_write_json(tmp_path):
