@@ -135,11 +135,9 @@ GAUSS_LEGENDRE = {
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to produce a trustworthy result; carries diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """Quadrature failed to produce a trustworthy result; the message says
+    where (the interval, the period's half-count, the offset), so a sweep
+    row's error record carries it too."""
 
 
 @dataclass(frozen=True)
@@ -328,9 +326,9 @@ def canonical_observables(
         first_exit, first_overflow = _exit_scan(run, mass, w_peak)
         if first_overflow is not None:
             raise ConvergenceError(
-                "accumulator left the representable range",
-                {"interval": done + first_overflow + 1,
-                 "offset": offset, "n_half": n_half})
+                "accumulator left the representable range at interval "
+                f"{done + first_overflow + 1} of {n_half} (rescale offset "
+                f"{offset!r})")
         last = i1 - done - 1 if first_exit is None else first_exit
         acc = run[last].copy()
         done += last + 1
@@ -343,10 +341,9 @@ def canonical_observables(
     if not z_re > 0.0:
         raise ConvergenceError(
             "partition integral lost all significant digits "
-            f"(Re = {z_re:.3e} after {done} intervals); the evaluation "
-            "offset is too far from the saddle for double precision",
-            {"offset": eps0, "intervals": done, "accumulator": acc[0]},
-        )
+            f"(Re = {z_re:.3e} after {done} of {n_half} intervals); the "
+            f"evaluation offset {eps0!r} is too far from the saddle for "
+            "double precision")
 
     obs = (acc.real / z_re).tolist()  # Python floats, as every field
     log_z = offset + math.log(z_re / math.pi)

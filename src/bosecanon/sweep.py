@@ -3,8 +3,9 @@
 One SweepRow per grid point carries the canonical observables, their
 grand-canonical counterparts at the same mean number, the limiting
 estimates, and engine diagnostics, with temperatures in both T/Tc and
-trap units and occupations both absolute and N-normalised. Rows that fail
-to converge become error records instead of crashing the sweep.
+trap units and occupations both absolute and N-normalised. A bad N or
+T/Tc is refused before the first row; a row the engine refuses or fails
+on becomes an error record instead of crashing the sweep.
 
 Rows are independent work items; each is computed sequentially inside
 one worker, so results are bit-identical for any worker count. A
@@ -35,7 +36,7 @@ from .canonical import ConvergenceError, canonical_observables
 # benchmark tracer (perfbench/spans.py) patches sweep.solve_fugacity.
 from .grand_canonical import solve_fugacity  # noqa: F401
 from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
-                       _is_real, critical_temperature)
+                       critical_temperature)
 
 __all__ = [
     "SweepRow",
@@ -101,23 +102,21 @@ class SweepResult:
 
 
 def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
-    """Evaluate one grid point on the automatic ladder (auto_m_max);
-    convergence failures and a T/Tc that is not a real number with a
-    positive, finite double (NaN, None, 10**400) become error records. N is
-    stored as the int and T/Tc as the float the input rule returns; a
-    refused T/Tc is kept as given, the value its error names."""
+    """Evaluate one grid point on the automatic ladder (auto_m_max). A bad
+    N or T/Tc is a DomainError naming the value as given; the row stores
+    the int and the positive, finite float the input rules return. The
+    engine's refusal of that point (level cap, level-1 rule, cost guard)
+    or its ConvergenceError becomes the row's error record."""
     n = _integer("particle number", n, 1)
-    tc = critical_temperature(spectrum, n)
-    t = math.nan
+    t_over_tc = _finite_real("t_over_tc", t_over_tc)
+    t = t_over_tc * critical_temperature(spectrum, n)
     try:
-        t_over_tc = _finite_real("t_over_tc", t_over_tc)
-        t = t_over_tc * tc
         r = canonical_observables(spectrum, t, n)
         gc = r.gc_state
     except (ConvergenceError, DomainError) as err:
         return SweepRow(n=n, t_over_tc=t_over_tc, t_over_spacing=t,
                         error=f"{type(err).__name__}: {err}")
-    below = 0.0 < t_over_tc < 1.0
+    below = t_over_tc < 1.0
     return SweepRow(
         n=n,
         t_over_tc=t_over_tc,
@@ -154,7 +153,8 @@ def temperature_grid(start: float, stop: float, step: float) -> list:
     """The start:stop:step grid, stop included, points rounded to 10 digits
     and sorted; Preset.grid() merges several. A DomainError when it is empty,
     has over MAX_GRID_POINTS points (counted before any array is built: the
-    CLI's exit 2), or has a step so fine that rounding merges points."""
+    CLI's exit 2), has a start that rounds to 0.0 (below 5e-11), or has a
+    step so fine that rounding merges points."""
     step = _finite_real("grid step", step)
     stop = _finite_real("grid stop", stop)
     start = _finite_real("grid start", start)
@@ -169,6 +169,9 @@ def temperature_grid(start: float, stop: float, step: float) -> list:
     pts = sorted({round(float(p), 10) for p in raw})
     if not pts:
         raise DomainError(f"grid {start}:{stop}:{step} has no points")
+    if pts[0] == 0.0:
+        raise DomainError(f"grid start {start} rounds to 0.0 at 10 digits;"
+                          " a temperature must be positive")
     if len(pts) < raw.size:  # only a step of about 1e-10 or less merges
         raise DomainError(f"grid step {step} is too fine for 10-digit points:"
                           f" {raw.size} points round to {len(pts)}")
@@ -198,11 +201,10 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     N and T/Tc alone: each resolves its levels with auto_m_max.
 
     A count that is not a whole number >= 1, None included, is a
-    DomainError, and so is a temperature that is not a real number (None,
-    a string, a bool, a Decimal NaN), a real one with no double (10**400)
-    or an empty particle list or temperature grid; all are refused before
-    the first row. A T/Tc whose double is not positive and finite becomes
-    that row's error record.
+    DomainError, and so is a T/Tc that is not a real number with a
+    positive, finite double (None, a string, a bool, an array, NaN, 0, -1,
+    10**400) or an empty particle list or temperature grid; all are refused
+    before the first row. meta["t_grid"] holds the floats the rows use.
 
     threads > 1 computes that many rows at once on worker threads, the
     same rows bit for bit. It is not a user setting, because it does not
@@ -222,16 +224,7 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     workers = _integer("threads", threads, 1)
     spectrum = TrapSpectrum()
     particles = [_integer("particle number", n, 1) for n in particles]
-    grid = []
-    for t in t_grid:
-        try:
-            grid.append(float(t) if _is_real(t) else None)
-        except OverflowError:  # an int or Fraction past the doubles
-            grid.append(None)
-        if grid[-1] is None:
-            raise DomainError("t_over_tc must be a real number with a double,"
-                              f" got {t!r}")
-    t_grid = grid
+    t_grid = [_finite_real("t_over_tc", t) for t in t_grid]
     if not (particles and t_grid):
         raise DomainError("a sweep needs at least one particle number and "
                           "one temperature")

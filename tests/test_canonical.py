@@ -170,6 +170,9 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: canonical_observables(SPEC, Decimal("1e-400"), 10),
     lambda: truth(SPEC, np.longdouble("1e4000"), 10),
     lambda: run_sweep([100], [Decimal("sNaN")]),
+    lambda: run_sweep([100], [np.array([0.5, 0.6])]),
+    lambda: run_sweep([100], [math.nan]),
+    lambda: run_sweep([100], [-0.5]),
 ], ids=["offset-nan", "offset-inf", "t-inf", "t-nan", "gc-t-inf",
         "n-fractional", "n-nan", "n-inf", "gc-n-inf", "gc-n-fractional",
         "tc-n-nan", "tc-n-fractional", "tc-n-inf", "row-n-fractional",
@@ -187,7 +190,8 @@ def test_explicit_offset_changes_log_z_but_not_observables():
         "forced-offset-bool", "pair-energy-bool", "fraction-limit-bool",
         "sweep-t-none", "sweep-t-str", "t-int-past-doubles",
         "t-decimal-past-doubles", "t-decimal-rounds-to-zero",
-        "truth-t-longdouble-past-doubles", "sweep-t-decimal-snan"])
+        "truth-t-longdouble-past-doubles", "sweep-t-decimal-snan",
+        "sweep-t-array", "sweep-t-nan", "sweep-t-negative"])
 def test_non_finite_or_fractional_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -437,12 +441,11 @@ def test_overflow_guard_reports_first_nonfinite_interval(monkeypatch):
         return out, peak
 
     monkeypatch.setattr(canonical, "projection_chunk", poisoned)
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(ConvergenceError, match="at interval 701 of "):
         canonical_observables(SPEC, 0.6 * critical_temperature(SPEC, 1000), 1000)
-    assert exc.value.diagnostics["interval"] == 701
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(
     n=st.integers(min_value=2, max_value=40),
     t_frac=st.floats(min_value=0.3, max_value=1.5),

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import time
 import warnings
 from decimal import Decimal
@@ -79,16 +80,22 @@ def test_compute_row_records_failures_instead_of_raising(monkeypatch):
 @pytest.mark.parametrize("t_over_tc",
                          [-1.0, 0.0, math.nan, math.inf, None, True,
                           pytest.param(10**400, id="10**400"),
-                          pytest.param(Decimal("sNaN"), id="Decimal-sNaN")])
-def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc):
-    # a bad T/Tc is a row error naming the caller's value, not the
-    # temperature it scales to, which stays unpopulated; a bad N is
-    # refused (critical_temperature)
-    row = compute_row(SPEC, 100, t_over_tc)
-    assert row.converged == 0
-    assert math.isnan(row.t_over_spacing)
-    assert row.error == ("DomainError: t_over_tc must be positive and "
-                         f"finite, got {t_over_tc}")
+                          pytest.param(Decimal("sNaN"), id="Decimal-sNaN"),
+                          pytest.param(np.array([0.5, 0.6]), id="array")])
+def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc,
+                                                            monkeypatch):
+    # a bad T/Tc is refused as a bad N is, naming the caller's value, and
+    # a sweep refuses it before its first row: an error row is the
+    # engine's alone
+    message = re.escape(f"t_over_tc must be positive and finite, got "
+                        f"{t_over_tc}")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        compute_row(SPEC, 100, t_over_tc)
+    rows = []
+    monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        run_sweep([100], [0.5, t_over_tc])
+    assert rows == []
 
 
 def test_a_row_is_fixed_by_n_and_t_over_tc():
@@ -267,8 +274,10 @@ def test_temperature_grid_without_points_is_a_domain_error():
     ((0.1, 0.3, 1e-16), "more than the 100000"),  # counted, not built
     # 11 distinct np.arange points that 10-digit rounding makes 2
     ((0.1, 0.1000000001, 1e-11), "grid step 1e-11 is too fine"),
+    # a positive start below 5e-11 that 10-digit rounding makes 0.0
+    ((1e-12, 1e-12, 1.0), "grid start 1e-12 rounds to 0.0"),
 ], ids=["zero-step", "negative-step", "nan-start", "nan-stop", "inf-stop",
-        "reversed", "huge", "too-fine"])
+        "reversed", "huge", "too-fine", "zero-point"])
 def test_temperature_grid_checks_its_refinement_patches(patch, match):
     # a patch is a grid of its own and fails the same checks
     with pytest.raises(DomainError, match=match):
@@ -499,12 +508,13 @@ def test_numpy_integer_inputs_write_json(tmp_path):
     def refuse(token):
         raise ValueError(f"bare {token} in JSON")
 
-    write_json(run_sweep([100], [math.nan, math.inf, -0.5, 0.5]),
-               tmp_path / "nonfinite.json")
+    nonfinite = SweepResult(rows=[SweepRow(n=100, t_over_tc=0.5)],
+                            meta={"t_grid": [math.nan, math.inf, -0.5, 0.5]})
+    write_json(nonfinite, tmp_path / "nonfinite.json")
     payload = json.loads((tmp_path / "nonfinite.json").read_text(),
                          parse_constant=refuse)
     assert payload["meta"]["t_grid"] == [None, None, -0.5, 0.5]
-    assert payload["rows"][0]["t_over_tc"] is None
+    assert payload["rows"][0]["n0_mean"] is None
 
 
 def test_numpy_config_fields_write_json(tmp_path):
@@ -583,6 +593,10 @@ CONFIGURATION_ERRORS = {
     "too-fine-step": (["--particles", "30",
                        "--t-over-tc", "0.1:0.1000000001:1e-11"],
                       "grid step 1e-11 is too fine"),
+    # a positive start that the grid's 10-digit rounding would make 0.0
+    "zero-point-grid": (["--particles", "100",
+                         "--t-over-tc", "1e-12:1e-12:1"],
+                        "grid start 1e-12 rounds to 0.0"),
     "empty-request": ([], "nothing to do"),
     "particles-zero": (["--particles", "0", "--t-over-tc", "0.5:0.5:0.1"],
                        f"particle number {COUNT}"),
@@ -641,7 +655,7 @@ def test_cli_refuses_an_out_whose_target_is_a_directory(
 
 def fail_every_row(monkeypatch):
     def no_convergence(*args, **kwargs):
-        raise ConvergenceError("forced failure", {})
+        raise ConvergenceError("forced failure")
 
     monkeypatch.setattr(sweep, "canonical_observables", no_convergence)
 
