@@ -27,18 +27,19 @@ caller-supplied offset so the exponential never overflows; the running
 per-interval maximum of log|F| - offset is returned for tail bounds.
 
 The points of one chunk are evaluated as one numpy block per trap level,
-so the per-call overhead of the level loop is spread over the whole chunk,
-and rows running on concurrent threads hand the GIL over once per call on
-a whole chunk. The blocks are work arrays allocated once per call: every
-level writes its ufunc results into them with out=, so a chunk's memory
-does not grow with the level count. Level 0 adds nothing to the
-excited-count weights, and the level-0 and level-1 weights are not held
-through the level loop: the output stage recomputes them from e^{-iz}
-with the same operations, in the buffers of the excited-count weights
-once those have been used. The seven float arrays share one block, which
-then takes the 7-wide output, so the output needs no memory of its own
-and fills no fresh heap beside the freed float arrays. A full midpoint
-chunk peaks at about 210 bytes per point (3.4 MB), a 4-point one at 150.
+so the per-call overhead of the level loop is spread over the whole chunk.
+numpy releases the GIL inside every ufunc call, so rows on concurrent
+threads trade it at each one (sweep.run_sweep). The blocks are work arrays
+allocated once per call: every level writes its ufunc results into them
+with out=, so a chunk's memory does not grow with the level count. Level 0
+adds nothing to the excited-count weights, and the level-0 and level-1
+weights are not held through the level loop: the output stage recomputes
+them from e^{-iz} with the same operations, in the buffers of the excited-
+count weights once those have been used. The seven float arrays share one
+block, which then takes the 7-wide output, so the output needs no memory
+of its own and fills no fresh heap beside the freed float arrays. A full
+midpoint chunk peaks at about 210 bytes per point (3.4 MB), a 4-point one
+at 150.
 
 Each element sees the same operations in the same order as the plain
 array expressions, so the results are the same to the bit. Plain

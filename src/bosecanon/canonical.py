@@ -83,8 +83,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import N_ACCUMULATORS, projection_chunk
-from .grand_canonical import (GrandCanonicalState, _level_one, auto_m_max,
-                              solve_fugacity)
+from .grand_canonical import (GrandCanonicalState, _level_count,
+                              _level_log_z, _level_one, _level_variance,
+                              auto_m_max, solve_fugacity)
 from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
@@ -196,15 +197,12 @@ class CanonicalResult:
         return self.n0_n1_mean - self.n0_mean * self.n1_mean
 
 
-def _weight_peaks(q: np.ndarray, g: np.ndarray, s_mb: float) -> np.ndarray:
+def _weight_peaks(q: np.ndarray, ne: float, var_ex: float) -> np.ndarray:
     """Max modulus of each accumulator's weight factor, attained at z=0."""
-    w = q / (1.0 - q)
-    w0 = w[0]
+    w0 = q[0] / (1.0 - q[0])
     w0sq = q[0] * (1.0 + q[0]) / (1.0 - q[0]) ** 2
-    w1 = w[1]
-    we = float((g[1:] * w[1:]).sum()) + s_mb
-    wev = float((g[1:] * w[1:] / (1.0 - q[1:])).sum()) + s_mb
-    return np.array([1.0, w0, w0sq, w1, w0 * w1, we, we * we + wev])
+    w1 = q[1] / (1.0 - q[1])
+    return np.array([1.0, w0, w0sq, w1, w0 * w1, ne, ne * ne + var_ex])
 
 
 def _exit_scan(run: np.ndarray, mass: np.ndarray, w_peak: np.ndarray):
@@ -280,13 +278,12 @@ def canonical_observables(
     q = np.exp(-(eps0 + ladder.energies) / t)
     g = ladder.degeneracies
     s_mb = math.exp(-eps0 / t) * ladder.tail_weight
-    w_peak = _weight_peaks(q, g, s_mb)
+    var_ex = _level_variance(q[1:], g[1:], s_mb)
+    w_peak = _weight_peaks(q, _level_count(q[1:], g[1:], s_mb), var_ex)
 
     # Coefficient tail decay scale at this offset: ground occupation plus
     # the number spread, padded for small systems.
-    var = g * q / (1.0 - q) ** 2
-    var0 = float(var.sum()) + s_mb
-    tail_scale = w_peak[1] + math.sqrt(var0) + 20.0
+    tail_scale = w_peak[1] + math.sqrt(_level_variance(q, g, s_mb)) + 20.0
 
     nodes, wts = _quadrature_nodes(n)
     n_half = _half_interval_count(n, ipo, tail_scale)
@@ -294,7 +291,6 @@ def canonical_observables(
 
     # Chunk boundary at the predicted exit; none when the excited variance
     # underflows or the prediction lies past the half period.
-    var_ex = float(var[1:].sum()) + s_mb
     reach = math.sqrt(2.0 * EXIT_DECAY / var_ex) / h if var_ex > 0.0 else math.inf
     boundary = math.ceil(reach) if reach < n_half else n_half
     work = boundary * nodes.size * q.size
@@ -304,7 +300,7 @@ def canonical_observables(
             f"limit of {MAX_LEVEL_POINTS:.0e} (N = {n}, T = {t})")
 
     # Rescale so the z=0 peak exponentiates to exactly 1.
-    offset = float(s_mb - (g * np.log1p(-q)).sum())
+    offset = _level_log_z(q, g, s_mb)
 
     # Row k of `run` is the accumulator after interval done + k + 1, added up
     # in interval order from the accumulator carried in (complex addition

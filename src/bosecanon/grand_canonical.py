@@ -4,9 +4,6 @@ Energies are measured from the ground level, so the relative fugacity
 x0 = exp(mu/T) lies in (0, 1) and mu -> 0 from below as n0 grows. The
 solved state reads the ground state's mean and spread from x0 alone:
 n0 = x0/(1 - x0) and delta_n0 = sqrt(x0)/(1 - x0) = sqrt(n0 (n0 + 1)).
-Only the level sums (_occupation_sums, number_variance) use the per-state
-occupation n = 1/(exp((E - mu)/T) - 1) and its variance n (n + 1).
-Distinct states are independent in this ensemble: cross covariances vanish.
 
 Finite sums run over levels 0..m_max, resolved by auto_m_max alone; every
 n1 consumer applies _level_one's level-1 rule. On the unbounded ladder the
@@ -17,8 +14,10 @@ has none.
 The ladder is built in one place, _level_ladder: levels 0..M with the
 ground level at zero energy, their degeneracies g_m = (m+1)(m+2)/2 and the
 tail weight above M. It is built once per fugacity solve and kept by the
-solved state, whose sums build nothing; the engine shifts it, the oracle
-reads it.
+solved state; the engine shifts it, the oracle reads it. Its three sums at
+level fugacities x, over states independent in this ensemble, are written
+once, here: _level_count of the occupations n = 1/(exp((E - mu)/T) - 1),
+_level_variance of their variances n (n + 1) and _level_log_z of log(1 + n).
 """
 
 from __future__ import annotations
@@ -103,16 +102,23 @@ def _level_ladder(spectrum: TrapSpectrum, t: float, m_max: int) -> LevelLadder:
     return LevelLadder(e, b, g, tail)
 
 
-def _occupation_sums(ladder: LevelLadder, lam: float) -> float:
-    """Level-summed mean number N at the ladder's fugacity lam, with tail.
-
-    x_m = lam*exp(-E_m/T) < 1 must hold for every level, which the solver
-    bracket guarantees.
-    """
-    g = ladder.degeneracies
-    x = lam * ladder.boltzmann
-    tail = lam * ladder.tail_weight
+# Count, variance and log Z of the levels at fugacities x < 1 (module doc).
+def _level_count(x: np.ndarray, g: np.ndarray, tail: float) -> float:
     return float((g * x / (1.0 - x)).sum() + tail)
+
+
+def _level_variance(x: np.ndarray, g: np.ndarray, tail: float) -> float:
+    return float((g * x / (1.0 - x) ** 2).sum() + tail)
+
+
+def _level_log_z(x: np.ndarray, g: np.ndarray, tail: float) -> float:
+    return float(tail - (g * np.log1p(-x)).sum())
+
+
+def _occupation_sums(ladder: LevelLadder, lam: float) -> float:
+    """Mean number at the ladder's fugacity lam (the bracket keeps x_m < 1)."""
+    return _level_count(lam * ladder.boltzmann, ladder.degeneracies,
+                        lam * ladder.tail_weight)
 
 
 @dataclass(frozen=True)
@@ -155,10 +161,9 @@ class GrandCanonicalState:
     @property
     def number_variance(self) -> float:
         """sum over states of n(n+1); independent-state fluctuations add."""
-        g = self.ladder.degeneracies
-        x = self.relative_fugacity * self.ladder.boltzmann
-        tail = self.relative_fugacity * self.ladder.tail_weight
-        return float((g * x / (1.0 - x) ** 2).sum() + tail)
+        ladder, lam = self.ladder, self.relative_fugacity
+        return _level_variance(lam * ladder.boltzmann, ladder.degeneracies,
+                               lam * ladder.tail_weight)
 
 
 def solve_fugacity(

@@ -58,7 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grand_canonical import _level_ladder, _level_one, auto_m_max
+from .grand_canonical import (_level_count, _level_ladder, _level_log_z,
+                              _level_one, _level_variance, auto_m_max)
 from .spectrum import DomainError, TrapSpectrum, _finite_real, _integer
 
 __all__ = [
@@ -194,20 +195,17 @@ def _demon_forms(spectrum: TrapSpectrum, t: float, n: int,
     fugacity, the ground level holding the rest; exact, at any N, once
     P(N_ex > N) is negligible. log10_p is the Chernoff bound on
     log10 P(N_ex > N). There cov(n0, n1) = -n1(n1 + 1), so
-    <n0 n1> = n1(n0 - n1 - 1)."""
-    n = _integer("particle number", n, 1)
-    m_max = auto_m_max(spectrum, t, m_max)
-    _level_one(t, m_max)
+    <n0 n1> = n1(n0 - n1 - 1). truth() checks N, T and level 1 first."""
     ladder = _level_ladder(spectrum, t, m_max)
     q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight
     # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
     r = q[0] ** -0.5
     log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
              - n * math.log(r))
-    n0 = float(n - (g * q / (1.0 - q)).sum() - tail)
+    n0 = n - _level_count(q, g, tail)
     n1 = float(q[0] / (1.0 - q[0]))
-    return Truth(log_z=float(tail - (g * np.log1p(-q)).sum()), n0=n0,
-                 n0_variance=float((g * q / (1.0 - q) ** 2).sum() + tail),
+    return Truth(log_z=_level_log_z(q, g, tail), n0=n0,
+                 n0_variance=_level_variance(q, g, tail),
                  n1=n1, n0_n1=n1 * (n0 - n1 - 1.0), source="demon",
                  log10_p=float(log_p / math.log(10.0)))
 

@@ -1,12 +1,15 @@
 """End-to-end release gate.
 
-Each test covers one numbered check and emits a single PASS/FAIL line
+Each test covers one numbered check, or the fig1 rows against the
+long-double truth file, and emits a single PASS/FAIL line
 (run with ``pytest tests/test_acceptance.py -v -s`` to see them inline).
 The bounds are asserted, so a plain pytest run fails loudly as well.
 """
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +215,55 @@ def test_06_cross_correlation_tracks_closed_form(standard_sweep):
         f"-<dn0 dn1>/(N0 N1) positive on {len(below)} rows below the "
         f"transition: {positive}; gap exponent at t=0.5: {fit.exponent:+.3f} "
         f"(band -0.33 +- 0.1)",
+    )
+
+
+# fig1 against the long-double truth ---------------------------------------
+
+# log Z, <n0>, Var(n0), <n1> and <n0 n1> of the model, from the recursion
+# run in long double (tests/longdouble_truth.py writes the file).
+LONGDOUBLE_TRUTH = Path(__file__).parent / "data" / "longdouble_truth.csv"
+
+
+def test_fig1_rows_match_the_long_double_truth(standard_sweep):
+    with LONGDOUBLE_TRUTH.open() as fh:
+        exact = {(int(r["n"]), float(r["t_over_tc"])): r
+                 for r in csv.DictReader(fh)
+                 if r["t_over_tc"] and not r["max_level"] and not r["m_max"]}
+    bound = 1e-10
+    worst = {}
+    for row in standard_sweep.rows:
+        x = exact[(row.n, row.t_over_tc)]
+        assert float(x["t"]) == row.t_over_spacing
+        n0, var, n1 = (float(x[k]) for k in ("n0", "n0_variance", "n1"))
+        log_z = float(x["log_z"])
+        spread = math.sqrt(var)
+        pairs = {
+            "n0_mean": (row.n0_mean, n0),
+            "n1_mean": (row.n1_mean, n1),
+            "ne_mean": (row.ne_mean, row.n - n0),
+            "log_z_zero_offset": (
+                row.log_z + row.n * row.ground_offset / row.t_over_spacing,
+                log_z),
+            "delta_n0": (row.delta_n0, spread),
+            "normalized_delta_n0": (row.normalized_delta_n0,
+                                    spread / math.sqrt(n0 * (n0 + 1.0))),
+            "delta_ne": (row.delta_ne, spread),
+            "corr_01_normalized": (row.corr_01_normalized,
+                                   float(x["n0_n1"]) / (n0 * n1) - 1.0),
+        }
+        for name, (got, want) in pairs.items():
+            scale = abs(want)
+            if name == "log_z_zero_offset":
+                scale = max(1.0, scale)
+            worst[name] = max(worst.get(name, 0.0), abs(got - want) / scale)
+    held = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset")
+    _gate(
+        "truth",
+        all(worst[name] <= bound for name in held),
+        f"{len(standard_sweep.rows)} fig1 rows against the long-double "
+        f"truth, worst relative gap (bound {bound:.0e} on the first four): "
+        + ", ".join(f"{name} {dev:.2e}" for name, dev in worst.items()),
     )
 
 

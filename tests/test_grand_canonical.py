@@ -14,6 +14,7 @@ from bosecanon import (
 from bosecanon.asymptotics import delta_n0_fraction_limit
 from bosecanon.grand_canonical import (
     _level_ladder,
+    _level_log_z,
     _occupation_sums,
     auto_m_max,
     solve_fugacity,
@@ -61,24 +62,36 @@ def test_fugacity_approaches_saturation_from_below_at_low_t():
     assert state.mu == pytest.approx(-t / state.n0, rel=1e-2)
 
 
-@pytest.mark.parametrize("n, t", [
-    (100, 4.0),
-    (10**6, 0.05 * critical_temperature(SPEC, 10**6)),
-    (10**6, 3.0 * critical_temperature(SPEC, 10**6)),
-], ids=["100-T4", "1e6-0.05Tc", "1e6-3Tc"])
-def test_number_variance_sums_state_terms(n, t):
-    state = solve_fugacity(SPEC, t, n)
-    m_max = auto_m_max(SPEC, t)
-    brute = 0.0
+@pytest.mark.parametrize("spec, n, t", [
+    (SPEC, 100, 4.0),
+    (SPEC, 10**6, 0.05 * critical_temperature(SPEC, 10**6)),
+    (SPEC, 10**6, 3.0 * critical_temperature(SPEC, 10**6)),
+    (TrapSpectrum(max_level=45), 60, 4.0),
+], ids=["100-T4", "1e6-0.05Tc", "1e6-3Tc", "finite-45"])
+def test_number_variance_sums_state_terms(spec, n, t):
+    # the count, its variance and log Z against sums over the states of the
+    # summed levels: occupation n, variance n(n+1) and log Z = log(1+n)
+    state = solve_fugacity(spec, t, n)
+    m_max = auto_m_max(spec, t)
+    count = var = log_z = 0.0
     for m in range(m_max + 1):
         occ = 1.0 / math.expm1((m - state.mu) / t)
         g = (m + 1) * (m + 2) // 2
-        brute += g * occ * (occ + 1.0)
+        count += g * occ
+        var += g * occ * (occ + 1.0)
+        log_z += g * math.log1p(occ)
     # tail closure adds a little beyond the explicit ladder: its
-    # Boltzmann-order term x0*S, 3.6e-5 of the variance at T/Tc = 3
-    assert state.number_variance >= brute
-    tail = state.relative_fugacity * _level_ladder(SPEC, t, m_max).tail_weight
-    assert state.number_variance == pytest.approx(brute + tail, rel=1e-12)
+    # Boltzmann-order term x0*S, 3.6e-5 of the variance at T/Tc = 3; a
+    # finite ladder has none
+    ladder, lam = state.ladder, state.relative_fugacity
+    tail = lam * ladder.tail_weight
+    assert (tail == 0.0) == (spec.max_level is not None)
+    assert state.number_variance >= var
+    assert state.number_variance == pytest.approx(var + tail, rel=1e-12)
+    assert _occupation_sums(ladder, lam) == pytest.approx(count + tail,
+                                                          rel=1e-12)
+    assert _level_log_z(lam * ladder.boltzmann, ladder.degeneracies,
+                        tail) == pytest.approx(log_z + tail, rel=1e-12)
 
 
 def test_state_reads_its_ladder_and_only_its_levels():
