@@ -153,6 +153,9 @@ class CanonicalResult:
     gc_state is the grand-canonical ensemble of the spectrum at mean number
     N over levels 0..m_max (solve_fugacity); -mu is the saddle offset, and
     its occupations are the grand-canonical values at the same (N, T).
+
+    n0_variance, ne_variance and covariance_n0_n1 are Var(n0), Var(N_ex)
+    and <dn0 dn1>, the last negative below the transition.
     """
 
     n: int
@@ -160,20 +163,16 @@ class CanonicalResult:
     log_z: float
     log_z_zero_offset: float
     n0_mean: float
-    n0_second_moment: float
+    n0_variance: float
     n1_mean: float
-    n0_n1_mean: float
+    covariance_n0_n1: float
     ne_mean: float
-    ne_second_moment: float
+    ne_variance: float
     intervals_evaluated: int
     intervals_total: int
     m_max: int
     ground_offset: float
     gc_state: GrandCanonicalState
-
-    @property
-    def n0_variance(self) -> float:
-        return max(self.n0_second_moment - self.n0_mean**2, 0.0)
 
     @property
     def delta_n0(self) -> float:
@@ -182,19 +181,10 @@ class CanonicalResult:
         return math.sqrt(self.n0_variance)
 
     @property
-    def ne_variance(self) -> float:
-        return max(self.ne_second_moment - self.ne_mean**2, 0.0)
-
-    @property
     def delta_ne(self) -> float:
         """RMS N_ex fluctuation, delta_n0 at fixed N; above Tc it loses digits
         to cancellation, 0.155 relative off at N = 10^6, T/Tc = 3."""
         return math.sqrt(self.ne_variance)
-
-    @property
-    def covariance_n0_n1(self) -> float:
-        """<dn0 dn1>, negative below the transition."""
-        return self.n0_n1_mean - self.n0_mean * self.n1_mean
 
 
 def _weight_peaks(q: np.ndarray, ne: float, var_ex: float) -> np.ndarray:
@@ -350,11 +340,11 @@ def canonical_observables(
         log_z=log_z,
         log_z_zero_offset=log_z_zero,
         n0_mean=obs[1],
-        n0_second_moment=obs[2],
+        n0_variance=max(obs[2] - obs[1]**2, 0.0),
         n1_mean=obs[3],
-        n0_n1_mean=obs[4],
+        covariance_n0_n1=obs[4] - obs[1] * obs[3],
         ne_mean=obs[5],
-        ne_second_moment=obs[6],
+        ne_variance=max(obs[6] - obs[5]**2, 0.0),
         intervals_evaluated=done,
         intervals_total=n_half,
         m_max=m_max,

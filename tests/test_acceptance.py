@@ -1,7 +1,7 @@
 """End-to-end release gate.
 
-Each test covers one numbered check, or the fig1 rows against the
-long-double truth file, and emits a single PASS/FAIL line
+Each test covers one numbered check, or rows against the long-double
+truth file or the FFT agreement file, and emits a single PASS/FAIL line
 (run with ``pytest tests/test_acceptance.py -v -s`` to see them inline).
 The bounds are asserted, so a plain pytest run fails loudly as well.
 """
@@ -23,7 +23,8 @@ from bosecanon.asymptotics import (
 from bosecanon.canonical import canonical_observables
 from bosecanon.oracle import enumerate_exact, recursion_table, truth
 from bosecanon.spectrum import ZETA3
-from bosecanon.sweep import DISCREPANCY_CHANNELS, PRESETS, fit_scaling, run_sweep
+from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, compute_row,
+                             fit_scaling, run_sweep)
 
 SPEC = TrapSpectrum()
 
@@ -90,7 +91,7 @@ def test_01_recursion_equivalence_full_grid():
 # 2 ------------------------------------------------------------------------
 
 
-def test_02_enumeration_equivalence_two_level():
+def test_02_enumeration_equivalence_two_level(raw_moments):
     bound = 1e-12
     worst = 0.0
     spec = TrapSpectrum(max_level=1)
@@ -99,11 +100,12 @@ def test_02_enumeration_equivalence_two_level():
         for n in (1, 2, 3, 4):
             exact = enumerate_exact(energies, t, n)
             res = canonical_observables(spec, t, n)
+            raw = raw_moments(res)
             pairs = (
-                (res.n0_mean, exact.mean[0]),
-                (res.n0_second_moment, exact.second[0]),
-                (res.n1_mean, exact.mean[1]),
-                (res.n0_n1_mean, exact.cross[0, 1]),
+                (raw["<n0>"], exact.mean[0]),
+                (raw["<n0^2>"], exact.second[0]),
+                (raw["<n1>"], exact.mean[1]),
+                (raw["<n0 n1>"], exact.cross[0, 1]),
             )
             for got, want in pairs:
                 if want == 0.0:
@@ -218,22 +220,76 @@ def test_06_cross_correlation_tracks_closed_form(standard_sweep):
     )
 
 
-# fig1 against the long-double truth ---------------------------------------
+# rows against the long-double truth and the FFT agreement file ------------
 
 # log Z, <n0>, Var(n0), <n1> and <n0 n1> of the model, from the recursion
 # run in long double (tests/longdouble_truth.py writes the file).
 LONGDOUBLE_TRUTH = Path(__file__).parent / "data" / "longdouble_truth.csv"
+# The same five values past the recursion's cap, from one FFT of P(n0)
+# (tests/fft_agreement.py): a second method on the engine's model, not an
+# exact truth.
+FFT_AGREEMENT = Path(__file__).parent / "data" / "fft_agreement.csv"
+
+# The spread columns where they miss 1e-10 of the file, a known defect:
+# each is a second moment minus a product of means and loses digits to the
+# cancellation (README, Known limits), delta_n0 below Tc and delta_ne at
+# and above it. The bound is the row's measured gap, rounded up to one
+# digit. normalized_delta_n0 inherits delta_n0's error and reads its
+# bounds; its measured gaps round to the same digit on every row.
+# Centred moments in the engine (ROADMAP item 2) tighten every entry.
+SPREAD_DEFECT = {
+    "delta_n0": {
+        (100, 0.4): 2e-10, (1000, 0.1): 2e-9, (1000, 0.15): 2e-10,
+        (1000, 0.2): 9e-10, (1000, 0.25): 3e-10, (1000, 0.3): 2e-10,
+        (1000, 0.4): 3e-10, (1000, 0.45): 3e-10, (10000, 0.1): 3e-7,
+        (10000, 0.15): 2e-7, (10000, 0.2): 4e-8, (10000, 0.25): 8e-8,
+        (10000, 0.3): 4e-8, (10000, 0.35): 4e-9, (10000, 0.4): 3e-8,
+        (10000, 0.45): 3e-9, (10000, 0.5): 8e-9, (10000, 0.55): 2e-9,
+        (10000, 0.6): 2e-9, (10000, 0.65): 8e-9, (10000, 0.7): 2e-9,
+        (10000, 0.75): 4e-9, (10000, 0.8): 3e-9, (10000, 0.85): 2e-10,
+        (10000, 0.9): 3e-10, (10000, 0.91): 4e-10, (10000, 0.92): 3e-10,
+        (20000, 0.9): 2e-9, (40000, 0.9): 2e-8,
+    },
+    "delta_ne": {
+        (1000, 1.04): 2e-10, (1000, 1.09): 3e-10, (1000, 1.15): 4e-10,
+        (1000, 1.2): 3e-10, (1000, 1.25): 6e-10, (1000, 1.35): 8e-10,
+        (1000, 1.4): 8e-10, (10000, 0.99): 5e-10, (10000, 1.0): 6e-10,
+        (10000, 1.01): 2e-9, (10000, 1.02): 3e-9, (10000, 1.03): 2e-9,
+        (10000, 1.04): 6e-9, (10000, 1.05): 5e-10, (10000, 1.06): 2e-9,
+        (10000, 1.07): 2e-9, (10000, 1.08): 5e-9, (10000, 1.09): 2e-8,
+        (10000, 1.1): 2e-8, (10000, 1.15): 3e-8, (10000, 1.2): 3e-8,
+        (10000, 1.25): 5e-8, (10000, 1.3): 2e-7, (10000, 1.35): 2e-7,
+        (10000, 1.4): 8e-8, (20000, 1.0): 4e-9, (20000, 1.05): 6e-8,
+        (20000, 1.2): 5e-7, (40000, 0.97): 2e-10, (40000, 1.0): 2e-8,
+        (40000, 1.05): 2e-7, (40000, 1.2): 7e-7,
+    },
+    "corr_01_normalized": {(10000, 0.1): 2e-10},
+}
+SPREAD_DEFECT["normalized_delta_n0"] = SPREAD_DEFECT["delta_n0"]
+
+# The file's rows at 2x10^4 and 4x10^4 near Tc (0.4 s of engine time).
+NEAR_TC_ROWS = [(n, f) for n in (20_000, 40_000)
+                for f in (0.9, 0.97, 1.0, 1.05, 1.2)]
 
 
-def test_fig1_rows_match_the_long_double_truth(standard_sweep):
-    with LONGDOUBLE_TRUTH.open() as fh:
-        exact = {(int(r["n"]), float(r["t_over_tc"])): r
-                 for r in csv.DictReader(fh)
-                 if r["t_over_tc"] and not r["max_level"] and not r["m_max"]}
+def _reference_rows(path):
+    """A file's rows on the unbounded ladder given by T/Tc, by (N, T/Tc)."""
+    with path.open() as fh:
+        return {(int(r["n"]), float(r["t_over_tc"])): r
+                for r in csv.DictReader(x for x in fh if not x.startswith("#"))
+                if r["t_over_tc"] and not r.get("max_level")
+                and not r.get("m_max")}
+
+
+def _gate_against(tag, what, rows, path, held):
+    # every column of a sweep row the file's five values fix, as a relative
+    # gap; the held ones within 1e-10, or their SPREAD_DEFECT entry
+    exact = _reference_rows(path)
     bound = 1e-10
-    worst = {}
-    for row in standard_sweep.rows:
-        x = exact[(row.n, row.t_over_tc)]
+    worst, misses = {}, []
+    for row in rows:
+        key = (row.n, row.t_over_tc)
+        x = exact[key]
         assert float(x["t"]) == row.t_over_spacing
         n0, var, n1 = (float(x[k]) for k in ("n0", "n0_variance", "n1"))
         log_z = float(x["log_z"])
@@ -256,15 +312,49 @@ def test_fig1_rows_match_the_long_double_truth(standard_sweep):
             scale = abs(want)
             if name == "log_z_zero_offset":
                 scale = max(1.0, scale)
-            worst[name] = max(worst.get(name, 0.0), abs(got - want) / scale)
-    held = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset")
+            dev = abs(got - want) / scale
+            worst[name] = max(worst.get(name, 0.0), dev)
+            allowed = SPREAD_DEFECT.get(name, {}).get(key, bound)
+            if name in held and not dev <= allowed:
+                misses.append(f"{name} at {key} {dev:.2e} > {allowed:.0e}")
     _gate(
-        "truth",
-        all(worst[name] <= bound for name in held),
-        f"{len(standard_sweep.rows)} fig1 rows against the long-double "
-        f"truth, worst relative gap (bound {bound:.0e} on the first four): "
-        + ", ".join(f"{name} {dev:.2e}" for name, dev in worst.items()),
+        tag,
+        not misses,
+        f"{len(rows)} {what}, worst relative gap (bound {bound:.0e}, or the "
+        f"row's SPREAD_DEFECT entry, on {', '.join(held)}): "
+        + ", ".join(f"{name} {dev:.2e}" for name, dev in worst.items())
+        + "".join(f"; {miss}" for miss in misses),
     )
+
+
+MEANS = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset")
+EVERY_COLUMN = (*MEANS, *SPREAD_DEFECT)
+
+
+def test_fig1_rows_match_the_long_double_truth(standard_sweep):
+    fig1 = {(r.n, r.t_over_tc) for r in standard_sweep.rows}
+    # every known-defect entry names a row one of the two tests reads
+    for entries in SPREAD_DEFECT.values():
+        assert set(entries) <= fig1 | set(NEAR_TC_ROWS), entries
+    _gate_against("truth", "fig1 rows against the long-double truth",
+                  standard_sweep.rows, LONGDOUBLE_TRUTH, EVERY_COLUMN)
+
+
+def test_near_tc_rows_at_2e4_and_4e4_match_the_long_double_truth():
+    rows = [compute_row(SPEC, n, f) for n, f in NEAR_TC_ROWS]
+    _gate_against("truth-near-Tc", "rows at N = 2e4, 4e4 near Tc against "
+                  "the long-double truth", rows, LONGDOUBLE_TRUTH,
+                  EVERY_COLUMN)
+
+
+def test_rows_at_1e5_agree_with_the_fft_method():
+    # the means only: the spread columns carry the known defect (delta_ne
+    # is 1.6e-4 off at T/Tc = 2), and are printed
+    rows = [compute_row(SPEC, n, f) for n, f in _reference_rows(FFT_AGREEMENT)
+            if n == 10**5]
+    assert len(rows) == 7
+    _gate_against("fft", "rows at N = 1e5 against the FFT method", rows,
+                  FFT_AGREEMENT, MEANS)
 
 
 # 7 ------------------------------------------------------------------------
@@ -305,10 +395,6 @@ def test_07_first_excited_state_fugacity_correction():
 # 8 ------------------------------------------------------------------------
 
 
-# The six moments a change of evaluation setting must leave alone.
-MOMENTS = ("n0_mean", "n0_second_moment", "n1_mean", "n0_n1_mean",
-           "ne_mean", "ne_second_moment")
-
 # Each invariance suite's second evaluation at a probe: keywords of
 # canonical_observables, built from the probe's default result.
 VARIATIONS = {
@@ -328,7 +414,7 @@ def _log_z_dev(a, b):
     return abs(a - b) / max(abs(a), 1.0)
 
 
-def test_08_invariance_suites():
+def test_08_invariance_suites(raw_moments):
     bound = 1e-8
     worst = dict.fromkeys(["oracle_equivalence", *VARIATIONS], 0.0)
     # the offset-free log Z, n0 and n1 against the recursion (N <= 100)
@@ -342,7 +428,8 @@ def test_08_invariance_suites():
                     _log_z_dev(exact.log_z, res.log_z_zero_offset),
                     _rel(res.n0_mean, exact.n0), _rel(res.n1_mean, exact.n1))
     # three probes straddling the transition, each evaluated once by default
-    # and once more per suite with one setting changed
+    # and once more per suite with one setting changed, which must leave the
+    # six raw moments alone
     probes = [canonical_observables(SPEC, f * critical_temperature(SPEC, n), n)
               for n, f in ((50, 0.5), (100, 0.7), (100, 1.2))]
     for name, keywords in VARIATIONS.items():
@@ -350,7 +437,8 @@ def test_08_invariance_suites():
             b = canonical_observables(SPEC, a.t, a.n, **keywords(a))
             worst[name] = max(
                 worst[name],
-                *(_rel(getattr(a, key), getattr(b, key)) for key in MOMENTS),
+                *(_rel(x, y) for x, y in zip(raw_moments(a).values(),
+                                             raw_moments(b).values())),
                 _log_z_dev(a.log_z_zero_offset, b.log_z_zero_offset))
     summary = ", ".join(f"{name} {dev:.3e}" for name, dev in worst.items())
     _gate(
