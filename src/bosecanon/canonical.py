@@ -30,7 +30,7 @@ engine therefore evaluates at the offset that makes z = 0 a true saddle,
 eps0* = -mu(N, T), where the integrand is a positive, nearly Gaussian
 peak. Observables do not depend on the offset, and the exact identity
 log Z(0) = log Z(eps0) + N eps0/T gives log Z with the ground level at
-zero. A forced offset (keyword ground_offset) serves invariance studies.
+zero.
 
 Grid density. A uniform M-point rule on the full period sums coefficient
 aliases Z(N + k M) exactly, so the step must make the first alias
@@ -70,9 +70,9 @@ a ladder without level 1, or T below 1/708.4, where the n1 weight
 underflows, n1 reads 0 and the excited sums stay zero to the full period.
 
 One fugacity solve. The grand-canonical state at mean number N, solved
-once per evaluation (also under a forced offset) and returned as
-CanonicalResult.gc_state, fixes the saddle offset -mu; the engine's
-level arrays are its level ladder shifted to the evaluation offset.
+once per evaluation and returned as CanonicalResult.gc_state, fixes the
+saddle offset -mu; the engine's level arrays are its level ladder shifted
+to that offset.
 """
 
 from __future__ import annotations
@@ -230,9 +230,9 @@ def _quadrature_nodes(n: int):
     return (np.array(x) + 1.0) / 2.0, np.array(w) / 2.0
 
 
-def _half_interval_count(n: int, ipo: int, tail_scale: float) -> int:
+def _half_interval_count(n: int, tail_scale: float) -> int:
     alias_floor = GRID_MARGIN * (n + TAIL_DECAY_LENGTHS * tail_scale)
-    return ipo * int(max(4 * n, math.ceil(alias_floor)))
+    return int(max(4 * n, math.ceil(alias_floor)))
 
 
 def canonical_observables(
@@ -240,29 +240,20 @@ def canonical_observables(
     t: float,
     n: int,
     m_max: int | None = None,
-    *,
-    ground_offset: float | None = None,
-    intervals_per_oscillation: int = 1,
 ) -> CanonicalResult:
-    """Evaluate Z(N, T) and the occupation moments in one quadrature pass.
+    """Evaluate Z(N, T) and the occupation moments in one quadrature pass,
+    at the saddle offset.
 
     m_max: highest Bose-treated level, as grand_canonical.auto_m_max
         resolves it (clamped to a finite ladder's top; None is automatic).
-    ground_offset: None evaluates at the saddle offset; a positive float
-        forces that offset (invariance studies; poorly balanced values
-        lose digits to cancellation and may fail outright).
-    intervals_per_oscillation: multiplies the grid density floor.
     """
     t = _finite_real("temperature", t)
     n = _integer("particle number", n, 1)
-    ipo = _integer("intervals_per_oscillation", intervals_per_oscillation, 1)
-    if ground_offset is not None:
-        ground_offset = _finite_real("forced ground_offset", ground_offset)
 
     m_max = auto_m_max(spectrum, t, m_max)
     _level_one(t, m_max)
     gc_state = solve_fugacity(spectrum, t, n, m_max=m_max)
-    eps0 = ground_offset or -gc_state.mu
+    eps0 = -gc_state.mu
 
     ladder = gc_state.ladder
     q = np.exp(-(eps0 + ladder.energies) / t)
@@ -276,7 +267,7 @@ def canonical_observables(
     tail_scale = w_peak[1] + math.sqrt(_level_variance(q, g, s_mb)) + 20.0
 
     nodes, wts = _quadrature_nodes(n)
-    n_half = _half_interval_count(n, ipo, tail_scale)
+    n_half = _half_interval_count(n, tail_scale)
     h = math.pi / n_half
 
     # Chunk boundary at the predicted exit; none when the excited variance
@@ -327,9 +318,9 @@ def canonical_observables(
     if not z_re > 0.0:
         raise ConvergenceError(
             "partition integral lost all significant digits "
-            f"(Re = {z_re:.3e} after {done} of {n_half} intervals); the "
-            f"evaluation offset {eps0!r} is too far from the saddle for "
-            "double precision")
+            f"(Re = {z_re:.3e} after {done} of {n_half} intervals at offset "
+            f"{eps0!r}); double precision cannot resolve Z at N = {n}, "
+            f"T = {t}")
 
     obs = (acc.real / z_re).tolist()  # Python floats, as every field
     log_z = offset + math.log(z_re / math.pi)

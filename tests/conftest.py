@@ -1,4 +1,9 @@
+import dataclasses
+import math
+
 import pytest
+
+from bosecanon import canonical
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +20,40 @@ def raw_moments():
                 "<N_ex^2>": res.ne_variance + ne ** 2}
 
     return moments
+
+
+@pytest.fixture(scope="session")
+def at_offset():
+    """canonical_observables(spectrum, t, n) evaluated at the offset eps
+    instead of the saddle. The engine's one fugacity solve is patched to
+    return the real state with relative fugacity exp(-eps/T), so the engine
+    takes eps0 = -mu, eps up to one exp and log; gc_state is that state."""
+    solve = canonical.solve_fugacity
+
+    def evaluate(spectrum, t, n, eps):
+        def forced(*args, **kwargs):
+            state = solve(*args, **kwargs)
+            return dataclasses.replace(
+                state, relative_fugacity=math.exp(-eps / state.t))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(canonical, "solve_fugacity", forced)
+            return canonical.canonical_observables(spectrum, t, n)
+
+    return evaluate
+
+
+@pytest.fixture(scope="session")
+def on_doubled_grid():
+    """canonical_observables(spectrum, t, n) on twice the intervals: the
+    engine's grid rule, canonical._half_interval_count, is patched to return
+    twice its count."""
+    count = canonical._half_interval_count
+
+    def evaluate(spectrum, t, n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(canonical, "_half_interval_count",
+                          lambda *args: 2 * count(*args))
+            return canonical.canonical_observables(spectrum, t, n)
+
+    return evaluate

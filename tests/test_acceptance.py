@@ -266,6 +266,11 @@ SPREAD_DEFECT = {
     "corr_01_normalized": {(10000, 0.1): 2e-10},
 }
 SPREAD_DEFECT["normalized_delta_n0"] = SPREAD_DEFECT["delta_n0"]
+# The means where they miss 1e-10 of the FFT file, a known defect: the
+# engine's quadrature noise in n0 at N = 10^6 near Tc (4.52e-10 measured at
+# T/Tc = 0.97, rounded up to one digit as above).
+MEAN_DEFECT = {"n0_mean": {(1000000, 0.97): 5e-10}}
+KNOWN_DEFECT = {**SPREAD_DEFECT, **MEAN_DEFECT}
 
 # The file's rows at 2x10^4 and 4x10^4 near Tc (0.4 s of engine time).
 NEAR_TC_ROWS = [(n, f) for n in (20_000, 40_000)
@@ -283,7 +288,7 @@ def _reference_rows(path):
 
 def _gate_against(tag, what, rows, path, held):
     # every column of a sweep row the file's five values fix, as a relative
-    # gap; the held ones within 1e-10, or their SPREAD_DEFECT entry
+    # gap; the held ones within 1e-10, or their KNOWN_DEFECT entry
     exact = _reference_rows(path)
     bound = 1e-10
     worst, misses = {}, []
@@ -314,14 +319,14 @@ def _gate_against(tag, what, rows, path, held):
                 scale = max(1.0, scale)
             dev = abs(got - want) / scale
             worst[name] = max(worst.get(name, 0.0), dev)
-            allowed = SPREAD_DEFECT.get(name, {}).get(key, bound)
+            allowed = KNOWN_DEFECT.get(name, {}).get(key, bound)
             if name in held and not dev <= allowed:
                 misses.append(f"{name} at {key} {dev:.2e} > {allowed:.0e}")
     _gate(
         tag,
         not misses,
         f"{len(rows)} {what}, worst relative gap (bound {bound:.0e}, or the "
-        f"row's SPREAD_DEFECT entry, on {', '.join(held)}): "
+        f"row's KNOWN_DEFECT entry, on {', '.join(held)}): "
         + ", ".join(f"{name} {dev:.2e}" for name, dev in worst.items())
         + "".join(f"; {miss}" for miss in misses),
     )
@@ -354,6 +359,17 @@ def test_rows_at_1e5_agree_with_the_fft_method():
             if n == 10**5]
     assert len(rows) == 7
     _gate_against("fft", "rows at N = 1e5 against the FFT method", rows,
+                  FFT_AGREEMENT, MEANS)
+
+
+def test_rows_at_1e6_agree_with_the_fft_method():
+    # the means, as at 1e5 (about 4 s of engine time); the spread columns
+    # are printed (delta_ne is 0.155 off at T/Tc = 3)
+    rows = [compute_row(SPEC, n, f) for n, f in _reference_rows(FFT_AGREEMENT)
+            if n == 10**6]
+    assert len(rows) == 7
+    assert {(r.n, r.t_over_tc) for r in rows} >= set(MEAN_DEFECT["n0_mean"])
+    _gate_against("fft-1e6", "rows at N = 1e6 against the FFT method", rows,
                   FFT_AGREEMENT, MEANS)
 
 
@@ -395,17 +411,6 @@ def test_07_first_excited_state_fugacity_correction():
 # 8 ------------------------------------------------------------------------
 
 
-# Each invariance suite's second evaluation at a probe: keywords of
-# canonical_observables, built from the probe's default result.
-VARIATIONS = {
-    "offset_invariance": lambda a: {
-        "ground_offset": a.ground_offset
-        + 2.0 * a.t / math.sqrt(a.gc_state.number_variance)},
-    "m_max_doubling": lambda a: {"m_max": 2 * a.m_max},
-    "grid_refinement": lambda a: {"intervals_per_oscillation": 2},
-}
-
-
 def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
@@ -414,9 +419,20 @@ def _log_z_dev(a, b):
     return abs(a - b) / max(abs(a), 1.0)
 
 
-def test_08_invariance_suites(raw_moments):
+def test_08_invariance_suites(raw_moments, at_offset, on_doubled_grid):
     bound = 1e-8
-    worst = dict.fromkeys(["oracle_equivalence", *VARIATIONS], 0.0)
+    # each invariance suite's second evaluation at a probe, built from the
+    # probe's default result: the offset forced 2 T/sqrt(var) past the
+    # saddle, the ladder doubled, the grid doubled
+    variations = {
+        "offset_invariance": lambda a: at_offset(
+            SPEC, a.t, a.n, a.ground_offset
+            + 2.0 * a.t / math.sqrt(a.gc_state.number_variance)),
+        "m_max_doubling": lambda a: canonical_observables(SPEC, a.t, a.n,
+                                                          2 * a.m_max),
+        "grid_refinement": lambda a: on_doubled_grid(SPEC, a.t, a.n),
+    }
+    worst = dict.fromkeys(["oracle_equivalence", *variations], 0.0)
     # the offset-free log Z, n0 and n1 against the recursion (N <= 100)
     for m_max in (20, 40):
         for t in (0.5, 2.0, 5.0, 10.0):
@@ -432,9 +448,9 @@ def test_08_invariance_suites(raw_moments):
     # six raw moments alone
     probes = [canonical_observables(SPEC, f * critical_temperature(SPEC, n), n)
               for n, f in ((50, 0.5), (100, 0.7), (100, 1.2))]
-    for name, keywords in VARIATIONS.items():
+    for name, vary in variations.items():
         for a in probes:
-            b = canonical_observables(SPEC, a.t, a.n, **keywords(a))
+            b = vary(a)
             worst[name] = max(
                 worst[name],
                 *(_rel(x, y) for x, y in zip(raw_moments(a).values(),

@@ -31,8 +31,6 @@ SPEC = TrapSpectrum()
 
 def test_quadrature_config_rejects_bad_values():
     # the quadrature's settings are checked where they are read
-    with pytest.raises(DomainError, match="intervals_per_oscillation"):
-        canonical_observables(SPEC, 5.0, 10, intervals_per_oscillation=0)
     with pytest.raises(DomainError, match="top level"):
         canonical_observables(SPEC, 5.0, 10, -1)
     with pytest.raises(DomainError, match="need level 1"):
@@ -92,12 +90,10 @@ def test_zero_temperature_limit_fills_ground_state():
     assert res.n0_mean / 50 == pytest.approx(1.0, abs=1e-5)
 
 
-def test_explicit_offset_changes_log_z_but_not_observables():
+def test_explicit_offset_changes_log_z_but_not_observables(at_offset):
     t, n = 5.0, 100
     base = canonical_observables(SPEC, t, n)
-    forced = canonical_observables(
-        SPEC, t, n, ground_offset=base.ground_offset * 0.5
-    )
+    forced = at_offset(SPEC, t, n, base.ground_offset * 0.5)
     assert forced.ground_offset == pytest.approx(base.ground_offset * 0.5)
     assert forced.log_z_zero_offset == pytest.approx(base.log_z_zero_offset, rel=1e-10)
     assert forced.n0_mean == pytest.approx(base.n0_mean, rel=1e-10)
@@ -120,10 +116,6 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: critical_temperature(SPEC, math.inf),
     lambda: compute_row(SPEC, 10.5, 0.5),
     lambda: run_sweep([10.5], [0.5]),
-    lambda: canonical_observables(SPEC, 5.0, 10, intervals_per_oscillation=1.5),
-    lambda: canonical_observables(SPEC, 5.0, 10,
-                                  intervals_per_oscillation=math.inf),
-    lambda: canonical_observables(SPEC, 5.0, 10, ground_offset=math.inf),
     lambda: recursion_table(SPEC, math.inf, 5),
     lambda: recursion_table(SPEC, 5.0, 2.5, m_max=10),
     lambda: recursion_table(SPEC, 2.0, 50).occupation(-1.0),
@@ -156,7 +148,6 @@ def test_explicit_offset_changes_log_z_but_not_observables():
     lambda: truth(SPEC, None, 10),
     lambda: recursion_table(SPEC, None, 5),
     lambda: temperature_grid(None, 1.0, 0.1),
-    lambda: canonical_observables(SPEC, 5.0, 10, ground_offset=True),
     lambda: InteractionParams(True),
     lambda: condensate_fraction_limit(True),
     lambda: run_sweep([100], [None]),
@@ -172,8 +163,7 @@ def test_explicit_offset_changes_log_z_but_not_observables():
 ], ids=["offset-nan", "offset-inf", "t-inf", "t-nan", "gc-t-inf",
         "n-fractional", "n-nan", "n-inf", "gc-n-inf", "gc-n-fractional",
         "tc-n-nan", "tc-n-fractional", "tc-n-inf", "row-n-fractional",
-        "sweep-n-fractional", "ipo-fractional", "ipo-inf", "forced-offset-inf",
-        "recursion-t-inf", "recursion-n-fractional",
+        "sweep-n-fractional", "recursion-t-inf", "recursion-n-fractional",
         "recursion-occupation-negative", "recursion-occupation-nan",
         "recursion-occupation-inf",
         "enumeration-t-inf", "enumeration-energy-inf", "demon-n-fractional",
@@ -183,7 +173,7 @@ def test_explicit_offset_changes_log_z_but_not_observables():
         "fit-t-nan", "n-bool", "tc-n-numpy-bool", "max-level-numpy-bool",
         "sweep-threads-bool", "t-none", "t-str", "t-complex", "t-bool",
         "gc-t-none", "truth-t-none", "recursion-t-none", "grid-start-none",
-        "forced-offset-bool", "pair-energy-bool", "fraction-limit-bool",
+        "pair-energy-bool", "fraction-limit-bool",
         "sweep-t-none", "sweep-t-str", "t-int-past-doubles",
         "t-decimal-past-doubles", "t-decimal-rounds-to-zero",
         "truth-t-longdouble-past-doubles", "sweep-t-decimal-snan",
@@ -229,13 +219,12 @@ def test_converged_flag_and_interval_bookkeeping():
     assert res.m_max >= 40
 
 
-def test_bad_offset_breaks_conditioning():
-    # a huge artificial tilt underflows every level weight; the projection
-    # integral of the bare oscillation carries no signal and must refuse
+def test_bad_offset_breaks_conditioning(at_offset):
+    # a huge artificial tilt underflows every excited level weight; the
+    # projection integral of the bare oscillation carries no signal and
+    # must refuse
     with pytest.raises(ConvergenceError, match="lost all significant digits"):
-        canonical_observables(SPEC, 0.5, 5000, ground_offset=4000.0)
-    with pytest.raises(DomainError):
-        canonical_observables(SPEC, 0.5, 50, ground_offset=-1.0)
+        at_offset(SPEC, 0.5, 5000, 350.0)
 
 
 def test_variances_clamped_nonnegative():
@@ -247,13 +236,12 @@ def test_variances_clamped_nonnegative():
 # ---------------------------------------------------------- shift invariance
 
 
-def test_shift_invariance_at_two_forced_offsets(raw_moments):
+def test_shift_invariance_at_two_forced_offsets(raw_moments, at_offset):
     # observables and the offset-free log Z do not depend on the evaluation
     # offset, for offsets within a few T/sqrt(var) of the saddle
     t, n = 5.0, 120
     eps = canonical_observables(SPEC, t, n).ground_offset
-    a, b = (canonical_observables(SPEC, t, n, ground_offset=f * eps)
-            for f in (0.7, 1.3))
+    a, b = (at_offset(SPEC, t, n, f * eps) for f in (0.7, 1.3))
     want = raw_moments(a)
     for name, got in raw_moments(b).items():
         assert got == pytest.approx(want[name], rel=1e-11), name
@@ -261,21 +249,13 @@ def test_shift_invariance_at_two_forced_offsets(raw_moments):
     assert b.log_z - a.log_z == pytest.approx(-n * 0.6 * eps / t, rel=1e-9)
 
 
-def test_shift_invariance_identical_offsets_degenerate():
-    # forcing the engine's own saddle offset gives the same bits
-    t, n = 4.0, 40
-    base = canonical_observables(SPEC, t, n)
-    forced = canonical_observables(SPEC, t, n, ground_offset=base.ground_offset)
-    assert repr(forced) == repr(base)
-
-
 # ------------------------------------------------------- numerical hygiene
 
 
-def test_quadrature_insensitive_to_point_count():
+def test_quadrature_insensitive_to_point_count(on_doubled_grid):
     t, n = 5.0, 80
     a = canonical_observables(SPEC, t, n)
-    b = canonical_observables(SPEC, t, n, intervals_per_oscillation=2)
+    b = on_doubled_grid(SPEC, t, n)
     assert b.intervals_total == 2 * a.intervals_total
     assert a.n0_mean == pytest.approx(b.n0_mean, rel=1e-10)
     assert a.log_z_zero_offset == pytest.approx(b.log_z_zero_offset, rel=1e-10)
@@ -411,17 +391,14 @@ def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
 
 
 def test_single_solve_state_is_the_offset_free_ladder():
-    # the state is the spectrum's own solve, also under a forced offset;
-    # its fugacity fixes the saddle offset
+    # the state is the spectrum's own solve; its fugacity fixes the saddle
+    # offset
     t, n = 5.0, 100
     free = solve_fugacity(SPEC, t, n)
-    for forced in (None, 0.02):
-        res = canonical_observables(SPEC, t, n, ground_offset=forced)
-        assert res.gc_state == solve_fugacity(SPEC, t, n, m_max=res.m_max)
-        assert res.gc_state.relative_fugacity == free.relative_fugacity
-    assert res.ground_offset == 0.02
-    saddle = canonical_observables(SPEC, t, n).ground_offset
-    assert saddle == -free.mu
+    res = canonical_observables(SPEC, t, n)
+    assert res.gc_state == solve_fugacity(SPEC, t, n, m_max=res.m_max)
+    assert res.gc_state.relative_fugacity == free.relative_fugacity
+    assert res.ground_offset == -free.mu
 
 
 def test_overflow_guard_reports_first_nonfinite_interval(monkeypatch):
