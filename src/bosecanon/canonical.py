@@ -78,7 +78,8 @@ to that offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,6 +157,15 @@ class CanonicalResult:
 
     n0_variance, ne_variance and covariance_n0_n1 are Var(n0), Var(N_ex)
     and <dn0 dn1>, the last negative below the transition.
+
+    The last four fields are what the evaluation cost, and no part of its
+    value (left out of equality and repr; chunking moves points_evaluated,
+    not the result): points_evaluated counts the integrand points the
+    kernel computed, those past the exit included, and the wall times
+    split the evaluation into the fugacity solve (solve_s), the kernel
+    calls (integrand_s) and the rest (moments_s): set-up, the
+    accumulate-and-exit loop and assembly. The solve's own count is
+    gc_state.evaluations.
     """
 
     n: int
@@ -173,6 +183,10 @@ class CanonicalResult:
     m_max: int
     ground_offset: float
     gc_state: GrandCanonicalState
+    points_evaluated: int = field(compare=False, repr=False)
+    solve_s: float = field(compare=False, repr=False)
+    integrand_s: float = field(compare=False, repr=False)
+    moments_s: float = field(compare=False, repr=False)
 
     @property
     def delta_n0(self) -> float:
@@ -247,12 +261,15 @@ def canonical_observables(
     m_max: highest Bose-treated level, as grand_canonical.auto_m_max
         resolves it (clamped to a finite ladder's top; None is automatic).
     """
+    started = time.perf_counter()
     t = _finite_real("temperature", t)
     n = _integer("particle number", n, 1)
 
     m_max = auto_m_max(spectrum, t, m_max)
     _level_one(t, m_max)
+    tick = time.perf_counter()
     gc_state = solve_fugacity(spectrum, t, n, m_max=m_max)
+    solve_s = time.perf_counter() - tick
     eps0 = -gc_state.mu
 
     ladder = gc_state.ladder
@@ -288,13 +305,17 @@ def canonical_observables(
     # commutes exactly, so adding it to the first row first is the same).
     step = CHUNK_POINTS // nodes.size
     acc = np.zeros(N_ACCUMULATORS, dtype=np.complex128)
-    done = 0
+    done = points = 0
+    integrand_s = 0.0
     while done < n_half:
         i1 = min((done // step + 1) * step, n_half)
         if done < boundary < i1:
             i1 = boundary
+        tick = time.perf_counter()
         run, peak = projection_chunk(q, g, float(n), s_mb, h, done, i1,
                                      nodes, wts, offset)
+        integrand_s += time.perf_counter() - tick
+        points += (i1 - done) * nodes.size
         run[0] += acc
         np.cumsum(run, axis=0, out=run)
         # Bound on everything past each interval, from its peak modulus.
@@ -325,6 +346,7 @@ def canonical_observables(
     obs = (acc.real / z_re).tolist()  # Python floats, as every field
     log_z = offset + math.log(z_re / math.pi)
     log_z_zero = log_z + n * eps0 / t
+    elapsed = time.perf_counter() - started
     return CanonicalResult(
         n=n,
         t=t,
@@ -341,4 +363,8 @@ def canonical_observables(
         m_max=m_max,
         ground_offset=eps0,
         gc_state=gc_state,
+        points_evaluated=points,
+        solve_s=solve_s,
+        integrand_s=integrand_s,
+        moments_s=elapsed - solve_s - integrand_s,
     )

@@ -118,6 +118,12 @@ def _run_sweep(settings: argparse.Namespace) -> int:
     print(f"rows: {ok}/{len(result.rows)} converged; "
           f"wrote {settings.out}.csv, {settings.out}.json "
           f"in {result.meta['elapsed_seconds']}s")
+    cost = result.meta["totals"]
+    print(f"layers: solve {cost['solve_s']:.3g}s "
+          f"({cost['solve_evals']} evaluations), "
+          f"integrand {cost['integrand_s']:.3g}s "
+          f"({cost['points_evaluated']} points), "
+          f"moments {cost['moments_s']:.3g}s")
     for row in result.failed_rows:
         print(f"  failed: N={row.n} T/Tc={row.t_over_tc}: {row.error}",
               file=sys.stderr)

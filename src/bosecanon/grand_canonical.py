@@ -116,7 +116,11 @@ def _level_log_z(x: np.ndarray, g: np.ndarray, tail: float) -> float:
 
 
 def _occupation_sums(ladder: LevelLadder, lam: float) -> float:
-    """Mean number at the ladder's fugacity lam (the bracket keeps x_m < 1)."""
+    """Mean number at the ladder's fugacity lam (the bracket keeps x_m < 1).
+
+    The solve counts its own calls (GrandCanonicalState.evaluations); the
+    function stays a separate name only for perfbench/spans.py, which
+    patches it to count them, until ROADMAP item 1d reads the rows."""
     return _level_count(lam * ladder.boltzmann, ladder.degeneracies,
                         lam * ladder.tail_weight)
 
@@ -130,12 +134,17 @@ class GrandCanonicalState:
     the ladder the solve built (ladder, left out of equality and repr). The
     spectrum is not kept: the ladder holds all of it that the sums read,
     its levels 0..m_max and the tail weight above them.
+
+    evaluations is what the solve cost: its mean-number sums, the check at
+    the top of the bracket included. Like the ladder, it is no part of the
+    state's value.
     """
 
     t: float
     relative_fugacity: float
     m_max: int
     ladder: LevelLadder = field(compare=False, repr=False)
+    evaluations: int = field(compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.relative_fugacity < 1.0:
@@ -193,12 +202,14 @@ def solve_fugacity(
         raise DomainError(
             f"{n_target} particles exceed the {top:.6g} the ladder holds "
             f"below the ground-state divergence at T = {t}")
+    evaluations = 1
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
+        evaluations += 1
         if _occupation_sums(ladder, mid) < n_target:
             lo = mid
         else:
             hi = mid
-    return GrandCanonicalState(t, mid, mm, ladder)
+    return GrandCanonicalState(t, mid, mm, ladder, evaluations)

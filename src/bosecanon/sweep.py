@@ -2,10 +2,11 @@
 
 One SweepRow per grid point carries the canonical observables, their
 grand-canonical counterparts at the same mean number, the limiting
-estimates, and engine diagnostics, with temperatures in both T/Tc and
-trap units and occupations both absolute and N-normalised. A bad N or
-T/Tc is refused before the first row; a row the engine refuses or fails
-on becomes an error record instead of crashing the sweep.
+estimates, engine diagnostics and the row's cost, with temperatures in
+both T/Tc and trap units and occupations both absolute and N-normalised.
+A bad N or T/Tc is refused before the first row; a row the engine
+refuses or fails on becomes an error record instead of crashing the
+sweep.
 
 Rows are independent work items; each is computed sequentially inside
 one worker, so results are bit-identical for any worker count. A
@@ -20,7 +21,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,8 +33,10 @@ from .asymptotics import (
 )
 from .canonical import ConvergenceError, canonical_observables
 # solve_fugacity is not called here: rows take their grand-canonical
-# columns from CanonicalResult.gc_state. The name stays because the
-# benchmark tracer (perfbench/spans.py) patches sweep.solve_fugacity.
+# columns from CanonicalResult.gc_state, and its cost from the row's own
+# columns. The name stays only because the benchmark tracer
+# (perfbench/spans.py) patches sweep.solve_fugacity, until ROADMAP item 1d
+# has it read the rows instead.
 from .grand_canonical import solve_fugacity  # noqa: F401
 from .spectrum import (DomainError, TrapSpectrum, _finite_real, _integer,
                        critical_temperature)
@@ -56,7 +59,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (N, T/Tc) grid point; float fields are NaN when unpopulated."""
+    """One (N, T/Tc) grid point; float fields are NaN when unpopulated.
+
+    The last five columns before `converged` are the row's cost, copied
+    from the engine, and no part of its value (left out of equality and
+    repr): solve_evals, the fugacity solve's mean-number sums
+    (GrandCanonicalState.evaluations); points_evaluated, the integrand
+    points computed; and the wall times solve_s, integrand_s and moments_s
+    of CanonicalResult. An error row keeps 0 and NaN there. The levels are
+    m_max + 1.
+    """
 
     n: int
     t_over_tc: float
@@ -80,6 +92,11 @@ class SweepRow:
     intervals_evaluated: int = 0
     intervals_total: int = 0
     ground_offset: float = math.nan
+    solve_evals: int = field(default=0, compare=False, repr=False)
+    points_evaluated: int = field(default=0, compare=False, repr=False)
+    solve_s: float = field(default=math.nan, compare=False, repr=False)
+    integrand_s: float = field(default=math.nan, compare=False, repr=False)
+    moments_s: float = field(default=math.nan, compare=False, repr=False)
     converged: int = 0
     error: str = ""
 
@@ -89,6 +106,9 @@ class SweepRow:
 
 # Column order of the CSV and JSON output.
 FIELD_ORDER = tuple(f.name for f in fields(SweepRow))
+# A row's cost columns, the fields left out of its equality; the meta sums
+# them over the rows without error.
+COST_FIELDS = tuple(f.name for f in fields(SweepRow) if not f.compare)
 
 
 @dataclass(frozen=True)
@@ -141,6 +161,11 @@ def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
         intervals_evaluated=r.intervals_evaluated,
         intervals_total=r.intervals_total,
         ground_offset=r.ground_offset,
+        solve_evals=gc.evaluations,
+        points_evaluated=r.points_evaluated,
+        solve_s=r.solve_s,
+        integrand_s=r.integrand_s,
+        moments_s=r.moments_s,
         converged=1,
     )
 
@@ -204,7 +229,9 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     DomainError, and so is a T/Tc that is not a real number with a
     positive, finite double (None, a string, a bool, an array, NaN, 0, -1,
     10**400) or an empty particle list or temperature grid; all are refused
-    before the first row. meta["t_grid"] holds the floats the rows use.
+    before the first row. meta["t_grid"] holds the floats the rows use,
+    and meta["totals"] the sum of each cost column (COST_FIELDS) over the
+    rows without error.
 
     threads > 1 computes that many rows at once on worker threads, the
     same rows bit for bit. It is not a user setting, because it does not
@@ -247,6 +274,8 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
         "level_spacing": spectrum.level_spacing,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
         "failed_rows": sum(1 for r in rows if r.error),
+        "totals": {k: sum(getattr(r, k) for r in rows if not r.error)
+                   for k in COST_FIELDS},
     }
     return SweepResult(rows=rows, meta=meta)
 

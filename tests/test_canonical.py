@@ -357,20 +357,12 @@ def test_exit_bound_covers_the_skipped_intervals(monkeypatch, n, t_over_tc):
     assert np.all(np.abs(rest.sum(axis=0)) <= 1e-12 * np.abs(summed))
 
 
-def test_kernel_stops_near_the_predicted_exit(monkeypatch):
+def test_kernel_stops_near_the_predicted_exit():
     # without the predicted boundary the first 4096-interval chunk (16384
     # points) runs for the 288 intervals this row needs
-    points = []
-    kernel = canonical.projection_chunk
-
-    def recording(*args):
-        points.append((args[6] - args[5]) * args[7].size)
-        return kernel(*args)
-
-    monkeypatch.setattr(canonical, "projection_chunk", recording)
     res = canonical_observables(SPEC, critical_temperature(SPEC, 1000), 1000)
     assert res.intervals_evaluated < res.intervals_total
-    assert sum(points) <= 1.15 * res.intervals_evaluated * 4
+    assert res.points_evaluated <= 1.15 * res.intervals_evaluated * 4
 
 
 def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(

@@ -14,6 +14,7 @@ import pytest
 
 from bosecanon import (
     TrapSpectrum,
+    canonical,
     critical_temperature,
     grand_canonical,
     sweep,
@@ -176,23 +177,50 @@ def test_a_level_1_factor_in_the_normal_doubles_still_converges():
     assert row.corr_01_normalized == pytest.approx(-1e-4, rel=1e-9)
 
 
-def test_compute_row_solves_the_fugacity_once(monkeypatch):
-    # the grand-canonical columns come from the saddle's own solve
-    evals = 0
-    sums = grand_canonical._occupation_sums
+def test_compute_row_solves_the_fugacity_once():
+    # the grand-canonical columns come from the saddle's own solve, so the
+    # row counts the evaluations of one solve
+    row = compute_row(SPEC, 1000, 0.5)
+    state = solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000), 1000,
+                           m_max=row.m_max)
+    assert row.solve_evals == state.evaluations > 0
 
-    def counted(*args, **kwargs):
+
+def test_row_costs_match_an_outside_recorder(monkeypatch):
+    # the engine's own counts against wrappers on the names the benchmark's
+    # tracer patches (until it reads the rows): a multi-chunk 4-point row
+    # and a midpoint row
+    cases = [(1000, 0.4), (10_000, 0.4)]
+    serial = run_sweep([1000, 10_000], [0.4]).rows
+    threaded = run_sweep([1000, 10_000], [0.4], threads=2).rows
+    kernel, sums = canonical.projection_chunk, grand_canonical._occupation_sums
+    calls, evals = [], 0
+
+    def recording(*args):
+        calls.append((args[6] - args[5]) * args[7].size)
+        return kernel(*args)
+
+    def counted(*args):
         nonlocal evals
         evals += 1
-        return sums(*args, **kwargs)
+        return sums(*args)
 
+    monkeypatch.setattr(canonical, "projection_chunk", recording)
     monkeypatch.setattr(grand_canonical, "_occupation_sums", counted)
-    row = compute_row(SPEC, 1000, 0.5)
-    row_evals, evals = evals, 0
-    solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000), 1000,
-                   m_max=row.m_max)
-    assert evals > 0
-    assert row_evals == evals
+    kernel_calls = {}
+    for (n, f), *swept in zip(cases, serial, threaded, strict=True):
+        calls.clear()
+        evals = 0
+        row = compute_row(SPEC, n, f)
+        kernel_calls[n] = len(calls)
+        assert row.points_evaluated == sum(calls) > 0
+        assert row.solve_evals == evals > 0
+        # the same counts on one thread and on two; the times are the row's
+        for r in swept:
+            assert (r.solve_evals, r.points_evaluated) == (
+                row.solve_evals, row.points_evaluated)
+            assert min(r.solve_s, r.integrand_s, r.moments_s) >= 0.0
+    assert kernel_calls[1000] > 1
 
 
 def test_compute_row_builds_the_level_ladder_once(monkeypatch):
@@ -469,6 +497,35 @@ def test_csv_full_precision_round_trip(tmp_path, small_sweep):
     same_rows(from_csv, [row.to_dict() for row in small_sweep.rows])
 
 
+def test_a_refused_row_costs_nothing_in_the_files_or_the_totals(tmp_path):
+    # the cost guard refuses (10^9, 0.05) before any kernel call: the row
+    # keeps zero counts and NaN times, 'nan' in the CSV and null in the
+    # JSON, and the meta's totals are the converged row's alone
+    result = run_sweep([100, 10**9], [0.05])
+    ok, refused = result.rows
+    assert ok.converged == 1
+    assert refused.error.startswith("DomainError: predicted kernel work")
+    times = ("solve_s", "integrand_s", "moments_s")
+    assert (refused.solve_evals, refused.points_evaluated) == (0, 0)
+    assert all(math.isnan(getattr(refused, k)) for k in times)
+    assert result.meta["totals"] == {k: getattr(ok, k)
+                                     for k in sweep.COST_FIELDS}
+    from_csv, from_json, meta = read_back(tmp_path, result)
+    for got in (from_csv, from_json):
+        same_rows(got, [row.to_dict() for row in result.rows])
+    assert meta == result.meta
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON")
+
+    payload = json.loads((tmp_path / "out.json").read_text(),
+                         parse_constant=refuse)
+    assert [payload["rows"][1][k] for k in times] == [None] * 3
+    with open(tmp_path / "out.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))[1]
+    assert [cells[k] for k in times] == ["nan"] * 3
+
+
 def test_numpy_integer_inputs_write_json(tmp_path):
     # particle numbers and level indices reach the output as plain ints,
     # also the top level of a finite ladder
@@ -541,6 +598,11 @@ def test_cli_small_sweep_writes_both_formats(tmp_path, capsys):
     assert (tmp_path / "mini.json").exists()
     text = capsys.readouterr().out
     assert "rows" in text
+    # one line of per-layer totals, as in the JSON meta
+    layers, = [line for line in text.splitlines()
+               if line.startswith("layers: solve ")]
+    assert " evaluations), integrand " in layers
+    assert " points), moments " in layers
 
 
 def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
