@@ -69,7 +69,7 @@ def _finite_real(name: str, value: float, allow_zero: bool = False) -> float:
         x = math.nan
     if not (0.0 <= x < math.inf and (allow_zero or x != 0.0)):
         sign = "nonnegative" if allow_zero else "positive"
-        raise DomainError(f"{name} must be {sign} and finite, got {value}")
+        raise DomainError(f"{name} must be {sign} and finite, got {value!s}")
     return x
 
 
@@ -83,7 +83,7 @@ def _integer(name: str, value: int, floor: int) -> int:
         whole = None
     if whole is None or whole != value or not (
             floor <= whole <= sys.float_info.max):
-        raise DomainError(f"{name} must be a finite integer >= {floor}, got {value}")
+        raise DomainError(f"{name} must be a finite integer >= {floor}, got {value!s}")
     return whole
 
 

@@ -1,9 +1,76 @@
 import dataclasses
 import math
+from collections import namedtuple
 
 import pytest
 
 from bosecanon import canonical
+
+
+class Recorder:
+    """module.name replaced for a with block, each call recorded.
+
+    A call goes through to the original unless a replacement is given: a
+    function, called instead, or a plain value (canonical.CHUNK_POINTS),
+    set and never called. `calls` holds a record of each call that
+    returns, in order: by default its (args, kwargs, result)."""
+
+    def __init__(self, module, name, replacement=None):
+        self.module, self.name = module, name
+        self.original = getattr(module, name)
+        self.target = self.original if replacement is None else replacement
+        self.calls = []
+
+    def record(self, args, kwargs, result):
+        return args, kwargs, result
+
+    def __enter__(self):
+        def call(*args, **kwargs):
+            result = self.target(*args, **kwargs)
+            self.calls.append(self.record(args, kwargs, result))
+            return result
+
+        setattr(self.module, self.name,
+                call if callable(self.target) else self.target)
+        return self
+
+    def __exit__(self, *exc_info):
+        setattr(self.module, self.name, self.original)
+
+
+class KernelCall(namedtuple("KernelCall", "args out peak")):
+    """One projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset)
+    call: its arguments, and its output and peaks."""
+    i0 = property(lambda self: self.args[5])
+    i1 = property(lambda self: self.args[6])
+    nodes = property(lambda self: self.args[7])
+
+    def over(self, i0, i1):
+        """The same call's arguments on the intervals [i0, i1)."""
+        return (*self.args[:5], i0, i1, *self.args[7:])
+
+
+class KernelRecorder(Recorder):
+    """canonical.projection_chunk under a Recorder. Each call is recorded
+    as a KernelCall that holds copies of the output and peaks, which the
+    engine sums in place."""
+    Call = KernelCall  # lets a replacement name its own call's intervals
+
+    def __init__(self, replacement=None):
+        super().__init__(canonical, "projection_chunk", replacement)
+
+    def record(self, args, kwargs, result):
+        return KernelCall(args, *(array.copy() for array in result))
+
+
+@pytest.fixture(scope="session")
+def recorder():
+    return Recorder
+
+
+@pytest.fixture(scope="session")
+def kernel_recorder():
+    return KernelRecorder
 
 
 @pytest.fixture(scope="session")
@@ -36,8 +103,7 @@ def at_offset():
             return dataclasses.replace(
                 state, relative_fugacity=math.exp(-eps / state.t))
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(canonical, "solve_fugacity", forced)
+        with Recorder(canonical, "solve_fugacity", forced):
             return canonical.canonical_observables(spectrum, t, n)
 
     return evaluate
@@ -51,9 +117,8 @@ def on_doubled_grid():
     count = canonical._half_interval_count
 
     def evaluate(spectrum, t, n):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(canonical, "_half_interval_count",
-                          lambda *args: 2 * count(*args))
+        with Recorder(canonical, "_half_interval_count",
+                      lambda *args: 2 * count(*args)):
             return canonical.canonical_observables(spectrum, t, n)
 
     return evaluate

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosecanon import DomainError, TrapSpectrum, canonical, critical_temperature
+from bosecanon._kernels import projection_chunk
 from bosecanon.asymptotics import (
     InteractionParams,
     condensate_fraction_limit,
@@ -24,6 +26,7 @@ from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
                              temperature_grid)
 
 SPEC = TrapSpectrum()
+engine = functools.partial(canonical_observables, SPEC)
 
 
 # ------------------------------------------------------------ configuration
@@ -100,86 +103,94 @@ def test_explicit_offset_changes_log_z_but_not_observables(at_offset):
     assert forced.log_z != pytest.approx(base.log_z, rel=1e-6)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: SPEC.with_ground_offset(math.nan),
-    lambda: SPEC.with_ground_offset(math.inf),
-    lambda: canonical_observables(SPEC, math.inf, 10),
-    lambda: canonical_observables(SPEC, math.nan, 10),
-    lambda: solve_fugacity(SPEC, math.inf, 10),
-    lambda: canonical_observables(SPEC, 5.0, 10.5),
-    lambda: canonical_observables(SPEC, 5.0, math.nan),
-    lambda: canonical_observables(SPEC, 5.0, math.inf),
-    lambda: solve_fugacity(SPEC, 5.0, math.inf),
-    lambda: solve_fugacity(SPEC, 5.0, 10.5),
-    lambda: critical_temperature(SPEC, math.nan),
-    lambda: critical_temperature(SPEC, 10.5),
-    lambda: critical_temperature(SPEC, math.inf),
-    lambda: compute_row(SPEC, 10.5, 0.5),
-    lambda: run_sweep([10.5], [0.5]),
-    lambda: recursion_table(SPEC, math.inf, 5),
-    lambda: recursion_table(SPEC, 5.0, 2.5, m_max=10),
-    lambda: recursion_table(SPEC, 2.0, 50).occupation(-1.0),
-    lambda: recursion_table(SPEC, 2.0, 50).occupation(math.nan),
-    lambda: recursion_table(SPEC, 2.0, 50).occupation(math.inf),
-    lambda: enumerate_exact((0.0, 1.0), math.inf, 3),
-    lambda: enumerate_exact((0.0, math.inf), 1.0, 3),
-    lambda: truth(SPEC, 5.0, 10.5, 40),
-    lambda: truth(SPEC, 5.0, math.nan, 40),
-    lambda: truth(SPEC, 5.0, -5, 40),
-    lambda: truth(SPEC, 5.0, math.inf, 40),
-    lambda: damping_crossover(math.inf, InteractionParams(0.1)),
-    lambda: InteractionParams(math.nan),
-    lambda: InteractionParams(math.inf),
-    lambda: condensate_fraction_limit(math.nan),
-    lambda: delta_n0_fraction_limit(math.nan, 0.5),
-    lambda: correlation_limit(math.inf, 0.5),
-    lambda: temperature_grid(0.1, math.inf, 0.1),
-    lambda: fit_scaling([SweepRow(n, 0.5, n0_over_n=0.5, gc_n0_over_n=1.0)
-                         for n in (20, 40, 80)], "gc_discrepancy", math.nan),
-    lambda: canonical_observables(SPEC, 5.0, True),
-    lambda: critical_temperature(SPEC, np.True_),
-    lambda: TrapSpectrum(max_level=np.True_),
-    lambda: run_sweep([100], [0.5], threads=True),
-    lambda: canonical_observables(SPEC, None, 10),
-    lambda: canonical_observables(SPEC, "1", 10),
-    lambda: canonical_observables(SPEC, 1 + 0j, 10),
-    lambda: canonical_observables(SPEC, True, 10),
-    lambda: solve_fugacity(SPEC, None, 10),
-    lambda: truth(SPEC, None, 10),
-    lambda: recursion_table(SPEC, None, 5),
-    lambda: temperature_grid(None, 1.0, 0.1),
-    lambda: InteractionParams(True),
-    lambda: condensate_fraction_limit(True),
-    lambda: run_sweep([100], [None]),
-    lambda: run_sweep([100], ["0.5"]),
-    lambda: canonical_observables(SPEC, 10**400, 10),
-    lambda: canonical_observables(SPEC, Decimal("1e400"), 10),
-    lambda: canonical_observables(SPEC, Decimal("1e-400"), 10),
-    lambda: truth(SPEC, np.longdouble("1e4000"), 10),
-    lambda: run_sweep([100], [Decimal("sNaN")]),
-    lambda: run_sweep([100], [np.array([0.5, 0.6])]),
-    lambda: run_sweep([100], [math.nan]),
-    lambda: run_sweep([100], [-0.5]),
-], ids=["offset-nan", "offset-inf", "t-inf", "t-nan", "gc-t-inf",
-        "n-fractional", "n-nan", "n-inf", "gc-n-inf", "gc-n-fractional",
-        "tc-n-nan", "tc-n-fractional", "tc-n-inf", "row-n-fractional",
-        "sweep-n-fractional", "recursion-t-inf", "recursion-n-fractional",
-        "recursion-occupation-negative", "recursion-occupation-nan",
-        "recursion-occupation-inf",
-        "enumeration-t-inf", "enumeration-energy-inf", "demon-n-fractional",
-        "demon-n-nan", "demon-n-negative", "demon-n-inf",
-        "crossover-t-inf", "pair-energy-nan", "pair-energy-inf",
-        "fraction-limit-nan", "eq10-n-nan", "eq12-n-inf", "grid-stop-inf",
-        "fit-t-nan", "n-bool", "tc-n-numpy-bool", "max-level-numpy-bool",
-        "sweep-threads-bool", "t-none", "t-str", "t-complex", "t-bool",
-        "gc-t-none", "truth-t-none", "recursion-t-none", "grid-start-none",
-        "pair-energy-bool", "fraction-limit-bool",
-        "sweep-t-none", "sweep-t-str", "t-int-past-doubles",
-        "t-decimal-past-doubles", "t-decimal-rounds-to-zero",
-        "truth-t-longdouble-past-doubles", "sweep-t-decimal-snan",
-        "sweep-t-array", "sweep-t-nan", "sweep-t-negative"])
-def test_non_finite_or_fractional_input_is_a_domain_error(call):
-    with pytest.raises(DomainError):
+# The quantities the refusals name most often.
+TEMP, COUNT, RATIO = "temperature", "particle number", "t_over_tc"
+GC_COUNT, ENERGY = "target particle number", "state energy"
+# id: (call, the quantity its message names, the value as given)
+REFUSALS = {
+    "offset-nan": (lambda: SPEC.with_ground_offset(math.nan), "ground_offset", "nan"),
+    "offset-inf": (lambda: SPEC.with_ground_offset(math.inf), "ground_offset", "inf"),
+    "t-inf": (lambda: engine(math.inf, 10), TEMP, "inf"),
+    "t-nan": (lambda: engine(math.nan, 10), TEMP, "nan"),
+    "gc-t-inf": (lambda: solve_fugacity(SPEC, math.inf, 10), TEMP, "inf"),
+    "n-fractional": (lambda: engine(5.0, 10.5), COUNT, "10.5"),
+    "n-nan": (lambda: engine(5.0, math.nan), COUNT, "nan"),
+    "n-inf": (lambda: engine(5.0, math.inf), COUNT, "inf"),
+    "gc-n-inf": (lambda: solve_fugacity(SPEC, 5.0, math.inf), GC_COUNT, "inf"),
+    "gc-n-fractional": (lambda: solve_fugacity(SPEC, 5.0, 10.5), GC_COUNT, "10.5"),
+    "tc-n-nan": (lambda: critical_temperature(SPEC, math.nan), COUNT, "nan"),
+    "tc-n-fractional": (lambda: critical_temperature(SPEC, 10.5), COUNT, "10.5"),
+    "tc-n-inf": (lambda: critical_temperature(SPEC, math.inf), COUNT, "inf"),
+    "row-n-fractional": (lambda: compute_row(SPEC, 10.5, 0.5), COUNT, "10.5"),
+    "sweep-n-fractional": (lambda: run_sweep([10.5], [0.5]), COUNT, "10.5"),
+    "recursion-t-inf": (lambda: recursion_table(SPEC, math.inf, 5), TEMP, "inf"),
+    "recursion-n-fractional": (
+        lambda: recursion_table(SPEC, 5.0, 2.5, m_max=10), COUNT, "2.5"),
+    "recursion-occupation-negative": (
+        lambda: recursion_table(SPEC, 2.0, 50).occupation(-1.0), ENERGY, "-1.0"),
+    "recursion-occupation-nan": (
+        lambda: recursion_table(SPEC, 2.0, 50).occupation(math.nan), ENERGY, "nan"),
+    "recursion-occupation-inf": (
+        lambda: recursion_table(SPEC, 2.0, 50).occupation(math.inf), ENERGY, "inf"),
+    "enumeration-t-inf": (
+        lambda: enumerate_exact((0.0, 1.0), math.inf, 3), TEMP, "inf"),
+    "enumeration-energy-inf": (
+        lambda: enumerate_exact((0.0, math.inf), 1.0, 3), "state energies",
+        "[ 0. inf]"),
+    "demon-n-fractional": (lambda: truth(SPEC, 5.0, 10.5, 40), COUNT, "10.5"),
+    "demon-n-nan": (lambda: truth(SPEC, 5.0, math.nan, 40), COUNT, "nan"),
+    "demon-n-negative": (lambda: truth(SPEC, 5.0, -5, 40), COUNT, "-5"),
+    "demon-n-inf": (lambda: truth(SPEC, 5.0, math.inf, 40), COUNT, "inf"),
+    "crossover-t-inf": (
+        lambda: damping_crossover(math.inf, InteractionParams(0.1)), TEMP, "inf"),
+    "pair-energy-nan": (lambda: InteractionParams(math.nan), "pair_energy", "nan"),
+    "pair-energy-inf": (lambda: InteractionParams(math.inf), "pair_energy", "inf"),
+    "fraction-limit-nan": (lambda: condensate_fraction_limit(math.nan), RATIO, "nan"),
+    "eq10-n-nan": (lambda: delta_n0_fraction_limit(math.nan, 0.5), COUNT, "nan"),
+    "eq12-n-inf": (lambda: correlation_limit(math.inf, 0.5), COUNT, "inf"),
+    "grid-stop-inf": (lambda: temperature_grid(0.1, math.inf, 0.1), "grid stop", "inf"),
+    "fit-t-nan": (lambda: fit_scaling(
+        [SweepRow(n, 0.5, n0_over_n=0.5, gc_n0_over_n=1.0) for n in (20, 40, 80)],
+        "gc_discrepancy", math.nan), RATIO, "nan"),
+    "n-bool": (lambda: engine(5.0, True), COUNT, "True"),
+    "tc-n-numpy-bool": (lambda: critical_temperature(SPEC, np.True_), COUNT, "True"),
+    "max-level-numpy-bool": (
+        lambda: TrapSpectrum(max_level=np.True_), "max_level", "True"),
+    "sweep-threads-bool": (
+        lambda: run_sweep([100], [0.5], threads=True), "threads", "True"),
+    "t-none": (lambda: engine(None, 10), TEMP, "None"),
+    "t-str": (lambda: engine("1", 10), TEMP, "1"),
+    "t-complex": (lambda: engine(1 + 0j, 10), TEMP, "(1+0j)"),
+    "t-bool": (lambda: engine(True, 10), TEMP, "True"),
+    "gc-t-none": (lambda: solve_fugacity(SPEC, None, 10), TEMP, "None"),
+    "truth-t-none": (lambda: truth(SPEC, None, 10), TEMP, "None"),
+    "recursion-t-none": (lambda: recursion_table(SPEC, None, 5), TEMP, "None"),
+    "grid-start-none": (lambda: temperature_grid(None, 1.0, 0.1), "grid start", "None"),
+    "pair-energy-bool": (lambda: InteractionParams(True), "pair_energy", "True"),
+    "fraction-limit-bool": (lambda: condensate_fraction_limit(True), RATIO, "True"),
+    "sweep-t-none": (lambda: run_sweep([100], [None]), RATIO, "None"),
+    "sweep-t-str": (lambda: run_sweep([100], ["0.5"]), RATIO, "0.5"),
+    "t-int-past-doubles": (lambda: engine(10**400, 10), TEMP, str(10**400)),
+    "t-decimal-past-doubles": (lambda: engine(Decimal("1e400"), 10), TEMP, "1E+400"),
+    "t-decimal-rounds-to-zero": (lambda: engine(Decimal("1e-400"), 10), TEMP, "1E-400"),
+    "truth-t-longdouble-past-doubles": (
+        lambda: truth(SPEC, np.longdouble("1e4000"), 10), TEMP, "1e+4000"),
+    "sweep-t-decimal-snan": (
+        lambda: run_sweep([100], [Decimal("sNaN")]), RATIO, "sNaN"),
+    "sweep-t-array": (
+        lambda: run_sweep([100], [np.array([0.5, 0.6])]), RATIO, "[0.5 0.6]"),
+    "sweep-t-nan": (lambda: run_sweep([100], [math.nan]), RATIO, "nan"),
+    "sweep-t-negative": (lambda: run_sweep([100], [-0.5]), RATIO, "-0.5"),
+}
+
+
+@pytest.mark.parametrize("call, quantity, given", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_non_finite_or_fractional_input_is_a_domain_error(call, quantity,
+                                                          given):
+    # each refusal names its quantity and the value as the caller gave it
+    with pytest.raises(DomainError, match=f"^{re.escape(quantity)} must .*, "
+                       f"got {re.escape(given)}$"):
         call()
 
 
@@ -261,24 +272,24 @@ def test_quadrature_insensitive_to_point_count(on_doubled_grid):
     assert a.log_z_zero_offset == pytest.approx(b.log_z_zero_offset, rel=1e-10)
 
 
-def test_kernel_integrand_peaks_at_origin(monkeypatch):
+def test_kernel_integrand_peaks_at_origin(kernel_recorder):
     # the engine normalises the integrand to 1 at z=0 and bounds the
     # unsummed tail by each interval's peak, so the peak must be the origin
-    calls = []
-    kernel = canonical.projection_chunk
-
-    def recording(*args):
-        out, peak = kernel(*args)
-        calls.append((args[5], out, peak))
-        return out, peak
-
-    monkeypatch.setattr(canonical, "projection_chunk", recording)
-    canonical_observables(SPEC, 4.0, 50)
-    first = next(peak for i0, _, peak in calls if i0 == 0)
-    peaks = np.concatenate([peak for _, _, peak in calls])
+    with kernel_recorder() as kernel:
+        canonical_observables(SPEC, 4.0, 50)
+    first = next(call.peak for call in kernel.calls if call.i0 == 0)
+    peaks = np.concatenate([call.peak for call in kernel.calls])
     assert peaks.max() == first[0]
     assert -1e-3 < first[0] <= 1e-12
-    assert calls[0][1][0, 0].real > 0.0
+    assert kernel.calls[0].out[0, 0].real > 0.0
+
+
+@pytest.fixture(scope="module")
+def unchunked():
+    """Rows by (N, T/Tc) at the engine's own chunking and exit decay: the
+    4-point and the midpoint rule with early exit, and a full period."""
+    return {(n, f): engine(f * critical_temperature(SPEC, n), n)
+            for n, f in [(100, 0.5), (10_000, 1.2), (3, 0.8)]}
 
 
 @pytest.mark.parametrize("chunk_points, exit_decay", [
@@ -288,38 +299,25 @@ def test_kernel_integrand_peaks_at_origin(monkeypatch):
     pytest.param(canonical.CHUNK_POINTS, 1e-30, id="boundary-at-interval-1"),
     pytest.param(canonical.CHUNK_POINTS, 1e30, id="boundary-past-half-period"),
 ])
-def test_chunk_size_does_not_change_results(monkeypatch, chunk_points,
+def test_chunk_size_does_not_change_results(unchunked, recorder,
+                                            kernel_recorder, chunk_points,
                                             exit_decay):
     # exit decisions are per interval, on sums added in interval order, so
     # any chunking, with the predicted exit boundary anywhere or nowhere,
     # gives the same bits
-    cases = [
-        (100, 0.5),     # 4-point rule, early exit
-        (10_000, 1.2),  # midpoint rule, early exit
-        (3, 0.8),       # full period
-    ]
-    default = [canonical_observables(SPEC, f * critical_temperature(SPEC, n), n)
-               for n, f in cases]
-    assert default[0].intervals_evaluated < default[0].intervals_total
-    assert default[1].intervals_evaluated < default[1].intervals_total
-    assert default[2].intervals_evaluated == default[2].intervals_total
-    monkeypatch.setattr(canonical, "CHUNK_POINTS", chunk_points)
-    monkeypatch.setattr(canonical, "EXIT_DECAY", exit_decay)
-    kernel = canonical.projection_chunk
-    ends = []
-
-    def recording(*args):
-        ends.append(args[6])
-        return kernel(*args)
-
-    monkeypatch.setattr(canonical, "projection_chunk", recording)
-    for (n, f), ref in zip(cases, default):
-        ends.clear()
-        res = canonical_observables(SPEC, f * critical_temperature(SPEC, n), n)
+    four_point, midpoint, full = unchunked.values()
+    assert four_point.intervals_evaluated < four_point.intervals_total
+    assert midpoint.intervals_evaluated < midpoint.intervals_total
+    assert full.intervals_evaluated == full.intervals_total
+    for (n, f), ref in unchunked.items():
+        with recorder(canonical, "CHUNK_POINTS", chunk_points), \
+                recorder(canonical, "EXIT_DECAY", exit_decay), \
+                kernel_recorder() as kernel:
+            res = engine(f * critical_temperature(SPEC, n), n)
         assert repr(res) == repr(ref)
         step = chunk_points // (1 if n >= canonical.MIDPOINT_N else 4)
-        off_grid = [i1 for i1 in ends
-                    if i1 % step and i1 != res.intervals_total]
+        off_grid = [call.i1 for call in kernel.calls
+                    if call.i1 % step and call.i1 != res.intervals_total]
         if exit_decay == 5.0 and n > 3:
             assert off_grid and off_grid[0] < res.intervals_evaluated
         elif exit_decay == 1e-30:
@@ -335,25 +333,17 @@ def test_chunk_size_does_not_change_results(monkeypatch, chunk_points,
     (1000, 0.5),
     (10_000, 1.2),  # midpoint rule
 ])
-def test_exit_bound_covers_the_skipped_intervals(monkeypatch, n, t_over_tc):
+def test_exit_bound_covers_the_skipped_intervals(kernel_recorder, n,
+                                                 t_over_tc):
     # the intervals past the exit, evaluated after all, add at most
     # a relative 1e-12 of each accumulator's sum at the exit
-    calls = []
-    kernel = canonical.projection_chunk
-
-    def recording(*args):
-        out, peak = kernel(*args)
-        calls.append((args, out.copy()))  # the engine sums `out` in place
-        return out, peak
-
-    monkeypatch.setattr(canonical, "projection_chunk", recording)
-    res = canonical_observables(SPEC, t_over_tc * critical_temperature(SPEC, n),
-                                n)
+    with kernel_recorder() as kernel:
+        res = engine(t_over_tc * critical_temperature(SPEC, n), n)
     done, total = res.intervals_evaluated, res.intervals_total
     assert done < total
-    summed = sum(out[:done - args[5]].sum(axis=0) for args, out in calls)
-    args = calls[0][0]
-    rest, _ = kernel(*args[:5], done, total, *args[7:])
+    summed = sum(call.out[:done - call.i0].sum(axis=0)
+                 for call in kernel.calls)
+    rest, _ = projection_chunk(*kernel.calls[0].over(done, total))
     assert np.all(np.abs(rest.sum(axis=0)) <= 1e-12 * np.abs(summed))
 
 
@@ -366,16 +356,14 @@ def test_kernel_stops_near_the_predicted_exit():
 
 
 def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
-        monkeypatch):
+        recorder):
     # N = 10^9 at T/Tc = 0.05 predicts 1.9e11 level-points (over an hour of
     # kernel); the largest benchmark row, N = 10^6 at T/Tc = 0.5, 1.6e8
-    calls = []
-    monkeypatch.setattr(canonical, "projection_chunk",
-                        lambda *args: calls.append(args))
     started = time.perf_counter()
-    row = compute_row(SPEC, 10**9, 0.05)
+    with recorder(canonical, "projection_chunk", lambda *args: None) as kernel:
+        row = compute_row(SPEC, 10**9, 0.05)
     assert time.perf_counter() - started < 1.0
-    assert not row.converged and calls == []
+    assert not row.converged and kernel.calls == []
     assert row.error.startswith("DomainError: predicted kernel work of 1.9e+11")
     with pytest.raises(DomainError, match="level-points"):
         canonical_observables(SPEC, 0.05 * critical_temperature(SPEC, 10**9),
@@ -393,19 +381,16 @@ def test_single_solve_state_is_the_offset_free_ladder():
     assert res.ground_offset == -free.mu
 
 
-def test_overflow_guard_reports_first_nonfinite_interval(monkeypatch):
-    kernel = canonical.projection_chunk
-
+def test_overflow_guard_reports_first_nonfinite_interval(kernel_recorder):
     def poisoned(*args):
-        out, peak = kernel(*args)
-        i0, i1 = args[5], args[6]
+        call = kernel_recorder.Call(args, *projection_chunk(*args))
         for bad in (700, 900):
-            if i0 <= bad < i1:
-                out[bad - i0, 2] = np.inf
-        return out, peak
+            if call.i0 <= bad < call.i1:
+                call.out[bad - call.i0, 2] = np.inf
+        return call.out, call.peak
 
-    monkeypatch.setattr(canonical, "projection_chunk", poisoned)
-    with pytest.raises(ConvergenceError, match="at interval 701 of "):
+    with kernel_recorder(poisoned), pytest.raises(
+            ConvergenceError, match="at interval 701 of "):
         canonical_observables(SPEC, 0.6 * critical_temperature(SPEC, 1000), 1000)
 
 

@@ -60,32 +60,26 @@ def reference_projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
     return out, peak
 
 
-def _first_chunk(monkeypatch, n, t_over_tc):
-    calls = []
-
-    def recording(*args):
-        calls.append(args)
-        return projection_chunk(*args)
-
-    monkeypatch.setattr(canonical, "projection_chunk", recording)
-    canonical_observables(SPEC, t_over_tc * critical_temperature(SPEC, n), n)
-    return calls[0]
+def _first_chunk(kernel_recorder, n, t_over_tc):
+    with kernel_recorder() as kernel:
+        canonical_observables(SPEC, t_over_tc * critical_temperature(SPEC, n),
+                              n)
+    return kernel.calls[0]
 
 
 @pytest.mark.parametrize("n, points", [
     pytest.param(1000, 4, id="4-point"),
     pytest.param(10_000, 1, id="midpoint"),
 ])
-def test_kernel_matches_the_plain_expressions_bit_for_bit(monkeypatch, n,
+def test_kernel_matches_the_plain_expressions_bit_for_bit(kernel_recorder, n,
                                                           points):
     # the first, full-size chunk of a row that runs on: it starts at z = 0
     # and takes the level-0 and level-1 weights
-    args = _first_chunk(monkeypatch, n, 0.3)
-    i0, i1, nodes = args[5], args[6], args[7]
-    assert i0 == 0 and nodes.size == points
-    assert (i1 - i0) * points == canonical.CHUNK_POINTS
-    out, peak = projection_chunk(*args)
-    ref_out, ref_peak = reference_projection_chunk(*args)
+    call = _first_chunk(kernel_recorder, n, 0.3)
+    assert call.i0 == 0 and call.nodes.size == points
+    assert (call.i1 - call.i0) * points == canonical.CHUNK_POINTS
+    out, peak = projection_chunk(*call.args)
+    ref_out, ref_peak = reference_projection_chunk(*call.args)
     assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
     assert np.array_equal(peak.view(np.uint64), ref_peak.view(np.uint64))
 
@@ -106,31 +100,25 @@ def _traced_peak(call, *args):
         tracemalloc.stop()
 
 
-def test_kernel_chunk_stays_within_its_memory_budget(monkeypatch):
+def test_kernel_chunk_stays_within_its_memory_budget(kernel_recorder):
     # the midpoint rule returns one 7-wide output row per point, the most
     # memory a chunk of CHUNK_POINTS points takes
-    args = _first_chunk(monkeypatch, 10_000, 0.3)
-    assert args[6] - args[5] == canonical.CHUNK_POINTS
-    peak = _traced_peak(projection_chunk, *args)
+    call = _first_chunk(kernel_recorder, 10_000, 0.3)
+    assert call.i1 - call.i0 == canonical.CHUNK_POINTS
+    peak = _traced_peak(projection_chunk, *call.args)
     assert peak <= KERNEL_BYTES_PER_POINT * canonical.CHUNK_POINTS
 
 
-def test_a_multi_chunk_row_peaks_at_one_kernel_call(monkeypatch):
+def test_a_multi_chunk_row_peaks_at_one_kernel_call(kernel_recorder):
     # the engine releases each chunk before the next kernel call and tests
     # the exit one accumulator at a time, so a row of three chunks takes no
     # more memory than its largest kernel call
     n, t = 10_000, 0.3 * critical_temperature(SPEC, 10_000)
-    calls = []
-
-    def recording(*args):
-        calls.append(args)
-        return projection_chunk(*args)
-
-    monkeypatch.setattr(canonical, "projection_chunk", recording)
-    canonical_observables(SPEC, t, n)
-    assert len(calls) >= 3
-    monkeypatch.setattr(canonical, "projection_chunk", projection_chunk)
-    chunk = max(_traced_peak(projection_chunk, *args) for args in calls)
+    with kernel_recorder() as kernel:
+        canonical_observables(SPEC, t, n)
+    assert len(kernel.calls) >= 3
+    chunk = max(_traced_peak(projection_chunk, *call.args)
+                for call in kernel.calls)
     row = _traced_peak(canonical_observables, SPEC, t, n)
     assert row <= chunk + 64 * 1024  # the level arrays and the solve
 

@@ -1,5 +1,6 @@
 """The package namespace: what `import bosecanon` loads, and its exports."""
 
+import contextlib
 import importlib
 import subprocess
 import sys
@@ -109,26 +110,21 @@ TRACED = [("canonical", "projection_chunk"), ("canonical", "solve_fugacity"),
           ("sweep", "compute_row"), ("grand_canonical", "_occupation_sums")]
 
 
-def test_the_names_the_benchmark_reaches_resolve():
+def test_the_names_the_benchmark_reaches_resolve(recorder):
     # perfbench/ sits outside testpaths, so these names and call shapes,
     # not its digits, are held here: the attributes its tracer patches,
     # USING_NUMBA in its run record, its set-up's positional engine call,
     # the offset-free recursion of its gate and the row columns it reads
-    calls = []
-    with pytest.MonkeyPatch.context() as patch:
+    with contextlib.ExitStack() as stack:
+        hooks = {}
         for module, attr in TRACED:
             home = importlib.import_module(f"bosecanon.{module}")
-            fn = getattr(home, attr)
-            assert callable(fn), (module, attr)
-
-            def traced(*args, fn=fn, key=(module, attr), **kwargs):
-                calls.append(key)
-                return fn(*args, **kwargs)
-
-            patch.setattr(home, attr, traced)
+            assert callable(getattr(home, attr)), (module, attr)
+            hooks[module, attr] = stack.enter_context(recorder(home, attr))
         result = bosecanon.run_sweep([100], [0.5])
     # the tracer's hooks see every layer a row runs through
-    assert set(calls) == set(TRACED) - {("sweep", "solve_fugacity")}
+    called = {key for key, hook in hooks.items() if hook.calls}
+    assert called == set(TRACED) - {("sweep", "solve_fugacity")}
     assert isinstance(bosecanon._kernels.USING_NUMBA, bool)
     sp = bosecanon.TrapSpectrum()
     assert sp.with_ground_offset(0.0) == sp

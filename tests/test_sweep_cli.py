@@ -14,7 +14,6 @@ import pytest
 
 from bosecanon import (
     TrapSpectrum,
-    canonical,
     critical_temperature,
     grand_canonical,
     sweep,
@@ -69,10 +68,8 @@ def test_compute_row_above_transition_drops_condensed_forms():
     assert row.n0_over_n < 0.1
 
 
-def test_compute_row_records_failures_instead_of_raising(monkeypatch):
-    with monkeypatch.context() as patch:
-        fail_every_row(patch)
-        row = compute_row(SPEC, 5000, 0.5)
+def test_compute_row_records_failures_instead_of_raising(failing_rows):
+    row = compute_row(SPEC, 5000, 0.5)
     assert row.converged == 0
     assert row.error == "ConvergenceError: forced failure"
     assert math.isnan(row.n0_mean)
@@ -84,7 +81,7 @@ def test_compute_row_records_failures_instead_of_raising(monkeypatch):
                           pytest.param(Decimal("sNaN"), id="Decimal-sNaN"),
                           pytest.param(np.array([0.5, 0.6]), id="array")])
 def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc,
-                                                            monkeypatch):
+                                                            recorder):
     # a bad T/Tc is refused as a bad N is, naming the caller's value, and
     # a sweep refuses it before its first row: an error row is the
     # engine's alone
@@ -92,11 +89,10 @@ def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc,
                         f"{t_over_tc}")
     with pytest.raises(DomainError, match=f"^{message}$"):
         compute_row(SPEC, 100, t_over_tc)
-    rows = []
-    monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
-    with pytest.raises(DomainError, match=f"^{message}$"):
-        run_sweep([100], [0.5, t_over_tc])
-    assert rows == []
+    with recorder(sweep, "compute_row", lambda *a: None) as rows:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            run_sweep([100], [0.5, t_over_tc])
+    assert rows.calls == []
 
 
 def test_a_row_is_fixed_by_n_and_t_over_tc():
@@ -186,35 +182,22 @@ def test_compute_row_solves_the_fugacity_once():
     assert row.solve_evals == state.evaluations > 0
 
 
-def test_row_costs_match_an_outside_recorder(monkeypatch):
+def test_row_costs_match_an_outside_recorder(recorder, kernel_recorder):
     # the engine's own counts against wrappers on the names the benchmark's
     # tracer patches (until it reads the rows): a multi-chunk 4-point row
     # and a midpoint row
     cases = [(1000, 0.4), (10_000, 0.4)]
     serial = run_sweep([1000, 10_000], [0.4]).rows
     threaded = run_sweep([1000, 10_000], [0.4], threads=2).rows
-    kernel, sums = canonical.projection_chunk, grand_canonical._occupation_sums
-    calls, evals = [], 0
-
-    def recording(*args):
-        calls.append((args[6] - args[5]) * args[7].size)
-        return kernel(*args)
-
-    def counted(*args):
-        nonlocal evals
-        evals += 1
-        return sums(*args)
-
-    monkeypatch.setattr(canonical, "projection_chunk", recording)
-    monkeypatch.setattr(grand_canonical, "_occupation_sums", counted)
     kernel_calls = {}
     for (n, f), *swept in zip(cases, serial, threaded, strict=True):
-        calls.clear()
-        evals = 0
-        row = compute_row(SPEC, n, f)
-        kernel_calls[n] = len(calls)
-        assert row.points_evaluated == sum(calls) > 0
-        assert row.solve_evals == evals > 0
+        with kernel_recorder() as kernel, \
+                recorder(grand_canonical, "_occupation_sums") as sums:
+            row = compute_row(SPEC, n, f)
+        kernel_calls[n] = len(kernel.calls)
+        assert row.points_evaluated == sum(
+            (call.i1 - call.i0) * call.nodes.size for call in kernel.calls) > 0
+        assert row.solve_evals == len(sums.calls) > 0
         # the same counts on one thread and on two; the times are the row's
         for r in swept:
             assert (r.solve_evals, r.points_evaluated) == (
@@ -223,26 +206,19 @@ def test_row_costs_match_an_outside_recorder(monkeypatch):
     assert kernel_calls[1000] > 1
 
 
-def test_compute_row_builds_the_level_ladder_once(monkeypatch):
+def test_compute_row_builds_the_level_ladder_once(recorder):
     # the solve builds it; the engine shifts it and the state's sums read it
-    builds = 0
-    build = grand_canonical._level_ladder
-
-    def counted(*args):
-        nonlocal builds
-        builds += 1
-        return build(*args)
-
-    monkeypatch.setattr(grand_canonical, "_level_ladder", counted)
-    compute_row(SPEC, 1000, 0.5)
-    assert builds == 1
-    state = solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000), 1000)
-    builds = 0
-    total = grand_canonical._occupation_sums(state.ladder,
-                                             state.relative_fugacity)
-    assert total == pytest.approx(1000, rel=1e-12)
-    assert state.number_variance > 0.0
-    assert builds == 0
+    with recorder(grand_canonical, "_level_ladder") as builds:
+        compute_row(SPEC, 1000, 0.5)
+        assert len(builds.calls) == 1
+        state = solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000),
+                               1000)
+        builds.calls.clear()
+        total = grand_canonical._occupation_sums(state.ladder,
+                                                 state.relative_fugacity)
+        assert total == pytest.approx(1000, rel=1e-12)
+        assert state.number_variance > 0.0
+    assert builds.calls == []
 
 
 def test_compute_row_gc_columns_match_a_direct_solve():
@@ -358,14 +334,14 @@ def test_sweep_thread_count_none_zero_negative_rejected():
             run_sweep((20,), [0.5], threads=threads)
 
 
-def test_sweep_timing_ignores_a_wall_clock_step(monkeypatch):
+def test_sweep_timing_ignores_a_wall_clock_step(recorder):
     # the sweep times itself on the monotonic clock: a wall clock, which
     # can be set back, must not be read at all
     def wall_clock():
         raise AssertionError("the sweep read the wall clock")
 
-    monkeypatch.setattr(sweep.time, "time", wall_clock)
-    assert run_sweep((20,), [0.5]).meta["elapsed_seconds"] >= 0
+    with recorder(sweep.time, "time", wall_clock):
+        assert run_sweep((20,), [0.5]).meta["elapsed_seconds"] >= 0
 
 
 @pytest.mark.parametrize("particles, t_grid", [([], [0.5]), ([100], [])],
@@ -678,62 +654,50 @@ CONFIGURATION_ERRORS = {
 @pytest.mark.parametrize("args, fragment", CONFIGURATION_ERRORS.values(),
                          ids=CONFIGURATION_ERRORS.keys())
 def test_cli_configuration_error_exits_2(tmp_path, monkeypatch, capsys,
-                                         args, fragment):
+                                         recorder, args, fragment):
     # exit 2 with the message, and nothing computed or written
     monkeypatch.chdir(tmp_path)
-    rows = []
-    monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
-    assert run_cli(*args) == 2
+    with recorder(sweep, "compute_row", lambda *a: None) as rows:
+        assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert "configuration error: " in err and fragment in err
     assert os.listdir(tmp_path) == []
-    assert rows == []
+    assert rows.calls == []
 
 
 @pytest.mark.parametrize("taken", ["run.csv", "run.json"])
 def test_cli_refuses_an_out_whose_target_is_a_directory(
-        tmp_path, monkeypatch, capsys, taken):
+        tmp_path, monkeypatch, capsys, recorder, taken):
     # refused before the sweep, not after it, and nothing written
     monkeypatch.chdir(tmp_path)
     (tmp_path / taken).mkdir()
-    rows = []
-    monkeypatch.setattr(sweep, "compute_row", lambda *a: rows.append(a))
-    assert run_cli(*ROW, "--out", "run") == 2
+    with recorder(sweep, "compute_row", lambda *a: None) as rows:
+        assert run_cli(*ROW, "--out", "run") == 2
     err = capsys.readouterr().err
     assert f"configuration error: cannot write --out run: {taken} is a " \
         "directory" in err
     assert os.listdir(tmp_path) == [taken]
     assert os.listdir(taken) == []
-    assert rows == []
+    assert rows.calls == []
 
 
-def fail_every_row(monkeypatch):
+@pytest.fixture
+def failing_rows(recorder):
+    """Every row's engine call raises a ConvergenceError."""
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("forced failure")
 
-    monkeypatch.setattr(sweep, "canonical_observables", no_convergence)
+    with recorder(sweep, "canonical_observables", no_convergence):
+        yield
 
 
-def test_cli_strict_failure_exit(tmp_path, monkeypatch):
-    fail_every_row(monkeypatch)
-    code = run_cli(
-        "--particles", "30",
-        "--t-over-tc", "0.5:0.5:0.1",
-        "--out", str(tmp_path / "bad"),
-        "--strict",
-    )
-    assert code == 3
+def test_cli_strict_failure_exit(tmp_path, failing_rows):
+    assert run_cli(*ROW, "--out", str(tmp_path / "bad"), "--strict") == 3
 
 
-def test_cli_nonstrict_failure_still_writes(tmp_path, monkeypatch):
-    fail_every_row(monkeypatch)
+def test_cli_nonstrict_failure_still_writes(tmp_path, failing_rows):
     out = tmp_path / "soft"
-    code = run_cli(
-        "--particles", "30",
-        "--t-over-tc", "0.5:0.5:0.1",
-        "--out", str(out),
-    )
-    assert code == 0
+    assert run_cli(*ROW, "--out", str(out)) == 0
     with open(out.with_suffix(".json")) as fh:
         payload = json.load(fh)
     assert payload["meta"]["failed_rows"] == 1
