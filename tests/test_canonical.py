@@ -32,14 +32,6 @@ engine = functools.partial(canonical_observables, SPEC)
 # ------------------------------------------------------------ configuration
 
 
-def test_quadrature_config_rejects_bad_values():
-    # the quadrature's settings are checked where they are read
-    with pytest.raises(DomainError, match="top level"):
-        canonical_observables(SPEC, 5.0, 10, -1)
-    with pytest.raises(DomainError, match="need level 1"):
-        canonical_observables(SPEC, 5.0, 10, 0)
-
-
 def test_config_m_max_clamps_to_finite_spectrum():
     spec = TrapSpectrum(max_level=3)
     assert auto_m_max(spec, 5.0, 500) == 3
@@ -91,16 +83,6 @@ def test_zero_temperature_limit_fills_ground_state():
     assert res.n0_mean == pytest.approx(50.0, abs=1e-3)
     assert res.delta_n0 == pytest.approx(0.0, abs=0.05)
     assert res.n0_mean / 50 == pytest.approx(1.0, abs=1e-5)
-
-
-def test_explicit_offset_changes_log_z_but_not_observables(at_offset):
-    t, n = 5.0, 100
-    base = canonical_observables(SPEC, t, n)
-    forced = at_offset(SPEC, t, n, base.ground_offset * 0.5)
-    assert forced.ground_offset == pytest.approx(base.ground_offset * 0.5)
-    assert forced.log_z_zero_offset == pytest.approx(base.log_z_zero_offset, rel=1e-10)
-    assert forced.n0_mean == pytest.approx(base.n0_mean, rel=1e-10)
-    assert forced.log_z != pytest.approx(base.log_z, rel=1e-6)
 
 
 # The quantities the refusals name most often.
@@ -224,12 +206,6 @@ def test_integral_particle_numbers_of_any_type_agree(raw_moments):
         TrapSpectrum(max_level=45), 5.0, 60)
 
 
-def test_converged_flag_and_interval_bookkeeping():
-    res = canonical_observables(SPEC, 5.0, 100)
-    assert 0 < res.intervals_evaluated <= res.intervals_total
-    assert res.m_max >= 40
-
-
 def test_bad_offset_breaks_conditioning(at_offset):
     # a huge artificial tilt underflows every excited level weight; the
     # projection integral of the bare oscillation carries no signal and
@@ -256,7 +232,7 @@ def test_shift_invariance_at_two_forced_offsets(raw_moments, at_offset):
     want = raw_moments(a)
     for name, got in raw_moments(b).items():
         assert got == pytest.approx(want[name], rel=1e-11), name
-    assert b.log_z_zero_offset == pytest.approx(a.log_z_zero_offset, rel=1e-9)
+    assert b.log_z_zero_offset == pytest.approx(a.log_z_zero_offset, rel=1e-10)
     assert b.log_z - a.log_z == pytest.approx(-n * 0.6 * eps / t, rel=1e-9)
 
 
@@ -293,7 +269,6 @@ def unchunked():
 
 
 @pytest.mark.parametrize("chunk_points, exit_decay", [
-    pytest.param(8, canonical.EXIT_DECAY, id="8"),
     pytest.param(64, canonical.EXIT_DECAY, id="64"),
     pytest.param(canonical.CHUNK_POINTS, 5.0, id="boundary-before-exit"),
     pytest.param(canonical.CHUNK_POINTS, 1e-30, id="boundary-at-interval-1"),
@@ -304,7 +279,7 @@ def test_chunk_size_does_not_change_results(unchunked, recorder,
                                             exit_decay):
     # exit decisions are per interval, on sums added in interval order, so
     # any chunking, with the predicted exit boundary anywhere or nowhere,
-    # gives the same bits
+    # gives the same bits; no kernel call spans more than chunk_points
     four_point, midpoint, full = unchunked.values()
     assert four_point.intervals_evaluated < four_point.intervals_total
     assert midpoint.intervals_evaluated < midpoint.intervals_total
@@ -315,7 +290,9 @@ def test_chunk_size_does_not_change_results(unchunked, recorder,
                 kernel_recorder() as kernel:
             res = engine(f * critical_temperature(SPEC, n), n)
         assert repr(res) == repr(ref)
-        step = chunk_points // (1 if n >= canonical.MIDPOINT_N else 4)
+        spans = [(call.i1 - call.i0) * call.nodes.size for call in kernel.calls]
+        assert max(spans) <= chunk_points
+        step = chunk_points // kernel.calls[0].nodes.size
         off_grid = [call.i1 for call in kernel.calls
                     if call.i1 % step and call.i1 != res.intervals_total]
         if exit_decay == 5.0 and n > 3:

@@ -41,18 +41,6 @@ def test_auto_m_max_refuses_more_levels_than_the_cap():
         auto_m_max(SPEC, math.nan)
 
 
-@pytest.mark.parametrize("n", [50, 1000])
-@pytest.mark.parametrize("t_frac", [0.4, 0.8, 1.3])
-def test_solve_fugacity_hits_target_number(n, t_frac):
-    t = t_frac * critical_temperature(SPEC, n)
-    state = solve_fugacity(SPEC, t, n)
-    assert _occupation_sums(state.ladder, state.relative_fugacity) == (
-        pytest.approx(n, rel=1e-9))
-    # chemical potential must sit below the ground state
-    assert state.mu < 0.0
-    assert 0.0 < state.relative_fugacity < 1.0
-
-
 def test_fugacity_approaches_saturation_from_below_at_low_t():
     n = 1000
     t = 0.3 * critical_temperature(SPEC, n)
@@ -191,10 +179,11 @@ def test_particle_number_above_the_bracket_is_a_domain_error():
     t_frac=st.floats(min_value=0.2, max_value=2.0),
 )
 def test_solver_always_brackets(n, t_frac):
-    t = t_frac * critical_temperature(SPEC, n)
-    state = solve_fugacity(SPEC, t, n)
-    assert _occupation_sums(state.ladder, state.relative_fugacity) == (
-        pytest.approx(n, rel=1e-8))
+    # the count changes sign within one ulp of the fugacity, and mu < 0
+    state = solve_fugacity(SPEC, t_frac * critical_temperature(SPEC, n), n)
+    lam = state.relative_fugacity
+    assert _occupation_sums(state.ladder, math.nextafter(lam, 0.0)) < n <= (
+        _occupation_sums(state.ladder, math.nextafter(lam, math.inf)))
     assert state.mu < 0.0
 
 

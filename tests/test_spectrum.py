@@ -45,13 +45,16 @@ def test_auto_m_max_clamps_to_cap():
     lambda: TrapSpectrum(max_level=math.inf),
     lambda: TrapSpectrum(max_level=math.nan),
     lambda: canonical_observables(TrapSpectrum(), 5.0, 10, 30.5),
+    lambda: TrapSpectrum(max_level=-2),
+    lambda: canonical_observables(TrapSpectrum(), 5.0, 10, -1),
 ], ids=["recursion_table", "solve_fugacity", "level-ladder",
-        "max-level-fractional",
-        "max-level-inf", "max-level-nan", "config-m-max-fractional"])
+        "max-level-fractional", "max-level-inf", "max-level-nan",
+        "config-m-max-fractional", "max-level-negative",
+        "engine-m-max-negative"])
 def test_negative_top_level_is_a_domain_error(call):
     # every caller resolves its top level through auto_m_max, and every top
     # level is a whole number (none is floored)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^(top level|max_level) must be "):
         call()
 
 
@@ -71,11 +74,6 @@ def test_energies_and_degeneracies_arrays():
         [math.exp(-e / 2.0) for e in range(5)], rel=1e-15)
     assert list(ladder.degeneracies) == [1.0, 3.0, 6.0, 10.0, 15.0]
     assert ladder.tail_weight == weighted_geometric_tail(math.exp(-0.5), 4)
-
-
-def test_invalid_spectrum_params():
-    with pytest.raises(DomainError):
-        TrapSpectrum(max_level=-2)
 
 
 def test_level_spacing_is_the_unit_not_a_setting():

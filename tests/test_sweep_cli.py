@@ -173,15 +173,6 @@ def test_a_level_1_factor_in_the_normal_doubles_still_converges():
     assert row.corr_01_normalized == pytest.approx(-1e-4, rel=1e-9)
 
 
-def test_compute_row_solves_the_fugacity_once():
-    # the grand-canonical columns come from the saddle's own solve, so the
-    # row counts the evaluations of one solve
-    row = compute_row(SPEC, 1000, 0.5)
-    state = solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000), 1000,
-                           m_max=row.m_max)
-    assert row.solve_evals == state.evaluations > 0
-
-
 def test_row_costs_match_an_outside_recorder(recorder, kernel_recorder):
     # the engine's own counts against wrappers on the names the benchmark's
     # tracer patches (until it reads the rows): a multi-chunk 4-point row
