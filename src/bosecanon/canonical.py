@@ -190,14 +190,17 @@ class CanonicalResult:
 
     @property
     def delta_n0(self) -> float:
-        """RMS n0 fluctuation; below Tc it loses digits to cancellation, up
-        to 3.2e-4 relative at N = 10^5, T/Tc = 0.05 (README, Known limits)."""
+        """RMS n0 fluctuation, the root of <n0^2> - <n0>^2: below Tc that
+        difference cancels and loses digits (README, Known limits); the
+        measured gaps are in tests/data/known_defects.csv."""
         return math.sqrt(self.n0_variance)
 
     @property
     def delta_ne(self) -> float:
-        """RMS N_ex fluctuation, delta_n0 at fixed N; above Tc it loses digits
-        to cancellation, 0.155 relative off at N = 10^6, T/Tc = 3."""
+        """RMS N_ex fluctuation, delta_n0 at fixed N, the root of
+        <N_ex^2> - <N_ex>^2: above Tc that difference cancels and loses
+        digits (README, Known limits); the measured gaps are in
+        tests/data/known_defects.csv."""
         return math.sqrt(self.ne_variance)
 
 

@@ -1,6 +1,10 @@
+import csv
 import dataclasses
+import functools
 import math
 from collections import namedtuple
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -122,3 +126,79 @@ def on_doubled_grid():
             return canonical.canonical_observables(spectrum, t, n)
 
     return evaluate
+
+
+# log Z, <n0>, Var(n0), <n1> and <n0 n1> of the model: from the recursion in
+# long double (tests/longdouble_truth.py), and past its cap from one FFT of
+# P(n0) (tests/fft_agreement.py), a second method, not an exact truth.
+DATA = Path(__file__).parent / "data"
+REFERENCE_FILES = {"longdouble": DATA / "longdouble_truth.csv",
+                   "fft": DATA / "fft_agreement.csv"}
+# The rows CI's large-N step holds to truth() (10 s of engine time).
+LARGE_N_CI = ((1_000_000, 0.3), (1_000_000, 0.5))
+
+
+class Row(NamedTuple):
+    """A row of a reference (longdouble, fft, truth or closed_form): ladder
+    (auto, m_max=M or max_level=M), N, and T/Tc or else T in spacings."""
+    reference: str
+    ladder: str
+    n: int
+    t_over_tc: Optional[float]
+    t: Optional[float] = None
+
+
+def _csv_rows(path):
+    with path.open() as fh:
+        return list(csv.DictReader(x for x in fh if not x.startswith("#")))
+
+
+@functools.cache
+def known_defects():
+    """The ledger, {(Row, column): bound}, each bound set as its header says."""
+    return {(Row(r["reference"], r["ladder"], int(r["n"]),
+                 *(float(r[k]) if r[k] else None for k in ("t_over_tc", "t"))),
+             r["column"]): float(r["bound"])
+            for r in _csv_rows(DATA / "known_defects.csv")}
+
+
+def reference_rows(reference):
+    """A reference file's rows by (N, T/Tc), each on the unbounded ladder."""
+    return {(int(r["n"]), float(r["t_over_tc"])): r
+            for r in _csv_rows(REFERENCE_FILES[reference]) if r["t_over_tc"]}
+
+
+def sweep_columns(row, want):
+    """{column: (engine value, reference value)} for every column of a sweep
+    row (a mapping: SweepRow.to_dict() or a row of the JSON output) that a
+    reference's log_z, n0, n0_variance, n1 and n0_n1 fix."""
+    log_z, n0, var, n1, n0_n1 = (float(want[k]) for k in (
+        "log_z", "n0", "n0_variance", "n1", "n0_n1"))
+    spread = math.sqrt(var)
+    return {"n0_mean": (row["n0_mean"], n0), "n1_mean": (row["n1_mean"], n1),
+            "ne_mean": (row["ne_mean"], row["n"] - n0),
+            "log_z_zero_offset": (row["log_z"] + row["n"]
+                                  * row["ground_offset"]
+                                  / row["t_over_spacing"], log_z),
+            "delta_n0": (row["delta_n0"], spread),
+            "normalized_delta_n0": (row["normalized_delta_n0"],
+                                    spread / math.sqrt(n0 * (n0 + 1.0))),
+            "delta_ne": (row["delta_ne"], spread),
+            "corr_01_normalized": (row["corr_01_normalized"],
+                                   n0_n1 / (n0 * n1) - 1.0)}
+
+
+def relative_gaps(row, pairs, held=None):
+    """Each column's relative gap |got - want|/|want| (log Z's over
+    max(1, |log Z|)), and a message for each held column (by default all)
+    whose gap exceeds its known-defect bound, else 1e-10 (log Z: 1e-12)."""
+    gaps, misses = {}, []
+    for column, (got, want) in pairs.items():
+        log_z = column == "log_z_zero_offset"
+        gaps[column] = abs(got - want) / (max(1.0, abs(want)) if log_z
+                                          else abs(want))
+        bound = known_defects().get((row, column), 1e-12 if log_z else 1e-10)
+        if (held is None or column in held) and not gaps[column] <= bound:
+            misses.append(f"{column} at {row} {gaps[column]:.2e} > "
+                          f"{bound:.0e}")
+    return gaps, misses

@@ -6,10 +6,8 @@ truth file or the FFT agreement file, and emits a single PASS/FAIL line
 The bounds are asserted, so a plain pytest run fails loudly as well.
 """
 
-import csv
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +23,10 @@ from bosecanon.oracle import enumerate_exact, recursion_table, truth
 from bosecanon.spectrum import ZETA3
 from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, compute_row,
                              fit_scaling, run_sweep)
+from conftest import (LARGE_N_CI, Row, known_defects, reference_rows,
+                      relative_gaps, sweep_columns)
+from test_canonical import (LOWT_BENCHMARK, ONE_PARTICLE, ONE_PARTICLE_COLUMNS,
+                            TRUTH_COLUMNS, TRUTH_ROWS)
 
 SPEC = TrapSpectrum()
 
@@ -222,155 +224,83 @@ def test_06_cross_correlation_tracks_closed_form(standard_sweep):
 
 # rows against the long-double truth and the FFT agreement file ------------
 
-# log Z, <n0>, Var(n0), <n1> and <n0 n1> of the model, from the recursion
-# run in long double (tests/longdouble_truth.py writes the file).
-LONGDOUBLE_TRUTH = Path(__file__).parent / "data" / "longdouble_truth.csv"
-# The same five values past the recursion's cap, from one FFT of P(n0)
-# (tests/fft_agreement.py): a second method on the engine's model, not an
-# exact truth.
-FFT_AGREEMENT = Path(__file__).parent / "data" / "fft_agreement.csv"
-
-# The spread columns where they miss 1e-10 of the file, a known defect:
-# each is a second moment minus a product of means and loses digits to the
-# cancellation (README, Known limits), delta_n0 below Tc and delta_ne at
-# and above it. The bound is the row's measured gap, rounded up to one
-# digit. normalized_delta_n0 inherits delta_n0's error and reads its
-# bounds; its measured gaps round to the same digit on every row.
-# Centred moments in the engine (ROADMAP item 2) tighten every entry.
-SPREAD_DEFECT = {
-    "delta_n0": {
-        (100, 0.4): 2e-10, (1000, 0.1): 2e-9, (1000, 0.15): 2e-10,
-        (1000, 0.2): 9e-10, (1000, 0.25): 3e-10, (1000, 0.3): 2e-10,
-        (1000, 0.4): 3e-10, (1000, 0.45): 3e-10, (10000, 0.1): 3e-7,
-        (10000, 0.15): 2e-7, (10000, 0.2): 4e-8, (10000, 0.25): 8e-8,
-        (10000, 0.3): 4e-8, (10000, 0.35): 4e-9, (10000, 0.4): 3e-8,
-        (10000, 0.45): 3e-9, (10000, 0.5): 8e-9, (10000, 0.55): 2e-9,
-        (10000, 0.6): 2e-9, (10000, 0.65): 8e-9, (10000, 0.7): 2e-9,
-        (10000, 0.75): 4e-9, (10000, 0.8): 3e-9, (10000, 0.85): 2e-10,
-        (10000, 0.9): 3e-10, (10000, 0.91): 4e-10, (10000, 0.92): 3e-10,
-        (20000, 0.9): 2e-9, (40000, 0.9): 2e-8,
-    },
-    "delta_ne": {
-        (1000, 1.04): 2e-10, (1000, 1.09): 3e-10, (1000, 1.15): 4e-10,
-        (1000, 1.2): 3e-10, (1000, 1.25): 6e-10, (1000, 1.35): 8e-10,
-        (1000, 1.4): 8e-10, (10000, 0.99): 5e-10, (10000, 1.0): 6e-10,
-        (10000, 1.01): 2e-9, (10000, 1.02): 3e-9, (10000, 1.03): 2e-9,
-        (10000, 1.04): 6e-9, (10000, 1.05): 5e-10, (10000, 1.06): 2e-9,
-        (10000, 1.07): 2e-9, (10000, 1.08): 5e-9, (10000, 1.09): 2e-8,
-        (10000, 1.1): 2e-8, (10000, 1.15): 3e-8, (10000, 1.2): 3e-8,
-        (10000, 1.25): 5e-8, (10000, 1.3): 2e-7, (10000, 1.35): 2e-7,
-        (10000, 1.4): 8e-8, (20000, 1.0): 4e-9, (20000, 1.05): 6e-8,
-        (20000, 1.2): 5e-7, (40000, 0.97): 2e-10, (40000, 1.0): 2e-8,
-        (40000, 1.05): 2e-7, (40000, 1.2): 7e-7,
-    },
-    "corr_01_normalized": {(10000, 0.1): 2e-10},
-}
-SPREAD_DEFECT["normalized_delta_n0"] = SPREAD_DEFECT["delta_n0"]
-# The means where they miss 1e-10 of the FFT file, a known defect: the
-# engine's quadrature noise in n0 at N = 10^6 near Tc (4.52e-10 measured at
-# T/Tc = 0.97, rounded up to one digit as above).
-MEAN_DEFECT = {"n0_mean": {(1000000, 0.97): 5e-10}}
-KNOWN_DEFECT = {**SPREAD_DEFECT, **MEAN_DEFECT}
-
 # The file's rows at 2x10^4 and 4x10^4 near Tc (0.4 s of engine time).
 NEAR_TC_ROWS = [(n, f) for n in (20_000, 40_000)
                 for f in (0.9, 0.97, 1.0, 1.05, 1.2)]
+MEANS = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset")
+EVERY_COLUMN = (*MEANS, "delta_n0", "normalized_delta_n0", "delta_ne",
+                "corr_01_normalized")
 
 
-def _reference_rows(path):
-    """A file's rows on the unbounded ladder given by T/Tc, by (N, T/Tc)."""
-    with path.open() as fh:
-        return {(int(r["n"]), float(r["t_over_tc"])): r
-                for r in csv.DictReader(x for x in fh if not x.startswith("#"))
-                if r["t_over_tc"] and not r.get("max_level")
-                and not r.get("m_max")}
-
-
-def _gate_against(tag, what, rows, path, held):
+def _gate_against(tag, what, rows, reference, held=EVERY_COLUMN):
     # every column of a sweep row the file's five values fix, as a relative
-    # gap; the held ones within 1e-10, or their KNOWN_DEFECT entry
-    exact = _reference_rows(path)
-    bound = 1e-10
+    # gap; the held ones within the one rule or their known-defect entry
+    exact = reference_rows(reference)
     worst, misses = {}, []
     for row in rows:
-        key = (row.n, row.t_over_tc)
-        x = exact[key]
+        x = exact[row.n, row.t_over_tc]
         assert float(x["t"]) == row.t_over_spacing
-        n0, var, n1 = (float(x[k]) for k in ("n0", "n0_variance", "n1"))
-        log_z = float(x["log_z"])
-        spread = math.sqrt(var)
-        pairs = {
-            "n0_mean": (row.n0_mean, n0),
-            "n1_mean": (row.n1_mean, n1),
-            "ne_mean": (row.ne_mean, row.n - n0),
-            "log_z_zero_offset": (
-                row.log_z + row.n * row.ground_offset / row.t_over_spacing,
-                log_z),
-            "delta_n0": (row.delta_n0, spread),
-            "normalized_delta_n0": (row.normalized_delta_n0,
-                                    spread / math.sqrt(n0 * (n0 + 1.0))),
-            "delta_ne": (row.delta_ne, spread),
-            "corr_01_normalized": (row.corr_01_normalized,
-                                   float(x["n0_n1"]) / (n0 * n1) - 1.0),
-        }
-        for name, (got, want) in pairs.items():
-            scale = abs(want)
-            if name == "log_z_zero_offset":
-                scale = max(1.0, scale)
-            dev = abs(got - want) / scale
-            worst[name] = max(worst.get(name, 0.0), dev)
-            allowed = KNOWN_DEFECT.get(name, {}).get(key, bound)
-            if name in held and not dev <= allowed:
-                misses.append(f"{name} at {key} {dev:.2e} > {allowed:.0e}")
+        gaps, missed = relative_gaps(
+            Row(reference, "auto", row.n, row.t_over_tc),
+            sweep_columns(row.to_dict(), x), held)
+        misses += missed
+        for name, gap in gaps.items():
+            worst[name] = max(worst.get(name, 0.0), gap)
     _gate(
         tag,
         not misses,
-        f"{len(rows)} {what}, worst relative gap (bound {bound:.0e}, or the "
-        f"row's KNOWN_DEFECT entry, on {', '.join(held)}): "
-        + ", ".join(f"{name} {dev:.2e}" for name, dev in worst.items())
+        f"{len(rows)} {what}, worst relative gap (bound 1e-10, log Z 1e-12, "
+        f"or the row's known-defect entry, on {', '.join(held)}): "
+        + ", ".join(f"{name} {gap:.2e}" for name, gap in worst.items())
         + "".join(f"; {miss}" for miss in misses),
     )
 
 
-MEANS = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset")
-EVERY_COLUMN = (*MEANS, *SPREAD_DEFECT)
+def test_every_known_defect_is_a_row_and_column_that_is_read():
+    # each ledger entry bounds a (row, column) that a tier-1 test or CI's
+    # large-N step holds to its reference: one that nothing reads binds none
+    fig1 = PRESETS["fig1"]
+    read = {(Row(ref, "auto", n, f), column)
+            for ref, at, columns in [
+                ("longdouble", [(n, f) for n in fig1.particles
+                                for f in fig1.grid()]
+                 + NEAR_TC_ROWS + [LOWT_BENCHMARK], EVERY_COLUMN),
+                ("fft", reference_rows("fft"), MEANS),
+                ("truth", LARGE_N_CI, EVERY_COLUMN),
+                ("closed_form", [(1, f) for f in ONE_PARTICLE],
+                 ONE_PARTICLE_COLUMNS)]
+            for n, f in at for column in columns}
+    read |= {(param.values[-1], column) for param in TRUTH_ROWS
+             for column in TRUTH_COLUMNS}
+    assert set(known_defects()) <= read, set(known_defects()) - read
 
 
 def test_fig1_rows_match_the_long_double_truth(standard_sweep):
-    fig1 = {(r.n, r.t_over_tc) for r in standard_sweep.rows}
-    # every known-defect entry names a row one of the two tests reads
-    for entries in SPREAD_DEFECT.values():
-        assert set(entries) <= fig1 | set(NEAR_TC_ROWS), entries
     _gate_against("truth", "fig1 rows against the long-double truth",
-                  standard_sweep.rows, LONGDOUBLE_TRUTH, EVERY_COLUMN)
+                  standard_sweep.rows, "longdouble")
 
 
 def test_near_tc_rows_at_2e4_and_4e4_match_the_long_double_truth():
     rows = [compute_row(SPEC, n, f) for n, f in NEAR_TC_ROWS]
     _gate_against("truth-near-Tc", "rows at N = 2e4, 4e4 near Tc against "
-                  "the long-double truth", rows, LONGDOUBLE_TRUTH,
-                  EVERY_COLUMN)
+                  "the long-double truth", rows, "longdouble")
+
+
+def _gate_fft_rows(tag, n, what):
+    # the means only; the spread columns carry the known defect and print
+    rows = [compute_row(SPEC, m, f) for m, f in reference_rows("fft") if m == n]
+    assert len(rows) == 7
+    _gate_against(tag, what, rows, "fft", MEANS)
 
 
 def test_rows_at_1e5_agree_with_the_fft_method():
-    # the means only: the spread columns carry the known defect (delta_ne
-    # is 1.6e-4 off at T/Tc = 2), and are printed
-    rows = [compute_row(SPEC, n, f) for n, f in _reference_rows(FFT_AGREEMENT)
-            if n == 10**5]
-    assert len(rows) == 7
-    _gate_against("fft", "rows at N = 1e5 against the FFT method", rows,
-                  FFT_AGREEMENT, MEANS)
+    # delta_ne is 1.6e-4 off at T/Tc = 2
+    _gate_fft_rows("fft", 10**5, "rows at N = 1e5 against the FFT method")
 
 
 def test_rows_at_1e6_agree_with_the_fft_method():
-    # the means, as at 1e5 (about 4 s of engine time); the spread columns
-    # are printed (delta_ne is 0.155 off at T/Tc = 3)
-    rows = [compute_row(SPEC, n, f) for n, f in _reference_rows(FFT_AGREEMENT)
-            if n == 10**6]
-    assert len(rows) == 7
-    assert {(r.n, r.t_over_tc) for r in rows} >= set(MEAN_DEFECT["n0_mean"])
-    _gate_against("fft-1e6", "rows at N = 1e6 against the FFT method", rows,
-                  FFT_AGREEMENT, MEANS)
+    # about 4 s of engine time; delta_ne is 0.155 off at T/Tc = 3
+    _gate_fft_rows("fft-1e6", 10**6, "rows at N = 1e6 against the FFT method")
 
 
 # 7 ------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosecanon import DomainError, TrapSpectrum, canonical, critical_temperature
+from bosecanon import (DomainError, TrapSpectrum, canonical,
+                       critical_temperature, sweep)
 from bosecanon._kernels import projection_chunk
 from bosecanon.asymptotics import (
     InteractionParams,
@@ -24,6 +25,7 @@ from bosecanon.oracle import (ORACLE_MAX_N, _demon_forms, enumerate_exact,
                               recursion_table, truth)
 from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
                              temperature_grid)
+from conftest import Row, reference_rows, relative_gaps, sweep_columns
 
 SPEC = TrapSpectrum()
 engine = functools.partial(canonical_observables, SPEC)
@@ -206,12 +208,16 @@ def test_integral_particle_numbers_of_any_type_agree(raw_moments):
         TrapSpectrum(max_level=45), 5.0, 60)
 
 
-def test_bad_offset_breaks_conditioning(at_offset):
+@pytest.mark.parametrize("n", [5000, *(pytest.param(n, marks=pytest.mark.xfail(
+    strict=True, reason="the engine's only conditioning check is Re Z > 0, "
+    "which this noise passes: n0_mean = +-1e-304 (ROADMAP item 22)"))
+    for n in (500, 50))])
+def test_bad_offset_breaks_conditioning(at_offset, n):
     # a huge artificial tilt underflows every excited level weight; the
     # projection integral of the bare oscillation carries no signal and
     # must refuse
     with pytest.raises(ConvergenceError, match="lost all significant digits"):
-        at_offset(SPEC, 0.5, 5000, 350.0)
+        at_offset(SPEC, 0.5, n, 350.0)
 
 
 def test_variances_clamped_nonnegative():
@@ -384,66 +390,47 @@ def test_engine_recursion_agreement_property(n, t_frac):
     assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
 
 
-def row(n, t=None, t_over_tc=None, spec=SPEC, m_max=None, n0_rel=1e-10,
-        ne_rel=1e-10, id=None):
+def row(n, t=None, t_over_tc=None, spec=SPEC, m_max=None, id=None):
+    ladder = (f"max_level={spec.max_level}" if spec.max_level is not None
+              else f"m_max={m_max}" if m_max is not None else "auto")
+    key = Row("truth", ladder, n, t_over_tc, t)
     if t is None:
         t = t_over_tc * critical_temperature(spec, n)
-    return pytest.param(spec, n, t, m_max, n0_rel, ne_rel,
-                        id=id or f"{n}-{t_over_tc}")
+    return pytest.param(spec, n, t, m_max, key, id=id or f"{n}-{t_over_tc}")
 
 
 # The engine against oracle.truth(), one row per (spectrum, N, T, m_max
 # asked), on the model the engine resolves to: a finite ladder resolves
-# m_max to its top level. Every row holds log Z to 1e-12 max(1, |log Z|)
-# (log Z is about 3e-10 at T/Tc = 0.01) and n0, <n0^2>, n1 and <n0 n1> to
-# 1e-10. Both spreads, delta_n0 and delta_ne, are held against
-# sqrt(Var(n0)) (at fixed N, Var(N_ex) = Var(n0)) to n0_rel and ne_rel,
-# 1e-10 unless a row says otherwise. Each is a second moment minus a
-# squared mean and loses digits to the cancellation, a known defect:
-# delta_n0 below Tc, delta_ne above it. A looser bound is the measured
-# error times at least 10, rounded up to a decade, except the older
-# delta_n0 bounds at (10^4, 0.05), (10^4, 0.1) and the oracle's cap,
-# which are kept as they were. Measured delta_n0:
-# 2e-15..4e-14 on the first four rows, 5e-16..3e-12 on the other rows
-# above Tc; below it 5.9e-12 at (200, 0.5), 1.7e-9 at (10^4, 0.6),
-# 6.1e8 at (3, 0.01) (1.03e-7 against an exact 1.70e-16), 4.5e-3 at
-# (100, 0.01), 1.3e-4 at (1000, 0.01), 7.7e-7 at (10^4, 0.05), 2.8e-7 at
-# (10^4, 0.1), 4.3e-6 at the oracle's cap, 3.2e-4 at (10^5, 0.05),
-# 4.1e-7 at (10^5, 0.3) and 7.9e-8 at (10^5, 0.8).
-# Measured delta_ne: 4.1e-15 at (3, 0.01), 1.8e-15..2.0e-13 on the other
-# rows below Tc, 6.7e-12 at (10^4, 0.6), 2.1e-12 at (10^5, 0.05),
-# 5.2e-11 at (10^5, 0.3) and 3.0e-10 at (10^5, 0.8); above Tc
-# 1.3e-12..8.1e-12 on tail-45, truncate-45 and (200, 1.2), 1.1e-11 on
-# tail-auto, 4.6e-9 on finite-400, 1.3e-9 at (100, 3), 1.9e-8 at
-# (1000, 3), 1.7e-7 at (10^4, 1.35) and 1.3e-5 at (10^4, 3).
+# m_max to its top level. Each row holds log Z (about 3e-10 at
+# T/Tc = 0.01), n0, <n0^2>, n1, <n0 n1>, and both spreads against
+# sqrt(Var(n0)) (at fixed N, Var(N_ex) = Var(n0)), under relative_gaps.
+# A spread is a second moment minus a squared mean and loses digits to
+# the cancellation, a known defect: delta_n0 below Tc, delta_ne above it.
 TRUTH_ROWS = [
     row(60, 4.0, spec=TrapSpectrum(max_level=45), id="truncate-45"),
     row(60, 4.0, m_max=45, id="tail-45"),
-    row(30, 4.0, ne_rel=1e-9, id="tail-auto"),
+    row(30, 4.0, id="tail-auto"),
     # the default truncation for T = 10 is level 170; a ladder ending at
     # level 400 is the model and is summed to its top, with no tail
-    row(200, 10.0, spec=TrapSpectrum(max_level=400), ne_rel=1e-7,
-        id="finite-400"),
-    row(10_000, t_over_tc=0.05, n0_rel=1e-6),  # early exit never fires
-    row(10_000, t_over_tc=0.1, n0_rel=1e-6),
-    row(ORACLE_MAX_N, t_over_tc=0.05, n0_rel=1e-5),
-    row(10_000, t_over_tc=0.6, n0_rel=1e-7),
-    row(10_000, t_over_tc=1.35, ne_rel=1e-5),
-    row(10_000, t_over_tc=3.0, ne_rel=1e-3),  # midpoint rule above 2 Tc
-    # level 1 holds 1e-32 particles: the spread, 1.7e-16, survives in
-    # delta_ne and is lost to the cancellation in delta_n0
-    row(3, t_over_tc=0.01, n0_rel=1e10),
-    row(100, t_over_tc=0.01, n0_rel=1e-1),
-    row(100, t_over_tc=3.0, ne_rel=1e-7),
-    row(1000, t_over_tc=0.01, n0_rel=1e-2),
-    row(1000, t_over_tc=3.0, ne_rel=1e-6),
-    row(200, t_over_tc=0.5),
-    row(200, t_over_tc=1.2),
-    row(10**5, t_over_tc=0.05, n0_rel=1e-2),
-    row(10**5, t_over_tc=0.3, n0_rel=1e-5, ne_rel=1e-9),
-    # the demon forms near their certification edge (log10(p N^2) = -270)
-    row(10**5, t_over_tc=0.8, n0_rel=1e-6, ne_rel=1e-8),
+    row(200, 10.0, spec=TrapSpectrum(max_level=400), id="finite-400"),
+    # at 10^4, early exit never fires at 0.05, and above 2 Tc the engine
+    # takes the midpoint rule
+    *(row(10_000, t_over_tc=f) for f in (0.05, 0.1, 0.6, 1.35, 3.0)),
+    row(ORACLE_MAX_N, t_over_tc=0.05),
+    # level 1 holds 1e-32 particles at (3, 0.01): the spread, 1.7e-16,
+    # survives in delta_ne and is lost to the cancellation in delta_n0
+    row(3, t_over_tc=0.01),
+    *(row(n, t_over_tc=f) for n in (100, 1000) for f in (0.01, 3.0)),
+    *(row(200, t_over_tc=f) for f in (0.5, 1.2)),
+    # at 0.8 the demon forms are near their certification edge
+    # (log10(p N^2) = -270)
+    *(row(10**5, t_over_tc=f) for f in (0.05, 0.3, 0.8)),
 ]
+TRUTH_COLUMNS = ("log_z_zero_offset", "<n0>", "<n0^2>", "<n1>", "<n0 n1>",
+                 "delta_n0", "delta_ne")
+# The benchmark's row outside fig1 (lowt_full_period), by (N, T/Tc): held
+# to the long-double file too, as test_acceptance holds the fig1 rows.
+LOWT_BENCHMARK = (10_000, 0.05)
 
 
 # One truth per (spectrum, T, N, m_max), shared by the rows and the
@@ -451,23 +438,30 @@ TRUTH_ROWS = [
 exact = functools.lru_cache(maxsize=None)(truth)
 
 
-@pytest.mark.parametrize("spec, n, t, m_max, n0_rel, ne_rel", TRUTH_ROWS)
-def test_engine_matches_its_truth(spec, n, t, m_max, n0_rel, ne_rel,
-                                  raw_moments):
+@pytest.mark.parametrize("spec, n, t, m_max, key", TRUTH_ROWS)
+def test_engine_matches_its_truth(spec, n, t, m_max, key, raw_moments,
+                                  recorder):
     res = canonical_observables(spec, t, n, m_max)
     if spec.max_level is not None:
         assert res.m_max == spec.max_level
     want = exact(spec, t, n, res.m_max)
-    assert abs(res.log_z_zero_offset - want.log_z) <= 1e-12 * max(
-        1.0, abs(want.log_z))
     got = raw_moments(res)
-    for name, value in (("<n0>", want.n0),
-                        ("<n0^2>", want.n0_variance + want.n0 ** 2),
-                        ("<n1>", want.n1), ("<n0 n1>", want.n0_n1)):
-        assert got[name] == pytest.approx(value, rel=1e-10), name
     spread = math.sqrt(want.n0_variance)
-    assert res.delta_n0 == pytest.approx(spread, rel=n0_rel), "delta_n0"
-    assert res.delta_ne == pytest.approx(spread, rel=ne_rel), "delta_ne"
+    pairs = dict(zip(TRUTH_COLUMNS, [
+        (res.log_z_zero_offset, want.log_z), (got["<n0>"], want.n0),
+        (got["<n0^2>"], want.n0_variance + want.n0 ** 2),
+        (got["<n1>"], want.n1), (got["<n0 n1>"], want.n0_n1),
+        (res.delta_n0, spread), (res.delta_ne, spread)], strict=True))
+    misses = relative_gaps(key, pairs)[1]
+    if (n, key.t_over_tc) == LOWT_BENCHMARK:
+        # the sweep row of this same engine result
+        with recorder(sweep, "canonical_observables", lambda *args: res):
+            swept = compute_row(spec, n, key.t_over_tc)
+        x = reference_rows("longdouble")[LOWT_BENCHMARK]
+        assert float(x["t"]) == swept.t_over_spacing == t
+        misses += relative_gaps(key._replace(reference="longdouble"),
+                                sweep_columns(swept.to_dict(), x))[1]
+    assert not misses
 
 
 # Where both exact sources hold, deep below Tc at up to ORACLE_MAX_N
@@ -487,28 +481,22 @@ def test_recursion_matches_the_demon_forms(n, t_over_tc):
 
 
 # One particle, where the tail closure is exact: with q = e^(-1/T) the
-# model has Z(1) = (1 - q)^-3, n0 = (1 - q)^3 and n1 = q (1 - q)^3. Bounds:
-# 1e-12 max(1, |log Z|) on log Z and 1e-10 on n0 and n1, where they hold.
-# Above them, a known defect: the kernel's log((1 - qc)^2 + (qs)^2) loses
-# about eps/q of each level's term, and the ladder's roughly T^3 states add
-# those errors up (README, Known limits). There the measured gap, rounded
-# up to one digit, is the bound: log Z 1.7e-12 at T/Tc = 30, 1.7e-11 at
-# 100 and 4.4e-9 at 1000; n0 and n1 9.8e-8 at 1000. Measured where the
-# bounds hold: log Z 1.4e-14 at 3; n0 and n1 1.1e-14, 1.6e-12 and 1.5e-11
-# at 3, 30 and 100.
-HIGH_T_LOG_Z_DEFECT = {30: 2e-12, 100: 2e-11, 1000: 5e-9}
-HIGH_T_OCCUPATION_DEFECT = {1000: 1e-7}
+# model has Z(1) = (1 - q)^-3, n0 = (1 - q)^3 and n1 = q (1 - q)^3. Far
+# above Tc, a known defect: the kernel's level modulus loses about eps/q
+# of each level's term, summed over roughly T^3 states (README, Known limits).
+ONE_PARTICLE = (3, 30, 100, 1000)
+ONE_PARTICLE_COLUMNS = ("log_z_zero_offset", "n0_mean", "n1_mean")
 
 
-@pytest.mark.parametrize("t_over_tc", [3, 30, 100, 1000])
+@pytest.mark.parametrize("t_over_tc", ONE_PARTICLE)
 def test_one_particle_matches_its_closed_forms(t_over_tc):
     t = t_over_tc * critical_temperature(SPEC, 1)
     res = canonical_observables(SPEC, t, 1)
     one_minus_q = -math.expm1(-1.0 / t)
-    log_z = -3.0 * math.log(one_minus_q)
-    assert abs(res.log_z_zero_offset - log_z) <= HIGH_T_LOG_Z_DEFECT.get(
-        t_over_tc, 1e-12) * max(1.0, abs(log_z))
     n0 = one_minus_q ** 3
-    rel = HIGH_T_OCCUPATION_DEFECT.get(t_over_tc, 1e-10)
-    assert res.n0_mean == pytest.approx(n0, rel=rel)
-    assert res.n1_mean == pytest.approx(math.exp(-1.0 / t) * n0, rel=rel)
+    pairs = dict(zip(ONE_PARTICLE_COLUMNS, [
+        (res.log_z_zero_offset, -3.0 * math.log(one_minus_q)),
+        (res.n0_mean, n0), (res.n1_mean, math.exp(-1.0 / t) * n0)],
+        strict=True))
+    assert not relative_gaps(Row("closed_form", "auto", 1, t_over_tc),
+                             pairs)[1]
