@@ -102,16 +102,16 @@ class RecursionTable:
 
 @dataclass(frozen=True)
 class Truth:
-    """Exact log Z(N), <n0>, Var(n0), <n1>, <n0 n1> of one (N, T) model, the
-    source they come from, and the demon forms' certificate log10 P(N_ex > N)
-    (None for the recursion). From the recursion every moment is centred
-    over P(n0) by _centred_moments, and <n0 n1> = cov(n0, n1) + n0 n1."""
+    """Exact log Z(N), <n0>, Var(n0), <n1>, cov(n0, n1) of one (N, T) model,
+    the source they come from, and the demon forms' certificate
+    log10 P(N_ex > N) (None for the recursion). From the recursion every
+    moment is centred over P(n0) by _centred_moments."""
 
     log_z: float
     n0: float
     n0_variance: float
     n1: float
-    n0_n1: float
+    covariance_n0_n1: float
     source: str
     log10_p: float | None = None
 
@@ -194,8 +194,8 @@ def _demon_forms(spectrum: TrapSpectrum, t: float, n: int,
     PRL 79, 3557 (1997)): the ladder's levels 1..m_max and tail at unit
     fugacity, the ground level holding the rest; exact, at any N, once
     P(N_ex > N) is negligible. log10_p is the Chernoff bound on
-    log10 P(N_ex > N). There cov(n0, n1) = -n1(n1 + 1), so
-    <n0 n1> = n1(n0 - n1 - 1). truth() checks N, T and level 1 first."""
+    log10 P(N_ex > N). There cov(n0, n1) = -n1(n1 + 1). truth() checks N,
+    T and level 1 first."""
     ladder = _level_ladder(spectrum, t, m_max)
     q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight
     # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
@@ -206,7 +206,7 @@ def _demon_forms(spectrum: TrapSpectrum, t: float, n: int,
     n1 = float(q[0] / (1.0 - q[0]))
     return Truth(log_z=_level_log_z(q, g, tail), n0=n0,
                  n0_variance=_level_variance(q, g, tail),
-                 n1=n1, n0_n1=n1 * (n0 - n1 - 1.0), source="demon",
+                 n1=n1, covariance_n0_n1=-n1 * (n1 + 1.0), source="demon",
                  log10_p=float(log_p / math.log(10.0)))
 
 
@@ -236,9 +236,8 @@ def truth(spectrum: TrapSpectrum, t: float, n: int,
         # carry Var(n0) and n1 (T below 1/80); they are left out.
         k = np.flatnonzero(lz >= lz.max() - 80.0)
         k = np.arange(max(k[0] - 1, 0), min(k[-1] + 2, n + 1))
-        n0, var, n1, cov = _centred_moments(lz[k], n - k, _n1_given_k(lz, k, t))
-        return Truth(log_z=float(table.log_z[n]), n0=n0, n0_variance=var,
-                     n1=n1, n0_n1=cov + n0 * n1, source="recursion")
+        return Truth(float(table.log_z[n]), *_centred_moments(
+            lz[k], n - k, _n1_given_k(lz, k, t)), source="recursion")
     demon = _demon_forms(spectrum, t, n, m_max)
     log10_error = demon.log10_p + 2.0 * math.log10(n)
     log10_allowed = math.log10(1e-12 * demon.n0_variance)

@@ -128,7 +128,7 @@ def on_doubled_grid():
     return evaluate
 
 
-# log Z, <n0>, Var(n0), <n1> and <n0 n1> of the model: from the recursion in
+# log Z, n0, Var(n0), n1 and cov(n0, n1) of the model: from the recursion in
 # long double (tests/longdouble_truth.py), and past its cap from one FFT of
 # P(n0) (tests/fft_agreement.py), a second method, not an exact truth.
 DATA = Path(__file__).parent / "data"
@@ -171,9 +171,9 @@ def reference_rows(reference):
 def sweep_columns(row, want):
     """{column: (engine value, reference value)} for every column of a sweep
     row (a mapping: SweepRow.to_dict() or a row of the JSON output) that a
-    reference's log_z, n0, n0_variance, n1 and n0_n1 fix."""
-    log_z, n0, var, n1, n0_n1 = (float(want[k]) for k in (
-        "log_z", "n0", "n0_variance", "n1", "n0_n1"))
+    reference's log_z, n0, n0_variance, n1 and covariance_n0_n1 fix."""
+    log_z, n0, var, n1, cov = (float(want[k]) for k in (
+        "log_z", "n0", "n0_variance", "n1", "covariance_n0_n1"))
     spread = math.sqrt(var)
     return {"n0_mean": (row["n0_mean"], n0), "n1_mean": (row["n1_mean"], n1),
             "ne_mean": (row["ne_mean"], row["n"] - n0),
@@ -185,7 +185,7 @@ def sweep_columns(row, want):
                                     spread / math.sqrt(n0 * (n0 + 1.0))),
             "delta_ne": (row["delta_ne"], spread),
             "corr_01_normalized": (row["corr_01_normalized"],
-                                   n0_n1 / (n0 * n1) - 1.0)}
+                                   cov / (n0 * n1))}
 
 
 def relative_gaps(row, pairs, held=None):

@@ -46,18 +46,20 @@ them, and P(k) is proportional to c_k rho^-k for k <= N. The choices:
     of the weights' sum.
 
 Self-check (--check, and before any write): all five values, log Z, <n0>,
-Var(n0), <n1> and <n0 n1>, against every row of
+Var(n0), <n1> and cov(n0, n1), against every row of
 tests/data/longdouble_truth.csv, with 1e-12 relative as the target
-(log Z: 1e-12 max(1, |log Z|)), and each value against the same method on
-a grid of 2M points within 1e-13. It prints the worst gap per value, lists
-every row that misses, and exits 1 if one does.
+(log Z: 1e-12 max(1, |log Z|); cov: 1e-12 |cov + n0 n1|; the gaps of
+tests/longdouble_truth.py), and each value against the same method on a
+grid of 2M points within 1e-13, on the same scales. It prints the worst
+gap per value, lists every row that misses, and exits 1 if one does.
 
 Rows: N in {10^5, 10^6} x T/Tc in {0.9, 0.97, 1.0, 1.05, 1.2, 2, 3} on the
 unbounded ladder, past the recursion's cap, where the repo has no exact
 value near Tc. Each row holds the method's five values, its own 2M gap,
 and the gap of the committed engine (canonical_observables) on each
-value, and on N_ex and Var(N_ex) against N - <n0> and Var(n0). These are
-two independent methods agreeing, not an exact truth.
+value, on the self-check's scales, and on N_ex and Var(N_ex) against
+N - <n0> and Var(n0). These are two independent methods agreeing, not an
+exact truth.
 """
 
 from __future__ import annotations
@@ -75,11 +77,11 @@ from bosecanon.canonical import canonical_observables
 from bosecanon.grand_canonical import (_level_count, _level_log_z,
                                        _level_variance, solve_fugacity)
 from bosecanon.oracle import _centred_moments
+from longdouble_truth import VALUES, gaps
 
 DATA = Path(__file__).parent / "data"
 TRUTH = DATA / "longdouble_truth.csv"
 OUT = DATA / "fft_agreement.csv"
-VALUES = ("log_z", "n0", "n0_variance", "n1", "n0_n1")
 TRUTH_REL = 1e-12
 DOUBLING_REL = 1e-13
 ROWS = [(n, f) for n in (10**5, 10**6)
@@ -126,7 +128,7 @@ def _log_g(z: np.ndarray, a: np.ndarray, g: np.ndarray, tail: float,
 
 def fft_values(spectrum: TrapSpectrum, t: float, n: int,
                m_max: int | None = None, grid_factor: int = 1) -> dict:
-    """log Z(N), <n0>, Var(n0), <n1>, <n0 n1> of the engine's model (the
+    """log Z(N), <n0>, Var(n0), <n1>, cov(n0, n1) of the engine's model (the
     ladder solve_fugacity builds, m_max resolved by auto_m_max), with the
     grid grid_factor times the rule's M; and the M used."""
     state = solve_fugacity(spectrum, t, n, m_max=m_max)
@@ -178,25 +180,16 @@ def fft_values(spectrum: TrapSpectrum, t: float, n: int,
     c, b = (coeff[(k - k0) % m] for coeff in coeffs)
     k, c, b = k[c > 0.0], c[c > 0.0], b[c > 0.0]
     log_w = np.log(c) - (k - k0) * math.log(rho)
-    n0, var, n1, cov = _centred_moments(log_w, (n - k).astype(np.float64),
-                                        b / c)
+    moments = _centred_moments(log_w, (n - k).astype(np.float64), b / c)
     top = log_w.max()
     log_z = (_level_log_z(x, g, tail) - k0 * math.log(rho) + top
              + math.log(np.exp(log_w - top).sum()))
-    return {"log_z": float(log_z), "n0": n0, "n0_variance": var, "n1": n1,
-            "n0_n1": cov + n0 * n1, "grid": m}
-
-
-def rel(got: float, want: float, name: str) -> float:
-    scale = max(1.0, abs(want)) if name == "log_z" else abs(want)
-    if scale == 0.0:
-        return 0.0 if got == want else math.inf
-    return abs(got - want) / scale
+    return {**dict(zip(VALUES, (float(log_z), *moments))), "grid": m}
 
 
 def _doubling_gap(spectrum, t, n, m_max, values) -> float:
     twice = fft_values(spectrum, t, n, m_max, grid_factor=2)
-    return max(rel(values[name], twice[name], name) for name in VALUES)
+    return max(gaps(values, twice).values())
 
 
 def self_check() -> bool:
@@ -214,9 +207,9 @@ def self_check() -> bool:
         where = (f"N={n} T/Tc={r['t_over_tc'] or '-'} T={t!r} "
                  f"max_level={r['max_level'] or '-'} m_max={r['m_max'] or '-'}")
         got = fft_values(spec, t, n, m_asked)
-        gaps = {name: rel(got[name], float(r[name]), name) for name in VALUES}
-        gaps["2M"] = _doubling_gap(spec, t, n, m_asked, got)
-        for name, gap in gaps.items():
+        row_gaps = gaps(got, r)
+        row_gaps["2M"] = _doubling_gap(spec, t, n, m_asked, got)
+        for name, gap in row_gaps.items():
             if gap >= worst[name][0]:
                 worst[name] = (gap, where)
             bound = DOUBLING_REL if name == "2M" else TRUTH_REL
@@ -245,16 +238,17 @@ def agreement_rows() -> list:
         res = canonical_observables(spec, t, n)
         engine = {"log_z": res.log_z_zero_offset, "n0": res.n0_mean,
                   "n0_variance": res.n0_variance, "n1": res.n1_mean,
-                  "n0_n1": res.covariance_n0_n1 + res.n0_mean * res.n1_mean}
-        gaps = [rel(engine[name], got[name], name) for name in VALUES]
-        gaps += [rel(res.ne_mean, n - got["n0"], "ne"),
-                 rel(res.ne_variance, got["n0_variance"], "ne_variance")]
+                  "covariance_n0_n1": res.covariance_n0_n1,
+                  "ne": res.ne_mean, "ne_variance": res.ne_variance}
+        want = {**got, "ne": n - got["n0"], "ne_variance": got["n0_variance"]}
+        engine_gaps = gaps(engine, want, (*VALUES, "ne", "ne_variance"))
         out.append([n, repr(f), repr(t), got["grid"]]
-                   + [repr(got[name]) for name in VALUES]
-                   + [f"{doubling:.2e}"] + [f"{gap:.2e}" for gap in gaps])
+                   + [repr(got[name]) for name in VALUES] + [f"{doubling:.2e}"]
+                   + [f"{gap:.2e}" for gap in engine_gaps.values()])
         print(f"N={n} T/Tc={f}: FFT {fft_s:.2f} s (M = {got['grid']}, 2M "
               f"gap {doubling:.1e}); engine gaps "
-              + " ".join(f"{gap:.1e}" for gap in gaps), flush=True)
+              + " ".join(f"{gap:.1e}" for gap in engine_gaps.values()),
+              flush=True)
     return out
 
 

@@ -9,10 +9,10 @@ For each row (spectrum, N, T, m_max) it builds the oracle's recursion
 
 in np.longdouble on the ladder grand_canonical._level_ladder builds, the
 model of oracle.truth() and of the engine, and reads log Z(N), <n0>,
-Var(n0), <n1> and <n0 n1> from P(n0 = N - k) proportional to Z_ex(k) as
-truth() does: every moment centred over P, with the level-1 state's mean
-n1(k) = sum_{s>=1} e^{-s/T} Z_ex(k-s)/Z_ex(k) at each k. The values are
-written as the doubles nearest them.
+Var(n0), <n1> and cov(n0, n1) from P(n0 = N - k) proportional to Z_ex(k)
+with truth()'s own oracle._centred_moments, given the level-1 state's mean
+n1(k) = sum_{s>=1} e^{-s/T} Z_ex(k-s)/Z_ex(k) at each k in long double.
+The values are written as the doubles nearest them.
 
 The double recursion carries up to 2.9e-11 of its own rounding in n0 near
 Tc at N = 10^4; a long double (64-bit significand, eps 1.08e-19 on x86)
@@ -48,13 +48,14 @@ import numpy as np
 
 from bosecanon import TrapSpectrum, critical_temperature
 from bosecanon.grand_canonical import _level_ladder, auto_m_max
-from bosecanon.oracle import ORACLE_MAX_N, recursion_table, truth
+from bosecanon.oracle import (ORACLE_MAX_N, _centred_moments,
+                              recursion_table, truth)
 from bosecanon.sweep import PRESETS
 
 LD = np.longdouble
 OUT = Path(__file__).parent / "data" / "longdouble_truth.csv"
 COLUMNS = ("max_level", "m_max", "n", "t_over_tc", "t", "log_z", "n0",
-           "n0_variance", "n1", "n0_n1")
+           "n0_variance", "n1", "covariance_n0_n1")
 VALUES = COLUMNS[5:]
 # mpmath at 30 digits against the long-double run, relative, at N <= 100.
 MPMATH_REL = 1e-15
@@ -122,14 +123,8 @@ def moments(lz: np.ndarray, n: int, t: float) -> dict:
         n1k += term
         if np.all(term <= 1e-24 * n1k):
             break
-    p = np.exp(own - own.max())
-    p /= p.sum()
-    n0k = n - np.arange(lo, hi).astype(LD)
-    n0, n1 = p @ n0k, p @ n1k
-    d0 = n0k - n0
-    cov = p @ (d0 * (n1k - n1))
-    return {"log_z": log_z, "n0": n0, "n0_variance": p @ d0**2, "n1": n1,
-            "n0_n1": cov + n0 * n1}
+    return dict(zip(VALUES, (log_z, *_centred_moments(
+        own, n - np.arange(lo, hi).astype(LD), n1k))))
 
 
 def mpmath_values(ladder, t: float, n: int) -> dict:
@@ -152,17 +147,24 @@ def mpmath_values(ladder, t: float, n: int) -> dict:
            for k in range(n + 1)]
     n0 = mp.fsum(pk * (n - k) for k, pk in enumerate(p))
     n1 = mp.fsum(pk * a for pk, a in zip(p, n1k))
+    d0 = [n - k - n0 for k in range(n + 1)]
     return {"log_z": mp.log(total), "n0": n0,
-            "n0_variance": mp.fsum(pk * (n - k - n0) ** 2
-                                   for k, pk in enumerate(p)),
-            "n1": n1,
-            "n0_n1": mp.fsum(pk * (n - k) * a
-                             for k, (pk, a) in enumerate(zip(p, n1k)))}
+            "n0_variance": mp.fsum(pk * d ** 2 for pk, d in zip(p, d0)),
+            "n1": n1, "covariance_n0_n1": mp.fsum(
+                pk * d * (a - n1) for pk, d, a in zip(p, d0, n1k))}
 
 
-def rel(got, want, log_z=False) -> float:
-    got, want = float(got), float(want)
-    return abs(got - want) / (max(1.0, abs(want)) if log_z else abs(want))
+def gaps(got, want, names=VALUES) -> dict:
+    """Each named value's gap to want, relative to |want| (log Z: to
+    max(1, |log Z|); cov(n0, n1): to |cov + n0 n1|, the raw <n0 n1>)."""
+    out = {}
+    for name in names:
+        w = float(want[name])
+        scale = (max(1.0, abs(w)) if name == "log_z"
+                 else abs(w + float(want["n0"]) * float(want["n1"]))
+                 if name == "covariance_n0_n1" else abs(w))
+        out[name] = abs(float(got[name]) - w) / scale
+    return out
 
 
 def main() -> int:
@@ -183,23 +185,20 @@ def main() -> int:
         where = f"N={n} T={t!r} max_level={max_level} m_max={m_max}"
         if n <= ORACLE_MAX_N:
             table = recursion_table(spec, t, n, m_max)
-            for name, want, log_z in (("log_z", table.log_z[n], True),
-                                      ("n0", table.occupation(0.0), False),
-                                      ("n1", table.occupation(1.0), False)):
-                gap = rel(got[name], want, log_z)
-                bound = (1e-10 if n > 1000 else 1e-13 if log_z else 1e-12)
+            double = {"log_z": table.log_z[n], "n0": table.occupation(0.0),
+                      "n1": table.occupation(1.0)}
+            for name, gap in gaps(got, double, double).items():
+                bound = (1e-10 if n > 1000 else 1e-13 if name == "log_z"
+                         else 1e-12)
                 if not gap <= bound:
                     failures.append(f"{where}: {name} {gap:.2e} off the "
                                     f"double recursion (bound {bound:.0e})")
-            exact = truth(spec, t, n, m_max)
-            for name in VALUES:
-                gap = rel(getattr(exact, name), got[name], name == "log_z")
+            exact = vars(truth(spec, t, n, m_max))
+            for name, gap in gaps(exact, got).items():
                 if gap > truth_gap[name][0]:
                     truth_gap[name] = (gap, where)
         if n <= 100:
-            ref = mpmath_values(ladder, t, n)
-            for name in VALUES:
-                gap = rel(got[name], ref[name], name == "log_z")
+            for name, gap in gaps(got, mpmath_values(ladder, t, n)).items():
                 if not gap <= MPMATH_REL:
                     failures.append(f"{where}: {name} {gap:.2e} off mpmath "
                                     f"(bound {MPMATH_REL:.0e})")

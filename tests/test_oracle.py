@@ -81,7 +81,8 @@ def test_recursion_matches_enumeration_two_level(n):
     assert want.n0_variance + want.n0 ** 2 == pytest.approx(exact.second[0],
                                                             rel=1e-12)
     assert want.n1 == pytest.approx(exact.mean[1], rel=1e-12)
-    assert want.n0_n1 == pytest.approx(exact.cross[0, 1], rel=1e-12)
+    assert want.covariance_n0_n1 + want.n0 * want.n1 == pytest.approx(
+        exact.cross[0, 1], rel=1e-12)
 
 
 def test_partition_grows_with_temperature():
@@ -219,4 +220,5 @@ def test_two_level_recursion_vs_enumeration_property(n, t):
     want = truth(spec, t, n, m_max=1)
     assert want.n0_variance + want.n0 ** 2 == pytest.approx(exact.second[0],
                                                             rel=1e-10)
-    assert want.n0_n1 == pytest.approx(exact.cross[0, 1], rel=1e-10)
+    assert want.covariance_n0_n1 + want.n0 * want.n1 == pytest.approx(
+        exact.cross[0, 1], rel=1e-10)
