@@ -8,7 +8,9 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from bosecanon import canonical
+from bosecanon import TrapSpectrum, canonical, sweep
+from bosecanon.oracle import truth
+from bosecanon.sweep import PRESETS, compute_row
 
 
 class Recorder:
@@ -128,16 +130,6 @@ def on_doubled_grid():
     return evaluate
 
 
-# log Z, n0, Var(n0), n1 and cov(n0, n1) of the model: from the recursion in
-# long double (tests/longdouble_truth.py), and past its cap from one FFT of
-# P(n0) (tests/fft_agreement.py), a second method, not an exact truth.
-DATA = Path(__file__).parent / "data"
-REFERENCE_FILES = {"longdouble": DATA / "longdouble_truth.csv",
-                   "fft": DATA / "fft_agreement.csv"}
-# The rows CI's large-N step holds to truth() (10 s of engine time).
-LARGE_N_CI = ((1_000_000, 0.3), (1_000_000, 0.5))
-
-
 class Row(NamedTuple):
     """A row of a reference (longdouble, fft, truth or closed_form): ladder
     (auto, m_max=M or max_level=M), N, and T/Tc or else T in spacings."""
@@ -146,6 +138,29 @@ class Row(NamedTuple):
     n: int
     t_over_tc: Optional[float]
     t: Optional[float] = None
+
+
+# log Z, n0, Var(n0), n1 and cov(n0, n1) of the model, under oracle.Truth's
+# names: from the recursion in long double (tests/longdouble_truth.py), and
+# past its cap from one FFT of P(n0) (tests/fft_agreement.py), a second
+# method, not an exact truth.
+DATA = Path(__file__).parent / "data"
+REFERENCE_FILES = {"longdouble": DATA / "longdouble_truth.csv",
+                   "fft": DATA / "fft_agreement.csv"}
+VALUES = ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1")
+# The rows held against a reference that is no file: oracle.truth()'s demon
+# forms past the recursion's cap (at 10^5, T/Tc = 0.8 near their
+# certification edge, log10(p N^2) = -270), and one particle's closed forms.
+# CI's large-N step holds LARGE_N_CI to truth() (10 s of engine time).
+LISTED_ROWS = [*(Row("truth", "auto", 100_000, f) for f in (0.05, 0.3, 0.8)),
+               *(Row("closed_form", "auto", 1, f)
+                 for f in (3.0, 30.0, 100.0, 1000.0))]
+LARGE_N_CI = [Row("truth", "auto", 1_000_000, f) for f in (0.3, 0.5)]
+# The one column map: a sweep row's columns that the five values fix, and
+# the raw <n0^2> and <n0 n1>.
+COLUMNS = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset", "delta_n0",
+           "normalized_delta_n0", "delta_ne", "corr_01_normalized", "<n0^2>",
+           "<n0 n1>")
 
 
 def _csv_rows(path):
@@ -162,43 +177,129 @@ def known_defects():
             for r in _csv_rows(DATA / "known_defects.csv")}
 
 
+@functools.cache
 def reference_rows(reference):
-    """A reference file's rows by (N, T/Tc), each on the unbounded ladder."""
-    return {(int(r["n"]), float(r["t_over_tc"])): r
-            for r in _csv_rows(REFERENCE_FILES[reference]) if r["t_over_tc"]}
+    """A reference file's rows, {Row: the file's row}: the ladder from its
+    max_level or m_max, and T/Tc or else T."""
+    rows = {}
+    for r in _csv_rows(REFERENCE_FILES[reference]):
+        ladder = next((f"{k}={r[k]}" for k in ("max_level", "m_max")
+                       if r.get(k)), "auto")
+        f = float(r["t_over_tc"]) if r["t_over_tc"] else None
+        rows[Row(reference, ladder, int(r["n"]), f,
+                 float(r["t"]) if f is None else None)] = r
+    return rows
 
 
-def sweep_columns(row, want):
-    """{column: (engine value, reference value)} for every column of a sweep
-    row (a mapping: SweepRow.to_dict() or a row of the JSON output) that a
-    reference's log_z, n0, n0_variance, n1 and covariance_n0_n1 fix."""
-    log_z, n0, var, n1, cov = (float(want[k]) for k in (
-        "log_z", "n0", "n0_variance", "n1", "covariance_n0_n1"))
+# Every held row: both files' rows and the listed rows. Each falls to one
+# test by holder(): test_acceptance holds the fig1 sweep's rows, the
+# long-double rows near Tc at 2x10^4 and 4x10^4, and the FFT rows at each
+# N; test_canonical one particle's closed forms, and one by one each other.
+HELD = [*reference_rows("longdouble"), *reference_rows("fft"), *LISTED_ROWS]
+FIG1_GRID = set(PRESETS["fig1"].grid())
+
+
+def holder(key):
+    """The group whose test holds a held row: fig1, near_tc, fft-N,
+    closed_form or row."""
+    if key.reference == "fft":
+        return f"fft-{key.n}"
+    if key.reference == "closed_form":
+        return key.reference
+    if (key.reference, key.ladder, key.t) == ("longdouble", "auto", None):
+        if key.n in PRESETS["fig1"].particles and key.t_over_tc in FIG1_GRID:
+            return "fig1"
+        if key.n in (20_000, 40_000) and key.t_over_tc >= 0.9:
+            return "near_tc"
+    return "row"
+
+
+def held(group):
+    """The held rows of one holder() group, in file order."""
+    return [key for key in HELD if holder(key) == group]
+
+
+def model(key):
+    """The spectrum and the asked m_max of a row's ladder."""
+    kind, _, top = key.ladder.partition("=")
+    return (TrapSpectrum(max_level=int(top) if kind == "max_level" else None),
+            int(top) if kind == "m_max" else None)
+
+
+def engine_cells(keys):
+    """{Row: sweep_columns} of the engine at each held row: compute_row
+    where it can express the row, else compute_row's columns of
+    canonical_observables' result (a finite ladder, an asked m_max, a row
+    given by T)."""
+    cells = {}
+    for key in keys:
+        if key.ladder == "auto" and key.t is None:
+            row = compute_row(TrapSpectrum(), key.n, key.t_over_tc).to_dict()
+        else:
+            spec, m_max = model(key)
+            res = canonical.canonical_observables(spec, key.t, key.n, m_max)
+            with Recorder(sweep, "canonical_observables", lambda *_: res):
+                row = compute_row(spec, key.n, 1.0).to_dict()
+            row["t_over_spacing"] = key.t  # not the T of T/Tc = 1
+        cells[key] = sweep_columns(key, row)
+    return cells
+
+
+def sweep_columns(key, row):
+    """{column: (engine value, reference value)} on every column of the one
+    map at a held row, from the engine's sweep row there (a mapping:
+    SweepRow.to_dict() or a row of the JSON output; its T, and its m_max
+    for truth())."""
+    t = row["t_over_spacing"]
+    if key.reference in REFERENCE_FILES:
+        x = reference_rows(key.reference)[key]
+        assert float(x["t"]) == t, (key, t)
+        want = {k: float(x[k]) for k in VALUES}
+    elif key.reference == "truth":
+        want = vars(truth(TrapSpectrum(), t, key.n, row["m_max"]))
+    else:  # one particle, with q = e^(-1/T): Z(1) = (1 - q)^-3,
+        # n0 = (1 - q)^3 and n1 = q n0, each 0 or 1 and never both 1
+        one_minus_q = -math.expm1(-1.0 / t)
+        n0 = one_minus_q ** 3
+        n1 = math.exp(-1.0 / t) * n0
+        want = {"log_z": -3.0 * math.log(one_minus_q), "n0": n0, "n1": n1,
+                "n0_variance": n0 * (1.0 - n0), "covariance_n0_n1": -n0 * n1}
+    log_z, n0, var, n1, cov = (want[k] for k in VALUES)
     spread = math.sqrt(var)
-    return {"n0_mean": (row["n0_mean"], n0), "n1_mean": (row["n1_mean"], n1),
-            "ne_mean": (row["ne_mean"], row["n"] - n0),
-            "log_z_zero_offset": (row["log_z"] + row["n"]
-                                  * row["ground_offset"]
-                                  / row["t_over_spacing"], log_z),
-            "delta_n0": (row["delta_n0"], spread),
-            "normalized_delta_n0": (row["normalized_delta_n0"],
-                                    spread / math.sqrt(n0 * (n0 + 1.0))),
-            "delta_ne": (row["delta_ne"], spread),
-            "corr_01_normalized": (row["corr_01_normalized"],
-                                   cov / (n0 * n1))}
+    got_n0, got_n1 = row["n0_mean"], row["n1_mean"]
+    return dict(zip(COLUMNS, [
+        (got_n0, n0), (got_n1, n1), (row["ne_mean"], row["n"] - n0),
+        (row["log_z"] + row["n"] * row["ground_offset"] / t, log_z),
+        (row["delta_n0"], spread),
+        (row["normalized_delta_n0"], spread / math.sqrt(n0 * (n0 + 1.0))),
+        (row["delta_ne"], spread),
+        (row["corr_01_normalized"], cov / (n0 * n1)),
+        (row["delta_n0"] ** 2 + got_n0 ** 2, var + n0 ** 2),
+        ((row["corr_01_normalized"] + 1.0) * got_n0 * got_n1, cov + n0 * n1),
+    ], strict=True))
 
 
-def relative_gaps(row, pairs, held=None):
-    """Each column's relative gap |got - want|/|want| (log Z's over
-    max(1, |log Z|)), and a message for each held column (by default all)
-    whose gap exceeds its known-defect bound, else 1e-10 (log Z: 1e-12)."""
-    gaps, misses = {}, []
-    for column, (got, want) in pairs.items():
-        log_z = column == "log_z_zero_offset"
-        gaps[column] = abs(got - want) / (max(1.0, abs(want)) if log_z
-                                          else abs(want))
-        bound = known_defects().get((row, column), 1e-12 if log_z else 1e-10)
-        if (held is None or column in held) and not gaps[column] <= bound:
-            misses.append(f"{column} at {row} {gaps[column]:.2e} > "
-                          f"{bound:.0e}")
-    return gaps, misses
+def hold(cells):
+    """Hold {Row: {column: (got, want)}} under tier-1's one rule: each
+    cell's relative gap |got - want|/|want| (log Z's over max(1, |log Z|)),
+    a want of exactly 0.0 skipped, within its known-defect bound, else 1e-10
+    (log Z: 1e-12). Returns (True if no cell misses, a report of each
+    column's worst gap and every miss)."""
+    worst, misses = {}, []
+    for row, pairs in cells.items():
+        for column, (got, want) in pairs.items():
+            if want == 0.0:
+                continue
+            log_z = column.startswith("log_z")
+            gap = abs(got - want) / (max(1.0, abs(want)) if log_z
+                                     else abs(want))
+            worst[column] = max(worst.get(column, 0.0), gap)
+            bound = known_defects().get((row, column),
+                                        1e-12 if log_z else 1e-10)
+            if not gap <= bound:
+                misses.append(f"{column} at {row} {gap:.2e} > {bound:.0e}")
+    return not misses, (
+        f"{len(cells)} rows, worst relative gap (bound 1e-10, log Z 1e-12, "
+        "or the cell's known-defect entry): "
+        + ", ".join(f"{column} {gap:.2e}" for column, gap in worst.items())
+        + "".join(f"; {miss}" for miss in misses))

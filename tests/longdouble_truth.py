@@ -29,9 +29,13 @@ checks itself:
 It also prints oracle.truth()'s worst relative gap to the file per column.
 mpmath is not a dependency of the package; only this script imports it.
 
-Rows: the fig1 preset (129), N = 10^4 at T/Tc = 0.05, the rows of
-test_canonical.TRUTH_ROWS up to N = 2x10^4, and N in {2x10^4, 4x10^4} at
-T/Tc in {0.9, 0.97, 1.0, 1.05, 1.2}: 153 rows. The O(N^2) long-double
+Rows: the fig1 preset (129); the edges of the engine's domain up to
+N = 2x10^4 (N = 3 at T/Tc = 0.01, N = 100 and 1000 at 0.01 and 3, N = 200
+at 0.5 and 1.2, N = 10^4 at 0.05 and 3, N = 2x10^4 at 0.05, and four rows
+given by T: on two finite ladders, with m_max asked and on the unbounded
+ladder); and N in {2x10^4, 4x10^4} at T/Tc in {0.9, 0.97, 1.0, 1.05, 1.2}:
+153 rows. Tier-1 holds the engine to every row, and oracle.truth() to every
+row up to N = 1000 and at (10^4, 3). The O(N^2) long-double
 recursion takes most of the time: on a 2-vCPU x86 host a row took 1-5 s at
 10^4, 7 s at 2x10^4 near Tc (22 s at T/Tc = 0.05) and 16-25 s at 4x10^4,
 and the whole run 290 s.
@@ -76,7 +80,7 @@ def rows():
            for f in (0.9, 0.97, 1.0, 1.05, 1.2)]
     out = [(None, None, n, f, f * critical_temperature(spec, n))
            for n, f in dict.fromkeys(at)]
-    # TRUTH_ROWS given by T, on a finite ladder or with m_max asked
+    # rows given by T, on a finite ladder or with m_max asked
     return out + [(45, None, 60, None, 4.0), (None, 45, 60, None, 4.0),
                   (None, None, 30, None, 4.0), (400, None, 200, None, 10.0)]
 

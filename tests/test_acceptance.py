@@ -1,8 +1,9 @@
 """End-to-end release gate.
 
-Each test covers one numbered check, or rows against the long-double
-truth file or the FFT agreement file, and emits a single PASS/FAIL line
-(run with ``pytest tests/test_acceptance.py -v -s`` to see them inline).
+Each test covers one numbered check, or one group of held rows against
+the long-double truth file or the FFT agreement file, or truth() against
+the long-double file, and emits a single PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s`` to see
+them inline).
 The bounds are asserted, so a plain pytest run fails loudly as well.
 """
 
@@ -21,12 +22,11 @@ from bosecanon.asymptotics import (
 from bosecanon.canonical import canonical_observables
 from bosecanon.oracle import enumerate_exact, recursion_table, truth
 from bosecanon.spectrum import ZETA3
-from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, compute_row,
-                             fit_scaling, run_sweep)
-from conftest import (LARGE_N_CI, Row, known_defects, reference_rows,
-                      relative_gaps, sweep_columns)
-from test_canonical import (LOWT_BENCHMARK, ONE_PARTICLE, ONE_PARTICLE_COLUMNS,
-                            TRUTH_COLUMNS, TRUTH_ROWS)
+from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, fit_scaling,
+                             run_sweep)
+from conftest import (COLUMNS, HELD, LARGE_N_CI, VALUES, Row, engine_cells,
+                      held, hold, holder, known_defects, model,
+                      reference_rows, sweep_columns)
 
 SPEC = TrapSpectrum()
 
@@ -222,86 +222,63 @@ def test_06_cross_correlation_tracks_closed_form(standard_sweep):
     )
 
 
-# rows against the long-double truth and the FFT agreement file ------------
+# every held row against its reference ------------------------------------
 
-# The file's rows at 2x10^4 and 4x10^4 near Tc (0.4 s of engine time).
-NEAR_TC_ROWS = [(n, f) for n in (20_000, 40_000)
-                for f in (0.9, 0.97, 1.0, 1.05, 1.2)]
-MEANS = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset")
-EVERY_COLUMN = (*MEANS, "delta_n0", "normalized_delta_n0", "delta_ne",
-                "corr_01_normalized")
-# The FFT rows hold no spread column: those carry the known defect, and print.
-FFT_COLUMNS = (*MEANS, "corr_01_normalized")
-
-
-def _gate_against(tag, what, rows, reference, held=EVERY_COLUMN):
-    # every column of a sweep row the file's five values fix, as a relative
-    # gap; the held ones within the one rule or their known-defect entry
-    exact = reference_rows(reference)
-    worst, misses = {}, []
-    for row in rows:
-        x = exact[row.n, row.t_over_tc]
-        assert float(x["t"]) == row.t_over_spacing
-        gaps, missed = relative_gaps(
-            Row(reference, "auto", row.n, row.t_over_tc),
-            sweep_columns(row.to_dict(), x), held)
-        misses += missed
-        for name, gap in gaps.items():
-            worst[name] = max(worst.get(name, 0.0), gap)
-    _gate(
-        tag,
-        not misses,
-        f"{len(rows)} {what}, worst relative gap (bound 1e-10, log Z 1e-12, "
-        f"or the row's known-defect entry, on {', '.join(held)}): "
-        + ", ".join(f"{name} {gap:.2e}" for name, gap in worst.items())
-        + "".join(f"; {miss}" for miss in misses),
-    )
+# truth() is held to the long-double file on every row up to N = 1000, and
+# at (10^4, 3), where its covariance is noisiest (ROADMAP finding D).
+ORACLE_ROWS = [key for key in reference_rows("longdouble") if key.n <= 1000
+               or (key.n, key.t_over_tc) == (10_000, 3.0)]
 
 
 def test_every_known_defect_is_a_row_and_column_that_is_read():
-    # each ledger entry bounds a (row, column) that a tier-1 test or CI's
-    # large-N step holds to its reference: one that nothing reads binds none
-    fig1 = PRESETS["fig1"]
-    read = {(Row(ref, "auto", n, f), column)
-            for ref, at, columns in [
-                ("longdouble", [(n, f) for n in fig1.particles
-                                for f in fig1.grid()]
-                 + NEAR_TC_ROWS + [LOWT_BENCHMARK], EVERY_COLUMN),
-                ("fft", reference_rows("fft"), FFT_COLUMNS),
-                ("truth", LARGE_N_CI, EVERY_COLUMN),
-                ("closed_form", [(1, f) for f in ONE_PARTICLE],
-                 ONE_PARTICLE_COLUMNS)]
-            for n, f in at for column in columns}
-    read |= {(param.values[-1], column) for param in TRUTH_ROWS
-             for column in TRUTH_COLUMNS}
+    # every held row falls to a group that a test holds, and each ledger
+    # entry bounds a cell that tier-1 or CI's large-N step holds to its
+    # reference: one that nothing reads binds none
+    assert {holder(key) for key in HELD} == {
+        "fig1", "near_tc", "fft-100000", "fft-1000000", "closed_form", "row"}
+    read = {(key, column) for key in HELD + LARGE_N_CI for column in COLUMNS}
+    read |= {(key, value) for key in ORACLE_ROWS for value in VALUES}
     assert set(known_defects()) <= read, set(known_defects()) - read
 
 
 def test_fig1_rows_match_the_long_double_truth(standard_sweep):
-    _gate_against("truth", "fig1 rows against the long-double truth",
-                  standard_sweep.rows, "longdouble")
+    # gate 03's sweep rows, on every column of the one map
+    rows = {Row("longdouble", "auto", r.n, r.t_over_tc): r.to_dict()
+            for r in standard_sweep.rows}
+    assert set(rows) == set(held("fig1"))
+    _gate("truth", *hold({key: sweep_columns(key, row)
+                          for key, row in rows.items()}))
 
 
 def test_near_tc_rows_at_2e4_and_4e4_match_the_long_double_truth():
-    rows = [compute_row(SPEC, n, f) for n, f in NEAR_TC_ROWS]
-    _gate_against("truth-near-Tc", "rows at N = 2e4, 4e4 near Tc against "
-                  "the long-double truth", rows, "longdouble")
-
-
-def _gate_fft_rows(tag, n, what):
-    rows = [compute_row(SPEC, m, f) for m, f in reference_rows("fft") if m == n]
-    assert len(rows) == 7
-    _gate_against(tag, what, rows, "fft", FFT_COLUMNS)
+    # 0.4 s of engine time
+    _gate("truth-near-Tc", *hold(engine_cells(held("near_tc"))))
 
 
 def test_rows_at_1e5_agree_with_the_fft_method():
     # delta_ne is 1.6e-4 off at T/Tc = 2
-    _gate_fft_rows("fft", 10**5, "rows at N = 1e5 against the FFT method")
+    keys = held("fft-100000")
+    assert len(keys) == 7
+    _gate("fft", *hold(engine_cells(keys)))
 
 
 def test_rows_at_1e6_agree_with_the_fft_method():
     # about 4 s of engine time; delta_ne is 0.155 off at T/Tc = 3
-    _gate_fft_rows("fft-1e6", 10**6, "rows at N = 1e6 against the FFT method")
+    keys = held("fft-1000000")
+    assert len(keys) == 7
+    _gate("fft-1e6", *hold(engine_cells(keys)))
+
+
+def test_truth_matches_the_long_double_file():
+    # truth()'s five values at the file's T, under Truth's names, which
+    # keep its ledger entries apart from the engine's columns
+    cells = {}
+    for key in ORACLE_ROWS:
+        spec, m_max = model(key)
+        x = reference_rows("longdouble")[key]
+        got = truth(spec, float(x["t"]), key.n, m_max)
+        cells[key] = {v: (getattr(got, v), float(x[v])) for v in VALUES}
+    _gate("truth()", *hold(cells))
 
 
 # 7 ------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import time
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosecanon import (DomainError, TrapSpectrum, canonical,
-                       critical_temperature, sweep)
+                       critical_temperature)
 from bosecanon._kernels import projection_chunk
 from bosecanon.asymptotics import (
     InteractionParams,
@@ -25,7 +26,7 @@ from bosecanon.oracle import (ORACLE_MAX_N, _demon_forms, enumerate_exact,
                               recursion_table, truth)
 from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
                              temperature_grid)
-from conftest import Row, reference_rows, relative_gaps, sweep_columns
+from conftest import Row, engine_cells, held, hold
 
 SPEC = TrapSpectrum()
 engine = functools.partial(canonical_observables, SPEC)
@@ -375,92 +376,54 @@ def test_overflow_guard_reports_first_nonfinite_interval(kernel_recorder):
         canonical_observables(SPEC, 0.6 * critical_temperature(SPEC, 1000), 1000)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(
-    n=st.integers(min_value=2, max_value=40),
-    t_frac=st.floats(min_value=0.3, max_value=1.5),
-)
-def test_engine_recursion_agreement_property(n, t_frac):
-    t = t_frac * critical_temperature(SPEC, n)
-    res = canonical_observables(SPEC, t, n)
-    table = recursion_table(SPEC, t, n, m_max=res.m_max)
-    assert res.log_z_zero_offset == pytest.approx(table.log_z[n], rel=1e-9, abs=1e-9)
-    assert res.n0_mean == pytest.approx(table.occupation(0.0), rel=1e-9)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log10_n=st.floats(0.0, 3.0), t_over_tc=st.floats(0.01, 3.0),
+       top=st.none() | st.integers(1, 400))
+def test_engine_recursion_agreement_property(log10_n, t_over_tc, top):
+    # on the unbounded ladder or a finite one, every field is finite and
+    # log Z, n0, n1 and <n0 n1> agree with truth() under the one rule; the
+    # engine refuses only what truth() refuses, for the same reason
+    n = round(10 ** log10_n)
+    spec = TrapSpectrum(max_level=top)
+    t = t_over_tc * critical_temperature(spec, n)
+    try:
+        res = canonical_observables(spec, t, n)
+    except DomainError as refused:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(refused))}$"):
+            truth(spec, t, n)
+        return
+    assert all(math.isfinite(getattr(res, f.name)) for f in fields(res)
+               if f.name != "gc_state")
+    assert top is None or res.m_max == top  # a finite ladder to its top
+    want = truth(spec, t, n, res.m_max)
+    pairs = {"log_z_zero_offset": (res.log_z_zero_offset, want.log_z),
+             "n0_mean": (res.n0_mean, want.n0),
+             "n1_mean": (res.n1_mean, want.n1)}
+    if n > 1:  # one particle never holds n0 = n1 = 1: <n0 n1> is exactly 0
+        pairs["<n0 n1>"] = (res.covariance_n0_n1 + res.n0_mean * res.n1_mean,
+                            want.covariance_n0_n1 + want.n0 * want.n1)
+    ladder = "auto" if top is None else f"max_level={top}"
+    ok, report = hold({Row("truth", ladder, n, t_over_tc): pairs})
+    assert ok, report
 
 
-def row(n, t=None, t_over_tc=None, spec=SPEC, m_max=None, id=None):
-    ladder = (f"max_level={spec.max_level}" if spec.max_level is not None
-              else f"m_max={m_max}" if m_max is not None else "auto")
-    key = Row("truth", ladder, n, t_over_tc, t)
-    if t is None:
-        t = t_over_tc * critical_temperature(spec, n)
-    return pytest.param(spec, n, t, m_max, key, id=id or f"{n}-{t_over_tc}")
+# The held rows that no group test holds, each on every column of the one
+# map against its reference: the long-double file's rows at the edges of
+# the engine's domain, four given by T (their ids below), and truth()'s
+# demon-form rows at 10^5. Three fig1 rows at 10^4, below, near and above
+# Tc, are held here through the engine one by one as well as from the sweep.
+T_ROW_IDS = {"max_level=45": "truncate-45", "m_max=45": "tail-45",
+             "auto": "tail-auto", "max_level=400": "finite-400"}
 
 
-# The engine against oracle.truth(), one row per (spectrum, N, T, m_max
-# asked), on the model the engine resolves to: a finite ladder resolves
-# m_max to its top level. Each row holds log Z (about 3e-10 at
-# T/Tc = 0.01), n0, <n0^2>, n1, <n0 n1>, and both spreads against
-# sqrt(Var(n0)) (at fixed N, Var(N_ex) = Var(n0)), under relative_gaps.
-# A spread is a second moment minus a squared mean and loses digits to
-# the cancellation, a known defect: delta_n0 below Tc, delta_ne above it.
-TRUTH_ROWS = [
-    row(60, 4.0, spec=TrapSpectrum(max_level=45), id="truncate-45"),
-    row(60, 4.0, m_max=45, id="tail-45"),
-    row(30, 4.0, id="tail-auto"),
-    # the default truncation for T = 10 is level 170; a ladder ending at
-    # level 400 is the model and is summed to its top, with no tail
-    row(200, 10.0, spec=TrapSpectrum(max_level=400), id="finite-400"),
-    # at 10^4, early exit never fires at 0.05, and above 2 Tc the engine
-    # takes the midpoint rule
-    *(row(10_000, t_over_tc=f) for f in (0.05, 0.1, 0.6, 1.35, 3.0)),
-    row(ORACLE_MAX_N, t_over_tc=0.05),
-    # level 1 holds 1e-32 particles at (3, 0.01): the spread, 1.7e-16,
-    # survives in delta_ne and is lost to the cancellation in delta_n0
-    row(3, t_over_tc=0.01),
-    *(row(n, t_over_tc=f) for n in (100, 1000) for f in (0.01, 3.0)),
-    *(row(200, t_over_tc=f) for f in (0.5, 1.2)),
-    # at 0.8 the demon forms are near their certification edge
-    # (log10(p N^2) = -270)
-    *(row(10**5, t_over_tc=f) for f in (0.05, 0.3, 0.8)),
-]
-TRUTH_COLUMNS = ("log_z_zero_offset", "<n0>", "<n0^2>", "<n1>", "<n0 n1>",
-                 "delta_n0", "delta_ne")
-# The benchmark's row outside fig1 (lowt_full_period), by (N, T/Tc): held
-# to the long-double file too, as test_acceptance holds the fig1 rows.
-LOWT_BENCHMARK = (10_000, 0.05)
-
-
-# One truth per (spectrum, T, N, m_max), shared by the rows and the
-# recursion-against-demon check below.
-exact = functools.lru_cache(maxsize=None)(truth)
-
-
-@pytest.mark.parametrize("spec, n, t, m_max, key", TRUTH_ROWS)
-def test_engine_matches_its_truth(spec, n, t, m_max, key, raw_moments,
-                                  recorder):
-    res = canonical_observables(spec, t, n, m_max)
-    if spec.max_level is not None:
-        assert res.m_max == spec.max_level
-    want = exact(spec, t, n, res.m_max)
-    got = raw_moments(res)
-    spread = math.sqrt(want.n0_variance)
-    pairs = dict(zip(TRUTH_COLUMNS, [
-        (res.log_z_zero_offset, want.log_z), (got["<n0>"], want.n0),
-        (got["<n0^2>"], want.n0_variance + want.n0 ** 2),
-        (got["<n1>"], want.n1),
-        (got["<n0 n1>"], want.covariance_n0_n1 + want.n0 * want.n1),
-        (res.delta_n0, spread), (res.delta_ne, spread)], strict=True))
-    misses = relative_gaps(key, pairs)[1]
-    if (n, key.t_over_tc) == LOWT_BENCHMARK:
-        # the sweep row of this same engine result
-        with recorder(sweep, "canonical_observables", lambda *args: res):
-            swept = compute_row(spec, n, key.t_over_tc)
-        x = reference_rows("longdouble")[LOWT_BENCHMARK]
-        assert float(x["t"]) == swept.t_over_spacing == t
-        misses += relative_gaps(key._replace(reference="longdouble"),
-                                sweep_columns(swept.to_dict(), x))[1]
-    assert not misses
+@pytest.mark.parametrize(
+    "key", [*held("row"), *(Row("longdouble", "auto", 10_000, f)
+                            for f in (0.1, 0.6, 1.35))],
+    ids=lambda key: (T_ROW_IDS[key.ladder] if key.t is not None
+                     else f"{key.n}-{key.t_over_tc}"))
+def test_engine_matches_its_truth(key):
+    ok, report = hold(engine_cells([key]))
+    assert ok, report
 
 
 # Where both exact sources hold, deep below Tc at up to ORACLE_MAX_N
@@ -472,30 +435,19 @@ def test_engine_matches_its_truth(spec, n, t, m_max, key, raw_moments,
 def test_recursion_matches_the_demon_forms(n, t_over_tc):
     t = t_over_tc * critical_temperature(SPEC, n)
     m_max = auto_m_max(SPEC, t)
-    recursion, demon = exact(SPEC, t, n, m_max), _demon_forms(SPEC, t, n, m_max)
+    recursion, demon = truth(SPEC, t, n, m_max), _demon_forms(SPEC, t, n, m_max)
     assert recursion.source == "recursion"
     for name in ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1"):
         assert getattr(recursion, name) == pytest.approx(
             getattr(demon, name), rel=1e-12, abs=0.0), name
 
 
-# One particle, where the tail closure is exact: with q = e^(-1/T) the
-# model has Z(1) = (1 - q)^-3, n0 = (1 - q)^3 and n1 = q (1 - q)^3. Far
-# above Tc, a known defect: the kernel's level modulus loses about eps/q
-# of each level's term, summed over roughly T^3 states (README, Known limits).
-ONE_PARTICLE = (3, 30, 100, 1000)
-ONE_PARTICLE_COLUMNS = ("log_z_zero_offset", "n0_mean", "n1_mean")
-
-
-@pytest.mark.parametrize("t_over_tc", ONE_PARTICLE)
-def test_one_particle_matches_its_closed_forms(t_over_tc):
-    t = t_over_tc * critical_temperature(SPEC, 1)
-    res = canonical_observables(SPEC, t, 1)
-    one_minus_q = -math.expm1(-1.0 / t)
-    n0 = one_minus_q ** 3
-    pairs = dict(zip(ONE_PARTICLE_COLUMNS, [
-        (res.log_z_zero_offset, -3.0 * math.log(one_minus_q)),
-        (res.n0_mean, n0), (res.n1_mean, math.exp(-1.0 / t) * n0)],
-        strict=True))
-    assert not relative_gaps(Row("closed_form", "auto", 1, t_over_tc),
-                             pairs)[1]
+# One particle, where the tail closure is exact, against its closed forms on
+# every column. Far above Tc, a known defect: the kernel's level modulus
+# loses about eps/q of each level's term, summed over roughly T^3 states
+# (README, Known limits).
+@pytest.mark.parametrize("key", held("closed_form"),
+                         ids=lambda key: f"{key.t_over_tc:g}")
+def test_one_particle_matches_its_closed_forms(key):
+    ok, report = hold(engine_cells([key]))
+    assert ok, report
