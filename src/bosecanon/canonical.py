@@ -69,6 +69,35 @@ the fugacity solve, what truth() also refuses (grand_canonical._level_one):
 a ladder without level 1, or T below 1/708.4, where the n1 weight
 underflows, n1 reads 0 and the excited sums stay zero to the full period.
 
+Error estimate. Var(n0), Var(N_ex) and cov(n0, n1) are each a second
+moment minus a product of means, both from the quadrature, and lose digits
+to that difference. A variance read as <X^2> - <X>^2 is taken to be off by
+eps K (<X^2> + <X>^2), eps = 2^-52: relative to Var(X), eps K c with the
+cancellation factor c = (<X^2> + <X>^2)/Var(X). Its root, the spread, is
+then off by sqrt(1 + eps K c) - 1, which is 1/2 eps K c while that is
+small. At fixed N, Var(n0) = Var(N_ex), and the row reads that variance
+twice: c divides by the reading with the smaller error, so a reading that
+is all noise (N = 3 at T/Tc = 0.01, delta_n0 1e-7 against an exact 1.7e-16)
+is measured against the other. cov(n0, n1) is off by eps K c of itself,
+c = (|<n0 n1>| + n0 n1)/|cov|; <n0 n1> is exactly 0 at N = 1, hence the
+sum of the magnitudes. A variance clamped to 0, or a covariance of exactly
+0, is 100% off: its estimate is 1.0. K is a stated rule, fitted, not
+derived. With s the intervals the early exit skips,
+
+    K = 1e3 + (1.5e3 + 2 T^3)/N + 3 (CONVERGENCE_REL_TOL/eps) min(1, 16/s)
+        for Var(N_ex), plus 3 N_ex + 0.1 N + 20 m_max for Var(n0) and
+        1.5e3 + 5 sqrt(N) for cov(n0, n1).
+
+The T^3/N term is about 1/x1 far above Tc, where the kernel's level
+modulus loses eps/x of each level's term. The exit term is the early
+exit's own tolerance on each of the three sums a moment takes (Z, X and
+X^2), which the skipped tail nearly reaches only when a few intervals are
+left: N = 12 at T/Tc = 2.26 skips 1 of 474 and its delta_ne is 3.0e-9
+off, 2.9e-12 with no exit. The rest is fitted. K covers every row the
+tests hold and 6,000 random rows over N in [1, 1000], T/Tc in [0.01, 3]
+and finite ladders up to 400 levels; README, Known limits, gives how
+loose it is.
+
 One fugacity solve. The grand-canonical state at mean number N, solved
 once per evaluation and returned as CanonicalResult.gc_state, fixes the
 saddle offset -mu; the engine's level arrays are its level ladder shifted
@@ -98,6 +127,8 @@ __all__ = [
 # Early exit: the first interval past which a rigorous bound puts the rest
 # of the half period below this fraction of every running sum.
 CONVERGENCE_REL_TOL = 1e-12
+# The unit roundoff of the error estimate's rule (module doc).
+EPS = 2.0 ** -52
 # Predicted exit: var_ex z^2/2 at the exit interval measures 32.4-39.6 on
 # the fig1 rows at or above 0.85 Tc and 33.3 at N = 10^6, T/Tc = 0.5. On
 # fig1, with 16384-point chunks, 39 takes the fewest level-points (146.75M
@@ -156,7 +187,11 @@ class CanonicalResult:
     its occupations are the grand-canonical values at the same (N, T).
 
     n0_variance, ne_variance and covariance_n0_n1 are Var(n0), Var(N_ex)
-    and <dn0 dn1>, the last negative below the transition.
+    and <dn0 dn1>, the last negative below the transition. Each is a second
+    moment minus a product of means and loses digits to that difference;
+    delta_n0_rel_error, delta_ne_rel_error and corr_01_rel_error estimate
+    the relative error that leaves in delta_n0, delta_ne and
+    covariance_n0_n1 (module doc, Error estimate).
 
     The last four fields are what the evaluation cost, and no part of its
     value (left out of equality and repr; chunking moves points_evaluated,
@@ -191,17 +226,71 @@ class CanonicalResult:
     @property
     def delta_n0(self) -> float:
         """RMS n0 fluctuation, the root of <n0^2> - <n0>^2: below Tc that
-        difference cancels and loses digits (README, Known limits); the
-        measured gaps are in tests/data/known_defects.csv."""
+        difference cancels and loses digits; delta_n0_rel_error estimates
+        how many (README, Known limits)."""
         return math.sqrt(self.n0_variance)
 
     @property
     def delta_ne(self) -> float:
         """RMS N_ex fluctuation, delta_n0 at fixed N, the root of
         <N_ex^2> - <N_ex>^2: above Tc that difference cancels and loses
-        digits (README, Known limits); the measured gaps are in
-        tests/data/known_defects.csv."""
+        digits; delta_ne_rel_error estimates how many (README, Known
+        limits)."""
         return math.sqrt(self.ne_variance)
+
+    def _error_scales(self) -> tuple[float, float, float]:
+        """The module doc's K for Var(n0), Var(N_ex) and cov(n0, n1)."""
+        k = 1e3 + (1.5e3 + 2.0 * self.t ** 3) / self.n
+        skipped = self.intervals_total - self.intervals_evaluated
+        if skipped:
+            k += 3.0 * CONVERGENCE_REL_TOL / EPS * min(1.0, 16.0 / skipped)
+        return (k + 3.0 * self.ne_mean + 0.1 * self.n + 20.0 * self.m_max,
+                k, k + 1.5e3 + 5.0 * math.sqrt(self.n))
+
+    def _variance_errors(self) -> tuple[float, float, float]:
+        """The absolute errors of n0_variance and ne_variance, and the
+        reading of Var(n0) = Var(N_ex) with the smaller one."""
+        k0, ke, _ = self._error_scales()
+        a0 = EPS * k0 * (self.n0_variance + 2.0 * self.n0_mean ** 2)
+        ae = EPS * ke * (self.ne_variance + 2.0 * self.ne_mean ** 2)
+        return a0, ae, self.n0_variance if a0 <= ae else self.ne_variance
+
+    @property
+    def delta_n0_rel_error(self) -> float:
+        """Estimated relative error of delta_n0 (module doc, Error
+        estimate)."""
+        a0, _, best = self._variance_errors()
+        return _root_error(self.n0_variance, a0, best)
+
+    @property
+    def delta_ne_rel_error(self) -> float:
+        """Estimated relative error of delta_ne (module doc, Error
+        estimate)."""
+        _, ae, best = self._variance_errors()
+        return _root_error(self.ne_variance, ae, best)
+
+    @property
+    def corr_01_rel_error(self) -> float:
+        """Estimated relative error of covariance_n0_n1, and so of the
+        sweep's corr_01_normalized (module doc, Error estimate)."""
+        cov = self.covariance_n0_n1
+        if cov == 0.0:
+            return 1.0
+        means = self.n0_mean * self.n1_mean
+        k = self._error_scales()[2]
+        return EPS * k * (abs(cov + means) + means) / abs(cov)
+
+
+def _root_error(var: float, error: float, best: float) -> float:
+    """Relative error of sqrt(var) when var is off by at most `error` and
+    the variance is about `best`: sqrt(1 + error/best) - 1, written so that
+    no step overflows; the module doc's 1/2 eps K c while that is small. A
+    variance clamped to 0 reads a spread exactly 100% off."""
+    if var == 0.0:
+        return 1.0
+    best = best if best > 0.0 else var
+    root = math.sqrt(best)
+    return error / (root * (root + math.sqrt(best + error)))
 
 
 def _weight_peaks(q: np.ndarray, ne: float, var_ex: float) -> np.ndarray:

@@ -124,6 +124,10 @@ def _run_sweep(settings: argparse.Namespace) -> int:
           f"integrand {cost['integrand_s']:.3g}s "
           f"({cost['points_evaluated']} points), "
           f"moments {cost['moments_s']:.3g}s")
+    worst = result.meta["worst_rel_error"]
+    print("worst relative error estimate: "
+          + ", ".join(f"{k.removesuffix('_rel_error')} {v:.2g}"
+                      for k, v in worst.items()))
     for row in result.failed_rows:
         print(f"  failed: N={row.n} T/Tc={row.t_over_tc}: {row.error}",
               file=sys.stderr)

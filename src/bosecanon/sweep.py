@@ -61,6 +61,13 @@ __all__ = [
 class SweepRow:
     """One (N, T/Tc) grid point; float fields are NaN when unpopulated.
 
+    delta_n0_rel_error, delta_ne_rel_error and corr_01_rel_error are the
+    engine's estimates of the relative error of delta_n0 (which
+    normalized_delta_n0 shares), delta_ne and corr_01_normalized: each a
+    second moment minus a product of means, which loses digits to that
+    difference (canonical's module doc, Error estimate; README, Known
+    limits). Tier-1 holds every row it checks within them.
+
     The last five columns before `converged` are the row's cost, copied
     from the engine, and no part of its value (left out of equality and
     repr): solve_evals, the fugacity solve's mean-number sums
@@ -81,6 +88,9 @@ class SweepRow:
     corr_01_normalized: float = math.nan
     ne_mean: float = math.nan
     delta_ne: float = math.nan
+    delta_n0_rel_error: float = math.nan
+    delta_ne_rel_error: float = math.nan
+    corr_01_rel_error: float = math.nan
     log_z: float = math.nan
     gc_n0_mean: float = math.nan
     gc_n0_over_n: float = math.nan
@@ -109,6 +119,10 @@ FIELD_ORDER = tuple(f.name for f in fields(SweepRow))
 # A row's cost columns, the fields left out of its equality; the meta sums
 # them over the rows without error.
 COST_FIELDS = tuple(f.name for f in fields(SweepRow) if not f.compare)
+# The spread columns' error estimates; the meta holds each one's worst value
+# over the rows without error.
+ERROR_FIELDS = ("delta_n0_rel_error", "delta_ne_rel_error",
+                "corr_01_rel_error")
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,9 @@ def compute_row(spectrum: TrapSpectrum, n: int, t_over_tc: float) -> SweepRow:
         corr_01_normalized=r.covariance_n0_n1 / (r.n0_mean * r.n1_mean),
         ne_mean=r.ne_mean,
         delta_ne=r.delta_ne,
+        delta_n0_rel_error=r.delta_n0_rel_error,
+        delta_ne_rel_error=r.delta_ne_rel_error,
+        corr_01_rel_error=r.corr_01_rel_error,
         log_z=r.log_z,
         gc_n0_mean=gc.n0,
         gc_n0_over_n=gc.n0 / n,
@@ -230,8 +247,9 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
     positive, finite double (None, a string, a bool, an array, NaN, 0, -1,
     10**400) or an empty particle list or temperature grid; all are refused
     before the first row. meta["t_grid"] holds the floats the rows use,
-    and meta["totals"] the sum of each cost column (COST_FIELDS) over the
-    rows without error.
+    meta["totals"] the sum of each cost column (COST_FIELDS) over the rows
+    without error, and meta["worst_rel_error"] the largest of each error
+    estimate (ERROR_FIELDS) over them, NaN when no row converged.
 
     threads > 1 computes that many rows at once on worker threads, the
     same rows bit for bit. It is not a user setting, because it does not
@@ -276,6 +294,9 @@ def run_sweep(particles, t_grid, threads: int = 1) -> SweepResult:
         "failed_rows": sum(1 for r in rows if r.error),
         "totals": {k: sum(getattr(r, k) for r in rows if not r.error)
                    for k in COST_FIELDS},
+        "worst_rel_error": {k: max((getattr(r, k) for r in rows
+                                    if not r.error), default=math.nan)
+                            for k in ERROR_FIELDS},
     }
     return SweepResult(rows=rows, meta=meta)
 
@@ -360,20 +381,20 @@ def write_csv(rows, path) -> None:
 
 def write_json(result: SweepResult, path) -> None:
     """Rows plus meta, as RFC 8259 JSON: a non-finite float, in a row field
-    or in the meta (its t_grid), becomes null (the CSV spells it 'nan'), and
-    the dump refuses to write a bare NaN or Infinity token."""
+    or anywhere in the meta (its t_grid, totals or worst_rel_error), becomes
+    null (the CSV spells it 'nan'), and the dump refuses to write a bare NaN
+    or Infinity token."""
     def clean(v):
         if isinstance(v, float) and not math.isfinite(v):
             return None
         if isinstance(v, list):
             return [clean(x) for x in v]
+        if isinstance(v, dict):
+            return {k: clean(x) for k, x in v.items()}
         return v
 
-    payload = {
-        "meta": {k: clean(v) for k, v in result.meta.items()},
-        "rows": [{k: clean(v) for k, v in r.to_dict().items()}
-                 for r in result.rows],
-    }
+    payload = clean({"meta": result.meta,
+                     "rows": [r.to_dict() for r in result.rows]})
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")

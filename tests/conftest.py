@@ -141,9 +141,9 @@ class Row(NamedTuple):
 
 
 # log Z, n0, Var(n0), n1 and cov(n0, n1) of the model, under oracle.Truth's
-# names: from the recursion in long double (tests/longdouble_truth.py), and
-# past its cap from one FFT of P(n0) (tests/fft_agreement.py), a second
-# method, not an exact truth.
+# names, and <N_ex> as ne_mean: from the recursion in long double
+# (tests/longdouble_truth.py), and past its cap from one FFT of P(n0)
+# (tests/fft_agreement.py), a second method, not an exact truth.
 DATA = Path(__file__).parent / "data"
 REFERENCE_FILES = {"longdouble": DATA / "longdouble_truth.csv",
                    "fft": DATA / "fft_agreement.csv"}
@@ -156,11 +156,15 @@ LISTED_ROWS = [*(Row("truth", "auto", 100_000, f) for f in (0.05, 0.3, 0.8)),
                *(Row("closed_form", "auto", 1, f)
                  for f in (3.0, 30.0, 100.0, 1000.0))]
 LARGE_N_CI = [Row("truth", "auto", 1_000_000, f) for f in (0.3, 0.5)]
-# The one column map: a sweep row's columns that the five values fix, and
-# the raw <n0^2> and <n0 n1>.
+# The one column map: a sweep row's columns that the values fix, and the
+# raw <n0^2> and <n0 n1>; and the estimate each spread column is held to.
 COLUMNS = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset", "delta_n0",
            "normalized_delta_n0", "delta_ne", "corr_01_normalized", "<n0^2>",
            "<n0 n1>")
+ESTIMATES = {"delta_n0": "delta_n0_rel_error",
+             "normalized_delta_n0": "delta_n0_rel_error",
+             "delta_ne": "delta_ne_rel_error",
+             "corr_01_normalized": "corr_01_rel_error"}
 
 
 def _csv_rows(path):
@@ -249,12 +253,13 @@ def sweep_columns(key, row):
     """{column: (engine value, reference value)} on every column of the one
     map at a held row, from the engine's sweep row there (a mapping:
     SweepRow.to_dict() or a row of the JSON output; its T, and its m_max
-    for truth())."""
+    for truth()), and a spread column's estimate third: (got, want,
+    the row's relative error estimate)."""
     t = row["t_over_spacing"]
     if key.reference in REFERENCE_FILES:
         x = reference_rows(key.reference)[key]
         assert float(x["t"]) == t, (key, t)
-        want = {k: float(x[k]) for k in VALUES}
+        want = {k: float(x[k]) for k in (*VALUES, "ne_mean")}
     elif key.reference == "truth":
         want = vars(truth(TrapSpectrum(), t, key.n, row["m_max"]))
     else:  # one particle, with q = e^(-1/T): Z(1) = (1 - q)^-3,
@@ -267,8 +272,10 @@ def sweep_columns(key, row):
     log_z, n0, var, n1, cov = (want[k] for k in VALUES)
     spread = math.sqrt(var)
     got_n0, got_n1 = row["n0_mean"], row["n1_mean"]
-    return dict(zip(COLUMNS, [
-        (got_n0, n0), (got_n1, n1), (row["ne_mean"], row["n"] - n0),
+    cells = dict(zip(COLUMNS, [
+        (got_n0, n0), (got_n1, n1),
+        # no truth() or closed form holds <N_ex>: N - n0 there
+        (row["ne_mean"], want.get("ne_mean", row["n"] - n0)),
         (row["log_z"] + row["n"] * row["ground_offset"] / t, log_z),
         (row["delta_n0"], spread),
         (row["normalized_delta_n0"], spread / math.sqrt(n0 * (n0 + 1.0))),
@@ -277,29 +284,42 @@ def sweep_columns(key, row):
         (row["delta_n0"] ** 2 + got_n0 ** 2, var + n0 ** 2),
         ((row["corr_01_normalized"] + 1.0) * got_n0 * got_n1, cov + n0 * n1),
     ], strict=True))
+    for column, estimate in ESTIMATES.items():
+        cells[column] += (row[estimate],)
+    return cells
 
 
-def hold(cells):
-    """Hold {Row: {column: (got, want)}} under tier-1's one rule: each
-    cell's relative gap |got - want|/|want| (log Z's over max(1, |log Z|)),
-    a want of exactly 0.0 skipped, within its known-defect bound, else 1e-10
-    (log Z: 1e-12). Returns (True if no cell misses, a report of each
-    column's worst gap and every miss)."""
-    worst, misses = {}, []
+def hold(cells, rule=True):
+    """Hold {Row: {column: (got, want) or (got, want, estimate)}} under
+    tier-1's one rule: each cell's relative gap |got - want|/|want| (log
+    Z's over max(1, |log Z|)), a want of exactly 0.0 skipped, within its
+    known-defect bound, else 1e-10 (log Z: 1e-12), and a cell that carries
+    the row's error estimate within that too; rule=False holds the
+    estimates alone. Returns (True if no cell misses, a report of each
+    column's worst gap and largest share of its estimate, and every
+    miss)."""
+    worst, over, misses = {}, {}, []
     for row, pairs in cells.items():
-        for column, (got, want) in pairs.items():
+        for column, (got, want, *estimate) in pairs.items():
             if want == 0.0:
                 continue
             log_z = column.startswith("log_z")
             gap = abs(got - want) / (max(1.0, abs(want)) if log_z
                                      else abs(want))
             worst[column] = max(worst.get(column, 0.0), gap)
-            bound = known_defects().get((row, column),
-                                        1e-12 if log_z else 1e-10)
-            if not gap <= bound:
-                misses.append(f"{column} at {row} {gap:.2e} > {bound:.0e}")
+            bounds = {f"its estimate {e:.2e}": e for e in estimate}
+            if estimate:
+                over[column] = max(over.get(column, 0.0), gap / estimate[0])
+            if rule:
+                bound = known_defects().get((row, column),
+                                            1e-12 if log_z else 1e-10)
+                bounds[f"{bound:.0e}"] = bound
+            misses += [f"{column} at {row} {gap:.2e} > {name}"
+                       for name, bound in bounds.items() if not gap <= bound]
     return not misses, (
         f"{len(cells)} rows, worst relative gap (bound 1e-10, log Z 1e-12, "
-        "or the cell's known-defect entry): "
+        "or the cell's known-defect entry; a spread also its estimate): "
         + ", ".join(f"{column} {gap:.2e}" for column, gap in worst.items())
+        + "".join(f"; {column} {ratio:.2f} of its estimate"
+                  for column, ratio in over.items())
         + "".join(f"; {miss}" for miss in misses))

@@ -40,13 +40,13 @@ them, and P(k) is proportional to c_k rho^-k for k <= N. The choices:
     the mean of one level-1 state with k excited particles. Each set of
     coefficients is zeroed below 1e-15 of its own peak. On
     k in [mu - 12 sigma, min(N, mu + 12 sigma + 45 l)], P(k) is weighted
-    by log c_k - (k - k0) log rho, and <n0>, Var(n0), <n1> and
-    cov(n0, n1) come from oracle._centred_moments, as truth() takes them
-    from the recursion. log Z(N) = log F_ex(0) - k0 log rho plus the log
-    of the weights' sum.
+    by log c_k - (k - k0) log rho, and <n0>, Var(n0), <n1>,
+    cov(n0, n1) and <N_ex>, the mean of k, come from
+    oracle._centred_moments, as truth() takes them from the recursion.
+    log Z(N) = log F_ex(0) - k0 log rho plus the log of the weights' sum.
 
-Self-check (--check, and before any write): all five values, log Z, <n0>,
-Var(n0), <n1> and cov(n0, n1), against every row of
+Self-check (--check, and before any write): all six values, log Z, <n0>,
+Var(n0), <n1>, cov(n0, n1) and <N_ex>, against every row of
 tests/data/longdouble_truth.csv, with 1e-12 relative as the target
 (log Z: 1e-12 max(1, |log Z|); cov: 1e-12 |cov + n0 n1|; the gaps of
 tests/longdouble_truth.py), and each value against the same method on a
@@ -55,9 +55,9 @@ gap per value, lists every row that misses, and exits 1 if one does.
 
 Rows: N in {10^5, 10^6} x T/Tc in {0.9, 0.97, 1.0, 1.05, 1.2, 2, 3} on the
 unbounded ladder, past the recursion's cap, where the repo has no exact
-value near Tc. Each row holds the method's five values, its own 2M gap,
-and the gap of the committed engine (canonical_observables) on each
-value, on the self-check's scales, and on N_ex and Var(N_ex) against
+value near Tc. Each row holds the method's six values, its own 2M gap,
+and the gap of the committed engine (canonical_observables) on each of
+the first five, on the self-check's scales, and on N_ex and Var(N_ex) against
 N - <n0> and Var(n0). These are two independent methods agreeing, not an
 exact truth.
 """
@@ -77,7 +77,7 @@ from bosecanon.canonical import canonical_observables
 from bosecanon.grand_canonical import (_level_count, _level_log_z,
                                        _level_variance, solve_fugacity)
 from bosecanon.oracle import _centred_moments
-from longdouble_truth import VALUES, gaps
+from longdouble_truth import TRUTH_VALUES, VALUES, gaps
 
 DATA = Path(__file__).parent / "data"
 TRUTH = DATA / "longdouble_truth.csv"
@@ -128,9 +128,9 @@ def _log_g(z: np.ndarray, a: np.ndarray, g: np.ndarray, tail: float,
 
 def fft_values(spectrum: TrapSpectrum, t: float, n: int,
                m_max: int | None = None, grid_factor: int = 1) -> dict:
-    """log Z(N), <n0>, Var(n0), <n1>, cov(n0, n1) of the engine's model (the
-    ladder solve_fugacity builds, m_max resolved by auto_m_max), with the
-    grid grid_factor times the rule's M; and the M used."""
+    """log Z(N), <n0>, Var(n0), <n1>, cov(n0, n1) and <N_ex> of the engine's
+    model (the ladder solve_fugacity builds, m_max resolved by auto_m_max),
+    with the grid grid_factor times the rule's M; and the M used."""
     state = solve_fugacity(spectrum, t, n, m_max=m_max)
     ladder = state.ladder
     q, g = ladder.boltzmann[1:], ladder.degeneracies[1:]
@@ -181,10 +181,11 @@ def fft_values(spectrum: TrapSpectrum, t: float, n: int,
     k, c, b = k[c > 0.0], c[c > 0.0], b[c > 0.0]
     log_w = np.log(c) - (k - k0) * math.log(rho)
     moments = _centred_moments(log_w, (n - k).astype(np.float64), b / c)
+    ne = _centred_moments(log_w, k.astype(np.float64), b / c)[0]
     top = log_w.max()
     log_z = (_level_log_z(x, g, tail) - k0 * math.log(rho) + top
              + math.log(np.exp(log_w - top).sum()))
-    return {**dict(zip(VALUES, (float(log_z), *moments))), "grid": m}
+    return {**dict(zip(VALUES, (float(log_z), *moments, ne))), "grid": m}
 
 
 def _doubling_gap(spectrum, t, n, m_max, values) -> float:
@@ -241,7 +242,7 @@ def agreement_rows() -> list:
                   "covariance_n0_n1": res.covariance_n0_n1,
                   "ne": res.ne_mean, "ne_variance": res.ne_variance}
         want = {**got, "ne": n - got["n0"], "ne_variance": got["n0_variance"]}
-        engine_gaps = gaps(engine, want, (*VALUES, "ne", "ne_variance"))
+        engine_gaps = gaps(engine, want, (*TRUTH_VALUES, "ne", "ne_variance"))
         out.append([n, repr(f), repr(t), got["grid"]]
                    + [repr(got[name]) for name in VALUES] + [f"{doubling:.2e}"]
                    + [f"{gap:.2e}" for gap in engine_gaps.values()])
@@ -262,7 +263,7 @@ def main(argv: list) -> int:
         fh.write(HEADER)
         w = csv.writer(fh)
         w.writerow(("n", "t_over_tc", "t", "grid", *VALUES,
-                    "fft_2m_gap", *(f"engine_{name}" for name in VALUES),
+                    "fft_2m_gap", *(f"engine_{name}" for name in TRUTH_VALUES),
                     "engine_ne", "engine_ne_variance"))
         w.writerows(rows)
     print(f"wrote {len(rows)} rows to {OUT}")

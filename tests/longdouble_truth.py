@@ -9,7 +9,8 @@ For each row (spectrum, N, T, m_max) it builds the oracle's recursion
 
 in np.longdouble on the ladder grand_canonical._level_ladder builds, the
 model of oracle.truth() and of the engine, and reads log Z(N), <n0>,
-Var(n0), <n1> and cov(n0, n1) from P(n0 = N - k) proportional to Z_ex(k)
+Var(n0), <n1>, cov(n0, n1) and <N_ex> (ne_mean, the mean of k, which N - <n0>
+loses where N_ex is far below N) from P(n0 = N - k) proportional to Z_ex(k)
 with truth()'s own oracle._centred_moments, given the level-1 state's mean
 n1(k) = sum_{s>=1} e^{-s/T} Z_ex(k-s)/Z_ex(k) at each k in long double.
 The values are written as the doubles nearest them.
@@ -24,9 +25,10 @@ checks itself:
     N <= ORACLE_MAX_N: within 1e-10 relative (log Z: 1e-10 max(1, |log Z|));
     at N <= 1000 log Z within 1e-13, and n0 and n1 within 1e-12, since the
     double survival sums are 6.9e-13 off mpmath at (1000, 3 Tc);
-  - all five values against the same recursion in mpmath at 30 digits at
+  - all six values against the same recursion in mpmath at 30 digits at
     N <= 100, within MPMATH_REL.
-It also prints oracle.truth()'s worst relative gap to the file per column.
+It also prints oracle.truth()'s worst relative gap to the file on each of
+its five values.
 mpmath is not a dependency of the package; only this script imports it.
 
 Rows: the fig1 preset (129); the edges of the engine's domain up to
@@ -59,8 +61,9 @@ from bosecanon.sweep import PRESETS
 LD = np.longdouble
 OUT = Path(__file__).parent / "data" / "longdouble_truth.csv"
 COLUMNS = ("max_level", "m_max", "n", "t_over_tc", "t", "log_z", "n0",
-           "n0_variance", "n1", "covariance_n0_n1")
+           "n0_variance", "n1", "covariance_n0_n1", "ne_mean")
 VALUES = COLUMNS[5:]
+TRUTH_VALUES = VALUES[:5]  # oracle.Truth's; it has no <N_ex>
 # mpmath at 30 digits against the long-double run, relative, at N <= 100.
 MPMATH_REL = 1e-15
 # Z1_ex(j) keeps the levels with j E/T up to this: e^-11000 is a normal
@@ -112,7 +115,8 @@ def excited_log_z(ladder, t: float, n: int) -> np.ndarray:
 
 
 def moments(lz: np.ndarray, n: int, t: float) -> dict:
-    """truth()'s five values from log Z_ex(0..n), in long double."""
+    """truth()'s five values and <N_ex> from log Z_ex(0..n), in long
+    double."""
     t = LD(t)
     mx = lz.max()
     log_z = mx + np.log(np.exp(lz - mx).sum())
@@ -127,12 +131,13 @@ def moments(lz: np.ndarray, n: int, t: float) -> dict:
         n1k += term
         if np.all(term <= 1e-24 * n1k):
             break
-    return dict(zip(VALUES, (log_z, *_centred_moments(
-        own, n - np.arange(lo, hi).astype(LD), n1k))))
+    k = np.arange(lo, hi).astype(LD)
+    return dict(zip(VALUES, (log_z, *_centred_moments(own, n - k, n1k),
+                             _centred_moments(own, k, n1k)[0])))
 
 
 def mpmath_values(ladder, t: float, n: int) -> dict:
-    """The same five values from the recursion in mpmath at 30 digits."""
+    """The same six values from the recursion in mpmath at 30 digits."""
     import mpmath as mp
 
     mp.mp.dps = 30
@@ -155,7 +160,8 @@ def mpmath_values(ladder, t: float, n: int) -> dict:
     return {"log_z": mp.log(total), "n0": n0,
             "n0_variance": mp.fsum(pk * d ** 2 for pk, d in zip(p, d0)),
             "n1": n1, "covariance_n0_n1": mp.fsum(
-                pk * d * (a - n1) for pk, d, a in zip(p, d0, n1k))}
+                pk * d * (a - n1) for pk, d, a in zip(p, d0, n1k)),
+            "ne_mean": mp.fsum(pk * k for k, pk in enumerate(p))}
 
 
 def gaps(got, want, names=VALUES) -> dict:
@@ -179,7 +185,7 @@ def main() -> int:
         return 2
     started = time.perf_counter()
     out, failures = [], []
-    truth_gap = dict.fromkeys(VALUES, (0.0, None))
+    truth_gap = dict.fromkeys(TRUTH_VALUES, (0.0, None))
     for max_level, m_asked, n, f, t in rows():
         spec = TrapSpectrum(max_level=max_level)
         m_max = auto_m_max(spec, t, m_asked)
@@ -198,7 +204,7 @@ def main() -> int:
                     failures.append(f"{where}: {name} {gap:.2e} off the "
                                     f"double recursion (bound {bound:.0e})")
             exact = vars(truth(spec, t, n, m_max))
-            for name, gap in gaps(exact, got).items():
+            for name, gap in gaps(exact, got, TRUTH_VALUES).items():
                 if gap > truth_gap[name][0]:
                     truth_gap[name] = (gap, where)
         if n <= 100:

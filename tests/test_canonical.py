@@ -380,9 +380,10 @@ def test_overflow_guard_reports_first_nonfinite_interval(kernel_recorder):
 @given(log10_n=st.floats(0.0, 3.0), t_over_tc=st.floats(0.01, 3.0),
        top=st.none() | st.integers(1, 400))
 def test_engine_recursion_agreement_property(log10_n, t_over_tc, top):
-    # on the unbounded ladder or a finite one, every field is finite and
-    # log Z, n0, n1 and <n0 n1> agree with truth() under the one rule; the
-    # engine refuses only what truth() refuses, for the same reason
+    # on the unbounded ladder or a finite one, every field and error
+    # estimate is finite, log Z, n0, n1 and <n0 n1> agree with truth()
+    # under the one rule, and each spread within the row's own estimate;
+    # the engine refuses only what truth() refuses, for the same reason
     n = round(10 ** log10_n)
     spec = TrapSpectrum(max_level=top)
     t = t_over_tc * critical_temperature(spec, n)
@@ -402,9 +403,19 @@ def test_engine_recursion_agreement_property(log10_n, t_over_tc, top):
     if n > 1:  # one particle never holds n0 = n1 = 1: <n0 n1> is exactly 0
         pairs["<n0 n1>"] = (res.covariance_n0_n1 + res.n0_mean * res.n1_mean,
                             want.covariance_n0_n1 + want.n0 * want.n1)
-    ladder = "auto" if top is None else f"max_level={top}"
-    ok, report = hold({Row("truth", ladder, n, t_over_tc): pairs})
-    assert ok, report
+    spread = math.sqrt(want.n0_variance)
+    spreads = {"delta_n0": (res.delta_n0, spread, res.delta_n0_rel_error),
+               "delta_ne": (res.delta_ne, spread, res.delta_ne_rel_error),
+               "corr_01_normalized": (
+                   res.covariance_n0_n1 / (res.n0_mean * res.n1_mean),
+                   want.covariance_n0_n1 / (want.n0 * want.n1),
+                   res.corr_01_rel_error)}
+    assert all(math.isfinite(estimate) for *_, estimate in spreads.values())
+    key = Row("truth", "auto" if top is None else f"max_level={top}", n,
+              t_over_tc)
+    for cells, rule in ((pairs, True), (spreads, False)):
+        ok, report = hold({key: cells}, rule)
+        assert ok, report
 
 
 # The held rows that no group test holds, each on every column of the one

@@ -493,6 +493,19 @@ def test_a_refused_row_costs_nothing_in_the_files_or_the_totals(tmp_path):
     assert [cells[k] for k in times] == ["nan"] * 3
 
 
+def test_a_sweep_with_no_converged_row_writes_null_worst_estimates(tmp_path):
+    # every row refused (T/Tc = 1e-320 puts T below the level-1 rule): the
+    # meta's worst error estimates are NaN, and the JSON writes each, inside
+    # its nested dict, as null
+    result = run_sweep([100], [1e-320])
+    assert result.failed_rows == result.rows
+    worst = result.meta["worst_rel_error"]
+    assert list(worst) == list(sweep.ERROR_FIELDS)
+    assert all(math.isnan(v) for v in worst.values())
+    _, _, meta = read_back(tmp_path, result)
+    assert meta["worst_rel_error"] == dict.fromkeys(sweep.ERROR_FIELDS)
+
+
 def test_numpy_integer_inputs_write_json(tmp_path):
     # particle numbers and level indices reach the output as plain ints,
     # also the top level of a finite ladder
@@ -570,6 +583,13 @@ def test_cli_small_sweep_writes_both_formats(tmp_path, capsys):
                if line.startswith("layers: solve ")]
     assert " evaluations), integrand " in layers
     assert " points), moments " in layers
+    # and one of the spread columns' worst error estimates, as in the meta
+    worst = json.loads((tmp_path / "mini.json").read_text())["meta"][
+        "worst_rel_error"]
+    assert ("worst relative error estimate: delta_n0 "
+            f"{worst['delta_n0_rel_error']:.2g}, delta_ne "
+            f"{worst['delta_ne_rel_error']:.2g}, corr_01 "
+            f"{worst['corr_01_rel_error']:.2g}") in text.splitlines()
 
 
 def test_cli_preset_prints_every_channel_fit(tmp_path, capsys, monkeypatch):
