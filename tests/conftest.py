@@ -158,12 +158,12 @@ LISTED_ROWS = [*(Row("truth", "auto", 100_000, f) for f in (0.05, 0.3, 0.8)),
 LARGE_N_CI = [Row("truth", "auto", 1_000_000, f) for f in (0.3, 0.5)]
 # The one column map: a sweep row's columns that the values fix, and the
 # raw <n0^2> and <n0 n1>; and the estimate each spread column is held to.
+# normalized_delta_n0 is held to compute_row's formula on the row's own
+# delta_n0 and n0_mean, which the map holds to the reference.
 COLUMNS = ("n0_mean", "n1_mean", "ne_mean", "log_z_zero_offset", "delta_n0",
            "normalized_delta_n0", "delta_ne", "corr_01_normalized", "<n0^2>",
            "<n0 n1>")
-ESTIMATES = {"delta_n0": "delta_n0_rel_error",
-             "normalized_delta_n0": "delta_n0_rel_error",
-             "delta_ne": "delta_ne_rel_error",
+ESTIMATES = {"delta_n0": "delta_n0_rel_error", "delta_ne": "delta_ne_rel_error",
              "corr_01_normalized": "corr_01_rel_error"}
 
 
@@ -278,7 +278,8 @@ def sweep_columns(key, row):
         (row["ne_mean"], want.get("ne_mean", row["n"] - n0)),
         (row["log_z"] + row["n"] * row["ground_offset"] / t, log_z),
         (row["delta_n0"], spread),
-        (row["normalized_delta_n0"], spread / math.sqrt(n0 * (n0 + 1.0))),
+        (row["normalized_delta_n0"],
+         row["delta_n0"] / math.sqrt(got_n0 * (got_n0 + 1.0))),
         (row["delta_ne"], spread),
         (row["corr_01_normalized"], cov / (n0 * n1)),
         (row["delta_n0"] ** 2 + got_n0 ** 2, var + n0 ** 2),

@@ -1,8 +1,7 @@
 """P(n0) from one FFT of the excited generating function: the method of
 ROADMAP item 2, kept offline and checked, and its agreement rows.
 
-    PYTHONPATH=src python tests/fft_agreement.py --check   # self-check only
-    PYTHONPATH=src python tests/fft_agreement.py           # then write the rows
+    PYTHONPATH=src python tests/fft_agreement.py   # self-check, then write
 
 At N particles the ground state holds N - k of them when the excited
 levels hold k, so P(n0 = N - k) is proportional to Z_ex(k). With rho a
@@ -45,7 +44,7 @@ them, and P(k) is proportional to c_k rho^-k for k <= N. The choices:
     oracle._centred_moments, as truth() takes them from the recursion.
     log Z(N) = log F_ex(0) - k0 log rho plus the log of the weights' sum.
 
-Self-check (--check, and before any write): all six values, log Z, <n0>,
+Self-check (before any write, and in tier-1): all six values, log Z, <n0>,
 Var(n0), <n1>, cov(n0, n1) and <N_ex>, against every row of
 tests/data/longdouble_truth.csv, with 1e-12 relative as the target
 (log Z: 1e-12 max(1, |log Z|); cov: 1e-12 |cov + n0 n1|; the gaps of
@@ -55,11 +54,9 @@ gap per value, lists every row that misses, and exits 1 if one does.
 
 Rows: N in {10^5, 10^6} x T/Tc in {0.9, 0.97, 1.0, 1.05, 1.2, 2, 3} on the
 unbounded ladder, past the recursion's cap, where the repo has no exact
-value near Tc. Each row holds the method's six values, its own 2M gap,
-and the gap of the committed engine (canonical_observables) on each of
-the first five, on the self-check's scales, and on N_ex and Var(N_ex) against
-N - <n0> and Var(n0). These are two independent methods agreeing, not an
-exact truth.
+value near Tc. Each row holds the method's grid M, its six values and its
+own 2M gap. The script runs no engine: tier-1 holds the engine to these
+rows, a second method and not an exact truth, and recomputes them.
 """
 
 from __future__ import annotations
@@ -73,11 +70,10 @@ from pathlib import Path
 import numpy as np
 
 from bosecanon import TrapSpectrum, critical_temperature
-from bosecanon.canonical import canonical_observables
 from bosecanon.grand_canonical import (_level_count, _level_log_z,
                                        _level_variance, solve_fugacity)
 from bosecanon.oracle import _centred_moments
-from longdouble_truth import TRUTH_VALUES, VALUES, gaps
+from longdouble_truth import VALUES, gaps
 
 DATA = Path(__file__).parent / "data"
 TRUTH = DATA / "longdouble_truth.csv"
@@ -86,12 +82,9 @@ TRUTH_REL = 1e-12
 DOUBLING_REL = 1e-13
 ROWS = [(n, f) for n in (10**5, 10**6)
         for f in (0.9, 0.97, 1.0, 1.05, 1.2, 2.0, 3.0)]
-HEADER = ("# Two independent methods agreeing, not an exact truth: one FFT of "
-          "the excited generating function (tests/fft_agreement.py writes "
-          "the values and its 2M gap) and the committed engine "
-          "(canonical_observables; engine_* is its relative gap to the "
-          "FFT value, engine_ne against N - n0 and engine_ne_variance "
-          "against n0_variance).\n")
+HEADER = ("# A second method, not an exact truth: one FFT of the excited "
+          "generating function (tests/fft_agreement.py writes its grid M, "
+          "its values and its relative gap to itself on 2M points).\n")
 
 # Taylor coefficients of (atan c - c)/c^3 in c^2 and of (sin z - z)/z^3 in
 # z^2; below 0.1 the truncation is under 2e-17 relative.
@@ -235,40 +228,25 @@ def agreement_rows() -> list:
         tick = time.perf_counter()
         got = fft_values(spec, t, n)
         doubling = _doubling_gap(spec, t, n, None, got)
-        fft_s = time.perf_counter() - tick
-        res = canonical_observables(spec, t, n)
-        engine = {"log_z": res.log_z_zero_offset, "n0": res.n0_mean,
-                  "n0_variance": res.n0_variance, "n1": res.n1_mean,
-                  "covariance_n0_n1": res.covariance_n0_n1,
-                  "ne": res.ne_mean, "ne_variance": res.ne_variance}
-        want = {**got, "ne": n - got["n0"], "ne_variance": got["n0_variance"]}
-        engine_gaps = gaps(engine, want, (*TRUTH_VALUES, "ne", "ne_variance"))
         out.append([n, repr(f), repr(t), got["grid"]]
-                   + [repr(got[name]) for name in VALUES] + [f"{doubling:.2e}"]
-                   + [f"{gap:.2e}" for gap in engine_gaps.values()])
-        print(f"N={n} T/Tc={f}: FFT {fft_s:.2f} s (M = {got['grid']}, 2M "
-              f"gap {doubling:.1e}); engine gaps "
-              + " ".join(f"{gap:.1e}" for gap in engine_gaps.values()),
-              flush=True)
+                   + [repr(got[name]) for name in VALUES] + [f"{doubling:.2e}"])
+        print(f"N={n} T/Tc={f}: {time.perf_counter() - tick:.2f} s (M = "
+              f"{got['grid']}, 2M gap {doubling:.1e})", flush=True)
     return out
 
 
-def main(argv: list) -> int:
+def main() -> int:
     if not self_check():
         return 1
-    if "--check" in argv:
-        return 0
     rows = agreement_rows()
     with OUT.open("w", newline="") as fh:
         fh.write(HEADER)
         w = csv.writer(fh)
-        w.writerow(("n", "t_over_tc", "t", "grid", *VALUES,
-                    "fft_2m_gap", *(f"engine_{name}" for name in TRUTH_VALUES),
-                    "engine_ne", "engine_ne_variance"))
+        w.writerow(("n", "t_over_tc", "t", "grid", *VALUES, "fft_2m_gap"))
         w.writerows(rows)
     print(f"wrote {len(rows)} rows to {OUT}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

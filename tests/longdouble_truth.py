@@ -27,8 +27,6 @@ checks itself:
     double survival sums are 6.9e-13 off mpmath at (1000, 3 Tc);
   - all six values against the same recursion in mpmath at 30 digits at
     N <= 100, within MPMATH_REL.
-It also prints oracle.truth()'s worst relative gap to the file on each of
-its five values.
 mpmath is not a dependency of the package; only this script imports it.
 
 Rows: the fig1 preset (129); the edges of the engine's domain up to
@@ -54,8 +52,7 @@ import numpy as np
 
 from bosecanon import TrapSpectrum, critical_temperature
 from bosecanon.grand_canonical import _level_ladder, auto_m_max
-from bosecanon.oracle import (ORACLE_MAX_N, _centred_moments,
-                              recursion_table, truth)
+from bosecanon.oracle import ORACLE_MAX_N, _centred_moments, recursion_table
 from bosecanon.sweep import PRESETS
 
 LD = np.longdouble
@@ -63,7 +60,6 @@ OUT = Path(__file__).parent / "data" / "longdouble_truth.csv"
 COLUMNS = ("max_level", "m_max", "n", "t_over_tc", "t", "log_z", "n0",
            "n0_variance", "n1", "covariance_n0_n1", "ne_mean")
 VALUES = COLUMNS[5:]
-TRUTH_VALUES = VALUES[:5]  # oracle.Truth's; it has no <N_ex>
 # mpmath at 30 digits against the long-double run, relative, at N <= 100.
 MPMATH_REL = 1e-15
 # Z1_ex(j) keeps the levels with j E/T up to this: e^-11000 is a normal
@@ -185,7 +181,6 @@ def main() -> int:
         return 2
     started = time.perf_counter()
     out, failures = [], []
-    truth_gap = dict.fromkeys(TRUTH_VALUES, (0.0, None))
     for max_level, m_asked, n, f, t in rows():
         spec = TrapSpectrum(max_level=max_level)
         m_max = auto_m_max(spec, t, m_asked)
@@ -203,10 +198,6 @@ def main() -> int:
                 if not gap <= bound:
                     failures.append(f"{where}: {name} {gap:.2e} off the "
                                     f"double recursion (bound {bound:.0e})")
-            exact = vars(truth(spec, t, n, m_max))
-            for name, gap in gaps(exact, got, TRUTH_VALUES).items():
-                if gap > truth_gap[name][0]:
-                    truth_gap[name] = (gap, where)
         if n <= 100:
             for name, gap in gaps(got, mpmath_values(ladder, t, n)).items():
                 if not gap <= MPMATH_REL:
@@ -216,8 +207,6 @@ def main() -> int:
                     for v in (max_level, m_asked, n, f, t)]
                    + [repr(float(got[name])) for name in VALUES])
         print(f"{where}: {time.perf_counter() - tick:.1f} s", flush=True)
-    for name, (gap, where) in truth_gap.items():
-        print(f"truth() worst relative gap on {name}: {gap:.2e} ({where})")
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1

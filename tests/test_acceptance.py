@@ -2,8 +2,9 @@
 
 Each test covers one numbered check, or one group of held rows against
 the long-double truth file or the FFT agreement file, or truth() against
-the long-double file, and emits a single PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s`` to see
-them inline).
+the long-double file, or the FFT file against its self-checked method, and
+emits a single PASS/FAIL line (run with
+``pytest tests/test_acceptance.py -v -s`` to see them inline).
 The bounds are asserted, so a plain pytest run fails loudly as well.
 """
 
@@ -27,6 +28,8 @@ from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, fit_scaling,
 from conftest import (COLUMNS, HELD, LARGE_N_CI, VALUES, Row, engine_cells,
                       held, hold, holder, known_defects, model,
                       reference_rows, sweep_columns)
+from fft_agreement import DOUBLING_REL, fft_values, self_check
+from longdouble_truth import gaps
 
 SPEC = TrapSpectrum()
 
@@ -267,6 +270,26 @@ def test_rows_at_1e6_agree_with_the_fft_method():
     keys = held("fft-1000000")
     assert len(keys) == 7
     _gate("fft-1e6", *hold(engine_cells(keys)))
+
+
+def test_the_fft_file_holds_the_self_checked_method():
+    # about 1 s: the method against every long-double row and against
+    # itself on twice its grid, then each row of the FFT file recomputed,
+    # its grid exactly and its six values within the 2M target on the
+    # self-check's scales
+    checked = self_check()
+    misses = []
+    for key, x in reference_rows("fft").items():
+        got = fft_values(SPEC, float(x["t"]), key.n)
+        if got["grid"] != int(x["grid"]):
+            misses.append(f"grid at {key} {got['grid']} != {x['grid']}")
+        misses += [f"{name} at {key} {gap:.2e}"
+                   for name, gap in gaps(got, x).items()
+                   if not gap <= DOUBLING_REL]
+    _gate("fft-file", checked and not misses,
+          f"self-check {'passed' if checked else 'missed'}; "
+          f"{len(reference_rows('fft'))} file rows recomputed, misses: "
+          f"{misses or 'none'}")
 
 
 def test_truth_matches_the_long_double_file():

@@ -421,15 +421,13 @@ def test_engine_recursion_agreement_property(log10_n, t_over_tc, top):
 # The held rows that no group test holds, each on every column of the one
 # map against its reference: the long-double file's rows at the edges of
 # the engine's domain, four given by T (their ids below), and truth()'s
-# demon-form rows at 10^5. Three fig1 rows at 10^4, below, near and above
-# Tc, are held here through the engine one by one as well as from the sweep.
+# demon-form rows at 10^5.
 T_ROW_IDS = {"max_level=45": "truncate-45", "m_max=45": "tail-45",
              "auto": "tail-auto", "max_level=400": "finite-400"}
 
 
 @pytest.mark.parametrize(
-    "key", [*held("row"), *(Row("longdouble", "auto", 10_000, f)
-                            for f in (0.1, 0.6, 1.35))],
+    "key", held("row"),
     ids=lambda key: (T_ROW_IDS[key.ladder] if key.t is not None
                      else f"{key.n}-{key.t_over_tc}"))
 def test_engine_matches_its_truth(key):

@@ -583,9 +583,13 @@ def test_cli_small_sweep_writes_both_formats(tmp_path, capsys):
                if line.startswith("layers: solve ")]
     assert " evaluations), integrand " in layers
     assert " points), moments " in layers
-    # and one of the spread columns' worst error estimates, as in the meta
-    worst = json.loads((tmp_path / "mini.json").read_text())["meta"][
-        "worst_rel_error"]
+    # the flag's particles reach the JSON meta, and so does the worst of
+    # each spread column's error estimate, finite and at least 0; the
+    # console prints one line of those, as in the meta
+    meta = json.loads((tmp_path / "mini.json").read_text())["meta"]
+    assert meta["particles"] == [30]
+    worst = meta["worst_rel_error"]
+    assert all(math.isfinite(v) and v >= 0.0 for v in worst.values()), worst
     assert ("worst relative error estimate: delta_n0 "
             f"{worst['delta_n0_rel_error']:.2g}, delta_ne "
             f"{worst['delta_ne_rel_error']:.2g}, corr_01 "
