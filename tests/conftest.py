@@ -6,10 +6,13 @@ from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+import numpy as np
 import pytest
 
-from bosecanon import TrapSpectrum, canonical, sweep
-from bosecanon.oracle import truth
+from bosecanon import TrapSpectrum, canonical, oracle, sweep
+from bosecanon.grand_canonical import (_level_count, _level_ladder,
+                                       _level_log_z, _level_variance)
+from bosecanon.oracle import Truth, truth
 from bosecanon.sweep import PRESETS, compute_row
 
 
@@ -130,8 +133,43 @@ def on_doubled_grid():
     return evaluate
 
 
+@pytest.fixture(scope="session")
+def on_doubled_fft_grid():
+    """oracle._fft_truth(spectrum, t, n, m_max) on twice the points: the FFT
+    path's grid rule, oracle._fft_grid, is patched to return twice its M."""
+    grid = oracle._fft_grid
+
+    def evaluate(spectrum, t, n, m_max=None):
+        with Recorder(oracle, "_fft_grid", lambda *args: 2 * grid(*args)):
+            return oracle._fft_truth(spectrum, t, n, m_max)
+
+    return evaluate
+
+
+def demon_forms(spectrum, t, n, m_max=None):
+    """Closed forms of the "Maxwell's demon" ensemble (Grossmann & Holthaus,
+    PRL 79, 3557 (1997)), as an oracle.Truth, and log10 of the Chernoff
+    bound p on P(N_ex > N). The ladder's levels 1..m_max and tail sit at
+    unit fugacity and the ground level holds the rest, so cov(n0, n1) =
+    -n1(n1 + 1). That ensemble is the canonical one plus the
+    configurations with N_ex > N, of weight at most p: it is exact where
+    p N^2, that weight on second moments of counts of order N, is below
+    1e-12 Var(n0), the smallest value returned."""
+    ladder = _level_ladder(spectrum, t, m_max)
+    q, g, tail = ladder.boltzmann[1:], ladder.degeneracies[1:], ladder.tail_weight
+    # Chernoff: log P(N_ex > N) <= log E[r^N_ex] - N log r, at r = q1^(-1/2)
+    r = q[0] ** -0.5
+    log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
+             - n * math.log(r))
+    n1 = float(q[0] / (1.0 - q[0]))
+    return Truth(log_z=_level_log_z(q, g, tail), n0=n - _level_count(q, g, tail),
+                 n0_variance=_level_variance(q, g, tail), n1=n1,
+                 covariance_n0_n1=-n1 * (n1 + 1.0),
+                 source="demon"), float(log_p / math.log(10.0))
+
+
 class Row(NamedTuple):
-    """A row of a reference (longdouble, fft, truth or closed_form): ladder
+    """A row of a reference (longdouble, truth or closed_form): ladder
     (auto, m_max=M or max_level=M), N, and T/Tc or else T in spacings."""
     reference: str
     ladder: str
@@ -142,17 +180,16 @@ class Row(NamedTuple):
 
 # log Z, n0, Var(n0), n1 and cov(n0, n1) of the model, under oracle.Truth's
 # names, and <N_ex> as ne_mean: from the recursion in long double
-# (tests/longdouble_truth.py), and past its cap from one FFT of P(n0)
-# (tests/fft_agreement.py), a second method, not an exact truth.
+# (tests/longdouble_truth.py).
 DATA = Path(__file__).parent / "data"
-REFERENCE_FILES = {"longdouble": DATA / "longdouble_truth.csv",
-                   "fft": DATA / "fft_agreement.csv"}
 VALUES = ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1")
-# The rows held against a reference that is no file: oracle.truth()'s demon
-# forms past the recursion's cap (at 10^5, T/Tc = 0.8 near their
-# certification edge, log10(p N^2) = -270), and one particle's closed forms.
-# CI's large-N step holds LARGE_N_CI to truth() (10 s of engine time).
+# The rows held against a reference that is no file: oracle.truth() past
+# the recursion's cap, its FFT path, at 10^5 below Tc and at 10^5 and 10^6
+# from 0.9 Tc to 3 Tc; and one particle's closed forms. CI's large-N step
+# holds LARGE_N_CI to truth() (10 s of engine time).
 LISTED_ROWS = [*(Row("truth", "auto", 100_000, f) for f in (0.05, 0.3, 0.8)),
+               *(Row("truth", "auto", n, f) for n in (100_000, 1_000_000)
+                 for f in (0.9, 0.97, 1.0, 1.05, 1.2, 2.0, 3.0)),
                *(Row("closed_form", "auto", 1, f)
                  for f in (3.0, 30.0, 100.0, 1000.0))]
 LARGE_N_CI = [Row("truth", "auto", 1_000_000, f) for f in (0.3, 0.5)]
@@ -182,32 +219,30 @@ def known_defects():
 
 
 @functools.cache
-def reference_rows(reference):
-    """A reference file's rows, {Row: the file's row}: the ladder from its
-    max_level or m_max, and T/Tc or else T."""
+def longdouble_rows():
+    """The long-double file's rows, {Row: the file's row}: the ladder from
+    its max_level or m_max, and T/Tc or else T."""
     rows = {}
-    for r in _csv_rows(REFERENCE_FILES[reference]):
+    for r in _csv_rows(DATA / "longdouble_truth.csv"):
         ladder = next((f"{k}={r[k]}" for k in ("max_level", "m_max")
                        if r.get(k)), "auto")
         f = float(r["t_over_tc"]) if r["t_over_tc"] else None
-        rows[Row(reference, ladder, int(r["n"]), f,
+        rows[Row("longdouble", ladder, int(r["n"]), f,
                  float(r["t"]) if f is None else None)] = r
     return rows
 
 
-# Every held row: both files' rows and the listed rows. Each falls to one
-# test by holder(): test_acceptance holds the fig1 sweep's rows, the
-# long-double rows near Tc at 2x10^4 and 4x10^4, and the FFT rows at each
-# N; test_canonical one particle's closed forms, and one by one each other.
-HELD = [*reference_rows("longdouble"), *reference_rows("fft"), *LISTED_ROWS]
+# Every held row: the long-double file's rows and the listed rows. Each
+# falls to one test by holder(): test_acceptance holds the fig1 sweep's
+# rows and the long-double rows near Tc at 2x10^4 and 4x10^4;
+# test_canonical one particle's closed forms, and one by one each other.
+HELD = [*longdouble_rows(), *LISTED_ROWS]
 FIG1_GRID = set(PRESETS["fig1"].grid())
 
 
 def holder(key):
-    """The group whose test holds a held row: fig1, near_tc, fft-N,
-    closed_form or row."""
-    if key.reference == "fft":
-        return f"fft-{key.n}"
+    """The group whose test holds a held row: fig1, near_tc, closed_form
+    or row."""
     if key.reference == "closed_form":
         return key.reference
     if (key.reference, key.ladder, key.t) == ("longdouble", "auto", None):
@@ -256,8 +291,8 @@ def sweep_columns(key, row):
     for truth()), and a spread column's estimate third: (got, want,
     the row's relative error estimate)."""
     t = row["t_over_spacing"]
-    if key.reference in REFERENCE_FILES:
-        x = reference_rows(key.reference)[key]
+    if key.reference == "longdouble":
+        x = longdouble_rows()[key]
         assert float(x["t"]) == t, (key, t)
         want = {k: float(x[k]) for k in (*VALUES, "ne_mean")}
     elif key.reference == "truth":

@@ -1,9 +1,9 @@
 """End-to-end release gate.
 
 Each test covers one numbered check, or one group of held rows against
-the long-double truth file or the FFT agreement file, or truth() against
-the long-double file, or the FFT file against its self-checked method, and
-emits a single PASS/FAIL line (run with
+the long-double truth file, or truth() against the long-double file, or
+truth()'s FFT path against that file and the demon forms, and emits a
+single PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them inline).
 The bounds are asserted, so a plain pytest run fails loudly as well.
 """
@@ -21,14 +21,14 @@ from bosecanon.asymptotics import (
     damping_crossover,
 )
 from bosecanon.canonical import canonical_observables
-from bosecanon.oracle import enumerate_exact, recursion_table, truth
+from bosecanon.oracle import (_fft_truth, enumerate_exact, recursion_table,
+                              truth)
 from bosecanon.spectrum import ZETA3
 from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, fit_scaling,
                              run_sweep)
-from conftest import (COLUMNS, HELD, LARGE_N_CI, VALUES, Row, engine_cells,
-                      held, hold, holder, known_defects, model,
-                      reference_rows, sweep_columns)
-from fft_agreement import DOUBLING_REL, fft_values, self_check
+from conftest import (COLUMNS, HELD, LARGE_N_CI, VALUES, Row, demon_forms,
+                      engine_cells, held, hold, holder, known_defects,
+                      longdouble_rows, model, sweep_columns)
 from longdouble_truth import gaps
 
 SPEC = TrapSpectrum()
@@ -229,17 +229,20 @@ def test_06_cross_correlation_tracks_closed_form(standard_sweep):
 
 # truth() is held to the long-double file on every row up to N = 1000, and
 # at (10^4, 3), where its covariance is noisiest (ROADMAP finding D).
-ORACLE_ROWS = [key for key in reference_rows("longdouble") if key.n <= 1000
+ORACLE_ROWS = [key for key in longdouble_rows() if key.n <= 1000
                or (key.n, key.t_over_tc) == (10_000, 3.0)]
 
 
 def test_every_known_defect_is_a_row_and_column_that_is_read():
     # every held row falls to a group that a test holds, and each ledger
     # entry bounds a cell that tier-1 or CI's large-N step holds to its
-    # reference: one that nothing reads binds none
+    # reference: one that nothing reads binds none, and neither does one on
+    # normalized_delta_n0, held to its formula on the row's own columns
+    # with a gap of exactly 0
     assert {holder(key) for key in HELD} == {
-        "fig1", "near_tc", "fft-100000", "fft-1000000", "closed_form", "row"}
-    read = {(key, column) for key in HELD + LARGE_N_CI for column in COLUMNS}
+        "fig1", "near_tc", "closed_form", "row"}
+    read = {(key, column) for key in HELD + LARGE_N_CI for column in COLUMNS
+            if column != "normalized_delta_n0"}
     read |= {(key, value) for key in ORACLE_ROWS for value in VALUES}
     assert set(known_defects()) <= read, set(known_defects()) - read
 
@@ -258,50 +261,69 @@ def test_near_tc_rows_at_2e4_and_4e4_match_the_long_double_truth():
     _gate("truth-near-Tc", *hold(engine_cells(held("near_tc"))))
 
 
-def test_rows_at_1e5_agree_with_the_fft_method():
-    # delta_ne is 1.6e-4 off at T/Tc = 2
-    keys = held("fft-100000")
-    assert len(keys) == 7
-    _gate("fft", *hold(engine_cells(keys)))
-
-
-def test_rows_at_1e6_agree_with_the_fft_method():
-    # about 4 s of engine time; delta_ne is 0.155 off at T/Tc = 3
-    keys = held("fft-1000000")
-    assert len(keys) == 7
-    _gate("fft-1e6", *hold(engine_cells(keys)))
-
-
-def test_the_fft_file_holds_the_self_checked_method():
-    # about 1 s: the method against every long-double row and against
-    # itself on twice its grid, then each row of the FFT file recomputed,
-    # its grid exactly and its six values within the 2M target on the
-    # self-check's scales
-    checked = self_check()
-    misses = []
-    for key, x in reference_rows("fft").items():
-        got = fft_values(SPEC, float(x["t"]), key.n)
-        if got["grid"] != int(x["grid"]):
-            misses.append(f"grid at {key} {got['grid']} != {x['grid']}")
-        misses += [f"{name} at {key} {gap:.2e}"
-                   for name, gap in gaps(got, x).items()
-                   if not gap <= DOUBLING_REL]
-    _gate("fft-file", checked and not misses,
-          f"self-check {'passed' if checked else 'missed'}; "
-          f"{len(reference_rows('fft'))} file rows recomputed, misses: "
-          f"{misses or 'none'}")
-
-
 def test_truth_matches_the_long_double_file():
     # truth()'s five values at the file's T, under Truth's names, which
     # keep its ledger entries apart from the engine's columns
     cells = {}
     for key in ORACLE_ROWS:
         spec, m_max = model(key)
-        x = reference_rows("longdouble")[key]
+        x = longdouble_rows()[key]
         got = truth(spec, float(x["t"]), key.n, m_max)
         cells[key] = {v: (getattr(got, v), float(x[v])) for v in VALUES}
     _gate("truth()", *hold(cells))
+
+
+def test_the_fft_path_matches_the_long_double_file_and_its_doubled_grid(
+        on_doubled_fft_grid):
+    # about 1 s: truth()'s path above the recursion's cap, one FFT of
+    # P(n0), at every row of the long-double file within 1e-12, and against
+    # itself on twice its grid within 1e-13, on the file's gap scales
+    # (longdouble_truth.gaps)
+    worst = dict.fromkeys((*VALUES, "2M"), 0.0)
+    misses = []
+    for key, x in longdouble_rows().items():
+        spec, m_max = model(key)
+        t = float(x["t"])
+        got = vars(_fft_truth(spec, t, key.n, m_max))
+        row_gaps = gaps(got, x, VALUES)
+        row_gaps["2M"] = max(gaps(got, vars(on_doubled_fft_grid(
+            spec, t, key.n, m_max)), VALUES).values())
+        for name, gap in row_gaps.items():
+            worst[name] = max(worst[name], gap)
+            bound = 1e-13 if name == "2M" else 1e-12
+            if not gap <= bound:
+                misses.append(f"{name} at {key} {gap:.2e} > {bound:.0e}")
+    _gate("fft-path", not misses,
+          f"{len(longdouble_rows())} rows, worst relative gap "
+          "(1e-12; 2M: the same path on twice its grid, 1e-13): "
+          + ", ".join(f"{name} {gap:.2e}" for name, gap in worst.items())
+          + "".join(f"; {miss}" for miss in misses))
+
+
+def test_the_fft_path_matches_the_demon_forms_below_tc():
+    # about 0.3 s: past the recursion's cap and below Tc, at N = 10^5, 10^6
+    # and 10^7, the demon forms are exact where their Chernoff bound p
+    # certifies them (p N^2 < 1e-12 Var(n0)), and truth() meets them
+    # within 1e-12 relative on all five values (measured worst 2.9e-13,
+    # Var(n0) at (10^5, 0.01))
+    worst, misses = 0.0, []
+    for n in (10**5, 10**6, 10**7):
+        for f in (0.01, 0.05, 0.3, 0.5, 0.8, 0.9):
+            t = f * critical_temperature(SPEC, n)
+            demon, log10_p = demon_forms(SPEC, t, n)
+            assert (log10_p + 2.0 * math.log10(n)
+                    < math.log10(1e-12 * demon.n0_variance)), (n, f)
+            got = truth(SPEC, t, n)
+            assert got.source == "fft"
+            for name in VALUES:
+                want = getattr(demon, name)
+                gap = abs(getattr(got, name) - want) / abs(want)
+                worst = max(worst, gap)
+                if not gap <= 1e-12:
+                    misses.append(f"{name} at ({n}, {f}) {gap:.2e}")
+    _gate("fft-demon", not misses,
+          f"18 certified rows, worst relative gap {worst:.2e} (1e-12)"
+          + "".join(f"; {miss}" for miss in misses))
 
 
 # 7 ------------------------------------------------------------------------

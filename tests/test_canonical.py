@@ -22,11 +22,11 @@ from bosecanon.asymptotics import (
 )
 from bosecanon.canonical import ConvergenceError, canonical_observables
 from bosecanon.grand_canonical import auto_m_max, solve_fugacity
-from bosecanon.oracle import (ORACLE_MAX_N, _demon_forms, enumerate_exact,
-                              recursion_table, truth)
+from bosecanon.oracle import (ORACLE_MAX_N, enumerate_exact, recursion_table,
+                              truth)
 from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
                              temperature_grid)
-from conftest import Row, engine_cells, held, hold
+from conftest import Row, demon_forms, engine_cells, held, hold
 
 SPEC = TrapSpectrum()
 engine = functools.partial(canonical_observables, SPEC)
@@ -45,7 +45,7 @@ def test_config_m_max_clamps_to_finite_spectrum():
 N1_CONSUMERS = {
     "engine": lambda spec, t: canonical_observables(spec, t, 10),
     "truth-recursion": lambda spec, t: truth(spec, t, 10),
-    "truth-demon": lambda spec, t: truth(spec, t, ORACLE_MAX_N + 1),
+    "truth-fft": lambda spec, t: truth(spec, t, ORACLE_MAX_N + 1),
 }
 N1_REFUSALS = {
     "no-level-1": (TrapSpectrum(max_level=0), 5.0,
@@ -421,7 +421,8 @@ def test_engine_recursion_agreement_property(log10_n, t_over_tc, top):
 # The held rows that no group test holds, each on every column of the one
 # map against its reference: the long-double file's rows at the edges of
 # the engine's domain, four given by T (their ids below), and truth()'s
-# demon-form rows at 10^5.
+# rows past the recursion's cap: at 10^5 below Tc, and at 10^5 and 10^6
+# from 0.9 Tc to 3 Tc.
 T_ROW_IDS = {"max_level=45": "truncate-45", "m_max=45": "tail-45",
              "auto": "tail-auto", "max_level=400": "finite-400"}
 
@@ -444,7 +445,8 @@ def test_engine_matches_its_truth(key):
 def test_recursion_matches_the_demon_forms(n, t_over_tc):
     t = t_over_tc * critical_temperature(SPEC, n)
     m_max = auto_m_max(SPEC, t)
-    recursion, demon = truth(SPEC, t, n, m_max), _demon_forms(SPEC, t, n, m_max)
+    recursion = truth(SPEC, t, n, m_max)
+    demon, _ = demon_forms(SPEC, t, n, m_max)
     assert recursion.source == "recursion"
     for name in ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1"):
         assert getattr(recursion, name) == pytest.approx(

@@ -129,16 +129,37 @@ def test_size_cap_enforced():
     assert time.perf_counter() - start < 0.25
     assert list(inspect.signature(recursion_table).parameters) == [
         "spectrum", "t", "n", "m_max", "tail_closure"]
-    # above the cap truth() takes the demon forms only where they are
-    # certified: at Tc their Chernoff bound is log10 P = +28.7, so the
-    # request is refused at once; at 0.8 Tc, log10(p N^2) = -270 against
-    # log10(1e-12 Var(n0)) = -7.1
+    # above the cap truth() takes one FFT of P(n0), at Tc too: at 10^5 it
+    # gives the method's committed values there, log Z, n0, Var(n0), n1
+    # and cov(n0, n1), within 1e-13
     spec, n = TrapSpectrum(), 10**5
+    got = truth(spec, critical_temperature(spec, n), n)
+    assert got.source == "fft"
+    assert critical_temperature(spec, n) == 43.654095183693954
+    for name, value in (("log_z", 93459.61849270028),
+                        ("n0", 28.62449584970328),
+                        ("n0_variance", 837.6323477045403),
+                        ("n1", 16.999092936648207),
+                        ("covariance_n0_n1", -1.8836222132696092)):
+        assert getattr(got, name) == pytest.approx(value, rel=1e-13), name
+    # its cost limit: at 10^11 particles at Tc the grid rule asks for 2^24
+    # points, and the request is refused from that count, before any grid
     start = time.perf_counter()
-    with pytest.raises(DomainError, match="not certified"):
-        truth(spec, critical_temperature(spec, n), n)
+    with pytest.raises(DomainError, match=r"N=100000000000, T=4365\.4.*"
+                                          r"M=16777216 points"):
+        truth(spec, critical_temperature(spec, 10**11), 10**11)
     assert time.perf_counter() - start < 0.25
-    assert truth(spec, 0.8 * critical_temperature(spec, n), n).source == "demon"
+
+
+def test_truth_answers_above_the_cap_at_every_temperature():
+    # near and far above Tc up to 10^7 particles, in milliseconds
+    spec = TrapSpectrum()
+    for n, t_over_tc in ((10**5, 1.0), (10**6, 3.0), (10**7, 1.0),
+                         (10**7, 3.0)):
+        start = time.perf_counter()
+        got = truth(spec, t_over_tc * critical_temperature(spec, n), n)
+        assert time.perf_counter() - start < 0.25, (n, t_over_tc)
+        assert got.source == "fft"
 
 
 def test_oracle_needs_a_top_level():
