@@ -373,8 +373,7 @@ class EnumerationResult:
 
     z: float
     mean: np.ndarray        # <n_i> per state
-    second: np.ndarray      # <n_i^2> per state
-    cross: np.ndarray       # <n_i n_j> matrix
+    cross: np.ndarray       # <n_i n_j> matrix; <n_i^2> on its diagonal
     configurations: int
 
 
@@ -394,7 +393,6 @@ def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
         raise DomainError(f"enumeration capped at n<=6, states<=8 (got {n}, {s})")
     z = 0.0
     mean = np.zeros(s)
-    second = np.zeros(s)
     cross = np.zeros((s, s))
     count = 0
     occ = np.zeros(s)
@@ -405,7 +403,6 @@ def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
         w = math.exp(-float(np.dot(occ, energies)) / t)
         z += w
         mean += w * occ
-        second += w * occ * occ
         cross += w * np.outer(occ, occ)
         count += 1
-    return EnumerationResult(z, mean / z, second / z, cross / z, count)
+    return EnumerationResult(z, mean / z, cross / z, count)

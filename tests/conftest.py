@@ -7,9 +7,9 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
-import pytest
 
-from bosecanon import TrapSpectrum, canonical, oracle, sweep
+from bosecanon import (TrapSpectrum, canonical, critical_temperature,
+                       oracle, sweep)
 from bosecanon.grand_canonical import (_level_count, _level_ladder,
                                        _level_log_z, _level_variance)
 from bosecanon.oracle import Truth, truth
@@ -63,7 +63,6 @@ class KernelRecorder(Recorder):
     """canonical.projection_chunk under a Recorder. Each call is recorded
     as a KernelCall that holds copies of the output and peaks, which the
     engine sums in place."""
-    Call = KernelCall  # lets a replacement name its own call's intervals
 
     def __init__(self, replacement=None):
         super().__init__(canonical, "projection_chunk", replacement)
@@ -72,78 +71,50 @@ class KernelRecorder(Recorder):
         return KernelCall(args, *(array.copy() for array in result))
 
 
-@pytest.fixture(scope="session")
-def recorder():
-    return Recorder
-
-
-@pytest.fixture(scope="session")
-def kernel_recorder():
-    return KernelRecorder
-
-
-@pytest.fixture(scope="session")
-def raw_moments():
+def raw_moments(res) -> dict:
     """The six sums the quadrature takes, <n0>, <n0^2>, <n1>, <n0 n1>,
     <N_ex> and <N_ex^2>, rebuilt from a CanonicalResult's means and centred
     fields. Checks that hold the engine to another evaluation compare these:
     the centred fields carry the cancellation's noise (README, Known
     limits), which a direct comparison would measure instead."""
-    def moments(res) -> dict:
-        n0, n1, ne = res.n0_mean, res.n1_mean, res.ne_mean
-        return {"<n0>": n0, "<n0^2>": res.n0_variance + n0 ** 2, "<n1>": n1,
-                "<n0 n1>": res.covariance_n0_n1 + n0 * n1, "<N_ex>": ne,
-                "<N_ex^2>": res.ne_variance + ne ** 2}
-
-    return moments
+    n0, n1, ne = res.n0_mean, res.n1_mean, res.ne_mean
+    return {"<n0>": n0, "<n0^2>": res.n0_variance + n0 ** 2, "<n1>": n1,
+            "<n0 n1>": res.covariance_n0_n1 + n0 * n1, "<N_ex>": ne,
+            "<N_ex^2>": res.ne_variance + ne ** 2}
 
 
-@pytest.fixture(scope="session")
-def at_offset():
+def at_offset(spectrum, t, n, eps):
     """canonical_observables(spectrum, t, n) evaluated at the offset eps
     instead of the saddle. The engine's one fugacity solve is patched to
     return the real state with relative fugacity exp(-eps/T), so the engine
     takes eps0 = -mu, eps up to one exp and log; gc_state is that state."""
     solve = canonical.solve_fugacity
 
-    def evaluate(spectrum, t, n, eps):
-        def forced(*args, **kwargs):
-            state = solve(*args, **kwargs)
-            return dataclasses.replace(
-                state, relative_fugacity=math.exp(-eps / state.t))
+    def forced(*args, **kwargs):
+        state = solve(*args, **kwargs)
+        return dataclasses.replace(
+            state, relative_fugacity=math.exp(-eps / state.t))
 
-        with Recorder(canonical, "solve_fugacity", forced):
-            return canonical.canonical_observables(spectrum, t, n)
-
-    return evaluate
+    with Recorder(canonical, "solve_fugacity", forced):
+        return canonical.canonical_observables(spectrum, t, n)
 
 
-@pytest.fixture(scope="session")
-def on_doubled_grid():
+def on_doubled_grid(spectrum, t, n):
     """canonical_observables(spectrum, t, n) on twice the intervals: the
     engine's grid rule, canonical._half_interval_count, is patched to return
     twice its count."""
     count = canonical._half_interval_count
-
-    def evaluate(spectrum, t, n):
-        with Recorder(canonical, "_half_interval_count",
-                      lambda *args: 2 * count(*args)):
-            return canonical.canonical_observables(spectrum, t, n)
-
-    return evaluate
+    with Recorder(canonical, "_half_interval_count",
+                  lambda *args: 2 * count(*args)):
+        return canonical.canonical_observables(spectrum, t, n)
 
 
-@pytest.fixture(scope="session")
-def on_doubled_fft_grid():
+def on_doubled_fft_grid(spectrum, t, n, m_max=None):
     """oracle._fft_truth(spectrum, t, n, m_max) on twice the points: the FFT
     path's grid rule, oracle._fft_grid, is patched to return twice its M."""
     grid = oracle._fft_grid
-
-    def evaluate(spectrum, t, n, m_max=None):
-        with Recorder(oracle, "_fft_grid", lambda *args: 2 * grid(*args)):
-            return oracle._fft_truth(spectrum, t, n, m_max)
-
-    return evaluate
+    with Recorder(oracle, "_fft_grid", lambda *args: 2 * grid(*args)):
+        return oracle._fft_truth(spectrum, t, n, m_max)
 
 
 def demon_forms(spectrum, t, n, m_max=None):
@@ -166,6 +137,20 @@ def demon_forms(spectrum, t, n, m_max=None):
                  n0_variance=_level_variance(q, g, tail), n1=n1,
                  covariance_n0_n1=-n1 * (n1 + 1.0),
                  source="demon"), float(log_p / math.log(10.0))
+
+
+def demon_gaps(spectrum, n, t_over_tc):
+    """truth() against the demon forms at N and T/Tc: truth()'s source,
+    whether p certifies the forms (p N^2 < 1e-12 Var(n0)) and each of the
+    VALUES' gap relative to the form."""
+    t = t_over_tc * critical_temperature(spectrum, n)
+    demon, log10_p = demon_forms(spectrum, t, n)
+    got = truth(spectrum, t, n)
+    certified = (log10_p + 2.0 * math.log10(n)
+                 < math.log10(1e-12 * demon.n0_variance))
+    return got.source, certified, {
+        name: abs(getattr(got, name) - getattr(demon, name))
+        / abs(getattr(demon, name)) for name in VALUES}
 
 
 class Row(NamedTuple):
@@ -232,30 +217,18 @@ def longdouble_rows():
     return rows
 
 
-# Every held row: the long-double file's rows and the listed rows. Each
-# falls to one test by holder(): test_acceptance holds the fig1 sweep's
-# rows and the long-double rows near Tc at 2x10^4 and 4x10^4;
-# test_canonical one particle's closed forms, and one by one each other.
+# Every held row: the long-double file's rows and the listed rows. The
+# fig1 rows fall to test_acceptance, which holds gate 03's sweep rows, and
+# every other row to test_canonical's test_engine_matches_its_truth.
 HELD = [*longdouble_rows(), *LISTED_ROWS]
 FIG1_GRID = set(PRESETS["fig1"].grid())
 
 
-def holder(key):
-    """The group whose test holds a held row: fig1, near_tc, closed_form
-    or row."""
-    if key.reference == "closed_form":
-        return key.reference
-    if (key.reference, key.ladder, key.t) == ("longdouble", "auto", None):
-        if key.n in PRESETS["fig1"].particles and key.t_over_tc in FIG1_GRID:
-            return "fig1"
-        if key.n in (20_000, 40_000) and key.t_over_tc >= 0.9:
-            return "near_tc"
-    return "row"
-
-
-def held(group):
-    """The held rows of one holder() group, in file order."""
-    return [key for key in HELD if holder(key) == group]
+def fig1(key):
+    """True for a held row that gate 03's fig1 sweep computes."""
+    return ((key.reference, key.ladder, key.t) == ("longdouble", "auto", None)
+            and key.n in PRESETS["fig1"].particles
+            and key.t_over_tc in FIG1_GRID)
 
 
 def model(key):

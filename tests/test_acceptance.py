@@ -1,8 +1,9 @@
 """End-to-end release gate.
 
-Each test covers one numbered check, or one group of held rows against
-the long-double truth file, or truth() against the long-double file, or
-truth()'s FFT path against that file and the demon forms, and emits a
+Each test covers one numbered check, or the paper's large-N estimates
+over five decades, or gate 03's fig1 rows against the long-double truth
+file, or truth() against the long-double file, or truth()'s FFT path
+against that file, or truth() against the demon forms, and emits a
 single PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them inline).
 The bounds are asserted, so a plain pytest run fails loudly as well.
@@ -18,17 +19,21 @@ from bosecanon import TrapSpectrum, critical_temperature
 from bosecanon.asymptotics import (
     DELTA_N0_PREFACTOR,
     InteractionParams,
+    correlation_limit,
     damping_crossover,
+    delta_n0_fraction_limit,
 )
 from bosecanon.canonical import canonical_observables
+from bosecanon.grand_canonical import solve_fugacity
 from bosecanon.oracle import (_fft_truth, enumerate_exact, recursion_table,
                               truth)
 from bosecanon.spectrum import ZETA3
-from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, fit_scaling,
-                             run_sweep)
-from conftest import (COLUMNS, HELD, LARGE_N_CI, VALUES, Row, demon_forms,
-                      engine_cells, held, hold, holder, known_defects,
-                      longdouble_rows, model, sweep_columns)
+from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, SweepRow,
+                             fit_scaling, run_sweep)
+from conftest import (COLUMNS, HELD, LARGE_N_CI, VALUES, Row, at_offset,
+                      demon_gaps, fig1, hold, known_defects, longdouble_rows,
+                      model, on_doubled_fft_grid, on_doubled_grid,
+                      raw_moments, sweep_columns)
 from longdouble_truth import gaps
 
 SPEC = TrapSpectrum()
@@ -96,7 +101,7 @@ def test_01_recursion_equivalence_full_grid():
 # 2 ------------------------------------------------------------------------
 
 
-def test_02_enumeration_equivalence_two_level(raw_moments):
+def test_02_enumeration_equivalence_two_level():
     bound = 1e-12
     worst = 0.0
     spec = TrapSpectrum(max_level=1)
@@ -108,7 +113,7 @@ def test_02_enumeration_equivalence_two_level(raw_moments):
             raw = raw_moments(res)
             pairs = (
                 (raw["<n0>"], exact.mean[0]),
-                (raw["<n0^2>"], exact.second[0]),
+                (raw["<n0^2>"], exact.cross[0, 0]),
                 (raw["<n1>"], exact.mean[1]),
                 (raw["<n0 n1>"], exact.cross[0, 1]),
             )
@@ -225,6 +230,66 @@ def test_06_cross_correlation_tracks_closed_form(standard_sweep):
     )
 
 
+# the paper's large-N estimates over five decades -------------------------
+
+
+def test_large_n_estimates_over_five_decades():
+    # about 0.4 s: gates 04-06 fit fig1's three sizes; here the exact values
+    # come from truth()'s FFT path at N = 10^2 ... 10^7 (held to the
+    # long-double file and the demon forms below), eq. 10 and 12 from
+    # asymptotics as compute_row calls them, and the open-system n0 from
+    # solve_fugacity, each gap from the sweep's own channels. Each band is
+    # set from the value measured beside it, and is not to be widened.
+    sizes = [10**k for k in range(2, 8)]
+    misses, report = [], []
+    for f in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+        rows = []
+        for n in sizes:
+            t = f * critical_temperature(SPEC, n)
+            x = _fft_truth(SPEC, t, n, None)
+            rows.append(SweepRow(
+                n, f, n0_mean=x.n0, n0_over_n=x.n0 / n,
+                delta_n0=math.sqrt(x.n0_variance),
+                corr_01_normalized=x.covariance_n0_n1 / (x.n0 * x.n1),
+                gc_n0_over_n=solve_fugacity(SPEC, t, n).n0 / n,
+                eq10_value=delta_n0_fraction_limit(n, f),
+                eq12_value=correlation_limit(n, f)))
+        eq10, eq12, gc = ([DISCREPANCY_CHANNELS[c](r) for r in rows] for c in
+                          ("delta_n0_eq10_gap", "corr_eq12_gap",
+                           "gc_discrepancy"))
+        slope10, slope12 = (fit_scaling(rows, c, f).exponent for c in
+                            ("delta_n0_eq10_gap", "corr_eq12_gap"))
+        per_decade = np.diff(np.log10(gc))
+        checks = {
+            # both gaps fall at every step in N
+            "eq. 10 falls": all(np.diff(eq10) < 0.0),
+            "eq. 12 falls": all(np.diff(eq12) < 0.0),
+            # measured 0.032-0.049 and 0.0079-0.017
+            "eq. 10 at 10^7 in [0.03, 0.05]": 0.03 <= eq10[-1] <= 0.05,
+            "eq. 12 at 10^7 in [0.007, 0.02]": 0.007 <= eq12[-1] <= 0.02,
+            # measured -0.237 ... -0.357 and -0.346 ... -0.379
+            "eq. 10 slope in [-0.38, -0.22]": -0.38 <= slope10 <= -0.22,
+            "eq. 12 slope in [-0.40, -0.33]": -0.40 <= slope12 <= -0.33,
+            # the canonical-against-grand-canonical gap tends to N^-1:
+            # measured -0.985 ... -1.309 per decade, -0.985 ... -1.050 over
+            # the last, which is closer to -1 than the first at every T/Tc
+            "gc exponents in [-1.35, -0.97]": all(
+                -1.35 <= per_decade) and all(per_decade <= -0.97),
+            "gc last decade in [-1.06, -0.97]": -1.06 <= per_decade[-1],
+            "gc tends to -1": (abs(per_decade[-1] + 1.0)
+                               < abs(per_decade[0] + 1.0)),
+        }
+        misses += [f"{check} at T/Tc {f}" for check, ok in checks.items()
+                   if not ok]
+        report.append(f"T/Tc {f}: eq. 10 {eq10[-1]:.4f} (slope "
+                      f"{slope10:+.3f}), eq. 12 {eq12[-1]:.4f} (slope "
+                      f"{slope12:+.3f}), gc per decade {per_decade[0]:+.3f}"
+                      f" .. {per_decade[-1]:+.3f}")
+    _gate("five-decades", not misses,
+          "gaps at 10^7 and log-log slopes over N = 10^2 ... 10^7: "
+          + "; ".join(report) + "".join(f"; {miss}" for miss in misses))
+
+
 # every held row against its reference ------------------------------------
 
 # truth() is held to the long-double file on every row up to N = 1000, and
@@ -234,13 +299,10 @@ ORACLE_ROWS = [key for key in longdouble_rows() if key.n <= 1000
 
 
 def test_every_known_defect_is_a_row_and_column_that_is_read():
-    # every held row falls to a group that a test holds, and each ledger
-    # entry bounds a cell that tier-1 or CI's large-N step holds to its
-    # reference: one that nothing reads binds none, and neither does one on
-    # normalized_delta_n0, held to its formula on the row's own columns
-    # with a gap of exactly 0
-    assert {holder(key) for key in HELD} == {
-        "fig1", "near_tc", "closed_form", "row"}
+    # each ledger entry bounds a cell that tier-1 or CI's large-N step
+    # holds to its reference: one that nothing reads binds none, and
+    # neither does one on normalized_delta_n0, held to its formula on the
+    # row's own columns with a gap of exactly 0
     read = {(key, column) for key in HELD + LARGE_N_CI for column in COLUMNS
             if column != "normalized_delta_n0"}
     read |= {(key, value) for key in ORACLE_ROWS for value in VALUES}
@@ -251,14 +313,9 @@ def test_fig1_rows_match_the_long_double_truth(standard_sweep):
     # gate 03's sweep rows, on every column of the one map
     rows = {Row("longdouble", "auto", r.n, r.t_over_tc): r.to_dict()
             for r in standard_sweep.rows}
-    assert set(rows) == set(held("fig1"))
+    assert set(rows) == {key for key in HELD if fig1(key)}
     _gate("truth", *hold({key: sweep_columns(key, row)
                           for key, row in rows.items()}))
-
-
-def test_near_tc_rows_at_2e4_and_4e4_match_the_long_double_truth():
-    # 0.4 s of engine time
-    _gate("truth-near-Tc", *hold(engine_cells(held("near_tc"))))
 
 
 def test_truth_matches_the_long_double_file():
@@ -273,8 +330,7 @@ def test_truth_matches_the_long_double_file():
     _gate("truth()", *hold(cells))
 
 
-def test_the_fft_path_matches_the_long_double_file_and_its_doubled_grid(
-        on_doubled_fft_grid):
+def test_the_fft_path_matches_the_long_double_file_and_its_doubled_grid():
     # about 1 s: truth()'s path above the recursion's cap, one FFT of
     # P(n0), at every row of the long-double file within 1e-12, and against
     # itself on twice its grid within 1e-13, on the file's gap scales
@@ -309,15 +365,9 @@ def test_the_fft_path_matches_the_demon_forms_below_tc():
     worst, misses = 0.0, []
     for n in (10**5, 10**6, 10**7):
         for f in (0.01, 0.05, 0.3, 0.5, 0.8, 0.9):
-            t = f * critical_temperature(SPEC, n)
-            demon, log10_p = demon_forms(SPEC, t, n)
-            assert (log10_p + 2.0 * math.log10(n)
-                    < math.log10(1e-12 * demon.n0_variance)), (n, f)
-            got = truth(SPEC, t, n)
-            assert got.source == "fft"
-            for name in VALUES:
-                want = getattr(demon, name)
-                gap = abs(getattr(got, name) - want) / abs(want)
+            source, certified, demon = demon_gaps(SPEC, n, f)
+            assert source == "fft" and certified, (n, f)
+            for name, gap in demon.items():
                 worst = max(worst, gap)
                 if not gap <= 1e-12:
                     misses.append(f"{name} at ({n}, {f}) {gap:.2e}")
@@ -372,7 +422,7 @@ def _log_z_dev(a, b):
     return abs(a - b) / max(abs(a), 1.0)
 
 
-def test_08_invariance_suites(raw_moments, at_offset, on_doubled_grid):
+def test_08_invariance_suites():
     bound = 1e-8
     # each invariance suite's second evaluation at a probe, built from the
     # probe's default result: the offset forced 2 T/sqrt(var) past the

@@ -26,7 +26,9 @@ from bosecanon.oracle import (ORACLE_MAX_N, enumerate_exact, recursion_table,
                               truth)
 from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
                              temperature_grid)
-from conftest import Row, demon_forms, engine_cells, held, hold
+from conftest import (HELD, KernelCall, KernelRecorder, Recorder, Row,
+                      at_offset, demon_gaps, engine_cells, fig1, hold,
+                      on_doubled_grid, raw_moments)
 
 SPEC = TrapSpectrum()
 engine = functools.partial(canonical_observables, SPEC)
@@ -154,7 +156,6 @@ REFUSALS = {
     "pair-energy-bool": (lambda: InteractionParams(True), "pair_energy", "True"),
     "fraction-limit-bool": (lambda: condensate_fraction_limit(True), RATIO, "True"),
     "sweep-t-none": (lambda: run_sweep([100], [None]), RATIO, "None"),
-    "sweep-t-str": (lambda: run_sweep([100], ["0.5"]), RATIO, "0.5"),
     "t-int-past-doubles": (lambda: engine(10**400, 10), TEMP, str(10**400)),
     "t-decimal-past-doubles": (lambda: engine(Decimal("1e400"), 10), TEMP, "1E+400"),
     "t-decimal-rounds-to-zero": (lambda: engine(Decimal("1e-400"), 10), TEMP, "1E-400"),
@@ -179,7 +180,7 @@ def test_non_finite_or_fractional_input_is_a_domain_error(call, quantity,
         call()
 
 
-def test_integral_particle_numbers_of_any_type_agree(raw_moments):
+def test_integral_particle_numbers_of_any_type_agree():
     def moments(*args):
         return repr(raw_moments(canonical_observables(*args)))
 
@@ -210,7 +211,7 @@ def test_integral_particle_numbers_of_any_type_agree(raw_moments):
 
 
 @pytest.mark.parametrize("n", [5000, 500, 50])
-def test_bad_offset_breaks_conditioning(at_offset, n):
+def test_bad_offset_breaks_conditioning(n):
     # a huge artificial tilt underflows every excited level weight; the
     # projection integral of the bare oscillation carries no signal, and
     # its Re Z is rounding noise of either sign (-1.6e-15, 1.1e-15 and
@@ -228,7 +229,7 @@ def test_variances_clamped_nonnegative():
 # ---------------------------------------------------------- shift invariance
 
 
-def test_shift_invariance_at_two_forced_offsets(raw_moments, at_offset):
+def test_shift_invariance_at_two_forced_offsets():
     # observables and the offset-free log Z do not depend on the evaluation
     # offset, for offsets within a few T/sqrt(var) of the saddle
     t, n = 5.0, 120
@@ -244,7 +245,7 @@ def test_shift_invariance_at_two_forced_offsets(raw_moments, at_offset):
 # ------------------------------------------------------- numerical hygiene
 
 
-def test_quadrature_insensitive_to_point_count(on_doubled_grid):
+def test_quadrature_insensitive_to_point_count():
     t, n = 5.0, 80
     a = canonical_observables(SPEC, t, n)
     b = on_doubled_grid(SPEC, t, n)
@@ -253,10 +254,10 @@ def test_quadrature_insensitive_to_point_count(on_doubled_grid):
     assert a.log_z_zero_offset == pytest.approx(b.log_z_zero_offset, rel=1e-10)
 
 
-def test_kernel_integrand_peaks_at_origin(kernel_recorder):
+def test_kernel_integrand_peaks_at_origin():
     # the engine normalises the integrand to 1 at z=0 and bounds the
     # unsummed tail by each interval's peak, so the peak must be the origin
-    with kernel_recorder() as kernel:
+    with KernelRecorder() as kernel:
         canonical_observables(SPEC, 4.0, 50)
     first = next(call.peak for call in kernel.calls if call.i0 == 0)
     peaks = np.concatenate([call.peak for call in kernel.calls])
@@ -279,8 +280,7 @@ def unchunked():
     pytest.param(canonical.CHUNK_POINTS, 1e-30, id="boundary-at-interval-1"),
     pytest.param(canonical.CHUNK_POINTS, 1e30, id="boundary-past-half-period"),
 ])
-def test_chunk_size_does_not_change_results(unchunked, recorder,
-                                            kernel_recorder, chunk_points,
+def test_chunk_size_does_not_change_results(unchunked, chunk_points,
                                             exit_decay):
     # exit decisions are per interval, on sums added in interval order, so
     # any chunking, with the predicted exit boundary anywhere or nowhere,
@@ -290,9 +290,9 @@ def test_chunk_size_does_not_change_results(unchunked, recorder,
     assert midpoint.intervals_evaluated < midpoint.intervals_total
     assert full.intervals_evaluated == full.intervals_total
     for (n, f), ref in unchunked.items():
-        with recorder(canonical, "CHUNK_POINTS", chunk_points), \
-                recorder(canonical, "EXIT_DECAY", exit_decay), \
-                kernel_recorder() as kernel:
+        with Recorder(canonical, "CHUNK_POINTS", chunk_points), \
+                Recorder(canonical, "EXIT_DECAY", exit_decay), \
+                KernelRecorder() as kernel:
             res = engine(f * critical_temperature(SPEC, n), n)
         assert repr(res) == repr(ref)
         spans = [(call.i1 - call.i0) * call.nodes.size for call in kernel.calls]
@@ -315,11 +315,10 @@ def test_chunk_size_does_not_change_results(unchunked, recorder,
     (1000, 0.5),
     (10_000, 1.2),  # midpoint rule
 ])
-def test_exit_bound_covers_the_skipped_intervals(kernel_recorder, n,
-                                                 t_over_tc):
+def test_exit_bound_covers_the_skipped_intervals(n, t_over_tc):
     # the intervals past the exit, evaluated after all, add at most
     # a relative 1e-12 of each accumulator's sum at the exit
-    with kernel_recorder() as kernel:
+    with KernelRecorder() as kernel:
         res = engine(t_over_tc * critical_temperature(SPEC, n), n)
     done, total = res.intervals_evaluated, res.intervals_total
     assert done < total
@@ -337,12 +336,11 @@ def test_kernel_stops_near_the_predicted_exit():
     assert res.points_evaluated <= 1.15 * res.intervals_evaluated * 4
 
 
-def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call(
-        recorder):
+def test_cost_guard_refuses_a_row_of_hours_before_any_kernel_call():
     # N = 10^9 at T/Tc = 0.05 predicts 1.9e11 level-points (over an hour of
     # kernel); the largest benchmark row, N = 10^6 at T/Tc = 0.5, 1.6e8
     started = time.perf_counter()
-    with recorder(canonical, "projection_chunk", lambda *args: None) as kernel:
+    with Recorder(canonical, "projection_chunk", lambda *args: None) as kernel:
         row = compute_row(SPEC, 10**9, 0.05)
     assert time.perf_counter() - started < 1.0
     assert not row.converged and kernel.calls == []
@@ -363,15 +361,15 @@ def test_single_solve_state_is_the_offset_free_ladder():
     assert res.ground_offset == -free.mu
 
 
-def test_overflow_guard_reports_first_nonfinite_interval(kernel_recorder):
+def test_overflow_guard_reports_first_nonfinite_interval():
     def poisoned(*args):
-        call = kernel_recorder.Call(args, *projection_chunk(*args))
+        call = KernelCall(args, *projection_chunk(*args))
         for bad in (700, 900):
             if call.i0 <= bad < call.i1:
                 call.out[bad - call.i0, 2] = np.inf
         return call.out, call.peak
 
-    with kernel_recorder(poisoned), pytest.raises(
+    with KernelRecorder(poisoned), pytest.raises(
             ConvergenceError, match="at interval 701 of "):
         canonical_observables(SPEC, 0.6 * critical_temperature(SPEC, 1000), 1000)
 
@@ -418,17 +416,20 @@ def test_engine_recursion_agreement_property(log10_n, t_over_tc, top):
         assert ok, report
 
 
-# The held rows that no group test holds, each on every column of the one
-# map against its reference: the long-double file's rows at the edges of
-# the engine's domain, four given by T (their ids below), and truth()'s
-# rows past the recursion's cap: at 10^5 below Tc, and at 10^5 and 10^6
-# from 0.9 Tc to 3 Tc.
+# Every held row outside gate 03's fig1 sweep, each on every column of the
+# one map against its reference: the long-double file's rows at the edges
+# of the engine's domain and near Tc at 2x10^4 and 4x10^4, four given by T
+# (their ids below); truth()'s rows past the recursion's cap, at 10^5 below
+# Tc and at 10^5 and 10^6 from 0.9 Tc to 3 Tc; and one particle's closed
+# forms, where the tail closure is exact. Far above Tc one particle is a
+# known defect: the kernel's level modulus loses about eps/q of each
+# level's term, summed over roughly T^3 states (README, Known limits).
 T_ROW_IDS = {"max_level=45": "truncate-45", "m_max=45": "tail-45",
              "auto": "tail-auto", "max_level=400": "finite-400"}
 
 
 @pytest.mark.parametrize(
-    "key", held("row"),
+    "key", [key for key in HELD if not fig1(key)],
     ids=lambda key: (T_ROW_IDS[key.ladder] if key.t is not None
                      else f"{key.n}-{key.t_over_tc}"))
 def test_engine_matches_its_truth(key):
@@ -437,28 +438,13 @@ def test_engine_matches_its_truth(key):
 
 
 # Where both exact sources hold, deep below Tc at up to ORACLE_MAX_N
-# particles, they agree on every quantity (measured worst 2.4e-15). At
-# N = 10, T/Tc = 0.002 (T = 1/247), Var(n0), n1 and cov(n0, n1) are about
-# 1e-107, carried by the k = 1 next to P's peak alone.
+# particles, the demon forms are certified (log10 p from -536 to -3,401)
+# and the recursion meets them on every quantity (measured worst 2.4e-15).
+# At N = 10, T/Tc = 0.002 (T = 1/247), Var(n0), n1 and cov(n0, n1) are
+# about 1e-107, carried by the k = 1 next to P's peak alone.
 @pytest.mark.parametrize("n, t_over_tc", [(10_000, 0.05), (10_000, 0.1),
                                           (ORACLE_MAX_N, 0.05), (10, 0.002)])
 def test_recursion_matches_the_demon_forms(n, t_over_tc):
-    t = t_over_tc * critical_temperature(SPEC, n)
-    m_max = auto_m_max(SPEC, t)
-    recursion = truth(SPEC, t, n, m_max)
-    demon, _ = demon_forms(SPEC, t, n, m_max)
-    assert recursion.source == "recursion"
-    for name in ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1"):
-        assert getattr(recursion, name) == pytest.approx(
-            getattr(demon, name), rel=1e-12, abs=0.0), name
-
-
-# One particle, where the tail closure is exact, against its closed forms on
-# every column. Far above Tc, a known defect: the kernel's level modulus
-# loses about eps/q of each level's term, summed over roughly T^3 states
-# (README, Known limits).
-@pytest.mark.parametrize("key", held("closed_form"),
-                         ids=lambda key: f"{key.t_over_tc:g}")
-def test_one_particle_matches_its_closed_forms(key):
-    ok, report = hold(engine_cells([key]))
-    assert ok, report
+    source, certified, demon = demon_gaps(SPEC, n, t_over_tc)
+    assert source == "recursion" and certified
+    assert max(demon.values()) <= 1e-12, demon

@@ -6,6 +6,7 @@ import pytest
 from bosecanon import TrapSpectrum, canonical, critical_temperature
 from bosecanon._kernels import N_ACCUMULATORS, projection_chunk
 from bosecanon.canonical import canonical_observables
+from conftest import KernelRecorder
 
 SPEC = TrapSpectrum()
 
@@ -60,8 +61,8 @@ def reference_projection_chunk(q, g, n, s_mb, h, i0, i1, nodes, wts, offset):
     return out, peak
 
 
-def _first_chunk(kernel_recorder, n, t_over_tc):
-    with kernel_recorder() as kernel:
+def _first_chunk(n, t_over_tc):
+    with KernelRecorder() as kernel:
         canonical_observables(SPEC, t_over_tc * critical_temperature(SPEC, n),
                               n)
     return kernel.calls[0]
@@ -71,11 +72,10 @@ def _first_chunk(kernel_recorder, n, t_over_tc):
     pytest.param(1000, 4, id="4-point"),
     pytest.param(10_000, 1, id="midpoint"),
 ])
-def test_kernel_matches_the_plain_expressions_bit_for_bit(kernel_recorder, n,
-                                                          points):
+def test_kernel_matches_the_plain_expressions_bit_for_bit(n, points):
     # the first, full-size chunk of a row that runs on: it starts at z = 0
     # and takes the level-0 and level-1 weights
-    call = _first_chunk(kernel_recorder, n, 0.3)
+    call = _first_chunk(n, 0.3)
     assert call.i0 == 0 and call.nodes.size == points
     assert (call.i1 - call.i0) * points == canonical.CHUNK_POINTS
     out, peak = projection_chunk(*call.args)
@@ -100,21 +100,21 @@ def _traced_peak(call, *args):
         tracemalloc.stop()
 
 
-def test_kernel_chunk_stays_within_its_memory_budget(kernel_recorder):
+def test_kernel_chunk_stays_within_its_memory_budget():
     # the midpoint rule returns one 7-wide output row per point, the most
     # memory a chunk of CHUNK_POINTS points takes
-    call = _first_chunk(kernel_recorder, 10_000, 0.3)
+    call = _first_chunk(10_000, 0.3)
     assert call.i1 - call.i0 == canonical.CHUNK_POINTS
     peak = _traced_peak(projection_chunk, *call.args)
     assert peak <= KERNEL_BYTES_PER_POINT * canonical.CHUNK_POINTS
 
 
-def test_a_multi_chunk_row_peaks_at_one_kernel_call(kernel_recorder):
+def test_a_multi_chunk_row_peaks_at_one_kernel_call():
     # the engine releases each chunk before the next kernel call and tests
     # the exit one accumulator at a time, so a row of three chunks takes no
     # more memory than its largest kernel call
     n, t = 10_000, 0.3 * critical_temperature(SPEC, 10_000)
-    with kernel_recorder() as kernel:
+    with KernelRecorder() as kernel:
         canonical_observables(SPEC, t, n)
     assert len(kernel.calls) >= 3
     chunk = max(_traced_peak(projection_chunk, *call.args)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import bosecanon
+from conftest import Recorder
 
 ENGINE_MODULES = ["bosecanon", "bosecanon._kernels", "bosecanon.canonical",
                   "bosecanon.grand_canonical", "bosecanon.spectrum"]
@@ -110,7 +111,7 @@ TRACED = [("canonical", "projection_chunk"), ("canonical", "solve_fugacity"),
           ("sweep", "compute_row"), ("grand_canonical", "_occupation_sums")]
 
 
-def test_the_names_the_benchmark_reaches_resolve(recorder):
+def test_the_names_the_benchmark_reaches_resolve():
     # perfbench/ sits outside testpaths, so these names and call shapes,
     # not its digits, are held here: the attributes its tracer patches,
     # USING_NUMBA in its run record, its set-up's positional engine call,
@@ -120,7 +121,7 @@ def test_the_names_the_benchmark_reaches_resolve(recorder):
         for module, attr in TRACED:
             home = importlib.import_module(f"bosecanon.{module}")
             assert callable(getattr(home, attr)), (module, attr)
-            hooks[module, attr] = stack.enter_context(recorder(home, attr))
+            hooks[module, attr] = stack.enter_context(Recorder(home, attr))
         result = bosecanon.run_sweep([100], [0.5])
     # the tracer's hooks see every layer a row runs through
     called = {key for key, hook in hooks.items() if hook.calls}

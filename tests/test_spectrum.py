@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from bosecanon.canonical import canonical_observables
 from bosecanon.grand_canonical import _level_ladder, auto_m_max, solve_fugacity
-from bosecanon.oracle import recursion_table, truth
+from bosecanon.oracle import recursion_table
 from bosecanon.spectrum import (
-    ZETA3,
     DomainError,
     TrapSpectrum,
     critical_temperature,
@@ -102,19 +101,14 @@ def test_whole_numbers_beyond_the_double_range_are_domain_errors():
 def test_energies_are_measured_from_the_ground_level():
     # the ground level is at zero energy: there is no offset to set, and the
     # engine's log Z with its evaluation offset removed and the exact log Z
-    # are one quantity (test_recursion_matches_the_demon_forms holds the
-    # demon forms' log Z to the recursion's)
+    # are one quantity (test_acceptance's fig1 hold holds log_z_zero_offset
+    # to the long-double file's log Z on every fig1 row within 1e-12)
     with pytest.raises(TypeError):
         TrapSpectrum(ground_offset=1.0)
     spec = TrapSpectrum()
     assert spec.with_ground_offset(0.0) == spec
     with pytest.raises(DomainError, match="ground_offset"):
         spec.with_ground_offset(0.3)
-    n = 1000
-    t = 0.2 * critical_temperature(spec, n)
-    res = canonical_observables(spec, t, n)
-    log_z = truth(spec, t, n, res.m_max).log_z
-    assert res.log_z_zero_offset == pytest.approx(log_z, rel=1e-12)
 
 
 def test_critical_temperature_spot_value():

@@ -36,6 +36,7 @@ from bosecanon.sweep import (
     write_csv,
     write_json,
 )
+from conftest import KernelRecorder, Recorder
 
 SPEC = TrapSpectrum()
 
@@ -76,12 +77,11 @@ def test_compute_row_records_failures_instead_of_raising(failing_rows):
 
 
 @pytest.mark.parametrize("t_over_tc",
-                         [-1.0, 0.0, math.nan, math.inf, None, True,
+                         [-1.0, 0.0, math.nan, math.inf, None, True, "0.5",
                           pytest.param(10**400, id="10**400"),
                           pytest.param(Decimal("sNaN"), id="Decimal-sNaN"),
                           pytest.param(np.array([0.5, 0.6]), id="array")])
-def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc,
-                                                            recorder):
+def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc):
     # a bad T/Tc is refused as a bad N is, naming the caller's value, and
     # a sweep refuses it before its first row: an error row is the
     # engine's alone
@@ -89,7 +89,7 @@ def test_compute_row_error_names_the_t_over_tc_it_was_given(t_over_tc,
                         f"{t_over_tc}")
     with pytest.raises(DomainError, match=f"^{message}$"):
         compute_row(SPEC, 100, t_over_tc)
-    with recorder(sweep, "compute_row", lambda *a: None) as rows:
+    with Recorder(sweep, "compute_row", lambda *a: None) as rows:
         with pytest.raises(DomainError, match=f"^{message}$"):
             run_sweep([100], [0.5, t_over_tc])
     assert rows.calls == []
@@ -173,7 +173,7 @@ def test_a_level_1_factor_in_the_normal_doubles_still_converges():
     assert row.corr_01_normalized == pytest.approx(-1e-4, rel=1e-9)
 
 
-def test_row_costs_match_an_outside_recorder(recorder, kernel_recorder):
+def test_row_costs_match_an_outside_recorder():
     # the engine's own counts against wrappers on the names the benchmark's
     # tracer patches (until it reads the rows): a multi-chunk 4-point row
     # and a midpoint row
@@ -182,8 +182,8 @@ def test_row_costs_match_an_outside_recorder(recorder, kernel_recorder):
     threaded = run_sweep([1000, 10_000], [0.4], threads=2).rows
     kernel_calls = {}
     for (n, f), *swept in zip(cases, serial, threaded, strict=True):
-        with kernel_recorder() as kernel, \
-                recorder(grand_canonical, "_occupation_sums") as sums:
+        with KernelRecorder() as kernel, \
+                Recorder(grand_canonical, "_occupation_sums") as sums:
             row = compute_row(SPEC, n, f)
         kernel_calls[n] = len(kernel.calls)
         assert row.points_evaluated == sum(
@@ -197,9 +197,9 @@ def test_row_costs_match_an_outside_recorder(recorder, kernel_recorder):
     assert kernel_calls[1000] > 1
 
 
-def test_compute_row_builds_the_level_ladder_once(recorder):
+def test_compute_row_builds_the_level_ladder_once():
     # the solve builds it; the engine shifts it and the state's sums read it
-    with recorder(grand_canonical, "_level_ladder") as builds:
+    with Recorder(grand_canonical, "_level_ladder") as builds:
         compute_row(SPEC, 1000, 0.5)
         assert len(builds.calls) == 1
         state = solve_fugacity(SPEC, 0.5 * critical_temperature(SPEC, 1000),
@@ -325,13 +325,13 @@ def test_sweep_thread_count_none_zero_negative_rejected():
             run_sweep((20,), [0.5], threads=threads)
 
 
-def test_sweep_timing_ignores_a_wall_clock_step(recorder):
+def test_sweep_timing_ignores_a_wall_clock_step():
     # the sweep times itself on the monotonic clock: a wall clock, which
     # can be set back, must not be read at all
     def wall_clock():
         raise AssertionError("the sweep read the wall clock")
 
-    with recorder(sweep.time, "time", wall_clock):
+    with Recorder(sweep.time, "time", wall_clock):
         assert run_sweep((20,), [0.5]).meta["elapsed_seconds"] >= 0
 
 
@@ -669,10 +669,10 @@ CONFIGURATION_ERRORS = {
 @pytest.mark.parametrize("args, fragment", CONFIGURATION_ERRORS.values(),
                          ids=CONFIGURATION_ERRORS.keys())
 def test_cli_configuration_error_exits_2(tmp_path, monkeypatch, capsys,
-                                         recorder, args, fragment):
+                                         args, fragment):
     # exit 2 with the message, and nothing computed or written
     monkeypatch.chdir(tmp_path)
-    with recorder(sweep, "compute_row", lambda *a: None) as rows:
+    with Recorder(sweep, "compute_row", lambda *a: None) as rows:
         assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert "configuration error: " in err and fragment in err
@@ -682,11 +682,11 @@ def test_cli_configuration_error_exits_2(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("taken", ["run.csv", "run.json"])
 def test_cli_refuses_an_out_whose_target_is_a_directory(
-        tmp_path, monkeypatch, capsys, recorder, taken):
+        tmp_path, monkeypatch, capsys, taken):
     # refused before the sweep, not after it, and nothing written
     monkeypatch.chdir(tmp_path)
     (tmp_path / taken).mkdir()
-    with recorder(sweep, "compute_row", lambda *a: None) as rows:
+    with Recorder(sweep, "compute_row", lambda *a: None) as rows:
         assert run_cli(*ROW, "--out", "run") == 2
     err = capsys.readouterr().err
     assert f"configuration error: cannot write --out run: {taken} is a " \
@@ -697,12 +697,12 @@ def test_cli_refuses_an_out_whose_target_is_a_directory(
 
 
 @pytest.fixture
-def failing_rows(recorder):
+def failing_rows():
     """Every row's engine call raises a ConvergenceError."""
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("forced failure")
 
-    with recorder(sweep, "canonical_observables", no_convergence):
+    with Recorder(sweep, "canonical_observables", no_convergence):
         yield
 
 
