@@ -8,17 +8,24 @@ level, in log space (logsumexp) so magnitudes never overflow:
     Z1_ex(j) = sum_{m=1..M} g_m e^{-j*E_m/T},
 
 a sum of positive terms over the levels of grand_canonical's one ladder
-(the arithmetic is the oracle's own). np.exp is exactly 0.0 below -745.2,
-so each j sums only the levels with j*E_m/T <= 745.2: it drops zeros alone,
-at about 745*T*ln N exps instead of N*M. The ladder's tail weight S
-is added at j=1 only, matching a generating function multiplied by
-exp(w*S). The ground level, at zero energy, holds the rest of the
-particles, so
+(the arithmetic is the oracle's own). The ladder's tail weight S is added
+at j=1 only, matching a generating function multiplied by exp(w*S). The
+ground level, at zero energy, holds the rest of the particles, so
 
     log Z(k) = log sum_{i<=k} Z_ex(i),
     P(n0 = N - k) = Z_ex(k) / Z(N).
 
 With no excited level every Z_ex(k >= 1) is 0.
+
+The recursion (_excited_log_z) and its moments (_recursion_moments) run in
+the dtype of the arrays they are given: double here, long double in
+tests/longdouble_truth.py. Three bounds follow from np.finfo of that dtype.
+np.exp is exactly 0 past -reach, reach = ln 2 - ln(smallest subnormal)
+(745.13 in double), so each j sums only the levels with j*E_m/T <= reach:
+zeros alone, at about reach*T*ln N exps instead of N*M. A term of Z_ex(k)
+below eps^2 of its largest (cut = 2 ln eps) is left out: the at most N of
+them add less than a rounding. The sum for n1(k) (below) ends at the
+first step whose every term is below eps^2 of its running value.
 
 The model is the engine's, read from the spectrum alone: the unbounded
 ladder is summed to m_max (auto_m_max when None) and its Boltzmann tail
@@ -33,9 +40,10 @@ so the occupation of one state at energy E is
 
 and, inside the excited subsystem with k particles, the one level-1 state
 holds n1(k) = sum_{s=1..k} e^{-s/T} Z_ex(k-s)/Z_ex(k). truth() reads all of
-n0, Var(n0), n1 and cov(n0, n1) from the one distribution P(k), each
-centred over it (_centred_moments): no second moment is a difference of
-two large sums.
+n0, Var(n0), n1, cov(n0, n1) and <N_ex> from the one distribution P(k),
+each centred over it (_centred_moments): no second moment is a difference
+of two large sums, and <N_ex> is the mean of k, not N - n0, which loses
+digits where N_ex is far below N.
 
 truth() is the one place that picks a source for an (N, T): the
 recursion up to ORACLE_MAX_N and _fft_truth above it, at every
@@ -77,7 +85,7 @@ them, and P(n0 = N - k) is proportional to c_k rho^-k for k <= N:
     F_ex a_1 e^{-iz}/(1 + u_1), gives Z_ex(k) n1(k) rho^k. Each set of
     coefficients is zeroed below 1e-15 of its own peak. On
     k in [mu - 12 sigma, min(N, mu + 12 sigma + 45 l)], P(k) is weighted
-    by log c_k - (k - k0) log rho, and the four moments come from
+    by log c_k - (k - k0) log rho, and the five moments come from
     _centred_moments, as from the recursion. log Z(N) = log F_ex(0)
     - k0 log rho plus the log of the weights' sum.
 
@@ -116,11 +124,10 @@ __all__ = [
     "ORACLE_MAX_N",
 ]
 
-# The O(N^2) build takes 0.3 s at N = 10^4, 0.7-1.4 s at 2x10^4 from
-# T/Tc = 0.3 to 30 (M = 135 to 11,509 levels) and 4-5 s at 5x10^4 on a
-# 2-vCPU x86 host; truth()'s centred moments add at most 81 ms at 2x10^4
-# (T/Tc = 0.9). At 2x10^4, T/Tc = 0.97, all five truth() values are within
-# 1e-11 of a long-double run of the recursion and the moments.
+# On a 2-vCPU x86 host the O(N^2) build takes 0.3 s at N = 10^4, 0.6-1.0 s
+# at 2x10^4 from T/Tc = 0.3 to 30 (M = 135 to 11,509 levels) and 4-5 s at
+# 5x10^4, and the moments at most 62 ms (2x10^4, T/Tc = 0.9). At 2x10^4
+# near Tc all six truth() values are within 1e-11 of the long-double file.
 ORACLE_MAX_N = 20_000
 
 
@@ -147,15 +154,15 @@ class RecursionTable:
 
 @dataclass(frozen=True)
 class Truth:
-    """Exact log Z(N), <n0>, Var(n0), <n1>, cov(n0, n1) of one (N, T) model,
-    and the source they come from ("recursion" or "fft"). Every moment is
-    centred over P(n0) by _centred_moments."""
+    """Exact log Z(N) and the moments of one (N, T) model, each read from
+    P(n0) by _centred_moments, and their source ("recursion" or "fft")."""
 
     log_z: float
     n0: float
     n0_variance: float
     n1: float
     covariance_n0_n1: float
+    ne_mean: float
     source: str
 
 
@@ -176,59 +183,75 @@ def recursion_table(
         raise DomainError(f"recursion oracle capped at N={ORACLE_MAX_N} (got {n})")
     m_max = auto_m_max(spectrum, t, m_max)
     ladder = _level_ladder(spectrum, t, m_max)
-    e, g = ladder.energies[1:], ladder.degeneracies[1:]
-    top = np.searchsorted(e, 745.2 * t / np.arange(1, n + 1), side="right")
-    z1 = np.array([g[:m] @ np.exp(-j / t * e[:m])
-                   for j, m in enumerate(top, 1)])
-    z1[:1] += ladder.tail_weight
-    lz1 = np.log(z1, out=np.full(n, -math.inf), where=z1 > 0.0)
-    lz = np.full(n + 1, -math.inf)
-    lz[0] = 0.0
-    # Z1_ex(j) falls with j: an empty Z1_ex(1) leaves every Z_ex(k >= 1) at
-    # zero, else all are positive. Terms below e^-708 of the largest add
-    # nothing, and numpy's exp is 30-100x slower on such (subnormal) values.
-    if n and lz1[0] > -math.inf:
-        for k in range(1, n + 1):
-            terms = lz1[:k] + lz[k - 1 :: -1]
-            mx = terms.max()
-            terms -= mx
-            expo = np.exp(terms, out=np.zeros(k), where=terms > -708.0)
-            lz[k] = mx + math.log(expo.sum()) - math.log(k)
+    lz = _excited_log_z(ladder.energies[1:], ladder.degeneracies[1:],
+                        ladder.tail_weight, t, n)
     return RecursionTable(spectrum, t, n, m_max,
                           np.logaddexp.accumulate(lz), lz)
 
 
-def _n1_given_k(log_z_excited: np.ndarray, k: np.ndarray,
-                t: float) -> np.ndarray:
-    """n1(k) = sum_{s=1..k} P(n1 >= s | k), P(n1 >= s | k) =
-    e^{-s/T} Z_ex(k-s)/Z_ex(k): the one level-1 state's mean with k excited
-    particles, for the consecutive k given, one s per vector step."""
-    lo, hi = int(k[0]), int(k[-1]) + 1
+def _excited_log_z(e: np.ndarray, g: np.ndarray, tail: float, t: float,
+                   n: int) -> np.ndarray:
+    """log Z_ex(0..n) on the excited levels e (ascending), g states each,
+    and the tail weight, by the recursion in the dtype of e and g."""
+    dt, info = e.dtype, np.finfo(e.dtype)
+    t = dt.type(t)
+    reach = np.log(dt.type(2)) - np.log(info.smallest_subnormal)
+    top = np.searchsorted(e, reach * t / np.arange(1, n + 1), side="right")
+    z1 = np.zeros(n, dtype=dt)
+    for j, m in enumerate(top[top > 0], 1):  # m = 0 past some j: Z1_ex = 0
+        z1[j - 1] = (g[:m] * np.exp(j * e[:m] / -t)).sum()
+    z1[:1] += tail
+    lz1 = np.log(z1, out=np.full(n, -np.inf, dtype=dt), where=z1 > 0)
+    log_k = np.log(np.arange(1, n + 1, dtype=dt))
+    lz = np.full(n + 1, -np.inf, dtype=dt)
+    lz[0] = 0
+    # Z1_ex(j) falls with j: an empty Z1_ex(1) leaves every Z_ex(k >= 1) at
+    # zero, else all are positive; np.exp never meets a subnormal past cut
+    cut = 2 * np.log(info.eps)
+    if n and lz1[0] > -np.inf:
+        for k in range(1, n + 1):
+            terms = lz1[:k] + lz[k - 1 :: -1]
+            mx = terms.max()
+            terms -= mx
+            expo = np.exp(terms, out=np.zeros(k, dt), where=terms > cut)
+            lz[k] = mx + np.log(expo.sum()) - log_k[k - 1]
+    return lz
+
+
+def _recursion_moments(lz: np.ndarray, t: float, n: int) -> tuple:
+    """Truth's five moments from log Z_ex(0..n), in its dtype, with the
+    level-1 state's mean n1(k) (module doc) at each k kept."""
+    t = lz.dtype.type(t)
+    # P(k) is log-concave: past the k within e^-80 of its peak, widened by
+    # one each side, each P(k) is below e^-80 of a kept one, and the N+1 at
+    # most move no moment by a rounding, even at T below 1/80
+    k = np.flatnonzero(lz >= lz.max() - 80)
+    lo, hi = max(k[0] - 1, 0), min(k[-1] + 2, n + 1)
+    own = lz[lo:hi]
     # Z_ex(k - s) for k < s is 0: pad log Z_ex below k = 0 with -inf
-    lz = np.concatenate((np.full(hi, -math.inf), log_z_excited))
-    own = log_z_excited[lo:hi]
-    n1 = np.zeros(k.size)
+    pad = np.concatenate((np.full(hi, -np.inf, dtype=lz.dtype), lz))
+    n1 = np.zeros(hi - lo, dtype=lz.dtype)
+    stop = np.finfo(lz.dtype).eps ** 2
     for s in range(1, hi):
-        term = np.exp(lz[hi + lo - s : 2 * hi - s] - own - s / t)
+        term = np.exp(pad[hi + lo - s : 2 * hi - s] - own - s / t)
         n1 += term
-        # P(n1 >= s | k) falls with s: once every term of a step is below
-        # 1e-17 of its running n1(k), the terms left add less than a rounding
-        if np.all(term <= 1e-17 * n1):
+        if np.all(term <= stop * n1):  # P(n1 >= s | k) falls with s
             break
-    return n1
+    return _centred_moments(own, n, np.arange(lo, hi, dtype=lz.dtype), n1)
 
 
-def _centred_moments(log_w: np.ndarray, n0: np.ndarray,
-                     n1: np.ndarray) -> tuple[float, float, float, float]:
-    """<n0>, Var(n0), <n1>, cov(n0, n1) over P proportional to exp(log_w),
-    where n0 and n1 hold the values at each weight. Every moment is centred
-    over P: no second moment is a difference of two large sums."""
+def _centred_moments(log_w: np.ndarray, n: int, k: np.ndarray,
+                     n1: np.ndarray) -> tuple[float, ...]:
+    """<n0>, Var(n0), <n1>, cov(n0, n1) and <N_ex> over P proportional to
+    exp(log_w), with k excited (n0 = N - k) and n1 at each weight. Every
+    moment is centred over P: none is a difference of two large sums."""
     p = np.exp(log_w - log_w.max())
     p /= p.sum()
+    n0 = n - k
     mean0, mean1 = p @ n0, p @ n1
     d0 = n0 - mean0
     return (float(mean0), float(p @ d0 ** 2), float(mean1),
-            float(p @ (d0 * (n1 - mean1))))
+            float(p @ (d0 * (n1 - mean1))), float(p @ k))
 
 
 # Taylor coefficients of (atan c - c)/c^3 in c^2 and of (sin z - z)/z^3 in
@@ -277,9 +300,9 @@ def _fft_grid(sigma: float, ell: float) -> int:
 
 def _fft_truth(spectrum: TrapSpectrum, t: float, n: int,
                m_max: int | None) -> Truth:
-    """log Z(N), <n0>, Var(n0), <n1> and cov(n0, n1) of the engine's model
-    (the ladder solve_fugacity builds, m_max resolved by auto_m_max) from
-    one FFT of P(n0), as the module doc sets out. A grid above
+    """The six values of Truth on the engine's model (the ladder
+    solve_fugacity builds, m_max resolved by auto_m_max) from one FFT of
+    P(n0), as the module doc sets out. A grid above
     _FFT_MAX_GRID is a DomainError before any evaluation."""
     state = solve_fugacity(spectrum, t, n, m_max=m_max)
     ladder = state.ladder
@@ -336,8 +359,8 @@ def _fft_truth(spectrum: TrapSpectrum, t: float, n: int,
     top = log_w.max()
     log_z = (_level_log_z(x, g, tail) - k0 * math.log(rho) + top
              + math.log(np.exp(log_w - top).sum()))
-    return Truth(float(log_z), *_centred_moments(
-        log_w, (n - k).astype(np.float64), b / c), source="fft")
+    return Truth(float(log_z), *_centred_moments(log_w, n, k, b / c),
+                 source="fft")
 
 
 def truth(spectrum: TrapSpectrum, t: float, n: int,
@@ -354,16 +377,8 @@ def truth(spectrum: TrapSpectrum, t: float, n: int,
     _level_one(t, m_max)
     if n <= ORACLE_MAX_N:
         table = recursion_table(spectrum, t, n, m_max)
-        lz = table.log_z_excited
-        # P(k) is log-concave in k, so past the k within e^-80 of its peak,
-        # widened by one each side, every P(k) is below e^-80 (2e-35) of an
-        # off-peak weight that is kept. Those N+1 at most move no moment of
-        # order N^2 by a rounding, even where the peak's neighbours alone
-        # carry Var(n0) and n1 (T below 1/80); they are left out.
-        k = np.flatnonzero(lz >= lz.max() - 80.0)
-        k = np.arange(max(k[0] - 1, 0), min(k[-1] + 2, n + 1))
-        return Truth(float(table.log_z[n]), *_centred_moments(
-            lz[k], n - k, _n1_given_k(lz, k, t)), source="recursion")
+        return Truth(float(table.log_z[n]), *_recursion_moments(
+            table.log_z_excited, t, n), source="recursion")
     return _fft_truth(spectrum, t, n, m_max)
 
 

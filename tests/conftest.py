@@ -133,9 +133,10 @@ def demon_forms(spectrum, t, n, m_max=None):
     log_p = ((g * (np.log1p(-q) - np.log1p(-r * q))).sum() + tail * (r - 1.0)
              - n * math.log(r))
     n1 = float(q[0] / (1.0 - q[0]))
-    return Truth(log_z=_level_log_z(q, g, tail), n0=n - _level_count(q, g, tail),
+    ne = _level_count(q, g, tail)
+    return Truth(log_z=_level_log_z(q, g, tail), n0=n - ne,
                  n0_variance=_level_variance(q, g, tail), n1=n1,
-                 covariance_n0_n1=-n1 * (n1 + 1.0),
+                 covariance_n0_n1=-n1 * (n1 + 1.0), ne_mean=ne,
                  source="demon"), float(log_p / math.log(10.0))
 
 
@@ -163,11 +164,11 @@ class Row(NamedTuple):
     t: Optional[float] = None
 
 
-# log Z, n0, Var(n0), n1 and cov(n0, n1) of the model, under oracle.Truth's
-# names, and <N_ex> as ne_mean: from the recursion in long double
+# log Z, n0, Var(n0), n1, cov(n0, n1) and <N_ex> of the model, under
+# oracle.Truth's names, as the long-double file stores them
 # (tests/longdouble_truth.py).
 DATA = Path(__file__).parent / "data"
-VALUES = ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1")
+VALUES = ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1", "ne_mean")
 # The rows held against a reference that is no file: oracle.truth() past
 # the recursion's cap, its FFT path, at 10^5 below Tc and at 10^5 and 10^6
 # from 0.9 Tc to 3 Tc; and one particle's closed forms. CI's large-N step
@@ -267,7 +268,7 @@ def sweep_columns(key, row):
     if key.reference == "longdouble":
         x = longdouble_rows()[key]
         assert float(x["t"]) == t, (key, t)
-        want = {k: float(x[k]) for k in (*VALUES, "ne_mean")}
+        want = {k: float(x[k]) for k in VALUES}
     elif key.reference == "truth":
         want = vars(truth(TrapSpectrum(), t, key.n, row["m_max"]))
     else:  # one particle, with q = e^(-1/T): Z(1) = (1 - q)^-3,
@@ -276,14 +277,13 @@ def sweep_columns(key, row):
         n0 = one_minus_q ** 3
         n1 = math.exp(-1.0 / t) * n0
         want = {"log_z": -3.0 * math.log(one_minus_q), "n0": n0, "n1": n1,
-                "n0_variance": n0 * (1.0 - n0), "covariance_n0_n1": -n0 * n1}
-    log_z, n0, var, n1, cov = (want[k] for k in VALUES)
+                "n0_variance": n0 * (1.0 - n0), "covariance_n0_n1": -n0 * n1,
+                "ne_mean": 1.0 - n0}
+    log_z, n0, var, n1, cov, ne = (want[k] for k in VALUES)
     spread = math.sqrt(var)
     got_n0, got_n1 = row["n0_mean"], row["n1_mean"]
     cells = dict(zip(COLUMNS, [
-        (got_n0, n0), (got_n1, n1),
-        # no truth() or closed form holds <N_ex>: N - n0 there
-        (row["ne_mean"], want.get("ne_mean", row["n"] - n0)),
+        (got_n0, n0), (got_n1, n1), (row["ne_mean"], ne),
         (row["log_z"] + row["n"] * row["ground_offset"] / t, log_z),
         (row["delta_n0"], spread),
         (row["normalized_delta_n0"],

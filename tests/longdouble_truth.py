@@ -1,33 +1,31 @@
 """Write tests/data/longdouble_truth.csv: exact fixed-N values in long double.
 
+    pip install -e .[truth]  # mpmath, for the check at N <= 100
     PYTHONPATH=src python tests/longdouble_truth.py
 
-For each row (spectrum, N, T, m_max) it builds the oracle's recursion
-
-    Z_ex(k) = (1/k) sum_{j=1..k} Z1_ex(j) Z_ex(k-j),
-    Z1_ex(j) = sum_{m>=1} g_m e^{-j E_m/T} (+ the tail weight S at j = 1),
-
-in np.longdouble on the ladder grand_canonical._level_ladder builds, the
-model of oracle.truth() and of the engine, and reads log Z(N), <n0>,
-Var(n0), <n1>, cov(n0, n1) and <N_ex> (ne_mean, the mean of k, which N - <n0>
-loses where N_ex is far below N) from P(n0 = N - k) proportional to Z_ex(k)
-with truth()'s own oracle._centred_moments, given the level-1 state's mean
-n1(k) = sum_{s>=1} e^{-s/T} Z_ex(k-s)/Z_ex(k) at each k in long double.
-The values are written as the doubles nearest them.
+For each row (spectrum, N, T, m_max) it runs the oracle's own recursion
+and moments, oracle._excited_log_z and _recursion_moments, on the engine's
+ladder (grand_canonical._level_ladder) cast to np.longdouble: they compute
+in the dtype of their arrays, with the precision bounds of its np.finfo.
+It reads log Z(N) = log sum_k Z_ex(k), <n0>, Var(n0), <n1>, cov(n0, n1)
+and <N_ex> (ne_mean, the mean of k, which N - <n0> loses where N_ex is far
+below N) from P(n0 = N - k) proportional to Z_ex(k), and writes the
+doubles nearest them; tier-1 recomputes the rows up to N = 200 and holds
+every cell bit for bit.
 
 The double recursion carries up to 2.9e-11 of its own rounding in n0 near
 Tc at N = 10^4; a long double (64-bit significand, eps 1.08e-19 on x86)
-brings that to the 1e-15 level. The script refuses to run where
-np.longdouble is not such a type (eps above 1e-18). Before it writes it
-checks itself:
-  - log Z, n0 and n1 against the double recursion (oracle.recursion_table,
+brings that to the 1e-15 level. The script refuses to run, and tier-1's
+check is skipped, where np.longdouble is not such a type (eps above
+1e-18). Before it writes it checks itself:
+  - log Z, n0 and n1 against the same code in double (recursion_table,
     whose n0 and n1 are survival sums, not centred moments) wherever
     N <= ORACLE_MAX_N: within 1e-10 relative (log Z: 1e-10 max(1, |log Z|));
     at N <= 1000 log Z within 1e-13, and n0 and n1 within 1e-12, since the
     double survival sums are 6.9e-13 off mpmath at (1000, 3 Tc);
-  - all six values against the same recursion in mpmath at 30 digits at
-    N <= 100, within MPMATH_REL.
-mpmath is not a dependency of the package; only this script imports it.
+  - all six values against the recursion written anew in mpmath at 30
+    digits at N <= 100, within MPMATH_REL.
+mpmath is the package's `truth` extra; only this script imports it.
 
 Rows: the fig1 preset (129); the edges of the engine's domain up to
 N = 2x10^4 (N = 3 at T/Tc = 0.01, N = 100 and 1000 at 0.01 and 3, N = 200
@@ -52,7 +50,8 @@ import numpy as np
 
 from bosecanon import TrapSpectrum, critical_temperature
 from bosecanon.grand_canonical import _level_ladder, auto_m_max
-from bosecanon.oracle import ORACLE_MAX_N, _centred_moments, recursion_table
+from bosecanon.oracle import (ORACLE_MAX_N, _excited_log_z,
+                              _recursion_moments, recursion_table)
 from bosecanon.sweep import PRESETS
 
 LD = np.longdouble
@@ -62,9 +61,8 @@ COLUMNS = ("max_level", "m_max", "n", "t_over_tc", "t", "log_z", "n0",
 VALUES = COLUMNS[5:]
 # mpmath at 30 digits against the long-double run, relative, at N <= 100.
 MPMATH_REL = 1e-15
-# Z1_ex(j) keeps the levels with j E/T up to this: e^-11000 is a normal
-# long double, and every level dropped weighs below it next to level 1.
-EXP_REACH = 11_000
+# np.longdouble is an extended type (x86's 64-bit significand), not double
+EXTENDED = np.finfo(LD).eps <= 1e-18
 
 
 def rows():
@@ -84,52 +82,15 @@ def rows():
                   (None, None, 30, None, 4.0), (400, None, 200, None, 10.0)]
 
 
-def excited_log_z(ladder, t: float, n: int) -> np.ndarray:
-    """log Z_ex(0..n) by the recursion in long double."""
-    t = LD(t)
-    e = ladder.energies[1:].astype(LD)
-    g = ladder.degeneracies[1:].astype(LD)
-    lz1 = np.full(n, -np.inf, dtype=LD)
-    for j in range(1, n + 1):
-        m = int(np.searchsorted(e, EXP_REACH * t / j, side="right"))
-        z = (g[:m] * np.exp(-(j * e[:m]) / t)).sum()
-        if j == 1:
-            z += LD(ladder.tail_weight)
-        if z > 0:
-            lz1[j - 1] = np.log(z)
-    lz = np.full(n + 1, -np.inf, dtype=LD)
-    lz[0] = 0
-    if n and lz1[0] > -np.inf:
-        for k in range(1, n + 1):
-            terms = lz1[:k] + lz[k - 1 :: -1]
-            mx = terms.max()
-            terms -= mx
-            # below e^-60 of the largest a term adds less than a rounding
-            expo = np.exp(terms, out=np.zeros(k, dtype=LD), where=terms > -60)
-            lz[k] = mx + np.log(expo.sum()) - np.log(LD(k))
-    return lz
-
-
-def moments(lz: np.ndarray, n: int, t: float) -> dict:
-    """truth()'s five values and <N_ex> from log Z_ex(0..n), in long
-    double."""
-    t = LD(t)
-    mx = lz.max()
-    log_z = mx + np.log(np.exp(lz - mx).sum())
-    k = np.flatnonzero(lz >= mx - 80)
-    lo, hi = max(k[0] - 1, 0), min(k[-1] + 2, n + 1)
-    own = lz[lo:hi]
-    # n1(k) for k in [lo, hi): Z_ex(k - s) is 0 below k = s
-    pad = np.concatenate((np.full(hi, -np.inf, dtype=LD), lz))
-    n1k = np.zeros(hi - lo, dtype=LD)
-    for s in range(1, hi):
-        term = np.exp(pad[hi + lo - s : 2 * hi - s] - own - s / t)
-        n1k += term
-        if np.all(term <= 1e-24 * n1k):
-            break
-    k = np.arange(lo, hi).astype(LD)
-    return dict(zip(VALUES, (log_z, *_centred_moments(own, n - k, n1k),
-                             _centred_moments(own, k, n1k)[0])))
+def longdouble_values(ladder, t: float, n: int) -> dict:
+    """The six values of one row: the oracle's recursion and moments run on
+    the ladder cast to long double."""
+    lz = _excited_log_z(ladder.energies[1:].astype(LD),
+                        ladder.degeneracies[1:].astype(LD),
+                        ladder.tail_weight, t, n)
+    # in one step, as the file stores it; truth() takes a running logaddexp
+    log_z = lz.max() + np.log(np.exp(lz - lz.max()).sum())
+    return dict(zip(VALUES, (log_z, *_recursion_moments(lz, t, n))))
 
 
 def mpmath_values(ladder, t: float, n: int) -> dict:
@@ -174,10 +135,9 @@ def gaps(got, want, names=VALUES) -> dict:
 
 
 def main() -> int:
-    eps = float(np.finfo(LD).eps)
-    if eps > 1e-18:
-        print(f"np.longdouble has eps {eps:.3g} here, not an extended "
-              "type: refusing to write a long-double truth", file=sys.stderr)
+    if not EXTENDED:
+        print(f"np.longdouble is not extended here (eps {np.finfo(LD).eps:.3g})"
+              ": refusing to write a long-double truth", file=sys.stderr)
         return 2
     started = time.perf_counter()
     out, failures = [], []
@@ -186,7 +146,7 @@ def main() -> int:
         m_max = auto_m_max(spec, t, m_asked)
         ladder = _level_ladder(spec, t, m_max)
         tick = time.perf_counter()
-        got = moments(excited_log_z(ladder, t, n), n, t)
+        got = longdouble_values(ladder, t, n)
         where = f"N={n} T={t!r} max_level={max_level} m_max={m_max}"
         if n <= ORACLE_MAX_N:
             table = recursion_table(spec, t, n, m_max)

@@ -319,7 +319,7 @@ def test_fig1_rows_match_the_long_double_truth(standard_sweep):
 
 
 def test_truth_matches_the_long_double_file():
-    # truth()'s five values at the file's T, under Truth's names, which
+    # truth()'s six values at the file's T, under Truth's names, which
     # keep its ledger entries apart from the engine's columns
     cells = {}
     for key in ORACLE_ROWS:
@@ -360,7 +360,7 @@ def test_the_fft_path_matches_the_demon_forms_below_tc():
     # about 0.3 s: past the recursion's cap and below Tc, at N = 10^5, 10^6
     # and 10^7, the demon forms are exact where their Chernoff bound p
     # certifies them (p N^2 < 1e-12 Var(n0)), and truth() meets them
-    # within 1e-12 relative on all five values (measured worst 2.9e-13,
+    # within 1e-12 relative on all six values (measured worst 2.9e-13,
     # Var(n0) at (10^5, 0.01))
     worst, misses = 0.0, []
     for n in (10**5, 10**6, 10**7):

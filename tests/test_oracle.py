@@ -11,6 +11,8 @@ from bosecanon import (DomainError, TrapSpectrum, auto_m_max,
 from bosecanon.grand_canonical import _level_ladder
 from bosecanon.oracle import (ORACLE_MAX_N, enumerate_exact, recursion_table,
                               truth)
+from conftest import longdouble_rows, model
+from longdouble_truth import EXTENDED, longdouble_values
 
 
 def log_z1(t, m_max):
@@ -175,9 +177,10 @@ def test_finite_ladder_is_the_oracle_model():
 
 
 def test_z1_sum_skips_only_underflowing_levels():
-    # at T = 0.05 the levels 19..21 give e^{-2 E/T} below e^{-745.2} and are
-    # cut from Z1_ex(2); np.exp of them is exactly 0.0, so Z_ex(2) =
-    # (Z1(1)^2 + Z1(2))/2 holds to rounding against sums over every level
+    # at T = 0.05 the levels 19..21 give e^{-2 E/T} past the double's exp
+    # reach, e^{-745.13}, and are cut from Z1_ex(2); np.exp of them is
+    # exactly 0.0, so Z_ex(2) = (Z1(1)^2 + Z1(2))/2 holds to rounding against
+    # sums over every level
     spec = TrapSpectrum(max_level=21)
     t = 0.05
 
@@ -188,6 +191,21 @@ def test_z1_sum_skips_only_underflowing_levels():
     table = recursion_table(spec, t, 2)
     assert table.log_z_excited[2] == pytest.approx(
         math.log((z1(1) ** 2 + z1(2)) / 2.0), rel=1e-14)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="np.longdouble is plain double here")
+def test_the_long_double_file_is_the_oracles_code_in_long_double():
+    # the file's 52 rows up to N = 200, recomputed by the oracle's own
+    # recursion and moments on the ladder cast to long double, as
+    # tests/longdouble_truth.py writes them: every stored cell bit for bit
+    small = {key: x for key, x in longdouble_rows().items() if key.n <= 200}
+    assert len(small) == 52
+    for key, x in small.items():
+        spec, m_max = model(key)
+        t = float(x["t"])
+        got = longdouble_values(_level_ladder(spec, t, m_max), t, key.n)
+        assert {name: repr(float(v)) for name, v in got.items()} == {
+            name: x[name] for name in got}, key
 
 
 def two_level_matches_enumeration(n, t):
