@@ -17,8 +17,8 @@ ground level, at zero energy, holds the rest of the particles, so
 
 With no excited level every Z_ex(k >= 1) is 0.
 
-The recursion (_excited_log_z) and its moments (_recursion_moments) run in
-the dtype of the arrays they are given: double here, long double in
+One helper, _recursion_values, reads the recursion (log Z by the running
+logaddexp) in the dtype of its arrays: double in truth(), long double in
 tests/longdouble_truth.py. Three bounds follow from np.finfo of that dtype.
 np.exp is exactly 0 past -reach, reach = ln 2 - ln(smallest subnormal)
 (745.13 in double), so each j sums only the levels with j*E_m/T <= reach:
@@ -133,16 +133,13 @@ ORACLE_MAX_N = 20_000
 
 @dataclass(frozen=True)
 class RecursionTable:
-    """log Z(k) and log Z_ex(k) for k = 0..n, and the model they come from.
-    truth() reads its moments from log_z_excited; occupation() is the mean
-    of one state."""
+    """log Z(0..n) of one model; occupation() is the mean of one state."""
 
     spectrum: TrapSpectrum
     t: float
     n: int
     m_max: int
     log_z: np.ndarray = field(repr=False)
-    log_z_excited: np.ndarray = field(repr=False)
 
     def occupation(self, energy: float) -> float:
         """<n> of one state at a finite energy at or above the ground level."""
@@ -166,14 +163,10 @@ class Truth:
     source: str
 
 
-def recursion_table(
-    spectrum: TrapSpectrum,
-    t: float,
-    n: int,
-    m_max: int | None = None,
-    tail_closure: bool = True,
-) -> RecursionTable:
-    """Build log Z_ex(0..n) on the excited levels, and log Z(0..n) from it."""
+def recursion_table(spectrum: TrapSpectrum, t: float, n: int,
+                    m_max: int | None = None,
+                    tail_closure: bool = True) -> RecursionTable:
+    """Build log Z(0..n), the running logaddexp of log Z_ex(0..n)."""
     t = _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
     if tail_closure is not True:
@@ -185,8 +178,7 @@ def recursion_table(
     ladder = _level_ladder(spectrum, t, m_max)
     lz = _excited_log_z(ladder.energies[1:], ladder.degeneracies[1:],
                         ladder.tail_weight, t, n)
-    return RecursionTable(spectrum, t, n, m_max,
-                          np.logaddexp.accumulate(lz), lz)
+    return RecursionTable(spectrum, t, n, m_max, np.logaddexp.accumulate(lz))
 
 
 def _excited_log_z(e: np.ndarray, g: np.ndarray, tail: float, t: float,
@@ -218,9 +210,13 @@ def _excited_log_z(e: np.ndarray, g: np.ndarray, tail: float, t: float,
     return lz
 
 
-def _recursion_moments(lz: np.ndarray, t: float, n: int) -> tuple:
-    """Truth's five moments from log Z_ex(0..n), in its dtype, with the
-    level-1 state's mean n1(k) (module doc) at each k kept."""
+def _recursion_values(e: np.ndarray, g: np.ndarray, tail: float, t: float,
+                      n: int) -> tuple[float, ...]:
+    """Truth's six values in its order, as doubles, by the recursion on the
+    excited levels e, g states each, and the tail weight, in the dtype of e
+    and g: log Z(N), the running logaddexp of log Z_ex(0..N), and the five
+    moments, with the level-1 state's mean n1(k) (module doc) at each k."""
+    lz = _excited_log_z(e, g, tail, t, n)
     t = lz.dtype.type(t)
     # P(k) is log-concave: past the k within e^-80 of its peak, widened by
     # one each side, each P(k) is below e^-80 of a kept one, and the N+1 at
@@ -237,7 +233,8 @@ def _recursion_moments(lz: np.ndarray, t: float, n: int) -> tuple:
         n1 += term
         if np.all(term <= stop * n1):  # P(n1 >= s | k) falls with s
             break
-    return _centred_moments(own, n, np.arange(lo, hi, dtype=lz.dtype), n1)
+    return (float(np.logaddexp.reduce(lz)),
+            *_centred_moments(own, n, np.arange(lo, hi, dtype=lz.dtype), n1))
 
 
 def _centred_moments(log_w: np.ndarray, n: int, k: np.ndarray,
@@ -365,20 +362,21 @@ def _fft_truth(spectrum: TrapSpectrum, t: float, n: int,
 
 def truth(spectrum: TrapSpectrum, t: float, n: int,
           m_max: int | None = None) -> Truth:
-    """The exact fixed-N values on the engine's model (m_max resolved as in
-    recursion_table): the recursion up to ORACLE_MAX_N particles, and one
-    FFT of P(n0) above, at every temperature. A ladder without level 1,
-    one past the level cap, and an FFT grid above _FFT_MAX_GRID are each
-    a DomainError.
+    """The exact fixed-N values on the engine's model (m_max resolved by
+    auto_m_max): the recursion up to ORACLE_MAX_N particles, and one FFT of
+    P(n0) above, at every temperature. A ladder without level 1, one past
+    the level cap, and an FFT grid above _FFT_MAX_GRID are each a
+    DomainError.
     """
     t = _finite_real("temperature", t)
     n = _integer("particle number", n, 0)
     m_max = auto_m_max(spectrum, t, m_max)
     _level_one(t, m_max)
     if n <= ORACLE_MAX_N:
-        table = recursion_table(spectrum, t, n, m_max)
-        return Truth(float(table.log_z[n]), *_recursion_moments(
-            table.log_z_excited, t, n), source="recursion")
+        ladder = _level_ladder(spectrum, t, m_max)
+        return Truth(*_recursion_values(
+            ladder.energies[1:], ladder.degeneracies[1:], ladder.tail_weight,
+            t, n), source="recursion")
     return _fft_truth(spectrum, t, n, m_max)
 
 

@@ -8,12 +8,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from bosecanon import (TrapSpectrum, canonical, critical_temperature,
-                       oracle, sweep)
+from bosecanon import TrapSpectrum, canonical, oracle, sweep
 from bosecanon.grand_canonical import (_level_count, _level_ladder,
                                        _level_log_z, _level_variance)
 from bosecanon.oracle import Truth, truth
 from bosecanon.sweep import PRESETS, compute_row
+from longdouble_truth import VALUES
 
 
 class Recorder:
@@ -140,18 +140,16 @@ def demon_forms(spectrum, t, n, m_max=None):
                  source="demon"), float(log_p / math.log(10.0))
 
 
-def demon_gaps(spectrum, n, t_over_tc):
-    """truth() against the demon forms at N and T/Tc: truth()'s source,
-    whether p certifies the forms (p N^2 < 1e-12 Var(n0)) and each of the
-    VALUES' gap relative to the form."""
-    t = t_over_tc * critical_temperature(spectrum, n)
-    demon, log10_p = demon_forms(spectrum, t, n)
-    got = truth(spectrum, t, n)
+def demon_gaps(got, spectrum, t, n, m_max=None):
+    """The VALUES of got (a mapping: vars() of a Truth, or a row of the
+    long-double file) against the demon forms at (N, T): whether p
+    certifies the forms (p N^2 < 1e-12 Var(n0)) and each value's gap
+    relative to the form, log Z's too."""
+    demon, log10_p = demon_forms(spectrum, t, n, m_max)
     certified = (log10_p + 2.0 * math.log10(n)
                  < math.log10(1e-12 * demon.n0_variance))
-    return got.source, certified, {
-        name: abs(getattr(got, name) - getattr(demon, name))
-        / abs(getattr(demon, name)) for name in VALUES}
+    return certified, {name: abs(float(got[name]) - getattr(demon, name))
+                       / abs(getattr(demon, name)) for name in VALUES}
 
 
 class Row(NamedTuple):
@@ -164,11 +162,10 @@ class Row(NamedTuple):
     t: Optional[float] = None
 
 
-# log Z, n0, Var(n0), n1, cov(n0, n1) and <N_ex> of the model, under
-# oracle.Truth's names, as the long-double file stores them
-# (tests/longdouble_truth.py).
+# The long-double file, written by tests/longdouble_truth.py, whose VALUES
+# (log Z, n0, Var(n0), n1, cov(n0, n1) and <N_ex>, under oracle.Truth's
+# names) are its columns and every reference's.
 DATA = Path(__file__).parent / "data"
-VALUES = ("log_z", "n0", "n0_variance", "n1", "covariance_n0_n1", "ne_mean")
 # The rows held against a reference that is no file: oracle.truth() past
 # the recursion's cap, its FFT path, at 10^5 below Tc and at 10^5 and 10^6
 # from 0.9 Tc to 3 Tc; and one particle's closed forms. CI's large-N step

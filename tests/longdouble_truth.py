@@ -3,15 +3,15 @@
     pip install -e .[truth]  # mpmath, for the check at N <= 100
     PYTHONPATH=src python tests/longdouble_truth.py
 
-For each row (spectrum, N, T, m_max) it runs the oracle's own recursion
-and moments, oracle._excited_log_z and _recursion_moments, on the engine's
-ladder (grand_canonical._level_ladder) cast to np.longdouble: they compute
-in the dtype of their arrays, with the precision bounds of its np.finfo.
-It reads log Z(N) = log sum_k Z_ex(k), <n0>, Var(n0), <n1>, cov(n0, n1)
-and <N_ex> (ne_mean, the mean of k, which N - <n0> loses where N_ex is far
-below N) from P(n0 = N - k) proportional to Z_ex(k), and writes the
-doubles nearest them; tier-1 recomputes the rows up to N = 200 and holds
-every cell bit for bit.
+For each row (spectrum, N, T, m_max) it makes the oracle's one call that
+truth() makes, oracle._recursion_values, on the engine's ladder
+(grand_canonical._level_ladder) cast to np.longdouble: it computes in the
+dtype of its arrays, with the precision bounds of its np.finfo. It reads
+log Z(N), the running logaddexp of log Z_ex(k), and <n0>, Var(n0), <n1>,
+cov(n0, n1) and <N_ex> (ne_mean, the mean of k, which N - <n0> loses where
+N_ex is far below N) from P(n0 = N - k) proportional to Z_ex(k), and
+writes the doubles nearest them; tier-1 recomputes the rows up to N = 200
+and holds every cell bit for bit.
 
 The double recursion carries up to 2.9e-11 of its own rounding in n0 near
 Tc at N = 10^4; a long double (64-bit significand, eps 1.08e-19 on x86)
@@ -35,13 +35,14 @@ ladder); and N in {2x10^4, 4x10^4} at T/Tc in {0.9, 0.97, 1.0, 1.05, 1.2}:
 153 rows. Tier-1 holds the engine to every row, and oracle.truth() to every
 row up to N = 1000 and at (10^4, 3). The O(N^2) long-double
 recursion takes most of the time: on a 2-vCPU x86 host a row took 1-5 s at
-10^4, 7 s at 2x10^4 near Tc (22 s at T/Tc = 0.05) and 16-25 s at 4x10^4,
-and the whole run 290 s.
+10^4, 4-6 s at 2x10^4 near Tc (19 s at T/Tc = 0.05) and 15-19 s at
+4x10^4, and the whole run 249 s.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -50,15 +51,15 @@ import numpy as np
 
 from bosecanon import TrapSpectrum, critical_temperature
 from bosecanon.grand_canonical import _level_ladder, auto_m_max
-from bosecanon.oracle import (ORACLE_MAX_N, _excited_log_z,
-                              _recursion_moments, recursion_table)
+from bosecanon.oracle import (ORACLE_MAX_N, Truth, _recursion_values,
+                              recursion_table)
 from bosecanon.sweep import PRESETS
 
 LD = np.longdouble
 OUT = Path(__file__).parent / "data" / "longdouble_truth.csv"
-COLUMNS = ("max_level", "m_max", "n", "t_over_tc", "t", "log_z", "n0",
-           "n0_variance", "n1", "covariance_n0_n1", "ne_mean")
-VALUES = COLUMNS[5:]
+# the six values, under Truth's names: the one list of them
+VALUES = tuple(f.name for f in dataclasses.fields(Truth) if f.name != "source")
+COLUMNS = ("max_level", "m_max", "n", "t_over_tc", "t", *VALUES)
 # mpmath at 30 digits against the long-double run, relative, at N <= 100.
 MPMATH_REL = 1e-15
 # np.longdouble is an extended type (x86's 64-bit significand), not double
@@ -83,14 +84,11 @@ def rows():
 
 
 def longdouble_values(ladder, t: float, n: int) -> dict:
-    """The six values of one row: the oracle's recursion and moments run on
-    the ladder cast to long double."""
-    lz = _excited_log_z(ladder.energies[1:].astype(LD),
-                        ladder.degeneracies[1:].astype(LD),
-                        ladder.tail_weight, t, n)
-    # in one step, as the file stores it; truth() takes a running logaddexp
-    log_z = lz.max() + np.log(np.exp(lz - lz.max()).sum())
-    return dict(zip(VALUES, (log_z, *_recursion_moments(lz, t, n))))
+    """The six values of one row: the oracle's recursion run on the ladder
+    cast to long double."""
+    return dict(zip(VALUES, _recursion_values(
+        ladder.energies[1:].astype(LD), ladder.degeneracies[1:].astype(LD),
+        ladder.tail_weight, t, n)))
 
 
 def mpmath_values(ladder, t: float, n: int) -> dict:

@@ -30,11 +30,11 @@ from bosecanon.oracle import (_fft_truth, enumerate_exact, recursion_table,
 from bosecanon.spectrum import ZETA3
 from bosecanon.sweep import (DISCREPANCY_CHANNELS, PRESETS, SweepRow,
                              fit_scaling, run_sweep)
-from conftest import (COLUMNS, HELD, LARGE_N_CI, VALUES, Row, at_offset,
-                      demon_gaps, fig1, hold, known_defects, longdouble_rows,
-                      model, on_doubled_fft_grid, on_doubled_grid,
-                      raw_moments, sweep_columns)
-from longdouble_truth import gaps
+from conftest import (COLUMNS, HELD, LARGE_N_CI, Row, at_offset, demon_gaps,
+                      fig1, hold, known_defects, longdouble_rows, model,
+                      on_doubled_fft_grid, on_doubled_grid, raw_moments,
+                      sweep_columns)
+from longdouble_truth import VALUES, gaps
 
 SPEC = TrapSpectrum()
 
@@ -365,8 +365,10 @@ def test_the_fft_path_matches_the_demon_forms_below_tc():
     worst, misses = 0.0, []
     for n in (10**5, 10**6, 10**7):
         for f in (0.01, 0.05, 0.3, 0.5, 0.8, 0.9):
-            source, certified, demon = demon_gaps(SPEC, n, f)
-            assert source == "fft" and certified, (n, f)
+            t = f * critical_temperature(SPEC, n)
+            got = truth(SPEC, t, n)
+            certified, demon = demon_gaps(vars(got), SPEC, t, n)
+            assert got.source == "fft" and certified, (n, f)
             for name, gap in demon.items():
                 worst = max(worst, gap)
                 if not gap <= 1e-12:

@@ -445,6 +445,8 @@ def test_engine_matches_its_truth(key):
 @pytest.mark.parametrize("n, t_over_tc", [(10_000, 0.05), (10_000, 0.1),
                                           (ORACLE_MAX_N, 0.05), (10, 0.002)])
 def test_recursion_matches_the_demon_forms(n, t_over_tc):
-    source, certified, demon = demon_gaps(SPEC, n, t_over_tc)
-    assert source == "recursion" and certified
+    t = t_over_tc * critical_temperature(SPEC, n)
+    got = truth(SPEC, t, n)
+    certified, demon = demon_gaps(vars(got), SPEC, t, n)
+    assert got.source == "recursion" and certified
     assert max(demon.values()) <= 1e-12, demon

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from bosecanon import (DomainError, TrapSpectrum, auto_m_max,
                        canonical_observables, critical_temperature)
 from bosecanon.grand_canonical import _level_ladder
-from bosecanon.oracle import (ORACLE_MAX_N, enumerate_exact, recursion_table,
-                              truth)
-from conftest import longdouble_rows, model
-from longdouble_truth import EXTENDED, longdouble_values
+from bosecanon.oracle import (ORACLE_MAX_N, _excited_log_z, enumerate_exact,
+                              recursion_table, truth)
+from conftest import demon_gaps, longdouble_rows, model
+from longdouble_truth import COLUMNS, EXTENDED, longdouble_values, rows
 
 
 def log_z1(t, m_max):
@@ -188,9 +188,11 @@ def test_z1_sum_skips_only_underflowing_levels():
         return math.fsum((m + 1) * (m + 2) / 2.0 * math.exp(-j * m / t)
                          for m in range(1, 22))
 
-    table = recursion_table(spec, t, 2)
-    assert table.log_z_excited[2] == pytest.approx(
-        math.log((z1(1) ** 2 + z1(2)) / 2.0), rel=1e-14)
+    ladder = _level_ladder(spec, t, None)
+    lz = _excited_log_z(ladder.energies[1:], ladder.degeneracies[1:],
+                        ladder.tail_weight, t, 2)
+    assert lz[2] == pytest.approx(math.log((z1(1) ** 2 + z1(2)) / 2.0),
+                                  rel=1e-14)
 
 
 @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is plain double here")
@@ -206,6 +208,30 @@ def test_the_long_double_file_is_the_oracles_code_in_long_double():
         got = longdouble_values(_level_ladder(spec, t, m_max), t, key.n)
         assert {name: repr(float(v)) for name, v in got.items()} == {
             name: x[name] for name in got}, key
+
+
+def test_the_long_double_file_has_the_rows_of_its_script():
+    # longdouble_truth.rows()' (max_level, m_max, N, T/Tc, T) keys, as the
+    # script writes them (T by repr), are the file's, in order: a row added
+    # to the script or dropped from it fails here until the file is
+    # rewritten. No recursion runs.
+    written = [["" if v is None else repr(v) for v in row] for row in rows()]
+    assert written == [[x[k] for k in COLUMNS[:5]]
+                       for x in longdouble_rows().values()]
+
+
+def test_the_long_double_file_meets_the_demon_forms_where_certified():
+    # every stored value, log Z too, within 1e-13 plain relative of the
+    # demon forms on each of the 42 rows where p certifies them, from
+    # (3, 0.01) to (4x10^4, 0.9); measured worst 6.7e-15
+    worst = {}
+    for key, x in longdouble_rows().items():
+        spec, m_max = model(key)
+        certified, demon = demon_gaps(x, spec, float(x["t"]), key.n, m_max)
+        if certified:
+            worst[key] = max(demon.values())
+    assert len(worst) == 42, list(worst)
+    assert max(worst.values()) <= 1e-13, worst
 
 
 def two_level_matches_enumeration(n, t):
