@@ -48,7 +48,6 @@ _LAZY = {
     ),
     "oracle": (
         "EnumerationResult",
-        "RecursionTable",
         "enumerate_exact",
         "recursion_table",
     ),

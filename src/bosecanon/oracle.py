@@ -387,7 +387,6 @@ class EnumerationResult:
     z: float
     mean: np.ndarray        # <n_i> per state
     cross: np.ndarray       # <n_i n_j> matrix; <n_i^2> on its diagonal
-    configurations: int
 
 
 def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
@@ -407,7 +406,6 @@ def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
     z = 0.0
     mean = np.zeros(s)
     cross = np.zeros((s, s))
-    count = 0
     occ = np.zeros(s)
     for combo in itertools.combinations_with_replacement(range(s), n):
         occ[:] = 0.0
@@ -417,5 +415,4 @@ def enumerate_exact(energies, t: float, n: int) -> EnumerationResult:
         z += w
         mean += w * occ
         cross += w * np.outer(occ, occ)
-        count += 1
-    return EnumerationResult(z, mean / z, cross / z, count)
+    return EnumerationResult(z, mean / z, cross / z)

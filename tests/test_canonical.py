@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bosecanon import (DomainError, TrapSpectrum, canonical,
                        critical_temperature)
@@ -21,7 +20,7 @@ from bosecanon.asymptotics import (
     delta_n0_fraction_limit,
 )
 from bosecanon.canonical import ConvergenceError, canonical_observables
-from bosecanon.grand_canonical import auto_m_max, solve_fugacity
+from bosecanon.grand_canonical import _level_ladder, auto_m_max, solve_fugacity
 from bosecanon.oracle import (ORACLE_MAX_N, enumerate_exact, recursion_table,
                               truth)
 from bosecanon.sweep import (SweepRow, compute_row, fit_scaling, run_sweep,
@@ -92,7 +91,7 @@ def test_zero_temperature_limit_fills_ground_state():
 
 # The quantities the refusals name most often.
 TEMP, COUNT, RATIO = "temperature", "particle number", "t_over_tc"
-GC_COUNT, ENERGY = "target particle number", "state energy"
+GC_COUNT, ENERGY, TOP = "target particle number", "state energy", "top level"
 # id: (call, the quantity its message names, the value as given)
 REFUSALS = {
     "offset-nan": (lambda: SPEC.with_ground_offset(math.nan), "ground_offset", "nan"),
@@ -156,7 +155,7 @@ REFUSALS = {
     "pair-energy-bool": (lambda: InteractionParams(True), "pair_energy", "True"),
     "fraction-limit-bool": (lambda: condensate_fraction_limit(True), RATIO, "True"),
     "sweep-t-none": (lambda: run_sweep([100], [None]), RATIO, "None"),
-    "t-int-past-doubles": (lambda: engine(10**400, 10), TEMP, str(10**400)),
+    "t-int-past-doubles":(lambda: engine(10**400, 10), TEMP, str(10**400)),
     "t-decimal-past-doubles": (lambda: engine(Decimal("1e400"), 10), TEMP, "1E+400"),
     "t-decimal-rounds-to-zero": (lambda: engine(Decimal("1e-400"), 10), TEMP, "1E-400"),
     "truth-t-longdouble-past-doubles": (
@@ -166,7 +165,23 @@ REFUSALS = {
     "sweep-t-array": (
         lambda: run_sweep([100], [np.array([0.5, 0.6])]), RATIO, "[0.5 0.6]"),
     "sweep-t-nan": (lambda: run_sweep([100], [math.nan]), RATIO, "nan"),
-    "sweep-t-negative": (lambda: run_sweep([100], [-0.5]), RATIO, "-0.5"),
+    # every caller resolves its top level through auto_m_max, and every
+    # top level is a whole number (none is floored)
+    "recursion-m-max-negative": (
+        lambda: recursion_table(SPEC, 5.0, 10, m_max=-1), TOP, "-1"),
+    "gc-m-max-negative": (
+        lambda: solve_fugacity(SPEC, 5.0, 10, m_max=-3), TOP, "-3"),
+    "ladder-top-negative": (lambda: _level_ladder(SPEC, 5.0, -2), TOP, "-2"),
+    "m-max-fractional": (lambda: engine(5.0, 10, 30.5), TOP, "30.5"),
+    "m-max-negative": (lambda: engine(5.0, 10, -1), TOP, "-1"),
+    "max-level-fractional": (
+        lambda: TrapSpectrum(max_level=3.5), "max_level", "3.5"),
+    "max-level-inf": (
+        lambda: TrapSpectrum(max_level=math.inf), "max_level", "inf"),
+    "max-level-nan": (
+        lambda: TrapSpectrum(max_level=math.nan), "max_level", "nan"),
+    "max-level-negative": (
+        lambda: TrapSpectrum(max_level=-2), "max_level", "-2"),
 }
 
 
@@ -374,15 +389,32 @@ def test_overflow_guard_reports_first_nonfinite_interval():
         canonical_observables(SPEC, 0.6 * critical_temperature(SPEC, 1000), 1000)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(log10_n=st.floats(0.0, 3.0), t_over_tc=st.floats(0.01, 3.0),
-       top=st.none() | st.integers(1, 400))
-def test_engine_recursion_agreement_property(log10_n, t_over_tc, top):
+# 35 rows over log10 N in [0, 3] (seven N), T/Tc in [0.01, 3] (seven
+# values) and five ladders: the unbounded one, and finite ones with top
+# levels 1, 12, 100 and 400. Each ladder meets every N and every T/Tc
+# once, and no (N, T/Tc) pair repeats.
+ENGINE_GRID = {
+    None: [(1, 3.0), (3, 1.7), (10, 1.0), (30, 0.6), (100, 0.2), (300, 0.05),
+           (1000, 0.01)],
+    1: [(1, 0.2), (3, 0.05), (10, 0.01), (30, 3.0), (100, 1.7), (300, 1.0),
+        (1000, 0.6)],
+    12: [(1, 1.0), (3, 0.6), (10, 0.2), (30, 0.05), (100, 0.01), (300, 3.0),
+         (1000, 1.7)],
+    100: [(1, 0.05), (3, 0.01), (10, 3.0), (30, 1.7), (100, 1.0), (300, 0.6),
+          (1000, 0.2)],
+    400: [(1, 0.6), (3, 0.2), (10, 0.05), (30, 0.01), (100, 3.0), (300, 1.7),
+          (1000, 1.0)],
+}
+
+
+@pytest.mark.parametrize("n, t_over_tc, top", [
+    (n, t_over_tc, top) for top, rows in ENGINE_GRID.items()
+    for n, t_over_tc in rows])
+def test_engine_recursion_agreement_property(n, t_over_tc, top):
     # on the unbounded ladder or a finite one, every field and error
     # estimate is finite, log Z, n0, n1 and <n0 n1> agree with truth()
     # under the one rule, and each spread within the row's own estimate;
     # the engine refuses only what truth() refuses, for the same reason
-    n = round(10 ** log10_n)
     spec = TrapSpectrum(max_level=top)
     t = t_over_tc * critical_temperature(spec, n)
     try:

@@ -2,7 +2,6 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bosecanon import (
     ZETA3,
@@ -151,19 +150,20 @@ def test_excited_limit_matches_explicit_sum_at_high_t():
     assert brute > cap  # finite-size correction is positive
 
 
-@pytest.mark.parametrize("t_frac", [0.05, 0.3, 1.0, 100.0, 300.0])
-@pytest.mark.parametrize("n", [1, 2, 100, 10**6, 2 * 10**6, 10**7])
+@pytest.mark.parametrize("t_frac", [0.05, 0.2, 0.3, 1.0, 2.0, 100.0, 300.0])
+@pytest.mark.parametrize("n", [1, 2, 100, 3000, 10**6, 2 * 10**6, 10**7])
 def test_fugacity_is_resolved_to_one_ulp(n, t_frac):
     # the count changes sign between the fugacity's two neighbouring
     # doubles: no closer answer exists, also at N = 10^7 deep in the
     # condensed phase, where one ulp of the fugacity moves the count by
-    # ~1e-9 N
+    # ~1e-9 N; and mu < 0
     t = t_frac * critical_temperature(SPEC, n)
     state = solve_fugacity(SPEC, t, n)
 
     lam = state.relative_fugacity
     assert _occupation_sums(state.ladder, math.nextafter(lam, 0.0)) < n <= (
         _occupation_sums(state.ladder, math.nextafter(lam, math.inf)))
+    assert state.mu < 0.0
 
 
 def test_particle_number_above_the_bracket_is_a_domain_error():
@@ -171,20 +171,6 @@ def test_particle_number_above_the_bracket_is_a_domain_error():
     # the ground level alone holds ~1e15 particles
     with pytest.raises(DomainError, match="exceed"):
         solve_fugacity(SPEC, 5.0, 10**16)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    n=st.integers(min_value=2, max_value=3000),
-    t_frac=st.floats(min_value=0.2, max_value=2.0),
-)
-def test_solver_always_brackets(n, t_frac):
-    # the count changes sign within one ulp of the fugacity, and mu < 0
-    state = solve_fugacity(SPEC, t_frac * critical_temperature(SPEC, n), n)
-    lam = state.relative_fugacity
-    assert _occupation_sums(state.ladder, math.nextafter(lam, 0.0)) < n <= (
-        _occupation_sums(state.ladder, math.nextafter(lam, math.inf)))
-    assert state.mu < 0.0
 
 
 @pytest.mark.parametrize("target", [0.3, 1.0, 4.5, 10.0])

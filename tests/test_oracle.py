@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bosecanon import (DomainError, TrapSpectrum, auto_m_max,
                        canonical_observables, critical_temperature)
@@ -144,14 +143,6 @@ def test_enumeration_caps():
         enumerate_exact(list(range(9)), 1.0, 2)
 
 
-def test_enumeration_counts_configurations():
-    # 3 bosons in 2 states: multiset count C(3+1, 1) = 4
-    out = enumerate_exact([0.0, 1.0], 2.0, 3)
-    assert out.configurations == 4
-    out2 = enumerate_exact([0.0, 0.5, 1.0], 1.0, 2)
-    assert out2.configurations == 6
-
-
 def test_finite_ladder_is_the_oracle_model():
     # TrapSpectrum(max_level=3) alone is the truncated model: the recursion
     # sums its four levels whatever cap is asked for and closes no tail,
@@ -234,7 +225,9 @@ def test_the_long_double_file_meets_the_demon_forms_where_certified():
     assert max(worst.values()) <= 1e-13, worst
 
 
-def two_level_matches_enumeration(n, t):
+@pytest.mark.parametrize("t", [0.2, 1.1 / 0.9, 1.3 / 0.7, 4.0, 40.0 / 3.0])
+@pytest.mark.parametrize("n", range(7))
+def test_recursion_matches_enumeration_two_level(n, t):
     # two levels, degeneracies 1 and 3: small enough to count; at N = 0
     # every moment is exactly 0. The recursion measures energies from the
     # ground level: lifting every state by 0.5 adds N 0.5/T to the count's
@@ -260,20 +253,3 @@ def two_level_matches_enumeration(n, t):
                         exact.cross[0, 1])}.items():
         gap = abs(got - value) / abs(value) if value else abs(got)
         assert gap <= 1e-12, (name, gap)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_recursion_matches_enumeration_with_offset(n):
-    two_level_matches_enumeration(n, 1.3 / 0.7)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
-def test_recursion_matches_enumeration_two_level(n):
-    two_level_matches_enumeration(n, 1.1 / 0.9)
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(n=st.integers(min_value=0, max_value=6),
-       t=st.floats(min_value=0.2, max_value=40.0 / 3.0))
-def test_two_level_recursion_vs_enumeration_property(n, t):
-    two_level_matches_enumeration(n, t)

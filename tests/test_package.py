@@ -33,7 +33,6 @@ EXPORTS = {
     "damping_crossover": "asymptotics",
     "delta_n0_fraction_limit": "asymptotics",
     "EnumerationResult": "oracle",
-    "RecursionTable": "oracle",
     "enumerate_exact": "oracle",
     "recursion_table": "oracle",
     "PRESETS": "sweep",

@@ -77,7 +77,8 @@ def test_compute_row_records_failures_instead_of_raising(failing_rows):
 
 
 @pytest.mark.parametrize("t_over_tc",
-                         [-1.0, 0.0, math.nan, math.inf, None, True, "0.5",
+                         [-1.0, -0.5, 0.0, math.nan, math.inf, None, True,
+                          "0.5",
                           pytest.param(10**400, id="10**400"),
                           pytest.param(Decimal("sNaN"), id="Decimal-sNaN"),
                           pytest.param(np.array([0.5, 0.6]), id="array")])
